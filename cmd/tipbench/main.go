@@ -21,16 +21,13 @@ import (
 	"fmt"
 	"io"
 	"os"
-	"runtime"
 	"runtime/metrics"
-	"runtime/pprof"
-	rtrace "runtime/trace"
-	"strconv"
 	"strings"
 	"sync/atomic"
 	"time"
 
 	tip "github.com/tipprof/tip"
+	"github.com/tipprof/tip/internal/cli"
 	"github.com/tipprof/tip/internal/cpu"
 	"github.com/tipprof/tip/internal/experiments"
 )
@@ -50,41 +47,20 @@ func main() {
 		replayW     = flag.Int("replayworkers", 1, "replay worker goroutines per benchmark, borrowed from the -parallelism budget (decode-once broadcast; results are byte-identical at any count)")
 		streaming   = flag.Bool("streaming", false, "stream each simulation straight into its replay shards (fused capture+replay; peak memory bounded by the live chunk window)")
 		pilot       = flag.Uint64("pilot", 0, "streaming pilot-window length in cycles (0 = default 131072)")
-		cpuprof     = flag.String("cpuprofile", "", "write a pprof CPU profile of the run to this file")
-		memprof     = flag.String("memprofile", "", "write a pprof heap profile to this file on exit")
-		exectrace   = flag.String("exectrace", "", "write a runtime execution trace (go tool trace) to this file")
 		benchjson   = flag.String("benchjson", "", "write machine-readable suite timing (wall-clock, cycles/sec, simulations) to this JSON file")
-		window      = flag.Uint64("window", 0, "sampled measurement-window cycles for -figures sampled (0 = default)")
-		interval    = flag.Uint64("interval", 0, "sampled window period in cycles for -figures sampled (0 = default)")
-		warmup      = flag.String("warmup", "", "detailed warmup cycles per sampled window for -figures sampled, or \"auto\" to size from the fast-forward leg length (empty = default)")
-		windowW     = flag.Int("windowworkers", 0, "checkpoint-parallel sampled simulation for -figures sampled: worker cores running detailed windows concurrently (0 = serial)")
 		sampledjson = flag.String("sampledjson", "", "write machine-readable sampled-vs-full comparison (CPI error, effective cycles/sec, speedup) to this JSON file; requires -figures sampled")
+		prof        cli.Profiling
+		sflags      cli.SampledFlags
 	)
+	prof.Register(flag.CommandLine)
+	sflags.Register(flag.CommandLine, "-figures sampled")
 	flag.Parse()
 
-	if *cpuprof != "" {
-		f, err := os.Create(*cpuprof)
-		if err != nil {
-			fatal(err)
-		}
-		if err := pprof.StartCPUProfile(f); err != nil {
-			fatal(err)
-		}
-		defer pprof.StopCPUProfile()
+	stop, err := prof.Start()
+	if err != nil {
+		fatal(err)
 	}
-	if *memprof != "" {
-		defer writeHeapProfile(*memprof)
-	}
-	if *exectrace != "" {
-		f, err := os.Create(*exectrace)
-		if err != nil {
-			fatal(err)
-		}
-		if err := rtrace.Start(f); err != nil {
-			fatal(err)
-		}
-		defer rtrace.Stop()
-	}
+	defer stop()
 
 	var w io.Writer = os.Stdout
 	if *out != "" {
@@ -112,8 +88,14 @@ func main() {
 	// The sampled comparison is opt-in (it reruns each benchmark in full as
 	// its own ground truth), so "everything" (no -figures) does not imply it.
 	sampledSel := want["sampled"]
-	if err := validateSampledFlags(sampledSel, *window, *interval, *warmup, *windowW, *sampledjson); err != nil {
+	// Resolve the schedule now so a bad one fails before any simulation;
+	// CompareSampled resolves the same flags again per benchmark.
+	var sampledRC tip.RunConfig
+	if err := sflags.Apply(&sampledRC, sampledSel, "-figures sampled"); err != nil {
 		fatal(err)
+	}
+	if *sampledjson != "" && !sampledSel {
+		fatal(fmt.Errorf("-sampledjson requires -figures sampled"))
 	}
 
 	opt := experiments.Options{
@@ -200,16 +182,12 @@ func main() {
 			Seed:           *seed,
 			Scale:          *scale,
 			TargetSamples:  *samples,
-			WindowCycles:   *window,
-			WindowInterval: *interval,
-			WindowWorkers:  *windowW,
+			WindowCycles:   sflags.Window,
+			WindowInterval: sflags.Interval,
+			Warmup:         sflags.Warmup,
+			WindowWorkers:  sflags.Workers,
 			Checked:        *checked,
 			ReplayWorkers:  *replayW,
-		}
-		if *warmup == "auto" {
-			sopt.WarmupAuto = true
-		} else if *warmup != "" {
-			sopt.WarmupCycles, _ = strconv.ParseUint(*warmup, 10, 64)
 		}
 		// Sequential on purpose: each comparison times a full run against a
 		// sampled run of the same workload, and concurrent simulations would
@@ -262,57 +240,6 @@ func suiteNames(opt experiments.Options) []string {
 		return opt.Benchmarks
 	}
 	return allNames()
-}
-
-// validateSampledFlags rejects the sampled-mode flags when the sampled
-// figure is not selected (the geometry would be silently ignored otherwise)
-// and, when it is selected, validates the window geometry after default
-// filling — so a bad schedule fails before any simulation starts.
-func validateSampledFlags(sampledSel bool, window, interval uint64, warmup string, workers int, sampledjson string) error {
-	if !sampledSel {
-		switch {
-		case window != 0:
-			return fmt.Errorf("-window requires -figures sampled")
-		case interval != 0:
-			return fmt.Errorf("-interval requires -figures sampled")
-		case warmup != "":
-			return fmt.Errorf("-warmup requires -figures sampled")
-		case workers != 0:
-			return fmt.Errorf("-windowworkers requires -figures sampled")
-		case sampledjson != "":
-			return fmt.Errorf("-sampledjson requires -figures sampled")
-		}
-		return nil
-	}
-	if workers < 0 {
-		return fmt.Errorf("-windowworkers must be >= 0, got %d", workers)
-	}
-	rc := tip.DefaultRunConfig()
-	rc.Sampled = true
-	rc.WindowCycles = window
-	rc.WindowInterval = interval
-	rc.WindowWorkers = workers
-	if rc.WindowCycles == 0 {
-		rc.WindowCycles = experiments.DefaultSampledWindow
-	}
-	if rc.WindowInterval == 0 {
-		rc.WindowInterval = experiments.DefaultSampledInterval
-	}
-	switch warmup {
-	case "auto":
-		rc.WarmupCycles = tip.AutoWarmupCycles(rc.WindowCycles, rc.WindowInterval)
-	case "":
-		if rc.WindowCycles != rc.WindowInterval {
-			rc.WarmupCycles = experiments.DefaultSampledWarmup
-		}
-	default:
-		cycles, err := strconv.ParseUint(warmup, 10, 64)
-		if err != nil {
-			return fmt.Errorf("-warmup must be a cycle count or \"auto\": %q", warmup)
-		}
-		rc.WarmupCycles = cycles
-	}
-	return tip.ValidateSampled(rc)
 }
 
 // benchJSONSchemaVersion versions the -benchjson report layout. Bump it when
@@ -459,19 +386,6 @@ func (t *peakHeapTracker) Stop() uint64 {
 	close(t.stop)
 	<-t.done
 	return t.peak.Load()
-}
-
-func writeHeapProfile(path string) {
-	f, err := os.Create(path)
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "tipbench:", err)
-		return
-	}
-	defer f.Close()
-	runtime.GC()
-	if err := pprof.WriteHeapProfile(f); err != nil {
-		fmt.Fprintln(os.Stderr, "tipbench:", err)
-	}
 }
 
 func fatal(err error) {

@@ -16,16 +16,14 @@ import (
 	"flag"
 	"fmt"
 	"os"
-	"runtime"
-	"runtime/pprof"
-	rtrace "runtime/trace"
-	"strconv"
 	"strings"
 
 	tip "github.com/tipprof/tip"
-	"github.com/tipprof/tip/internal/experiments"
+	"github.com/tipprof/tip/internal/cli"
 	"github.com/tipprof/tip/internal/perfdata"
+	"github.com/tipprof/tip/internal/profiler"
 	"github.com/tipprof/tip/internal/sampling"
+	"github.com/tipprof/tip/internal/trace"
 	"github.com/tipprof/tip/internal/workload"
 )
 
@@ -45,41 +43,20 @@ func main() {
 		streaming = flag.Bool("streaming", false, "stream the simulation straight into the replay shards (fused capture+replay; interval calibrated from a pilot window)")
 		pilot     = flag.Uint64("pilot", 0, "streaming pilot-window length in cycles (0 = default 131072)")
 		sampled   = flag.Bool("sampled", false, "sampled simulation: detailed measurement windows alternating with functional fast-forward (see -window/-interval/-warmup)")
-		window    = flag.Uint64("window", 0, "sampled measurement-window length in cycles (0 = default 8192; requires -sampled)")
-		interval  = flag.Uint64("interval", 0, "sampled window period in cycles (0 = default 131072; requires -sampled)")
-		warmup    = flag.String("warmup", "", "detailed warmup cycles before each sampled window, or \"auto\" to size from the fast-forward leg length (empty = default 8192; requires -sampled)")
-		windowW   = flag.Int("windowworkers", 0, "checkpoint-parallel sampled simulation: worker cores running detailed windows concurrently over the functional sweep (0 = serial; output is byte-identical at any count >= 1; requires -sampled)")
 		checkInv  = flag.Bool("check", false, "verify cycle-level trace invariants and profiler conservation; fail on any violation")
 		replayW   = flag.Int("replayworkers", 1, "worker goroutines the captured-trace replay fans the profilers out over (decode-once broadcast; results are byte-identical at any count)")
-		cpuprof   = flag.String("cpuprofile", "", "write a pprof CPU profile of the run to this file")
-		memprof   = flag.String("memprofile", "", "write a pprof heap profile to this file on exit")
-		exectrace = flag.String("exectrace", "", "write a runtime execution trace (go tool trace) to this file")
+		prof      cli.Profiling
+		sflags    cli.SampledFlags
 	)
+	prof.Register(flag.CommandLine)
+	sflags.Register(flag.CommandLine, "-sampled")
 	flag.Parse()
 
-	if *cpuprof != "" {
-		f, err := os.Create(*cpuprof)
-		if err != nil {
-			fatal(err)
-		}
-		if err := pprof.StartCPUProfile(f); err != nil {
-			fatal(err)
-		}
-		defer pprof.StopCPUProfile()
+	stop, err := prof.Start()
+	if err != nil {
+		fatal(err)
 	}
-	if *memprof != "" {
-		defer writeHeapProfile(*memprof)
-	}
-	if *exectrace != "" {
-		f, err := os.Create(*exectrace)
-		if err != nil {
-			fatal(err)
-		}
-		if err := rtrace.Start(f); err != nil {
-			fatal(err)
-		}
-		defer rtrace.Stop()
-	}
+	defer stop()
 
 	if *list {
 		for _, name := range tip.Benchmarks() {
@@ -90,9 +67,11 @@ func main() {
 		return
 	}
 
-	kinds, err := parseKinds(*profilers)
-	if err != nil {
-		fatal(err)
+	var kinds []tip.Kind
+	if *profilers != "" {
+		if kinds, err = profiler.ParseKinds(strings.Split(*profilers, ",")); err != nil {
+			fatal(err)
+		}
 	}
 
 	rc := tip.DefaultRunConfig()
@@ -104,7 +83,7 @@ func main() {
 	rc.ReplayWorkers = *replayW
 	rc.Streaming = *streaming
 	rc.PilotCycles = *pilot
-	if err := configureSampled(&rc, *sampled, *window, *interval, *warmup, *windowW, *record != ""); err != nil {
+	if err := sflags.Apply(&rc, *sampled, "-sampled"); err != nil {
 		fatal(err)
 	}
 
@@ -120,58 +99,44 @@ func main() {
 	if err != nil {
 		fatal(err)
 	}
-
-	var recFile *os.File
-	var recWriter *perfdata.Writer
-	var res *tip.Result
-	if *record != "" {
-		if *streaming {
-			// The raw-sample collector needs the concrete interval before
-			// the run starts; streaming only knows it after the pilot
-			// window, so recording stays on the capture-then-replay path.
-			fatal(fmt.Errorf("-record is incompatible with -streaming"))
-		}
-		f, err := os.Create(*record)
-		if err != nil {
-			fatal(err)
-		}
-		recFile = f
-		recWriter = perfdata.NewWriter(f)
-		// The collector needs the concrete interval before the profiled
-		// pass starts. Capture the trace once, calibrate from the
-		// measured cycle count, and replay the capture through the
-		// profilers and collector — one simulation instead of two.
-		capture, stats, err := tip.CaptureWorkload(w, rc.Core)
-		if err != nil {
-			fatal(err)
-		}
-		defer capture.Close()
-		rc.SampleInterval = tip.CalibrateInterval(stats.Cycles, *samples)
-		rc.ExtraConsumers = append(rc.ExtraConsumers,
-			perfdata.NewCollector(recWriter, sampling.NewPeriodic(rc.SampleInterval), 0, 1, 1))
-		res, err = tip.RunCaptured(context.Background(), w, capture, stats, rc)
-		if err != nil {
-			fatal(err)
-		}
-	} else {
-		var err error
-		res, err = tip.Run(w, rc)
-		if err != nil {
-			fatal(err)
-		}
+	res, err := run(w, rc, *record)
+	if err != nil {
+		fatal(err)
 	}
-	if recWriter != nil {
-		if recWriter.Err() != nil {
-			fatal(recWriter.Err())
-		}
-		if err := recFile.Close(); err != nil {
-			fatal(err)
-		}
-		fmt.Printf("recorded %d raw samples (%d bytes) to %s\n",
-			recWriter.Count(), recWriter.Count()*perfdata.RecordBytes, *record)
-	}
-
 	printResult(w.Name, res, *top, *fn)
+}
+
+// run simulates w under rc. A non-empty record path also writes the raw TIP
+// samples a perfdata collector gathers at the run's calibrated interval,
+// whichever route the run takes to find it.
+func run(w *tip.Workload, rc tip.RunConfig, record string) (*tip.Result, error) {
+	if record == "" {
+		return tip.Run(w, rc)
+	}
+	if rc.Sampled {
+		return nil, fmt.Errorf("-record is incompatible with -sampled (raw-sample recording needs the full trace)")
+	}
+	f, err := os.Create(record)
+	if err != nil {
+		return nil, err
+	}
+	rw := perfdata.NewWriter(f)
+	rc.ExtraConsumersAt = func(interval, _ uint64) []trace.Consumer {
+		return []trace.Consumer{perfdata.NewCollector(rw, sampling.NewPeriodic(interval), 0, 1, 1)}
+	}
+	res, err := tip.Run(w, rc)
+	if err == nil {
+		err = rw.Err()
+	}
+	if cerr := f.Close(); err == nil {
+		err = cerr
+	}
+	if err != nil {
+		return nil, err
+	}
+	fmt.Printf("recorded %d raw samples (%d bytes) to %s\n",
+		rw.Count(), rw.Count()*perfdata.RecordBytes, record)
+	return res, nil
 }
 
 // printResult renders one run's summary, error table, and top functions.
@@ -258,81 +223,6 @@ func runMulticore(spec string, seed, scale uint64, rc tip.RunConfig, top int, fn
 	return nil
 }
 
-// configureSampled applies the sampled-simulation flags to rc. The geometry
-// flags are meaningless without -sampled, and -record needs the concrete
-// sample interval before the run starts while sampled mode calibrates from
-// a pilot window — both are rejected rather than silently ignored. Zero
-// geometry values take the evaluation-harness defaults; warmup accepts the
-// literal "auto" to size the warmup from the fast-forward leg length.
-func configureSampled(rc *tip.RunConfig, sampled bool, window, interval uint64, warmup string, workers int, recording bool) error {
-	if !sampled {
-		switch {
-		case window != 0:
-			return fmt.Errorf("-window requires -sampled")
-		case interval != 0:
-			return fmt.Errorf("-interval requires -sampled")
-		case warmup != "":
-			return fmt.Errorf("-warmup requires -sampled")
-		case workers != 0:
-			return fmt.Errorf("-windowworkers requires -sampled")
-		}
-		return nil
-	}
-	if recording {
-		return fmt.Errorf("-record is incompatible with -sampled (raw-sample recording needs the full trace)")
-	}
-	if workers < 0 {
-		return fmt.Errorf("-windowworkers must be >= 0, got %d", workers)
-	}
-	rc.Sampled = true
-	rc.WindowCycles = window
-	rc.WindowInterval = interval
-	rc.WindowWorkers = workers
-	if rc.WindowCycles == 0 {
-		rc.WindowCycles = experiments.DefaultSampledWindow
-	}
-	if rc.WindowInterval == 0 {
-		rc.WindowInterval = experiments.DefaultSampledInterval
-	}
-	switch warmup {
-	case "auto":
-		rc.WarmupAuto = true
-	case "":
-		if rc.WindowCycles != rc.WindowInterval {
-			rc.WarmupCycles = experiments.DefaultSampledWarmup
-		}
-	default:
-		cycles, err := strconv.ParseUint(warmup, 10, 64)
-		if err != nil {
-			return fmt.Errorf("-warmup must be a cycle count or \"auto\": %q", warmup)
-		}
-		rc.WarmupCycles = cycles
-	}
-	if rc.WarmupAuto {
-		rc.WarmupCycles = tip.AutoWarmupCycles(rc.WindowCycles, rc.WindowInterval)
-	}
-	return tip.ValidateSampled(*rc)
-}
-
-func parseKinds(s string) ([]tip.Kind, error) {
-	if s == "" {
-		return nil, nil
-	}
-	byName := map[string]tip.Kind{}
-	for _, k := range tip.AllKinds() {
-		byName[strings.ToLower(k.String())] = k
-	}
-	var out []tip.Kind
-	for _, part := range strings.Split(s, ",") {
-		k, ok := byName[strings.ToLower(strings.TrimSpace(part))]
-		if !ok {
-			return nil, fmt.Errorf("unknown profiler %q (known: Software, Dispatch, LCI, NCI, NCI+ILP, TIP-ILP, TIP)", part)
-		}
-		out = append(out, k)
-	}
-	return out, nil
-}
-
 func orderOf(res *tip.Result) []tip.Kind {
 	var out []tip.Kind
 	for _, k := range tip.AllKinds() {
@@ -341,19 +231,6 @@ func orderOf(res *tip.Result) []tip.Kind {
 		}
 	}
 	return out
-}
-
-func writeHeapProfile(path string) {
-	f, err := os.Create(path)
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "tipsim:", err)
-		return
-	}
-	defer f.Close()
-	runtime.GC()
-	if err := pprof.WriteHeapProfile(f); err != nil {
-		fmt.Fprintln(os.Stderr, "tipsim:", err)
-	}
 }
 
 func fatal(err error) {

@@ -1,12 +1,32 @@
 package main
 
 import (
+	"bytes"
+	"fmt"
+	"os"
+	"path/filepath"
 	"strings"
 	"testing"
 
 	tip "github.com/tipprof/tip"
-	"github.com/tipprof/tip/internal/experiments"
+	"github.com/tipprof/tip/internal/cli"
+	"github.com/tipprof/tip/internal/perfdata"
+	"github.com/tipprof/tip/internal/workload"
 )
+
+// configureSampled applies tipsim's sampled-mode flags to rc the way main
+// does: the shared flag set under -sampled, then the -record rejection.
+func configureSampled(rc *tip.RunConfig, sampled bool, window, interval uint64, warmup string, workers int, recording bool) error {
+	f := cli.SampledFlags{Window: window, Interval: interval, Warmup: warmup, Workers: workers}
+	if err := f.Apply(rc, sampled, "-sampled"); err != nil {
+		return err
+	}
+	if recording {
+		_, err := run(nil, *rc, "unused.tipperf")
+		return err
+	}
+	return nil
+}
 
 // TestConfigureSampledRejections exercises every sampled-mode flag rejection
 // and the accepted shapes (defaults filled, explicit geometry preserved).
@@ -28,7 +48,7 @@ func TestConfigureSampledRejections(t *testing.T) {
 		{name: "window exceeds interval", sampled: true, window: 1 << 20, interval: 4096, wantErr: "exceeds WindowInterval"},
 		{name: "warmup overflows gap", sampled: true, window: 4096, interval: 8192, warmup: "8192", wantErr: "exceed WindowInterval"},
 		{name: "warmup not a number", sampled: true, warmup: "lots", wantErr: "cycle count or \"auto\""},
-		{name: "negative workers", sampled: true, workers: -1, wantErr: "-windowworkers must be >= 0"},
+		{name: "negative workers", sampled: true, workers: -1, wantErr: "WindowWorkers must be >= 0"},
 		{name: "plain run", wantErr: ""},
 		{name: "sampled defaults", sampled: true, wantErr: ""},
 		{name: "sampled auto warmup", sampled: true, warmup: "auto", wantErr: ""},
@@ -60,9 +80,9 @@ func TestConfigureSampledDefaults(t *testing.T) {
 	if !rc.Sampled {
 		t.Fatal("rc.Sampled not set")
 	}
-	if rc.WindowCycles != experiments.DefaultSampledWindow ||
-		rc.WindowInterval != experiments.DefaultSampledInterval ||
-		rc.WarmupCycles != experiments.DefaultSampledWarmup {
+	if rc.WindowCycles != tip.DefaultSampledWindow ||
+		rc.WindowInterval != tip.DefaultSampledInterval ||
+		rc.WarmupCycles != tip.DefaultSampledWarmup {
 		t.Fatalf("defaults not applied: %d/%d/%d", rc.WindowCycles, rc.WindowInterval, rc.WarmupCycles)
 	}
 
@@ -73,20 +93,54 @@ func TestConfigureSampledDefaults(t *testing.T) {
 	if rc.WarmupCycles != 0 {
 		t.Fatalf("full-fraction run got a defaulted warmup %d", rc.WarmupCycles)
 	}
+
+	rc = tip.DefaultRunConfig()
+	if err := configureSampled(&rc, true, 0, 0, "0", 3, false); err != nil {
+		t.Fatal(err)
+	}
+	if rc.WarmupCycles != 0 || rc.WindowWorkers != 3 {
+		t.Fatalf("explicit warmup 0 / 3 workers became %d / %d", rc.WarmupCycles, rc.WindowWorkers)
+	}
 }
 
 // TestConfigureSampledAutoWarmup pins the -warmup auto resolution: the
-// heuristic value is filled in and WarmupAuto recorded.
+// heuristic's cycle count is filled in.
 func TestConfigureSampledAutoWarmup(t *testing.T) {
 	rc := tip.DefaultRunConfig()
 	if err := configureSampled(&rc, true, 8192, 1<<20, "auto", 0, false); err != nil {
 		t.Fatal(err)
 	}
-	if !rc.WarmupAuto {
-		t.Fatal("WarmupAuto not recorded")
-	}
 	if want := tip.AutoWarmupCycles(8192, 1<<20); rc.WarmupCycles != want {
 		t.Fatalf("auto warmup resolved to %d, want %d", rc.WarmupCycles, want)
+	}
+}
+
+// TestRecordMatchesCollectorOnEveryRoute checks -record writes the same raw
+// samples whether the run calibrates from a capture or from a streaming pilot
+// that covers the whole run.
+func TestRecordMatchesCollectorOnEveryRoute(t *testing.T) {
+	w, err := workload.LoadScaled("mcf", 1, 8_000)
+	if err != nil {
+		t.Fatal(err)
+	}
+	dir := t.TempDir()
+	var files [2][]byte
+	for i, streaming := range []bool{false, true} {
+		rc := tip.DefaultRunConfig()
+		rc.Streaming = streaming
+		path := filepath.Join(dir, fmt.Sprintf("r%d.tipperf", i))
+		if _, err := run(w, rc, path); err != nil {
+			t.Fatalf("streaming=%v: %v", streaming, err)
+		}
+		if files[i], err = os.ReadFile(path); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if len(files[0]) < perfdata.RecordBytes {
+		t.Fatalf("recorded %d bytes, want at least one %d-byte sample", len(files[0]), perfdata.RecordBytes)
+	}
+	if !bytes.Equal(files[0], files[1]) {
+		t.Fatal("-record -streaming wrote different samples than the captured route")
 	}
 }
 

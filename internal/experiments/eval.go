@@ -65,28 +65,6 @@ type Options struct {
 	// PilotCycles overrides the streaming calibration window
 	// (0 = tip.DefaultPilotCycles). Ignored unless Streaming.
 	PilotCycles uint64
-	// Sampled evaluates each benchmark under sampled simulation instead of
-	// a full capture: the profiler matrix observes only the measurement
-	// windows and the reported cycle total is the stitched estimate.
-	// Mutually exclusive with Streaming.
-	Sampled bool
-	// WindowCycles, WindowInterval, WarmupCycles set the sampled schedule
-	// geometry (0 = DefaultSampled*); WarmupAuto sizes the warmup from the
-	// fast-forward leg length instead. Ignored unless Sampled.
-	WindowCycles   uint64
-	WindowInterval uint64
-	WarmupCycles   uint64
-	WarmupAuto     bool
-	// WindowWorkers asks each sampled run to execute its detailed windows
-	// checkpoint-parallel on up to this many worker cores. Like
-	// ReplayWorkers, workers beyond the first only materialize when the
-	// shared Parallelism budget has idle slots, so suite-level and
-	// window-level parallelism never oversubscribe the host. Results are
-	// byte-identical at any count >= 1 (and any WindowWorkers > 0 request
-	// always gets at least one worker — the evaluation's own held slot —
-	// so the schedule never silently degrades to the serial variant).
-	// Ignored unless Sampled.
-	WindowWorkers int
 }
 
 func (o *Options) fill() {
@@ -211,10 +189,6 @@ type Timing struct {
 	// ReplayWorkers is the worker count the replay actually ran with
 	// (≤ Options.ReplayWorkers, depending on idle budget slots).
 	ReplayWorkers int
-	// WindowWorkers is the checkpoint-parallel worker count a sampled
-	// evaluation actually ran with (≤ Options.WindowWorkers, depending on
-	// idle budget slots; 0 when the run was serial or not sampled).
-	WindowWorkers int
 }
 
 // EvalBenchmark runs one benchmark with the full profiler matrix.
@@ -324,53 +298,7 @@ func evalBenchmark(ctx context.Context, b *budget, name string, opt Options) (*B
 	var m *evalMatrix
 	var interval4k uint64
 
-	if opt.Sampled {
-		// Sampled path: one sampled simulation streams its measurement
-		// windows into the matrix; the cycle total is the stitched
-		// estimate. Extra window workers borrow idle budget slots — the
-		// evaluation's own held slot covers the first worker, so a
-		// WindowWorkers request never degrades below the parallel
-		// schedule (whose output is byte-identical at any count >= 1).
-		src := tip.RunConfig{
-			Core:          cfg.Core,
-			Profilers:     []profiler.Kind{}, // matrix supplied by the hook
-			TargetSamples: opt.TargetSamples,
-			SamplingSeed:  cfg.SamplingSeed, // schedule jitter: match direct runs
-			Sampled:       true,
-			ReplayWorkers: 1,
-			ExtraConsumersAt: func(interval, estCycles uint64) []trace.Consumer {
-				interval4k = interval
-				m = buildEvalMatrix(name, w, cfg.Core, opt, interval,
-					rawIntervalFor(estCycles, opt.TargetSamples))
-				return m.consumers
-			},
-		}
-		src.WindowCycles = opt.WindowCycles
-		if src.WindowCycles == 0 {
-			src.WindowCycles = DefaultSampledWindow
-		}
-		src.WindowInterval = opt.WindowInterval
-		if src.WindowInterval == 0 {
-			src.WindowInterval = DefaultSampledInterval
-		}
-		src.WarmupCycles = opt.WarmupCycles
-		src.WarmupAuto = opt.WarmupAuto
-		if !src.WarmupAuto && src.WarmupCycles == 0 && src.WindowCycles != src.WindowInterval {
-			src.WarmupCycles = DefaultSampledWarmup
-		}
-		if opt.WindowWorkers > 0 {
-			extra := b.tryExtra(opt.WindowWorkers - 1)
-			src.WindowWorkers = 1 + extra
-			defer b.release(extra)
-		}
-		tm.WindowWorkers = src.WindowWorkers
-		runStart := time.Now()
-		res, err = tip.RunSampled(ctx, w, src)
-		tm.Replay = time.Since(runStart)
-		if err != nil {
-			return nil, tm, err
-		}
-	} else if opt.Streaming {
+	if opt.Streaming {
 		// Fused path: one simulation streams straight into the matrix. The
 		// base interval is pilot-calibrated inside the run, so the matrix is
 		// assembled by the post-calibration hook; simulation and replay
@@ -515,9 +443,6 @@ type SuiteTiming struct {
 	// MaxReplayWorkers is the largest worker count any benchmark's replay
 	// actually ran with.
 	MaxReplayWorkers int
-	// MaxWindowWorkers is the largest checkpoint-parallel worker count any
-	// sampled evaluation actually ran with (0 for non-sampled suites).
-	MaxWindowWorkers int
 }
 
 // EvalSuite evaluates the selected benchmarks, in parallel when the host
@@ -580,9 +505,6 @@ func EvalSuiteTimed(ctx context.Context, opt Options) ([]*BenchmarkEval, SuiteTi
 		st.Replay += tm.Replay
 		if tm.ReplayWorkers > st.MaxReplayWorkers {
 			st.MaxReplayWorkers = tm.ReplayWorkers
-		}
-		if tm.WindowWorkers > st.MaxWindowWorkers {
-			st.MaxWindowWorkers = tm.WindowWorkers
 		}
 	}
 	// Prefer the root cause: an evaluation cancelled because a sibling

@@ -21,15 +21,12 @@ type SampledOptions struct {
 	// TargetSamples calibrates the sampling period (0 = 32768, matching
 	// the suite evaluation's 4 kHz-equivalent regime).
 	TargetSamples uint64
-	// WindowCycles, WindowInterval, WarmupCycles define the sampled
-	// schedule (see tip.RunConfig). Zero WindowCycles/WindowInterval
-	// select DefaultSampledWindow/DefaultSampledInterval.
+	// WindowCycles, WindowInterval and Warmup define the sampled schedule,
+	// spelled as tip.ConfigureSampled takes it: zero geometry selects the
+	// defaults, and Warmup is "" (default), "auto" or a cycle count.
 	WindowCycles   uint64
 	WindowInterval uint64
-	WarmupCycles   uint64
-	// WarmupAuto derives WarmupCycles from the fast-forward leg length
-	// (tip.AutoWarmupCycles), overriding WarmupCycles.
-	WarmupAuto bool
+	Warmup         string
 	// WindowWorkers runs the sampled schedule's detailed windows on up to
 	// this many concurrent worker cores over a serial functional sweep
 	// (0 = serial schedule; output is byte-identical at any count >= 1).
@@ -41,19 +38,11 @@ type SampledOptions struct {
 	ReplayWorkers int
 }
 
-// Default sampled-schedule geometry: 8K-cycle measurement windows, one per
-// 128K cycles (a 1/16 measured fraction), each preceded by an 8K-cycle
-// detailed warmup absorbing post-fast-forward transients. Chosen
-// empirically on the suite: windows shorter than 8K cycles get noisy on
-// stall-dominated workloads (one DRAM burst dominates the window CPI),
-// warmups shorter than the window leave warm-state transients in the
-// measurement, and the 1/16 fraction is the widest that still leaves the
-// trapezoidal stitching enough windows to track phase ramps at benchmark
-// scales, landing under 2% cycle error at 4x+ effective speed.
+// Default sampled-schedule geometry; see tip.DefaultSampledWindow.
 const (
-	DefaultSampledWindow   = 8 << 10
-	DefaultSampledInterval = 128 << 10
-	DefaultSampledWarmup   = 8 << 10
+	DefaultSampledWindow   = tip.DefaultSampledWindow
+	DefaultSampledInterval = tip.DefaultSampledInterval
+	DefaultSampledWarmup   = tip.DefaultSampledWarmup
 )
 
 func (o *SampledOptions) fill() {
@@ -62,15 +51,6 @@ func (o *SampledOptions) fill() {
 	}
 	if o.TargetSamples == 0 {
 		o.TargetSamples = 32768
-	}
-	if o.WindowCycles == 0 {
-		o.WindowCycles = DefaultSampledWindow
-	}
-	if o.WindowInterval == 0 {
-		o.WindowInterval = DefaultSampledInterval
-	}
-	if o.WindowCycles != o.WindowInterval && o.WarmupCycles == 0 {
-		o.WarmupCycles = DefaultSampledWarmup
 	}
 }
 
@@ -157,6 +137,11 @@ func CompareSampled(ctx context.Context, name string, opt SampledOptions) (*Samp
 	rc.TargetSamples = opt.TargetSamples
 	rc.Check = opt.Checked
 	rc.ReplayWorkers = opt.ReplayWorkers
+	src := rc
+	src.WindowWorkers = opt.WindowWorkers
+	if err := tip.ConfigureSampled(&src, opt.WindowCycles, opt.WindowInterval, opt.Warmup); err != nil {
+		return nil, fmt.Errorf("experiments: %s: %w", name, err)
+	}
 
 	fullStart := time.Now()
 	full, err := tip.RunStreaming(ctx, w, rc)
@@ -165,13 +150,6 @@ func CompareSampled(ctx context.Context, name string, opt SampledOptions) (*Samp
 	}
 	fullWall := time.Since(fullStart)
 
-	src := rc
-	src.Sampled = true
-	src.WindowCycles = opt.WindowCycles
-	src.WindowInterval = opt.WindowInterval
-	src.WarmupCycles = opt.WarmupCycles
-	src.WarmupAuto = opt.WarmupAuto
-	src.WindowWorkers = opt.WindowWorkers
 	sampledStart := time.Now()
 	sampled, err := tip.RunSampled(ctx, w, src)
 	if err != nil {

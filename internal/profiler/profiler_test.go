@@ -2,6 +2,8 @@ package profiler
 
 import (
 	"math"
+	"slices"
+	"strings"
 	"testing"
 
 	"github.com/tipprof/tip/internal/isa"
@@ -486,5 +488,23 @@ func TestKindNames(t *testing.T) {
 		if k.String() != want[i] {
 			t.Errorf("kind %d = %q, want %q", i, k.String(), want[i])
 		}
+	}
+}
+
+// TestParseKinds checks the shared profiler-name parser: case-insensitive,
+// space-tolerant, order-preserving, and naming the known set on a miss.
+func TestParseKinds(t *testing.T) {
+	got, err := ParseKinds([]string{" tip", "NCI+ilp", "Software"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := []Kind{KindTIP, KindNCIILP, KindSoftware}
+	if !slices.Equal(got, want) {
+		t.Fatalf("ParseKinds = %v, want %v", got, want)
+	}
+	_, err = ParseKinds([]string{"TIP", "perf"})
+	if err == nil || !strings.Contains(err.Error(), `unknown profiler "perf"`) ||
+		!strings.Contains(err.Error(), "known: Software, Dispatch, LCI, NCI, NCI+ILP, TIP-ILP, TIP") {
+		t.Fatalf("error %v, want the unknown name and the known set", err)
 	}
 }

@@ -1,6 +1,10 @@
 package profiler
 
 import (
+	"fmt"
+	"slices"
+	"strings"
+
 	"github.com/tipprof/tip/internal/profile"
 	"github.com/tipprof/tip/internal/program"
 	"github.com/tipprof/tip/internal/sampling"
@@ -59,6 +63,22 @@ func AllKinds() []Kind {
 		out[i] = Kind(i)
 	}
 	return out
+}
+
+// ParseKinds resolves profiler names, matched case-insensitively and with
+// surrounding spaces ignored, in order.
+func ParseKinds(names []string) ([]Kind, error) {
+	var out []Kind
+	for _, name := range names {
+		i := slices.IndexFunc(kindNames[:], func(kn string) bool {
+			return strings.EqualFold(kn, strings.TrimSpace(name))
+		})
+		if i < 0 {
+			return nil, fmt.Errorf("unknown profiler %q (known: %s)", name, strings.Join(kindNames[:], ", "))
+		}
+		out = append(out, Kind(i))
+	}
+	return out, nil
 }
 
 // pendingSample is a sample awaiting a resolution event.

@@ -2,7 +2,9 @@ package server
 
 import (
 	"context"
+	"errors"
 	"fmt"
+	"strconv"
 	"strings"
 	"time"
 
@@ -10,6 +12,7 @@ import (
 	"github.com/tipprof/tip/internal/experiments"
 	"github.com/tipprof/tip/internal/profile"
 	"github.com/tipprof/tip/internal/profiler"
+	"github.com/tipprof/tip/internal/trace"
 	"github.com/tipprof/tip/internal/workload"
 )
 
@@ -65,7 +68,8 @@ type JobSpec struct {
 	WindowInterval uint64 `json:"window_interval,omitempty"`
 	WarmupCycles   uint64 `json:"warmup_cycles,omitempty"`
 	// WarmupAuto sizes the warmup from the fast-forward leg length
-	// (tip.AutoWarmupCycles), overriding warmup_cycles.
+	// (tip.AutoWarmupCycles), overriding warmup_cycles; normalize resolves
+	// it into warmup_cycles.
 	WarmupAuto bool `json:"warmup_auto,omitempty"`
 	// WindowWorkers runs the sampled windows checkpoint-parallel on up to
 	// this many worker cores (clamped to [0,16]; 0 = serial schedule;
@@ -134,44 +138,24 @@ func (sp *JobSpec) normalize() ([]profiler.Kind, profile.Granularity, error) {
 			return nil, 0, fmt.Errorf("window_workers requires sampled")
 		}
 	} else {
-		if sp.WindowWorkers < 0 {
-			sp.WindowWorkers = 0
-		}
-		if sp.WindowWorkers > 16 {
-			sp.WindowWorkers = 16
-		}
-		if sp.WindowCycles == 0 {
-			sp.WindowCycles = experiments.DefaultSampledWindow
-		}
-		if sp.WindowInterval == 0 {
-			sp.WindowInterval = experiments.DefaultSampledInterval
-		}
+		sp.WindowWorkers = min(max(sp.WindowWorkers, 0), 16)
+		warmup := ""
 		if sp.WarmupAuto {
-			sp.WarmupCycles = tip.AutoWarmupCycles(sp.WindowCycles, sp.WindowInterval)
-		} else if sp.WarmupCycles == 0 && sp.WindowCycles != sp.WindowInterval {
-			sp.WarmupCycles = experiments.DefaultSampledWarmup
+			warmup = "auto"
+		} else if sp.WarmupCycles != 0 {
+			warmup = strconv.FormatUint(sp.WarmupCycles, 10)
 		}
 		rc := tip.DefaultRunConfig()
-		rc.Sampled = true
-		rc.WindowCycles = sp.WindowCycles
-		rc.WindowInterval = sp.WindowInterval
-		rc.WarmupCycles = sp.WarmupCycles
-		if err := tip.ValidateSampled(rc); err != nil {
+		if err := tip.ConfigureSampled(&rc, sp.WindowCycles, sp.WindowInterval, warmup); err != nil {
 			return nil, 0, err
 		}
+		sp.WindowCycles, sp.WindowInterval, sp.WarmupCycles = rc.WindowCycles, rc.WindowInterval, rc.WarmupCycles
 	}
 	var kinds []profiler.Kind
 	if len(sp.Profilers) > 0 {
-		byName := map[string]profiler.Kind{}
-		for _, k := range profiler.AllKinds() {
-			byName[strings.ToLower(k.String())] = k
-		}
-		for _, name := range sp.Profilers {
-			k, ok := byName[strings.ToLower(strings.TrimSpace(name))]
-			if !ok {
-				return nil, 0, fmt.Errorf("unknown profiler %q", name)
-			}
-			kinds = append(kinds, k)
+		var err error
+		if kinds, err = profiler.ParseKinds(sp.Profilers); err != nil {
+			return nil, 0, err
 		}
 	}
 	var gran profile.Granularity
@@ -284,7 +268,7 @@ func (s *Server) executeJob(ctx context.Context, jb *job) (*jobOutcome, error) {
 		rc.Sampled = true
 		rc.WindowCycles = spec.WindowCycles
 		rc.WindowInterval = spec.WindowInterval
-		rc.WarmupCycles = spec.WarmupCycles // normalize resolved warmup_auto
+		rc.WarmupCycles = spec.WarmupCycles
 		rc.WindowWorkers = spec.WindowWorkers
 		start := time.Now()
 		res, err := tip.RunSampled(ctx, w, rc)
@@ -307,13 +291,13 @@ func (s *Server) executeJob(ctx context.Context, jb *job) (*jobOutcome, error) {
 			fromStore = true
 			return capt, stats, nil
 		}
-		res, capt, stats, err := tip.RunStreamingTee(ctx, w, rc)
+		res, capt, err := runTee(ctx, w, rc)
 		if err != nil {
 			return nil, nil, err
 		}
 		s.met.simulationRan()
 		fusedRes = res
-		allStats := []tip.CoreStats{stats}
+		allStats := []tip.CoreStats{res.Stats}
 		s.storePut(key, capt, allStats)
 		return capt, allStats, nil
 	})
@@ -342,6 +326,23 @@ func (s *Server) executeJob(ctx context.Context, jb *job) (*jobOutcome, error) {
 	}
 	out.res = res
 	return out, nil
+}
+
+// runTee is a fused streaming run whose encoded trace is also captured as it
+// streams past — the equivalent of CaptureWorkload followed by RunCaptured.
+// On success the caller owns the capture and must Close it; on error no
+// capture is returned and any spill file is released.
+func runTee(ctx context.Context, w *tip.Workload, rc tip.RunConfig) (*tip.Result, *tip.TraceCapture, error) {
+	capt := trace.NewCapture(0)
+	rc.ExtraConsumers = []trace.Consumer{capt}
+	res, err := tip.RunStreaming(ctx, w, rc)
+	if err == nil && capt.Err() != nil {
+		err = fmt.Errorf("tip: %s: capture: %w", w.Name, capt.Err())
+	}
+	if err != nil {
+		return nil, nil, errors.Join(err, capt.Close())
+	}
+	return res, capt, nil
 }
 
 // executeMulticoreJob runs a "cores" job: on a capture-cache miss the whole
@@ -481,10 +482,10 @@ type ResultView struct {
 
 // JobView is the wire representation of a job.
 type JobView struct {
-	ID       string      `json:"id"`
-	State    string      `json:"state"`
-	Spec     JobSpec     `json:"spec"`
-	Error    string      `json:"error,omitempty"`
+	ID       string     `json:"id"`
+	State    string     `json:"state"`
+	Spec     JobSpec    `json:"spec"`
+	Error    string     `json:"error,omitempty"`
 	Created  time.Time  `json:"created"`
 	Started  *time.Time `json:"started,omitempty"`
 	Finished *time.Time `json:"finished,omitempty"`

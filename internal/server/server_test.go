@@ -896,3 +896,34 @@ func TestMulticoreSpecValidation(t *testing.T) {
 		t.Fatalf("per-core seeds not defaulted: %+v", good.Cores)
 	}
 }
+
+// TestNormalizeResolvesSampledSchedule checks a sampled spec's schedule is
+// resolved to literal cycle counts: zero geometry takes the defaults,
+// warmup_auto overrides warmup_cycles with the heuristic, and
+// window_workers is clamped to [0,16].
+func TestNormalizeResolvesSampledSchedule(t *testing.T) {
+	cases := []struct {
+		spec                     JobSpec
+		window, interval, warmup uint64
+		workers                  int
+	}{
+		{JobSpec{Bench: "mcf", Sampled: true},
+			tip.DefaultSampledWindow, tip.DefaultSampledInterval, tip.DefaultSampledWarmup, 0},
+		{JobSpec{Bench: "mcf", Sampled: true, WindowInterval: 1 << 20, WarmupCycles: 4096, WarmupAuto: true, WindowWorkers: 99},
+			tip.DefaultSampledWindow, 1 << 20, tip.AutoWarmupCycles(tip.DefaultSampledWindow, 1<<20), 16},
+		{JobSpec{Bench: "mcf", Sampled: true, WindowCycles: 2048, WindowInterval: 16384, WarmupCycles: 1024, WindowWorkers: -3},
+			2048, 16384, 1024, 0},
+	}
+	for i, tc := range cases {
+		sp := tc.spec
+		if _, _, err := sp.normalize(); err != nil {
+			t.Fatalf("case %d: %v", i, err)
+		}
+		if sp.WindowCycles != tc.window || sp.WindowInterval != tc.interval ||
+			sp.WarmupCycles != tc.warmup || sp.WindowWorkers != tc.workers {
+			t.Errorf("case %d: resolved %d/%d/%d workers %d, want %d/%d/%d workers %d", i,
+				sp.WindowCycles, sp.WindowInterval, sp.WarmupCycles, sp.WindowWorkers,
+				tc.window, tc.interval, tc.warmup, tc.workers)
+		}
+	}
+}

@@ -99,7 +99,7 @@ func RunMulticoreCaptured(ctx context.Context, ws []*Workload, capt *TraceCaptur
 			interval = CalibrateInterval(stats[i].Cycles, rc.TargetSamples)
 		}
 		intervals[i] = interval
-		matrices[i] = buildMatrix(w, rc, interval)
+		matrices[i] = buildMatrix(w, rc, interval, 0)
 		for _, shard := range matrices[i].shards(perCore) {
 			shards = append(shards, &trace.CoreFilter{Core: uint32(i), Inner: shard})
 		}
@@ -117,19 +117,11 @@ func RunMulticoreCaptured(ctx context.Context, ws []*Workload, capt *TraceCaptur
 	}
 	res := &MulticoreResult{TotalCycles: totalCycles}
 	for i, w := range ws {
-		m := &matrices[i]
-		if m.checker != nil {
-			if cerr := m.checker.Err(); cerr != nil {
-				return nil, fmt.Errorf("tip: core %d (%s): %w", i, w.Name, cerr)
-			}
+		cr, err := matrices[i].result(w, stats[i], intervals[i])
+		if err != nil {
+			return nil, fmt.Errorf("tip: core %d (%s): %w", i, w.Name, err)
 		}
-		res.Cores = append(res.Cores, &Result{
-			Workload:       w,
-			Stats:          stats[i],
-			Oracle:         m.oracle,
-			Sampled:        m.byKind,
-			SampleInterval: intervals[i],
-		})
+		res.Cores = append(res.Cores, cr)
 	}
 	return res, nil
 }

@@ -297,7 +297,7 @@ func runMulticoreDirect(ws []*Workload, rc RunConfig) ([]*Result, []CoreStats, e
 	matrices := make([]consumerMatrix, len(ws))
 	specs := make([]multicore.CoreSpec, len(ws))
 	for i, w := range ws {
-		matrices[i] = buildMatrix(w, rc, rc.SampleInterval)
+		matrices[i] = buildMatrix(w, rc, rc.SampleInterval, 0)
 		specs[i] = multicore.CoreSpec{
 			Workload:  w,
 			Consumers: []trace.Consumer{matrices[i].dispatcher()},

@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"math"
 	"math/bits"
+	"strconv"
 
 	"github.com/tipprof/tip/internal/cpu"
 	"github.com/tipprof/tip/internal/program"
@@ -73,11 +74,62 @@ func (s *SampledRunStats) DetailedFraction() float64 {
 	return float64(s.DetailedCycles) / float64(s.EstimatedCycles)
 }
 
-// ValidateSampled checks rc's sampled-simulation window geometry. It is the
-// single validation authority: RunSampled applies it, and the CLI tools call
-// it before spending any simulation time.
+// Default sampled-schedule geometry: 8K-cycle measurement windows, one per
+// 128K cycles (a 1/16 measured fraction), each preceded by an 8K-cycle
+// detailed warmup absorbing post-fast-forward transients. Chosen
+// empirically on the suite: windows shorter than 8K cycles get noisy on
+// stall-dominated workloads (one DRAM burst dominates the window CPI),
+// warmups shorter than the window leave warm-state transients in the
+// measurement, and the 1/16 fraction is the widest that still leaves the
+// trapezoidal stitching enough windows to track phase ramps at benchmark
+// scales, landing under 2% cycle error at 4x+ effective speed.
+const (
+	DefaultSampledWindow   = 8 << 10
+	DefaultSampledInterval = 128 << 10
+	DefaultSampledWarmup   = 8 << 10
+)
+
+// ConfigureSampled makes rc a sampled run of the given schedule and validates
+// it. It is where every user-facing spelling of a schedule (tipsim and
+// tipbench flags, tipd job specs, the experiments harness) resolves: a zero
+// window or interval takes DefaultSampledWindow or DefaultSampledInterval,
+// and warmup is "" for the default (DefaultSampledWarmup, or none when the
+// window covers the interval), "auto" for AutoWarmupCycles of the gap, or a
+// literal cycle count. rc.WindowWorkers is left to the caller.
+func ConfigureSampled(rc *RunConfig, window, interval uint64, warmup string) error {
+	if window == 0 {
+		window = DefaultSampledWindow
+	}
+	if interval == 0 {
+		interval = DefaultSampledInterval
+	}
+	var warm uint64
+	switch warmup {
+	case "":
+		if window != interval {
+			warm = DefaultSampledWarmup
+		}
+	case "auto":
+		warm = AutoWarmupCycles(window, interval)
+	default:
+		n, err := strconv.ParseUint(warmup, 10, 64)
+		if err != nil {
+			return fmt.Errorf("sampled: warmup must be a cycle count or \"auto\": %q", warmup)
+		}
+		warm = n
+	}
+	rc.Sampled = true
+	rc.WindowCycles, rc.WindowInterval, rc.WarmupCycles = window, interval, warm
+	return ValidateSampled(*rc)
+}
+
+// ValidateSampled checks rc's sampled-simulation window geometry and worker
+// count. It is the single validation authority: RunSampled applies it, and
+// ConfigureSampled runs it before any simulation time is spent.
 func ValidateSampled(rc RunConfig) error {
 	switch {
+	case rc.WindowWorkers < 0:
+		return fmt.Errorf("sampled: WindowWorkers must be >= 0, got %d", rc.WindowWorkers)
 	case rc.WindowCycles == 0:
 		return fmt.Errorf("sampled: WindowCycles must be positive")
 	case rc.WindowInterval == 0:
@@ -107,7 +159,7 @@ func mulDiv(a, b, d uint64) uint64 {
 // window loop checks its context every sampledCancelMask+1 core cycles.
 const sampledCancelMask = 8191
 
-// AutoWarmupCycles is the `-warmup auto` heuristic (RunConfig.WarmupAuto):
+// AutoWarmupCycles is the `-warmup auto` heuristic (see ConfigureSampled):
 // pick a warmup prefix proportional to the gap the fast-forward legs span, so
 // long skips — which leave more stale μarch state per unit of warming — get
 // proportionally more detailed state-priming, while short gaps are not eaten
@@ -367,7 +419,8 @@ func runSampledCore(ctx context.Context, core *cpu.Core, ff *program.FastForward
 // WindowCycles/WindowInterval of the execution; Result.Stats reports the
 // stitched full-run estimate and Result.Sampling the schedule. With
 // WindowCycles == WindowInterval the run is bit-identical to RunStreaming
-// (and to the two-pass captured path) at every layer. A nil ctx means
+// (and to the two-pass captured path) at every layer. rc's geometry is
+// validated, not defaulted (see ConfigureSampled). A nil ctx means
 // context.Background().
 //
 // With WindowWorkers >= 1 (and a non-zero gap) the windows are produced by
@@ -379,109 +432,23 @@ func runSampledCore(ctx context.Context, core *cpu.Core, ff *program.FastForward
 // fast-forward leg from the latest window's CPI, where the parallel sweep
 // must place all checkpoints using window 0's IPC.
 func RunSampled(ctx context.Context, w *Workload, rc RunConfig) (*Result, error) {
-	if ctx == nil {
-		ctx = context.Background()
-	}
-	fail := func(err error) (*Result, error) {
+	if err := ValidateSampled(rc); err != nil {
 		return nil, fmt.Errorf("tip: %s: %w", w.Name, err)
 	}
-	if rc.WarmupAuto {
-		rc.WarmupCycles = AutoWarmupCycles(rc.WindowCycles, rc.WindowInterval)
-	}
-	if err := ValidateSampled(rc); err != nil {
-		return fail(err)
-	}
-	if err := ctx.Err(); err != nil {
-		return fail(err)
-	}
-	if rc.TargetSamples == 0 {
-		rc.TargetSamples = 4096
-	}
-
-	var pilotCycles uint64
-	if rc.SampleInterval == 0 {
-		pilotCycles = rc.PilotCycles
-		if pilotCycles == 0 {
-			pilotCycles = DefaultPilotCycles
-		}
-	}
-	s := trace.NewStream(trace.StreamConfig{PilotCycles: pilotCycles})
-
 	parallel := rc.WindowWorkers >= 1 && rc.WindowCycles < rc.WindowInterval
-	runCtx, cancelRun := context.WithCancel(ctx)
-	defer cancelRun()
-	var stats CoreStats
-	var sampling *SampledRunStats
-	prodDone := make(chan struct{})
-	go func() {
-		defer close(prodDone)
+	return runFused(ctx, w, rc, true, func(ctx context.Context, s *trace.Stream) (CoreStats, *SampledRunStats, error) {
 		var st CoreStats
 		var sr *SampledRunStats
 		var err error
 		if parallel {
-			st, sr, err = runSampledParallel(runCtx, w, rc, s)
+			st, sr, err = runSampledParallel(ctx, w, rc, s)
 		} else {
-			core := newCore(rc.Core, w)
-			ff := program.NewFastForward(w.Prog)
-			st, sr, err = runSampledCore(runCtx, core, ff, rc, s)
+			st, sr, err = runSampledCore(ctx, newCore(rc.Core, w), program.NewFastForward(w.Prog), rc, s)
 		}
 		if err != nil {
-			s.Fail(fmt.Errorf("%s: %w", w.Name, err))
-			return
+			return st, nil, fmt.Errorf("%s: %w", w.Name, err)
 		}
-		stats, sampling = st, sr
 		s.Finish(sr.MeasuredCycles)
-	}()
-	stop := func() {
-		s.Abort()
-		cancelRun()
-		<-prodDone
-	}
-
-	interval := rc.SampleInterval
-	estCycles := uint64(0)
-	if interval == 0 {
-		ps, err := s.Pilot(ctx)
-		if err != nil {
-			stop()
-			return fail(err)
-		}
-		estCycles = PilotEstimateCycles(ps, w.TargetDynInsts)
-		if !ps.Exact {
-			// The pilot extrapolates the full run, but the profilers
-			// only see the measured fraction of it — shrink the
-			// estimate so the interval still collects ~TargetSamples
-			// from the measured stream. (Exact pilot stats already
-			// are the measured total.)
-			estCycles = mulDiv(estCycles, rc.WindowCycles, rc.WindowInterval)
-		}
-		interval = CalibrateInterval(estCycles, rc.TargetSamples)
-	}
-	if rc.ExtraConsumersAt != nil {
-		rc.ExtraConsumers = appendConsumers(rc.ExtraConsumers, rc.ExtraConsumersAt(interval, estCycles))
-	}
-	m := buildMatrix(w, rc, interval)
-
-	workers := rc.ReplayWorkers
-	if workers < 1 {
-		workers = 1
-	}
-	if _, _, err := s.ReplayShards(ctx, m.shards(workers)...); err != nil {
-		stop()
-		return fail(err)
-	}
-	<-prodDone
-	if m.checker != nil {
-		if err := m.checker.Err(); err != nil {
-			return fail(err)
-		}
-	}
-	return &Result{
-		Workload:       w,
-		Stats:          stats,
-		Oracle:         m.oracle,
-		Sampled:        m.byKind,
-		SampleInterval: interval,
-		Sampling:       sampling,
-	}, nil
+		return st, sr, nil
+	})
 }

@@ -386,6 +386,19 @@ func runSampledParallel(ctx context.Context, w *Workload, rc RunConfig, consumer
 			failRun(fmt.Errorf("cpu: run aborted at cycle %d: %w", vd, res.err))
 			continue
 		}
+		// The sweep places checkpoints from lagged CPI feedback, so a
+		// checkpoint can land before the previous window's committed end.
+		// Such a leg re-measures instructions the previous window already
+		// covered: it is discarded — not emitted, stitched or counted — and
+		// the next leg's leftover span covers the gap. Its CPI is still
+		// published: placement indexes the track by leg number, so skipping
+		// it would shift every later checkpoint.
+		track.publish(res.winSteps, res.winCom)
+		sr.MeasureSeconds += res.seconds
+		if job.pos < prevEnd {
+			recycleRecs(bufPool, res.recs)
+			continue
+		}
 		legStart := vd
 		vd += res.warmSteps + res.winSteps
 		if rc.Core.MaxCycles > 0 && vd > rc.Core.MaxCycles {
@@ -396,20 +409,15 @@ func runSampledParallel(ctx context.Context, w *Workload, rc RunConfig, consumer
 		// The unmeasured span between the previous window's committed end
 		// and this checkpoint was covered functionally; price it plus this
 		// leg's warmup commits against the bracketing windows.
-		var leftover uint64
-		if job.pos > prevEnd {
-			leftover = job.pos - prevEnd
-		}
+		leftover := job.pos - prevEnd
 		sr.FFInstructions += leftover
 		st.pend(leftover, res.warmCom, st.prevCycles, st.prevCommits)
 		st.settle(res.winSteps, res.winCom, true)
-		track.publish(res.winSteps, res.winCom)
 		if res.winSteps > 0 {
 			sr.Windows++
 			st.prevCycles, st.prevCommits = res.winSteps, res.winCom
 		}
 		sr.WarmupCyclesRun += res.warmSteps
-		sr.MeasureSeconds += res.seconds
 		if res.lastCommit >= 0 {
 			lastCommitDetailed = legStart + uint64(res.lastCommit)
 		}
@@ -424,10 +432,7 @@ func runSampledParallel(ctx context.Context, w *Workload, rc RunConfig, consumer
 		}
 		addLegStats(&stats, &res.stats)
 		prevEnd = job.pos + res.warmCom + res.winCom
-		select {
-		case bufPool <- res.recs[:0]:
-		default:
-		}
+		recycleRecs(bufPool, res.recs)
 	}
 	wg.Wait()
 	if runErr != nil {
@@ -505,6 +510,14 @@ func runWindowLeg(ctx context.Context, wcore *cpu.Core, job *winJob, rc RunConfi
 	res.stats = wcore.Stats()
 	res.seconds = time.Since(start).Seconds()
 	return res
+}
+
+// recycleRecs returns a leg's record buffer to the pool, if it has room.
+func recycleRecs(bufPool chan []trace.Record, recs []trace.Record) {
+	select {
+	case bufPool <- recs[:0]:
+	default:
+	}
 }
 
 // addLegStats folds a leg's stats delta into the run totals. Cycles is

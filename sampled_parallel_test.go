@@ -79,9 +79,10 @@ func TestRunSampledWindowWorkersIdentity(t *testing.T) {
 
 // TestRunSampledParallelConvergence bounds the parallel estimator's accuracy:
 // its stitched cycle estimate must stay close to the full run's, and detailed
-// commits plus fast-forwarded instructions must cover the whole program
-// (over-coverage only — a window that overruns its slot double-counts a few
-// instructions; it can never lose any).
+// commits plus fast-forwarded instructions must cover the whole program. A
+// leg whose checkpoint lands inside the previous window's coverage is
+// discarded, so coverage is exact (TestRunSampledParallelDiscardsOverlappedLegs
+// pins equality); the bounds here only guard the estimator.
 func TestRunSampledParallelConvergence(t *testing.T) {
 	w, err := workload.LoadScaled("imagick", 1, 100_000)
 	if err != nil {
@@ -225,6 +226,43 @@ func TestAutoWarmupCycles(t *testing.T) {
 		rc.WarmupCycles = AutoWarmupCycles(tc.window, tc.interval)
 		if err := ValidateSampled(rc); err != nil {
 			t.Errorf("auto warmup for (%d, %d) fails validation: %v", tc.window, tc.interval, err)
+		}
+	}
+}
+
+// TestRunSampledParallelDiscardsOverlappedLegs pins instruction conservation
+// for the checkpoint-parallel scheduler on a schedule whose lagged placement
+// lands checkpoints before the previous window's committed end: such a leg
+// re-measures instructions already covered, so it must be discarded rather
+// than stitched, leaving detailed commits plus fast-forwarded instructions
+// equal to the full run's at every worker count.
+func TestRunSampledParallelDiscardsOverlappedLegs(t *testing.T) {
+	w, err := workload.LoadScaled("gcc", 1, 100_000)
+	if err != nil {
+		t.Fatal(err)
+	}
+	full, err := MeasureStats(w, DefaultCoreConfig())
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, workers := range []int{1, 4} {
+		rc := DefaultRunConfig()
+		rc.Sampled = true
+		rc.Check = true
+		rc.WindowCycles = 4096
+		rc.WindowInterval = 8192
+		rc.WarmupCycles = 1024
+		rc.WindowWorkers = workers
+		res, err := RunSampled(context.Background(), w, rc)
+		if err != nil {
+			t.Fatalf("windowworkers=%d: %v", workers, err)
+		}
+		t.Logf("windowworkers=%d: est %d cycles vs full %d (err %.4f), committed %d vs %d, windows %d",
+			workers, res.Stats.Cycles, full.Cycles, absFrac(res.Stats.Cycles, full.Cycles),
+			res.Stats.Committed, full.Committed, res.Sampling.Windows)
+		if res.Stats.Committed != full.Committed {
+			t.Fatalf("windowworkers=%d: committed %d (detailed+ff), full run %d",
+				workers, res.Stats.Committed, full.Committed)
 		}
 	}
 }

@@ -38,59 +38,41 @@ func PilotEstimateCycles(ps trace.PilotStats, targetDynInsts uint64) uint64 {
 	return est
 }
 
-// appendConsumers appends extra to base without aliasing the caller's slice.
-func appendConsumers(base, extra []trace.Consumer) []trace.Consumer {
-	if len(extra) == 0 {
-		return base
-	}
-	out := make([]trace.Consumer, 0, len(base)+len(extra))
-	out = append(out, base...)
-	return append(out, extra...)
-}
-
 // RunStreaming evaluates rc's profiler matrix in a single fused pass: the
 // cycle-level simulation streams trace chunks through a bounded ring
 // into the replay shards while it is still running, so peak memory is
 // independent of run length and wall-clock approaches max(simulate, replay).
 // With rc.SampleInterval zero the interval is calibrated from a pilot window
 // (rc.PilotCycles); see RunConfig.Streaming for the parity contract with the
-// captured path. A nil ctx means context.Background().
+// captured path. A caller that also needs the encoded trace passes a
+// trace.Capture in rc.ExtraConsumers and owns its Close and Err. A nil ctx
+// means context.Background().
 func RunStreaming(ctx context.Context, w *Workload, rc RunConfig) (*Result, error) {
-	res, _, err := runStreaming(ctx, w, rc, nil)
-	return res, err
+	return runFused(ctx, w, rc, false, func(ctx context.Context, s *trace.Stream) (CoreStats, *SampledRunStats, error) {
+		// RunContext delivers Finish itself on success.
+		st, err := newCore(rc.Core, w).RunContext(ctx, s)
+		return st, nil, err
+	})
 }
 
-// RunStreamingTee is RunStreaming with the full encoded trace teed into a
-// capture as it streams past — the fused equivalent of CaptureWorkload
-// followed by RunCaptured, for callers that need both the profiler results
-// and a persistable capture (golden-file generation, the tipd capture
-// cache). On success the caller owns the returned capture and must Close
-// it; on error no capture is returned and any spill file is released.
-func RunStreamingTee(ctx context.Context, w *Workload, rc RunConfig) (*Result, *TraceCapture, CoreStats, error) {
-	capt := trace.NewCapture(0)
-	res, stats, err := runStreaming(ctx, w, rc, capt)
-	if err != nil {
-		if cerr := capt.Close(); cerr != nil {
-			err = fmt.Errorf("%w (also failed to close teed capture: %v)", err, cerr)
-		}
-		return nil, nil, CoreStats{}, err
-	}
-	return res, capt, stats, nil
-}
+// producer runs a simulation into s on its own goroutine. On success the
+// producer side must already be Finished; on error runFused Fails it.
+type producer func(ctx context.Context, s *trace.Stream) (CoreStats, *SampledRunStats, error)
 
-// runStreaming is the fused capture→replay orchestrator. The producer
-// goroutine runs the core, feeding the stream (optionally teed into capt);
-// the calling goroutine calibrates from the pilot window, builds the
-// profiler matrix, and replays the stream through it. Error precedence
-// follows the captured path: a core/capture failure surfaces as the run
-// error, a shard consumer failure as the replay error, and any failure
+// runFused is the fused simulate→replay orchestrator behind RunStreaming and
+// RunSampled. The producer goroutine feeds the stream; the calling goroutine
+// calibrates from the pilot window, builds the profiler matrix, and replays
+// the stream through it. With sampled set the pilot's full-run estimate is
+// shrunk to the measured fraction the profilers actually observe. Error
+// precedence follows the captured path: a producer failure surfaces as the
+// run error, a shard consumer failure as the replay error, and any failure
 // cancels the other side before returning.
-func runStreaming(ctx context.Context, w *Workload, rc RunConfig, capt *TraceCapture) (*Result, CoreStats, error) {
+func runFused(ctx context.Context, w *Workload, rc RunConfig, sampled bool, produce producer) (*Result, error) {
 	if ctx == nil {
 		ctx = context.Background()
 	}
-	fail := func(err error) (*Result, CoreStats, error) {
-		return nil, CoreStats{}, fmt.Errorf("tip: %s: %w", w.Name, err)
+	fail := func(err error) (*Result, error) {
+		return nil, fmt.Errorf("tip: %s: %w", w.Name, err)
 	}
 	if err := ctx.Err(); err != nil {
 		return fail(err)
@@ -107,29 +89,26 @@ func runStreaming(ctx context.Context, w *Workload, rc RunConfig, capt *TraceCap
 		}
 	}
 	s := trace.NewStream(trace.StreamConfig{PilotCycles: pilotCycles})
-	var producer trace.Consumer = s
-	if capt != nil {
-		producer = &trace.Tee{Consumers: []trace.Consumer{capt, s}}
-	}
 
 	runCtx, cancelRun := context.WithCancel(ctx)
 	defer cancelRun()
 	var stats CoreStats
+	var sampling *SampledRunStats
 	prodDone := make(chan struct{})
 	go func() {
 		defer close(prodDone)
-		st, err := newCore(rc.Core, w).RunContext(runCtx, producer)
+		st, sr, err := produce(runCtx, s)
 		if err != nil {
-			// RunContext delivered no Finish; Fail closes the producer side
-			// so the replay drains and then observes this error.
+			// The producer delivered no Finish; Fail closes the producer
+			// side so the replay drains and then observes this error.
 			s.Fail(err)
 			return
 		}
-		stats = st
+		stats, sampling = st, sr
 	}()
 	// stop tears down both sides on a consumer-side failure: the stream stops
-	// accepting records, the core's context is cancelled, and the producer
-	// goroutine is awaited so nothing races the return.
+	// accepting records, the producer's context is cancelled, and the
+	// producer goroutine is awaited so nothing races the return.
 	stop := func() {
 		s.Abort()
 		cancelRun()
@@ -145,12 +124,16 @@ func runStreaming(ctx context.Context, w *Workload, rc RunConfig, capt *TraceCap
 			return fail(err)
 		}
 		estCycles = PilotEstimateCycles(ps, w.TargetDynInsts)
+		if sampled && !ps.Exact {
+			// The pilot extrapolates the full run, but the profilers only
+			// see the measured fraction of it — shrink the estimate so the
+			// interval still collects ~TargetSamples from the measured
+			// stream. (Exact pilot stats already are the measured total.)
+			estCycles = mulDiv(estCycles, rc.WindowCycles, rc.WindowInterval)
+		}
 		interval = CalibrateInterval(estCycles, rc.TargetSamples)
 	}
-	if rc.ExtraConsumersAt != nil {
-		rc.ExtraConsumers = appendConsumers(rc.ExtraConsumers, rc.ExtraConsumersAt(interval, estCycles))
-	}
-	m := buildMatrix(w, rc, interval)
+	m := buildMatrix(w, rc, interval, estCycles)
 
 	workers := rc.ReplayWorkers
 	if workers < 1 {
@@ -163,21 +146,10 @@ func runStreaming(ctx context.Context, w *Workload, rc RunConfig, capt *TraceCap
 	// A clean replay means the producer already Finished; the wait is only
 	// for the stats publication.
 	<-prodDone
-	if capt != nil {
-		if err := capt.Err(); err != nil {
-			return fail(fmt.Errorf("capture: %w", err))
-		}
+	res, err := m.result(w, stats, interval)
+	if err != nil {
+		return fail(err)
 	}
-	if m.checker != nil {
-		if err := m.checker.Err(); err != nil {
-			return fail(err)
-		}
-	}
-	return &Result{
-		Workload:       w,
-		Stats:          stats,
-		Oracle:         m.oracle,
-		Sampled:        m.byKind,
-		SampleInterval: interval,
-	}, stats, nil
+	res.Sampling = sampling
+	return res, nil
 }

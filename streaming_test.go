@@ -106,7 +106,8 @@ func TestRunStreamingPilotParityOnGolden(t *testing.T) {
 	assertResultsIdentical(t, "golden pilot parity", ref, got)
 }
 
-// TestRunStreamingTeeMatchesCapture checks the tee path emits the
+// TestRunStreamingTeeMatchesCapture checks a capture fed as an extra
+// consumer of a streamed run (how tipd's cold miss fills its cache) holds the
 // byte-identical encoded stream CaptureWorkload produces, and that the
 // committed golden capture validates it end to end.
 func TestRunStreamingTeeMatchesCapture(t *testing.T) {
@@ -116,11 +117,17 @@ func TestRunStreamingTeeMatchesCapture(t *testing.T) {
 	}
 	rc := DefaultRunConfig()
 	rc.TargetSamples = 512
-	res, capt, stats, err := RunStreamingTee(context.Background(), w, rc)
+	capt := trace.NewCapture(0)
+	defer capt.Close()
+	rc.ExtraConsumers = []trace.Consumer{capt}
+	res, err := RunStreaming(context.Background(), w, rc)
+	if err == nil {
+		err = capt.Err()
+	}
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer capt.Close()
+	stats := res.Stats
 	if res == nil || stats.Cycles == 0 || capt.Cycles() != stats.Cycles {
 		t.Fatalf("tee bookkeeping: stats=%+v capture cycles=%d", stats, capt.Cycles())
 	}

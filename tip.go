@@ -142,9 +142,9 @@ type RunConfig struct {
 	// fans the profiler matrix out over (0 or 1 = sequential). The capture
 	// is decoded once and the decoded chunks are broadcast to every
 	// worker, each owning a disjoint subset of the profilers behind its
-	// own dispatcher; results are byte-identical at any worker count. Only
-	// replays shard — a live profiled run (explicit SampleInterval with no
-	// capture) always streams sequentially.
+	// own dispatcher; results are byte-identical at any worker count. The
+	// fused routes (Streaming, Sampled, or an explicit SampleInterval) shard
+	// the stream the same way.
 	ReplayWorkers int
 	// Streaming fuses capture and replay: Run simulates the core once,
 	// streaming trace chunks through a bounded ring into the
@@ -192,14 +192,8 @@ type RunConfig struct {
 	// functional warming's residual cold-start error. WindowCycles +
 	// WarmupCycles must fit in WindowInterval (unless the two are equal,
 	// in which case no fast-forward ever happens and warmup is ignored).
+	// ConfigureSampled resolves the default and `auto` spellings into it.
 	WarmupCycles uint64
-	// WarmupAuto derives WarmupCycles from the fast-forward leg length
-	// instead of taking it literally: RunSampled resolves it to
-	// AutoWarmupCycles(WindowCycles, WindowInterval) before validation.
-	// Long fast-forward legs evict more warm state than the small-scale
-	// default warmup can rebuild (BENCH_6's sensitivity sweep under-warms
-	// 100M-cycle runs), so warmup should grow with the gap it follows.
-	WarmupAuto bool
 	// WindowWorkers selects checkpoint-parallel sampled simulation: a
 	// serial functional sweep snapshots the warmed state at each window's
 	// warmup start, and up to WindowWorkers worker cores run the detailed
@@ -320,8 +314,10 @@ type consumerMatrix struct {
 	checker *check.Checker
 }
 
-// buildMatrix assembles the profiler matrix for one evaluation.
-func buildMatrix(w *Workload, rc RunConfig, interval uint64) consumerMatrix {
+// buildMatrix assembles the profiler matrix for one evaluation at the
+// calibrated interval, including the consumers rc.ExtraConsumersAt returns
+// for it (estCycles is the estimate the interval came from).
+func buildMatrix(w *Workload, rc RunConfig, interval, estCycles uint64) consumerMatrix {
 	kinds := rc.Profilers
 	if kinds == nil {
 		kinds = profiler.AllKinds()
@@ -347,7 +343,11 @@ func buildMatrix(w *Workload, rc RunConfig, interval uint64) consumerMatrix {
 		m.byKind[k] = sp
 		m.sampled = append(m.sampled, sp)
 	}
-	for _, c := range rc.ExtraConsumers {
+	extras := rc.ExtraConsumers
+	if rc.ExtraConsumersAt != nil {
+		extras = append(extras[:len(extras):len(extras)], rc.ExtraConsumersAt(interval, estCycles)...)
+	}
+	for _, c := range extras {
 		if sp, ok := c.(*profiler.Sampled); ok {
 			m.sampled = append(m.sampled, sp)
 		} else {
@@ -369,6 +369,23 @@ func buildMatrix(w *Workload, rc RunConfig, interval uint64) consumerMatrix {
 		m.every = append(m.every, m.checker)
 	}
 	return m
+}
+
+// result packages the evaluation once its stream has been replayed, failing
+// with the checker's verdict if one rode along.
+func (m *consumerMatrix) result(w *Workload, stats CoreStats, interval uint64) (*Result, error) {
+	if m.checker != nil {
+		if err := m.checker.Err(); err != nil {
+			return nil, err
+		}
+	}
+	return &Result{
+		Workload:       w,
+		Stats:          stats,
+		Oracle:         m.oracle,
+		Sampled:        m.byKind,
+		SampleInterval: interval,
+	}, nil
 }
 
 // dispatcher assembles the matrix behind a single sequential dispatcher.
@@ -441,78 +458,43 @@ func RunCaptured(ctx context.Context, w *Workload, capt *TraceCapture, stats Cor
 		estCycles = stats.Cycles
 		interval = CalibrateInterval(stats.Cycles, rc.TargetSamples)
 	}
-	if rc.ExtraConsumersAt != nil {
-		rc.ExtraConsumers = appendConsumers(rc.ExtraConsumers, rc.ExtraConsumersAt(interval, estCycles))
-	}
-	m := buildMatrix(w, rc, interval)
+	m := buildMatrix(w, rc, interval, estCycles)
 	var err error
 	if rc.ReplayWorkers > 1 {
 		_, _, err = capt.ReplayShards(ctx, 0, m.shards(rc.ReplayWorkers)...)
 	} else {
 		_, _, err = capt.Replay(m.dispatcher())
 	}
+	var res *Result
+	if err == nil {
+		res, err = m.result(w, stats, interval)
+	}
 	if err != nil {
 		return nil, fmt.Errorf("tip: %s: %w", w.Name, err)
 	}
-	if m.checker != nil {
-		if err := m.checker.Err(); err != nil {
-			return nil, fmt.Errorf("tip: %s: %w", w.Name, err)
-		}
-	}
-	return &Result{
-		Workload:       w,
-		Stats:          stats,
-		Oracle:         m.oracle,
-		Sampled:        m.byKind,
-		SampleInterval: interval,
-	}, nil
+	return res, nil
 }
 
 // Run simulates w under rc. With rc.SampleInterval zero it runs the single
 // cycle-level simulation while capturing the encoded trace, calibrates the
 // sampling period from the measured cycle count, and feeds the profilers by
 // replaying the capture — one simulation where there used to be two. With an
-// explicit interval the profilers observe the live trace stream directly.
-// Either way the profilers see the byte-identical record stream.
+// explicit interval there is nothing to calibrate, so the profilers observe
+// the simulation through RunStreaming's fused pass. Either way the profilers
+// see the byte-identical record stream.
 func Run(w *Workload, rc RunConfig) (*Result, error) {
-	if rc.TargetSamples == 0 {
-		rc.TargetSamples = 4096
-	}
-	if rc.Sampled {
+	switch {
+	case rc.Sampled:
 		return RunSampled(context.Background(), w, rc)
-	}
-	if rc.Streaming {
+	case rc.Streaming || rc.SampleInterval != 0:
 		return RunStreaming(context.Background(), w, rc)
 	}
-	if rc.SampleInterval == 0 {
-		capt, stats, err := CaptureWorkload(w, rc.Core)
-		if err != nil {
-			return nil, err
-		}
-		defer capt.Close()
-		return RunCaptured(context.Background(), w, capt, stats, rc)
-	}
-
-	if rc.ExtraConsumersAt != nil {
-		rc.ExtraConsumers = appendConsumers(rc.ExtraConsumers, rc.ExtraConsumersAt(rc.SampleInterval, 0))
-	}
-	m := buildMatrix(w, rc, rc.SampleInterval)
-	stats, err := newCore(rc.Core, w).Run(m.dispatcher())
+	capt, stats, err := CaptureWorkload(w, rc.Core)
 	if err != nil {
-		return nil, fmt.Errorf("tip: %s: %w", w.Name, err)
+		return nil, err
 	}
-	if m.checker != nil {
-		if err := m.checker.Err(); err != nil {
-			return nil, fmt.Errorf("tip: %s: %w", w.Name, err)
-		}
-	}
-	return &Result{
-		Workload:       w,
-		Stats:          stats,
-		Oracle:         m.oracle,
-		Sampled:        m.byKind,
-		SampleInterval: rc.SampleInterval,
-	}, nil
+	defer capt.Close()
+	return RunCaptured(context.Background(), w, capt, stats, rc)
 }
 
 // RunBenchmark loads and runs a named benchmark with seed 1.
