@@ -88,14 +88,8 @@ func main() {
 	// The sampled comparison is opt-in (it reruns each benchmark in full as
 	// its own ground truth), so "everything" (no -figures) does not imply it.
 	sampledSel := want["sampled"]
-	// Resolve the schedule now so a bad one fails before any simulation;
-	// CompareSampled resolves the same flags again per benchmark.
-	var sampledRC tip.RunConfig
-	if err := sflags.Apply(&sampledRC, sampledSel, "-figures sampled"); err != nil {
+	if err := validateSampledFlags(sflags, sampledSel, *sampledjson); err != nil {
 		fatal(err)
-	}
-	if *sampledjson != "" && !sampledSel {
-		fatal(fmt.Errorf("-sampledjson requires -figures sampled"))
 	}
 
 	opt := experiments.Options{
@@ -386,6 +380,21 @@ func (t *peakHeapTracker) Stop() uint64 {
 	close(t.stop)
 	<-t.done
 	return t.peak.Load()
+}
+
+// validateSampledFlags rejects the sampled-figure flags when the figure is
+// not selected and otherwise resolves the schedule, so a bad one fails
+// before any simulation; CompareSampled resolves the same flags again per
+// benchmark.
+func validateSampledFlags(sflags cli.SampledFlags, sampledSel bool, sampledjson string) error {
+	var rc tip.RunConfig
+	if err := sflags.Apply(&rc, sampledSel, "-figures sampled"); err != nil {
+		return err
+	}
+	if sampledjson != "" && !sampledSel {
+		return fmt.Errorf("-sampledjson requires -figures sampled")
+	}
+	return nil
 }
 
 func fatal(err error) {

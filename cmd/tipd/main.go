@@ -7,7 +7,11 @@
 // stands in for the TIP hardware, tipd plays the role of the perf server
 // that records samples online and rebuilds profiles offline on demand.
 // Repeated jobs for the same (bench, seed, scale, core) reuse the cached
-// capture and skip the cycle-level simulation entirely. Jobs submitted with
+// capture and skip the cycle-level simulation entirely. With -store, every
+// capture is also written to a content-addressed store directory the moment
+// it is simulated, so a restarted daemon — even one that was killed rather
+// than drained — serves known keys from disk without simulating again. Jobs
+// submitted with
 // "sampled":true instead run under sampled simulation (detailed measurement
 // windows alternating with functional fast-forward) and bypass the capture
 // cache — there is no full trace to store. Jobs submitted with "cores":[...]
@@ -18,7 +22,7 @@
 //
 // Example:
 //
-//	tipd -listen :7171 -spill-dir /var/tmp/tipd &
+//	tipd -listen :7171 -store /var/tmp/tipstore &
 //	curl -s localhost:7171/v1/jobs -d '{"bench":"imagick","scale":200000}'
 //	curl -s localhost:7171/v1/jobs/j00000001
 //	curl -s -o prof.pb.gz localhost:7171/v1/jobs/j00000001/pprof?profiler=TIP
@@ -33,9 +37,9 @@
 //
 // Fleet: tipd also scales out. One instance runs as the coordinator
 // (-coordinator), consistent-hashing submissions by capture key across
-// worker instances that register with it (-join), all sharing one
-// content-addressed capture store (-store) so a capture simulated on any
-// node is served warm by every node:
+// worker instances that register with it (-join), all pointing -store at
+// one shared directory so a capture simulated on any node is served warm by
+// every node:
 //
 //	tipd -coordinator -listen :7270 &
 //	tipd -listen :7271 -join http://localhost:7270 -store /var/tmp/tipstore &
@@ -67,7 +71,7 @@ func main() {
 		queue        = flag.Int("queue", 16, "max queued jobs before submissions get 429")
 		cacheEntries = flag.Int("cache-entries", 8, "max captures kept in the in-memory cache")
 		cacheMB      = flag.Int64("cache-mb", 1024, "max megabytes of encoded captures cached")
-		spillDir     = flag.String("spill-dir", "", "persist the capture cache here across restarts (empty = off)")
+		storeDir     = flag.String("store", "", "content-addressed capture store directory: a local one keeps captures across restarts, a shared one serves them to every fleet node (empty = memory only)")
 		jobTimeout   = flag.Duration("job-timeout", 10*time.Minute, "per-job execution deadline")
 		retain       = flag.Int("retain", 256, "finished jobs kept for retrieval")
 
@@ -75,7 +79,6 @@ func main() {
 		join        = flag.String("join", "", "coordinator URL to register with (worker joins the fleet)")
 		advertise   = flag.String("advertise", "", "URL the coordinator dials for this node (default http://<listen>)")
 		name        = flag.String("name", "", "fleet node name (default host:port of -listen)")
-		storeDir    = flag.String("store", "", "shared content-addressed capture store directory (empty = off)")
 		heartbeat   = flag.Duration("heartbeat", time.Second, "fleet heartbeat interval")
 		lameduck    = flag.Duration("lameduck", 0, "after drain, keep serving reads this long before closing HTTP")
 	)
@@ -104,7 +107,6 @@ func main() {
 		QueueDepth:      *queue,
 		CacheEntries:    *cacheEntries,
 		CacheBytes:      uint64(*cacheMB) << 20,
-		SpillDir:        *spillDir,
 		JobTimeout:      *jobTimeout,
 		MaxRetainedJobs: *retain,
 		Store:           store,

@@ -83,13 +83,12 @@ func main() {
 	rc.ReplayWorkers = *replayW
 	rc.Streaming = *streaming
 	rc.PilotCycles = *pilot
-	if err := sflags.Apply(&rc, *sampled, "-sampled"); err != nil {
+	if err := configure(&rc, sflags, *sampled, *cores, *record); err != nil {
 		fatal(err)
 	}
 
 	if *cores != "" {
-		if err := runMulticore(*cores, *seed, *scale, rc, *top, *fn,
-			*record != "", *streaming, *sampled); err != nil {
+		if err := runMulticore(*cores, *seed, *scale, rc, *top, *fn); err != nil {
 			fatal(err)
 		}
 		return
@@ -106,15 +105,33 @@ func main() {
 	printResult(w.Name, res, *top, *fn)
 }
 
+// configure applies the sampled-schedule flags to rc (which already carries
+// -streaming) and rejects the mode combinations no run route supports.
+func configure(rc *tip.RunConfig, sflags cli.SampledFlags, sampled bool, cores, record string) error {
+	if err := sflags.Apply(rc, sampled, "-sampled"); err != nil {
+		return err
+	}
+	switch {
+	case record != "" && sampled:
+		return fmt.Errorf("-record is incompatible with -sampled (raw-sample recording needs the full trace)")
+	case cores == "":
+		return nil
+	case record != "":
+		return fmt.Errorf("-record is incompatible with -cores (raw-sample recording is single-core)")
+	case rc.Streaming:
+		return fmt.Errorf("-streaming is incompatible with -cores (multicore profiling demultiplexes a finished capture)")
+	case sampled:
+		return fmt.Errorf("-sampled is incompatible with -cores (fast-forward legs emit no core-tagged records)")
+	}
+	return nil
+}
+
 // run simulates w under rc. A non-empty record path also writes the raw TIP
 // samples a perfdata collector gathers at the run's calibrated interval,
 // whichever route the run takes to find it.
 func run(w *tip.Workload, rc tip.RunConfig, record string) (*tip.Result, error) {
 	if record == "" {
 		return tip.Run(w, rc)
-	}
-	if rc.Sampled {
-		return nil, fmt.Errorf("-record is incompatible with -sampled (raw-sample recording needs the full trace)")
 	}
 	f, err := os.Create(record)
 	if err != nil {
@@ -193,15 +210,7 @@ func printResult(name string, res *tip.Result, top int, fn string) {
 // runMulticore runs the -cores benchmark set lockstep on one shared-LLC
 // system and prints each core's profile evaluation against that core's own
 // Oracle.
-func runMulticore(spec string, seed, scale uint64, rc tip.RunConfig, top int, fn string, recording, streaming, sampled bool) error {
-	switch {
-	case recording:
-		return fmt.Errorf("-record is incompatible with -cores (raw-sample recording is single-core)")
-	case streaming:
-		return fmt.Errorf("-streaming is incompatible with -cores (multicore profiling demultiplexes a finished capture)")
-	case sampled:
-		return fmt.Errorf("-sampled is incompatible with -cores (fast-forward legs emit no core-tagged records)")
-	}
+func runMulticore(spec string, seed, scale uint64, rc tip.RunConfig, top int, fn string) error {
 	names := strings.Split(spec, ",")
 	ws := make([]*tip.Workload, 0, len(names))
 	for _, name := range names {

@@ -14,20 +14,6 @@ import (
 	"github.com/tipprof/tip/internal/workload"
 )
 
-// configureSampled applies tipsim's sampled-mode flags to rc the way main
-// does: the shared flag set under -sampled, then the -record rejection.
-func configureSampled(rc *tip.RunConfig, sampled bool, window, interval uint64, warmup string, workers int, recording bool) error {
-	f := cli.SampledFlags{Window: window, Interval: interval, Warmup: warmup, Workers: workers}
-	if err := f.Apply(rc, sampled, "-sampled"); err != nil {
-		return err
-	}
-	if recording {
-		_, err := run(nil, *rc, "unused.tipperf")
-		return err
-	}
-	return nil
-}
-
 // TestConfigureSampledRejections exercises every sampled-mode flag rejection
 // and the accepted shapes (defaults filled, explicit geometry preserved).
 func TestConfigureSampledRejections(t *testing.T) {
@@ -37,18 +23,18 @@ func TestConfigureSampledRejections(t *testing.T) {
 		window, interval uint64
 		warmup           string
 		workers          int
-		recording        bool
+		record           string
 		wantErr          string
 	}{
 		{name: "window without sampled", window: 4096, wantErr: "-window requires -sampled"},
 		{name: "interval without sampled", interval: 65536, wantErr: "-interval requires -sampled"},
 		{name: "warmup without sampled", warmup: "1024", wantErr: "-warmup requires -sampled"},
 		{name: "workers without sampled", workers: 4, wantErr: "-windowworkers requires -sampled"},
-		{name: "sampled with record", sampled: true, recording: true, wantErr: "-record is incompatible with -sampled"},
+		{name: "sampled with record", sampled: true, record: "out.tipperf", wantErr: "-record is incompatible with -sampled"},
 		{name: "window exceeds interval", sampled: true, window: 1 << 20, interval: 4096, wantErr: "exceeds WindowInterval"},
 		{name: "warmup overflows gap", sampled: true, window: 4096, interval: 8192, warmup: "8192", wantErr: "exceed WindowInterval"},
 		{name: "warmup not a number", sampled: true, warmup: "lots", wantErr: "cycle count or \"auto\""},
-		{name: "negative workers", sampled: true, workers: -1, wantErr: "WindowWorkers must be >= 0"},
+		{name: "negative workers", sampled: true, workers: -1, wantErr: "-windowworkers must be >= 0"},
 		{name: "plain run", wantErr: ""},
 		{name: "sampled defaults", sampled: true, wantErr: ""},
 		{name: "sampled auto warmup", sampled: true, warmup: "auto", wantErr: ""},
@@ -57,7 +43,8 @@ func TestConfigureSampledRejections(t *testing.T) {
 	}
 	for _, tc := range cases {
 		rc := tip.DefaultRunConfig()
-		err := configureSampled(&rc, tc.sampled, tc.window, tc.interval, tc.warmup, tc.workers, tc.recording)
+		f := cli.SampledFlags{Window: tc.window, Interval: tc.interval, Warmup: tc.warmup, Workers: tc.workers}
+		err := configure(&rc, f, tc.sampled, "", tc.record)
 		if tc.wantErr == "" {
 			if err != nil {
 				t.Errorf("%s: unexpected error %v", tc.name, err)
@@ -74,7 +61,7 @@ func TestConfigureSampledRejections(t *testing.T) {
 // evaluation-harness defaults, and that explicit values pass through.
 func TestConfigureSampledDefaults(t *testing.T) {
 	rc := tip.DefaultRunConfig()
-	if err := configureSampled(&rc, true, 0, 0, "", 0, false); err != nil {
+	if err := configure(&rc, cli.SampledFlags{}, true, "", ""); err != nil {
 		t.Fatal(err)
 	}
 	if !rc.Sampled {
@@ -87,7 +74,7 @@ func TestConfigureSampledDefaults(t *testing.T) {
 	}
 
 	rc = tip.DefaultRunConfig()
-	if err := configureSampled(&rc, true, 4096, 4096, "", 0, false); err != nil {
+	if err := configure(&rc, cli.SampledFlags{Window: 4096, Interval: 4096}, true, "", ""); err != nil {
 		t.Fatal(err)
 	}
 	if rc.WarmupCycles != 0 {
@@ -95,11 +82,19 @@ func TestConfigureSampledDefaults(t *testing.T) {
 	}
 
 	rc = tip.DefaultRunConfig()
-	if err := configureSampled(&rc, true, 0, 0, "0", 3, false); err != nil {
+	if err := configure(&rc, cli.SampledFlags{Warmup: "0", Workers: 3}, true, "", ""); err != nil {
 		t.Fatal(err)
 	}
 	if rc.WarmupCycles != 0 || rc.WindowWorkers != 3 {
 		t.Fatalf("explicit warmup 0 / 3 workers became %d / %d", rc.WarmupCycles, rc.WindowWorkers)
+	}
+
+	rc = tip.DefaultRunConfig()
+	if err := configure(&rc, cli.SampledFlags{Window: 2048, Interval: 16384, Warmup: "1024"}, true, "", ""); err != nil {
+		t.Fatal(err)
+	}
+	if rc.WindowCycles != 2048 || rc.WindowInterval != 16384 || rc.WarmupCycles != 1024 {
+		t.Fatalf("explicit geometry became %d/%d/%d", rc.WindowCycles, rc.WindowInterval, rc.WarmupCycles)
 	}
 }
 
@@ -107,7 +102,7 @@ func TestConfigureSampledDefaults(t *testing.T) {
 // heuristic's cycle count is filled in.
 func TestConfigureSampledAutoWarmup(t *testing.T) {
 	rc := tip.DefaultRunConfig()
-	if err := configureSampled(&rc, true, 8192, 1<<20, "auto", 0, false); err != nil {
+	if err := configure(&rc, cli.SampledFlags{Window: 8192, Interval: 1 << 20, Warmup: "auto"}, true, "", ""); err != nil {
 		t.Fatal(err)
 	}
 	if want := tip.AutoWarmupCycles(8192, 1<<20); rc.WarmupCycles != want {
@@ -148,21 +143,26 @@ func TestRecordMatchesCollectorOnEveryRoute(t *testing.T) {
 // recording, fused streaming, and sampled simulation are all single-core
 // paths.
 func TestRunMulticoreRejections(t *testing.T) {
-	rc := tip.DefaultRunConfig()
 	cases := []struct {
-		name                          string
-		recording, streaming, sampled bool
-		wantErr                       string
+		name               string
+		record             string
+		streaming, sampled bool
+		wantErr            string
 	}{
-		{name: "record", recording: true, wantErr: "-record is incompatible with -cores"},
+		{name: "record", record: "out.tipperf", wantErr: "-record is incompatible with -cores"},
 		{name: "streaming", streaming: true, wantErr: "-streaming is incompatible with -cores"},
 		{name: "sampled", sampled: true, wantErr: "-sampled is incompatible with -cores"},
-		{name: "unknown bench", wantErr: "unknown benchmark"},
 	}
 	for _, tc := range cases {
-		err := runMulticore("mcf,nosuchbench", 1, 10_000, rc, 5, "", tc.recording, tc.streaming, tc.sampled)
+		rc := tip.DefaultRunConfig()
+		rc.Streaming = tc.streaming
+		err := configure(&rc, cli.SampledFlags{}, tc.sampled, "mcf,x264", tc.record)
 		if err == nil || !strings.Contains(err.Error(), tc.wantErr) {
 			t.Errorf("%s: error %v, want substring %q", tc.name, err, tc.wantErr)
 		}
+	}
+	err := runMulticore("mcf,nosuchbench", 1, 10_000, tip.DefaultRunConfig(), 5, "")
+	if err == nil || !strings.Contains(err.Error(), "unknown benchmark") {
+		t.Errorf("unknown bench: error %v, want substring %q", err, "unknown benchmark")
 	}
 }

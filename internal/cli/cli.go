@@ -115,6 +115,9 @@ func (f *SampledFlags) Apply(rc *tip.RunConfig, selected bool, mode string) erro
 		}
 		return nil
 	}
+	if f.Workers < 0 {
+		return fmt.Errorf("-windowworkers must be >= 0, got %d", f.Workers)
+	}
 	rc.WindowWorkers = f.Workers
 	return tip.ConfigureSampled(rc, f.Window, f.Interval, f.Warmup)
 }

@@ -16,18 +16,20 @@ import (
 	"github.com/tipprof/tip/internal/trace"
 )
 
-// Store is the fleet's content-addressed shared capture store: a directory
-// (typically on shared storage) holding one <id>.trc per capture — exactly
-// the encoded stream trace.Capture.WriteTo emits, the same format tipd's
-// spill directory uses — plus an <id>.json sidecar carrying the replay
-// calibration stats and a SHA-256 of the payload.
+// Store is tipd's content-addressed capture store: a directory (local to one
+// daemon, or on storage a fleet shares) holding one <id>.trc per capture —
+// exactly the encoded stream trace.Capture.WriteTo emits — plus an <id>.json
+// sidecar carrying the replay calibration stats and a SHA-256 of the
+// payload. It is the only tier that outlives a daemon: tipd's in-memory
+// cache publishes every fresh capture here and reads it back lazily.
 //
 // Captures are deterministic functions of their key (bench, seed, scale,
 // core-config hash — the golden-capture tests pin byte-identity), so the key
 // id doubles as the content address: two nodes racing to Put the same id
 // write identical bytes, last rename wins, and nothing ever needs
-// invalidating. Get verifies the payload hash so a torn or corrupted entry
-// reads as a miss, never as wrong data.
+// invalidating. Get verifies the payload hash so a torn or corrupted entry —
+// including what a crash between Put's two renames leaves — reads as a miss,
+// never as wrong data.
 type Store struct {
 	dir   string
 	warnf func(format string, args ...any)
@@ -37,10 +39,8 @@ type Store struct {
 	puts   atomic.Uint64
 }
 
-// storeMeta is the sidecar schema. CoreStats always carries one entry per
-// core (length 1 for single-core captures), unlike tipd's spill sidecar
-// which keeps a legacy scalar field; the store is new, so it doesn't carry
-// that compatibility shim.
+// storeMeta is the sidecar schema. Stats carries one entry per core (length
+// 1 for single-core captures).
 type storeMeta struct {
 	ID      string      `json:"id"`
 	Records uint64      `json:"records"`

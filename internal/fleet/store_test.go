@@ -2,6 +2,9 @@ package fleet
 
 import (
 	"bytes"
+	"context"
+	"crypto/sha256"
+	"encoding/hex"
 	"fmt"
 	"os"
 	"path/filepath"
@@ -11,6 +14,7 @@ import (
 
 	tip "github.com/tipprof/tip"
 	"github.com/tipprof/tip/internal/cpu"
+	"github.com/tipprof/tip/internal/trace"
 	"github.com/tipprof/tip/internal/workload"
 )
 
@@ -156,4 +160,119 @@ func TestStoreCorruptionIsAMiss(t *testing.T) {
 	if !wr.contains("corrupted sidecar") {
 		t.Fatalf("no sidecar warning logged: %v", wr.msgs)
 	}
+
+	// Torn writes: each state must read as a miss, and a later Put must
+	// repair the entry so Get round-trips again.
+	tears := []struct {
+		name string
+		tear func() error
+	}{
+		{"truncated payload", func() error {
+			return os.WriteFile(trcPath, enc[:len(enc)/2], 0o644)
+		}},
+		// kill -9 between Put's two renames: the payload landed, its
+		// sidecar never did, and an interrupted write left its temp file.
+		{"payload without sidecar", func() error {
+			if err := os.Remove(filepath.Join(dir, id+".json")); err != nil {
+				return err
+			}
+			return os.WriteFile(filepath.Join(dir, "."+id+".trc.tmp123"), enc[:7], 0o644)
+		}},
+	}
+	for _, tc := range tears {
+		if err := st.Put(id, capt, stats); err != nil {
+			t.Fatal(err)
+		}
+		if err := tc.tear(); err != nil {
+			t.Fatal(err)
+		}
+		if _, _, ok := st.Get(id); ok {
+			t.Fatalf("%s: Get hit a torn entry", tc.name)
+		}
+		if err := st.Put(id, capt, stats); err != nil {
+			t.Fatalf("%s: Put after tear: %v", tc.name, err)
+		}
+		got, _, ok := st.Get(id)
+		if !ok {
+			t.Fatalf("%s: Get after re-Put missed", tc.name)
+		}
+		var b bytes.Buffer
+		if _, err := got.WriteTo(&b); err != nil {
+			t.Fatal(err)
+		}
+		got.Close()
+		if !bytes.Equal(b.Bytes(), enc) {
+			t.Fatalf("%s: re-Put entry not byte-identical to the original", tc.name)
+		}
+	}
+}
+
+// shaToken stands in for the payload hash in FuzzStoreGet's sidecar inputs.
+const shaToken = "@SHA256@"
+
+// nopConsumer discards a replayed stream.
+type nopConsumer struct{}
+
+func (nopConsumer) OnCycle(*trace.Record) {}
+func (nopConsumer) Finish(uint64)         {}
+
+// FuzzStoreGet mutates a valid entry's sidecar and payload bytes and checks
+// Get never panics and that anything it serves replays without panicking.
+// The sidecar carries shaToken where the hash goes, and the target writes
+// the mutated payload's real hash there, so mutations reach the decoder
+// instead of all stopping at hash verification.
+func FuzzStoreGet(f *testing.F) {
+	w, err := workload.LoadScaled("x264", 1, 2_000)
+	if err != nil {
+		f.Fatal(err)
+	}
+	capt, stats, err := tip.CaptureWorkload(w, cpu.DefaultConfig())
+	if err != nil {
+		f.Fatal(err)
+	}
+	seedDir := f.TempDir()
+	seed, err := OpenStore(seedDir)
+	if err != nil {
+		f.Fatal(err)
+	}
+	const id = "x264-1-2000-deadbeef"
+	if err := seed.Put(id, capt, []cpu.Stats{stats}); err != nil {
+		f.Fatal(err)
+	}
+	capt.Close()
+	meta, err := os.ReadFile(filepath.Join(seedDir, id+".json"))
+	if err != nil {
+		f.Fatal(err)
+	}
+	payload, err := os.ReadFile(filepath.Join(seedDir, id+".trc"))
+	if err != nil {
+		f.Fatal(err)
+	}
+	sum := sha256.Sum256(payload)
+	meta = bytes.Replace(meta, []byte(hex.EncodeToString(sum[:])), []byte(shaToken), 1)
+	f.Add(meta, payload)
+
+	f.Fuzz(func(t *testing.T, meta, payload []byte) {
+		dir := t.TempDir()
+		st, err := OpenStore(dir)
+		if err != nil {
+			t.Fatal(err)
+		}
+		st.SetWarnf(func(string, ...any) {})
+		sum := sha256.Sum256(payload)
+		meta = bytes.ReplaceAll(meta, []byte(shaToken), []byte(hex.EncodeToString(sum[:])))
+		if err := os.WriteFile(filepath.Join(dir, id+".json"), meta, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(filepath.Join(dir, id+".trc"), payload, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		got, _, ok := st.Get(id)
+		if !ok {
+			return
+		}
+		defer got.Close()
+		got.Replay(nopConsumer{})
+		got.ReplayShards(context.Background(), 7, nopConsumer{}, nopConsumer{})
+	})
 }

@@ -5,16 +5,12 @@ import (
 	"context"
 	"crypto/sha256"
 	"encoding/hex"
-	"encoding/json"
 	"fmt"
-	"log"
-	"os"
-	"path/filepath"
-	"sort"
 	"strings"
 	"sync"
 
 	"github.com/tipprof/tip/internal/cpu"
+	"github.com/tipprof/tip/internal/fleet"
 	"github.com/tipprof/tip/internal/trace"
 )
 
@@ -28,14 +24,13 @@ func coreConfigHash(cfg cpu.Config) string {
 
 // captureKey names one cached capture: the full simulation input. Single-core
 // captures are keyed by (bench, seed, scale, core-config hash); multicore
-// captures leave those empty and carry a hash of the whole core set instead,
-// so pre-multicore spill sidecars (no "cores" field) keep their old ids.
+// captures leave those empty and carry a hash of the whole core set instead.
 type captureKey struct {
-	Bench string `json:"bench,omitempty"`
-	Seed  uint64 `json:"seed,omitempty"`
-	Scale uint64 `json:"scale,omitempty"`
-	Core  string `json:"core"`
-	Cores string `json:"cores,omitempty"`
+	Bench string
+	Seed  uint64
+	Scale uint64
+	Core  string
+	Cores string
 }
 
 // coreSetHash fingerprints a multicore job's ordered core set. Order matters:
@@ -50,8 +45,9 @@ func coreSetHash(cores []CoreJobSpec) string {
 	return hex.EncodeToString(h[:8])
 }
 
-// id is the map key and spill-file basename. The hex hashes keep it
-// filesystem-safe; bench names are lowercase alphanumerics.
+// id is the map key and the capture store's content address, so its format
+// is fixed: entries already in a store are found by it. The hex hashes keep
+// it filesystem-safe; bench names are lowercase alphanumerics.
 func (k captureKey) id() string {
 	if k.Cores != "" {
 		return fmt.Sprintf("cores-%s-%s", k.Cores, k.Core)
@@ -73,14 +69,17 @@ type cacheEntry struct {
 	elem    *list.Element
 }
 
-// captureFn performs the cycle-level simulation on a cache miss, returning
-// one Stats per core (length 1 for single-core captures).
+// captureFn performs the cycle-level simulation on a miss, returning one
+// Stats per core (length 1 for single-core captures).
 type captureFn func(ctx context.Context) (*trace.Capture, []cpu.Stats, error)
 
-// captureCache is the LRU capture cache with singleflight capture dedup:
-// repeated jobs for the same (bench, seed, scale, core) skip the simulation
-// entirely and only replay, and concurrent identical misses perform exactly
-// one simulation between them.
+// captureCache is the LRU capture cache with singleflight capture dedup, in
+// front of the optional capture store: repeated jobs for the same key skip
+// the simulation entirely and only replay, concurrent identical misses
+// perform exactly one simulation between them, and every fresh simulation
+// is published to the store, so a restarted daemon (or any peer sharing the
+// store) finds it there instead of simulating again. The store is the only
+// persistence tier; memory is lost on exit.
 type captureCache struct {
 	mu         sync.Mutex
 	maxEntries int
@@ -91,28 +90,28 @@ type captureCache struct {
 	flights    map[string]chan struct{} // closed when the leader finishes
 	hits       uint64
 	misses     uint64
-	warnf      func(format string, args ...any)
+	store      *fleet.Store // nil = memory only
+	logf       func(format string, args ...any)
 }
 
-func newCaptureCache(maxEntries int, maxBytes uint64, warnf func(string, ...any)) *captureCache {
-	if warnf == nil {
-		warnf = log.Printf
-	}
+func newCaptureCache(maxEntries int, maxBytes uint64, store *fleet.Store, logf func(string, ...any)) *captureCache {
 	return &captureCache{
 		maxEntries: maxEntries,
 		maxBytes:   maxBytes,
 		ll:         list.New(),
 		byKey:      map[string]*cacheEntry{},
 		flights:    map[string]chan struct{}{},
-		warnf:      warnf,
+		store:      store,
+		logf:       logf,
 	}
 }
 
-// getOrCapture returns a ref-held entry for key, running fn on a miss. When
-// a concurrent caller is already capturing the same key, it waits for that
-// flight and reuses the result (counted as a hit: the simulation was
-// shared). The caller must release() the entry when done replaying.
-func (c *captureCache) getOrCapture(ctx context.Context, key captureKey, fn captureFn) (ent *cacheEntry, hit bool, err error) {
+// getOrCapture returns a ref-held entry for key and where its capture came
+// from: sourceCache when it was in memory or a concurrent caller was already
+// capturing it (the simulation was shared), sourceStore when the store held
+// it, and sourceSimulated when simulate ran. The caller must release() the
+// entry when done replaying.
+func (c *captureCache) getOrCapture(ctx context.Context, key captureKey, simulate captureFn) (ent *cacheEntry, source string, err error) {
 	id := key.id()
 	for {
 		c.mu.Lock()
@@ -121,18 +120,18 @@ func (c *captureCache) getOrCapture(ctx context.Context, key captureKey, fn capt
 			c.ll.MoveToFront(ent.elem)
 			c.hits++
 			c.mu.Unlock()
-			return ent, true, nil
+			return ent, sourceCache, nil
 		}
 		if fl := c.flights[id]; fl != nil {
 			c.mu.Unlock()
-			// Another job is simulating this key right now; wait and
+			// Another job is capturing this key right now; wait and
 			// re-check. If the leader fails (or is cancelled), the retry
 			// loop promotes this waiter to leader.
 			select {
 			case <-fl:
 				continue
 			case <-ctx.Done():
-				return nil, false, ctx.Err()
+				return nil, "", ctx.Err()
 			}
 		}
 		// Miss: become the capture leader.
@@ -141,14 +140,14 @@ func (c *captureCache) getOrCapture(ctx context.Context, key captureKey, fn capt
 		c.misses++
 		c.mu.Unlock()
 
-		capt, stats, err := fn(ctx)
+		capt, stats, source, err := c.fill(ctx, key, simulate)
 
 		c.mu.Lock()
 		delete(c.flights, id)
 		if err != nil {
 			c.mu.Unlock()
 			close(fl)
-			return nil, false, err
+			return nil, "", err
 		}
 		ent := &cacheEntry{
 			key:     key,
@@ -160,8 +159,30 @@ func (c *captureCache) getOrCapture(ctx context.Context, key captureKey, fn capt
 		c.insertLocked(ent)
 		c.mu.Unlock()
 		close(fl)
-		return ent, false, nil
+		return ent, source, nil
 	}
+}
+
+// fill runs a capture leader's miss: the store first, since any capture of
+// key is byte-identical to what simulate would produce, then simulate. A
+// fresh capture is published best-effort: a failed publish costs a future
+// warm hit, not this job.
+func (c *captureCache) fill(ctx context.Context, key captureKey, simulate captureFn) (*trace.Capture, []cpu.Stats, string, error) {
+	if c.store != nil {
+		if capt, stats, ok := c.store.Get(key.id()); ok {
+			return capt, stats, sourceStore, nil
+		}
+	}
+	capt, stats, err := simulate(ctx)
+	if err != nil {
+		return nil, nil, "", err
+	}
+	if c.store != nil {
+		if err := c.store.Put(key.id(), capt, stats); err != nil {
+			c.logf("tipd: publishing %s to store: %v", key.id(), err)
+		}
+	}
+	return capt, stats, sourceSimulated, nil
 }
 
 // insertLocked adds ent at the LRU front and evicts past capacity. Callers
@@ -205,134 +226,4 @@ func (c *captureCache) counters() (hits, misses uint64, entries int, bytes uint6
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	return c.hits, c.misses, c.ll.Len(), c.bytes
-}
-
-// spillMeta is the JSON sidecar persisted next to each spilled capture.
-// Single-core captures keep their stats in Stats so pre-multicore sidecars
-// round-trip unchanged; multicore captures add CoreStats (one per core).
-type spillMeta struct {
-	Key       captureKey  `json:"key"`
-	Records   uint64      `json:"records"`
-	Cycles    uint64      `json:"cycles"`
-	Stats     cpu.Stats   `json:"stats"`
-	CoreStats []cpu.Stats `json:"core_stats,omitempty"`
-}
-
-// persist writes every live entry to dir as <id>.trc (the encoded stream,
-// exactly what Capture.WriteTo emits) plus <id>.json (the sidecar), so a
-// restarted daemon starts warm. Entries are written most-recently-used
-// first so a truncated persist keeps the hottest captures.
-func (c *captureCache) persist(dir string) error {
-	if err := os.MkdirAll(dir, 0o755); err != nil {
-		return err
-	}
-	c.mu.Lock()
-	ents := make([]*cacheEntry, 0, c.ll.Len())
-	for e := c.ll.Front(); e != nil; e = e.Next() {
-		ent := e.Value.(*cacheEntry)
-		ent.refs++ // pin against concurrent eviction while writing
-		ents = append(ents, ent)
-	}
-	c.mu.Unlock()
-	var firstErr error
-	for _, ent := range ents {
-		if err := writeSpill(dir, ent); err != nil && firstErr == nil {
-			firstErr = err
-		}
-		c.release(ent)
-	}
-	return firstErr
-}
-
-func writeSpill(dir string, ent *cacheEntry) error {
-	id := ent.key.id()
-	trcPath := filepath.Join(dir, id+".trc")
-	f, err := os.Create(trcPath)
-	if err != nil {
-		return err
-	}
-	if _, err := ent.capture.WriteTo(f); err != nil {
-		f.Close()
-		os.Remove(trcPath)
-		return err
-	}
-	if err := f.Close(); err != nil {
-		os.Remove(trcPath)
-		return err
-	}
-	meta := spillMeta{
-		Key:     ent.key,
-		Records: ent.capture.Records(),
-		Cycles:  ent.capture.Cycles(),
-	}
-	if len(ent.stats) == 1 && ent.key.Cores == "" {
-		meta.Stats = ent.stats[0]
-	} else {
-		meta.CoreStats = ent.stats
-	}
-	data, err := json.MarshalIndent(meta, "", "  ")
-	if err != nil {
-		return err
-	}
-	return os.WriteFile(filepath.Join(dir, id+".json"), append(data, '\n'), 0o644)
-}
-
-// load restores persisted captures from dir (written by persist). Corrupted
-// or unreadable entries are skipped with a logged warning — the spill
-// directory is a cache, not a durability contract, so a bad entry must
-// never fail startup.
-func (c *captureCache) load(dir string) error {
-	names, err := os.ReadDir(dir)
-	if err != nil {
-		if os.IsNotExist(err) {
-			return nil
-		}
-		return err
-	}
-	var metas []string
-	for _, de := range names {
-		if strings.HasSuffix(de.Name(), ".json") {
-			metas = append(metas, de.Name())
-		}
-	}
-	sort.Strings(metas)
-	for _, name := range metas {
-		var meta spillMeta
-		data, err := os.ReadFile(filepath.Join(dir, name))
-		if err != nil {
-			c.warnf("tipd: spill sidecar %s: unreadable, skipping (%v)", name, err)
-			continue
-		}
-		if err := json.Unmarshal(data, &meta); err != nil {
-			c.warnf("tipd: spill sidecar %s: corrupted, skipping (%v)", name, err)
-			continue
-		}
-		enc, err := os.ReadFile(filepath.Join(dir, meta.Key.id()+".trc"))
-		if err != nil {
-			c.warnf("tipd: spill entry %s: missing payload, skipping (%v)", meta.Key.id(), err)
-			continue
-		}
-		capt, err := trace.NewCaptureFromEncoded(enc, meta.Records, meta.Cycles)
-		if err != nil {
-			c.warnf("tipd: spill entry %s: undecodable payload, skipping (%v)", meta.Key.id(), err)
-			continue
-		}
-		stats := meta.CoreStats
-		if len(stats) == 0 {
-			stats = []cpu.Stats{meta.Stats}
-		}
-		c.mu.Lock()
-		if _, dup := c.byKey[meta.Key.id()]; dup {
-			c.mu.Unlock()
-			continue
-		}
-		c.insertLocked(&cacheEntry{
-			key:     meta.Key,
-			capture: capt,
-			stats:   stats,
-			bytes:   capt.Bytes(),
-		})
-		c.mu.Unlock()
-	}
-	return nil
 }

@@ -169,7 +169,7 @@ func TestSaturation429Jitter(t *testing.T) {
 	}
 }
 
-// warnCollector is a threadsafe Config.Logf sink.
+// warnCollector is a threadsafe warning sink for Store.SetWarnf.
 type warnCollector struct {
 	mu   sync.Mutex
 	msgs []string
@@ -192,12 +192,36 @@ func (wc *warnCollector) contains(sub string) bool {
 	return false
 }
 
-// TestMulticoreSpillRestartRoundTrip spills a multicore (TIPTRC3 core-tagged)
-// capture across a restart and checks (a) the restarted daemon serves the
-// core set warm with per-core stats intact, and (b) a corrupted sidecar is
-// skipped with a logged warning instead of failing startup.
-func TestMulticoreSpillRestartRoundTrip(t *testing.T) {
-	spillDir := t.TempDir()
+// fetchCorePprof downloads one core's TIP pprof payload of a multicore job.
+func fetchCorePprof(t *testing.T, ts *httptest.Server, id string, core int) []byte {
+	t.Helper()
+	resp, err := http.Get(fmt.Sprintf("%s/v1/jobs/%s/pprof?profiler=TIP&core=%d", ts.URL, id, core))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	data, err := io.ReadAll(resp.Body)
+	if err != nil || resp.StatusCode != http.StatusOK {
+		t.Fatalf("core %d pprof: status %d (%v)", core, resp.StatusCode, err)
+	}
+	return data
+}
+
+// TestMulticoreStoreRestartRoundTrip carries a multicore (TIPTRC3
+// core-tagged) capture across a crash through the store and checks (a) a
+// daemon started on the same store while the first was never shut down —
+// the stand-in for kill -9 — serves the core set from "store" with per-core
+// stats and pprof intact and no simulation, and (b) a corrupted sidecar
+// reads as a warned miss that re-simulates instead of failing startup.
+func TestMulticoreStoreRestartRoundTrip(t *testing.T) {
+	storeDir := t.TempDir()
+	openStore := func() *fleet.Store {
+		st, err := fleet.OpenStore(storeDir)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return st
+	}
 	spec := JobSpec{
 		Cores: []CoreJobSpec{
 			{Bench: "mcf", Scale: testScale},
@@ -207,25 +231,22 @@ func TestMulticoreSpillRestartRoundTrip(t *testing.T) {
 		TargetSamples: 256,
 	}
 
-	// First daemon: simulate, then drain so the capture spills.
-	s1, ts1 := newTestServer(t, Config{Workers: 1, SpillDir: spillDir})
+	// First daemon: simulate, then abandon it. Nothing is drained or
+	// persisted on the way out; the capture reached the store when it was
+	// simulated.
+	_, ts1 := newTestServer(t, Config{Workers: 1, Store: openStore()})
 	v, code := submit(t, ts1, spec)
 	if code != http.StatusAccepted {
 		t.Fatalf("submit: status %d", code)
 	}
-	if done := waitTerminal(t, ts1, v.ID); done.State != stateDone {
-		t.Fatalf("multicore job finished %s (%s)", done.State, done.Error)
+	done1 := waitTerminal(t, ts1, v.ID)
+	if done1.State != stateDone || done1.CaptureSource != sourceSimulated {
+		t.Fatalf("multicore job: state=%s source=%q (%s)", done1.State, done1.CaptureSource, done1.Error)
 	}
-	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
-	defer cancel()
-	if err := s1.Shutdown(ctx); err != nil {
-		t.Fatal(err)
-	}
-	ts1.Close()
 
-	// The sidecar must carry the v3 multicore shape: a "cores" key and one
+	// The sidecar must carry the v3 multicore shape: a "cores" id and one
 	// stats entry per core.
-	sidecars, err := filepath.Glob(filepath.Join(spillDir, "cores-*.json"))
+	sidecars, err := filepath.Glob(filepath.Join(storeDir, "cores-*.json"))
 	if err != nil || len(sidecars) != 1 {
 		t.Fatalf("multicore sidecars = %v (%v), want exactly 1", sidecars, err)
 	}
@@ -233,56 +254,74 @@ func TestMulticoreSpillRestartRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	var meta spillMeta
+	var meta struct {
+		ID    string      `json:"id"`
+		Stats []cpu.Stats `json:"core_stats"`
+	}
 	if err := json.Unmarshal(raw, &meta); err != nil {
 		t.Fatal(err)
 	}
-	if meta.Key.Cores == "" || len(meta.CoreStats) != 2 {
-		t.Fatalf("sidecar key=%+v core_stats=%d, want a 2-core entry", meta.Key, len(meta.CoreStats))
+	if !strings.HasPrefix(meta.ID, "cores-") || len(meta.Stats) != 2 {
+		t.Fatalf("sidecar id=%q core_stats=%d, want a 2-core entry", meta.ID, len(meta.Stats))
 	}
 
-	// Restart: the same core set must be a warm hit with no simulation.
-	runs0 := cpu.RunsStarted()
-	_, ts2 := newTestServer(t, Config{Workers: 1, SpillDir: spillDir})
+	// Restart beside the abandoned daemon: the same core set must come
+	// from the store with no simulation. (Lockstep multicore capture does
+	// not go through Core.Run, so the daemon's own simulation counter is
+	// the witness here, not cpu.RunsStarted.)
+	s2, ts2 := newTestServer(t, Config{Workers: 1, Store: openStore()})
 	v2, code := submit(t, ts2, spec)
 	if code != http.StatusAccepted {
 		t.Fatalf("submit after restart: status %d", code)
 	}
 	done2 := waitTerminal(t, ts2, v2.ID)
-	if done2.State != stateDone || !done2.CacheHit || done2.CaptureSource != "cache" {
+	if done2.State != stateDone || done2.CacheHit || done2.CaptureSource != sourceStore {
 		t.Fatalf("restarted daemon: state=%s hit=%v source=%q (%s)",
 			done2.State, done2.CacheHit, done2.CaptureSource, done2.Error)
+	}
+	if got := s2.Health().Simulations; got != 0 {
+		t.Fatalf("stored entry still simulated %d times", got)
 	}
 	if done2.Result == nil || len(done2.Result.Cores) != 2 {
 		t.Fatalf("restored multicore result = %+v", done2.Result)
 	}
-	if got := cpu.RunsStarted() - runs0; got != 0 {
-		t.Fatalf("restored entry still simulated %d times", got)
+	for i, c := range done2.Result.Cores {
+		want := done1.Result.Cores[i]
+		if c.Bench != want.Bench || c.Cycles != want.Cycles || c.Committed != want.Committed {
+			t.Fatalf("core %d restored as %s %d/%d, want %s %d/%d", i,
+				c.Bench, c.Cycles, c.Committed, want.Bench, want.Cycles, want.Committed)
+		}
+		if !bytes.Equal(fetchCorePprof(t, ts1, v.ID, i), fetchCorePprof(t, ts2, v2.ID, i)) {
+			t.Fatalf("core %d pprof differs after restart", i)
+		}
 	}
 
-	// Corrupt the sidecar: the next restart must skip the entry with a
-	// warning, not fail.
-	if err := os.WriteFile(sidecars[0], []byte(`{"key":`), 0o644); err != nil {
+	// Corrupt the sidecar: the next daemon must start, warn, re-simulate,
+	// and repair the entry.
+	if err := os.WriteFile(sidecars[0], []byte(`{"id":`), 0o644); err != nil {
 		t.Fatal(err)
 	}
 	wc := &warnCollector{}
-	s3, err := New(Config{Workers: 1, SpillDir: spillDir, Logf: wc.logf})
-	if err != nil {
-		t.Fatalf("startup failed on a corrupted sidecar: %v", err)
+	st3 := openStore()
+	st3.SetWarnf(wc.logf)
+	s3, ts3 := newTestServer(t, Config{Workers: 1, Store: st3})
+	v3, code := submit(t, ts3, spec)
+	if code != http.StatusAccepted {
+		t.Fatalf("submit after corruption: status %d", code)
 	}
-	defer func() {
-		ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
-		defer cancel()
-		// Drop the spill dir first so shutdown doesn't re-persist over the
-		// corruption we just checked.
-		s3.cfg.SpillDir = ""
-		s3.Shutdown(ctx)
-	}()
-	if !wc.contains("corrupted") {
+	done3 := waitTerminal(t, ts3, v3.ID)
+	if done3.State != stateDone || done3.CaptureSource != sourceSimulated {
+		t.Fatalf("corrupted entry: state=%s source=%q (%s), want done/simulated",
+			done3.State, done3.CaptureSource, done3.Error)
+	}
+	if got := s3.Health().Simulations; got != 1 {
+		t.Fatalf("corrupted entry re-simulated %d times, want 1", got)
+	}
+	if !wc.contains("corrupted sidecar") {
 		t.Fatalf("no corruption warning logged: %v", wc.msgs)
 	}
-	if _, _, entries, _ := s3.cache.counters(); entries != 0 {
-		t.Fatalf("corrupted entry loaded anyway (%d entries)", entries)
+	if _, _, puts := st3.Counters(); puts != 1 {
+		t.Fatalf("re-simulated capture published %d times, want 1", puts)
 	}
 }
 

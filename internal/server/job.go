@@ -198,11 +198,10 @@ type job struct {
 	finished time.Time
 	cancel   context.CancelFunc
 
-	cacheHit bool
 	// source records where the job's capture came from: "cache" (local LRU
-	// or a shared singleflight), "store" (pulled from the fleet's shared
-	// capture store), "simulated" (a fresh cycle-level simulation), or
-	// "sampled" (sampled jobs always simulate their windows).
+	// or a shared singleflight), "store" (pulled from the capture store),
+	// "simulated" (a fresh cycle-level simulation), or "sampled" (sampled
+	// jobs always simulate their windows).
 	source string
 	// timing reuses the experiments phase-split struct: capture vs replay
 	// wall-clock plus the replay worker count actually used.
@@ -222,17 +221,17 @@ const (
 // jobOutcome is what a successful execution hands back to the server.
 // Exactly one of res (single-core) and multi (multicore) is set.
 type jobOutcome struct {
-	res      *tip.Result
-	multi    *tip.MulticoreResult
-	cacheHit bool
-	source   string
-	timing   experiments.Timing
+	res    *tip.Result
+	multi  *tip.MulticoreResult
+	source string
+	timing experiments.Timing
 }
 
-// executeJob is the real job runner. On a capture-cache hit the cached trace
-// is replayed through the job's profiler matrix; on a miss the whole job
-// runs fused — the cycle-level simulation streams straight into the replay
-// shards while the encoded trace is teed into the cache — so the miss costs
+// executeJob is the real job runner. When the capture cache finds the trace
+// (in memory or in the store), it is replayed through the job's profiler
+// matrix; when the cache has to simulate, the whole job runs fused — the
+// cycle-level simulation streams straight into the replay shards while the
+// encoded trace is teed into the cache — so the miss costs
 // max(simulate, replay) instead of their sum. A fused miss calibrates its
 // sampling interval from the streaming pilot window, so its interval (and
 // result) can differ marginally from a later cache-hit rerun of the same
@@ -282,33 +281,23 @@ func (s *Server) executeJob(ctx context.Context, jb *job) (*jobOutcome, error) {
 	}
 
 	var fusedRes *tip.Result
-	fromStore := false
 	start := time.Now()
-	ent, hit, err := s.cache.getOrCapture(ctx, key, func(ctx context.Context) (*tip.TraceCapture, []tip.CoreStats, error) {
-		// Local miss: a warm fleet store beats re-simulating — any node's
-		// capture of this key is byte-identical to what we would produce.
-		if capt, stats, ok := s.storeGet(key); ok {
-			fromStore = true
-			return capt, stats, nil
-		}
+	ent, source, err := s.cache.getOrCapture(ctx, key, func(ctx context.Context) (*tip.TraceCapture, []tip.CoreStats, error) {
 		res, capt, err := runTee(ctx, w, rc)
 		if err != nil {
 			return nil, nil, err
 		}
 		s.met.simulationRan()
 		fusedRes = res
-		allStats := []tip.CoreStats{res.Stats}
-		s.storePut(key, capt, allStats)
-		return capt, allStats, nil
+		return capt, []tip.CoreStats{res.Stats}, nil
 	})
 	if err != nil {
 		return nil, err
 	}
 	defer s.cache.release(ent)
-	out.cacheHit = hit
-	out.source = captureSource(hit, fromStore)
+	out.source = source
 
-	if !hit && fusedRes != nil {
+	if fusedRes != nil {
 		// Fused miss: this worker was the capture leader and the streaming
 		// run already evaluated the job's matrix. Simulation and replay
 		// overlapped, so the whole wall-clock is reported as replay time.
@@ -360,27 +349,20 @@ func (s *Server) executeMulticoreJob(ctx context.Context, spec JobSpec, rc tip.R
 		ws[i] = w
 	}
 	key := captureKey{Cores: coreSetHash(spec.Cores), Core: s.coreHash}
-	fromStore := false
 	start := time.Now()
-	ent, hit, err := s.cache.getOrCapture(ctx, key, func(ctx context.Context) (*tip.TraceCapture, []tip.CoreStats, error) {
-		if capt, stats, ok := s.storeGet(key); ok {
-			fromStore = true
-			return capt, stats, nil
-		}
+	ent, source, err := s.cache.getOrCapture(ctx, key, func(ctx context.Context) (*tip.TraceCapture, []tip.CoreStats, error) {
 		capt, stats, err := tip.CaptureMulticore(ctx, ws, rc.Core)
 		if err != nil {
 			return nil, nil, err
 		}
 		s.met.simulationRan()
-		s.storePut(key, capt, stats)
 		return capt, stats, nil
 	})
 	if err != nil {
 		return nil, err
 	}
 	defer s.cache.release(ent)
-	out.cacheHit = hit
-	out.source = captureSource(hit, fromStore)
+	out.source = source
 	out.timing.Capture = time.Since(start)
 
 	repStart := time.Now()
@@ -391,39 +373,6 @@ func (s *Server) executeMulticoreJob(ctx context.Context, spec JobSpec, rc tip.R
 	}
 	out.multi = multi
 	return out, nil
-}
-
-// storeGet pulls key's capture from the shared store, if one is configured.
-func (s *Server) storeGet(key captureKey) (*tip.TraceCapture, []tip.CoreStats, bool) {
-	st := s.cfg.Store
-	if st == nil {
-		return nil, nil, false
-	}
-	return st.Get(key.id())
-}
-
-// storePut publishes a freshly simulated capture to the shared store,
-// best-effort: a failed publish costs the fleet a future warm hit, not this
-// job.
-func (s *Server) storePut(key captureKey, capt *tip.TraceCapture, stats []tip.CoreStats) {
-	st := s.cfg.Store
-	if st == nil {
-		return
-	}
-	if err := st.Put(key.id(), capt, stats); err != nil {
-		s.cfg.Logf("tipd: publishing %s to store: %v", key.id(), err)
-	}
-}
-
-func captureSource(hit, fromStore bool) string {
-	switch {
-	case hit:
-		return sourceCache
-	case fromStore:
-		return sourceStore
-	default:
-		return sourceSimulated
-	}
 }
 
 // --- JSON views ------------------------------------------------------------
@@ -505,7 +454,7 @@ func (s *Server) view(jb *job) JobView {
 		Spec:          jb.spec,
 		Error:         jb.errMsg,
 		Created:       jb.created,
-		CacheHit:      jb.cacheHit,
+		CacheHit:      jb.source == sourceCache,
 		CaptureSource: jb.source,
 	}
 	if !jb.started.IsZero() {

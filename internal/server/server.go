@@ -51,9 +51,6 @@ type Config struct {
 	// CacheBytes bounds the capture cache's encoded footprint
 	// (default 1 GiB).
 	CacheBytes uint64
-	// SpillDir, when set, persists the capture cache there on graceful
-	// shutdown and re-loads it on startup.
-	SpillDir string
 	// JobTimeout bounds one job's execution (default 10m).
 	JobTimeout time.Duration
 	// MaxRetainedJobs bounds finished jobs kept for retrieval; the oldest
@@ -62,12 +59,14 @@ type Config struct {
 	// Core is the simulated core configuration for every job (default
 	// Table 1). It is part of the capture-cache key.
 	Core cpu.Config
-	// Store, when set, is the fleet's shared capture store: cache misses
-	// try the store before simulating, and freshly simulated captures are
-	// published to it, so any node in a fleet serves any warm key.
+	// Store, when set, is the capture store and the cache's only
+	// persistence tier: cache misses try the store before simulating, and
+	// freshly simulated captures are published to it as they finish. A
+	// local directory makes one daemon's captures survive restarts and
+	// crashes; a shared one lets any node in a fleet serve any warm key.
 	Store *fleet.Store
-	// Logf receives operational warnings (corrupted spill entries, failed
-	// store publishes). Default log.Printf.
+	// Logf receives operational warnings (failed store publishes). Default
+	// log.Printf.
 	Logf func(format string, args ...any)
 }
 
@@ -130,8 +129,8 @@ type Server struct {
 	execute func(ctx context.Context, jb *job) (*jobOutcome, error)
 }
 
-// New builds a Server, loads any persisted captures from cfg.SpillDir, and
-// starts the worker pool.
+// New builds a Server and starts the worker pool. Captures in cfg.Store are
+// read lazily, on the first miss for their key.
 func New(cfg Config) (*Server, error) {
 	if err := cfg.fill(); err != nil {
 		return nil, fmt.Errorf("server: %w", err)
@@ -141,17 +140,12 @@ func New(cfg Config) (*Server, error) {
 		coreHash: coreConfigHash(cfg.Core),
 		jobs:     map[string]*job{},
 		queue:    make(chan *job, cfg.QueueDepth),
-		cache:    newCaptureCache(cfg.CacheEntries, cfg.CacheBytes, cfg.Logf),
+		cache:    newCaptureCache(cfg.CacheEntries, cfg.CacheBytes, cfg.Store, cfg.Logf),
 		met:      newMetrics(),
 		mux:      http.NewServeMux(),
 	}
 	s.baseCtx, s.abort = context.WithCancel(context.Background())
 	s.execute = s.executeJob
-	if cfg.SpillDir != "" {
-		if err := s.cache.load(cfg.SpillDir); err != nil {
-			return nil, fmt.Errorf("server: loading capture cache: %w", err)
-		}
-	}
 	s.routes()
 	for i := 0; i < cfg.Workers; i++ {
 		s.workers.Add(1)
@@ -208,7 +202,6 @@ func (s *Server) runJob(jb *job) {
 	switch {
 	case err == nil:
 		jb.outcome = out
-		jb.cacheHit = out.cacheHit
 		jb.source = out.source
 		jb.timing = out.timing
 	case errors.Is(err, context.Canceled):
@@ -259,9 +252,9 @@ func (s *Server) startDrainLocked() {
 	close(s.queue)
 }
 
-// Shutdown gracefully stops the daemon: new submissions are refused, queued
-// and running jobs drain, and the capture cache is persisted to the spill
-// directory. If ctx expires first, in-flight jobs are aborted via their
+// Shutdown gracefully stops the daemon: new submissions are refused and
+// queued and running jobs drain. Nothing is persisted here: every capture
+// reached the store when it was simulated. If ctx expires first, in-flight jobs are aborted via their
 // contexts and Shutdown returns ctx's error after they unwind — ctx is the
 // drain-timeout bound, so a wedged job cannot hold shutdown forever.
 func (s *Server) Shutdown(ctx context.Context) error {
@@ -279,20 +272,14 @@ func (s *Server) Shutdown(ctx context.Context) error {
 		s.workers.Wait()
 		close(done)
 	}()
-	var err error
 	select {
 	case <-done:
+		return nil
 	case <-ctx.Done():
-		err = ctx.Err()
 		s.abort() // cancel in-flight job contexts
 		<-done
+		return ctx.Err()
 	}
-	if s.cfg.SpillDir != "" {
-		if perr := s.cache.persist(s.cfg.SpillDir); perr != nil && err == nil {
-			err = perr
-		}
-	}
-	return err
 }
 
 // --- HTTP handlers ---------------------------------------------------------

@@ -15,6 +15,7 @@ import (
 
 	tip "github.com/tipprof/tip"
 	"github.com/tipprof/tip/internal/cpu"
+	"github.com/tipprof/tip/internal/fleet"
 	"github.com/tipprof/tip/internal/pprofenc"
 	"github.com/tipprof/tip/internal/profiler"
 	"github.com/tipprof/tip/internal/workload"
@@ -536,13 +537,18 @@ func TestExecuteCanceledContext(t *testing.T) {
 	}
 }
 
-// TestShutdownDrainsAndSpills submits work, shuts the daemon down gracefully,
-// and checks (a) queued jobs finish rather than vanish, (b) new submissions
-// are refused while draining, and (c) a fresh daemon pointed at the same
-// spill directory serves the capture from disk without re-simulating.
-func TestShutdownDrainsAndSpills(t *testing.T) {
-	spill := t.TempDir()
-	s, err := New(Config{Workers: 2, SpillDir: spill})
+// TestShutdownDrainsAndRestartsFromStore submits work, shuts the daemon down
+// gracefully, and checks (a) queued jobs finish rather than vanish, (b) new
+// submissions are refused while draining, and (c) a fresh daemon pointed at
+// the same store serves the capture from disk without re-simulating, with
+// pprof bytes identical to the first daemon's.
+func TestShutdownDrainsAndRestartsFromStore(t *testing.T) {
+	storeDir := t.TempDir()
+	st, err := fleet.OpenStore(storeDir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	s, err := New(Config{Workers: 2, Store: st})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -564,33 +570,34 @@ func TestShutdownDrainsAndSpills(t *testing.T) {
 		t.Fatalf("shutdown: %v", err)
 	}
 
-	// Both jobs drained to done.
+	// Both jobs drained to done; one simulated, the other replayed the
+	// shared capture.
+	var replayed string
 	for _, id := range []string{a.ID, b.ID} {
 		v, code := getJob(t, ts, id)
 		if code != http.StatusOK || v.State != stateDone {
 			t.Fatalf("after drain, job %s: status %d state %s (%s)", id, code, v.State, v.Error)
 		}
+		if v.CaptureSource == sourceCache {
+			replayed = id
+		}
+	}
+	if replayed == "" {
+		t.Fatal("neither drained job replayed the shared capture")
 	}
 	// Submissions are refused while draining.
 	if _, code := submit(t, ts, testSpec()); code != http.StatusServiceUnavailable {
 		t.Fatalf("submit while draining: status %d, want 503", code)
 	}
 
-	// A fresh daemon restores the capture from the spill directory: the
-	// same job is a cache hit with zero new simulations.
+	// A fresh daemon finds the capture in the store: the same job is served
+	// from "store" with zero new simulations.
 	runs0 := cpu.RunsStarted()
-	s2, err := New(Config{Workers: 1, SpillDir: spill})
+	st2, err := fleet.OpenStore(storeDir)
 	if err != nil {
 		t.Fatal(err)
 	}
-	ts2 := httptest.NewServer(s2.Handler())
-	defer ts2.Close()
-	defer func() {
-		ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
-		defer cancel()
-		s2.Shutdown(ctx)
-	}()
-
+	_, ts2 := newTestServer(t, Config{Workers: 1, Store: st2})
 	v, code := submit(t, ts2, testSpec())
 	if code != http.StatusAccepted {
 		t.Fatalf("submit to warm daemon: status %d", code)
@@ -599,11 +606,14 @@ func TestShutdownDrainsAndSpills(t *testing.T) {
 	if done.State != stateDone {
 		t.Fatalf("warm job finished %s (%s)", done.State, done.Error)
 	}
-	if !done.CacheHit {
-		t.Fatal("warm-start job should hit the spilled capture")
+	if done.CaptureSource != sourceStore {
+		t.Fatalf("warm-start job source %q, want store", done.CaptureSource)
 	}
 	if got := cpu.RunsStarted() - runs0; got != 0 {
 		t.Fatalf("warm daemon ran %d simulations, want 0", got)
+	}
+	if !bytes.Equal(fetchPprof(t, ts, replayed), fetchPprof(t, ts2, v.ID)) {
+		t.Fatal("restarted daemon's pprof differs from the first daemon's")
 	}
 }
 

@@ -175,8 +175,8 @@ func (c *Capture) Spilled() bool { return c.f != nil }
 // NewCaptureFromEncoded adopts an already-encoded trace stream — the bytes a
 // prior capture's WriteTo produced — as a finished, replayable in-memory
 // capture. records and cycles restore the Records/Cycles bookkeeping that is
-// not re-derivable without a full decode; callers persisting captures (the
-// tipd capture cache's spill directory) store them alongside the stream.
+// not re-derivable without a full decode; callers persisting captures (tipd's
+// capture store) store them alongside the stream.
 // The data slice is retained, not copied.
 func NewCaptureFromEncoded(data []byte, records, cycles uint64) (*Capture, error) {
 	v3, err := sniffMagic(data)

@@ -288,42 +288,3 @@ func TestRunDispatchesSampled(t *testing.T) {
 		t.Fatal("sampled run fast-forwarded nothing; window geometry too lax for this workload")
 	}
 }
-
-// TestConfigureSampled pins the one resolution of a schedule's spellings:
-// zero geometry takes the defaults, warmup "" the default (none at full
-// fraction), "auto" the heuristic, and anything else a literal count.
-func TestConfigureSampled(t *testing.T) {
-	cases := []struct {
-		name                   string
-		window, interval       uint64
-		warmup                 string
-		wantWin, wantIv, wantW uint64
-		wantErr                string
-	}{
-		{"defaults", 0, 0, "", DefaultSampledWindow, DefaultSampledInterval, DefaultSampledWarmup, ""},
-		{"full fraction", 4096, 4096, "", 4096, 4096, 0, ""},
-		{"auto", 8192, 1 << 20, "auto", 8192, 1 << 20, AutoWarmupCycles(8192, 1<<20), ""},
-		{"literal zero", 0, 0, "0", DefaultSampledWindow, DefaultSampledInterval, 0, ""},
-		{"literal", 2048, 16384, "1024", 2048, 16384, 1024, ""},
-		{"not a number", 0, 0, "lots", 0, 0, 0, `cycle count or "auto"`},
-		{"invalid geometry", 1 << 20, 4096, "", 0, 0, 0, "exceeds WindowInterval"},
-	}
-	for _, tc := range cases {
-		rc := DefaultRunConfig()
-		err := ConfigureSampled(&rc, tc.window, tc.interval, tc.warmup)
-		if tc.wantErr != "" {
-			if err == nil || !strings.Contains(err.Error(), tc.wantErr) {
-				t.Errorf("%s: error %v, want substring %q", tc.name, err, tc.wantErr)
-			}
-			continue
-		}
-		if err != nil {
-			t.Errorf("%s: unexpected error %v", tc.name, err)
-			continue
-		}
-		if !rc.Sampled || rc.WindowCycles != tc.wantWin || rc.WindowInterval != tc.wantIv || rc.WarmupCycles != tc.wantW {
-			t.Errorf("%s: got sampled=%v %d/%d/%d, want %d/%d/%d", tc.name, rc.Sampled,
-				rc.WindowCycles, rc.WindowInterval, rc.WarmupCycles, tc.wantWin, tc.wantIv, tc.wantW)
-		}
-	}
-}
