@@ -4,7 +4,6 @@ import (
 	"math"
 	"testing"
 
-	"github.com/tipprof/tip/internal/isa"
 	"github.com/tipprof/tip/internal/profile"
 )
 
@@ -101,5 +100,3 @@ func TestCategoryProfileIgnoresBadIndex(t *testing.T) {
 		t.Fatal("stack should still accumulate for out-of-range index")
 	}
 }
-
-func TestIsa(t *testing.T) { _ = isa.KindLoad } // keep import if cases change

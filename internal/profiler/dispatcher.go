@@ -1,6 +1,7 @@
 package profiler
 
 import (
+	"github.com/tipprof/tip/internal/sampling"
 	"github.com/tipprof/tip/internal/trace"
 )
 
@@ -19,18 +20,15 @@ type CycleFacts struct {
 	lastCommittedSet bool
 }
 
-// Observe advances the facts past r. Call it after the cycle's attribution
-// decisions, like oir.observe: samplers must see the facts as of the
-// previous cycle.
-func (f *CycleFacts) Observe(r *trace.Record) {
-	// Gated on CommitCount like oir.observe: most cycles commit nothing,
-	// and the bank scan is this function's entire cost.
-	if r.CommitCount > 0 {
-		if y := r.YoungestCommitting(); y != nil {
-			f.lastCommitted = y.InstIndex
-			f.lastCommittedSet = true
-			f.o.latchCommit(y)
-		}
+// observe advances the facts past r, whose youngest committing entry is yc
+// (nil on cycles that commit nothing). Call it after the cycle's
+// attribution decisions, like oir.observe: samplers must see the facts as of
+// the previous cycle.
+func (f *CycleFacts) observe(r *trace.Record, yc *trace.BankEntry) {
+	if yc != nil {
+		f.lastCommitted = yc.InstIndex
+		f.lastCommittedSet = true
+		f.o.latchCommit(yc)
 	}
 	if r.ExceptionRaised {
 		f.o.latchException(r)
@@ -38,38 +36,57 @@ func (f *CycleFacts) Observe(r *trace.Record) {
 }
 
 // Dispatcher fans one trace stream out in two tiers. Every-cycle consumers
-// (Oracle, invariant checkers, trace writers) see every record. Sampled
-// profilers sit in a min-heap keyed by the next cycle each one cares about —
-// its next scheduled sample, or the very next cycle while it has samples
-// awaiting resolution — and are only invoked on those cycles. On the
-// overwhelming majority of cycles the sample-aware tier costs one heap-top
-// comparison, instead of ~N virtual calls that each re-derive the same
-// per-cycle state and decline to sample.
+// (Oracle, invariant checkers, trace writers) see every record. The
+// sample-aware tier is organised by what can make a sampled profiler act:
+//
+//   - A scheduled sample. Profilers whose schedules will produce the same
+//     cycles (sampling.Same, with equal next and last sample cycles) form
+//     one schedule group. A min-heap orders the groups by their next sample
+//     cycle; on that cycle the group calls Next once and every member takes
+//     its sample with the same weight.
+//   - A resolving event. A profiler holding deferred samples waits on one of
+//     two lists, chosen by its kind: commit waiters (Software, Dispatch,
+//     NCI, NCI+ILP) are visited only on cycles that commit, and oldest
+//     waiters (the TIP and TIP-ILP drain samples) only on cycles whose ROB
+//     is not empty. YoungestCommitting is computed once per commit cycle and
+//     shared by the waiters and the cycle facts.
+//
+// On most cycles the tier therefore costs one heap-top comparison plus, on a
+// commit, one bank scan; its work grows with the number of distinct
+// schedules and resolving events, not with the number of profilers.
 //
 // All attached Sampled profilers share the dispatcher's CycleFacts, updated
 // once per cycle after delivery. Results are bit-identical to delivering
-// every cycle to every consumer: skipped cycles are exactly the cycles on
-// which Sampled.OnCycle would have taken no action, and the shared facts
-// take the same values a private copy would.
+// every cycle to every consumer: pending samples resolve before a same-cycle
+// sample, as in Sampled.OnCycle; skipped cycles are exactly the cycles on
+// which Sampled.OnCycle would have taken no action for that profiler; and
+// the shared facts take the same values a private copy would.
 type Dispatcher struct {
 	every   []trace.Consumer
 	sampled []*Sampled
-	heap    []heapEntry
-	// active holds profilers with samples awaiting resolution: they need
-	// every cycle until the pending queue drains, so keeping them in a
-	// plain filtered-in-place slice avoids re-sifting the heap top once
-	// per consumer per cycle.
-	active []*Sampled
-	facts  CycleFacts
+	// groups are the schedule groups in attach order; heap holds the ones
+	// with a sample still to come.
+	groups []*schedGroup
+	heap   []*schedGroup
+	// commitWait and oldestWait hold the profilers with pending samples,
+	// by the event that can resolve them (Kind.resolvedBy).
+	commitWait []*Sampled
+	oldestWait []*Sampled
+	facts      CycleFacts
 	// faultables are the attached consumers that can report a mid-stream
 	// failure; Err polls them so a sharded replay can abort early.
 	faultables []trace.Faultable
 }
 
-// heapEntry pairs a sampled profiler with the next cycle it must observe.
-type heapEntry struct {
-	next uint64
-	s    *Sampled
+// schedGroup is a set of sampled profilers that sample on the same cycles.
+// The group keeps next and last itself and advances the first member's
+// schedule; the members' own next and last, and the other members'
+// schedules, stay as they were when attached.
+type schedGroup struct {
+	next    uint64 // next sample cycle
+	last    uint64 // previous sample cycle + 1 (start of current window)
+	sched   sampling.Schedule
+	members []*Sampled
 }
 
 // NewDispatcher returns an empty dispatcher.
@@ -97,13 +114,24 @@ func (d *Dispatcher) Err() error {
 }
 
 // AddSampled attaches a sampled profiler to the sample-aware tier, switching
-// it onto the dispatcher's shared facts. Attach before streaming: a profiler
-// that already consumed records owns facts the dispatcher would discard.
+// it onto the dispatcher's shared facts and into the schedule group it
+// matches, or a new one. Attach before streaming: a profiler that already
+// consumed records owns facts and pending samples the dispatcher would
+// discard, and its schedule no longer advances once attached to a group
+// led by another profiler.
 func (d *Dispatcher) AddSampled(s *Sampled) {
 	s.facts = &d.facts
 	s.ownFacts = false
 	d.sampled = append(d.sampled, s)
-	d.push(heapEntry{next: s.next, s: s})
+	for _, g := range d.groups {
+		if g.next == s.next && g.last == s.last && sampling.Same(g.sched, s.sched) {
+			g.members = append(g.members, s)
+			return
+		}
+	}
+	g := &schedGroup{next: s.next, last: s.last, sched: s.sched, members: []*Sampled{s}}
+	d.groups = append(d.groups, g)
+	d.push(g)
 }
 
 // Sampled lists the attached sample-aware consumers.
@@ -114,41 +142,64 @@ func (d *Dispatcher) OnCycle(r *trace.Record) {
 	for _, c := range d.every {
 		c.OnCycle(r)
 	}
-	// Profilers with pending samples observe every cycle; once resolved
-	// they rejoin the heap at their next scheduled sample.
-	if len(d.active) > 0 {
-		keep := d.active[:0]
-		for _, s := range d.active {
-			s.observe(r)
-			switch {
-			case s.hasPending():
-				keep = append(keep, s)
-			case s.next > r.Cycle:
-				d.push(heapEntry{next: s.next, s: s})
-			}
-			// Otherwise the schedule saturated with nothing pending:
-			// the profiler has no future interest and is dropped.
+	var yc *trace.BankEntry
+	if r.CommitCount > 0 {
+		yc = r.YoungestCommitting()
+		if len(d.commitWait) > 0 {
+			d.commitWait = settle(d.commitWait, r, yc)
 		}
-		d.active = keep
+	}
+	if !r.ROBEmpty && len(d.oldestWait) > 0 {
+		d.oldestWait = settle(d.oldestWait, r, nil)
 	}
 	for len(d.heap) > 0 && d.heap[0].next <= r.Cycle {
-		s := d.heap[0].s
-		s.observe(r)
-		if s.hasPending() {
-			d.popTop()
-			d.active = append(d.active, s)
-			continue
-		}
-		if s.next <= r.Cycle {
-			// Schedule saturated with nothing pending: no future
-			// interest.
+		g := d.heap[0]
+		if g.next < r.Cycle {
+			// The stream skipped the sample cycle: like a standalone
+			// Sampled, the group never samples again.
 			d.popTop()
 			continue
 		}
-		d.heap[0].next = s.next
+		w := float64(r.Cycle + 1 - g.last)
+		g.last = r.Cycle + 1
+		g.next = g.sched.Next(r.Cycle)
+		for _, s := range g.members {
+			had := len(s.pend) > 0
+			s.sample(r, w)
+			if !had && len(s.pend) > 0 {
+				d.wait(s)
+			}
+		}
+		if g.next <= r.Cycle {
+			// The schedule saturated: no future samples.
+			d.popTop()
+			continue
+		}
 		d.siftDown(0)
 	}
-	d.facts.Observe(r)
+	d.facts.observe(r, yc)
+}
+
+// wait puts a profiler that just deferred a sample on its event's list.
+func (d *Dispatcher) wait(s *Sampled) {
+	if s.Kind.resolvedBy() == eventCommit {
+		d.commitWait = append(d.commitWait, s)
+	} else {
+		d.oldestWait = append(d.oldestWait, s)
+	}
+}
+
+// settle resolves every waiter against r, which carries their event, and
+// returns the ones still pending, filtered in place.
+func settle(waiters []*Sampled, r *trace.Record, yc *trace.BankEntry) []*Sampled {
+	keep := waiters[:0]
+	for _, s := range waiters {
+		s.resolve(r, yc)
+		if len(s.pend) > 0 {
+			keep = append(keep, s)
+		}
+	}
+	return keep
 }
 
 // Finish implements trace.Consumer.
@@ -161,10 +212,10 @@ func (d *Dispatcher) Finish(totalCycles uint64) {
 	}
 }
 
-// --- minimal binary min-heap on (next, insertion-stable enough) ---
+// --- minimal binary min-heap of schedule groups on next ---
 
-func (d *Dispatcher) push(e heapEntry) {
-	d.heap = append(d.heap, e)
+func (d *Dispatcher) push(g *schedGroup) {
+	d.heap = append(d.heap, g)
 	i := len(d.heap) - 1
 	for i > 0 {
 		p := (i - 1) / 2

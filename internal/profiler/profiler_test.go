@@ -141,7 +141,7 @@ func checkCycles(t *testing.T, name string, prof *profile.Profile, want map[int]
 // BenchmarkSampledObserve measures the per-cycle cost of the TIP sampled
 // profiler over a stall-heavy stream: bursts of commits separated by long
 // stalls on the load, the shape that dominates replay time. Exercises the
-// commit-gated fast path and the pendFID resolve bound.
+// commit-gated fast path and the pending-sample resolve path.
 func BenchmarkSampledObserve(b *testing.B) {
 	p := fig4Program(b)
 	s := newSeq(p)

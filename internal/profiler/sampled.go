@@ -124,11 +124,46 @@ type Sampled struct {
 	// once per cycle for the whole sample-aware tier.
 	facts    *CycleFacts
 	ownFacts bool
-	// Pending resolution queues.
-	pendNCI      []pendingSample // resolve on next committing cycle
-	pendNCISplit []pendingSample // resolve splitting across that cycle
-	pendDrain    []pendingSample // TIP front-end: resolve on next valid entry
-	pendFID      []pendingSample // Software/Dispatch: resolve on commit >= FID
+	// pend holds samples awaiting a resolution event. Each kind has one
+	// resolution rule (see resolve), so one queue serves every kind.
+	pend []pendingSample
+}
+
+// event names the record event that can resolve a kind's pending samples.
+type event uint8
+
+const (
+	// eventNone: the kind never defers a sample (LCI).
+	eventNone event = iota
+	// eventCommit: the cycle commits (CommitCount > 0). Software and
+	// Dispatch wait for a commit at or past a fetch ID, NCI and NCI+ILP
+	// for the next committing cycle.
+	eventCommit
+	// eventOldest: the ROB holds an oldest entry (!ROBEmpty). TIP and
+	// TIP-ILP drain samples wait for the first instruction to dispatch.
+	eventOldest
+)
+
+// resolvedBy returns the event that can resolve k's pending samples.
+func (k Kind) resolvedBy() event {
+	switch k {
+	case KindSoftware, KindDispatch, KindNCI, KindNCIILP:
+		return eventCommit
+	case KindTIP, KindTIPILP:
+		return eventOldest
+	}
+	return eventNone
+}
+
+// on reports whether r carries the event.
+func (e event) on(r *trace.Record) bool {
+	switch e {
+	case eventCommit:
+		return r.CommitCount > 0
+	case eventOldest:
+		return !r.ROBEmpty
+	}
+	return false
 }
 
 // NewSampled builds a sampled profiler of the given kind over prog,
@@ -176,9 +211,15 @@ func (s *Sampled) add(idx int32, w float64) {
 
 // OnCycle implements trace.Consumer.
 func (s *Sampled) OnCycle(r *trace.Record) {
-	s.observe(r)
+	// Gated on CommitCount like oir.observe: most cycles commit nothing,
+	// and the bank scan is the facts' entire cost.
+	var yc *trace.BankEntry
+	if r.CommitCount > 0 {
+		yc = r.YoungestCommitting()
+	}
+	s.observe(r, yc)
 	if s.ownFacts {
-		s.facts.Observe(r)
+		s.facts.observe(r, yc)
 	}
 }
 
@@ -186,25 +227,30 @@ func (s *Sampled) OnCycle(r *trace.Record) {
 // then take a new sample if this is a scheduled cycle. It deliberately does
 // NOT advance the cycle facts — a standalone profiler does that in OnCycle,
 // while a Dispatcher advances the shared facts once for its whole tier.
-func (s *Sampled) observe(r *trace.Record) {
+// yc is r.YoungestCommitting(), nil on cycles that commit nothing. This is
+// the reference path: a Dispatcher calls resolve and sample itself, only on
+// the cycles where they can act.
+func (s *Sampled) observe(r *trace.Record, yc *trace.BankEntry) {
 	// Resolve pending samples first: a sample taken in an earlier cycle
 	// resolves on this cycle's events (commits, dispatches).
-	s.resolve(r)
+	if len(s.pend) > 0 && s.Kind.resolvedBy().on(r) {
+		s.resolve(r, yc)
+	}
 
 	if r.Cycle == s.next {
 		w := float64(r.Cycle + 1 - s.last)
 		s.last = r.Cycle + 1
 		s.next = s.sched.Next(r.Cycle)
-		s.Samples++
-		s.SampledWeight += w
-		s.take(r, w)
+		s.sample(r, w)
 	}
 }
 
-// hasPending reports whether any sample awaits resolution.
-func (s *Sampled) hasPending() bool {
-	return len(s.pendNCI) > 0 || len(s.pendNCISplit) > 0 ||
-		len(s.pendDrain) > 0 || len(s.pendFID) > 0
+// sample books one scheduled sample of weight w (the cycles since the
+// previous sample) and takes it on r.
+func (s *Sampled) sample(r *trace.Record, w float64) {
+	s.Samples++
+	s.SampledWeight += w
+	s.take(r, w)
 }
 
 // take captures one sample with the given weight according to the policy.
@@ -214,19 +260,19 @@ func (s *Sampled) take(r *trace.Record, w float64) {
 		// The interrupt fires, in-flight instructions drain, and the
 		// saved PC is the next instruction after them.
 		if r.AnyInFlight {
-			s.pendFID = append(s.pendFID, pendingSample{weight: w, targetFID: r.YoungestFID + 1})
+			s.pend = append(s.pend, pendingSample{weight: w, targetFID: r.YoungestFID + 1})
 		} else {
-			s.pendFID = append(s.pendFID, pendingSample{weight: w, targetFID: 0})
+			s.pend = append(s.pend, pendingSample{weight: w, targetFID: 0})
 		}
 	case KindDispatch:
 		if r.DispatchValid {
-			s.pendFID = append(s.pendFID, pendingSample{weight: w, targetFID: r.DispatchFID})
+			s.pend = append(s.pend, pendingSample{weight: w, targetFID: r.DispatchFID})
 		} else if r.AnyInFlight {
 			// Nothing at dispatch: tag the next instruction to
 			// arrive there.
-			s.pendFID = append(s.pendFID, pendingSample{weight: w, targetFID: r.YoungestFID + 1})
+			s.pend = append(s.pend, pendingSample{weight: w, targetFID: r.YoungestFID + 1})
 		} else {
-			s.pendFID = append(s.pendFID, pendingSample{weight: w, targetFID: 0})
+			s.pend = append(s.pend, pendingSample{weight: w, targetFID: 0})
 		}
 	case KindLCI:
 		if r.CommitCount > 0 {
@@ -250,7 +296,7 @@ func (s *Sampled) take(r *trace.Record, w float64) {
 		if old := oldestCommitting(r); old != nil {
 			s.add(old.InstIndex, w)
 		} else {
-			s.pendNCI = append(s.pendNCI, pendingSample{weight: w})
+			s.pend = append(s.pend, pendingSample{weight: w})
 		}
 	case KindNCIILP:
 		if r.CommitCount > 0 {
@@ -266,7 +312,7 @@ func (s *Sampled) take(r *trace.Record, w float64) {
 				}
 			}
 		} else {
-			s.pendNCISplit = append(s.pendNCISplit, pendingSample{weight: w})
+			s.pend = append(s.pend, pendingSample{weight: w})
 		}
 	case KindTIP, KindTIPILP:
 		s.takeTIP(r, w)
@@ -318,22 +364,25 @@ func (s *Sampled) takeTIP(r *trace.Record, w float64) {
 		s.cat(flags, s.facts.o.instIndex, w)
 		return
 	}
-	s.pendDrain = append(s.pendDrain, pendingSample{weight: w, flags: flags})
+	s.pend = append(s.pend, pendingSample{weight: w, flags: flags})
 }
 
-// resolve settles pending samples against this cycle's record.
-func (s *Sampled) resolve(r *trace.Record) {
-	if len(s.pendNCI) > 0 && r.CommitCount > 0 {
+// resolve settles pending samples against this cycle's record. Call it only
+// when samples are pending and r carries the kind's resolvedBy event. yc is
+// r.YoungestCommitting(), which only the Software/Dispatch rule reads; a
+// Dispatcher computes it once per commit cycle for all its waiters.
+func (s *Sampled) resolve(r *trace.Record, yc *trace.BankEntry) {
+	switch s.Kind {
+	case KindNCI:
 		if old := oldestCommitting(r); old != nil {
-			for _, p := range s.pendNCI {
+			for _, p := range s.pend {
 				s.add(old.InstIndex, p.weight)
 			}
-			s.pendNCI = s.pendNCI[:0]
+			s.pend = s.pend[:0]
 		}
-	}
-	if len(s.pendNCISplit) > 0 && r.CommitCount > 0 {
+	case KindNCIILP:
 		split := 1.0 / float64(r.CommitCount)
-		for _, p := range s.pendNCISplit {
+		for _, p := range s.pend {
 			n, b := scanStart(r)
 			for i := 0; i < n; i++ {
 				e := &r.Banks[b]
@@ -345,43 +394,42 @@ func (s *Sampled) resolve(r *trace.Record) {
 				}
 			}
 		}
-		s.pendNCISplit = s.pendNCISplit[:0]
-	}
-	if len(s.pendDrain) > 0 && !r.ROBEmpty {
+		s.pend = s.pend[:0]
+	case KindTIP, KindTIPILP:
 		if old := r.Oldest(); old != nil {
-			for _, p := range s.pendDrain {
+			for _, p := range s.pend {
 				s.add(old.InstIndex, p.weight)
 				s.cat(p.flags, old.InstIndex, p.weight)
 			}
-			s.pendDrain = s.pendDrain[:0]
+			s.pend = s.pend[:0]
 		}
-	}
-	if len(s.pendFID) > 0 && r.CommitCount > 0 {
+	case KindSoftware, KindDispatch:
 		// The youngest committing FID bounds every pending target: an
 		// entry resolves this cycle iff its target is at or below it.
 		// One scan decides, so stall-heavy stretches skip the per-entry
 		// bank scans and the slice rebuild entirely.
-		if yc := r.YoungestCommitting(); yc != nil {
-			maxFID := yc.FID
-			resolvable := false
-			for i := range s.pendFID {
-				if s.pendFID[i].targetFID <= maxFID {
-					resolvable = true
-					break
+		if yc == nil {
+			return
+		}
+		maxFID := yc.FID
+		resolvable := false
+		for i := range s.pend {
+			if s.pend[i].targetFID <= maxFID {
+				resolvable = true
+				break
+			}
+		}
+		if resolvable {
+			keep := s.pend[:0]
+			for _, p := range s.pend {
+				if p.targetFID <= maxFID {
+					idx, _ := firstCommitAtOrAfter(r, p.targetFID)
+					s.add(idx, p.weight)
+				} else {
+					keep = append(keep, p)
 				}
 			}
-			if resolvable {
-				keep := s.pendFID[:0]
-				for _, p := range s.pendFID {
-					if p.targetFID <= maxFID {
-						idx, _ := firstCommitAtOrAfter(r, p.targetFID)
-						s.add(idx, p.weight)
-					} else {
-						keep = append(keep, p)
-					}
-				}
-				s.pendFID = keep
-			}
+			s.pend = keep
 		}
 	}
 }
@@ -391,15 +439,10 @@ func (s *Sampled) resolve(r *trace.Record) {
 // weight is booked as lost so conservation stays checkable.
 func (s *Sampled) Finish(totalCycles uint64) {
 	s.Profile.TotalCycles = float64(totalCycles)
-	for _, q := range [][]pendingSample{s.pendNCI, s.pendNCISplit, s.pendDrain, s.pendFID} {
-		for _, p := range q {
-			s.LostWeight += p.weight
-		}
+	for _, p := range s.pend {
+		s.LostWeight += p.weight
 	}
-	s.pendNCI = nil
-	s.pendNCISplit = nil
-	s.pendDrain = nil
-	s.pendFID = nil
+	s.pend = nil
 }
 
 // scanStart returns the bank count and the oldest bank's index reduced into

@@ -3,10 +3,11 @@ package profiler
 import "sort"
 
 // ShardSampled partitions sampled profilers into at most w groups for a
-// sharded replay, balancing each group's expected dispatcher wakeups. A
+// sharded replay, balancing each group's expected dispatcher work. A
 // sampled profiler's steady-state cost is proportional to its sampling rate
-// — it wakes on roughly one cycle per period (plus the pending-resolution
-// tail each wakeup drags behind it) — so the cost model is 1/Period.
+// — it takes one sample per period, and its deferred samples are visited
+// only on the cycles whose events can resolve them — so the cost model is
+// 1/Period.
 //
 // Group 0 is assumed to also carry the every-cycle tier (Oracle, checker,
 // extra full-rate consumers); everyCost pre-loads it with that tier's

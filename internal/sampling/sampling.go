@@ -6,6 +6,7 @@ package sampling
 
 import (
 	"math"
+	"reflect"
 
 	"github.com/tipprof/tip/internal/xrand"
 )
@@ -94,6 +95,28 @@ func (r *Random) Next(cycle uint64) uint64 {
 
 // Period implements Schedule.
 func (r *Random) Period() uint64 { return r.Interval }
+
+// Same reports whether a and b will produce the same sample cycles from
+// here on, so one Next call can stand in for both. Two *Periodic match on
+// Interval; two *Random match on Interval and their whole state (window,
+// pending sample and generator), so a fresh schedule never matches one that
+// has already advanced. Any other schedule matches only itself, by pointer:
+// Next returns the first sample cycle after its argument, so asking one
+// object twice for the same cycle gives the same answer.
+func Same(a, b Schedule) bool {
+	switch x := a.(type) {
+	case *Periodic:
+		y, ok := b.(*Periodic)
+		return ok && x.Interval == y.Interval
+	case *Random:
+		y, ok := b.(*Random)
+		return ok && (x == y || x.Interval == y.Interval && x.window == y.window &&
+			x.pending == y.pending && x.rng != nil && y.rng != nil && *x.rng == *y.rng)
+	}
+	// Guard the comparison: == on two interface values of one
+	// non-comparable dynamic type panics.
+	return a != nil && reflect.TypeOf(a).Kind() == reflect.Pointer && a == b
+}
 
 // NextPrime returns the smallest prime >= n (n >= 2). Periodic sampling of
 // a perfectly periodic program can alias (Shannon-Nyquist, §5.2): if the

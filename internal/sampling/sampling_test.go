@@ -185,3 +185,55 @@ func TestQuickPeriodicOnePerWindow(t *testing.T) {
 		t.Fatal(err)
 	}
 }
+
+// stride is a pointer schedule Same has no rule for.
+type stride struct{ n uint64 }
+
+func (s *stride) Next(c uint64) uint64 { return c + s.n }
+func (s *stride) Period() uint64       { return s.n }
+
+// every is a value schedule Same has no rule for.
+type every struct{}
+
+func (every) Next(c uint64) uint64 { return c + 1 }
+func (every) Period() uint64       { return 1 }
+
+func TestSame(t *testing.T) {
+	advanced := NewRandom(100, 1)
+	advanced.Next(advanced.Next(0))
+	// A seed whose first sample collides with seed 1's: only the
+	// generator state separates the two.
+	first := NewRandom(100, 1).Next(0)
+	collide := uint64(2)
+	for NewRandom(100, collide).Next(0) != first {
+		collide++
+	}
+	shared := &stride{n: 3}
+	p := NewPeriodic(17)
+	cases := []struct {
+		name string
+		a, b Schedule
+		want bool
+	}{
+		{"periodic equal interval", NewPeriodic(17), NewPeriodic(17), true},
+		{"periodic same pointer", p, p, true},
+		{"periodic other interval", NewPeriodic(17), NewPeriodic(19), false},
+		{"random same seed", NewRandom(100, 1), NewRandom(100, 1), true},
+		{"random same pointer", advanced, advanced, true},
+		{"random other seed", NewRandom(100, 1), NewRandom(100, 2), false},
+		{"random colliding seed", NewRandom(100, 1), NewRandom(100, collide), false},
+		{"random other interval", NewRandom(100, 1), NewRandom(101, 1), false},
+		{"random fresh vs advanced", NewRandom(100, 1), advanced, false},
+		{"periodic vs random", NewPeriodic(100), NewRandom(100, 1), false},
+		{"random vs periodic", NewRandom(100, 1), NewPeriodic(100), false},
+		{"other pointer, same object", shared, shared, true},
+		{"other pointer, equal value", &stride{n: 3}, &stride{n: 3}, false},
+		{"other value", every{}, every{}, false},
+		{"other vs periodic", shared, NewPeriodic(3), false},
+	}
+	for _, c := range cases {
+		if got := Same(c.a, c.b); got != c.want {
+			t.Errorf("%s: Same = %v, want %v", c.name, got, c.want)
+		}
+	}
+}
