@@ -46,7 +46,6 @@ func main() {
 		parallel    = flag.Int("parallelism", 0, "total worker budget shared by benchmark evaluations and replay workers (0 = GOMAXPROCS)")
 		replayW     = flag.Int("replayworkers", 1, "replay worker goroutines per benchmark, borrowed from the -parallelism budget (decode-once broadcast; results are byte-identical at any count)")
 		streaming   = flag.Bool("streaming", false, "stream each simulation straight into its replay shards (fused capture+replay; peak memory bounded by the live chunk window)")
-		pilot       = flag.Uint64("pilot", 0, "streaming pilot-window length in cycles (0 = default 131072)")
 		benchjson   = flag.String("benchjson", "", "write machine-readable suite timing (wall-clock, cycles/sec, simulations) to this JSON file")
 		sampledjson = flag.String("sampledjson", "", "write machine-readable sampled-vs-full comparison (CPI error, effective cycles/sec, speedup) to this JSON file; requires -figures sampled")
 		prof        cli.Profiling
@@ -100,7 +99,6 @@ func main() {
 		Parallelism:   *parallel,
 		ReplayWorkers: *replayW,
 		Streaming:     *streaming,
-		PilotCycles:   *pilot,
 	}
 	if *benchs != "" {
 		opt.Benchmarks = strings.Split(*benchs, ",")

@@ -41,7 +41,6 @@ func main() {
 		fn        = flag.String("fn", "", "print the instruction-level profile of this function")
 		record    = flag.String("record", "", "record raw TIP samples (88 B/sample) to this file; post-process with tipreport")
 		streaming = flag.Bool("streaming", false, "stream the simulation straight into the replay shards (fused capture+replay; interval calibrated from a pilot window)")
-		pilot     = flag.Uint64("pilot", 0, "streaming pilot-window length in cycles (0 = default 131072)")
 		sampled   = flag.Bool("sampled", false, "sampled simulation: detailed measurement windows alternating with functional fast-forward (see -window/-interval/-warmup)")
 		checkInv  = flag.Bool("check", false, "verify cycle-level trace invariants and profiler conservation; fail on any violation")
 		replayW   = flag.Int("replayworkers", 1, "worker goroutines the captured-trace replay fans the profilers out over (decode-once broadcast; results are byte-identical at any count)")
@@ -82,7 +81,6 @@ func main() {
 	rc.Check = *checkInv
 	rc.ReplayWorkers = *replayW
 	rc.Streaming = *streaming
-	rc.PilotCycles = *pilot
 	if err := configure(&rc, sflags, *sampled, *cores, *record); err != nil {
 		fatal(err)
 	}

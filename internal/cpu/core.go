@@ -322,9 +322,6 @@ func (c *Core) FinalizeStats(lastCommitCycle uint64) {
 	c.stats.Cycles = lastCommitCycle + 1
 }
 
-// Predictor exposes the direction predictor for inspection.
-func (c *Core) Predictor() *branch.Tage { return c.tage }
-
 // Stats returns the accumulated run statistics.
 func (c *Core) Stats() Stats { return c.stats }
 

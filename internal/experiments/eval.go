@@ -62,9 +62,6 @@ type Options struct {
 	// differ marginally from a non-streaming evaluation of the same suite;
 	// the default (non-streaming) path is unchanged.
 	Streaming bool
-	// PilotCycles overrides the streaming calibration window
-	// (0 = tip.DefaultPilotCycles). Ignored unless Streaming.
-	PilotCycles uint64
 }
 
 func (o *Options) fill() {
@@ -297,13 +294,22 @@ func evalBenchmark(ctx context.Context, b *budget, name string, opt Options) (*B
 	var res *tip.Result
 	var m *evalMatrix
 	var interval4k uint64
+	// Both routes calibrate inside tip — from the capture's exact cycle
+	// count or from the streaming pilot — and assemble the matrix in this
+	// post-calibration hook. The interval is primed to avoid aliasing with
+	// cycle-deterministic synthetic loops (see sampling.NextPrime).
+	calibrated := func(interval, estCycles uint64) []trace.Consumer {
+		interval4k = interval
+		m = buildEvalMatrix(name, w, cfg.Core, opt, interval,
+			rawIntervalFor(estCycles, opt.TargetSamples))
+		return m.consumers
+	}
 
 	if opt.Streaming {
-		// Fused path: one simulation streams straight into the matrix. The
-		// base interval is pilot-calibrated inside the run, so the matrix is
-		// assembled by the post-calibration hook; simulation and replay
-		// overlap, and the whole fused wall-clock is attributed to Replay
-		// (Capture stays 0 — there is no separate capture phase).
+		// Fused path: one simulation streams straight into the matrix;
+		// simulation and replay overlap, and the whole fused wall-clock is
+		// attributed to Replay (Capture stays 0 — there is no separate
+		// capture phase).
 		workers := 1
 		if opt.ReplayWorkers > 1 {
 			extra := b.tryExtra(opt.ReplayWorkers - 1)
@@ -313,17 +319,11 @@ func evalBenchmark(ctx context.Context, b *budget, name string, opt Options) (*B
 		tm.ReplayWorkers = workers
 		runStart := time.Now()
 		res, err = tip.RunStreaming(ctx, w, tip.RunConfig{
-			Core:          cfg.Core,
-			Profilers:     []profiler.Kind{}, // matrix supplied by the hook
-			TargetSamples: opt.TargetSamples,
-			PilotCycles:   opt.PilotCycles,
-			ReplayWorkers: workers,
-			ExtraConsumersAt: func(interval, estCycles uint64) []trace.Consumer {
-				interval4k = interval
-				m = buildEvalMatrix(name, w, cfg.Core, opt, interval,
-					rawIntervalFor(estCycles, opt.TargetSamples))
-				return m.consumers
-			},
+			Core:             cfg.Core,
+			Profilers:        []profiler.Kind{}, // matrix supplied by the hook
+			TargetSamples:    opt.TargetSamples,
+			ReplayWorkers:    workers,
+			ExtraConsumersAt: calibrated,
 		})
 		tm.Replay = time.Since(runStart)
 		if err != nil {
@@ -342,12 +342,6 @@ func evalBenchmark(ctx context.Context, b *budget, name string, opt Options) (*B
 		if err := ctx.Err(); err != nil {
 			return nil, tm, err
 		}
-		// Prime the interval to avoid aliasing with cycle-deterministic
-		// synthetic loops (see sampling.NextPrime).
-		interval4k = tip.CalibrateInterval(stats.Cycles, opt.TargetSamples)
-		m = buildEvalMatrix(name, w, cfg.Core, opt, interval4k,
-			rawIntervalFor(stats.Cycles, opt.TargetSamples))
-
 		// Replay the captured trace through the matrix — the deterministic
 		// codec hands every consumer the byte-identical record stream the
 		// live core produced, without a second simulation. Extra replay
@@ -362,11 +356,11 @@ func evalBenchmark(ctx context.Context, b *budget, name string, opt Options) (*B
 		tm.ReplayWorkers = workers
 		repStart := time.Now()
 		res, err = tip.RunCaptured(ctx, w, capture, stats, tip.RunConfig{
-			Core:           cfg.Core,
-			Profilers:      []profiler.Kind{}, // matrix supplied below
-			SampleInterval: interval4k,
-			ExtraConsumers: m.consumers,
-			ReplayWorkers:  workers,
+			Core:             cfg.Core,
+			Profilers:        []profiler.Kind{}, // matrix supplied by the hook
+			TargetSamples:    opt.TargetSamples,
+			ReplayWorkers:    workers,
+			ExtraConsumersAt: calibrated,
 		})
 		tm.Replay = time.Since(repStart)
 		if err != nil {

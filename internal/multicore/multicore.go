@@ -80,9 +80,6 @@ func New(cfg Config, specs []CoreSpec) *System {
 // LLC exposes the shared last-level cache for inspection.
 func (s *System) LLC() *cache.Cache { return s.llc }
 
-// Core exposes core i.
-func (s *System) Core(i int) *cpu.Core { return s.cores[i] }
-
 // Run steps every core each cycle until all workloads finish. Each core's
 // consumers see exactly the records that core produced, then Finish with
 // that core's cycle count.

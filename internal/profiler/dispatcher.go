@@ -134,9 +134,6 @@ func (d *Dispatcher) AddSampled(s *Sampled) {
 	d.push(g)
 }
 
-// Sampled lists the attached sample-aware consumers.
-func (d *Dispatcher) Sampled() []*Sampled { return d.sampled }
-
 // OnCycle implements trace.Consumer.
 func (d *Dispatcher) OnCycle(r *trace.Record) {
 	for _, c := range d.every {

@@ -3,7 +3,6 @@ package program
 import (
 	"fmt"
 
-	"github.com/tipprof/tip/internal/isa"
 	"github.com/tipprof/tip/internal/xrand"
 )
 
@@ -382,13 +381,4 @@ func (c *CappedStream) NextBatch(dst []DynInst) int {
 	}
 	c.n += uint64(n)
 	return n
-}
-
-// Kind helpers used by profiler post-processing ("inspect the instruction
-// type in the binary", paper §3.1).
-
-// StallClassOf maps a static instruction to the cycle-stack stall category
-// used when the instruction blocks at the head of the ROB.
-func StallClassOf(in *Inst) isa.Kind {
-	return in.Kind
 }

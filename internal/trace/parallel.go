@@ -149,7 +149,7 @@ func (c *Capture) ReplayShards(ctx context.Context, chunkRecords int, shards ...
 // like Capture.ReplayShards broadcasts a finished capture — same shard
 // semantics, same cycle accounting, same error precedence — but chunks are
 // consumed as the producer emits them, so profilers run concurrently with
-// the simulation and only the pilot buffer plus the ring window is ever
+// the simulation and only the pilot capture plus the ring window is ever
 // resident.
 //
 // It first waits for the pilot boundary (the caller typically already
@@ -168,6 +168,16 @@ func (s *Stream) ReplayShards(ctx context.Context, shards ...Consumer) (cycles u
 		return 0, 0, ctx.Err()
 	}
 	it := &streamIter{s: s, ctx: ctx}
+	if s.pilotCapt != nil {
+		// The consumer owns the sealed pilot capture now; Close is
+		// idempotent, so an early drain has released it already.
+		defer s.pilotCapt.Close()
+		var err error
+		if it.pilot, err = s.pilotCapt.Chunks(s.chunkRecords); err != nil {
+			s.Abort()
+			return 0, 0, err
+		}
+	}
 	workerErr, decodeErr := shardBroadcast(ctx, it, shards)
 	cycles = it.lastCommit + 1
 	records = it.records

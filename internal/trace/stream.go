@@ -42,8 +42,8 @@ type StreamConfig struct {
 	// RingDepth bounds the chunks buffered between producer and consumer
 	// (0 = streamRingDepth).
 	RingDepth int
-	// PilotCycles is the pilot window length in cycles: chunks encoded
-	// before the boundary are buffered (not ring-bounded) so the consumer
+	// PilotCycles is the pilot window length in cycles: records before the
+	// boundary go to the pilot capture (not ring-bounded) so the consumer
 	// can replay them once calibration has run, and PilotStats are
 	// published when the boundary is crossed. Zero disables the pilot
 	// stage entirely — every chunk flows through the bounded ring and the
@@ -57,21 +57,24 @@ type StreamConfig struct {
 // shards while the simulation is still running. Every profiler observes the
 // bit-identical record stream a capture-then-replay evaluation would have
 // produced, but the whole trace is never resident: peak memory is the pilot
-// buffer plus the ring window, independent of run length.
+// capture plus the ring window, independent of run length.
 //
-// Two chunk representations are used. Pilot-window chunks are TIPTRC2-
-// encoded (same codec as Capture, minus the magic header): the pilot buffer
-// is unbounded in chunk count, so compact encoding keeps it to a few bytes
-// per cycle. Past the pilot boundary the ring is backpressured, so chunks
-// carry decoded records directly — normalizeRecord launders the producer's
-// stale flag-guarded fields exactly as an encode→decode round trip would,
-// at a fraction of the cost, and the varint codec drops off the fused hot
-// path entirely.
+// The pilot window is an ordinary Capture. The ring cannot be drained until
+// calibration has run, so the records before the boundary are encoded into
+// the capture, which keeps the prefix to a few bytes per cycle. The producer
+// seals it with Finish at the boundary (or at Finish/Fail when the run ends
+// inside the window), and the consumer replays it through Capture.Chunks
+// before draining the ring. Past the boundary the ring is backpressured, so
+// chunks carry decoded records directly — normalizeRecord launders the
+// producer's stale flag-guarded fields exactly as an encode→decode round trip
+// would, and the codec drops off the fused hot path.
 //
 // Lifecycle: exactly one producer goroutine calls OnCycle repeatedly and
 // then exactly one of Finish (successful run) or Fail (aborted run); one
 // consumer goroutine calls Pilot and then ReplayShards. The consumer may
 // stop the producer early via Abort (ReplayShards does this on any error).
+// The producer owns the pilot capture until the pilot boundary; ReplayShards
+// Closes it once its chunks are drained.
 type Stream struct {
 	chunkRecords int
 	pilotCycles  uint64
@@ -81,32 +84,22 @@ type Stream struct {
 	abortOnce sync.Once
 
 	// Producer-owned state (no locking: single producer goroutine).
-	st             codecState
-	buf            []byte
-	bufRecs        int
 	cur            *Chunk
 	committed      uint64
 	pilotBuffering bool
 	aborted        bool
 
-	// pilotChunks and pilot are written by the producer before pilotReady
+	// pilotCapt and pilot are written by the producer before pilotReady
 	// closes and read by the consumer only after; the close is the
 	// happens-before edge.
-	pilotChunks []encChunk
-	pilot       PilotStats
-	pilotReady  chan struct{}
+	pilotCapt  *Capture
+	pilot      PilotStats
+	pilotReady chan struct{}
 
 	// failErr is written before ring closes and read after it drains.
 	failErr error
 
-	bufPool   sync.Pool
 	chunkPool *sync.Pool
-}
-
-// encChunk is one encoded run of consecutive records in the pilot buffer.
-type encChunk struct {
-	data    []byte
-	records int
 }
 
 // NewStream returns an empty stream pipe.
@@ -126,44 +119,29 @@ func NewStream(cfg StreamConfig) *Stream {
 		pilotBuffering: cfg.PilotCycles > 0,
 		chunkPool:      newChunkPool(cfg.ChunkRecords),
 	}
-	// Encoded pilot chunks recycle through the pool once decoded, so the
-	// pilot buffer's byte slices are reused across runs sharing the stream's
-	// pools. A chunk's encoded size is bounded in practice by a few dozen
-	// bytes per record; the initial capacity only seeds the first lap.
-	s.bufPool.New = func() any {
-		return make([]byte, 0, cfg.ChunkRecords*32+maxRecordBytes)
-	}
 	if cfg.PilotCycles == 0 {
 		close(s.pilotReady)
+	} else {
+		s.pilotCapt = NewCapture(0)
 	}
 	return s
 }
 
-// OnCycle implements Consumer: batch the record into the current chunk,
-// flushing full chunks into the ring (or, before the pilot boundary, the
-// pilot buffer). After an Abort it is a no-op, so a cancelled consumer never
-// leaves the producing core blocked on a full ring.
+// OnCycle implements Consumer: before the pilot boundary the record goes to
+// the pilot capture, after it records batch into chunks flushed into the
+// ring. After an Abort it is a no-op, so a cancelled consumer never leaves
+// the producing core blocked on a full ring.
 func (s *Stream) OnCycle(r *Record) {
 	if s.aborted {
 		return
 	}
 	s.committed += uint64(r.CommitCount)
 	if s.pilotBuffering {
-		if s.buf == nil {
-			s.buf = s.bufPool.Get().([]byte)[:0]
-		}
-		s.buf = appendRecord(s.buf, r, &s.st)
-		s.bufRecs++
+		s.pilotCapt.OnCycle(r)
 		if r.Cycle+1 >= s.pilotCycles {
-			// Pilot boundary: flush the partial chunk into the pilot
-			// buffer and publish the pilot stats. Consumers blocked in
-			// Pilot wake here, typically long before the run ends.
-			s.flushPilot()
-			s.pilot = PilotStats{Cycles: r.Cycle + 1, Committed: s.committed}
-			s.pilotBuffering = false
-			close(s.pilotReady)
-		} else if s.bufRecs >= s.chunkRecords {
-			s.flushPilot()
+			// Pilot boundary: consumers blocked in Pilot wake here,
+			// typically long before the run ends.
+			s.sealPilot(PilotStats{Cycles: r.Cycle + 1, Committed: s.committed})
 		}
 		return
 	}
@@ -179,14 +157,13 @@ func (s *Stream) OnCycle(r *Record) {
 	}
 }
 
-// flushPilot appends the pending encoded chunk to the pilot buffer.
-func (s *Stream) flushPilot() {
-	if s.bufRecs == 0 {
-		return
-	}
-	s.pilotChunks = append(s.pilotChunks, encChunk{data: s.buf, records: s.bufRecs})
-	s.buf = nil
-	s.bufRecs = 0
+// sealPilot finishes the pilot capture, publishes ps and hands both to the
+// consumer.
+func (s *Stream) sealPilot(ps PilotStats) {
+	s.pilotCapt.Finish(ps.Cycles)
+	s.pilot = ps
+	s.pilotBuffering = false
+	close(s.pilotReady)
 }
 
 // flushDirect hands the pending record chunk to the ring. The send blocks
@@ -207,19 +184,10 @@ func (s *Stream) flushDirect() {
 	}
 }
 
-// flushTail flushes whichever chunk representation is pending.
-func (s *Stream) flushTail() {
-	if s.pilotBuffering {
-		s.flushPilot()
-		return
-	}
-	s.flushDirect()
-}
-
 // Finish implements Consumer: flush the tail chunk and close the ring. A run
 // shorter than the pilot window publishes exact whole-run pilot stats here.
 func (s *Stream) Finish(totalCycles uint64) {
-	s.flushTail()
+	s.flushDirect()
 	s.closeProducer(nil, totalCycles)
 }
 
@@ -236,9 +204,7 @@ func (s *Stream) Fail(err error) {
 func (s *Stream) closeProducer(err error, totalCycles uint64) {
 	s.failErr = err
 	if s.pilotBuffering {
-		s.pilot = PilotStats{Cycles: totalCycles, Committed: s.committed, Exact: true}
-		s.pilotBuffering = false
-		close(s.pilotReady)
+		s.sealPilot(PilotStats{Cycles: totalCycles, Committed: s.committed, Exact: true})
 	}
 	close(s.ring)
 }
@@ -269,15 +235,13 @@ func (s *Stream) Pilot(ctx context.Context) (PilotStats, error) {
 	}
 }
 
-// streamIter serves the stream's chunks exactly once: the pilot buffer is
+// streamIter serves the stream's chunks exactly once: the pilot capture is
 // decoded first, then live ring chunks (already record-form) pass straight
 // through. It implements the chunk-source contract shardBroadcast drives.
 type streamIter struct {
-	s        *Stream
-	ctx      context.Context
-	pilotIdx int
-
-	st codecState
+	s     *Stream
+	ctx   context.Context
+	pilot *ChunkIter // nil once the pilot capture is drained
 
 	records    uint64
 	lastCommit uint64
@@ -291,25 +255,18 @@ func (it *streamIter) Next(refs int32) (*Chunk, error) {
 	if it.done {
 		return nil, io.EOF
 	}
-	if it.pilotIdx < len(it.s.pilotChunks) {
-		ec := it.s.pilotChunks[it.pilotIdx]
-		it.pilotIdx++
-		ck := it.s.chunkPool.Get().(*Chunk)
-		recs := ck.Records[:0]
-		pos := 0
-		var err error
-		for i := 0; i < ec.records; i++ {
-			recs = recs[:len(recs)+1]
-			if pos, err = decodeRecord(ec.data, pos, &it.st, &recs[len(recs)-1]); err != nil {
-				ck.Records = ck.Records[:0]
-				it.s.chunkPool.Put(ck)
-				it.done = true
-				return nil, err
-			}
+	if it.pilot != nil {
+		ck, err := it.pilot.Next(refs)
+		if err == nil {
+			return it.deliver(ck, refs), nil
 		}
-		ck.Records = recs
-		it.s.bufPool.Put(ec.data[:0])
-		return it.deliver(ck, refs), nil
+		// Drained: release the pilot's buffer while the run goes on.
+		it.pilot = nil
+		it.s.pilotCapt.Close()
+		if err != io.EOF {
+			it.done = true
+			return nil, err
+		}
 	}
 	select {
 	case ck, ok := <-it.s.ring:

@@ -42,7 +42,9 @@ func TestStreamMatchesCaptureReplay(t *testing.T) {
 
 	for _, shards := range []int{1, 2, 3} {
 		for _, chunk := range []int{1, 13, 256, 0} {
-			for _, pilot := range []uint64{0, 100, 10_000} {
+			// Pilot 1 seals the pilot capture on the first record, n on
+			// the last one (Finish follows with nothing left to flush).
+			for _, pilot := range []uint64{0, 1, 100, n, 10_000} {
 				name := fmt.Sprintf("shards=%d/chunk=%d/pilot=%d", shards, chunk, pilot)
 				t.Run(name, func(t *testing.T) {
 					s := NewStream(StreamConfig{ChunkRecords: chunk, PilotCycles: pilot})

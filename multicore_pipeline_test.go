@@ -300,7 +300,7 @@ func runMulticoreDirect(ws []*Workload, rc RunConfig) ([]*Result, []CoreStats, e
 		matrices[i] = buildMatrix(w, rc, rc.SampleInterval, 0)
 		specs[i] = multicore.CoreSpec{
 			Workload:  w,
-			Consumers: []trace.Consumer{matrices[i].dispatcher()},
+			Consumers: matrices[i].shards(1),
 		}
 	}
 	results, err := multicore.New(multicore.Config{Core: rc.Core}, specs).Run()

@@ -9,11 +9,13 @@ import (
 	"github.com/tipprof/tip/internal/trace"
 )
 
-// DefaultPilotCycles is the default streaming calibration window. At the
-// suite's simulated IPC it covers a few hundred thousand instructions —
-// enough pilot signal that the cycles-per-instruction extrapolation lands
-// the sampling interval within a few percent of the two-pass calibration,
-// while bounding the buffered prefix to a few megabytes of encoded trace.
+// DefaultPilotCycles is the streaming calibration window. At the suite's
+// simulated IPC it covers a few hundred thousand instructions — enough pilot
+// signal that the cycles-per-instruction extrapolation lands the sampling
+// interval within a few percent of the two-pass calibration, while bounding
+// the captured prefix to a few megabytes of encoded trace. Even at the
+// worst-case encoded record size the window stays below
+// trace.DefaultSpillBytes, so the pilot capture never spills to disk.
 const DefaultPilotCycles = 1 << 17
 
 // PilotEstimateCycles extrapolates a run's total cycle count from its pilot
@@ -43,8 +45,8 @@ func PilotEstimateCycles(ps trace.PilotStats, targetDynInsts uint64) uint64 {
 // into the replay shards while it is still running, so peak memory is
 // independent of run length and wall-clock approaches max(simulate, replay).
 // With rc.SampleInterval zero the interval is calibrated from a pilot window
-// (rc.PilotCycles); see RunConfig.Streaming for the parity contract with the
-// captured path. A caller that also needs the encoded trace passes a
+// of DefaultPilotCycles; see RunConfig.Streaming for the parity contract with
+// the captured path. A caller that also needs the encoded trace passes a
 // trace.Capture in rc.ExtraConsumers and owns its Close and Err. A nil ctx
 // means context.Background().
 func RunStreaming(ctx context.Context, w *Workload, rc RunConfig) (*Result, error) {
@@ -83,10 +85,7 @@ func runFused(ctx context.Context, w *Workload, rc RunConfig, sampled bool, prod
 
 	var pilotCycles uint64
 	if rc.SampleInterval == 0 {
-		pilotCycles = rc.PilotCycles
-		if pilotCycles == 0 {
-			pilotCycles = DefaultPilotCycles
-		}
+		pilotCycles = DefaultPilotCycles
 	}
 	s := trace.NewStream(trace.StreamConfig{PilotCycles: pilotCycles})
 

@@ -151,20 +151,16 @@ type RunConfig struct {
 	// profiler matrix while the simulation is still running, instead of
 	// capturing the whole trace first. Peak memory stays bounded by the
 	// pilot window plus the ring regardless of run length, and wall-clock
-	// approaches max(simulate, replay). Calibration uses a pilot window
-	// (see PilotCycles), so with SampleInterval zero the chosen interval is
-	// an estimate — identical to the captured path's only when the run ends
-	// inside the pilot window; profiler output is byte-identical between
-	// the two paths whenever the interval matches.
+	// approaches max(simulate, replay). With SampleInterval zero the
+	// interval is calibrated from a pilot window of DefaultPilotCycles: the
+	// pilot prefix is captured, its cycles-per-instruction extrapolated
+	// against the workload's TargetDynInsts to estimate the total cycle
+	// count, and the captured prefix replayed first so profilers observe
+	// every cycle. The chosen interval is therefore an estimate — identical
+	// to the captured path's only when the run ends inside the pilot
+	// window; profiler output is byte-identical between the two paths
+	// whenever the interval matches.
 	Streaming bool
-	// PilotCycles is the streaming calibration window in cycles (0 =
-	// DefaultPilotCycles). The pilot prefix is buffered, its
-	// cycles-per-instruction extrapolated against the workload's
-	// TargetDynInsts to estimate the total cycle count, and the sampling
-	// interval derived from that estimate; the buffered prefix is then
-	// replayed first so profilers observe every cycle. Ignored when
-	// SampleInterval is explicit.
-	PilotCycles uint64
 	// Sampled selects SMARTS-style sampled simulation: detailed
 	// measurement windows of WindowCycles, one per WindowInterval of
 	// estimated execution, with the gap covered by functional
@@ -388,18 +384,6 @@ func (m *consumerMatrix) result(w *Workload, stats CoreStats, interval uint64) (
 	}, nil
 }
 
-// dispatcher assembles the matrix behind a single sequential dispatcher.
-func (m *consumerMatrix) dispatcher() *profiler.Dispatcher {
-	d := profiler.NewDispatcher()
-	for _, c := range m.every {
-		d.AddEveryCycle(c)
-	}
-	for _, sp := range m.sampled {
-		d.AddSampled(sp)
-	}
-	return d
-}
-
 // shards assembles the matrix into at most workers dispatchers for a
 // sharded replay: shard 0 carries the whole every-cycle tier (Oracle and
 // checker stay pinned together so the checker's per-cycle invariants see
@@ -459,11 +443,12 @@ func RunCaptured(ctx context.Context, w *Workload, capt *TraceCapture, stats Cor
 		interval = CalibrateInterval(stats.Cycles, rc.TargetSamples)
 	}
 	m := buildMatrix(w, rc, interval, estCycles)
+	shards := m.shards(max(1, rc.ReplayWorkers))
 	var err error
 	if rc.ReplayWorkers > 1 {
-		_, _, err = capt.ReplayShards(ctx, 0, m.shards(rc.ReplayWorkers)...)
+		_, _, err = capt.ReplayShards(ctx, 0, shards...)
 	} else {
-		_, _, err = capt.Replay(m.dispatcher())
+		_, _, err = capt.Replay(shards...)
 	}
 	var res *Result
 	if err == nil {
