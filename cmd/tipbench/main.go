@@ -44,7 +44,7 @@ func main() {
 		out         = flag.String("out", "", "write output to this file instead of stdout")
 		checked     = flag.Bool("check", false, "verify cycle-level trace invariants and profiler conservation on every run; fail on any violation")
 		parallel    = flag.Int("parallelism", 0, "total worker budget shared by benchmark evaluations and replay workers (0 = GOMAXPROCS)")
-		replayW     = flag.Int("replayworkers", 1, "replay worker goroutines per benchmark, borrowed from the -parallelism budget (decode-once broadcast; results are byte-identical at any count)")
+		replayW     = flag.Int("replayworkers", 1, "replay worker goroutines per benchmark, borrowed from the -parallelism budget (each decodes the capture itself; results are byte-identical at any count)")
 		streaming   = flag.Bool("streaming", false, "stream each simulation straight into its replay shards (fused capture+replay; peak memory bounded by the live chunk window)")
 		benchjson   = flag.String("benchjson", "", "write machine-readable suite timing (wall-clock, cycles/sec, simulations) to this JSON file")
 		sampledjson = flag.String("sampledjson", "", "write machine-readable sampled-vs-full comparison (CPI error, effective cycles/sec, speedup) to this JSON file; requires -figures sampled")

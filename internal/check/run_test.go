@@ -11,8 +11,9 @@ import (
 )
 
 // runChecked runs a small benchmark with extra consumers ahead of a manually
-// attached checker and returns both.
-func runChecked(t *testing.T, bench string, extra ...trace.Consumer) (*tip.Result, *check.Checker) {
+// attached checker and returns both, with the run's error: the checker is a
+// trace.Faultable, so its first violation fails the run.
+func runChecked(t *testing.T, bench string, extra ...trace.Consumer) (*tip.Result, *check.Checker, error) {
 	t.Helper()
 	w, err := workload.LoadScaled(bench, 1, 60_000)
 	if err != nil {
@@ -28,17 +29,17 @@ func runChecked(t *testing.T, bench string, extra ...trace.Consumer) (*tip.Resul
 	})
 	rc.ExtraConsumers = append(append([]trace.Consumer{}, extra...), ck)
 	res, err := tip.Run(w, rc)
-	if err != nil {
-		t.Fatal(err)
-	}
-	return res, ck
+	return res, ck, err
 }
 
 // TestRealRunClean asserts a live simulation satisfies every per-cycle
 // invariant and every conservation audit, then injects an attribution bug
 // (a double-counted hot instruction) and asserts the audit catches it.
 func TestRealRunCleanAndInjectedBugCaught(t *testing.T) {
-	res, ck := runChecked(t, "imagick")
+	res, ck, err := runChecked(t, "imagick")
+	if err != nil {
+		t.Fatal(err)
+	}
 	ck.AuditOracle("Oracle", res.Oracle)
 	for k, s := range res.Sampled {
 		ck.AuditSampled(k.String(), s)
@@ -60,7 +61,7 @@ func TestRealRunCleanAndInjectedBugCaught(t *testing.T) {
 		t.Fatal("TIP attributed no cycles")
 	}
 	sp.Profile.InstCycles[hot] *= 2
-	err := ck.Err()
+	err = ck.Err()
 	if err == nil {
 		t.Fatal("injected double-count not caught by conservation audit")
 	}
@@ -109,9 +110,13 @@ func (c *corruptor) OnCycle(r *trace.Record) {
 func (c *corruptor) Finish(uint64) {}
 
 // TestCorruptedStreamCaught asserts a single corrupted record in an
-// otherwise clean live run is detected by a downstream checker.
+// otherwise clean live run is detected by a downstream checker, and that the
+// detection fails the run instead of returning a result.
 func TestCorruptedStreamCaught(t *testing.T) {
-	_, ck := runChecked(t, "imagick", &corruptor{fire: 1000})
+	res, ck, runErr := runChecked(t, "imagick", &corruptor{fire: 1000})
+	if runErr == nil || res != nil || !strings.Contains(runErr.Error(), "commit-count") {
+		t.Fatalf("run with a corrupted record: result %v, err %v; want the commit-count violation", res != nil, runErr)
+	}
 	err := ck.Err()
 	if err == nil {
 		t.Fatal("corrupted record not detected")

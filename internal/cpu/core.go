@@ -365,8 +365,6 @@ func (c *Core) anySupply() bool {
 	return c.la.valid || c.pi < len(c.pending) || !c.streamDone
 }
 
-func (c *Core) fbLen() int { return c.fbCount }
-
 func (c *Core) fbPush(f fetchedInst) {
 	t := c.fbHead + c.fbCount
 	if t >= len(c.fetchBuf) {

@@ -62,8 +62,8 @@ func TestEvalSuiteParallelismInvariant(t *testing.T) {
 // TestEvalReplayWorkersInvariant is the metamorphic worker-count check for
 // sharded replay: evaluating with 1, 2, and GOMAXPROCS replay workers — with
 // the conservation checker attached — must produce byte-identical results.
-// The decode-once broadcast hands every worker the same record stream, so
-// the only thing allowed to vary is which goroutine a profiler runs on.
+// Every worker decodes the same capture bytes into the same record stream,
+// so the only thing allowed to vary is which goroutine a profiler runs on.
 func TestEvalReplayWorkersInvariant(t *testing.T) {
 	workers := []int{1, 2, runtime.GOMAXPROCS(0)}
 	var ref *BenchmarkEval

@@ -124,8 +124,8 @@ func TestEvalBenchmarkGolden(t *testing.T) {
 }
 
 // TestEvalBenchmarkGoldenParallelReplay re-renders the same evaluations with
-// sharded replay turned on and pins them to the unchanged golden file: the
-// decode-once broadcast must be byte-identical to sequential replay.
+// sharded replay turned on and pins them to the unchanged golden file: two
+// shards, each decoding the capture itself, must be byte-identical to one.
 func TestEvalBenchmarkGoldenParallelReplay(t *testing.T) {
 	benchmarks := []string{"x264", "imagick", "lbm"}
 	var b strings.Builder

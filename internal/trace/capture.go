@@ -196,20 +196,33 @@ func NewCaptureFromEncoded(data []byte, records, cycles uint64) (*Capture, error
 // Replay streams the captured trace through consumers exactly as the live
 // core did: one OnCycle per record, then Finish. It can be called any number
 // of times; concurrent replays of the same capture are safe because each
-// call reads through its own cursor. In-memory captures decode straight off
-// the buffer; spilled ones stream through a reader.
+// call reads through its own Reader.
 func (c *Capture) Replay(consumers ...Consumer) (cycles uint64, records uint64, err error) {
+	if err := c.replayable(); err != nil {
+		return 0, 0, err
+	}
+	return Replay(c.reader(), consumers...)
+}
+
+// replayable rejects replay of an unfinished or failed capture.
+func (c *Capture) replayable() error {
 	if !c.finished {
-		return 0, 0, errReplayUnfinished
+		return errReplayUnfinished
 	}
 	if c.err != nil {
-		return 0, 0, errCaptureFailed(c.err)
+		return errCaptureFailed(c.err)
 	}
+	return nil
+}
+
+// reader returns a fresh Reader over the finished capture: a window over the
+// in-memory buffer, or a refilling one over its own section of the spill
+// file, so any number of readers may decode the capture concurrently.
+func (c *Capture) reader() *Reader {
 	if c.f == nil {
-		return ReplayBytes(c.buf, consumers...)
+		return newSliceReader(c.buf)
 	}
-	src := io.NewSectionReader(c.f, 0, int64(c.fileBytes))
-	return Replay(NewReader(src), consumers...)
+	return NewReader(io.NewSectionReader(c.f, 0, int64(c.fileBytes)))
 }
 
 // WriteTo copies the full encoded stream (header included) to w, leaving the
@@ -217,11 +230,8 @@ func (c *Capture) Replay(consumers ...Consumer) (cycles uint64, records uint64, 
 // exactly what Replay decodes, so a saved file can be compared or replayed
 // byte-for-byte later.
 func (c *Capture) WriteTo(w io.Writer) (int64, error) {
-	if !c.finished {
-		return 0, errReplayUnfinished
-	}
-	if c.err != nil {
-		return 0, errCaptureFailed(c.err)
+	if err := c.replayable(); err != nil {
+		return 0, err
 	}
 	var written int64
 	if c.f != nil {

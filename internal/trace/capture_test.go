@@ -153,8 +153,8 @@ func TestReplayDecodeLoopAllocs(t *testing.T) {
 			t.Fatal(err)
 		}
 	})
-	// One bytes.Reader, one Reader with its header scratch, and a few
-	// interface boxes — but nothing proportional to the 4096 records.
+	// One Reader, its Record and a few interface boxes — but nothing
+	// proportional to the 4096 records.
 	if allocs > 16 {
 		t.Fatalf("replaying 4096 records allocated %.0f times; decode loop must not allocate per record", allocs)
 	}

@@ -8,10 +8,8 @@ package trace
 // stream; per-core profiler stacks (Oracle, sampled profilers, the
 // internal/check invariant checker) are written against a single core's
 // contiguous cycle sequence. Wrapping each core's shard in a CoreFilter
-// demultiplexes the broadcast: every shard observes the whole stream but
-// delivers only its core's records inward, so one decode pass feeds all
-// cores' matrices — the same decode-once economics as single-core sharded
-// replay.
+// demultiplexes the replay: every shard decodes the whole stream but
+// delivers only its core's records inward.
 //
 // Finish semantics mirror Replay: the inner consumer's total is the cycle of
 // this core's last committing record plus one (the same value

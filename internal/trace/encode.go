@@ -66,9 +66,8 @@ func detectMagic(hdr []byte) (v3, ok bool) {
 	return false, false
 }
 
-// sniffMagic validates an in-memory encoded trace's header and returns the
-// codec version; it is the shared front door of every slice-decoding entry
-// point (ReplayBytes, NewChunkIterBytes, NewCaptureFromEncoded).
+// sniffMagic validates an encoded trace's header and returns the codec
+// version; it is the front door of Reader.Next and NewCaptureFromEncoded.
 func sniffMagic(data []byte) (v3 bool, err error) {
 	if len(data) >= len(formatMagic) {
 		if v3, ok := detectMagic(data[:len(formatMagic)]); ok {
@@ -332,156 +331,87 @@ func (w *Writer) Err() error { return w.err }
 // Count returns the number of records written.
 func (w *Writer) Count() uint64 { return w.count }
 
-// Reader replays a stored trace.
+// readerWindow is the refill size of a Reader over an io.Reader: large
+// enough that the carried-over tail (under maxRecordBytes) and the refill
+// call amortize to nothing per record.
+const readerWindow = 1 << 16
+
+// Reader decodes a stored trace. It is a byte window over decodeRecord: over
+// an in-memory trace the window is the whole slice and never refills; over
+// an io.Reader the window is refilled whenever fewer than maxRecordBytes
+// undecoded bytes remain and the source is not exhausted, so every record
+// decodeRecord sees lies wholly inside the window (or the stream really is
+// truncated there).
 type Reader struct {
-	r       *bufio.Reader
-	st      codecState
-	readHdr bool
-	// scratch backs the fixed-size header reads; a local array would
-	// escape through the io.ReadFull interface call and cost one heap
-	// allocation per record.
-	scratch [len(formatMagic)]byte
+	src  io.Reader // nil for an in-memory trace
+	buf  []byte
+	pos  int  // next undecoded byte in buf
+	eof  bool // src exhausted: buf holds the whole remaining stream
+	hdr  bool // magic validated
+	st   codecState
+	fail error // sticky source read error
 }
 
-// NewReader returns a trace reader.
+// NewReader returns a trace reader over a streamed encoded trace.
 func NewReader(r io.Reader) *Reader {
-	return &Reader{r: bufio.NewReaderSize(r, 1<<16)}
+	return &Reader{src: r, buf: make([]byte, 0, readerWindow)}
 }
 
-func (r *Reader) readPC() (uint64, error) {
-	u, err := binary.ReadUvarint(r.r)
-	if err != nil {
-		return 0, unexpected(err)
-	}
-	pc := uint64(int64(r.st.lastPC) + unzigzag(u))
-	r.st.lastPC = pc
-	return pc, nil
+// newSliceReader returns a Reader over an in-memory encoded trace, magic
+// header included. The slice is read, never copied or modified.
+func newSliceReader(data []byte) *Reader {
+	return &Reader{buf: data, eof: true}
 }
 
-func (r *Reader) readFID() (uint64, error) {
-	u, err := binary.ReadUvarint(r.r)
-	if err != nil {
-		return 0, unexpected(err)
+// fill slides the undecoded tail to the front of the window and reads until
+// at least maxRecordBytes are buffered or the source is exhausted.
+func (r *Reader) fill() error {
+	if r.fail != nil {
+		return r.fail
 	}
-	fid := uint64(int64(r.st.lastFID) + unzigzag(u))
-	r.st.lastFID = fid
-	return fid, nil
-}
-
-func (r *Reader) readInst() (int32, error) {
-	u, err := binary.ReadUvarint(r.r)
-	if err != nil {
-		return 0, unexpected(err)
-	}
-	idx := r.st.lastInst + unzigzag(u)
-	r.st.lastInst = idx
-	return int32(idx), nil
-}
-
-// Next decodes the next record into rec. It returns io.EOF at end of trace.
-// The codec version is detected from the stream's magic: v3 records carry a
-// core ID, v2 records decode with Core = 0.
-func (r *Reader) Next(rec *Record) error {
-	if !r.readHdr {
-		hdr := r.scratch[:len(formatMagic)]
-		if _, err := io.ReadFull(r.r, hdr); err != nil {
-			return err
-		}
-		v3, ok := detectMagic(hdr)
-		if !ok {
-			return badMagic(hdr)
-		}
-		r.st.v3 = v3
-		r.readHdr = true
-	}
-	delta, err := binary.ReadUvarint(r.r)
-	if err != nil {
-		return err
-	}
-	*rec = Record{}
-	r.st.lastCycle += delta
-	rec.Cycle = r.st.lastCycle
-	if r.st.v3 {
-		u, err := binary.ReadUvarint(r.r)
-		if err != nil {
-			return unexpected(err)
-		}
-		r.st.lastCore = uint64(int64(r.st.lastCore) + unzigzag(u))
-		rec.Core = uint32(r.st.lastCore)
-	}
-	hdr := r.scratch[:4]
-	if _, err := io.ReadFull(r.r, hdr); err != nil {
-		return unexpected(err)
-	}
-	flags := hdr[0]
-	rec.ROBEmpty = flags&1 != 0
-	rec.ExceptionRaised = flags&2 != 0
-	rec.DispatchValid = flags&4 != 0
-	rec.AnyInFlight = flags&8 != 0
-	rec.NumBanks = int(hdr[1])
-	if rec.NumBanks > MaxBanks {
-		return fmt.Errorf("trace: bank count %d exceeds max %d", rec.NumBanks, MaxBanks)
-	}
-	rec.HeadBank = hdr[2]
-	rec.CommitCount = hdr[3]
-	for i := 0; i < rec.NumBanks; i++ {
-		bf, err := r.r.ReadByte()
-		if err != nil {
-			return unexpected(err)
-		}
-		b := &rec.Banks[i]
-		b.Valid = bf&1 != 0
-		b.Committing = bf&2 != 0
-		b.Mispredicted = bf&4 != 0
-		b.Flush = bf&8 != 0
-		b.Exception = bf&16 != 0
-		if b.Valid {
-			if b.PC, err = r.readPC(); err != nil {
-				return err
-			}
-			if b.FID, err = r.readFID(); err != nil {
-				return err
-			}
-			if b.InstIndex, err = r.readInst(); err != nil {
-				return err
-			}
-		}
-	}
-	if rec.ExceptionRaised {
-		if rec.ExceptionPC, err = r.readPC(); err != nil {
-			return err
-		}
-		if rec.ExceptionFID, err = r.readFID(); err != nil {
-			return err
-		}
-		if rec.ExceptionInstIndex, err = r.readInst(); err != nil {
-			return err
-		}
-	}
-	if rec.DispatchValid {
-		if rec.DispatchPC, err = r.readPC(); err != nil {
-			return err
-		}
-		if rec.DispatchFID, err = r.readFID(); err != nil {
-			return err
-		}
-		if rec.DispatchInstIndex, err = r.readInst(); err != nil {
-			return err
-		}
-	}
-	if rec.AnyInFlight {
-		if rec.YoungestFID, err = r.readFID(); err != nil {
+	n := copy(r.buf[:cap(r.buf)], r.buf[r.pos:])
+	r.buf, r.pos = r.buf[:n], 0
+	for len(r.buf) < maxRecordBytes && !r.eof {
+		m, err := r.src.Read(r.buf[len(r.buf):cap(r.buf)])
+		r.buf = r.buf[:len(r.buf)+m]
+		if err == io.EOF {
+			r.eof = true
+		} else if err != nil {
+			r.fail = err
 			return err
 		}
 	}
 	return nil
 }
 
-func unexpected(err error) error {
-	if err == io.EOF {
-		return io.ErrUnexpectedEOF
+// Next decodes the next record into rec, which must be zero or the record a
+// previous Next filled. It returns io.EOF at the end of the trace. The codec
+// version is detected from the stream's magic: v3 records carry a core ID,
+// v2 records decode with Core = 0.
+func (r *Reader) Next(rec *Record) error {
+	if !r.eof && len(r.buf)-r.pos < maxRecordBytes {
+		if err := r.fill(); err != nil {
+			return err
+		}
 	}
-	return err
+	if r.pos >= len(r.buf) {
+		return io.EOF
+	}
+	if !r.hdr {
+		v3, err := sniffMagic(r.buf[r.pos:])
+		if err != nil {
+			return err
+		}
+		r.st.v3, r.hdr = v3, true
+		r.pos += len(formatMagic)
+		return r.Next(rec)
+	}
+	pos, err := decodeRecord(r.buf, r.pos, &r.st, rec)
+	if err != nil {
+		return err
+	}
+	r.pos = pos
+	return nil
 }
 
 // sliceUvarint reads one uvarint from data at pos for the in-memory decode
@@ -503,40 +433,9 @@ func sliceUvarintSlow(data []byte, pos int) (uint64, int, error) {
 	return v, pos + n, nil
 }
 
-func (st *codecState) slicePC(data []byte, pos int) (uint64, int, error) {
-	u, pos, err := sliceUvarint(data, pos)
-	if err != nil {
-		return 0, pos, err
-	}
-	pc := uint64(int64(st.lastPC) + unzigzag(u))
-	st.lastPC = pc
-	return pc, pos, nil
-}
-
-func (st *codecState) sliceFID(data []byte, pos int) (uint64, int, error) {
-	u, pos, err := sliceUvarint(data, pos)
-	if err != nil {
-		return 0, pos, err
-	}
-	fid := uint64(int64(st.lastFID) + unzigzag(u))
-	st.lastFID = fid
-	return fid, pos, nil
-}
-
-func (st *codecState) sliceInst(data []byte, pos int) (int32, int, error) {
-	u, pos, err := sliceUvarint(data, pos)
-	if err != nil {
-		return 0, pos, err
-	}
-	idx := st.lastInst + unzigzag(u)
-	st.lastInst = idx
-	return int32(idx), pos, nil
-}
-
-// decodeRecord decodes the record at data[pos:] into rec, mirroring
-// Reader.Next byte for byte but without reader indirection — the hot path
-// for replaying an in-memory capture. It returns the position after the
-// record; the codec state carries the delta bases between records.
+// decodeRecord decodes the record at data[pos:] into rec — the one record
+// decoder behind every Reader. It returns the position after the record;
+// the codec state carries the delta bases between records.
 func decodeRecord(data []byte, pos int, st *codecState, rec *Record) (int, error) {
 	delta, pos, err := sliceUvarint(data, pos)
 	if err != nil {

@@ -1,9 +1,15 @@
 package trace
 
 import (
+	"bufio"
 	"bytes"
+	"context"
+	"encoding/binary"
+	"errors"
+	"fmt"
 	"io"
 	"testing"
+	"testing/iotest"
 )
 
 // fuzzSeedTraces returns small encoded traces used to seed both fuzz
@@ -109,9 +115,48 @@ func FuzzDecodeRecord(f *testing.F) {
 	})
 }
 
-// FuzzReplayBytes is a differential fuzz of the three decode paths over the
-// same input: the slice-based ReplayBytes, the Reader-based Replay, and the
-// chunked iterator behind sharded replay. All three must agree — same
+// refReplay is Replay over the reference decoder.
+func refReplay(data []byte, consumers ...Consumer) (cycles uint64, records uint64, err error) {
+	r := newRefReader(bytes.NewReader(data))
+	var rec Record
+	lastCommit := uint64(0)
+	for {
+		if err := r.Next(&rec); err != nil {
+			if errors.Is(err, io.EOF) {
+				break
+			}
+			return 0, records, err
+		}
+		records++
+		for _, c := range consumers {
+			c.OnCycle(&rec)
+		}
+		if rec.CommitCount > 0 {
+			lastCommit = rec.Cycle
+		}
+	}
+	if records == 0 {
+		return 0, 0, io.ErrUnexpectedEOF
+	}
+	cycles = lastCommit + 1
+	for _, c := range consumers {
+		c.Finish(cycles)
+	}
+	return cycles, records, nil
+}
+
+// decodePath is one decode path's outcome over a fuzz input.
+type decodePath struct {
+	name          string
+	recs          []Record
+	cycles, count uint64
+	err           error
+}
+
+// FuzzReplayBytes is a differential fuzz of the decode paths over the same
+// input: the reference decoder, a slice Reader (ReplayBytes), a Reader over
+// a one-byte-per-Read source (so its window refills on every byte), and
+// both shards of a 2-shard Capture.ReplayShards. All must agree — same
 // accept/reject decision and, on success, the identical record sequence and
 // totals. None may panic.
 func FuzzReplayBytes(f *testing.F) {
@@ -120,60 +165,40 @@ func FuzzReplayBytes(f *testing.F) {
 		f.Add(s)
 	}
 	f.Fuzz(func(t *testing.T, data []byte) {
-		var viaBytes collect
-		cyB, recB, errB := ReplayBytes(data, &viaBytes)
-
-		var viaReader collect
-		cyR, recR, errR := Replay(NewReader(bytes.NewReader(data)), &viaReader)
-
-		if (errB == nil) != (errR == nil) {
-			t.Fatalf("slice/reader disagree: bytes err %v, reader err %v", errB, errR)
+		var ref, viaSlice, viaOneByte collect
+		var viaShards [2]collect
+		p := []decodePath{{name: "reference"}, {name: "slice"}, {name: "one-byte"}, {name: "shard 0"}, {name: "shard 1"}}
+		p[0].cycles, p[0].count, p[0].err = refReplay(data, &ref)
+		p[1].cycles, p[1].count, p[1].err = ReplayBytes(data, &viaSlice)
+		p[2].cycles, p[2].count, p[2].err = Replay(NewReader(iotest.OneByteReader(bytes.NewReader(data))), &viaOneByte)
+		// NewCaptureFromEncoded sniffs the magic up front; its verdict
+		// stands for both shards'.
+		capt, err := NewCaptureFromEncoded(data, 0, 0)
+		if err == nil {
+			p[3].cycles, p[3].count, err = capt.ReplayShards(context.Background(), 7, &viaShards[0], &viaShards[1])
+			p[4].cycles, p[4].count = p[3].cycles, p[3].count
 		}
+		p[3].err, p[4].err = err, err
+		p[0].recs, p[1].recs, p[2].recs = ref.recs, viaSlice.recs, viaOneByte.recs
+		p[3].recs, p[4].recs = viaShards[0].recs, viaShards[1].recs
 
-		var viaChunks []Record
-		var cyC, recC uint64
-		var errC error
-		it, err := NewChunkIterBytes(data, 7)
-		if err != nil {
-			errC = err
-		} else {
-			for {
-				ck, err := it.Next(1)
-				if err == io.EOF {
-					break
-				}
-				if err != nil {
-					errC = err
-					break
-				}
-				viaChunks = append(viaChunks, ck.Records...)
-				ck.Release()
+		for _, got := range p[1:] {
+			if (got.err == nil) != (p[0].err == nil) {
+				t.Fatalf("%s disagrees with the reference: err %v, reference err %v", got.name, got.err, p[0].err)
 			}
-			if errC == nil {
-				cyC, recC = it.Cycles(), it.Records()
-				if recC == 0 {
-					errC = io.ErrUnexpectedEOF
-				}
+			if got.err != nil {
+				continue
 			}
-		}
-		if (errB == nil) != (errC == nil) {
-			t.Fatalf("slice/chunk disagree: bytes err %v, chunk err %v", errB, errC)
-		}
-		if errB != nil {
-			return
-		}
-
-		if cyB != cyR || recB != recR || cyB != cyC || recB != recC {
-			t.Fatalf("totals disagree: bytes %d/%d, reader %d/%d, chunks %d/%d",
-				cyB, recB, cyR, recR, cyC, recC)
-		}
-		if len(viaBytes.recs) != len(viaReader.recs) || len(viaBytes.recs) != len(viaChunks) {
-			t.Fatalf("record counts disagree: %d/%d/%d",
-				len(viaBytes.recs), len(viaReader.recs), len(viaChunks))
-		}
-		for i := range viaBytes.recs {
-			if viaBytes.recs[i] != viaReader.recs[i] || viaBytes.recs[i] != viaChunks[i] {
-				t.Fatalf("record %d differs across decode paths", i)
+			if got.cycles != p[0].cycles || got.count != p[0].count {
+				t.Fatalf("%s totals %d/%d, reference %d/%d", got.name, got.cycles, got.count, p[0].cycles, p[0].count)
+			}
+			if len(got.recs) != len(ref.recs) {
+				t.Fatalf("%s decoded %d records, reference %d", got.name, len(got.recs), len(ref.recs))
+			}
+			for i := range ref.recs {
+				if got.recs[i] != ref.recs[i] {
+					t.Fatalf("%s record %d differs from the reference", got.name, i)
+				}
 			}
 		}
 	})
@@ -194,4 +219,157 @@ func TestFuzzSeedsReplayCleanly(t *testing.T) {
 			t.Fatalf("degenerate seed %d replayed cleanly", i)
 		}
 	}
+}
+
+// refReader is the fuzz reference decoder: it reads byte at a time through
+// bufio, field by field, and shares no decode code with Reader's window
+// over decodeRecord.
+type refReader struct {
+	r       *bufio.Reader
+	st      codecState
+	readHdr bool
+	// scratch backs the fixed-size header reads; a local array would
+	// escape through the io.ReadFull interface call and cost one heap
+	// allocation per record.
+	scratch [len(formatMagic)]byte
+}
+
+func newRefReader(r io.Reader) *refReader {
+	return &refReader{r: bufio.NewReaderSize(r, 1<<16)}
+}
+
+func (r *refReader) readPC() (uint64, error) {
+	u, err := binary.ReadUvarint(r.r)
+	if err != nil {
+		return 0, unexpected(err)
+	}
+	pc := uint64(int64(r.st.lastPC) + unzigzag(u))
+	r.st.lastPC = pc
+	return pc, nil
+}
+
+func (r *refReader) readFID() (uint64, error) {
+	u, err := binary.ReadUvarint(r.r)
+	if err != nil {
+		return 0, unexpected(err)
+	}
+	fid := uint64(int64(r.st.lastFID) + unzigzag(u))
+	r.st.lastFID = fid
+	return fid, nil
+}
+
+func (r *refReader) readInst() (int32, error) {
+	u, err := binary.ReadUvarint(r.r)
+	if err != nil {
+		return 0, unexpected(err)
+	}
+	idx := r.st.lastInst + unzigzag(u)
+	r.st.lastInst = idx
+	return int32(idx), nil
+}
+
+// Next decodes the next record into rec. It returns io.EOF at end of trace.
+// The codec version is detected from the stream's magic: v3 records carry a
+// core ID, v2 records decode with Core = 0.
+func (r *refReader) Next(rec *Record) error {
+	if !r.readHdr {
+		hdr := r.scratch[:len(formatMagic)]
+		if _, err := io.ReadFull(r.r, hdr); err != nil {
+			return err
+		}
+		v3, ok := detectMagic(hdr)
+		if !ok {
+			return badMagic(hdr)
+		}
+		r.st.v3 = v3
+		r.readHdr = true
+	}
+	delta, err := binary.ReadUvarint(r.r)
+	if err != nil {
+		return err
+	}
+	*rec = Record{}
+	r.st.lastCycle += delta
+	rec.Cycle = r.st.lastCycle
+	if r.st.v3 {
+		u, err := binary.ReadUvarint(r.r)
+		if err != nil {
+			return unexpected(err)
+		}
+		r.st.lastCore = uint64(int64(r.st.lastCore) + unzigzag(u))
+		rec.Core = uint32(r.st.lastCore)
+	}
+	hdr := r.scratch[:4]
+	if _, err := io.ReadFull(r.r, hdr); err != nil {
+		return unexpected(err)
+	}
+	flags := hdr[0]
+	rec.ROBEmpty = flags&1 != 0
+	rec.ExceptionRaised = flags&2 != 0
+	rec.DispatchValid = flags&4 != 0
+	rec.AnyInFlight = flags&8 != 0
+	rec.NumBanks = int(hdr[1])
+	if rec.NumBanks > MaxBanks {
+		return fmt.Errorf("trace: bank count %d exceeds max %d", rec.NumBanks, MaxBanks)
+	}
+	rec.HeadBank = hdr[2]
+	rec.CommitCount = hdr[3]
+	for i := 0; i < rec.NumBanks; i++ {
+		bf, err := r.r.ReadByte()
+		if err != nil {
+			return unexpected(err)
+		}
+		b := &rec.Banks[i]
+		b.Valid = bf&1 != 0
+		b.Committing = bf&2 != 0
+		b.Mispredicted = bf&4 != 0
+		b.Flush = bf&8 != 0
+		b.Exception = bf&16 != 0
+		if b.Valid {
+			if b.PC, err = r.readPC(); err != nil {
+				return err
+			}
+			if b.FID, err = r.readFID(); err != nil {
+				return err
+			}
+			if b.InstIndex, err = r.readInst(); err != nil {
+				return err
+			}
+		}
+	}
+	if rec.ExceptionRaised {
+		if rec.ExceptionPC, err = r.readPC(); err != nil {
+			return err
+		}
+		if rec.ExceptionFID, err = r.readFID(); err != nil {
+			return err
+		}
+		if rec.ExceptionInstIndex, err = r.readInst(); err != nil {
+			return err
+		}
+	}
+	if rec.DispatchValid {
+		if rec.DispatchPC, err = r.readPC(); err != nil {
+			return err
+		}
+		if rec.DispatchFID, err = r.readFID(); err != nil {
+			return err
+		}
+		if rec.DispatchInstIndex, err = r.readInst(); err != nil {
+			return err
+		}
+	}
+	if rec.AnyInFlight {
+		if rec.YoungestFID, err = r.readFID(); err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
+func unexpected(err error) error {
+	if err == io.EOF {
+		return io.ErrUnexpectedEOF
+	}
+	return err
 }

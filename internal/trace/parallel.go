@@ -7,10 +7,13 @@ import (
 	"sync/atomic"
 )
 
-// shardChanDepth is the per-worker chunk channel depth. The decoder runs at
-// most shardChanDepth+1 chunks ahead of the slowest worker, which bounds the
-// live chunk set (and therefore the pool) of a sharded replay.
-const shardChanDepth = 4
+// DefaultChunkRecords is how many records a replay shard observes between
+// polls of its context and its consumer's Faultable, and the record count of
+// a Stream ring chunk. At roughly 350 bytes per decoded Record a ring chunk
+// is a few hundred kilobytes: large enough that per-chunk synchronization
+// vanishes against the consumer work, small enough that a handful of
+// in-flight chunks keep a streamed replay's footprint modest.
+const DefaultChunkRecords = 1024
 
 // Faultable is a consumer that can fail mid-stream (a spilling capture, a
 // trace writer, a profiler sink with an I/O error). Sharded replay polls it
@@ -21,178 +24,153 @@ type Faultable interface {
 	Err() error
 }
 
-// chunkSource yields decoded chunks with their reference count pre-set; it
-// is the seam shared by capture replay (ChunkIter) and streaming replay
-// (streamIter).
-type chunkSource interface {
-	Next(refs int32) (*Chunk, error)
+// replayShard is one replay worker: its consumer, how far into the stream it
+// got, and the error it stopped on.
+type replayShard struct {
+	c          Consumer
+	f          Faultable
+	records    uint64
+	lastCommit uint64
+	// fault is the shard consumer's own failure: the root cause of any
+	// replay it stops.
+	fault error
+	// stop is a decode, producer or context error.
+	stop error
 }
 
-// shardBroadcast drives the decode-once broadcast shared by Capture and
-// Stream replay: one goroutine per shard, per-shard channels of depth
-// shardChanDepth, every chunk delivered to every shard exactly once. It
-// returns the first shard consumer error (the root cause when both fail) and
-// the decode/context error; Finish is never delivered here — the caller owns
-// the success epilogue.
-func shardBroadcast(ctx context.Context, src chunkSource, shards []Consumer) (workerErr, decodeErr error) {
-	w := len(shards)
-	chans := make([]chan *Chunk, w)
-	for i := range chans {
-		chans[i] = make(chan *Chunk, shardChanDepth)
+// newReplayShards wraps each consumer in a shard; no consumers still makes
+// one shard, so a replay without consumers decodes and counts the stream.
+func newReplayShards(consumers []Consumer) []replayShard {
+	if len(consumers) == 0 {
+		consumers = []Consumer{&Tee{}}
 	}
-	workerErrs := make([]error, w)
-	var abort atomic.Bool
-	var wg sync.WaitGroup
-	for i, shard := range shards {
-		wg.Add(1)
-		go func(i int, shard Consumer, ch <-chan *Chunk) {
-			defer wg.Done()
-			f, _ := shard.(Faultable)
-			for ck := range ch {
-				if workerErrs[i] == nil {
-					for j := range ck.Records {
-						shard.OnCycle(&ck.Records[j])
-					}
-					if f != nil {
-						if e := f.Err(); e != nil {
-							workerErrs[i] = e
-							abort.Store(true)
-						}
-					}
-				}
-				// An errored worker keeps draining its channel (without
-				// touching the records) so the decoder can never block
-				// forever on a send, and so chunk refcounts still reach
-				// zero.
-				ck.Release()
-			}
-		}(i, shard, chans[i])
+	shards := make([]replayShard, len(consumers))
+	for i, c := range consumers {
+		shards[i].c = c
+		shards[i].f, _ = c.(Faultable)
 	}
+	return shards
+}
 
+// observe delivers one record to the shard's consumer.
+func (sh *replayShard) observe(rec *Record) {
+	sh.c.OnCycle(rec)
+	sh.records++
+	if rec.CommitCount > 0 {
+		sh.lastCommit = rec.Cycle
+	}
+}
+
+// healthy is the between-chunks poll: it records the shard consumer's fault
+// (raising abort for the other shards) or ctx's error, and reports whether
+// the shard should go on — false also once another shard raised abort.
+func (sh *replayShard) healthy(ctx context.Context, abort *atomic.Bool) bool {
+	if sh.f != nil {
+		if err := sh.f.Err(); err != nil {
+			sh.fault = err
+			abort.Store(true)
+			return false
+		}
+	}
+	if err := ctx.Err(); err != nil {
+		sh.stop = err
+		return false
+	}
+	return !abort.Load()
+}
+
+// decode replays the trace r into the shard, polling healthy every n
+// records and once more at the end of the trace. A decode error raises
+// abort. It reports whether the shard reached the end of r healthy.
+func (sh *replayShard) decode(ctx context.Context, r *Reader, n int, abort *atomic.Bool) bool {
+	var rec Record
 	for {
-		if e := ctx.Err(); e != nil {
-			decodeErr = e
-			break
+		if !sh.healthy(ctx, abort) {
+			return false
 		}
-		if abort.Load() {
-			break
-		}
-		ck, e := src.Next(int32(w))
-		if e == io.EOF {
-			break
-		}
-		if e != nil {
-			decodeErr = e
-			break
-		}
-		for _, ch := range chans {
-			ch <- ck
+		for i := 0; i < n; i++ {
+			if err := r.Next(&rec); err == io.EOF {
+				return sh.healthy(ctx, abort)
+			} else if err != nil {
+				sh.stop = err
+				abort.Store(true)
+				return false
+			}
+			sh.observe(&rec)
 		}
 	}
-	for _, ch := range chans {
-		close(ch)
-	}
-	wg.Wait()
+}
 
-	// A worker's consumer failure is the root cause; decode/context errors
-	// come second (an abort often cancels the decode as a side effect).
-	for _, e := range workerErrs {
-		if e != nil {
-			return e, decodeErr
+// finishShards folds the shards' outcomes into one replay result. A shard
+// consumer's fault is the root cause and wins; stop (the fan-out's own
+// error, if any) and the shards' decode or context errors come second, since
+// an abort often cancels the rest as a side effect. Only a clean replay
+// delivers Finish, to every shard, with the cycle of the last committing
+// record plus one.
+func finishShards(shards []replayShard, stop error) (cycles uint64, records uint64, err error) {
+	for i := range shards {
+		records = max(records, shards[i].records)
+	}
+	for i := range shards {
+		if shards[i].fault != nil {
+			return 0, records, shards[i].fault
 		}
 	}
-	return nil, decodeErr
+	for i := 0; stop == nil && i < len(shards); i++ {
+		stop = shards[i].stop
+	}
+	if stop != nil {
+		return 0, records, stop
+	}
+	if records == 0 {
+		return 0, 0, io.ErrUnexpectedEOF
+	}
+	cycles = shards[0].lastCommit + 1
+	for i := range shards {
+		shards[i].c.Finish(cycles)
+	}
+	return cycles, records, nil
 }
 
 // ReplayShards replays the captured trace through several consumer shards
-// in parallel: the trace is decoded exactly once into pooled record chunks,
-// and every chunk is broadcast to one goroutine per shard. Each shard
-// observes the complete stream — the same records, in the same order, with
-// one OnCycle per record and a final Finish — so any per-shard result is
-// byte-identical to a sequential Replay of the same consumers; sharding
-// chooses only how the consumer work is spread over cores.
+// in parallel. Each shard decodes the whole capture itself, from byte 0 of
+// the immutable capture bytes into one reusable Record, on its own
+// goroutine, so each shard observes the complete stream — the same records,
+// in the same order, with one OnCycle per record and a final Finish — and
+// any per-shard result is byte-identical to a sequential Replay of the same
+// consumers; sharding chooses only how the consumer work is spread over
+// cores. A single shard runs on the calling goroutine.
 //
-// The decode runs on the calling goroutine and applies backpressure: a slow
-// shard stalls the decoder after shardChanDepth buffered chunks. Replay
-// stops early when ctx is cancelled, when decoding fails, or when a shard
-// implementing Faultable reports an error; Finish is not delivered on any
-// early stop. With a single shard and a background context this is
-// equivalent to Replay, minus the chunk indirection.
-func (c *Capture) ReplayShards(ctx context.Context, chunkRecords int, shards ...Consumer) (cycles uint64, records uint64, err error) {
+// Every chunkRecords records (0 = DefaultChunkRecords) a shard polls ctx and,
+// if its consumer implements Faultable, the consumer's Err. Replay stops
+// early when ctx is cancelled, when decoding fails, or when any shard's
+// consumer reports an error, which stops the other shards at their next
+// poll; Finish is not delivered on any early stop. A shard consumer's error
+// takes precedence over decode and context errors.
+func (c *Capture) ReplayShards(ctx context.Context, chunkRecords int, consumers ...Consumer) (cycles uint64, records uint64, err error) {
 	if ctx == nil {
 		ctx = context.Background()
 	}
-	it, err := c.Chunks(chunkRecords)
-	if err != nil {
+	if chunkRecords <= 0 {
+		chunkRecords = DefaultChunkRecords
+	}
+	if err := c.replayable(); err != nil {
 		return 0, 0, err
 	}
-
-	workerErr, decodeErr := shardBroadcast(ctx, it, shards)
-	cycles = it.Cycles()
-	records = it.Records()
-	if workerErr != nil {
-		return 0, records, workerErr
-	}
-	if decodeErr != nil {
-		return 0, records, decodeErr
-	}
-	if records == 0 {
-		return 0, 0, io.ErrUnexpectedEOF
-	}
-	for _, shard := range shards {
-		shard.Finish(cycles)
-	}
-	return cycles, records, nil
-}
-
-// ReplayShards broadcasts the live stream through consumer shards exactly
-// like Capture.ReplayShards broadcasts a finished capture — same shard
-// semantics, same cycle accounting, same error precedence — but chunks are
-// consumed as the producer emits them, so profilers run concurrently with
-// the simulation and only the pilot capture plus the ring window is ever
-// resident.
-//
-// It first waits for the pilot boundary (the caller typically already
-// consumed it via Pilot to calibrate the shards being passed in). On any
-// error it Aborts the stream so the producing core can never block on a full
-// ring; the caller must still stop the producer itself (cancel its context)
-// and wait for it. A Stream can be replayed at most once.
-func (s *Stream) ReplayShards(ctx context.Context, shards ...Consumer) (cycles uint64, records uint64, err error) {
-	if ctx == nil {
-		ctx = context.Background()
-	}
-	select {
-	case <-s.pilotReady:
-	case <-ctx.Done():
-		s.Abort()
-		return 0, 0, ctx.Err()
-	}
-	it := &streamIter{s: s, ctx: ctx}
-	if s.pilotCapt != nil {
-		// The consumer owns the sealed pilot capture now; Close is
-		// idempotent, so an early drain has released it already.
-		defer s.pilotCapt.Close()
-		var err error
-		if it.pilot, err = s.pilotCapt.Chunks(s.chunkRecords); err != nil {
-			s.Abort()
-			return 0, 0, err
+	shards := newReplayShards(consumers)
+	var abort atomic.Bool
+	if len(shards) == 1 {
+		shards[0].decode(ctx, c.reader(), chunkRecords, &abort)
+	} else {
+		var wg sync.WaitGroup
+		for i := range shards {
+			wg.Add(1)
+			go func(sh *replayShard) {
+				defer wg.Done()
+				sh.decode(ctx, c.reader(), chunkRecords, &abort)
+			}(&shards[i])
 		}
+		wg.Wait()
 	}
-	workerErr, decodeErr := shardBroadcast(ctx, it, shards)
-	cycles = it.lastCommit + 1
-	records = it.records
-	if workerErr != nil || decodeErr != nil {
-		s.Abort()
-		if workerErr != nil {
-			return 0, records, workerErr
-		}
-		return 0, records, decodeErr
-	}
-	if records == 0 {
-		return 0, 0, io.ErrUnexpectedEOF
-	}
-	for _, shard := range shards {
-		shard.Finish(cycles)
-	}
-	return cycles, records, nil
+	return finishShards(shards, nil)
 }

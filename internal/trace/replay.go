@@ -28,7 +28,6 @@ func badMagic(prefix []byte) error {
 func Replay(r *Reader, consumers ...Consumer) (cycles uint64, records uint64, err error) {
 	var rec Record
 	lastCommit := uint64(0)
-	any := false
 	for {
 		if err := r.Next(&rec); err != nil {
 			if errors.Is(err, io.EOF) {
@@ -37,7 +36,6 @@ func Replay(r *Reader, consumers ...Consumer) (cycles uint64, records uint64, er
 			return 0, records, err
 		}
 		records++
-		any = true
 		for _, c := range consumers {
 			c.OnCycle(&rec)
 		}
@@ -45,7 +43,7 @@ func Replay(r *Reader, consumers ...Consumer) (cycles uint64, records uint64, er
 			lastCommit = rec.Cycle
 		}
 	}
-	if !any {
+	if records == 0 {
 		return 0, 0, io.ErrUnexpectedEOF
 	}
 	cycles = lastCommit + 1
@@ -55,42 +53,8 @@ func Replay(r *Reader, consumers ...Consumer) (cycles uint64, records uint64, er
 	return cycles, records, nil
 }
 
-// ReplayBytes is Replay over an in-memory encoded trace. It decodes straight
-// off the slice — no reader indirection, no per-byte interface calls — which
-// is what makes replaying a capture markedly cheaper than re-simulating.
+// ReplayBytes is Replay over an in-memory encoded trace: the Reader's
+// window is the slice itself, so records decode straight off it.
 func ReplayBytes(data []byte, consumers ...Consumer) (cycles uint64, records uint64, err error) {
-	if len(data) == 0 {
-		return 0, 0, io.ErrUnexpectedEOF
-	}
-	v3, err := sniffMagic(data)
-	if err != nil {
-		return 0, 0, err
-	}
-	pos := len(formatMagic)
-	var rec Record
-	st := codecState{v3: v3}
-	lastCommit := uint64(0)
-	any := false
-	for pos < len(data) {
-		pos, err = decodeRecord(data, pos, &st, &rec)
-		if err != nil {
-			return 0, records, err
-		}
-		records++
-		any = true
-		for _, c := range consumers {
-			c.OnCycle(&rec)
-		}
-		if rec.CommitCount > 0 {
-			lastCommit = rec.Cycle
-		}
-	}
-	if !any {
-		return 0, 0, io.ErrUnexpectedEOF
-	}
-	cycles = lastCommit + 1
-	for _, c := range consumers {
-		c.Finish(cycles)
-	}
-	return cycles, records, nil
+	return Replay(newSliceReader(data), consumers...)
 }

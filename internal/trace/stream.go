@@ -3,8 +3,8 @@ package trace
 import (
 	"context"
 	"errors"
-	"io"
 	"sync"
+	"sync/atomic"
 )
 
 // streamRingDepth is the bounded ring's chunk capacity: the producing core
@@ -63,28 +63,28 @@ type StreamConfig struct {
 // calibration has run, so the records before the boundary are encoded into
 // the capture, which keeps the prefix to a few bytes per cycle. The producer
 // seals it with Finish at the boundary (or at Finish/Fail when the run ends
-// inside the window), and the consumer replays it through Capture.Chunks
-// before draining the ring. Past the boundary the ring is backpressured, so
-// chunks carry decoded records directly — normalizeRecord launders the
-// producer's stale flag-guarded fields exactly as an encode→decode round trip
-// would, and the codec drops off the fused hot path.
+// inside the window), and every replay shard decodes it through its own
+// Reader before draining the ring. Past the boundary the ring is
+// backpressured, so chunks carry decoded records directly — normalizeRecord
+// launders the producer's stale flag-guarded fields exactly as an
+// encode→decode round trip would, and the codec drops off the fused hot path.
 //
 // Lifecycle: exactly one producer goroutine calls OnCycle repeatedly and
 // then exactly one of Finish (successful run) or Fail (aborted run); one
 // consumer goroutine calls Pilot and then ReplayShards. The consumer may
 // stop the producer early via Abort (ReplayShards does this on any error).
-// The producer owns the pilot capture until the pilot boundary; ReplayShards
-// Closes it once its chunks are drained.
+// The producer owns the pilot capture until the pilot boundary; the last
+// replay shard to finish it Closes it.
 type Stream struct {
 	chunkRecords int
 	pilotCycles  uint64
 
-	ring      chan *Chunk
+	ring      chan *chunk
 	abortCh   chan struct{}
 	abortOnce sync.Once
 
 	// Producer-owned state (no locking: single producer goroutine).
-	cur            *Chunk
+	cur            *chunk
 	committed      uint64
 	pilotBuffering bool
 	aborted        bool
@@ -113,7 +113,7 @@ func NewStream(cfg StreamConfig) *Stream {
 	s := &Stream{
 		chunkRecords:   cfg.ChunkRecords,
 		pilotCycles:    cfg.PilotCycles,
-		ring:           make(chan *Chunk, cfg.RingDepth),
+		ring:           make(chan *chunk, cfg.RingDepth),
 		abortCh:        make(chan struct{}),
 		pilotReady:     make(chan struct{}),
 		pilotBuffering: cfg.PilotCycles > 0,
@@ -146,12 +146,11 @@ func (s *Stream) OnCycle(r *Record) {
 		return
 	}
 	if s.cur == nil {
-		s.cur = s.chunkPool.Get().(*Chunk)
-		s.cur.Records = s.cur.Records[:0]
+		s.cur = s.chunkPool.Get().(*chunk)
 	}
-	recs := s.cur.Records[:len(s.cur.Records)+1]
+	recs := s.cur.records[:len(s.cur.records)+1]
 	normalizeRecord(&recs[len(recs)-1], r)
-	s.cur.Records = recs
+	s.cur.records = recs
 	if len(recs) >= s.chunkRecords {
 		s.flushDirect()
 	}
@@ -170,7 +169,7 @@ func (s *Stream) sealPilot(ps PilotStats) {
 // when the consumer lags (backpressure on the simulating core) and aborts
 // cleanly when the consumer gives up.
 func (s *Stream) flushDirect() {
-	if s.cur == nil || len(s.cur.Records) == 0 {
+	if s.cur == nil || len(s.cur.records) == 0 {
 		return
 	}
 	ck := s.cur
@@ -179,7 +178,7 @@ func (s *Stream) flushDirect() {
 	case s.ring <- ck:
 	case <-s.abortCh:
 		s.aborted = true
-		ck.Records = ck.Records[:0]
+		ck.records = ck.records[:0]
 		s.chunkPool.Put(ck)
 	}
 }
@@ -235,76 +234,134 @@ func (s *Stream) Pilot(ctx context.Context) (PilotStats, error) {
 	}
 }
 
-// streamIter serves the stream's chunks exactly once: the pilot capture is
-// decoded first, then live ring chunks (already record-form) pass straight
-// through. It implements the chunk-source contract shardBroadcast drives.
-type streamIter struct {
-	s     *Stream
-	ctx   context.Context
-	pilot *ChunkIter // nil once the pilot capture is drained
+// shardChanDepth is the per-shard chunk channel depth of a streamed replay:
+// the ring fan-out runs at most shardChanDepth+1 chunks ahead of the slowest
+// shard, which bounds the live chunk set (and therefore the pool).
+const shardChanDepth = 4
 
-	records    uint64
-	lastCommit uint64
-	done       bool
+// chunk is a run of consecutive ring records. Every shard of a streamed
+// replay observes the same chunk read-only; refs counts the outstanding
+// readers and release returns the chunk to its pool once the last one is
+// done, so the producer allocates a steady-state working set instead of one
+// Record per cycle.
+type chunk struct {
+	records []Record
+	refs    atomic.Int32
+	pool    *sync.Pool
 }
 
-// Next returns the next chunk with its reference count set to refs. It
-// returns io.EOF after the producer Finishes and everything is drained, the
-// producer's error after a Fail, and ctx's error if the wait is cancelled.
-func (it *streamIter) Next(refs int32) (*Chunk, error) {
-	if it.done {
-		return nil, io.EOF
-	}
-	if it.pilot != nil {
-		ck, err := it.pilot.Next(refs)
-		if err == nil {
-			return it.deliver(ck, refs), nil
-		}
-		// Drained: release the pilot's buffer while the run goes on.
-		it.pilot = nil
-		it.s.pilotCapt.Close()
-		if err != io.EOF {
-			it.done = true
-			return nil, err
-		}
-	}
-	select {
-	case ck, ok := <-it.s.ring:
-		if !ok {
-			it.done = true
-			if err := it.s.failErr; err != nil {
-				return nil, err
-			}
-			return nil, io.EOF
-		}
-		return it.deliver(ck, refs), nil
-	case <-it.ctx.Done():
-		it.done = true
-		return nil, it.ctx.Err()
+// release drops one reader reference, recycling the chunk when it was the
+// last. Callers must not touch the chunk afterwards.
+func (c *chunk) release() {
+	if c.refs.Add(-1) == 0 {
+		c.records = c.records[:0]
+		c.pool.Put(c)
 	}
 }
 
-// deliver accounts the chunk's records and arms its reference count. Cycles
-// are monotonic, so the youngest committing record in the chunk (if any)
-// advances lastCommit.
-func (it *streamIter) deliver(ck *Chunk, refs int32) *Chunk {
-	it.records += uint64(len(ck.Records))
-	for i := len(ck.Records) - 1; i >= 0; i-- {
-		if ck.Records[i].CommitCount > 0 {
-			it.lastCommit = ck.Records[i].Cycle
-			break
-		}
-	}
-	ck.refs.Store(refs)
-	return ck
-}
-
-// newChunkPool builds the decoded-chunk pool shared by a replay's decoder
-// and its shards; chunks recycle once every shard Releases them.
+// newChunkPool builds the ring's chunk pool; chunks recycle once every shard
+// releases them.
 func newChunkPool(chunkRecords int) *sync.Pool {
 	pool := &sync.Pool{}
 	pool.New = func() any {
-		return &Chunk{Records: make([]Record, 0, chunkRecords), pool: pool}
+		return &chunk{records: make([]Record, 0, chunkRecords), pool: pool}
 	}
 	return pool
+}
+
+// ReplayShards replays the live stream through consumer shards with the
+// shard semantics, cycle accounting and error precedence of
+// Capture.ReplayShards, but records are consumed as the producer emits them,
+// so profilers run concurrently with the simulation and only the pilot
+// capture plus the ring window is ever resident.
+//
+// It first waits for the pilot boundary (the caller typically already
+// consumed it via Pilot to calibrate the shards being passed in). Each shard
+// then replays the sealed pilot capture through its own Reader, the last one
+// to finish Closing it so its buffer is released while the run goes on, and
+// then observes the ring's chunks, which the calling goroutine fans out to
+// every shard over a channel of depth shardChanDepth. On any error it Aborts
+// the stream so the producing core can never block on a full ring; the
+// caller must still stop the producer itself (cancel its context) and wait
+// for it. A Stream can be replayed at most once.
+func (s *Stream) ReplayShards(ctx context.Context, consumers ...Consumer) (cycles uint64, records uint64, err error) {
+	if ctx == nil {
+		ctx = context.Background()
+	}
+	select {
+	case <-s.pilotReady:
+	case <-ctx.Done():
+		s.Abort()
+		return 0, 0, ctx.Err()
+	}
+	pilot := s.pilotCapt
+	if pilot != nil {
+		// Close is idempotent: this releases the pilot on an early stop,
+		// after the last shard already did on a clean one.
+		defer pilot.Close()
+		if err := pilot.replayable(); err != nil {
+			s.Abort()
+			return 0, 0, err
+		}
+	}
+	shards := newReplayShards(consumers)
+	chans := make([]chan *chunk, len(shards))
+	var abort atomic.Bool
+	var pilotLeft atomic.Int32
+	pilotLeft.Store(int32(len(shards)))
+	var wg sync.WaitGroup
+	for i := range shards {
+		chans[i] = make(chan *chunk, shardChanDepth)
+		wg.Add(1)
+		go func(sh *replayShard, ch <-chan *chunk) {
+			defer wg.Done()
+			ok := true
+			if pilot != nil {
+				ok = sh.decode(ctx, pilot.reader(), s.chunkRecords, &abort)
+				if pilotLeft.Add(-1) == 0 {
+					pilot.Close()
+				}
+			}
+			for ck := range ch {
+				if ok {
+					for j := range ck.records {
+						sh.observe(&ck.records[j])
+					}
+					ok = sh.healthy(ctx, &abort)
+				}
+				// A stopped shard keeps draining its channel (without
+				// touching the records) so the fan-out can never block
+				// forever on a send, and so refcounts still reach zero.
+				ck.release()
+			}
+		}(&shards[i], chans[i])
+	}
+
+	var stop error
+fanOut:
+	for !abort.Load() {
+		select {
+		case ck, open := <-s.ring:
+			if !open {
+				stop = s.failErr
+				break fanOut
+			}
+			ck.refs.Store(int32(len(chans)))
+			for _, ch := range chans {
+				ch <- ck
+			}
+		case <-ctx.Done():
+			stop = ctx.Err()
+			break fanOut
+		}
+	}
+	for _, ch := range chans {
+		close(ch)
+	}
+	wg.Wait()
+	cycles, records, err = finishShards(shards, stop)
+	if err != nil {
+		s.Abort()
+	}
+	return cycles, records, err
 }

@@ -2,7 +2,7 @@ package trace
 
 import (
 	"bytes"
-	"io"
+	"context"
 	"testing"
 )
 
@@ -45,7 +45,7 @@ func encodeV3(recs []Record) []byte {
 	return buf.Bytes()
 }
 
-// TestV3RoundTripCarriesCore checks all three decode paths reproduce an
+// TestV3RoundTripCarriesCore checks every decode path reproduces an
 // interleaved two-core stream exactly, core IDs included.
 func TestV3RoundTripCarriesCore(t *testing.T) {
 	recs := interleavedTrace(2, []uint64{50, 80})
@@ -62,25 +62,18 @@ func TestV3RoundTripCarriesCore(t *testing.T) {
 	if _, _, err := Replay(NewReader(bytes.NewReader(enc)), &viaReader); err != nil {
 		t.Fatal(err)
 	}
-	it, err := NewChunkIterBytes(enc, 7)
+	adopted, err := NewCaptureFromEncoded(enc, uint64(len(recs)), 0)
 	if err != nil {
 		t.Fatal(err)
 	}
-	var viaChunks []Record
-	for {
-		ck, err := it.Next(1)
-		if err == io.EOF {
-			break
-		}
-		if err != nil {
-			t.Fatal(err)
-		}
-		viaChunks = append(viaChunks, ck.Records...)
-		ck.Release()
+	var viaShards [2]collect
+	if _, _, err := adopted.ReplayShards(context.Background(), 7, &viaShards[0], &viaShards[1]); err != nil {
+		t.Fatal(err)
 	}
 
 	for name, got := range map[string][]Record{
-		"bytes": viaBytes.recs, "reader": viaReader.recs, "chunks": viaChunks,
+		"bytes": viaBytes.recs, "reader": viaReader.recs,
+		"shard 0": viaShards[0].recs, "shard 1": viaShards[1].recs,
 	} {
 		if len(got) != len(recs) {
 			t.Fatalf("%s: decoded %d records, want %d", name, len(got), len(recs))

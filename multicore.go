@@ -65,8 +65,9 @@ func CaptureMulticore(ctx context.Context, ws []*Workload, cfg CoreConfig) (*Tra
 // contiguity and the Oracle/Sampled conservation laws are audited per core.
 //
 // rc.ReplayWorkers spreads the per-core matrices over replay shards: each
-// core gets max(1, ReplayWorkers/len(ws)) shards and every shard is wrapped
-// in that core's filter, so worker count never changes profile output.
+// core gets max(1, ReplayWorkers/len(ws)) shards, every shard is wrapped in
+// that core's filter and decodes the capture itself, so worker count never
+// changes profile output. An n-core replay therefore runs at least n shards.
 // rc.ExtraConsumers / rc.ExtraConsumersAt are not applied on this path —
 // they would observe one core's filtered stream per matrix they were added
 // to, which is never what a caller wiring a single-stream consumer expects.
@@ -105,13 +106,7 @@ func RunMulticoreCaptured(ctx context.Context, ws []*Workload, capt *TraceCaptur
 		}
 	}
 
-	var totalCycles uint64
-	var err error
-	if rc.ReplayWorkers > 1 {
-		totalCycles, _, err = capt.ReplayShards(ctx, 0, shards...)
-	} else {
-		totalCycles, _, err = capt.Replay(shards...)
-	}
+	totalCycles, _, err := capt.ReplayShards(ctx, 0, shards...)
 	if err != nil {
 		return nil, fmt.Errorf("tip: multicore replay: %w", err)
 	}

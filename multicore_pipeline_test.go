@@ -4,9 +4,11 @@ import (
 	"bytes"
 	"compress/gzip"
 	"context"
+	"fmt"
 	"io"
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 
 	"github.com/tipprof/tip/internal/multicore"
@@ -179,6 +181,60 @@ func TestMulticoreReplayWorkerInvariance(t *testing.T) {
 	}
 	for core := range results[0].Cores {
 		sameProfiles(t, "workers 1 vs 4", results[0].Cores[core], results[1].Cores[core])
+	}
+}
+
+// TestRunMulticoreCapturedAbortsOnConsumerFault is the multicore twin of
+// TestRunCapturedAbortsOnConsumerFault. ExtraConsumers do not apply on this
+// route, so the failing consumer is each core's invariant checker, fed a
+// capture whose core-0 commit counts are corrupted from a quarter of the
+// way in: the replay must stop within a poll interval of the first
+// violation, at one worker as at four, rather than stream on and collect
+// one violation per corrupted record.
+func TestRunMulticoreCapturedAbortsOnConsumerFault(t *testing.T) {
+	capt, stats, err := CaptureMulticore(nil, mcPair(t, 30_000), DefaultCoreConfig())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer capt.Close()
+	var plain collectRecords
+	if _, _, err := capt.Replay(&plain); err != nil {
+		t.Fatal(err)
+	}
+	bad := trace.NewCaptureV3(0)
+	defer bad.Close()
+	corrupted := 0
+	for i := range plain.recs {
+		r := &plain.recs[i]
+		if i >= len(plain.recs)/4 && r.Core == 0 && r.CommitCount > 0 {
+			r.CommitCount++
+			corrupted++
+		}
+		bad.OnCycle(r)
+	}
+	bad.Finish(capt.Cycles())
+	if corrupted < 4*trace.DefaultChunkRecords {
+		t.Fatalf("only %d corrupted records; the test needs a longer capture", corrupted)
+	}
+
+	for _, workers := range []int{1, 4} {
+		rc := DefaultRunConfig()
+		rc.Check = true
+		rc.ReplayWorkers = workers
+		res, err := RunMulticoreCaptured(context.Background(), mcPair(t, 30_000), bad, stats, rc)
+		if err == nil || !strings.Contains(err.Error(), "commit-count") {
+			t.Fatalf("workers=%d: err = %v, want the checker's commit-count violation", workers, err)
+		}
+		if res != nil {
+			t.Fatalf("workers=%d: got a result from a failed replay", workers)
+		}
+		var n int
+		if _, scanErr := fmt.Sscanf(err.Error()[strings.Index(err.Error(), "check: "):], "check: %d", &n); scanErr != nil {
+			t.Fatalf("workers=%d: no violation count in %q: %v", workers, err, scanErr)
+		}
+		if n > 2*trace.DefaultChunkRecords {
+			t.Fatalf("workers=%d: %d violations of %d corrupted records; the replay did not stop at the first poll", workers, n, corrupted)
+		}
 	}
 }
 

@@ -86,21 +86,27 @@ func (f *faultingEveryCycle) Finish(uint64) {}
 func (f *faultingEveryCycle) Err() error    { return f.err }
 
 // TestRunCapturedAbortsOnConsumerFault injects a failing consumer into the
-// every-cycle tier and checks a sharded replay surfaces its error instead of
-// streaming the rest of the capture into a dead pipeline.
+// every-cycle tier and checks the replay surfaces its error instead of
+// streaming the rest of the capture into a dead pipeline — at one worker as
+// at four.
 func TestRunCapturedAbortsOnConsumerFault(t *testing.T) {
 	w, capture, stats := captureForTest(t)
-	bad := &faultingEveryCycle{failAt: 500}
-	rc := DefaultRunConfig()
-	rc.TargetSamples = 512
-	rc.ReplayWorkers = 4
-	rc.ExtraConsumers = []trace.Consumer{bad}
-	_, err := RunCaptured(context.Background(), w, capture, stats, rc)
-	if err == nil || !strings.Contains(err.Error(), "injected mid-replay failure") {
-		t.Fatalf("err = %v, want the injected failure", err)
-	}
-	if bad.seen == capture.Records() {
-		t.Fatal("replay streamed the full capture despite the mid-stream failure")
+	for _, workers := range []int{1, 4} {
+		bad := &faultingEveryCycle{failAt: 500}
+		rc := DefaultRunConfig()
+		rc.TargetSamples = 512
+		rc.ReplayWorkers = workers
+		rc.ExtraConsumers = []trace.Consumer{bad}
+		res, err := RunCaptured(context.Background(), w, capture, stats, rc)
+		if err == nil || !strings.Contains(err.Error(), "injected mid-replay failure") {
+			t.Fatalf("ReplayWorkers=%d: err = %v, want the injected failure", workers, err)
+		}
+		if res != nil {
+			t.Fatalf("ReplayWorkers=%d: got a result from a failed replay", workers)
+		}
+		if bad.seen == capture.Records() {
+			t.Fatalf("ReplayWorkers=%d: replay streamed the full capture despite the mid-stream failure", workers)
+		}
 	}
 }
 

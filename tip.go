@@ -139,12 +139,12 @@ type RunConfig struct {
 	// or profiler conservation law.
 	Check bool
 	// ReplayWorkers is the number of goroutines a captured-trace replay
-	// fans the profiler matrix out over (0 or 1 = sequential). The capture
-	// is decoded once and the decoded chunks are broadcast to every
-	// worker, each owning a disjoint subset of the profilers behind its
-	// own dispatcher; results are byte-identical at any worker count. The
-	// fused routes (Streaming, Sampled, or an explicit SampleInterval) shard
-	// the stream the same way.
+	// fans the profiler matrix out over (0 or 1 = one, on the calling
+	// goroutine). Each worker decodes the capture itself and owns a
+	// disjoint subset of the profilers behind its own dispatcher; results
+	// are byte-identical at any worker count. The fused routes (Streaming,
+	// Sampled, or an explicit SampleInterval) shard the matrix the same way
+	// over the stream's ring.
 	ReplayWorkers int
 	// Streaming fuses capture and replay: Run simulates the core once,
 	// streaming trace chunks through a bounded ring into the
@@ -420,12 +420,12 @@ func (m *consumerMatrix) shards(workers int) []trace.Consumer {
 // The capture is left open; the caller may replay it again (e.g. for another
 // configuration) before Closing it.
 //
-// With rc.ReplayWorkers > 1 the capture is decoded once and broadcast to
-// that many replay workers, each evaluating a disjoint subset of the matrix
-// (see RunConfig.ReplayWorkers); the result is byte-identical to the
-// sequential replay. ctx cancellation aborts a sharded replay between
-// chunks; the sequential path checks it only between phases. A nil ctx
-// means context.Background().
+// The matrix is split over max(1, rc.ReplayWorkers) replay shards, each
+// decoding the capture itself and evaluating a disjoint subset of the matrix
+// (see RunConfig.ReplayWorkers); the result is byte-identical at any worker
+// count. At every worker count, ctx cancellation or a failed consumer
+// (trace.Faultable) aborts the replay within trace.DefaultChunkRecords
+// records. A nil ctx means context.Background().
 func RunCaptured(ctx context.Context, w *Workload, capt *TraceCapture, stats CoreStats, rc RunConfig) (*Result, error) {
 	if ctx == nil {
 		ctx = context.Background()
@@ -443,13 +443,7 @@ func RunCaptured(ctx context.Context, w *Workload, capt *TraceCapture, stats Cor
 		interval = CalibrateInterval(stats.Cycles, rc.TargetSamples)
 	}
 	m := buildMatrix(w, rc, interval, estCycles)
-	shards := m.shards(max(1, rc.ReplayWorkers))
-	var err error
-	if rc.ReplayWorkers > 1 {
-		_, _, err = capt.ReplayShards(ctx, 0, shards...)
-	} else {
-		_, _, err = capt.Replay(shards...)
-	}
+	_, _, err := capt.ReplayShards(ctx, 0, m.shards(max(1, rc.ReplayWorkers))...)
 	var res *Result
 	if err == nil {
 		res, err = m.result(w, stats, interval)
