@@ -1,7 +1,6 @@
 package fleet
 
 import (
-	"bytes"
 	"crypto/sha256"
 	"encoding/hex"
 	"encoding/json"
@@ -101,14 +100,16 @@ func (st *Store) Get(id string) (*trace.Capture, []cpu.Stats, bool) {
 
 // Put stores capt under id. Writes are atomic (temp file + rename, payload
 // before sidecar) so concurrent readers either see a complete entry or a
-// miss. Putting an id that already exists rewrites it with identical bytes.
+// miss. The payload streams from capt.WriteTo through the SHA-256 hash
+// straight into the temp file; a failed write leaves no entry and no temp
+// file. Putting an id that already exists rewrites it with identical bytes.
 func (st *Store) Put(id string, capt *trace.Capture, stats []cpu.Stats) error {
-	var buf bytes.Buffer
 	h := sha256.New()
-	if _, err := capt.WriteTo(io.MultiWriter(&buf, h)); err != nil {
-		return fmt.Errorf("fleet: store put %s: %w", id, err)
-	}
-	if err := atomicWrite(filepath.Join(st.dir, id+".trc"), buf.Bytes()); err != nil {
+	err := atomicWrite(filepath.Join(st.dir, id+".trc"), func(w io.Writer) error {
+		_, err := capt.WriteTo(io.MultiWriter(w, h))
+		return err
+	})
+	if err != nil {
 		return fmt.Errorf("fleet: store put %s: %w", id, err)
 	}
 	meta := storeMeta{
@@ -122,7 +123,11 @@ func (st *Store) Put(id string, capt *trace.Capture, stats []cpu.Stats) error {
 	if err != nil {
 		return fmt.Errorf("fleet: store put %s: %w", id, err)
 	}
-	if err := atomicWrite(filepath.Join(st.dir, id+".json"), append(data, '\n')); err != nil {
+	err = atomicWrite(filepath.Join(st.dir, id+".json"), func(w io.Writer) error {
+		_, err := w.Write(append(data, '\n'))
+		return err
+	})
+	if err != nil {
 		return fmt.Errorf("fleet: store put %s: %w", id, err)
 	}
 	st.puts.Add(1)
@@ -134,15 +139,16 @@ func (st *Store) Counters() (hits, misses, puts uint64) {
 	return st.hits.Load(), st.misses.Load(), st.puts.Load()
 }
 
-// atomicWrite writes data to path via a uniquely named temp file in the
-// same directory plus rename, so readers never observe a partial file.
-func atomicWrite(path string, data []byte) error {
+// atomicWrite runs write against a uniquely named temp file in path's
+// directory, then renames it to path, so readers never observe a partial
+// file. On any failure the temp file is removed.
+func atomicWrite(path string, write func(io.Writer) error) error {
 	f, err := os.CreateTemp(filepath.Dir(path), "."+filepath.Base(path)+".tmp*")
 	if err != nil {
 		return err
 	}
 	tmp := f.Name()
-	if _, err := f.Write(data); err != nil {
+	if err := write(f); err != nil {
 		f.Close()
 		os.Remove(tmp)
 		return err

@@ -207,6 +207,55 @@ func TestStoreCorruptionIsAMiss(t *testing.T) {
 	}
 }
 
+// TestStoreFailedPutLeavesNothing checks that a Put whose payload write
+// fails — an unfinished capture, or a store directory gone since OpenStore —
+// returns the error and leaves no payload, sidecar or temp file behind, so
+// Get misses instead of serving a partial entry.
+func TestStoreFailedPutLeavesNothing(t *testing.T) {
+	unfinished := trace.NewCapture(0)
+	defer unfinished.Close()
+	var rec trace.Record
+	unfinished.OnCycle(&rec)
+	finished, stats := testCapture(t)
+
+	for _, tc := range []struct {
+		name    string
+		capt    *trace.Capture
+		prepare func(dir string) error
+	}{
+		{"unfinished capture", unfinished, func(string) error { return nil }},
+		{"store directory removed", finished, os.RemoveAll},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			dir := filepath.Join(t.TempDir(), "store")
+			st, err := OpenStore(dir)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := tc.prepare(dir); err != nil {
+				t.Fatal(err)
+			}
+			const id = "x264-1-20000-deadbeef"
+			if err := st.Put(id, tc.capt, stats); err == nil {
+				t.Fatal("Put succeeded")
+			}
+			entries, err := os.ReadDir(dir)
+			if err != nil && !os.IsNotExist(err) {
+				t.Fatal(err)
+			}
+			for _, e := range entries {
+				t.Errorf("failed Put left %s behind", e.Name())
+			}
+			if _, _, ok := st.Get(id); ok {
+				t.Fatal("Get hit after a failed Put")
+			}
+			if _, _, puts := st.Counters(); puts != 0 {
+				t.Fatalf("puts = %d after a failed Put, want 0", puts)
+			}
+		})
+	}
+}
+
 // shaToken stands in for the payload hash in FuzzStoreGet's sidecar inputs.
 const shaToken = "@SHA256@"
 

@@ -8,6 +8,8 @@ import (
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"os"
+	"path/filepath"
 	"strings"
 	"sync"
 	"testing"
@@ -615,6 +617,52 @@ func TestShutdownDrainsAndRestartsFromStore(t *testing.T) {
 	if !bytes.Equal(fetchPprof(t, ts, replayed), fetchPprof(t, ts2, v.ID)) {
 		t.Fatal("restarted daemon's pprof differs from the first daemon's")
 	}
+}
+
+// TestFailedPublishStillServesJob removes the store directory under a
+// running daemon: publishing the fresh capture fails, yet the job completes
+// from its one simulation with the failure logged, and the store records no
+// put.
+func TestFailedPublishStillServesJob(t *testing.T) {
+	storeDir := filepath.Join(t.TempDir(), "store")
+	st, err := fleet.OpenStore(storeDir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := os.RemoveAll(storeDir); err != nil {
+		t.Fatal(err)
+	}
+	var mu sync.Mutex
+	var logs []string
+	logf := func(format string, args ...any) {
+		mu.Lock()
+		logs = append(logs, fmt.Sprintf(format, args...))
+		mu.Unlock()
+	}
+	runs0 := cpu.RunsStarted()
+	s, ts := newTestServer(t, Config{Workers: 1, Store: st, Logf: logf})
+	v, code := submit(t, ts, testSpec())
+	if code != http.StatusAccepted {
+		t.Fatalf("submit: status %d", code)
+	}
+	done := waitTerminal(t, ts, v.ID)
+	if done.State != stateDone || done.CaptureSource != sourceSimulated {
+		t.Fatalf("job: state=%s source=%q (%s), want done/simulated", done.State, done.CaptureSource, done.Error)
+	}
+	if got := cpu.RunsStarted() - runs0; got != 1 || s.met.simulationCount() != 1 {
+		t.Fatalf("ran %d simulations (counter %d), want 1", got, s.met.simulationCount())
+	}
+	if _, _, puts := st.Counters(); puts != 0 {
+		t.Fatalf("store counted %d puts, want 0", puts)
+	}
+	mu.Lock()
+	defer mu.Unlock()
+	for _, m := range logs {
+		if strings.Contains(m, "publishing") {
+			return
+		}
+	}
+	t.Fatalf("failed publish not logged: %q", logs)
 }
 
 // TestBadRequests exercises the client-error paths.

@@ -19,9 +19,9 @@ var errCaptureSealed = errors.New("trace: record after capture Finish/Close")
 // bounding the footprint of a parallel suite evaluation.
 const DefaultSpillBytes = 128 << 20
 
-// spillChunk is the write granularity once a capture has spilled: records
-// accumulate in the buffer and are flushed to the file in chunks this size.
-const spillChunk = 1 << 20
+// blockBytes is the capacity of every in-memory capture block, and the write
+// granularity once a capture has spilled.
+const blockBytes = 1 << 20
 
 // maxRecordBytes over-estimates the largest possible encoded record: cycle
 // delta + header + MaxBanks full banks + exception/dispatch/in-flight blocks,
@@ -34,13 +34,19 @@ const maxRecordBytes = 512
 // records into the capture, and every profiler configuration afterwards is
 // fed by decoding the capture — far cheaper than re-simulating the core.
 //
-// Records are encoded straight into the in-memory buffer (same byte format
-// as Writer); once the encoded size crosses the spill threshold the capture
-// transparently moves to a temp file. Close releases the file; a purely
+// Records are encoded (same byte format as Writer) into a list of fixed
+// blockBytes blocks: a record goes into the current block while at least
+// maxRecordBytes remain, otherwise the block is sealed and a fresh one
+// started, so no record straddles a block and no byte is ever copied to
+// grow the trace. Once the in-memory size crosses the spill threshold the
+// sealed blocks move to a temp file and the capture keeps one block, written
+// out and reused each time it fills. Close releases the file; a purely
 // in-memory capture needs no Close but tolerates one.
 type Capture struct {
 	limit     int
-	buf       []byte // header + encoded records (pending chunk when spilled)
+	blocks    [][]byte // sealed in-memory blocks, in stream order
+	cur       []byte   // block records are appended to (pending chunk when spilled)
+	memBytes  uint64   // encoded bytes in blocks
 	f         *os.File
 	fileBytes uint64 // bytes already flushed to f
 	st        codecState
@@ -81,53 +87,43 @@ func (c *Capture) OnCycle(r *Record) {
 		c.err = errCaptureSealed
 		return
 	}
-	if c.count == 0 && c.f == nil && len(c.buf) == 0 {
-		if c.st.v3 {
-			c.buf = append(c.buf, formatMagicV3...)
-		} else {
-			c.buf = append(c.buf, formatMagic...)
+	if cap(c.cur)-len(c.cur) < maxRecordBytes {
+		if c.nextBlock(); c.err != nil {
+			return
 		}
 	}
-	if cap(c.buf)-len(c.buf) < maxRecordBytes {
-		c.grow()
-	}
-	c.buf = appendRecord(c.buf, r, &c.st)
+	c.cur = appendRecord(c.cur, r, &c.st)
 	c.count++
-	if c.f == nil {
-		if len(c.buf) > c.limit {
-			c.spill()
+	if c.f == nil && c.memBytes+uint64(len(c.cur)) > uint64(c.limit) {
+		c.spill()
+	}
+}
+
+// nextBlock makes room for a record when the current block is full: it
+// starts the first block (magic header included), seals the current block
+// into the in-memory list, or — once spilled — writes it to the file and
+// reuses it.
+func (c *Capture) nextBlock() {
+	switch {
+	case c.cur == nil:
+		c.cur = make([]byte, 0, blockBytes)
+		if c.st.v3 {
+			c.cur = append(c.cur, formatMagicV3...)
+		} else {
+			c.cur = append(c.cur, formatMagic...)
 		}
-	} else if len(c.buf) >= spillChunk {
+	case c.f == nil:
+		c.blocks = append(c.blocks, c.cur)
+		c.memBytes += uint64(len(c.cur))
+		c.cur = make([]byte, 0, blockBytes)
+	default:
 		c.flush()
 	}
 }
 
-// grow doubles the buffer's capacity (1 MiB floor, bounded by what the
-// capture can ever hold before spilling). The runtime's growth policy for
-// large slices is ~1.25x, which would re-copy a multi-megabyte trace several
-// times over as it accumulates; explicit doubling keeps total copying linear
-// in the final size.
-func (c *Capture) grow() {
-	bound := c.limit + maxRecordBytes
-	if c.f != nil {
-		bound = spillChunk + maxRecordBytes
-	}
-	newCap := 2 * cap(c.buf)
-	if newCap < 1<<20 {
-		newCap = 1 << 20
-	}
-	if newCap > bound {
-		newCap = bound
-	}
-	if newCap <= cap(c.buf) {
-		return // bound reached; let append grow the tail if it must
-	}
-	nb := make([]byte, len(c.buf), newCap)
-	copy(nb, c.buf)
-	c.buf = nb
-}
-
-// spill moves the capture to a temp file once the memory budget is exceeded.
+// spill moves the capture to a temp file once the memory budget is
+// exceeded: the sealed blocks are written out in order and dropped, and the
+// current block stays as the pending chunk.
 func (c *Capture) spill() {
 	f, err := os.CreateTemp("", "tip-capture-*.trc")
 	if err != nil {
@@ -135,24 +131,40 @@ func (c *Capture) spill() {
 		return
 	}
 	c.f = f
-	c.flush()
+	for _, b := range c.blocks {
+		n, err := f.Write(b)
+		c.fileBytes += uint64(n)
+		if err != nil {
+			c.err = err
+			break
+		}
+	}
+	c.blocks, c.memBytes = nil, 0
 }
 
-// flush writes the buffered chunk to the spill file.
+// flush writes the pending chunk to the spill file and empties it for reuse.
 func (c *Capture) flush() {
-	n, err := c.f.Write(c.buf)
+	n, err := c.f.Write(c.cur)
 	c.fileBytes += uint64(n)
-	c.buf = c.buf[:0]
+	c.cur = c.cur[:0]
 	if err != nil {
 		c.err = err
 	}
 }
 
-// Finish implements Consumer; after Finish the capture is replayable.
+// Finish implements Consumer; after Finish the capture is replayable. The
+// current block joins the sealed list, or is flushed and released once
+// spilled, so a finished spilled capture holds no trace bytes in memory.
 func (c *Capture) Finish(totalCycles uint64) {
-	if c.f != nil && c.err == nil && len(c.buf) > 0 {
+	if c.f == nil {
+		if len(c.cur) > 0 {
+			c.blocks = append(c.blocks, c.cur)
+			c.memBytes += uint64(len(c.cur))
+		}
+	} else if c.err == nil && len(c.cur) > 0 {
 		c.flush()
 	}
+	c.cur = nil
 	c.cycles = totalCycles
 	c.finished = true
 }
@@ -167,7 +179,7 @@ func (c *Capture) Cycles() uint64 { return c.cycles }
 func (c *Capture) Records() uint64 { return c.count }
 
 // Bytes returns the encoded trace size in bytes (including the header).
-func (c *Capture) Bytes() uint64 { return c.fileBytes + uint64(len(c.buf)) }
+func (c *Capture) Bytes() uint64 { return c.fileBytes + c.memBytes + uint64(len(c.cur)) }
 
 // Spilled reports whether the capture overflowed to a temp file.
 func (c *Capture) Spilled() bool { return c.f != nil }
@@ -185,7 +197,8 @@ func NewCaptureFromEncoded(data []byte, records, cycles uint64) (*Capture, error
 	}
 	return &Capture{
 		limit:    len(data),
-		buf:      data,
+		blocks:   [][]byte{data},
+		memBytes: uint64(len(data)),
 		count:    records,
 		cycles:   cycles,
 		st:       codecState{v3: v3},
@@ -215,12 +228,12 @@ func (c *Capture) replayable() error {
 	return nil
 }
 
-// reader returns a fresh Reader over the finished capture: a window over the
-// in-memory buffer, or a refilling one over its own section of the spill
+// reader returns a fresh Reader over the finished capture: a window walking
+// the in-memory blocks, or a refilling one over its own section of the spill
 // file, so any number of readers may decode the capture concurrently.
 func (c *Capture) reader() *Reader {
 	if c.f == nil {
-		return newSliceReader(c.buf)
+		return newBlockReader(c.blocks)
 	}
 	return NewReader(io.NewSectionReader(c.f, 0, int64(c.fileBytes)))
 }
@@ -241,14 +254,20 @@ func (c *Capture) WriteTo(w io.Writer) (int64, error) {
 			return written, err
 		}
 	}
-	n, err := w.Write(c.buf)
-	return written + int64(n), err
+	for _, b := range c.blocks {
+		n, err := w.Write(b)
+		written += int64(n)
+		if err != nil {
+			return written, err
+		}
+	}
+	return written, nil
 }
 
 // Close releases the spill file, if any. The capture is not replayable
 // afterwards.
 func (c *Capture) Close() error {
-	c.buf = nil
+	c.blocks, c.cur, c.memBytes = nil, nil, 0
 	c.closed = true
 	if c.f == nil {
 		return nil

@@ -150,9 +150,10 @@ func NewWriterV3(w io.Writer) *Writer {
 // directly in the profile.
 func appendRecord(buf []byte, r *Record, st *codecState) []byte {
 	if cap(buf)-len(buf) < maxRecordBytes {
-		// The Capture pre-grows with its own doubling policy, so only the
-		// Writer path (stable reused buffer) ever lands here, and only until
-		// its buffer reaches maxRecordBytes capacity.
+		// The Capture starts a fresh block before a record could overrun
+		// its current one, so only the Writer path (stable reused buffer)
+		// ever lands here, and only until its buffer reaches maxRecordBytes
+		// capacity.
 		grown := make([]byte, len(buf), 2*cap(buf)+maxRecordBytes)
 		copy(grown, buf)
 		buf = grown
@@ -337,19 +338,21 @@ func (w *Writer) Count() uint64 { return w.count }
 const readerWindow = 1 << 16
 
 // Reader decodes a stored trace. It is a byte window over decodeRecord: over
-// an in-memory trace the window is the whole slice and never refills; over
-// an io.Reader the window is refilled whenever fewer than maxRecordBytes
-// undecoded bytes remain and the source is not exhausted, so every record
-// decodeRecord sees lies wholly inside the window (or the stream really is
-// truncated there).
+// an in-memory trace the window is one block (a whole slice, or one of a
+// Capture's blocks, none of which a record straddles) and never refills,
+// moving to the next block once used up; over an io.Reader the window is
+// refilled whenever fewer than maxRecordBytes undecoded bytes remain and the
+// source is not exhausted, so every record decodeRecord sees lies wholly
+// inside the window (or the stream really is truncated there).
 type Reader struct {
-	src  io.Reader // nil for an in-memory trace
-	buf  []byte
-	pos  int  // next undecoded byte in buf
-	eof  bool // src exhausted: buf holds the whole remaining stream
-	hdr  bool // magic validated
-	st   codecState
-	fail error // sticky source read error
+	src    io.Reader // nil for an in-memory trace
+	buf    []byte
+	blocks [][]byte // in-memory blocks after buf, in stream order
+	pos    int      // next undecoded byte in buf
+	eof    bool     // src exhausted: buf holds the whole remaining stream
+	hdr    bool     // magic validated
+	st     codecState
+	fail   error // sticky source read error
 }
 
 // NewReader returns a trace reader over a streamed encoded trace.
@@ -361,6 +364,16 @@ func NewReader(r io.Reader) *Reader {
 // header included. The slice is read, never copied or modified.
 func newSliceReader(data []byte) *Reader {
 	return &Reader{buf: data, eof: true}
+}
+
+// newBlockReader returns a Reader over an in-memory encoded trace split into
+// blocks that each end on a record boundary, the first carrying the magic
+// header. The blocks are read, never copied or modified.
+func newBlockReader(blocks [][]byte) *Reader {
+	if len(blocks) == 0 {
+		return newSliceReader(nil)
+	}
+	return &Reader{buf: blocks[0], blocks: blocks[1:], eof: true}
 }
 
 // fill slides the undecoded tail to the front of the window and reads until
@@ -394,8 +407,11 @@ func (r *Reader) Next(rec *Record) error {
 			return err
 		}
 	}
-	if r.pos >= len(r.buf) {
-		return io.EOF
+	for r.pos >= len(r.buf) {
+		if len(r.blocks) == 0 {
+			return io.EOF
+		}
+		r.buf, r.blocks, r.pos = r.blocks[0], r.blocks[1:], 0
 	}
 	if !r.hdr {
 		v3, err := sniffMagic(r.buf[r.pos:])
