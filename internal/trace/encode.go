@@ -2,6 +2,7 @@ package trace
 
 import (
 	"bufio"
+	"bytes"
 	"encoding/binary"
 	"fmt"
 	"io"
@@ -344,6 +345,11 @@ const readerWindow = 1 << 16
 // refilled whenever fewer than maxRecordBytes undecoded bytes remain and the
 // source is not exhausted, so every record decodeRecord sees lies wholly
 // inside the window (or the stream really is truncated there).
+//
+// A stalled core emits the same commit-stage record cycle after cycle, and
+// across the benchmark suite about two records in three repeat the one
+// before them byte for byte. Next serves such a repeat without decoding it
+// (see rep).
 type Reader struct {
 	src    io.Reader // nil for an in-memory trace
 	buf    []byte
@@ -353,6 +359,21 @@ type Reader struct {
 	hdr    bool     // magic validated
 	st     codecState
 	fail   error // sticky source read error
+
+	// rep is the span in buf of the last record decodeRecord filled into
+	// repRec, kept only when that record committed nothing and left the
+	// PC, FID, InstIndex and core bases as it found them; repDelta is its
+	// cycle delta. Identical bytes that follow it then decode, under the
+	// same bases, to the same record but for the cycle, so Next advances
+	// the cycle base and rec.Cycle and skips decodeRecord. A committing
+	// record is never kept: its FIDs advance, so it seldom repeats, and
+	// committing records are the ones internal/check's corruptor test
+	// rewrites. A refill or block switch drops rep. repeats counts the
+	// records served this way.
+	rep      []byte
+	repDelta uint64
+	repRec   *Record
+	repeats  uint64
 }
 
 // NewReader returns a trace reader over a streamed encoded trace.
@@ -383,7 +404,7 @@ func (r *Reader) fill() error {
 		return r.fail
 	}
 	n := copy(r.buf[:cap(r.buf)], r.buf[r.pos:])
-	r.buf, r.pos = r.buf[:n], 0
+	r.buf, r.pos, r.rep = r.buf[:n], 0, nil
 	for len(r.buf) < maxRecordBytes && !r.eof {
 		m, err := r.src.Read(r.buf[len(r.buf):cap(r.buf)])
 		r.buf = r.buf[:len(r.buf)+m]
@@ -398,9 +419,14 @@ func (r *Reader) fill() error {
 }
 
 // Next decodes the next record into rec, which must be zero or the record a
-// previous Next filled. It returns io.EOF at the end of the trace. The codec
-// version is detected from the stream's magic: v3 records carry a core ID,
-// v2 records decode with Core = 0.
+// previous Next filled, unmodified since (records are read-only to
+// consumers; see Consumer). It returns io.EOF at the end of the trace. The
+// codec version is detected from the stream's magic: v3 records carry a
+// core ID, v2 records decode with Core = 0.
+//
+// When rec is the record the previous full decode filled, and the next
+// bytes repeat that record under unchanged delta bases, Next only sets
+// rec.Cycle: every other field already holds what decoding would write.
 func (r *Reader) Next(rec *Record) error {
 	if !r.eof && len(r.buf)-r.pos < maxRecordBytes {
 		if err := r.fill(); err != nil {
@@ -411,7 +437,15 @@ func (r *Reader) Next(rec *Record) error {
 		if len(r.blocks) == 0 {
 			return io.EOF
 		}
-		r.buf, r.blocks, r.pos = r.blocks[0], r.blocks[1:], 0
+		r.buf, r.blocks, r.pos, r.rep = r.blocks[0], r.blocks[1:], 0, nil
+	}
+	if rep := r.rep; rep != nil && rec == r.repRec && len(r.buf)-r.pos >= len(rep) &&
+		bytes.Equal(r.buf[r.pos:r.pos+len(rep)], rep) {
+		r.st.lastCycle += r.repDelta
+		rec.Cycle = r.st.lastCycle
+		r.pos += len(rep)
+		r.repeats++
+		return nil
 	}
 	if !r.hdr {
 		v3, err := sniffMagic(r.buf[r.pos:])
@@ -422,9 +456,15 @@ func (r *Reader) Next(rec *Record) error {
 		r.pos += len(formatMagic)
 		return r.Next(rec)
 	}
+	base := r.st
 	pos, err := decodeRecord(r.buf, r.pos, &r.st, rec)
 	if err != nil {
 		return err
+	}
+	r.rep = nil
+	if rec.CommitCount == 0 && r.st.lastPC == base.lastPC && r.st.lastFID == base.lastFID &&
+		r.st.lastInst == base.lastInst && r.st.lastCore == base.lastCore {
+		r.rep, r.repDelta, r.repRec = r.buf[r.pos:pos], r.st.lastCycle-base.lastCycle, rec
 	}
 	r.pos = pos
 	return nil

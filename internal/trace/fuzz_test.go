@@ -68,6 +68,13 @@ func fuzzSeedTraces() (seeds [][]byte, numValid int) {
 	seeds = append(seeds, one(true, multi, 22))
 	seeds = append(seeds, one(true, []Record{r0}, 1))
 
+	// Stall runs, v2 and v3: runs a stalled core repeats byte for byte
+	// (the Reader's repeat shortcut), broken by a longer cycle gap, by a
+	// move to another stalled instruction and by commits.
+	stalls := (&stallTrace{}).commit(0x52000).stall(0x40000, 6).skip(1).stall(0x40000, 3).
+		stall(0x52000, 4).commit(0x52000).empty(3).commit(0x40000)
+	seeds = append(seeds, stalls.encode(false), stalls.encode(true))
+
 	numValid = len(seeds)
 
 	// Degenerate inputs: empty, magic only (both versions), magic plus
@@ -83,34 +90,50 @@ func fuzzSeedTraces() (seeds [][]byte, numValid int) {
 	return seeds, numValid
 }
 
-// FuzzDecodeRecord drives the record decoder over arbitrary bytes. The
-// decoder must never panic and must always make progress (or error): a
-// malformed trace is an error to report, not a crash or an infinite loop.
-// Decoded records are run through the age-order accessors, which must
-// tolerate any field values the decoder lets through.
+// FuzzDecodeRecord drives the record decoder over arbitrary bytes, directly
+// and through a slice Reader, whose repeat shortcut skips it. Neither may
+// panic, and both must always make progress (or error): a malformed trace
+// is an error to report, not a crash or an infinite loop. Decoded records
+// are run through the age-order accessors, which must tolerate any field
+// values the decoder lets through.
 func FuzzDecodeRecord(f *testing.F) {
 	seeds, _ := fuzzSeedTraces()
 	for _, s := range seeds {
 		f.Add(s)
 	}
 	f.Fuzz(func(t *testing.T, data []byte) {
+		// Accessors must clamp malformed bank counts, never index out of
+		// range.
+		access := func(rec *Record) {
+			rec.Oldest()
+			rec.YoungestCommitting()
+			rec.CommittingInAgeOrder(nil)
+		}
 		var st codecState
 		var rec Record
 		pos := 0
 		for pos < len(data) {
 			next, err := decodeRecord(data, pos, &st, &rec)
 			if err != nil {
-				return
+				break
 			}
 			if next <= pos {
 				t.Fatalf("decodeRecord made no progress at %d", pos)
 			}
 			pos = next
-			// Accessors must clamp malformed bank counts, never index
-			// out of range.
-			rec.Oldest()
-			rec.YoungestCommitting()
-			rec.CommittingInAgeOrder(nil)
+			access(&rec)
+		}
+		r := newSliceReader(data)
+		var next Record
+		for {
+			at := r.pos
+			if err := r.Next(&next); err != nil {
+				return
+			}
+			if r.pos <= at {
+				t.Fatalf("Reader made no progress at %d", at)
+			}
+			access(&next)
 		}
 	})
 }
@@ -158,7 +181,8 @@ type decodePath struct {
 // a one-byte-per-Read source (so its window refills on every byte), and
 // both shards of a 2-shard Capture.ReplayShards. All must agree — same
 // accept/reject decision and, on success, the identical record sequence and
-// totals. None may panic.
+// totals. None may panic. The stall-run seeds drive the slice and shard
+// Readers through their repeat shortcut; the reference has none.
 func FuzzReplayBytes(f *testing.F) {
 	seeds, _ := fuzzSeedTraces()
 	for _, s := range seeds {
@@ -206,13 +230,20 @@ func FuzzReplayBytes(f *testing.F) {
 
 // TestFuzzSeedsReplayCleanly sanity-checks that the valid seeds really are
 // valid (and the corrupted ones really are rejected) under the normal test
-// runner, so a codec change that invalidates the corpus fails fast here.
+// runner, so a codec change that invalidates the corpus fails fast here. The
+// valid seeds must also drive the Reader through its repeat shortcut.
 func TestFuzzSeedsReplayCleanly(t *testing.T) {
 	seeds, numValid := fuzzSeedTraces()
+	var repeats uint64
 	for i, s := range seeds[:numValid] {
-		if _, _, err := ReplayBytes(s, &nullConsumer{}); err != nil {
+		r := newSliceReader(s)
+		if _, _, err := Replay(r, &nullConsumer{}); err != nil {
 			t.Fatalf("seed %d does not replay: %v", i, err)
 		}
+		repeats += r.repeats
+	}
+	if repeats == 0 {
+		t.Fatal("no valid seed takes the Reader's repeat shortcut")
 	}
 	for i, s := range seeds[numValid:] {
 		if _, _, err := ReplayBytes(s, &nullConsumer{}); err == nil {

@@ -1,0 +1,324 @@
+package trace
+
+import (
+	"bytes"
+	"context"
+	"errors"
+	"io"
+	"testing"
+	"testing/iotest"
+)
+
+// stallRecord is one cycle of a core stalled on the instruction at pc: two
+// valid, non-committing head entries, an instruction waiting at dispatch
+// and work in flight, so the record writes every PC, FID and InstIndex
+// base. Repeated on consecutive cycles it encodes byte for byte the same
+// from its second copy on.
+func stallRecord(pc uint64) Record {
+	var r Record
+	r.NumBanks = 4
+	r.HeadBank = 1
+	fid := pc / 4
+	r.Banks[1] = BankEntry{Valid: true, PC: pc, FID: fid, InstIndex: int32(fid % 512)}
+	r.Banks[2] = BankEntry{Valid: true, PC: pc + 4, FID: fid + 1, InstIndex: int32((fid + 1) % 512)}
+	r.DispatchValid = true
+	r.DispatchPC = pc + 64
+	r.DispatchFID = fid + 16
+	r.DispatchInstIndex = int32((fid + 16) % 512)
+	r.AnyInFlight = true
+	r.YoungestFID = fid + 20
+	return r
+}
+
+// stallTrace appends records on consecutive cycles, one core at a time.
+type stallTrace struct {
+	recs  []Record
+	cycle uint64
+	core  uint32
+}
+
+func (s *stallTrace) add(r Record) {
+	r.Cycle, r.Core = s.cycle, s.core
+	s.recs = append(s.recs, r)
+	s.cycle++
+}
+
+// stall appends n cycles stalled at pc.
+func (s *stallTrace) stall(pc uint64, n int) *stallTrace {
+	for i := 0; i < n; i++ {
+		s.add(stallRecord(pc))
+	}
+	return s
+}
+
+// commit appends one cycle in which the head entry at pc commits.
+func (s *stallTrace) commit(pc uint64) *stallTrace {
+	r := stallRecord(pc)
+	r.Banks[1].Committing = true
+	r.CommitCount = 1
+	s.add(r)
+	return s
+}
+
+// empty appends n empty-ROB cycles, which write no delta base at all.
+func (s *stallTrace) empty(n int) *stallTrace {
+	for i := 0; i < n; i++ {
+		var r Record
+		r.NumBanks = 4
+		r.ROBEmpty = true
+		s.add(r)
+	}
+	return s
+}
+
+// slide appends n non-committing cycles whose one valid entry advances by
+// one instruction per cycle: every record encodes to the same bytes, but
+// each decodes under bases the one before it moved.
+func (s *stallTrace) slide(pc uint64, n int) *stallTrace {
+	for i := 0; i < n; i++ {
+		var r Record
+		r.NumBanks = 4
+		p := pc + uint64(4*i)
+		r.Banks[0] = BankEntry{Valid: true, PC: p, FID: p / 4, InstIndex: int32(i)}
+		s.add(r)
+	}
+	return s
+}
+
+// skip leaves n cycles without a record, so the next cycle delta is n+1.
+func (s *stallTrace) skip(n uint64) *stallTrace {
+	s.cycle += n
+	return s
+}
+
+func (s *stallTrace) encode(v3 bool) []byte {
+	var buf bytes.Buffer
+	w := NewWriter(&buf)
+	if v3 {
+		w = NewWriterV3(&buf)
+	}
+	for i := range s.recs {
+		w.OnCycle(&s.recs[i])
+	}
+	w.Finish(s.cycle)
+	return buf.Bytes()
+}
+
+// stallCase is an encoded trace with stall runs and the fewest records its
+// slice Reader must serve through the repeat shortcut.
+type stallCase struct {
+	name       string
+	enc        []byte
+	minRepeats uint64
+}
+
+func stallCases() []stallCase {
+	const a, b = 0x40000, 0x52000
+	// Two lockstep cores stalled on different instructions: each cycle
+	// holds a record of core 0, then one of core 1 at the same cycle.
+	alternating := &stallTrace{}
+	for i := 0; i < 60; i++ {
+		alternating.core = 0
+		alternating.stall(a, 1)
+		alternating.cycle--
+		alternating.core = 1
+		alternating.stall(b, 1)
+	}
+	alternating.core = 0
+	alternating.commit(a)
+	return []stallCase{
+		{"run of 100", (&stallTrace{}).commit(b).stall(a, 100).commit(a).encode(false), 98},
+		{"runs of 1, 2, 3 and 100", (&stallTrace{}).commit(b).stall(a, 1).commit(b).stall(a, 2).
+			commit(b).stall(a, 3).commit(b).stall(a, 100).commit(a).encode(false), 98 + 1},
+		{"run broken by a cycle delta of 2", (&stallTrace{}).stall(a, 10).skip(1).stall(a, 10).commit(a).encode(false), 16},
+		{"first repeat after the bases change", (&stallTrace{}).stall(a, 5).stall(b, 5).stall(a, 5).commit(a).encode(false), 9},
+		{"repeat after a committing record", (&stallTrace{}).commit(a).stall(a, 5).commit(a).stall(a, 5).encode(false), 8},
+		{"empty ROB", (&stallTrace{}).commit(a).empty(50).commit(a).encode(false), 49},
+		{"identical bytes under advancing bases", (&stallTrace{}).slide(a, 50).commit(a).encode(false), 0},
+		{"v3 one core", (&stallTrace{}).commit(b).stall(a, 100).commit(a).encode(true), 98},
+		{"v3 two cores alternate", alternating.encode(true), 0},
+	}
+}
+
+// replayed is one route's replay outcome.
+type replayed struct {
+	got             collect
+	cycles, records uint64
+	err             error
+}
+
+// sameAsReference fails unless got delivered the reference decoder's
+// records, totals and Finish.
+func sameAsReference(t *testing.T, name string, ref, got replayed) {
+	t.Helper()
+	if ref.err != nil || got.err != nil {
+		t.Fatalf("%s: err %v, reference err %v", name, got.err, ref.err)
+	}
+	if got.cycles != ref.cycles || got.records != ref.records || got.got.total != ref.got.total {
+		t.Fatalf("%s: totals %d/%d Finish(%d), reference %d/%d Finish(%d)", name,
+			got.cycles, got.records, got.got.total, ref.cycles, ref.records, ref.got.total)
+	}
+	if len(got.got.recs) != len(ref.got.recs) {
+		t.Fatalf("%s: %d records, reference %d", name, len(got.got.recs), len(ref.got.recs))
+	}
+	for i := range ref.got.recs {
+		if got.got.recs[i] != ref.got.recs[i] {
+			t.Fatalf("%s: record %d differs from the reference:\n got %+v\nwant %+v", name, i, got.got.recs[i], ref.got.recs[i])
+		}
+	}
+}
+
+func replayWith(r *Reader) (out replayed) {
+	out.cycles, out.records, out.err = Replay(r, &out.got)
+	return out
+}
+
+func referenceReplay(data []byte) (out replayed) {
+	out.cycles, out.records, out.err = refReplay(data, &out.got)
+	return out
+}
+
+// alternatingReplay is Replay by a caller that decodes into two Records in
+// turn, so no call passes the record the previous one filled.
+func alternatingReplay(r *Reader) (out replayed) {
+	var recs [2]Record
+	lastCommit := uint64(0)
+	for i := 0; ; i++ {
+		rec := &recs[i%2]
+		if err := r.Next(rec); err != nil {
+			if !errors.Is(err, io.EOF) {
+				out.err = err
+				return out
+			}
+			break
+		}
+		out.records++
+		out.got.OnCycle(rec)
+		if rec.CommitCount > 0 {
+			lastCommit = rec.Cycle
+		}
+	}
+	out.cycles = lastCommit + 1
+	out.got.Finish(out.cycles)
+	return out
+}
+
+// TestRepeatShortcutMatchesReference replays traces with stall runs through
+// every Reader route and requires the reference decoder's records, totals
+// and Finish from each. The slice Reader must take the shortcut at least
+// minRepeats times, so an edit that turns it off fails here.
+func TestRepeatShortcutMatchesReference(t *testing.T) {
+	for _, tc := range stallCases() {
+		t.Run(tc.name, func(t *testing.T) {
+			ref := referenceReplay(tc.enc)
+			if ref.err != nil {
+				t.Fatal(ref.err)
+			}
+			slice := newSliceReader(tc.enc)
+			sameAsReference(t, "slice", ref, replayWith(slice))
+			if slice.repeats < tc.minRepeats {
+				t.Fatalf("slice Reader served %d of %d records as repeats, want at least %d", slice.repeats, ref.records, tc.minRepeats)
+			}
+			sameAsReference(t, "streamed", ref, replayWith(NewReader(bytes.NewReader(tc.enc))))
+			sameAsReference(t, "one-byte", ref, replayWith(NewReader(iotest.OneByteReader(bytes.NewReader(tc.enc)))))
+			alt := newSliceReader(tc.enc)
+			sameAsReference(t, "two alternating Records", ref, alternatingReplay(alt))
+			if alt.repeats != 0 {
+				t.Fatalf("alternating caller served %d repeats; the shortcut needs the record the last decode filled", alt.repeats)
+			}
+			capt, err := NewCaptureFromEncoded(tc.enc, 0, 0)
+			if err != nil {
+				t.Fatal(err)
+			}
+			var shards [2]replayed
+			shards[0].cycles, shards[0].records, err = capt.ReplayShards(context.Background(), 7, &shards[0].got, &shards[1].got)
+			if err != nil {
+				t.Fatal(err)
+			}
+			shards[1].cycles, shards[1].records = shards[0].cycles, shards[0].records
+			sameAsReference(t, "shard 0", ref, shards[0])
+			sameAsReference(t, "shard 1", ref, shards[1])
+		})
+	}
+}
+
+// TestRepeatRunAcrossWindows replays one stall run long enough to straddle
+// a capture block seal and many readerWindow refills. Every route must match
+// the reference; the block Reader and the streamed Reader must keep taking
+// the shortcut after each block switch and refill drops it.
+func TestRepeatRunAcrossWindows(t *testing.T) {
+	const n = 150_000
+	tr := (&stallTrace{}).commit(0x52000).stall(0x40000, n).commit(0x40000)
+	c := NewCapture(0)
+	for i := range tr.recs {
+		c.OnCycle(&tr.recs[i])
+	}
+	c.Finish(tr.cycle)
+	if len(c.blocks) < 2 {
+		t.Fatalf("the run spans %d capture blocks, want at least 2", len(c.blocks))
+	}
+	var enc bytes.Buffer
+	if _, err := c.WriteTo(&enc); err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(enc.Bytes(), tr.encode(false)) {
+		t.Fatal("capture bytes differ from the Writer encoding")
+	}
+	ref := referenceReplay(enc.Bytes())
+
+	blocks := c.reader()
+	sameAsReference(t, "capture blocks", ref, replayWith(blocks))
+	// One full decode to reach the run, one to remember it, then one
+	// after each block switch.
+	if want := uint64(n - 1 - len(c.blocks)); blocks.repeats < want {
+		t.Fatalf("block Reader served %d repeats, want at least %d", blocks.repeats, want)
+	}
+	streamed := NewReader(bytes.NewReader(enc.Bytes()))
+	sameAsReference(t, "streamed", ref, replayWith(streamed))
+	if refills := enc.Len()/(readerWindow-maxRecordBytes) + 1; streamed.repeats < uint64(n-2-refills) {
+		t.Fatalf("streamed Reader served %d repeats over about %d refills, want at least %d", streamed.repeats, refills, n-2-refills)
+	}
+	sameAsReference(t, "one-byte", ref, replayWith(NewReader(iotest.OneByteReader(bytes.NewReader(enc.Bytes())))))
+	var shards [2]replayed
+	var err error
+	shards[0].cycles, shards[0].records, err = c.ReplayShards(context.Background(), 0, &shards[0].got, &shards[1].got)
+	if err != nil {
+		t.Fatal(err)
+	}
+	shards[1].cycles, shards[1].records = shards[0].cycles, shards[0].records
+	sameAsReference(t, "shard 0", ref, shards[0])
+	sameAsReference(t, "shard 1", ref, shards[1])
+}
+
+// commitBumper rewrites every committing record it sees, the way
+// internal/check's corruptor test does, and remembers the counts it saw.
+type commitBumper struct{ seen []uint8 }
+
+func (c *commitBumper) OnCycle(r *Record) {
+	if r.CommitCount > 0 {
+		c.seen = append(c.seen, r.CommitCount)
+		r.CommitCount++
+	}
+}
+
+func (c *commitBumper) Finish(uint64) {}
+
+// TestCommittingRecordsDecodeAfresh pins the one exception the Consumer
+// contract allows: a committing record never serves as a repeat base, so a
+// consumer that rewrites committing records never sees its own write come
+// back, even when the same committing record repeats byte for byte.
+func TestCommittingRecordsDecodeAfresh(t *testing.T) {
+	tr := &stallTrace{}
+	for i := 0; i < 10; i++ {
+		tr.commit(0x40000)
+	}
+	var c commitBumper
+	if _, _, err := ReplayBytes(tr.encode(false), &c); err != nil {
+		t.Fatal(err)
+	}
+	for i, n := range c.seen {
+		if n != 1 {
+			t.Fatalf("committing record %d arrived with CommitCount %d, want 1", i, n)
+		}
+	}
+}

@@ -9,8 +9,9 @@
 // sample the exact same cycles and differences between them are purely
 // systematic.
 //
-// Records are reused by the producer: consumers must copy anything they
-// need to retain beyond the callback.
+// Records are reused by the producer and are read-only to consumers:
+// consumers must copy anything they need to retain beyond the callback, and
+// must not write to the record (see Consumer).
 package trace
 
 // MaxBanks caps the commit width the record can carry.
@@ -206,6 +207,14 @@ func (r *Record) YoungestCommitting() *BankEntry {
 // Consumer observes the per-cycle stream. OnCycle is called once per cycle
 // with a reused record; Finish is called once when the run ends, with the
 // final cycle count.
+//
+// The record is read-only to OnCycle. A replaying Reader relies on it: when
+// a non-committing record repeats the previous one, the Reader leaves the
+// record it filled last time in place and only advances its Cycle, so a
+// consumer's write would reach every later consumer and every repeated
+// cycle. The corruptor in internal/check's tests breaks this contract on
+// purpose to show the checker catches a bad record; it rewrites only
+// committing records, which never serve as a repeat base.
 type Consumer interface {
 	OnCycle(r *Record)
 	Finish(totalCycles uint64)
