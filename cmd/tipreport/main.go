@@ -13,8 +13,10 @@
 package main
 
 import (
+	"errors"
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"sort"
 
@@ -24,39 +26,54 @@ import (
 )
 
 func main() {
+	err := run(os.Args[1:], os.Stdout)
+	if errors.Is(err, flag.ErrHelp) {
+		return
+	}
+	if err != nil {
+		fmt.Fprintln(os.Stderr, "tipreport:", err)
+		os.Exit(1)
+	}
+}
+
+// run parses args and writes the report to stdout.
+func run(args []string, stdout io.Writer) (err error) {
+	fs := flag.NewFlagSet("tipreport", flag.ContinueOnError)
 	var (
-		bench = flag.String("bench", "imagick", "benchmark the samples were recorded from")
-		seed  = flag.Uint64("seed", 1, "workload seed used at record time")
-		scale = flag.Uint64("scale", 0, "workload scale used at record time")
-		data  = flag.String("data", "", "raw sample file (required)")
-		top   = flag.Int("top", 10, "functions to print")
-		fn    = flag.String("fn", "", "print the instruction profile of this function")
-		insts = flag.Int("insts", 0, "print the N hottest instructions")
-		pprof = flag.String("pprof", "", "also write the profile as a gzipped pprof protobuf to this file (open with `go tool pprof`)")
-		core  = flag.Int("core", -1, "tag the pprof samples with this core number (\"core\" string label, like tipd's multicore export; -1 = untagged)")
+		bench = fs.String("bench", "imagick", "benchmark the samples were recorded from")
+		seed  = fs.Uint64("seed", 1, "workload seed used at record time")
+		scale = fs.Uint64("scale", 0, "workload scale used at record time")
+		data  = fs.String("data", "", "raw sample file (required)")
+		top   = fs.Int("top", 10, "functions to print")
+		fn    = fs.String("fn", "", "print the instruction profile of this function")
+		insts = fs.Int("insts", 0, "print the N hottest instructions")
+		pprof = fs.String("pprof", "", "also write the profile as a gzipped pprof protobuf to this file (open with `go tool pprof`)")
+		core  = fs.Int("core", -1, "tag the pprof samples with this core number (\"core\" string label, like tipd's multicore export; -1 = untagged)")
 	)
-	flag.Parse()
+	if err := fs.Parse(args); err != nil {
+		return err
+	}
 	if *data == "" {
-		fatal(fmt.Errorf("-data is required"))
+		return fmt.Errorf("-data is required")
 	}
 
 	w, err := workload.LoadScaled(*bench, *seed, *scale)
 	if err != nil {
-		fatal(err)
+		return err
 	}
 	f, err := os.Open(*data)
 	if err != nil {
-		fatal(err)
+		return err
 	}
 	defer func() {
-		if err := f.Close(); err != nil {
-			fatal(err)
+		if cerr := f.Close(); err == nil {
+			err = cerr
 		}
 	}()
 
 	prof, cats, err := perfdata.Postprocess(perfdata.NewReader(f), w.Prog)
 	if err != nil {
-		fatal(err)
+		return err
 	}
 
 	if *pprof != "" {
@@ -65,7 +82,7 @@ func main() {
 		// is recorded in the pprof header.
 		out, err := os.Create(*pprof)
 		if err != nil {
-			fatal(err)
+			return err
 		}
 		opt := pprofenc.JobOptions(*bench, *seed, *scale, "TIP", 0)
 		if *core >= 0 {
@@ -73,25 +90,25 @@ func main() {
 		}
 		if err := pprofenc.Write(out, prof, opt); err != nil {
 			out.Close()
-			fatal(err)
+			return err
 		}
 		if err := out.Close(); err != nil {
-			fatal(err)
+			return err
 		}
-		fmt.Printf("wrote pprof profile to %s\n", *pprof)
+		fmt.Fprintf(stdout, "wrote pprof profile to %s\n", *pprof)
 	}
 
-	fmt.Printf("%s: %.0f cycles attributed across %d instructions\n",
+	fmt.Fprintf(stdout, "%s: %.0f cycles attributed across %d instructions\n",
 		*bench, prof.Attributed(), w.Prog.NumInsts())
-	fmt.Printf("cycle categories: %s\n\n", cats.Stack.String())
+	fmt.Fprintf(stdout, "cycle categories: %s\n\n", cats.Stack.String())
 
-	fmt.Println("hottest functions:")
+	fmt.Fprintln(stdout, "hottest functions:")
 	for _, r := range prof.TopFunctions(*top, true) {
-		fmt.Printf("  %-24s %6.2f%%\n", r.Name, r.Share*100)
+		fmt.Fprintf(stdout, "  %-24s %6.2f%%\n", r.Name, r.Share*100)
 	}
 
 	if *insts > 0 {
-		fmt.Println("\nhottest instructions:")
+		fmt.Fprintln(stdout, "\nhottest instructions:")
 		type row struct {
 			idx int
 			v   float64
@@ -109,22 +126,18 @@ func main() {
 				break
 			}
 			in := w.Prog.InstByIndex(r.idx)
-			fmt.Printf("  %#8x %-12s %-20s %6.2f%%\n",
+			fmt.Fprintf(stdout, "  %#8x %-12s %-20s %6.2f%%\n",
 				in.PC, in.Name(), in.Func().Name, r.v/total*100)
 		}
 	}
 
 	if *fn != "" {
-		fmt.Printf("\ninstruction profile of %s:\n", *fn)
+		fmt.Fprintf(stdout, "\ninstruction profile of %s:\n", *fn)
 		for _, r := range prof.FunctionInstProfile(*fn) {
-			fmt.Printf("  %-28s %6.2f%%\n", r.Name, r.Share*100)
+			fmt.Fprintf(stdout, "  %-28s %6.2f%%\n", r.Name, r.Share*100)
 		}
 		st := cats.FunctionStack(*fn)
-		fmt.Printf("\n%s cycle categories: %s\n", *fn, st.String())
+		fmt.Fprintf(stdout, "\n%s cycle categories: %s\n", *fn, st.String())
 	}
-}
-
-func fatal(err error) {
-	fmt.Fprintln(os.Stderr, "tipreport:", err)
-	os.Exit(1)
+	return nil
 }

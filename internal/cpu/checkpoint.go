@@ -125,4 +125,5 @@ func (c *Core) Restore(cp *Checkpoint, stream program.Stream, window uint64) {
 		c.nextSample = c.sampleEvery
 	}
 	c.stats = Stats{}
+	c.quietUntil = 0
 }

@@ -223,6 +223,18 @@ type Core struct {
 	nextSample  uint64
 	sampleEvery uint64
 
+	// Quiescent-cycle horizon. After a full step in which no stage acted,
+	// quietUntil is the earliest cycle at which one can act (see horizon);
+	// a step before it that repeats quietRec at quietCycle+1 only sets
+	// rec.Cycle and adds quietStalls, the store-stall increment of that
+	// full step. quietCycle and quietRec name the last step's cycle and
+	// record. perCycle disables the horizon: tests compare against it.
+	quietUntil  uint64
+	quietCycle  uint64
+	quietRec    *trace.Record
+	quietStalls uint64
+	perCycle    bool
+
 	stats Stats
 }
 
@@ -312,8 +324,14 @@ func (c *Core) L1D() *cache.Cache { return c.l1d }
 // Step advances the machine one cycle, filling rec with the commit-stage
 // observation; it reports whether the core has fully drained. Exported for
 // lockstep multi-core simulation — single-core users call Run.
+//
+// A caller that passes the same rec, unmodified but for Cycle, at one cycle
+// higher than the previous Step lets the core skip quiescent cycles: while
+// no stage can act, Step leaves rec as the last full step filled it and only
+// sets its Cycle. Any other call gets a full step.
 func (c *Core) Step(cycle uint64, rec *trace.Record) bool {
-	return c.step(cycle, rec)
+	done, _ := c.step(cycle, rec)
+	return done
 }
 
 // FinalizeStats records the run length after external stepping (Run does
@@ -409,8 +427,12 @@ func (c *Core) Run(consumer trace.Consumer) (Stats, error) {
 // ctx's error (wrapped). A nil ctx disables polling entirely — Run's hot
 // loop stays branch-predictable. The consumer's Finish is not delivered on
 // cancellation; a partially-fed capture must be Closed by the caller.
+//
+// A consumer that implements trace.Repeater gets each quiescent cycle's
+// record through OnRepeat; every other consumer gets one OnCycle per cycle.
 func (c *Core) RunContext(ctx context.Context, consumer trace.Consumer) (Stats, error) {
 	runsStarted.Add(1)
+	rep, _ := consumer.(trace.Repeater)
 	var rec trace.Record
 	cycle := uint64(0)
 	lastCommitCycle := uint64(0)
@@ -426,8 +448,10 @@ func (c *Core) RunContext(ctx context.Context, consumer trace.Consumer) (Stats, 
 				return c.stats, fmt.Errorf("cpu: run aborted at cycle %d: %w", cycle, err)
 			}
 		}
-		done := c.step(cycle, &rec)
-		if consumer != nil {
+		done, repeat := c.step(cycle, &rec)
+		if repeat && rep != nil {
+			rep.OnRepeat(&rec)
+		} else if consumer != nil {
 			consumer.OnCycle(&rec)
 		}
 		if rec.CommitCount > 0 {
@@ -446,8 +470,25 @@ func (c *Core) RunContext(ctx context.Context, consumer trace.Consumer) (Stats, 
 }
 
 // step advances one cycle: commit (and record), issue, dispatch, fetch. It
-// reports whether the machine is fully drained with no supply left.
-func (c *Core) step(cycle uint64, rec *trace.Record) bool {
+// reports whether the machine is fully drained with no supply left, and
+// whether the cycle was quiescent and skipped: rec then repeats the previous
+// cycle's record one cycle later.
+//
+// A full step in which nothing commits, issues, dispatches or is fetched,
+// no exception, interrupt or flush is raised and no branch-resolve entry
+// expires leaves the pipeline as it found it, and so would every later step
+// up to the horizon, the first cycle at which a time comparison in some
+// stage can flip. Until then only rec.Cycle and the store-stall count move.
+func (c *Core) step(cycle uint64, rec *trace.Record) (done, repeat bool) {
+	if cycle < c.quietUntil && cycle == c.quietCycle+1 && rec == c.quietRec {
+		c.quietCycle = cycle
+		rec.Cycle = cycle
+		c.stats.StoreStallCycles += c.quietStalls
+		return c.drained(), true
+	}
+	c.quietUntil = 0
+	epoch, uop, fid := c.issueEpoch, c.nextUop, c.nextFID
+	stalls, intr, branches := c.stats.StoreStallCycles, c.stats.PMUInterrupts, len(c.branchResolve)
 	c.drainBranchResolve(cycle)
 	if cycle >= c.nextSample {
 		// >= (not ==) keeps the countdown correct even if a caller steps
@@ -461,7 +502,62 @@ func (c *Core) step(cycle uint64, rec *trace.Record) bool {
 	c.issue(cycle)
 	c.dispatch(cycle)
 	c.fetch(cycle)
+	c.quietCycle, c.quietRec = cycle, rec
+	if rec.CommitCount == 0 && !rec.ExceptionRaised && c.issueEpoch == epoch && c.nextUop == uop &&
+		c.nextFID == fid && c.stats.PMUInterrupts == intr && len(c.branchResolve) == branches && !c.perCycle {
+		c.quietStalls = c.stats.StoreStallCycles - stalls
+		c.quietUntil = c.horizon(cycle)
+	}
+	return c.drained(), false
+}
+
+// drained reports whether the machine is empty with no supply left.
+func (c *Core) drained() bool {
 	return c.robCount == 0 && c.fbCount == 0 && !c.anySupply()
+}
+
+// horizon returns the earliest cycle after a quiescent one at which a stage
+// can act, by a time comparison flipping: the ROB head completes, a store-
+// buffer entry drains, a branch-resolve entry expires, the fetch-buffer head
+// becomes dispatchable, fetch unblocks, a divider frees, an issue queue's
+// pinned ready bound arrives or the PMU samples. Everything else that can
+// unblock a stage is itself an act. A queue whose scan epoch is stale would
+// rescan next cycle, so it allows no skip. Past times (at or below cycle)
+// are events that already happened and bound nothing, except that a due
+// ready bound or sample stops the skip outright.
+func (c *Core) horizon(cycle uint64) uint64 {
+	h := c.nextSample
+	for class := range c.iqs {
+		if c.iqScanEpoch[class] != c.issueEpoch {
+			return 0
+		}
+		h = min(h, c.iqMinReady[class])
+	}
+	if c.robCount > 0 {
+		if e := &c.rob[c.robHead]; e.issued {
+			h = earlier(h, e.doneCycle, cycle)
+		}
+	}
+	for _, t := range c.storeBuf {
+		h = earlier(h, t, cycle)
+	}
+	for _, t := range c.branchResolve {
+		h = earlier(h, t, cycle)
+	}
+	if c.fbCount > 0 {
+		h = earlier(h, c.fetchBuf[c.fbHead].readyAt, cycle)
+	}
+	h = earlier(h, c.fetchBlockedUntil, cycle)
+	h = earlier(h, c.intDivBusyUntil, cycle)
+	return earlier(h, c.fpDivBusyUntil, cycle)
+}
+
+// earlier lowers the horizon h to t when t is a future cycle before it.
+func earlier(h, t, cycle uint64) uint64 {
+	if t > cycle && t < h {
+		return t
+	}
+	return h
 }
 
 func (c *Core) drainBranchResolve(cycle uint64) {

@@ -23,6 +23,7 @@ func (s *coreSupply) Next() (program.DynInst, bool) { return (*Core)(s).supplyNe
 // point of keeping one core alive across detailed windows.
 func (c *Core) ArchCheckpoint(cycle uint64) {
 	c.flushPipeline(cycle, nil)
+	c.quietUntil = 0
 }
 
 // FastForward executes up to n instructions functionally: architectural
@@ -44,6 +45,7 @@ func (c *Core) ArchCheckpoint(cycle uint64) {
 const ffTageWarmTail = 48 << 10
 
 func (c *Core) FastForward(ff *program.FastForward, n uint64) (executed uint64, done bool) {
+	c.quietUntil = 0
 	tailStart := uint64(0)
 	if n > ffTageWarmTail {
 		tailStart = n - ffTageWarmTail
@@ -130,4 +132,5 @@ func (c *Core) ResumeFrom(cycle uint64) {
 	c.ffLastLine = ^uint64(0)
 	c.waitBranchFID = invalidFID
 	c.fetchBlockedUntil = cycle
+	c.quietUntil = 0
 }

@@ -149,9 +149,13 @@ func RouteKey(specJSON []byte) (string, error) {
 	return fmt.Sprintf("%s:%d:%d", spec.Bench, seed, spec.Scale), nil
 }
 
+// maxBodyBytes caps the request bodies the coordinator reads.
+const maxBodyBytes = 1 << 20
+
 func (c *Coordinator) handleRegister(w http.ResponseWriter, r *http.Request) {
 	var h NodeHealth
-	if err := json.NewDecoder(r.Body).Decode(&h); err != nil || h.Name == "" || h.URL == "" {
+	err := json.NewDecoder(io.LimitReader(r.Body, maxBodyBytes)).Decode(&h)
+	if err != nil || h.Name == "" || h.URL == "" {
 		cWriteJSON(w, http.StatusBadRequest, map[string]any{"error": "heartbeat needs name and url"})
 		return
 	}
@@ -163,7 +167,7 @@ func (c *Coordinator) handleRegister(w http.ResponseWriter, r *http.Request) {
 // next ring owner if the home rejects, 429 with jitter when every candidate
 // is saturated.
 func (c *Coordinator) handleSubmit(w http.ResponseWriter, r *http.Request) {
-	body, err := io.ReadAll(io.LimitReader(r.Body, 1<<20))
+	body, err := io.ReadAll(io.LimitReader(r.Body, maxBodyBytes))
 	if err != nil {
 		cWriteJSON(w, http.StatusBadRequest, map[string]any{"error": err.Error()})
 		return

@@ -294,3 +294,53 @@ func TestRouteKeyMatchesDefaults(t *testing.T) {
 		t.Fatal("core order must be part of the key: placement is semantic")
 	}
 }
+
+// postRegister posts body to a fresh coordinator's register endpoint and
+// returns the status and the nodes it then lists.
+func postRegister(body []byte) (int, []NodeView) {
+	c := NewCoordinator(CoordinatorConfig{HeartbeatTTL: time.Minute})
+	rec := httptest.NewRecorder()
+	c.Handler().ServeHTTP(rec, httptest.NewRequest("POST", "/fleet/v1/register", bytes.NewReader(body)))
+	return rec.Code, c.reg.views(time.Now())
+}
+
+// FuzzRegister posts arbitrary heartbeat bodies: each gets a 400 or a 200,
+// never a panic, and a 200 registers exactly one node, with a non-empty name
+// and URL.
+func FuzzRegister(f *testing.F) {
+	f.Add([]byte(`{"name":"n1","url":"http://127.0.0.1:7171","core_hash":"ab","queue_depth":2,"workers":2}`))
+	f.Add([]byte(`{"name":"n1","url":"http://x","draining":true} trailing`))
+	f.Add([]byte(`{"name":"","url":"http://x"}`))
+	f.Add([]byte(`{"name":"n1"}`))
+	f.Add([]byte(`{"name":"n1","url":"u","queue_depth":"deep"}`))
+	f.Add([]byte(`[]`))
+	f.Add([]byte{})
+	f.Fuzz(func(t *testing.T, body []byte) {
+		code, nodes := postRegister(body)
+		switch code {
+		case http.StatusOK:
+			if len(nodes) != 1 || nodes[0].Name == "" || nodes[0].URL == "" {
+				t.Fatalf("200 for %q registered %+v", body, nodes)
+			}
+		case http.StatusBadRequest:
+			if len(nodes) != 0 {
+				t.Fatalf("400 for %q registered %+v", body, nodes)
+			}
+		default:
+			t.Fatalf("status %d for %q", code, body)
+		}
+	})
+}
+
+// TestRegisterBodyCapped rejects a heartbeat whose body is over the 1 MiB
+// cap, even though it is well-formed JSON.
+func TestRegisterBodyCapped(t *testing.T) {
+	pad := bytes.Repeat([]byte("x"), maxBodyBytes)
+	body := []byte(`{"name":"n1","url":"http://x","core_hash":"` + string(pad) + `"}`)
+	if code, nodes := postRegister(body); code != http.StatusBadRequest || len(nodes) != 0 {
+		t.Fatalf("oversized heartbeat: status %d, nodes %+v", code, nodes)
+	}
+	if code, _ := postRegister([]byte(`{"name":"n1","url":"http://x"}`)); code != http.StatusOK {
+		t.Fatalf("small heartbeat: status %d", code)
+	}
+}

@@ -187,11 +187,15 @@ func (d *Dispatcher) wait(s *Sampled) {
 }
 
 // settle resolves every waiter against r, which carries their event, and
-// returns the ones still pending, filtered in place.
+// returns the ones still pending, filtered in place. A Software or Dispatch
+// waiter whose least pending target is past the youngest committing FID
+// cannot resolve this cycle and is kept without a resolve call.
 func settle(waiters []*Sampled, r *trace.Record, yc *trace.BankEntry) []*Sampled {
 	keep := waiters[:0]
 	for _, s := range waiters {
-		s.resolve(r, yc)
+		if yc == nil || yc.FID >= s.minTarget {
+			s.resolve(r, yc)
+		}
 		if len(s.pend) > 0 {
 			keep = append(keep, s)
 		}

@@ -127,6 +127,11 @@ type Sampled struct {
 	// pend holds samples awaiting a resolution event. Each kind has one
 	// resolution rule (see resolve), so one queue serves every kind.
 	pend []pendingSample
+	// minTarget is, for Software and Dispatch, the least targetFID in pend:
+	// no pending sample resolves on a commit cycle whose youngest
+	// committing FID is below it. It stays 0 for every other kind, which
+	// resolves on every event.
+	minTarget uint64
 }
 
 // event names the record event that can resolve a kind's pending samples.
@@ -260,19 +265,19 @@ func (s *Sampled) take(r *trace.Record, w float64) {
 		// The interrupt fires, in-flight instructions drain, and the
 		// saved PC is the next instruction after them.
 		if r.AnyInFlight {
-			s.pend = append(s.pend, pendingSample{weight: w, targetFID: r.YoungestFID + 1})
+			s.deferTo(w, r.YoungestFID+1)
 		} else {
-			s.pend = append(s.pend, pendingSample{weight: w, targetFID: 0})
+			s.deferTo(w, 0)
 		}
 	case KindDispatch:
 		if r.DispatchValid {
-			s.pend = append(s.pend, pendingSample{weight: w, targetFID: r.DispatchFID})
+			s.deferTo(w, r.DispatchFID)
 		} else if r.AnyInFlight {
 			// Nothing at dispatch: tag the next instruction to
 			// arrive there.
-			s.pend = append(s.pend, pendingSample{weight: w, targetFID: r.YoungestFID + 1})
+			s.deferTo(w, r.YoungestFID+1)
 		} else {
-			s.pend = append(s.pend, pendingSample{weight: w, targetFID: 0})
+			s.deferTo(w, 0)
 		}
 	case KindLCI:
 		if r.CommitCount > 0 {
@@ -317,6 +322,15 @@ func (s *Sampled) take(r *trace.Record, w float64) {
 	case KindTIP, KindTIPILP:
 		s.takeTIP(r, w)
 	}
+}
+
+// deferTo queues a Software or Dispatch sample that resolves once an
+// instruction at or past target commits, keeping minTarget.
+func (s *Sampled) deferTo(w float64, target uint64) {
+	if len(s.pend) == 0 || target < s.minTarget {
+		s.minTarget = target
+	}
+	s.pend = append(s.pend, pendingSample{weight: w, targetFID: target})
 }
 
 // takeTIP implements the Fig. 6 sample-selection logic.
@@ -405,32 +419,25 @@ func (s *Sampled) resolve(r *trace.Record, yc *trace.BankEntry) {
 		}
 	case KindSoftware, KindDispatch:
 		// The youngest committing FID bounds every pending target: an
-		// entry resolves this cycle iff its target is at or below it.
-		// One scan decides, so stall-heavy stretches skip the per-entry
-		// bank scans and the slice rebuild entirely.
-		if yc == nil {
+		// entry resolves this cycle iff its target is at or below it, so
+		// below minTarget nothing resolves and the list is left alone.
+		if yc == nil || yc.FID < s.minTarget {
 			return
 		}
 		maxFID := yc.FID
-		resolvable := false
-		for i := range s.pend {
-			if s.pend[i].targetFID <= maxFID {
-				resolvable = true
-				break
-			}
-		}
-		if resolvable {
-			keep := s.pend[:0]
-			for _, p := range s.pend {
-				if p.targetFID <= maxFID {
-					idx, _ := firstCommitAtOrAfter(r, p.targetFID)
-					s.add(idx, p.weight)
-				} else {
-					keep = append(keep, p)
+		keep := s.pend[:0]
+		for _, p := range s.pend {
+			if p.targetFID <= maxFID {
+				idx, _ := firstCommitAtOrAfter(r, p.targetFID)
+				s.add(idx, p.weight)
+			} else {
+				if len(keep) == 0 || p.targetFID < s.minTarget {
+					s.minTarget = p.targetFID
 				}
+				keep = append(keep, p)
 			}
-			s.pend = keep
 		}
+		s.pend = keep
 	}
 }
 

@@ -50,7 +50,12 @@ type Capture struct {
 	f         *os.File
 	fileBytes uint64 // bytes already flushed to f
 	st        codecState
-	count     uint64
+	// rep is the last record's encoding in cur when OnRepeat may append it
+	// again: that record committed nothing, left the PC, FID, InstIndex and
+	// core bases as it found them and was one cycle after its predecessor,
+	// so its repeat one cycle later encodes to the same bytes.
+	rep   []byte
+	count uint64
 	// cycles is the Finish total from the captured run.
 	cycles   uint64
 	finished bool
@@ -80,6 +85,7 @@ func NewCaptureV3(spillBytes int) *Capture {
 // OnCycle implements Consumer. Records arriving after Finish or Close set a
 // sticky error rather than corrupting the sealed trace.
 func (c *Capture) OnCycle(r *Record) {
+	c.rep = nil
 	if c.err != nil {
 		return
 	}
@@ -92,7 +98,31 @@ func (c *Capture) OnCycle(r *Record) {
 			return
 		}
 	}
+	base, start := c.st, len(c.cur)
 	c.cur = appendRecord(c.cur, r, &c.st)
+	if r.CommitCount == 0 && c.st.lastCycle == base.lastCycle+1 && c.st.lastPC == base.lastPC &&
+		c.st.lastFID == base.lastFID && c.st.lastInst == base.lastInst && c.st.lastCore == base.lastCore {
+		c.rep = c.cur[start:]
+	}
+	c.added()
+}
+
+// OnRepeat implements Repeater: when the previous record's encoding can
+// stand for its repeat, it is appended again without encoding; otherwise r
+// is encoded as OnCycle would.
+func (c *Capture) OnRepeat(r *Record) {
+	if c.rep == nil || c.err != nil || r.Cycle != c.st.lastCycle+1 || cap(c.cur)-len(c.cur) < maxRecordBytes {
+		c.OnCycle(r)
+		return
+	}
+	c.cur = append(c.cur, c.rep...)
+	c.st.lastCycle++
+	c.added()
+}
+
+// added books a record appended to the current block, spilling once the
+// memory budget is exceeded.
+func (c *Capture) added() {
 	c.count++
 	if c.f == nil && c.memBytes+uint64(len(c.cur)) > uint64(c.limit) {
 		c.spill()
@@ -164,7 +194,7 @@ func (c *Capture) Finish(totalCycles uint64) {
 	} else if c.err == nil && len(c.cur) > 0 {
 		c.flush()
 	}
-	c.cur = nil
+	c.cur, c.rep = nil, nil
 	c.cycles = totalCycles
 	c.finished = true
 }
@@ -267,7 +297,7 @@ func (c *Capture) WriteTo(w io.Writer) (int64, error) {
 // Close releases the spill file, if any. The capture is not replayable
 // afterwards.
 func (c *Capture) Close() error {
-	c.blocks, c.cur, c.memBytes = nil, nil, 0
+	c.blocks, c.cur, c.rep, c.memBytes = nil, nil, nil, 0
 	c.closed = true
 	if c.f == nil {
 		return nil

@@ -131,13 +131,24 @@ func NewStream(cfg StreamConfig) *Stream {
 // the pilot capture, after it records batch into chunks flushed into the
 // ring. After an Abort it is a no-op, so a cancelled consumer never leaves
 // the producing core blocked on a full ring.
-func (s *Stream) OnCycle(r *Record) {
+func (s *Stream) OnCycle(r *Record) { s.add(r, false) }
+
+// OnRepeat implements Repeater: the pilot capture takes the repeat through
+// Capture.OnRepeat, and past the pilot the previous ring slot, already
+// normalized, is copied with the new cycle.
+func (s *Stream) OnRepeat(r *Record) { s.add(r, true) }
+
+func (s *Stream) add(r *Record, repeat bool) {
 	if s.aborted {
 		return
 	}
 	s.committed += uint64(r.CommitCount)
 	if s.pilotBuffering {
-		s.pilotCapt.OnCycle(r)
+		if repeat {
+			s.pilotCapt.OnRepeat(r)
+		} else {
+			s.pilotCapt.OnCycle(r)
+		}
 		if r.Cycle+1 >= s.pilotCycles {
 			// Pilot boundary: consumers blocked in Pilot wake here,
 			// typically long before the run ends.
@@ -149,7 +160,12 @@ func (s *Stream) OnCycle(r *Record) {
 		s.cur = s.chunkPool.Get().(*chunk)
 	}
 	recs := s.cur.records[:len(s.cur.records)+1]
-	normalizeRecord(&recs[len(recs)-1], r)
+	if n := len(recs); repeat && n > 1 {
+		recs[n-1] = recs[n-2]
+		recs[n-1].Cycle = r.Cycle
+	} else {
+		normalizeRecord(&recs[n-1], r)
+	}
 	s.cur.records = recs
 	if len(recs) >= s.chunkRecords {
 		s.flushDirect()

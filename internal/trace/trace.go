@@ -220,6 +220,17 @@ type Consumer interface {
 	Finish(totalCycles uint64)
 }
 
+// Repeater is a Consumer that can take a repeated record cheaply. OnRepeat(r)
+// delivers, again and one cycle later, the record the previous OnCycle or
+// OnRepeat delivered: r is that same *Record, unmodified but for Cycle,
+// which is one higher. It must leave the consumer as OnCycle(r) would. A
+// cpu.Core run delivers each quiescent cycle this way to a consumer that
+// implements it; every other consumer gets OnCycle.
+type Repeater interface {
+	Consumer
+	OnRepeat(r *Record)
+}
+
 // Tee fans one stream out to several consumers.
 type Tee struct {
 	Consumers []Consumer
