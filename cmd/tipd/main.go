@@ -49,6 +49,7 @@ package main
 
 import (
 	"context"
+	"errors"
 	"flag"
 	"fmt"
 	"log"
@@ -64,74 +65,102 @@ import (
 	"github.com/tipprof/tip/internal/server"
 )
 
+// options is tipd's parsed command line.
+type options struct {
+	listen       string
+	storeDir     string
+	server       server.Config // Store is opened by main from storeDir
+	coordinator  bool
+	join         string
+	advertise    string
+	name         string
+	heartbeat    time.Duration
+	lameduck     time.Duration
+	drainTimeout time.Duration
+}
+
+// maxCacheMB is the largest -cache-mb whose byte count fits in a uint64.
+const maxCacheMB = 1<<44 - 1
+
+// parseFlags parses tipd's arguments (without the program name). Its errors
+// are usage errors; -h and -help return flag.ErrHelp.
+func parseFlags(args []string) (options, error) {
+	fs := flag.NewFlagSet("tipd", flag.ContinueOnError)
+	var o options
+	fs.StringVar(&o.listen, "listen", "127.0.0.1:7171", "address to serve HTTP on")
+	fs.IntVar(&o.server.Workers, "workers", 0, "worker-pool size (0 = GOMAXPROCS)")
+	fs.IntVar(&o.server.QueueDepth, "queue", 16, "max queued jobs before submissions get 429")
+	fs.IntVar(&o.server.CacheEntries, "cache-entries", 8, "max captures kept in the in-memory cache")
+	cacheMB := fs.Int64("cache-mb", 1024, "max megabytes of encoded captures cached")
+	fs.StringVar(&o.storeDir, "store", "", "content-addressed capture store directory: a local one keeps captures across restarts, a shared one serves them to every fleet node (empty = memory only)")
+	fs.DurationVar(&o.server.JobTimeout, "job-timeout", 10*time.Minute, "per-job execution deadline")
+	fs.IntVar(&o.server.MaxRetainedJobs, "retain", 256, "finished jobs kept for retrieval")
+
+	fs.BoolVar(&o.coordinator, "coordinator", false, "run as the fleet coordinator instead of a worker")
+	fs.StringVar(&o.join, "join", "", "coordinator URL to register with (worker joins the fleet)")
+	fs.StringVar(&o.advertise, "advertise", "", "URL the coordinator dials for this node (default http://<listen>)")
+	fs.StringVar(&o.name, "name", "", "fleet node name (default host:port of -listen)")
+	fs.DurationVar(&o.heartbeat, "heartbeat", time.Second, "fleet heartbeat interval")
+	fs.DurationVar(&o.lameduck, "lameduck", 0, "after drain, keep serving reads this long before closing HTTP")
+	fs.DurationVar(&o.drainTimeout, "draintimeout", time.Minute, "how long shutdown waits for in-flight jobs before aborting them")
+	fs.DurationVar(&o.drainTimeout, "drain-timeout", time.Minute, "alias for -draintimeout")
+	if err := fs.Parse(args); err != nil {
+		return options{}, err
+	}
+	if *cacheMB < 0 || *cacheMB > maxCacheMB {
+		err := fmt.Errorf("-cache-mb %d out of range [0, %d]", *cacheMB, int64(maxCacheMB))
+		fmt.Fprintln(fs.Output(), err)
+		fs.Usage()
+		return options{}, err
+	}
+	o.server.CacheBytes = uint64(*cacheMB) << 20
+	return o, nil
+}
+
 func main() {
-	var (
-		listen       = flag.String("listen", "127.0.0.1:7171", "address to serve HTTP on")
-		workers      = flag.Int("workers", 0, "worker-pool size (0 = GOMAXPROCS)")
-		queue        = flag.Int("queue", 16, "max queued jobs before submissions get 429")
-		cacheEntries = flag.Int("cache-entries", 8, "max captures kept in the in-memory cache")
-		cacheMB      = flag.Int64("cache-mb", 1024, "max megabytes of encoded captures cached")
-		storeDir     = flag.String("store", "", "content-addressed capture store directory: a local one keeps captures across restarts, a shared one serves them to every fleet node (empty = memory only)")
-		jobTimeout   = flag.Duration("job-timeout", 10*time.Minute, "per-job execution deadline")
-		retain       = flag.Int("retain", 256, "finished jobs kept for retrieval")
+	o, err := parseFlags(os.Args[1:])
+	if errors.Is(err, flag.ErrHelp) {
+		os.Exit(0)
+	}
+	if err != nil {
+		os.Exit(2)
+	}
 
-		coordinator = flag.Bool("coordinator", false, "run as the fleet coordinator instead of a worker")
-		join        = flag.String("join", "", "coordinator URL to register with (worker joins the fleet)")
-		advertise   = flag.String("advertise", "", "URL the coordinator dials for this node (default http://<listen>)")
-		name        = flag.String("name", "", "fleet node name (default host:port of -listen)")
-		heartbeat   = flag.Duration("heartbeat", time.Second, "fleet heartbeat interval")
-		lameduck    = flag.Duration("lameduck", 0, "after drain, keep serving reads this long before closing HTTP")
-	)
-	drainTimeout := time.Minute
-	flag.DurationVar(&drainTimeout, "draintimeout", drainTimeout, "how long shutdown waits for in-flight jobs before aborting them")
-	flag.DurationVar(&drainTimeout, "drain-timeout", drainTimeout, "alias for -draintimeout")
-	flag.Parse()
-
-	if *coordinator {
-		runCoordinator(*listen, drainTimeout)
+	if o.coordinator {
+		runCoordinator(o.listen, o.drainTimeout)
 		return
 	}
 
-	var store *fleet.Store
-	if *storeDir != "" {
-		var err error
-		store, err = fleet.OpenStore(*storeDir)
+	if o.storeDir != "" {
+		o.server.Store, err = fleet.OpenStore(o.storeDir)
 		if err != nil {
 			fmt.Fprintln(os.Stderr, "tipd:", err)
 			os.Exit(1)
 		}
 	}
 
-	s, err := server.New(server.Config{
-		Workers:         *workers,
-		QueueDepth:      *queue,
-		CacheEntries:    *cacheEntries,
-		CacheBytes:      uint64(*cacheMB) << 20,
-		JobTimeout:      *jobTimeout,
-		MaxRetainedJobs: *retain,
-		Store:           store,
-	})
+	s, err := server.New(o.server)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "tipd:", err)
 		os.Exit(1)
 	}
 
-	hs := &http.Server{Addr: *listen, Handler: s.Handler()}
+	hs := &http.Server{Addr: o.listen, Handler: s.Handler()}
 	errc := make(chan error, 1)
 	go func() { errc <- hs.ListenAndServe() }()
-	log.Printf("tipd: serving on %s", *listen)
+	log.Printf("tipd: serving on %s", o.listen)
 
 	// Fleet membership: heartbeat our health to the coordinator so we stay
 	// on its ring. The same snapshot announces drain later.
 	var member *fleet.Member
 	beatCtx, stopBeats := context.WithCancel(context.Background())
 	defer stopBeats()
-	if *join != "" {
+	if o.join != "" {
 		member = &fleet.Member{
-			Coordinator: strings.TrimRight(*join, "/"),
-			Name:        nodeName(*name, *listen),
-			URL:         advertiseURL(*advertise, *listen),
-			Interval:    *heartbeat,
+			Coordinator: strings.TrimRight(o.join, "/"),
+			Name:        nodeName(o.name, o.listen),
+			URL:         advertiseURL(o.advertise, o.listen),
+			Interval:    o.heartbeat,
 			Snapshot:    func() fleet.NodeHealth { return nodeHealth(s) },
 		}
 		go member.Run(beatCtx)
@@ -142,7 +171,7 @@ func main() {
 	signal.Notify(sigc, os.Interrupt, syscall.SIGTERM)
 	select {
 	case sig := <-sigc:
-		log.Printf("tipd: %s received, draining (timeout %s)", sig, drainTimeout)
+		log.Printf("tipd: %s received, draining (timeout %s)", sig, o.drainTimeout)
 	case err := <-errc:
 		fmt.Fprintln(os.Stderr, "tipd:", err)
 		os.Exit(1)
@@ -159,17 +188,19 @@ func main() {
 			log.Printf("tipd: drain heartbeat: %v", err)
 		}
 	}
-	ctx, cancel := context.WithTimeout(context.Background(), drainTimeout)
+	ctx, cancel := context.WithTimeout(context.Background(), o.drainTimeout)
 	defer cancel()
 	drainErr := s.Shutdown(ctx)
-	if *lameduck > 0 {
-		log.Printf("tipd: drained, serving reads for %s", *lameduck)
-		time.Sleep(*lameduck)
+	if o.lameduck > 0 {
+		log.Printf("tipd: drained, serving reads for %s", o.lameduck)
+		time.Sleep(o.lameduck)
 	}
 	stopBeats()
 	hctx, hcancel := context.WithTimeout(context.Background(), 5*time.Second)
 	defer hcancel()
-	hs.Shutdown(hctx)
+	if err := hs.Shutdown(hctx); err != nil {
+		log.Printf("tipd: http shutdown: %v", err)
+	}
 	if drainErr != nil {
 		log.Printf("tipd: shutdown: %v", drainErr)
 		os.Exit(1)
@@ -196,7 +227,9 @@ func runCoordinator(listen string, drainTimeout time.Duration) {
 	}
 	ctx, cancel := context.WithTimeout(context.Background(), drainTimeout)
 	defer cancel()
-	hs.Shutdown(ctx)
+	if err := hs.Shutdown(ctx); err != nil {
+		log.Printf("tipd: coordinator: http shutdown: %v", err)
+	}
 }
 
 // nodeHealth maps the server's health snapshot onto the fleet heartbeat.

@@ -103,12 +103,7 @@ func (c *Core) Restore(cp *Checkpoint, stream program.Stream, window uint64) {
 		c.renameRob[i] = -1
 	}
 	c.robHead, c.robTail, c.robHeadBank, c.robCount = 0, 0, 0, 0
-	for i := range c.iqs {
-		c.iqs[i] = c.iqs[i][:0]
-		c.iqMinReady[i] = 0
-		c.iqScanEpoch[i] = 0
-	}
-	c.issueEpoch = 0
+	c.clearIssueQueues()
 	c.intDivBusyUntil, c.fpDivBusyUntil = 0, 0
 	c.lsqCount = 0
 	c.storeBuf = c.storeBuf[:0]

@@ -183,25 +183,26 @@ type Core struct {
 	robCount    int
 	nextUop     uint64
 
-	// Issue queues hold ROB slot indices in dispatch (age) order.
-	iqs [isa.NumIssueClasses][]iqEntry
+	// Issue queues. Every unissued ROB entry is queued in its class and
+	// counted in iqCount (dispatch's capacity check). iqs[class] holds the
+	// pinned entries, whose ready time iqReady[slot] is known, in age
+	// order; only these are scanned. An entry waiting on a producer
+	// (iqReadyUnknown) is linked on exactly one unissued producer's
+	// intrusive list (waitHead[producer], then waitNext[slot]; -1 ends
+	// it). The producer's issue pins it into iqWoken[class], which the
+	// class's next scan merges into iqs. The per-slot arrays are sized
+	// ROBEntries at construction.
+	iqs      [isa.NumIssueClasses][]iqEntry
+	iqWoken  [isa.NumIssueClasses][]iqEntry
+	iqCount  [isa.NumIssueClasses]int
+	iqReady  []uint64
+	waitHead []int32
+	waitNext []int32
 
-	// issueEpoch counts issued instructions. iqScanEpoch[class] is its value
-	// when that queue's wakeup scan last finished: while the two match, no
-	// instruction has issued since every blocked entry in the queue was
-	// (re)checked, so none of their producers can have issued either (an
-	// instruction cannot retire without issuing) and the scan skips the
-	// producer loads outright. uint32 wrap cannot alias: scans run every
-	// cycle and the epoch moves at most issue-width per cycle.
-	issueEpoch  uint32
-	iqScanEpoch [isa.NumIssueClasses]uint32
-
-	// iqMinReady[class] lower-bounds the next cycle at which any entry
-	// with a pinned ready time could issue (maintained by the scan and by
-	// dispatch). While cycle < iqMinReady[class] AND the epochs match, the
-	// whole scan is provably a no-op and is skipped: no pinned entry is
-	// due, and no blocked entry can have been woken (waking requires an
-	// issue, which would move issueEpoch).
+	// iqMinReady[class] lower-bounds the cycle at which that class's
+	// earliest pinned entry can issue: the scan sets it, and dispatch and
+	// wakeups lower it when they pin an entry. While cycle is below it, no
+	// entry of the class is due and the scan is skipped.
 	iqMinReady [isa.NumIssueClasses]uint64
 
 	// Execution resources.
@@ -269,6 +270,9 @@ func NewWithCaches(cfg Config, prog *program.Program, stream program.Stream, l1i
 		archRAS:  branch.NewRAS(cfg.RASDepth),
 		stream:   stream,
 		rob:      make([]robEntry, cfg.ROBEntries),
+		iqReady:  make([]uint64, cfg.ROBEntries),
+		waitHead: make([]int32, cfg.ROBEntries),
+		waitNext: make([]int32, cfg.ROBEntries),
 		fetchBuf: make([]fetchedInst, cfg.FetchBufEntries),
 
 		commitWidth:     cfg.CommitWidth,
@@ -304,6 +308,7 @@ func NewWithCaches(cfg Config, prog *program.Program, stream program.Stream, l1i
 	for i := range c.renameRob {
 		c.renameRob[i] = -1
 	}
+	c.clearIssueQueues()
 	c.handlerSeed = cfg.HandlerSeed
 	// Code pages are resident (the loader touched them); data pages
 	// demand-fault unless the workload prefaults them.
@@ -328,7 +333,9 @@ func (c *Core) L1D() *cache.Cache { return c.l1d }
 // A caller that passes the same rec, unmodified but for Cycle, at one cycle
 // higher than the previous Step lets the core skip quiescent cycles: while
 // no stage can act, Step leaves rec as the last full step filled it and only
-// sets its Cycle. Any other call gets a full step.
+// sets its Cycle. Any other call gets a full step. A full step's issue stage
+// scans only the queues holding a due entry; an entry waiting on a producer
+// is woken by that producer's issue, not re-checked.
 func (c *Core) Step(cycle uint64, rec *trace.Record) bool {
 	done, _ := c.step(cycle, rec)
 	return done
@@ -487,7 +494,7 @@ func (c *Core) step(cycle uint64, rec *trace.Record) (done, repeat bool) {
 		return c.drained(), true
 	}
 	c.quietUntil = 0
-	epoch, uop, fid := c.issueEpoch, c.nextUop, c.nextFID
+	uop, fid := c.nextUop, c.nextFID
 	stalls, intr, branches := c.stats.StoreStallCycles, c.stats.PMUInterrupts, len(c.branchResolve)
 	c.drainBranchResolve(cycle)
 	if cycle >= c.nextSample {
@@ -499,11 +506,11 @@ func (c *Core) step(cycle uint64, rec *trace.Record) (done, repeat bool) {
 		c.nextSample += c.sampleEvery
 	}
 	c.commit(cycle, rec)
-	c.issue(cycle)
+	issued := c.issue(cycle)
 	c.dispatch(cycle)
 	c.fetch(cycle)
 	c.quietCycle, c.quietRec = cycle, rec
-	if rec.CommitCount == 0 && !rec.ExceptionRaised && c.issueEpoch == epoch && c.nextUop == uop &&
+	if rec.CommitCount == 0 && !rec.ExceptionRaised && !issued && c.nextUop == uop &&
 		c.nextFID == fid && c.stats.PMUInterrupts == intr && len(c.branchResolve) == branches && !c.perCycle {
 		c.quietStalls = c.stats.StoreStallCycles - stalls
 		c.quietUntil = c.horizon(cycle)
@@ -521,17 +528,14 @@ func (c *Core) drained() bool {
 // buffer entry drains, a branch-resolve entry expires, the fetch-buffer head
 // becomes dispatchable, fetch unblocks, a divider frees, an issue queue's
 // pinned ready bound arrives or the PMU samples. Everything else that can
-// unblock a stage is itself an act. A queue whose scan epoch is stale would
-// rescan next cycle, so it allows no skip. Past times (at or below cycle)
-// are events that already happened and bound nothing, except that a due
-// ready bound or sample stops the skip outright.
+// unblock a stage is itself an act; a waiting issue-queue entry, in
+// particular, is pinned only by its producer's issue. Past times (at or
+// below cycle) are events that already happened and bound nothing, except
+// that a due ready bound or sample stops the skip outright.
 func (c *Core) horizon(cycle uint64) uint64 {
 	h := c.nextSample
-	for class := range c.iqs {
-		if c.iqScanEpoch[class] != c.issueEpoch {
-			return 0
-		}
-		h = min(h, c.iqMinReady[class])
+	for _, m := range c.iqMinReady {
+		h = min(h, m)
 	}
 	if c.robCount > 0 {
 		if e := &c.rob[c.robHead]; e.issued {
@@ -849,10 +853,7 @@ func (c *Core) flushPipeline(cycle uint64, prefix []program.DynInst) {
 	for i := range c.renameRob {
 		c.renameRob[i] = -1
 	}
-	for i := range c.iqs {
-		c.iqs[i] = c.iqs[i][:0]
-		c.iqMinReady[i] = 0
-	}
+	c.clearIssueQueues()
 	c.lsqCount = 0
 	c.branchResolve = c.branchResolve[:0]
 	c.serializeActive = false
@@ -865,99 +866,49 @@ func (c *Core) flushPipeline(cycle uint64, prefix []program.DynInst) {
 // ---------------------------------------------------------------------------
 // Issue/execute
 
-// iqEntry is one issue-queue slot: the ROB index plus cached wakeup state, so
-// the per-cycle scan almost never chases a ROB pointer per waiting entry.
-// readyAt is the entry's pinned ready time once every producer has issued
-// (the bound never moves: doneCycle is immutable after issue, commit waits
-// for it, and a squashed producer implies the consumer was squashed too), or
-// iqReadyUnknown while some producer is unissued — then blockIdx/blockUop
-// name that producer, and the scan re-derives the bound only after it issues
-// or its slot is reused (retirement; the value is in the regfile).
+// iqEntry is one issue-queue slot: the ROB index and the kind the unit check
+// needs. Readiness lives in Core.iqReady; a waiting entry is on its
+// producer's wakeup list, not in a queue the scan visits.
 type iqEntry struct {
-	idx      int32
-	blockIdx int32
-	kind     isa.Kind
-	blockUop uint64
-	readyAt  uint64
+	idx  int32
+	kind isa.Kind
 }
 
 // iqReadyUnknown marks an issue-queue entry whose ready time is not yet
 // computable (some producer has not issued). Cycle numbers never reach it.
 const iqReadyUnknown = ^uint64(0)
 
-// issue selects ready instructions from each queue, oldest first, and
-// computes their completion times.
-func (c *Core) issue(cycle uint64) {
+// issue selects ready instructions from each queue, oldest first, computes
+// their completion times and wakes their waiting consumers. It reports
+// whether anything issued.
+func (c *Core) issue(cycle uint64) bool {
+	acted := false
 	for class := 0; class < isa.NumIssueClasses; class++ {
-		if cycle < c.iqMinReady[class] && c.issueEpoch == c.iqScanEpoch[class] {
-			continue // provably nothing to issue or wake this cycle
+		if cycle < c.iqMinReady[class] {
+			continue // no pinned entry is due this cycle
 		}
+		if len(c.iqWoken[class]) > 0 {
+			c.mergeWoken(class)
+		}
+		// Wakes during this scan lower the bound for the entries they pin.
+		c.iqMinReady[class] = iqReadyUnknown
 		width := c.iqWidths[class]
 		iq := c.iqs[class]
 		issued := 0
 		w := 0
-		full := true
 		minNext := iqReadyUnknown
 		for r := 0; r < len(iq); r++ {
 			if issued == width {
 				// Width exhausted: everything younger stays queued; one
-				// bulk copy instead of per-entry moves. The unscanned
-				// tail was not rechecked, so the scan epoch must not
-				// advance below, and ready entries may be waiting there.
+				// bulk copy instead of per-entry moves. Ready entries may
+				// be waiting in the unscanned tail.
 				w += copy(iq[w:], iq[r:])
-				full = false
 				minNext = cycle + 1
 				break
 			}
 			en := iq[r]
-			if en.readyAt == iqReadyUnknown {
-				// The epoch comparison is live, not a scan-start
-				// snapshot: an issue earlier in this very scan makes it
-				// mismatch for the entries after it. A producer is
-				// always older than its consumer, so it sits at an
-				// earlier queue position (or an already-scanned or
-				// later-rechecked class) — a skipped entry's producer
-				// provably has not issued.
-				if c.issueEpoch == c.iqScanEpoch[class] {
-					if w != r {
-						iq[w] = en
-					}
-					w++
-					continue
-				}
-				if p := &c.rob[en.blockIdx]; p.uop == en.blockUop && !p.issued {
-					// Still blocked on the same producer.
-					if w != r {
-						iq[w] = en
-					}
-					w++
-					continue
-				}
-				if !c.tryReady(&c.rob[en.idx], &en) {
-					iq[w] = en
-					w++
-					continue
-				}
-				// tryReady mutated en (pinned readyAt): if the entry is
-				// kept below, the store must happen even when w == r, or
-				// the queue keeps the stale blocked copy and the next
-				// matching-epoch scan skips it forever.
-				if cycle < en.readyAt || !c.unitFree(en.kind, cycle) {
-					if ra := maxU64(en.readyAt, cycle+1); ra < minNext {
-						minNext = ra
-					}
-					iq[w] = en
-					w++
-					continue
-				}
-				c.execute(&c.rob[en.idx], cycle)
-				issued++
-				continue
-			}
-			if cycle < en.readyAt || !c.unitFree(en.kind, cycle) {
-				if ra := maxU64(en.readyAt, cycle+1); ra < minNext {
-					minNext = ra
-				}
+			if ra := c.iqReady[en.idx]; cycle < ra || !c.unitFree(en.kind, cycle) {
+				minNext = min(minNext, max(ra, cycle+1))
 				if w != r {
 					iq[w] = en
 				}
@@ -965,28 +916,65 @@ func (c *Core) issue(cycle uint64) {
 				continue
 			}
 			c.execute(&c.rob[en.idx], cycle)
+			c.wake(en.idx)
 			issued++
 		}
 		c.iqs[class] = iq[:w]
-		c.iqMinReady[class] = minNext
-		if full {
-			// Every blocked entry was checked against the current epoch
-			// (issues later in this scan are younger than any entry
-			// skipped before them, so they cannot be a skipped entry's
-			// producer). After a width break the old snapshot stays: the
-			// break implies issues this scan, so it mismatches and the
-			// tail is rechecked next cycle.
-			c.iqScanEpoch[class] = c.issueEpoch
+		c.iqCount[class] -= issued
+		c.iqMinReady[class] = min(c.iqMinReady[class], minNext)
+		acted = acted || issued > 0
+	}
+	return acted
+}
+
+// mergeWoken moves class's woken entries into its queue, keeping the queue
+// in age order. Their ready times are already in iqMinReady.
+func (c *Core) mergeWoken(class int) {
+	iq := c.iqs[class]
+	for _, en := range c.iqWoken[class] {
+		a := c.age(en.idx)
+		i := len(iq)
+		iq = append(iq, en)
+		for ; i > 0 && c.age(iq[i-1].idx) > a; i-- {
+			iq[i] = iq[i-1]
 		}
+		iq[i] = en
+	}
+	c.iqs[class] = iq
+	c.iqWoken[class] = c.iqWoken[class][:0]
+}
+
+// age orders in-flight ROB slots: the ROB head is 0, the tail the largest.
+func (c *Core) age(s int32) int {
+	a := int(s) - c.robHead
+	if a < 0 {
+		a += c.robEntries
+	}
+	return a
+}
+
+// clearIssueQueues empties every issue queue and wakeup list for a squash
+// or a restore.
+func (c *Core) clearIssueQueues() {
+	for i := range c.iqs {
+		c.iqs[i] = c.iqs[i][:0]
+		c.iqWoken[i] = c.iqWoken[i][:0]
+		c.iqCount[i] = 0
+		c.iqMinReady[i] = 0
+	}
+	for i := range c.waitHead {
+		c.waitHead[i] = -1
 	}
 }
 
-// tryReady computes e's ready time if every still-matching producer has
-// issued, storing it in en.readyAt; otherwise it records the first unissued
-// producer as en's block pointer and reports false. The bound is identical
-// whenever it becomes computable, so evaluating eagerly (at dispatch, or the
-// cycle the blocking producer issues) matches a per-cycle dependence walk.
-func (c *Core) tryReady(e *robEntry, en *iqEntry) bool {
+// tryReady pins queued slot s's ready time if every still-matching producer
+// has issued, lowering its class's iqMinReady, and reports true; otherwise
+// it links s onto the first unissued producer's wakeup list. The bound
+// never moves once computable (doneCycle is fixed at issue), and every done
+// time is at least the issue cycle+1, so a consumer woken at its
+// producer's issue cannot issue in that cycle.
+func (c *Core) tryReady(s int32) bool {
+	e := &c.rob[s]
 	bound := uint64(0)
 	for i := 0; i < e.ndeps; i++ {
 		d := e.deps[i]
@@ -995,16 +983,34 @@ func (c *Core) tryReady(e *robEntry, en *iqEntry) bool {
 			continue // producer retired or squashed: value in regfile
 		}
 		if !p.issued {
-			en.blockIdx = d.robIdx
-			en.blockUop = d.uop
+			c.iqReady[s] = iqReadyUnknown
+			c.waitNext[s] = c.waitHead[d.robIdx]
+			c.waitHead[d.robIdx] = s
 			return false
 		}
-		if p.doneCycle > bound {
-			bound = p.doneCycle
-		}
+		bound = max(bound, p.doneCycle)
 	}
-	en.readyAt = bound
+	c.iqReady[s] = bound
+	if class := e.mi.class; bound < c.iqMinReady[class] {
+		c.iqMinReady[class] = bound
+	}
 	return true
+}
+
+// wake re-runs tryReady for every consumer waiting on the just-issued slot
+// p: each is pinned and queued in iqWoken, or linked onto its next
+// unissued producer.
+func (c *Core) wake(p int32) {
+	s := c.waitHead[p]
+	c.waitHead[p] = -1
+	for s >= 0 {
+		next := c.waitNext[s]
+		if c.tryReady(s) {
+			mi := &c.rob[s].mi
+			c.iqWoken[mi.class] = append(c.iqWoken[mi.class], iqEntry{idx: s, kind: mi.kind})
+		}
+		s = next
+	}
 }
 
 func (c *Core) unitFree(kind isa.Kind, cycle uint64) bool {
@@ -1021,7 +1027,6 @@ func (c *Core) unitFree(kind isa.Kind, cycle uint64) bool {
 // loads/stores and resolving control flow.
 func (c *Core) execute(e *robEntry, cycle uint64) {
 	e.issued = true
-	c.issueEpoch++
 	kind := e.mi.kind
 	lat := uint64(e.mi.lat)
 
@@ -1069,7 +1074,7 @@ func (c *Core) execute(e *robEntry, cycle uint64) {
 		if e.fid == c.waitBranchFID {
 			// Mispredict resolved: fetch restarts on the correct path.
 			c.waitBranchFID = invalidFID
-			c.fetchBlockedUntil = maxU64(c.fetchBlockedUntil, e.doneCycle+c.redirectPenalty)
+			c.fetchBlockedUntil = max(c.fetchBlockedUntil, e.doneCycle+c.redirectPenalty)
 			c.lastFetchLine = ^uint64(0)
 		}
 	}
@@ -1100,7 +1105,7 @@ func (c *Core) dispatch(cycle uint64) {
 			return
 		}
 		class := mi.class
-		if len(c.iqs[class]) >= c.iqCaps[class] {
+		if c.iqCount[class] >= c.iqCaps[class] {
 			return
 		}
 		if mi.flags&metaMem != 0 && c.lsqCount >= c.lsqEntries {
@@ -1143,12 +1148,11 @@ func (c *Core) dispatch(cycle uint64) {
 		if mi.flags&metaMem != 0 {
 			c.lsqCount++
 		}
-		en := iqEntry{idx: int32(slot), kind: mi.kind, readyAt: iqReadyUnknown}
-		c.tryReady(e, &en)
-		if en.readyAt < c.iqMinReady[class] {
-			c.iqMinReady[class] = en.readyAt
+		c.iqCount[class]++
+		if c.tryReady(int32(slot)) {
+			// The youngest entry in flight: the queue's tail keeps age order.
+			c.iqs[class] = append(c.iqs[class], iqEntry{idx: int32(slot), kind: mi.kind})
 		}
-		c.iqs[class] = append(c.iqs[class], en)
 		if mi.flags&metaSerializing != 0 {
 			c.serializeActive = true
 			return
@@ -1248,12 +1252,3 @@ func (c *Core) fetch(cycle uint64) {
 		}
 	}
 }
-
-func maxU64(a, b uint64) uint64 {
-	if a > b {
-		return a
-	}
-	return b
-}
-
-// debugDump enables a pipeline-state dump on MaxCycles exhaustion (temporary).

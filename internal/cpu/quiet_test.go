@@ -23,10 +23,12 @@ func (r *recorder) Finish(total uint64)       { r.total = total }
 
 // repeatRecorder is a recorder that also takes repeats, checking the
 // trace.Repeater contract: the record is the one delivered last, one cycle
-// later and otherwise unchanged.
+// later and otherwise unchanged. With core set, it also checks core's issue
+// queues after every cycle.
 type repeatRecorder struct {
 	recorder
 	t       *testing.T
+	core    *Core
 	last    *trace.Record
 	repeats int
 }
@@ -34,6 +36,9 @@ type repeatRecorder struct {
 func (r *repeatRecorder) OnCycle(rec *trace.Record) {
 	r.last = rec
 	r.recorder.OnCycle(rec)
+	if r.core != nil {
+		checkIssueQueues(r.t, r.core)
+	}
 }
 
 func (r *repeatRecorder) OnRepeat(rec *trace.Record) {
@@ -44,6 +49,9 @@ func (r *repeatRecorder) OnRepeat(rec *trace.Record) {
 	}
 	r.repeats++
 	r.recorder.OnCycle(rec)
+	if r.core != nil {
+		checkIssueQueues(r.t, r.core)
+	}
 }
 
 // quietPair runs build's core twice, once skipping quiescent cycles and once
@@ -51,10 +59,20 @@ func (r *repeatRecorder) OnRepeat(rec *trace.Record) {
 // stats and errors. It returns the number of repeated cycles.
 func quietPair(t *testing.T, name string, build func() *Core, ctx func() context.Context) int {
 	t.Helper()
+	return checkedQuietPair(t, name, build, ctx, false)
+}
+
+// checkedQuietPair is quietPair that, when check is set, also runs
+// checkIssueQueues on the skipping core after every cycle.
+func checkedQuietPair(t *testing.T, name string, build func() *Core, ctx func() context.Context, check bool) int {
+	t.Helper()
 	skip := &repeatRecorder{t: t}
 	ref := &recorder{}
 	a, b := build(), build()
 	b.perCycle = true
+	if check {
+		skip.core = a
+	}
 	var ca, cb context.Context
 	if ctx != nil {
 		ca, cb = ctx(), ctx()
