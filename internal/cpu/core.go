@@ -436,7 +436,8 @@ func (c *Core) Run(consumer trace.Consumer) (Stats, error) {
 // cancellation; a partially-fed capture must be Closed by the caller.
 //
 // A consumer that implements trace.Repeater gets each quiescent cycle's
-// record through OnRepeat; every other consumer gets one OnCycle per cycle.
+// record through OnRepeat(r, 1); every other consumer gets one OnCycle per
+// cycle.
 func (c *Core) RunContext(ctx context.Context, consumer trace.Consumer) (Stats, error) {
 	runsStarted.Add(1)
 	rep, _ := consumer.(trace.Repeater)
@@ -457,7 +458,7 @@ func (c *Core) RunContext(ctx context.Context, consumer trace.Consumer) (Stats, 
 		}
 		done, repeat := c.step(cycle, &rec)
 		if repeat && rep != nil {
-			rep.OnRepeat(&rec)
+			rep.OnRepeat(&rec, 1)
 		} else if consumer != nil {
 			consumer.OnCycle(&rec)
 		}

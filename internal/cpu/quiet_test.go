@@ -41,10 +41,10 @@ func (r *repeatRecorder) OnCycle(rec *trace.Record) {
 	}
 }
 
-func (r *repeatRecorder) OnRepeat(rec *trace.Record) {
+func (r *repeatRecorder) OnRepeat(rec *trace.Record, n uint64) {
 	prev := r.recs[len(r.recs)-1]
 	prev.Cycle++
-	if rec != r.last || *rec != prev {
+	if n != 1 || rec != r.last || *rec != prev {
 		r.t.Fatalf("cycle %d: OnRepeat does not repeat the last record one cycle later", rec.Cycle)
 	}
 	r.repeats++

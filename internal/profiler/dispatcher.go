@@ -76,6 +76,9 @@ type Dispatcher struct {
 	// faultables are the attached consumers that can report a mid-stream
 	// failure; Err polls them so a sharded replay can abort early.
 	faultables []trace.Faultable
+	// scratch is the private copy a run is replayed on, cycle by cycle,
+	// for the consumers that do not take runs.
+	scratch trace.Record
 }
 
 // schedGroup is a set of sampled profilers that sample on the same cycles.
@@ -92,8 +95,14 @@ type schedGroup struct {
 // NewDispatcher returns an empty dispatcher.
 func NewDispatcher() *Dispatcher { return &Dispatcher{} }
 
-// AddEveryCycle attaches a consumer that must see every record.
+// AddEveryCycle attaches a consumer that must see every record. An Oracle
+// is switched onto the dispatcher's CycleFacts OIR, as AddSampled does for
+// sampled profilers, so a commit cycle's bank scan serves both; attach it
+// before streaming, like a sampled profiler.
 func (d *Dispatcher) AddEveryCycle(c trace.Consumer) {
+	if or, ok := c.(*Oracle); ok {
+		or.o, or.ownOIR = &d.facts.o, false
+	}
 	d.every = append(d.every, c)
 	if f, ok := c.(trace.Faultable); ok {
 		d.faultables = append(d.faultables, f)
@@ -149,17 +158,29 @@ func (d *Dispatcher) OnCycle(r *trace.Record) {
 	if !r.ROBEmpty && len(d.oldestWait) > 0 {
 		d.oldestWait = settle(d.oldestWait, r, nil)
 	}
-	for len(d.heap) > 0 && d.heap[0].next <= r.Cycle {
+	if len(d.heap) > 0 && d.heap[0].next <= r.Cycle {
+		d.sampleDue(r, r.Cycle, r.Cycle)
+	}
+	d.facts.observe(r, yc)
+}
+
+// sampleDue takes, in cycle order, every scheduled sample at cycles start
+// through end, all of which r describes: each group due then calls Next
+// once per sample, and its members sample with the weight of the cycles
+// since the group's last sample.
+func (d *Dispatcher) sampleDue(r *trace.Record, start, end uint64) {
+	for len(d.heap) > 0 && d.heap[0].next <= end {
 		g := d.heap[0]
-		if g.next < r.Cycle {
+		if g.next < start {
 			// The stream skipped the sample cycle: like a standalone
 			// Sampled, the group never samples again.
 			d.popTop()
 			continue
 		}
-		w := float64(r.Cycle + 1 - g.last)
-		g.last = r.Cycle + 1
-		g.next = g.sched.Next(r.Cycle)
+		c := g.next
+		w := float64(c + 1 - g.last)
+		g.last = c + 1
+		g.next = g.sched.Next(c)
 		for _, s := range g.members {
 			had := len(s.pend) > 0
 			s.sample(r, w)
@@ -167,14 +188,43 @@ func (d *Dispatcher) OnCycle(r *trace.Record) {
 				d.wait(s)
 			}
 		}
-		if g.next <= r.Cycle {
+		if g.next <= c {
 			// The schedule saturated: no future samples.
 			d.popTop()
 			continue
 		}
 		d.siftDown(0)
 	}
-	d.facts.observe(r, yc)
+}
+
+// OnRepeat implements trace.Repeater. On a run of a record that commits
+// nothing, no waiter can resolve: no commit event comes, and an oldest
+// waiter either already failed to resolve on the same record or deferred
+// on an empty-ROB one. So the run visits only the schedule groups whose
+// next sample falls inside it, each at that sample's cycle (no sampler
+// reads r.Cycle), advances the facts once (latching the same record again
+// changes nothing) and hands the run to the every-cycle tier: in one call
+// to each Repeater, cycle by cycle on a private copy to the others. A
+// committing run is taken cycle by cycle.
+func (d *Dispatcher) OnRepeat(r *trace.Record, n uint64) {
+	if n == 0 {
+		return
+	}
+	if r.CommitCount > 0 {
+		d.scratch = *r
+		for c := r.Cycle - n + 1; ; c++ {
+			d.scratch.Cycle = c
+			d.OnCycle(&d.scratch)
+			if c == r.Cycle {
+				return
+			}
+		}
+	}
+	for _, c := range d.every {
+		trace.Repeat(c, r, n, &d.scratch)
+	}
+	d.sampleDue(r, r.Cycle-n+1, r.Cycle)
+	d.facts.observe(r, nil)
 }
 
 // wait puts a profiler that just deferred a sample on its event's list.

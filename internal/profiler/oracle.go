@@ -1,6 +1,8 @@
 package profiler
 
 import (
+	"math"
+
 	"github.com/tipprof/tip/internal/profile"
 	"github.com/tipprof/tip/internal/program"
 	"github.com/tipprof/tip/internal/trace"
@@ -33,7 +35,12 @@ type Oracle struct {
 	// (used for the Fig. 12/13 per-function time breakdowns).
 	Breakdown [][]float64
 
-	o            oir
+	// o is the OIR the Flushed/Drained split reads. A standalone Oracle
+	// owns it and advances it every cycle; one attached to a Dispatcher
+	// reads the dispatcher's CycleFacts OIR, advanced once per cycle for
+	// every consumer (see Dispatcher.AddEveryCycle).
+	o            *oir
+	ownOIR       bool
 	drainPending float64
 	finished     bool
 }
@@ -41,7 +48,7 @@ type Oracle struct {
 // NewOracle returns an Oracle profiler for prog. withBreakdown enables the
 // per-instruction category matrix.
 func NewOracle(prog *program.Program, withBreakdown bool) *Oracle {
-	or := &Oracle{prog: prog, Profile: profile.New(prog)}
+	or := &Oracle{prog: prog, Profile: profile.New(prog), o: &oir{}, ownOIR: true}
 	if withBreakdown {
 		or.Breakdown = make([][]float64, prog.NumInsts())
 		for i := range or.Breakdown {
@@ -96,7 +103,72 @@ func (or *Oracle) OnCycle(r *trace.Record) {
 			or.drainPending++
 		}
 	}
-	or.o.observe(r)
+	if or.ownOIR {
+		or.o.observe(r)
+	}
+}
+
+// OnRepeat implements trace.Repeater. A repeated record that commits nothing
+// charges each of its n cycles to the same instruction in the same category
+// (Stalled, Flushed) or adds them to the drain, so the run is booked in one
+// step per accumulator; addOnes keeps every float bit of n unit adds. The
+// OIR already holds what the record latches. A committing repeat, which
+// neither a core nor a Reader produces, is taken cycle by cycle.
+func (or *Oracle) OnRepeat(r *trace.Record, n uint64) {
+	if r.CommitCount > 0 {
+		for ; n > 0; n-- {
+			or.OnCycle(r)
+		}
+		return
+	}
+	if !r.ROBEmpty {
+		// With no valid entry to charge, no cycle of the run is
+		// attributed, as in OnCycle.
+		if oldest := r.Oldest(); oldest != nil {
+			if or.drainPending > 0 {
+				or.attr(oldest.InstIndex, or.drainPending, profile.CatFrontend)
+				or.drainPending = 0
+			}
+			kind := or.prog.InstByIndex(int(oldest.InstIndex)).Kind
+			or.attrRun(oldest.InstIndex, n, profile.StallCategoryOf(kind))
+		}
+	} else if or.o.flushed() {
+		cat := profile.CatMiscFlush
+		if or.o.mispredicted {
+			cat = profile.CatMispredict
+		}
+		or.attrRun(or.o.instIndex, n, cat)
+	} else {
+		or.drainPending = addOnes(or.drainPending, n)
+	}
+	if or.ownOIR {
+		or.o.observe(r)
+	}
+}
+
+// attrRun is attr of weight 1 repeated n times.
+func (or *Oracle) attrRun(idx int32, n uint64, cat profile.Category) {
+	if p := or.Profile; idx >= 0 && int(idx) < len(p.InstCycles) {
+		p.InstCycles[idx] = addOnes(p.InstCycles[idx], n)
+	}
+	or.Stack.Cycles[cat] = addOnes(or.Stack.Cycles[cat], n)
+	if or.Breakdown != nil && idx >= 0 && int(idx) < len(or.Breakdown) {
+		or.Breakdown[idx][cat] = addOnes(or.Breakdown[idx][cat], n)
+	}
+}
+
+// addOnes returns x after n additions of 1.0, bit for bit. One addition of n
+// is exact while x is a non-negative integer-valued float and the sum stays
+// below 2^53, where every integer is representable; otherwise each unit add
+// may round, so they are made one at a time.
+func addOnes(x float64, n uint64) float64 {
+	if sum := x + float64(n); x >= 0 && x == math.Trunc(x) && sum < 1<<53 {
+		return sum
+	}
+	for ; n > 0; n-- {
+		x++
+	}
+	return x
 }
 
 // Finish implements trace.Consumer.

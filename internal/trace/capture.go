@@ -53,7 +53,7 @@ type Capture struct {
 	// rep is the last record's encoding in cur when OnRepeat may append it
 	// again: that record committed nothing, left the PC, FID, InstIndex and
 	// core bases as it found them and was one cycle after its predecessor,
-	// so its repeat one cycle later encodes to the same bytes.
+	// so each repeat one cycle later encodes to the same bytes.
 	rep   []byte
 	count uint64
 	// cycles is the Finish total from the captured run.
@@ -107,17 +107,32 @@ func (c *Capture) OnCycle(r *Record) {
 	c.added()
 }
 
-// OnRepeat implements Repeater: when the previous record's encoding can
-// stand for its repeat, it is appended again without encoding; otherwise r
-// is encoded as OnCycle would.
-func (c *Capture) OnRepeat(r *Record) {
-	if c.rep == nil || c.err != nil || r.Cycle != c.st.lastCycle+1 || cap(c.cur)-len(c.cur) < maxRecordBytes {
+// OnRepeat implements Repeater: while the previous record's encoding can
+// stand for its repeat one cycle later, it is appended again without
+// encoding, once per cycle of the run; any cycle it cannot stand for is
+// encoded as OnCycle would, which may make it one that can.
+func (c *Capture) OnRepeat(r *Record, n uint64) {
+	for cyc := r.Cycle - n + 1; n > 0; cyc, n = cyc+1, n-1 {
+		if c.rep == nil || c.err != nil || cyc != c.st.lastCycle+1 || cap(c.cur)-len(c.cur) < maxRecordBytes {
+			c.encodeAt(r, cyc)
+			continue
+		}
+		c.cur = append(c.cur, c.rep...)
+		c.st.lastCycle++
+		c.added()
+	}
+}
+
+// encodeAt takes r at cycle cyc through OnCycle, on a copy when r is at
+// another cycle: records are read-only to consumers.
+func (c *Capture) encodeAt(r *Record, cyc uint64) {
+	if r.Cycle == cyc {
 		c.OnCycle(r)
 		return
 	}
-	c.cur = append(c.cur, c.rep...)
-	c.st.lastCycle++
-	c.added()
+	at := *r
+	at.Cycle = cyc
+	c.OnCycle(&at)
 }
 
 // added books a record appended to the current block, spilling once the

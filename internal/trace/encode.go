@@ -349,7 +349,7 @@ const readerWindow = 1 << 16
 // A stalled core emits the same commit-stage record cycle after cycle, and
 // across the benchmark suite about two records in three repeat the one
 // before them byte for byte. Next serves such a repeat without decoding it
-// (see rep).
+// (see rep), and run takes a whole stretch of them at once.
 type Reader struct {
 	src    io.Reader // nil for an in-memory trace
 	buf    []byte
@@ -427,6 +427,8 @@ func (r *Reader) fill() error {
 // When rec is the record the previous full decode filled, and the next
 // bytes repeat that record under unchanged delta bases, Next only sets
 // rec.Cycle: every other field already holds what decoding would write.
+// Next serves one record per call; a replay shard whose consumer takes runs
+// first asks run for the stretch of repeats that follows.
 func (r *Reader) Next(rec *Record) error {
 	if !r.eof && len(r.buf)-r.pos < maxRecordBytes {
 		if err := r.fill(); err != nil {
@@ -468,6 +470,32 @@ func (r *Reader) Next(rec *Record) error {
 	}
 	r.pos = pos
 	return nil
+}
+
+// run consumes the stretch of repeats at the read position: up to max
+// spans byte-identical to rep, when rep's cycle delta is 1 and rec is the
+// record it was decoded into. It advances the cycle base and rec.Cycle past
+// them and returns their count, so rec then stands for a run of that many
+// cycles ending at rec.Cycle (a Repeater's OnRepeat). It counts only spans
+// wholly inside the window and never refills or decodes; it returns 0,
+// consuming nothing, when no such span follows, and Next takes the record.
+func (r *Reader) run(rec *Record, max int) int {
+	rep := r.rep
+	if rep == nil || r.repDelta != 1 || rec != r.repRec {
+		return 0
+	}
+	pos, n := r.pos, 0
+	for n < max && len(r.buf)-pos >= len(rep) && bytes.Equal(r.buf[pos:pos+len(rep)], rep) {
+		pos += len(rep)
+		n++
+	}
+	if n > 0 {
+		r.pos = pos
+		r.st.lastCycle += uint64(n)
+		rec.Cycle = r.st.lastCycle
+		r.repeats += uint64(n)
+	}
+	return n
 }
 
 // sliceUvarint reads one uvarint from data at pos for the in-memory decode

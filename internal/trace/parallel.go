@@ -27,8 +27,15 @@ type Faultable interface {
 // replayShard is one replay worker: its consumer, how far into the stream it
 // got, and the error it stopped on.
 type replayShard struct {
-	c          Consumer
-	f          Faultable
+	c Consumer
+	f Faultable
+	// rep is c as a Repeater, when it takes runs: the shard then hands it
+	// each stretch of repeated records in one OnRepeat. Any other consumer
+	// gets one OnCycle per record.
+	rep Repeater
+	// scratch is the per-cycle copy a ring run is replayed on for a
+	// consumer that does not take runs.
+	scratch    Record
 	records    uint64
 	lastCommit uint64
 	// fault is the shard consumer's own failure: the root cause of any
@@ -46,16 +53,37 @@ func newReplayShards(consumers []Consumer) []replayShard {
 	}
 	shards := make([]replayShard, len(consumers))
 	for i, c := range consumers {
-		shards[i].c = c
+		shards[i] = newReplayShard(c)
 		shards[i].f, _ = c.(Faultable)
 	}
 	return shards
+}
+
+// newReplayShard wraps c in a shard that does not poll c's faults.
+func newReplayShard(c Consumer) replayShard {
+	rep, _ := c.(Repeater)
+	return replayShard{c: c, rep: rep}
 }
 
 // observe delivers one record to the shard's consumer.
 func (sh *replayShard) observe(rec *Record) {
 	sh.c.OnCycle(rec)
 	sh.records++
+	if rec.CommitCount > 0 {
+		sh.lastCommit = rec.Cycle
+	}
+}
+
+// observeRun delivers a run of n repeated records ending at rec.Cycle: in
+// one OnRepeat when the consumer takes runs, else cycle by cycle on the
+// shard's scratch copy, since rec may be a ring slot other shards read.
+func (sh *replayShard) observeRun(rec *Record, n uint64) {
+	if sh.rep != nil {
+		sh.rep.OnRepeat(rec, n)
+	} else {
+		Repeat(sh.c, rec, n, &sh.scratch)
+	}
+	sh.records += n
 	if rec.CommitCount > 0 {
 		sh.lastCommit = rec.Cycle
 	}
@@ -80,8 +108,10 @@ func (sh *replayShard) healthy(ctx context.Context, abort *atomic.Bool) bool {
 }
 
 // decode replays the trace r into the shard, polling healthy every n
-// records and once more at the end of the trace. A decode error raises
-// abort. It reports whether the shard reached the end of r healthy.
+// records and once more at the end of the trace. A consumer that takes runs
+// gets each stretch of repeats in one call, cut at the next poll so a fault
+// still stops the replay within n records. A decode error raises abort. It
+// reports whether the shard reached the end of r healthy.
 func (sh *replayShard) decode(ctx context.Context, r *Reader, n int, abort *atomic.Bool) bool {
 	var rec Record
 	for {
@@ -89,6 +119,13 @@ func (sh *replayShard) decode(ctx context.Context, r *Reader, n int, abort *atom
 			return false
 		}
 		for i := 0; i < n; i++ {
+			if sh.rep != nil {
+				if k := r.run(&rec, n-i); k > 0 {
+					sh.observeRun(&rec, uint64(k))
+					i += k - 1
+					continue
+				}
+			}
 			if err := r.Next(&rec); err == io.EOF {
 				return sh.healthy(ctx, abort)
 			} else if err != nil {

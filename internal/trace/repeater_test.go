@@ -78,14 +78,34 @@ func repeaterSteps(data []byte, v3 bool) []repStep {
 
 // deliver feeds steps into c through one reused record, as a core run does:
 // with useRepeat, repeats go through OnRepeat, otherwise through OnCycle.
-func deliver(c Repeater, steps []repStep, useRepeat bool) {
+// split, when set, gathers consecutive repeats into runs: it is given the
+// repeats left in the stretch and returns how many the next OnRepeat takes
+// (the core's delivery is one at a time).
+func deliver(c Repeater, steps []repStep, useRepeat bool, split func(left uint64) uint64) {
 	var r Record
-	for _, s := range steps {
-		r = s.rec
-		if s.repeat && useRepeat {
-			c.OnRepeat(&r)
-		} else {
+	for i := 0; i < len(steps); i++ {
+		s := steps[i]
+		if !s.repeat || !useRepeat {
+			r = s.rec
 			c.OnCycle(&r)
+			continue
+		}
+		left := uint64(1)
+		for i+int(left) < len(steps) && steps[i+int(left)].repeat {
+			left++
+		}
+		for left > 0 {
+			n := uint64(1)
+			if split != nil {
+				n = max(1, min(split(left), left))
+			}
+			i += int(n) - 1
+			r = steps[i].rec
+			c.OnRepeat(&r, n)
+			left -= n
+			if left > 0 {
+				i++
+			}
 		}
 	}
 	if n := len(steps); n > 0 {
@@ -93,15 +113,24 @@ func deliver(c Repeater, steps []repStep, useRepeat bool) {
 	}
 }
 
+// randomSplit returns a split for deliver that draws run lengths from a
+// generator seeded with seed.
+func randomSplit(seed uint64) func(uint64) uint64 {
+	return func(left uint64) uint64 {
+		seed = seed*6364136223846793005 + 1442695040888963407
+		return 1 + (seed>>33)%left
+	}
+}
+
 // captureBytes delivers steps into a fresh capture and returns its WriteTo
 // bytes and record count.
-func captureBytes(t *testing.T, steps []repStep, v3 bool, spill int, useRepeat bool) ([]byte, uint64) {
+func captureBytes(t *testing.T, steps []repStep, v3 bool, spill int, useRepeat bool, split func(uint64) uint64) ([]byte, uint64) {
 	c := NewCapture(spill)
 	if v3 {
 		c = NewCaptureV3(spill)
 	}
 	defer c.Close()
-	deliver(c, steps, useRepeat)
+	deliver(c, steps, useRepeat, split)
 	var buf bytes.Buffer
 	if _, err := c.WriteTo(&buf); err != nil {
 		t.Fatal(err)
@@ -110,25 +139,35 @@ func captureBytes(t *testing.T, steps []repStep, v3 bool, spill int, useRepeat b
 }
 
 // streamReplay delivers steps into a fresh stream and returns what one
-// replay shard observes.
-func streamReplay(t *testing.T, steps []repStep, cfg StreamConfig, useRepeat bool) (collect, PilotStats) {
+// replay shard observes; with takeRuns its consumer takes the ring's run
+// slots as OnRepeat calls, which it expands back into records.
+func streamReplay(t *testing.T, steps []repStep, cfg StreamConfig, useRepeat bool, split func(uint64) uint64, takeRuns bool) (collect, PilotStats) {
 	s := NewStream(cfg)
-	go deliver(s, steps, useRepeat)
-	var got collect
-	if _, _, err := s.ReplayShards(context.Background(), &got); err != nil {
+	go deliver(s, steps, useRepeat, split)
+	var got runCollect
+	var c Consumer = &got.collect
+	if takeRuns {
+		c = &got
+	}
+	if _, _, err := s.ReplayShards(context.Background(), c); err != nil {
 		t.Fatal(err)
+	}
+	if got.bad != nil {
+		t.Fatal(got.bad)
 	}
 	ps, err := s.Pilot(context.Background())
 	if err != nil {
 		t.Fatal(err)
 	}
-	return got, ps
+	return got.collect, ps
 }
 
 // FuzzRepeater delivers random record sequences with repeat runs, v2 and v3,
-// through OnRepeat and through OnCycle alone: a Capture must write the same
-// bytes either way, in memory and spilled, and a Stream must replay the same
-// records and pilot stats, across pilot windows and chunk sizes.
+// through OnRepeat, one cycle at a time and in runs of random length, and
+// through OnCycle alone: a Capture must write the same bytes either way, in
+// memory and spilled, and a Stream must replay the same records and pilot
+// stats, across pilot windows and chunk sizes, to a consumer that takes
+// the ring's run slots as runs and to one that takes them cycle by cycle.
 func FuzzRepeater(f *testing.F) {
 	f.Add([]byte{0x20, 4, 1, 0x21, 0x10, 0x00, 9, 40, 0x20, 4, 1, 0x21, 0x11, 0x00, 9, 3})
 	f.Add([]byte{0xf1, 1, 8, 0, 0x23, 1, 2, 3, 0x3f, 4, 5, 6, 7, 8, 9, 200, 0x45, 2, 2, 2, 0x40, 0x41, 255})
@@ -147,25 +186,34 @@ func FuzzRepeater(f *testing.F) {
 		if mode&2 != 0 {
 			spill = 64
 		}
-		want, wantN := captureBytes(t, steps, v3, spill, false)
-		got, gotN := captureBytes(t, steps, v3, spill, true)
-		if !bytes.Equal(got, want) || gotN != wantN {
-			t.Fatalf("capture through OnRepeat: %d records, %d bytes; through OnCycle: %d records, %d bytes",
-				gotN, len(got), wantN, len(want))
+		seed := uint64(len(data))<<8 | uint64(data[len(data)-1])
+		want, wantN := captureBytes(t, steps, v3, spill, false, nil)
+		for _, split := range []func(uint64) uint64{nil, randomSplit(seed)} {
+			got, gotN := captureBytes(t, steps, v3, spill, true, split)
+			if !bytes.Equal(got, want) || gotN != wantN {
+				t.Fatalf("capture through OnRepeat (runs %v): %d records, %d bytes; through OnCycle: %d records, %d bytes",
+					split != nil, gotN, len(got), wantN, len(want))
+			}
 		}
 		cfg := StreamConfig{
 			ChunkRecords: 1 + int(mode>>2&7),
 			PilotCycles:  uint64(mode>>5) * 16,
 		}
-		wantRecs, wantPilot := streamReplay(t, steps, cfg, false)
-		gotRecs, gotPilot := streamReplay(t, steps, cfg, true)
-		if gotPilot != wantPilot || gotRecs.total != wantRecs.total || len(gotRecs.recs) != len(wantRecs.recs) {
-			t.Fatalf("stream through OnRepeat: pilot %+v, %d records, total %d; through OnCycle: pilot %+v, %d records, total %d",
-				gotPilot, len(gotRecs.recs), gotRecs.total, wantPilot, len(wantRecs.recs), wantRecs.total)
-		}
-		for i := range wantRecs.recs {
-			if gotRecs.recs[i] != wantRecs.recs[i] {
-				t.Fatalf("stream record %d:\n got %+v\nwant %+v", i, gotRecs.recs[i], wantRecs.recs[i])
+		wantRecs, wantPilot := streamReplay(t, steps, cfg, false, nil, false)
+		for _, tc := range []struct {
+			split    func(uint64) uint64
+			takeRuns bool
+		}{{nil, false}, {nil, true}, {randomSplit(seed), false}, {randomSplit(seed), true}} {
+			gotRecs, gotPilot := streamReplay(t, steps, cfg, true, tc.split, tc.takeRuns)
+			if gotPilot != wantPilot || gotRecs.total != wantRecs.total || len(gotRecs.recs) != len(wantRecs.recs) {
+				t.Fatalf("stream through OnRepeat (runs %v, consumer takes runs %v): pilot %+v, %d records, total %d; through OnCycle: pilot %+v, %d records, total %d",
+					tc.split != nil, tc.takeRuns, gotPilot, len(gotRecs.recs), gotRecs.total, wantPilot, len(wantRecs.recs), wantRecs.total)
+			}
+			for i := range wantRecs.recs {
+				if gotRecs.recs[i] != wantRecs.recs[i] {
+					t.Fatalf("stream record %d (runs %v, consumer takes runs %v):\n got %+v\nwant %+v",
+						i, tc.split != nil, tc.takeRuns, gotRecs.recs[i], wantRecs.recs[i])
+				}
 			}
 		}
 	})
@@ -183,13 +231,15 @@ func TestCaptureRepeatAcrossBlocks(t *testing.T) {
 			st.recs[i-1].CommitCount == 0 && r.Banks[1].PC == st.recs[i-1].Banks[1].PC}
 	}
 	for _, spill := range []int{0, 3 << 20} {
-		want, _ := captureBytes(t, steps, false, spill, false)
+		want, _ := captureBytes(t, steps, false, spill, false, nil)
 		if len(want) < 3*blockBytes {
 			t.Fatalf("trace of %d bytes fills fewer than 3 blocks", len(want))
 		}
-		got, _ := captureBytes(t, steps, false, spill, true)
-		if !bytes.Equal(got, want) {
-			t.Fatalf("spill %d: OnRepeat capture differs from OnCycle capture", spill)
+		for _, split := range []func(uint64) uint64{nil, randomSplit(uint64(spill))} {
+			got, _ := captureBytes(t, steps, false, spill, true, split)
+			if !bytes.Equal(got, want) {
+				t.Fatalf("spill %d (runs %v): OnRepeat capture differs from OnCycle capture", spill, split != nil)
+			}
 		}
 	}
 }

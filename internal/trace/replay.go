@@ -1,9 +1,10 @@
 package trace
 
 import (
+	"context"
 	"errors"
 	"fmt"
-	"io"
+	"sync/atomic"
 )
 
 // errReplayUnfinished rejects replay of a capture that never saw Finish.
@@ -21,36 +22,24 @@ func badMagic(prefix []byte) error {
 }
 
 // Replay streams a stored trace through consumers, exactly as the live core
-// would have: one OnCycle per record, then Finish with the cycle count of
+// would have: one OnCycle per record (a consumer that takes runs may get a
+// stretch of repeats as one OnRepeat), then Finish with the cycle count of
 // the last committing record plus one. This is the workflow the paper uses
 // to evaluate many profiler configurations from one simulation (§4) —
 // capture the commit-stage trace once, then model profilers out-of-band.
+//
+// It is the replay shard's loop on one shard: a single consumer is the
+// shard's own, several share it through a Tee. Unlike ReplayShards it never
+// polls a consumer's Faultable; a consumer's failure is its own to report.
 func Replay(r *Reader, consumers ...Consumer) (cycles uint64, records uint64, err error) {
-	var rec Record
-	lastCommit := uint64(0)
-	for {
-		if err := r.Next(&rec); err != nil {
-			if errors.Is(err, io.EOF) {
-				break
-			}
-			return 0, records, err
-		}
-		records++
-		for _, c := range consumers {
-			c.OnCycle(&rec)
-		}
-		if rec.CommitCount > 0 {
-			lastCommit = rec.Cycle
-		}
+	var c Consumer = &Tee{Consumers: consumers}
+	if len(consumers) == 1 {
+		c = consumers[0]
 	}
-	if records == 0 {
-		return 0, 0, io.ErrUnexpectedEOF
-	}
-	cycles = lastCommit + 1
-	for _, c := range consumers {
-		c.Finish(cycles)
-	}
-	return cycles, records, nil
+	shards := []replayShard{newReplayShard(c)}
+	var abort atomic.Bool
+	shards[0].decode(context.Background(), r, DefaultChunkRecords, &abort)
+	return finishShards(shards, nil)
 }
 
 // ReplayBytes is Replay over an in-memory encoded trace: the Reader's

@@ -1,0 +1,231 @@
+package trace
+
+import (
+	"bytes"
+	"context"
+	"errors"
+	"fmt"
+	"testing"
+	"testing/iotest"
+)
+
+// runCollect is a collect that takes runs. It expands each OnRepeat into
+// the records n OnCycle calls would have delivered, after checking the
+// Repeater contract: r is the last record delivered, unchanged but for its
+// Cycle, which is n cycles later. It records a broken contract in bad, so
+// it can run on a shard goroutine.
+type runCollect struct {
+	collect
+	runs    int    // OnRepeat calls
+	longest uint64 // longest run
+	bad     error
+}
+
+func (c *runCollect) OnRepeat(r *Record, n uint64) {
+	if len(c.recs) == 0 {
+		c.bad = errors.New("OnRepeat before any record")
+		return
+	}
+	last := c.recs[len(c.recs)-1]
+	want := last
+	want.Cycle = last.Cycle + n
+	if c.bad == nil && (n == 0 || *r != want) {
+		c.bad = fmt.Errorf("OnRepeat(cycle %d, %d) does not repeat the record at cycle %d", r.Cycle, n, last.Cycle)
+	}
+	c.runs++
+	c.longest = max(c.longest, n)
+	for i := uint64(1); i <= n; i++ {
+		rec := last
+		rec.Cycle = last.Cycle + i
+		c.recs = append(c.recs, rec)
+	}
+}
+
+// runReplayed is one run-taking route's outcome.
+type runReplayed struct {
+	got             runCollect
+	cycles, records uint64
+	err             error
+}
+
+func (r *runReplayed) replayed() replayed {
+	return replayed{got: r.got.collect, cycles: r.cycles, records: r.records, err: errors.Join(r.err, r.got.bad)}
+}
+
+func runReplayWith(r *Reader) (out runReplayed) {
+	out.cycles, out.records, out.err = Replay(r, &out.got)
+	return out
+}
+
+// TestRunsMatchReference replays the stall cases through a consumer that
+// takes runs, over every Reader route and sharded: it must see the
+// reference decoder's records, and on a stall of 100 the slice Reader must
+// hand it runs. A cycle delta other than 1 (a skipped cycle, two
+// interleaved v3 cores) never forms a run.
+func TestRunsMatchReference(t *testing.T) {
+	for _, tc := range stallCases() {
+		t.Run(tc.name, func(t *testing.T) {
+			ref := referenceReplay(tc.enc)
+			if ref.err != nil {
+				t.Fatal(ref.err)
+			}
+			slice := runReplayWith(newSliceReader(tc.enc))
+			sameAsReference(t, "slice", ref, slice.replayed())
+			switch {
+			case tc.minRepeats >= 98 && slice.got.longest < 90:
+				t.Fatalf("longest run %d, want the stall of 100 as about one run", slice.got.longest)
+			case tc.minRepeats == 0 && slice.got.runs != 0:
+				t.Fatalf("%d runs where no record repeats under a cycle delta of 1", slice.got.runs)
+			}
+			streamed := runReplayWith(NewReader(bytes.NewReader(tc.enc)))
+			sameAsReference(t, "streamed", ref, streamed.replayed())
+			oneByte := runReplayWith(NewReader(iotest.OneByteReader(bytes.NewReader(tc.enc))))
+			sameAsReference(t, "one-byte", ref, oneByte.replayed())
+			capt, err := NewCaptureFromEncoded(tc.enc, 0, 0)
+			if err != nil {
+				t.Fatal(err)
+			}
+			var shards [2]runReplayed
+			shards[0].cycles, shards[0].records, err = capt.ReplayShards(context.Background(), 7, &shards[0].got, &shards[1].got)
+			if err != nil {
+				t.Fatal(err)
+			}
+			shards[1].cycles, shards[1].records = shards[0].cycles, shards[0].records
+			sameAsReference(t, "shard 0", ref, shards[0].replayed())
+			sameAsReference(t, "shard 1", ref, shards[1].replayed())
+			if shards[0].got.longest > 7 {
+				t.Fatalf("a run of %d records crosses a 7-record poll", shards[0].got.longest)
+			}
+		})
+	}
+}
+
+// TestDelta2RepeatsAreNotRuns replays a v3 core that reports every other
+// cycle: its records repeat byte for byte under a cycle delta of 2, which
+// Next serves from the repeat shortcut one record at a time, never as a
+// run.
+func TestDelta2RepeatsAreNotRuns(t *testing.T) {
+	tr := &stallTrace{}
+	tr.commit(0x52000)
+	for i := 0; i < 50; i++ {
+		tr.skip(1).stall(0x40000, 1)
+	}
+	tr.commit(0x40000)
+	enc := tr.encode(true)
+	ref := referenceReplay(enc)
+	r := newSliceReader(enc)
+	got := runReplayWith(r)
+	sameAsReference(t, "slice", ref, got.replayed())
+	if got.got.runs != 0 {
+		t.Fatalf("%d runs over a cycle delta of 2", got.got.runs)
+	}
+	if r.repeats < 48 {
+		t.Fatalf("%d records served as repeats, want at least 48", r.repeats)
+	}
+}
+
+// TestRunsAcrossBlocksAndRefills replays one stall long enough to straddle
+// a capture block seal and many readerWindow refills through a consumer
+// that takes runs: each route must match the reference, and the run is cut
+// only at a block seal, a refill or a poll.
+func TestRunsAcrossBlocksAndRefills(t *testing.T) {
+	const n = 150_000
+	tr := (&stallTrace{}).commit(0x52000).stall(0x40000, n).commit(0x40000)
+	c := NewCapture(0)
+	for i := range tr.recs {
+		c.OnCycle(&tr.recs[i])
+	}
+	c.Finish(tr.cycle)
+	if len(c.blocks) < 2 {
+		t.Fatalf("the run spans %d capture blocks, want at least 2", len(c.blocks))
+	}
+	var enc bytes.Buffer
+	if _, err := c.WriteTo(&enc); err != nil {
+		t.Fatal(err)
+	}
+	ref := referenceReplay(enc.Bytes())
+
+	blocks := runReplayWith(c.reader())
+	sameAsReference(t, "capture blocks", ref, blocks.replayed())
+	// Each poll cuts the run, and so does each block seal.
+	if polls := n/DefaultChunkRecords + len(c.blocks) + 2; blocks.got.runs > polls {
+		t.Fatalf("block Reader gave %d runs, want at most %d", blocks.got.runs, polls)
+	}
+	streamed := runReplayWith(NewReader(bytes.NewReader(enc.Bytes())))
+	sameAsReference(t, "streamed", ref, streamed.replayed())
+	refills := enc.Len()/(readerWindow-maxRecordBytes) + 1
+	if polls := n/DefaultChunkRecords + refills + 2; streamed.got.runs > polls {
+		t.Fatalf("streamed Reader gave %d runs over about %d refills, want at most %d", streamed.got.runs, refills, polls)
+	}
+}
+
+// pollCounter takes runs and records, at each fault poll, how many records
+// it has seen; with faultAt > 0 it reports a fault once it has seen that
+// many.
+type pollCounter struct {
+	runCollect
+	polls   []int
+	faultAt int
+}
+
+func (p *pollCounter) Err() error {
+	p.polls = append(p.polls, len(p.recs))
+	if p.faultAt > 0 && len(p.recs) >= p.faultAt {
+		return errors.New("consumer fault")
+	}
+	return nil
+}
+
+// TestRunCutAtPoll replays a long stall through ReplayShards with a poll
+// every 7 records: runs are cut so that every poll but the last falls on a
+// multiple of 7 records, as it does for one-record delivery.
+func TestRunCutAtPoll(t *testing.T) {
+	enc := (&stallTrace{}).commit(0x52000).stall(0x40000, 100).commit(0x40000).stall(0x40010, 30).encode(false)
+	capt, err := NewCaptureFromEncoded(enc, 0, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var p pollCounter
+	_, records, err := capt.ReplayShards(context.Background(), 7, &p)
+	if err != nil || p.bad != nil {
+		t.Fatal(err, p.bad)
+	}
+	if p.longest != 7 {
+		t.Fatalf("longest run %d, want runs cut at the 7-record poll", p.longest)
+	}
+	for i, n := range p.polls[:len(p.polls)-1] {
+		if n != 7*i {
+			t.Fatalf("poll %d after %d records, want %d", i, n, 7*i)
+		}
+	}
+	if last := p.polls[len(p.polls)-1]; uint64(last) != records {
+		t.Fatalf("last poll after %d records, want all %d", last, records)
+	}
+}
+
+// TestFaultInsideLongStall makes a consumer that takes runs fault in the
+// middle of a 200 000-cycle stall: the replay must stop within
+// DefaultChunkRecords records of the fault, in memory and spilled.
+func TestFaultInsideLongStall(t *testing.T) {
+	const faultAt = 50_000
+	tr := (&stallTrace{}).commit(0x52000).stall(0x40000, 200_000).commit(0x40000)
+	for _, spill := range []int{0, 1 << 20} {
+		c := NewCapture(spill)
+		for i := range tr.recs {
+			c.OnCycle(&tr.recs[i])
+		}
+		c.Finish(tr.cycle)
+		p := &pollCounter{faultAt: faultAt}
+		_, records, err := c.ReplayShards(context.Background(), 0, p)
+		c.Close()
+		if err == nil || err.Error() != "consumer fault" {
+			t.Fatalf("spill %d: err %v, want the consumer's fault", spill, err)
+		}
+		if records < faultAt || records > faultAt+DefaultChunkRecords {
+			t.Fatalf("spill %d: replay stopped after %d records, want within %d of %d", spill, records, DefaultChunkRecords, faultAt)
+		}
+		if p.longest < DefaultChunkRecords/2 {
+			t.Fatalf("spill %d: longest run %d, want the stall delivered in runs", spill, p.longest)
+		}
+	}
+}

@@ -131,24 +131,13 @@ func NewStream(cfg StreamConfig) *Stream {
 // the pilot capture, after it records batch into chunks flushed into the
 // ring. After an Abort it is a no-op, so a cancelled consumer never leaves
 // the producing core blocked on a full ring.
-func (s *Stream) OnCycle(r *Record) { s.add(r, false) }
-
-// OnRepeat implements Repeater: the pilot capture takes the repeat through
-// Capture.OnRepeat, and past the pilot the previous ring slot, already
-// normalized, is copied with the new cycle.
-func (s *Stream) OnRepeat(r *Record) { s.add(r, true) }
-
-func (s *Stream) add(r *Record, repeat bool) {
+func (s *Stream) OnCycle(r *Record) {
 	if s.aborted {
 		return
 	}
 	s.committed += uint64(r.CommitCount)
 	if s.pilotBuffering {
-		if repeat {
-			s.pilotCapt.OnRepeat(r)
-		} else {
-			s.pilotCapt.OnCycle(r)
-		}
+		s.pilotCapt.OnCycle(r)
 		if r.Cycle+1 >= s.pilotCycles {
 			// Pilot boundary: consumers blocked in Pilot wake here,
 			// typically long before the run ends.
@@ -156,19 +145,72 @@ func (s *Stream) add(r *Record, repeat bool) {
 		}
 		return
 	}
-	if s.cur == nil {
-		s.cur = s.chunkPool.Get().(*chunk)
+	s.toRing(r, 1, false)
+}
+
+// OnRepeat implements Repeater: the pilot capture takes the part of the run
+// up to the pilot boundary through Capture.OnRepeat, and past the pilot the
+// run extends the ring's last slot (see chunk).
+func (s *Stream) OnRepeat(r *Record, n uint64) {
+	if s.aborted || n == 0 {
+		return
 	}
-	recs := s.cur.records[:len(s.cur.records)+1]
-	if n := len(recs); repeat && n > 1 {
-		recs[n-1] = recs[n-2]
-		recs[n-1].Cycle = r.Cycle
-	} else {
-		normalizeRecord(&recs[n-1], r)
+	s.committed += uint64(r.CommitCount) * n
+	repeat := true
+	if s.pilotBuffering {
+		// The pilot takes every cycle up to the first at or past
+		// pilotCycles-1, as OnCycle would one cycle at a time.
+		seal := max(s.pilotCycles-1, r.Cycle-n+1)
+		if r.Cycle < seal {
+			s.pilotCapt.OnRepeat(r, n)
+			return
+		}
+		k := seal - (r.Cycle - n)
+		head := *r
+		head.Cycle = seal
+		s.pilotCapt.OnRepeat(&head, k)
+		s.sealPilot(PilotStats{Cycles: seal + 1, Committed: s.committed - uint64(r.CommitCount)*(n-k)})
+		if n -= k; n == 0 {
+			return
+		}
+		// The ring holds no earlier slot for the rest to repeat.
+		repeat = false
 	}
-	s.cur.records = recs
-	if len(recs) >= s.chunkRecords {
-		s.flushDirect()
+	s.toRing(r, n, repeat)
+}
+
+// toRing appends n cycles of r, ending at r.Cycle, to the ring's current
+// chunk, flushing each chunk that reaches chunkRecords cycles. With repeat,
+// they repeat the chunk's last slot; otherwise, and whenever a chunk starts,
+// the first of them is a fresh slot, normalized from r.
+func (s *Stream) toRing(r *Record, n uint64, repeat bool) {
+	for n > 0 {
+		if s.cur == nil {
+			s.cur = s.chunkPool.Get().(*chunk)
+		}
+		ck := s.cur
+		k := min(n, uint64(s.chunkRecords-ck.cycles))
+		last := r.Cycle - (n - k)
+		if j := len(ck.records); !repeat || j == 0 {
+			ck.records = ck.records[:j+1]
+			ck.runs = append(ck.runs, 0)
+			normalizeRecord(&ck.records[j], r)
+			ck.records[j].Cycle = last - k + 1
+			if k > 1 {
+				ck.addRun(last, k-1)
+			}
+		} else {
+			ck.addRun(last, k)
+		}
+		ck.cycles += int(k)
+		n -= k
+		repeat = true
+		if ck.cycles >= s.chunkRecords {
+			s.flushDirect()
+			if s.aborted {
+				return
+			}
+		}
 	}
 }
 
@@ -194,7 +236,7 @@ func (s *Stream) flushDirect() {
 	case s.ring <- ck:
 	case <-s.abortCh:
 		s.aborted = true
-		ck.records = ck.records[:0]
+		ck.reset()
 		s.chunkPool.Put(ck)
 	}
 }
@@ -255,24 +297,50 @@ func (s *Stream) Pilot(ctx context.Context) (PilotStats, error) {
 // shard, which bounds the live chunk set (and therefore the pool).
 const shardChanDepth = 4
 
-// chunk is a run of consecutive ring records. Every shard of a streamed
-// replay observes the same chunk read-only; refs counts the outstanding
-// readers and release returns the chunk to its pool once the last one is
-// done, so the producer allocates a steady-state working set instead of one
-// Record per cycle.
+// chunk is a run of consecutive ring records. A slot whose runs entry is
+// n > 0 is a run: n more cycles of the slot before it, ending at its own
+// Cycle, delivered as one OnRepeat. A quiet stretch then costs one slot
+// copy, not one per cycle. cycles counts the records the slots stand for; a
+// chunk is flushed at chunkRecords of them, so a replay shard still polls
+// for faults every chunkRecords records. Every shard of a streamed replay
+// observes the same chunk read-only; refs counts the outstanding readers and
+// release returns the chunk to its pool once the last one is done, so the
+// producer allocates a steady-state working set instead of one Record per
+// cycle.
 type chunk struct {
 	records []Record
+	runs    []uint64
+	cycles  int
 	refs    atomic.Int32
 	pool    *sync.Pool
+}
+
+// addRun adds k cycles ending at last to the run in the chunk's last slot,
+// opening the run with a copy of that slot if the slot is not one.
+func (c *chunk) addRun(last, k uint64) {
+	j := len(c.records) - 1
+	if c.runs[j] == 0 {
+		c.records = c.records[:j+2]
+		c.records[j+1] = c.records[j]
+		c.runs = append(c.runs, 0)
+		j++
+	}
+	c.records[j].Cycle = last
+	c.runs[j] += k
 }
 
 // release drops one reader reference, recycling the chunk when it was the
 // last. Callers must not touch the chunk afterwards.
 func (c *chunk) release() {
 	if c.refs.Add(-1) == 0 {
-		c.records = c.records[:0]
+		c.reset()
 		c.pool.Put(c)
 	}
+}
+
+// reset empties the chunk for reuse.
+func (c *chunk) reset() {
+	c.records, c.runs, c.cycles = c.records[:0], c.runs[:0], 0
 }
 
 // newChunkPool builds the ring's chunk pool; chunks recycle once every shard
@@ -280,7 +348,7 @@ func (c *chunk) release() {
 func newChunkPool(chunkRecords int) *sync.Pool {
 	pool := &sync.Pool{}
 	pool.New = func() any {
-		return &chunk{records: make([]Record, 0, chunkRecords), pool: pool}
+		return &chunk{records: make([]Record, 0, chunkRecords), runs: make([]uint64, 0, chunkRecords), pool: pool}
 	}
 	return pool
 }
@@ -341,7 +409,11 @@ func (s *Stream) ReplayShards(ctx context.Context, consumers ...Consumer) (cycle
 			for ck := range ch {
 				if ok {
 					for j := range ck.records {
-						sh.observe(&ck.records[j])
+						if n := ck.runs[j]; n > 0 {
+							sh.observeRun(&ck.records[j], n)
+						} else {
+							sh.observe(&ck.records[j])
+						}
 					}
 					ok = sh.healthy(ctx, &abort)
 				}

@@ -206,7 +206,8 @@ func (r *Record) YoungestCommitting() *BankEntry {
 
 // Consumer observes the per-cycle stream. OnCycle is called once per cycle
 // with a reused record; Finish is called once when the run ends, with the
-// final cycle count.
+// final cycle count. A Consumer that also implements Repeater may get a
+// stretch of repeated cycles as one OnRepeat call instead.
 //
 // The record is read-only to OnCycle. A replaying Reader relies on it: when
 // a non-committing record repeats the previous one, the Reader leaves the
@@ -220,26 +221,65 @@ type Consumer interface {
 	Finish(totalCycles uint64)
 }
 
-// Repeater is a Consumer that can take a repeated record cheaply. OnRepeat(r)
-// delivers, again and one cycle later, the record the previous OnCycle or
-// OnRepeat delivered: r is that same *Record, unmodified but for Cycle,
-// which is one higher. It must leave the consumer as OnCycle(r) would. A
-// cpu.Core run delivers each quiescent cycle this way to a consumer that
-// implements it; every other consumer gets OnCycle.
+// Repeater is a Consumer that can take a run of repeated records at once.
+// OnRepeat(r, n) stands for n more cycles of the record the previous
+// OnCycle or OnRepeat delivered, at cycles r.Cycle-n+1 through r.Cycle: r
+// holds that record, unchanged but for Cycle (it may be another *Record
+// with the same contents). It must leave the consumer as n OnCycle calls at
+// those cycles would, and like OnCycle it must not write to r.
+//
+// A cpu.Core run delivers each quiescent cycle as OnRepeat(r, 1) to a
+// consumer that implements it. A replay shard over a Reader or a Stream
+// ring delivers a whole stalled stretch, up to its next fault poll, in one
+// call; profiler.Dispatcher and Tee forward the run to their Repeater
+// members and replay it cycle by cycle, on a private copy of r, to the
+// others (see Repeat).
 type Repeater interface {
 	Consumer
-	OnRepeat(r *Record)
+	OnRepeat(r *Record, n uint64)
 }
 
-// Tee fans one stream out to several consumers.
+// Repeat delivers the run OnRepeat(r, n) describes to c: in one call when c
+// is a Repeater, otherwise as n OnCycle calls on scratch, a copy of r whose
+// Cycle steps from r.Cycle-n+1 to r.Cycle, so r itself is never written.
+func Repeat(c Consumer, r *Record, n uint64, scratch *Record) {
+	if rc, ok := c.(Repeater); ok {
+		rc.OnRepeat(r, n)
+		return
+	}
+	if n == 0 {
+		return
+	}
+	*scratch = *r
+	for cyc := r.Cycle - n + 1; ; cyc++ {
+		scratch.Cycle = cyc
+		c.OnCycle(scratch)
+		if cyc == r.Cycle {
+			return
+		}
+	}
+}
+
+// Tee fans one stream out to several consumers. It forwards runs to the
+// members that implement Repeater and replays them cycle by cycle to the
+// others. It never polls its members' faults: it is not Faultable.
 type Tee struct {
 	Consumers []Consumer
+
+	scratch Record
 }
 
 // OnCycle implements Consumer.
 func (t *Tee) OnCycle(r *Record) {
 	for _, c := range t.Consumers {
 		c.OnCycle(r)
+	}
+}
+
+// OnRepeat implements Repeater.
+func (t *Tee) OnRepeat(r *Record, n uint64) {
+	for _, c := range t.Consumers {
+		Repeat(c, r, n, &t.scratch)
 	}
 }
 
