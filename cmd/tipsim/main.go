@@ -80,8 +80,7 @@ func main() {
 	rc.WithBreakdown = true
 	rc.Check = *checkInv
 	rc.ReplayWorkers = *replayW
-	rc.Streaming = *streaming
-	if err := configure(&rc, sflags, *sampled, *cores, *record); err != nil {
+	if err := configure(&rc, sflags, *sampled, *streaming, *cores, *record); err != nil {
 		fatal(err)
 	}
 
@@ -96,16 +95,16 @@ func main() {
 	if err != nil {
 		fatal(err)
 	}
-	res, err := run(w, rc, *record)
+	res, err := run(w, rc, *streaming, *record)
 	if err != nil {
 		fatal(err)
 	}
 	printResult(w.Name, res, *top, *fn)
 }
 
-// configure applies the sampled-schedule flags to rc (which already carries
-// -streaming) and rejects the mode combinations no run route supports.
-func configure(rc *tip.RunConfig, sflags cli.SampledFlags, sampled bool, cores, record string) error {
+// configure applies the sampled-schedule flags to rc and rejects the mode
+// combinations no run route supports.
+func configure(rc *tip.RunConfig, sflags cli.SampledFlags, sampled, streaming bool, cores, record string) error {
 	if err := sflags.Apply(rc, sampled, "-sampled"); err != nil {
 		return err
 	}
@@ -116,7 +115,7 @@ func configure(rc *tip.RunConfig, sflags cli.SampledFlags, sampled bool, cores, 
 		return nil
 	case record != "":
 		return fmt.Errorf("-record is incompatible with -cores (raw-sample recording is single-core)")
-	case rc.Streaming:
+	case streaming:
 		return fmt.Errorf("-streaming is incompatible with -cores (multicore profiling demultiplexes a finished capture)")
 	case sampled:
 		return fmt.Errorf("-sampled is incompatible with -cores (fast-forward legs emit no core-tagged records)")
@@ -124,12 +123,20 @@ func configure(rc *tip.RunConfig, sflags cli.SampledFlags, sampled bool, cores, 
 	return nil
 }
 
-// run simulates w under rc. A non-empty record path also writes the raw TIP
-// samples a perfdata collector gathers at the run's calibrated interval,
-// whichever route the run takes to find it.
-func run(w *tip.Workload, rc tip.RunConfig, record string) (*tip.Result, error) {
+// run simulates w under rc, through tip.RunStreaming when streaming is set
+// (and rc is not sampled, which streams anyway), otherwise through tip.Run. A
+// non-empty record path also writes the raw TIP samples a perfdata collector
+// gathers at the run's calibrated interval, whichever route the run takes to
+// find it.
+func run(w *tip.Workload, rc tip.RunConfig, streaming bool, record string) (*tip.Result, error) {
+	route := tip.Run
+	if streaming && !rc.Sampled {
+		route = func(w *tip.Workload, rc tip.RunConfig) (*tip.Result, error) {
+			return tip.RunStreaming(context.Background(), w, rc)
+		}
+	}
 	if record == "" {
-		return tip.Run(w, rc)
+		return route(w, rc)
 	}
 	f, err := os.Create(record)
 	if err != nil {
@@ -139,7 +146,7 @@ func run(w *tip.Workload, rc tip.RunConfig, record string) (*tip.Result, error) 
 	rc.ExtraConsumersAt = func(interval, _ uint64) []trace.Consumer {
 		return []trace.Consumer{perfdata.NewCollector(rw, sampling.NewPeriodic(interval), 0, 1, 1)}
 	}
-	res, err := tip.Run(w, rc)
+	res, err := route(w, rc)
 	if err == nil {
 		err = rw.Err()
 	}

@@ -44,7 +44,7 @@ func TestConfigureSampledRejections(t *testing.T) {
 	for _, tc := range cases {
 		rc := tip.DefaultRunConfig()
 		f := cli.SampledFlags{Window: tc.window, Interval: tc.interval, Warmup: tc.warmup, Workers: tc.workers}
-		err := configure(&rc, f, tc.sampled, "", tc.record)
+		err := configure(&rc, f, tc.sampled, false, "", tc.record)
 		if tc.wantErr == "" {
 			if err != nil {
 				t.Errorf("%s: unexpected error %v", tc.name, err)
@@ -61,7 +61,7 @@ func TestConfigureSampledRejections(t *testing.T) {
 // evaluation-harness defaults, and that explicit values pass through.
 func TestConfigureSampledDefaults(t *testing.T) {
 	rc := tip.DefaultRunConfig()
-	if err := configure(&rc, cli.SampledFlags{}, true, "", ""); err != nil {
+	if err := configure(&rc, cli.SampledFlags{}, true, false, "", ""); err != nil {
 		t.Fatal(err)
 	}
 	if !rc.Sampled {
@@ -74,7 +74,7 @@ func TestConfigureSampledDefaults(t *testing.T) {
 	}
 
 	rc = tip.DefaultRunConfig()
-	if err := configure(&rc, cli.SampledFlags{Window: 4096, Interval: 4096}, true, "", ""); err != nil {
+	if err := configure(&rc, cli.SampledFlags{Window: 4096, Interval: 4096}, true, false, "", ""); err != nil {
 		t.Fatal(err)
 	}
 	if rc.WarmupCycles != 0 {
@@ -82,7 +82,7 @@ func TestConfigureSampledDefaults(t *testing.T) {
 	}
 
 	rc = tip.DefaultRunConfig()
-	if err := configure(&rc, cli.SampledFlags{Warmup: "0", Workers: 3}, true, "", ""); err != nil {
+	if err := configure(&rc, cli.SampledFlags{Warmup: "0", Workers: 3}, true, false, "", ""); err != nil {
 		t.Fatal(err)
 	}
 	if rc.WarmupCycles != 0 || rc.WindowWorkers != 3 {
@@ -90,7 +90,7 @@ func TestConfigureSampledDefaults(t *testing.T) {
 	}
 
 	rc = tip.DefaultRunConfig()
-	if err := configure(&rc, cli.SampledFlags{Window: 2048, Interval: 16384, Warmup: "1024"}, true, "", ""); err != nil {
+	if err := configure(&rc, cli.SampledFlags{Window: 2048, Interval: 16384, Warmup: "1024"}, true, false, "", ""); err != nil {
 		t.Fatal(err)
 	}
 	if rc.WindowCycles != 2048 || rc.WindowInterval != 16384 || rc.WarmupCycles != 1024 {
@@ -102,7 +102,7 @@ func TestConfigureSampledDefaults(t *testing.T) {
 // heuristic's cycle count is filled in.
 func TestConfigureSampledAutoWarmup(t *testing.T) {
 	rc := tip.DefaultRunConfig()
-	if err := configure(&rc, cli.SampledFlags{Window: 8192, Interval: 1 << 20, Warmup: "auto"}, true, "", ""); err != nil {
+	if err := configure(&rc, cli.SampledFlags{Window: 8192, Interval: 1 << 20, Warmup: "auto"}, true, false, "", ""); err != nil {
 		t.Fatal(err)
 	}
 	if want := tip.AutoWarmupCycles(8192, 1<<20); rc.WarmupCycles != want {
@@ -121,10 +121,8 @@ func TestRecordMatchesCollectorOnEveryRoute(t *testing.T) {
 	dir := t.TempDir()
 	var files [2][]byte
 	for i, streaming := range []bool{false, true} {
-		rc := tip.DefaultRunConfig()
-		rc.Streaming = streaming
 		path := filepath.Join(dir, fmt.Sprintf("r%d.tipperf", i))
-		if _, err := run(w, rc, path); err != nil {
+		if _, err := run(w, tip.DefaultRunConfig(), streaming, path); err != nil {
 			t.Fatalf("streaming=%v: %v", streaming, err)
 		}
 		if files[i], err = os.ReadFile(path); err != nil {
@@ -155,8 +153,7 @@ func TestRunMulticoreRejections(t *testing.T) {
 	}
 	for _, tc := range cases {
 		rc := tip.DefaultRunConfig()
-		rc.Streaming = tc.streaming
-		err := configure(&rc, cli.SampledFlags{}, tc.sampled, "mcf,x264", tc.record)
+		err := configure(&rc, cli.SampledFlags{}, tc.sampled, tc.streaming, "mcf,x264", tc.record)
 		if err == nil || !strings.Contains(err.Error(), tc.wantErr) {
 			t.Errorf("%s: error %v, want substring %q", tc.name, err, tc.wantErr)
 		}

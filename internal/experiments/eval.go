@@ -56,7 +56,7 @@ type Options struct {
 	Checked bool
 	// Streaming fuses each benchmark's capture and replay phases: the
 	// cycle-level simulation streams into the profiler matrix through a
-	// bounded ring (see tip.RunConfig.Streaming), so peak memory stays
+	// bounded ring (see tip.RunStreaming), so peak memory stays
 	// independent of trace length and per-benchmark wall-clock approaches
 	// max(capture, replay). Intervals are pilot-calibrated, so errors can
 	// differ marginally from a non-streaming evaluation of the same suite;

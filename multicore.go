@@ -9,6 +9,11 @@ import (
 	"github.com/tipprof/tip/internal/trace"
 )
 
+// errMulticoreSampled rejects RunConfig.Sampled on the multicore routes:
+// fast-forward legs emit no core-tagged records, so there is no sampled
+// multicore schedule to run.
+var errMulticoreSampled = errors.New("tip: multicore runs do not support sampled simulation (RunConfig.Sampled)")
+
 // MulticoreResult is the outcome of one multi-programmed profiled run: one
 // Result per core, each validated against that core's own Oracle (§3.2 —
 // every physical core has its own TIP unit; a co-runner changes a
@@ -71,9 +76,13 @@ func CaptureMulticore(ctx context.Context, ws []*Workload, cfg CoreConfig) (*Tra
 // rc.ExtraConsumers / rc.ExtraConsumersAt are not applied on this path —
 // they would observe one core's filtered stream per matrix they were added
 // to, which is never what a caller wiring a single-stream consumer expects.
+// rc.Sampled is rejected.
 func RunMulticoreCaptured(ctx context.Context, ws []*Workload, capt *TraceCapture, stats []CoreStats, rc RunConfig) (*MulticoreResult, error) {
 	if ctx == nil {
 		ctx = context.Background()
+	}
+	if rc.Sampled {
+		return nil, errMulticoreSampled
 	}
 	if len(ws) == 0 || len(ws) != len(stats) {
 		return nil, fmt.Errorf("tip: multicore replay: %d workloads, %d stats", len(ws), len(stats))
@@ -124,8 +133,12 @@ func RunMulticoreCaptured(ctx context.Context, ws []*Workload, capt *TraceCaptur
 // RunMulticore captures a lockstep multi-programmed run of ws and evaluates
 // the per-core profiler matrices from the capture — the whole-pipeline
 // multicore entry point behind tipsim -cores, tipbench -figures multicore,
-// and tipd "cores" jobs.
+// and tipd "cores" jobs. rc.Sampled is rejected before anything is
+// simulated.
 func RunMulticore(ctx context.Context, ws []*Workload, rc RunConfig) (*MulticoreResult, error) {
+	if rc.Sampled {
+		return nil, errMulticoreSampled
+	}
 	capt, stats, err := CaptureMulticore(ctx, ws, rc.Core)
 	if err != nil {
 		return nil, err

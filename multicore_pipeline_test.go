@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"compress/gzip"
 	"context"
+	"errors"
 	"fmt"
 	"io"
 	"os"
@@ -235,6 +236,26 @@ func TestRunMulticoreCapturedAbortsOnConsumerFault(t *testing.T) {
 		if n > 2*trace.DefaultChunkRecords {
 			t.Fatalf("workers=%d: %d violations of %d corrupted records; the replay did not stop at the first poll", workers, n, corrupted)
 		}
+	}
+}
+
+// TestRunMulticoreRejectsSampled pins that both multicore entry points refuse
+// a sampled RunConfig instead of silently running it in full detail.
+func TestRunMulticoreRejectsSampled(t *testing.T) {
+	rc := DefaultRunConfig()
+	if err := ConfigureSampled(&rc, 0, 0, ""); err != nil {
+		t.Fatal(err)
+	}
+	if res, err := RunMulticore(context.Background(), mcPair(t, 5_000), rc); !errors.Is(err, errMulticoreSampled) || res != nil {
+		t.Fatalf("RunMulticore: result %v, err %v; want a sampled rejection", res, err)
+	}
+	capt, stats, err := CaptureMulticore(nil, mcPair(t, 5_000), rc.Core)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer capt.Close()
+	if res, err := RunMulticoreCaptured(context.Background(), mcPair(t, 5_000), capt, stats, rc); !errors.Is(err, errMulticoreSampled) || res != nil {
+		t.Fatalf("RunMulticoreCaptured: result %v, err %v; want a sampled rejection", res, err)
 	}
 }
 

@@ -155,8 +155,8 @@ func mulDiv(a, b, d uint64) uint64 {
 	return q
 }
 
-// sampledCancelMask mirrors the core's RunContext poll granularity: the
-// window loop checks its context every sampledCancelMask+1 core cycles.
+// sampledCancelMask mirrors the core's RunContext poll granularity: runLeg
+// checks its context every sampledCancelMask+1 core cycles.
 const sampledCancelMask = 8191
 
 // AutoWarmupCycles is the `-warmup auto` heuristic (see ConfigureSampled):
@@ -247,92 +247,151 @@ func (st *stitcher) settle(curCycles, curCommitted uint64, haveCur bool) {
 	st.pendingExec, st.pendingWarm = 0, 0
 }
 
-// runSampledCore is the sampled producer: it alternates detailed
-// measurement windows (emitted to consumer on a contiguous renumbered
-// clock) with functional fast-forward legs sized by the preceding window's
-// CPI, plus an optional discarded detailed warmup prefix after each leg.
-// On success the caller must deliver Finish(sr.MeasuredCycles) itself.
-func runSampledCore(ctx context.Context, core *cpu.Core, ff *program.FastForward, rc RunConfig, consumer trace.Consumer) (CoreStats, *SampledRunStats, error) {
-	var rec trace.Record
-	sr := &SampledRunStats{}
-	coreCycle := uint64(0) // the core's own clock, warmup included
-	measured := uint64(0)  // the emitted clock, contiguous from 0
-	lastCommitCore := uint64(0)
-	lastCommitMeasured := uint64(0)
-	done := false
+// legResult is one detailed leg's outcome: a warmup prefix stepped
+// unobserved, then a measurement window whose cycles went to emit.
+type legResult struct {
+	warmSteps uint64 // warmup cycles actually simulated
+	winSteps  uint64 // window cycles actually simulated
+	warmCom   uint64 // instructions committed during warmup
+	winCom    uint64 // instructions committed during the window
+	// lastCommit is the leg-relative cycle (0 = the leg's first cycle) of
+	// the last commit, or -1 if nothing committed.
+	lastCommit int64
+	done       bool // the program ended inside the leg
+}
 
-	// A full run never emits records past its last commit (the drained
-	// machine stops the cycle loop), and two checker invariants rest on
-	// that: Finish equals last commit + 1, and the Oracle attributes
-	// exactly one cycle per record. A measurement window, though, can end
-	// mid-stall with instructions in flight that only ever commit inside
-	// the next (hidden) warmup or fast-forward leg. Hold each commit-free
-	// suffix back until a later commit proves the stream continues; a
-	// suffix still held at end of run is dropped, making the measured
-	// stream end at its last commit exactly like a full run's.
-	jitter := xrand.New(rc.SamplingSeed ^ 0x5a3c9d71)
-
-	var held []trace.Record
-	emit := func(r *trace.Record) {
-		if r.CommitCount == 0 {
-			held = append(held, *r)
-			return
+// runLeg is the engine behind every detailed cycle of a sampled run. It
+// steps core from cycle start through warmup cycles whose records are
+// dropped, then through window cycles whose records go to emit, stopping
+// early when the program ends. A non-zero maxCycles bounds the core's clock
+// as RunConfig.Core.MaxCycles does, and ctx is polled every
+// sampledCancelMask+1 cycles. rec must be the caller's record, reused from
+// one leg to the next on a continued core: Step skips quiescent cycles only
+// for the record it filled last.
+func runLeg(ctx context.Context, core *cpu.Core, rec *trace.Record, start, warmup, window, maxCycles uint64, emit func(*trace.Record)) (legResult, error) {
+	leg := legResult{lastCommit: -1}
+	base := core.Stats().Committed
+	for n := uint64(0); n < warmup+window && !leg.done; n++ {
+		cycle := start + n
+		if n == warmup {
+			leg.warmCom = core.Stats().Committed - base
 		}
-		for i := range held {
-			consumer.OnCycle(&held[i])
+		if maxCycles > 0 && cycle >= maxCycles {
+			return leg, fmt.Errorf("cpu: exceeded MaxCycles=%d (committed %d)", maxCycles, core.Stats().Committed)
 		}
-		held = held[:0]
-		consumer.OnCycle(r)
-	}
-
-	stepDetailed := func() (bool, error) {
-		if rc.Core.MaxCycles > 0 && coreCycle >= rc.Core.MaxCycles {
-			return false, fmt.Errorf("cpu: exceeded MaxCycles=%d (committed %d)",
-				rc.Core.MaxCycles, core.Stats().Committed)
-		}
-		if coreCycle&sampledCancelMask == 0 {
+		if cycle&sampledCancelMask == 0 {
 			if err := ctx.Err(); err != nil {
-				return false, fmt.Errorf("cpu: run aborted at cycle %d: %w", coreCycle, err)
+				return leg, fmt.Errorf("cpu: run aborted at cycle %d: %w", cycle, err)
 			}
 		}
-		return core.Step(coreCycle, &rec), nil
+		leg.done = core.Step(cycle, rec)
+		if rec.CommitCount > 0 {
+			leg.lastCommit = int64(n)
+		}
+		if n < warmup {
+			leg.warmSteps++
+		} else {
+			leg.winSteps++
+			emit(rec)
+		}
 	}
+	if leg.winSteps == 0 {
+		// The program ended inside the warmup: every commit was warmup's.
+		leg.warmCom = core.Stats().Committed - base
+	}
+	leg.winCom = core.Stats().Committed - base - leg.warmCom
+	return leg, nil
+}
 
+// measuredClock renumbers window records onto the contiguous measured clock
+// the profilers observe. A full run never emits records past its last commit,
+// and two checker invariants rest on that: Finish equals last commit + 1, and
+// the Oracle attributes exactly one cycle per record. A window can end
+// mid-stall with instructions that only commit in the next hidden leg, so a
+// commit-free suffix is held until a later commit proves the stream
+// continues; one still held at end of run is dropped.
+type measuredClock struct {
+	consumer   trace.Consumer
+	held       []trace.Record
+	next       uint64 // measured cycle of the next record
+	lastCommit uint64 // measured cycle of the last committing record
+}
+
+// emit stamps r with the next measured cycle and delivers it, or holds it
+// while it commits nothing.
+func (m *measuredClock) emit(r *trace.Record) {
+	r.Cycle = m.next
+	if r.CommitCount == 0 {
+		m.held = append(m.held, *r)
+	} else {
+		for i := range m.held {
+			m.consumer.OnCycle(&m.held[i])
+		}
+		m.held = m.held[:0]
+		m.consumer.OnCycle(r)
+		m.lastCommit = m.next
+	}
+	m.next++
+}
+
+// finish fills in sr's run totals from the last measured and detailed
+// commit cycles and returns stats — the detailed legs' totals — republished
+// to describe the whole (estimated) execution, so a sampled run drops into
+// any report a full run feeds.
+func (sr *SampledRunStats) finish(stats CoreStats, lastMeasured, lastDetailed uint64) CoreStats {
+	sr.MeasuredCycles = lastMeasured + 1
+	sr.DetailedCycles = lastDetailed + 1
+	sr.EstimatedCycles = sr.MeasuredCycles + sr.FFRepresentedCycles + sr.WarmupRepresentedCycles
+	stats.Cycles = sr.EstimatedCycles
+	stats.Committed += sr.FFInstructions
+	return stats
+}
+
+// runSampledCore is the serial sampled producer: one core alternates
+// detailed legs (emitted to consumer on a contiguous renumbered clock) with
+// functional fast-forward legs sized by the preceding window's CPI. Each leg
+// after a fast-forward opens with a discarded detailed warmup prefix. On
+// success the caller must deliver Finish(sr.MeasuredCycles) itself.
+func runSampledCore(ctx context.Context, w *Workload, rc RunConfig, consumer trace.Consumer) (CoreStats, *SampledRunStats, error) {
+	core := newCore(rc.Core, w)
+	ff := program.NewFastForward(w.Prog)
+	var rec trace.Record
+	sr := &SampledRunStats{}
+	clock := measuredClock{consumer: consumer}
+	coreCycle := uint64(0) // the core's own clock, warmup included
+	lastCommitCore := uint64(0)
+	jitter := xrand.New(rc.SamplingSeed ^ 0x5a3c9d71)
 	// Unmeasured spans are priced trapezoidally by the windows that bracket
 	// them; see stitcher.
 	st := stitcher{sr: sr}
 
-	for !done {
-		// Measurement window: every cycle is emitted, renumbered onto
-		// the measured clock so downstream consumers (checker included)
-		// see one contiguous stream.
-		winStartCore := coreCycle
-		winStartCommits := core.Stats().Committed
-		for n := uint64(0); n < rc.WindowCycles; n++ {
-			d, err := stepDetailed()
-			if err != nil {
-				return core.Stats(), sr, err
-			}
-			rec.Cycle = measured
-			emit(&rec)
-			if rec.CommitCount > 0 {
-				lastCommitMeasured = measured
-				lastCommitCore = coreCycle
-			}
-			measured++
-			coreCycle++
-			if d {
-				done = true
-				break
-			}
+	// Window 0, and any window that follows another with no fast-forward
+	// leg between them, runs without warmup.
+	warmup := uint64(0)
+	for {
+		// Warmup cycles are neither emitted nor charged to the estimate:
+		// the pipeline restarts empty, so they include a fill ramp the
+		// uninterrupted execution never paid. The instructions they
+		// commit are real, and are settled at the price of the window
+		// they run into.
+		leg, err := runLeg(ctx, core, &rec, coreCycle, warmup, rc.WindowCycles, rc.Core.MaxCycles, clock.emit)
+		if err != nil {
+			return core.Stats(), sr, err
 		}
-		sr.Windows++
-		winCycles := coreCycle - winStartCore
-		winCommitted := core.Stats().Committed - winStartCommits
-		st.settle(winCycles, winCommitted, true)
-		if done {
+		if leg.lastCommit >= 0 {
+			lastCommitCore = coreCycle + uint64(leg.lastCommit)
+		}
+		coreCycle += leg.warmSteps + leg.winSteps
+		sr.WarmupCyclesRun += leg.warmSteps
+		st.pendingWarm = leg.warmCom
+		if leg.winSteps > 0 {
+			sr.Windows++
+			st.settle(leg.winSteps, leg.winCom, true)
+		}
+		if leg.done {
 			break
 		}
+		warmup = 0
 		gap := rc.WindowInterval - rc.WindowCycles
 		if gap == 0 {
 			// Fraction 1: back-to-back windows degenerate to full
@@ -352,8 +411,8 @@ func runSampledCore(ctx context.Context, core *cpu.Core, ff *program.FastForward
 		// ffCycles. A window that retired nothing (one long stall)
 		// falls back to IPC 1 so the run still makes progress.
 		skip := ffCycles
-		if winCommitted > 0 {
-			skip = mulDiv(ffCycles, winCommitted, winCycles)
+		if leg.winCom > 0 {
+			skip = mulDiv(ffCycles, leg.winCom, leg.winSteps)
 		}
 		if skip == 0 {
 			// The window predicts nothing would execute in the gap;
@@ -364,51 +423,19 @@ func runSampledCore(ctx context.Context, core *cpu.Core, ff *program.FastForward
 		core.ArchCheckpoint(coreCycle)
 		exec, ffDone := core.FastForward(ff, skip)
 		sr.FFInstructions += exec
-		st.pend(exec, 0, winCycles, winCommitted)
+		st.pend(exec, 0, leg.winSteps, leg.winCom)
 		if ffDone {
 			// The program ended inside the leg; the checkpoint left
 			// the pipeline empty, so there is nothing to drain.
 			break
 		}
 		core.ResumeFrom(coreCycle)
-		// Warmup prefix: simulated in detail (the core clock advances,
-		// commits count) but never emitted — the profilers' next
-		// observation is the window after it. Its cycles are likewise
-		// excluded from the cycle estimate: the pipeline restarts empty,
-		// so warmup time includes a fill ramp the uninterrupted execution
-		// never paid — charging it would overestimate by roughly a
-		// pipeline-fill per window. The instructions warmup commits are
-		// real, though, and are settled above at the price of the window
-		// they run into.
-		warmStartCommits := core.Stats().Committed
-		for n := uint64(0); n < rc.WarmupCycles && !done; n++ {
-			d, err := stepDetailed()
-			if err != nil {
-				return core.Stats(), sr, err
-			}
-			if rec.CommitCount > 0 {
-				lastCommitCore = coreCycle
-			}
-			coreCycle++
-			sr.WarmupCyclesRun++
-			done = d
-		}
-		st.pendingWarm = core.Stats().Committed - warmStartCommits
+		warmup = rc.WarmupCycles
 	}
 	// A leg or warmup the program ended inside has no bracketing window on
 	// the right; settle it against the left window alone.
 	st.settle(0, 0, false)
-
-	core.FinalizeStats(lastCommitCore)
-	stats := core.Stats()
-	sr.MeasuredCycles = lastCommitMeasured + 1
-	sr.DetailedCycles = stats.Cycles
-	sr.EstimatedCycles = sr.MeasuredCycles + sr.FFRepresentedCycles + sr.WarmupRepresentedCycles
-	// The published stats describe the whole (estimated) execution, so a
-	// sampled run drops into any report a full run feeds.
-	stats.Cycles = sr.EstimatedCycles
-	stats.Committed += sr.FFInstructions
-	return stats, sr, nil
+	return sr.finish(core.Stats(), clock.lastCommit, lastCommitCore), sr, nil
 }
 
 // RunSampled evaluates rc's profiler matrix under sampled simulation: one
@@ -429,26 +456,25 @@ func runSampledCore(ctx context.Context, core *cpu.Core, ff *program.FastForward
 // start and a bounded worker pool runs the detailed legs concurrently. Its
 // output is byte-identical for every WindowWorkers value >= 1; it differs
 // slightly from the serial schedule (WindowWorkers == 0), which sizes each
-// fast-forward leg from the latest window's CPI, where the parallel sweep
-// must place all checkpoints using window 0's IPC.
+// fast-forward leg from the latest window's CPI and runs every leg on one
+// continued core, where the parallel sweep places checkpoints at the CPI of
+// a window sampledConvLag back and runs each leg on a restored core. Both
+// producers step every detailed cycle through runLeg and emit through a
+// measuredClock.
 func RunSampled(ctx context.Context, w *Workload, rc RunConfig) (*Result, error) {
 	if err := ValidateSampled(rc); err != nil {
 		return nil, fmt.Errorf("tip: %s: %w", w.Name, err)
 	}
-	parallel := rc.WindowWorkers >= 1 && rc.WindowCycles < rc.WindowInterval
+	produce := runSampledCore
+	if rc.WindowWorkers >= 1 && rc.WindowCycles < rc.WindowInterval {
+		produce = runSampledParallel
+	}
 	return runFused(ctx, w, rc, true, func(ctx context.Context, s *trace.Stream) (CoreStats, *SampledRunStats, error) {
-		var st CoreStats
-		var sr *SampledRunStats
-		var err error
-		if parallel {
-			st, sr, err = runSampledParallel(ctx, w, rc, s)
-		} else {
-			st, sr, err = runSampledCore(ctx, newCore(rc.Core, w), program.NewFastForward(w.Prog), rc, s)
+		// runFused names the workload in any error.
+		st, sr, err := produce(ctx, w, rc, s)
+		if err == nil {
+			s.Finish(sr.MeasuredCycles)
 		}
-		if err != nil {
-			return st, nil, fmt.Errorf("%s: %w", w.Name, err)
-		}
-		s.Finish(sr.MeasuredCycles)
-		return st, sr, nil
+		return st, sr, err
 	})
 }

@@ -100,19 +100,12 @@ func (t *convTrack) ratioFor(k int) (cyc, com uint64, ok bool) {
 	return t.cycles[idx], t.coms[idx], true
 }
 
-// winResult is one detailed warmup+window leg's outcome.
+// winResult is one worker leg's outcome.
 type winResult struct {
-	recs      []trace.Record // the window's records, on the leg-local clock
-	warmSteps uint64         // warmup cycles actually simulated
-	winSteps  uint64         // window cycles actually simulated
-	warmCom   uint64         // instructions committed during warmup
-	winCom    uint64         // instructions committed during the window
-	// lastCommit is the leg-local cycle (0 = warmup start) of the last
-	// commit, or -1 if nothing committed.
-	lastCommit int64
-	stats      cpu.Stats // the whole leg's stats, read as a pure delta
-	seconds    float64   // leg wall-clock (restore + warmup + window)
-	err        error
+	legResult
+	recs    []trace.Record // the window's records, on the leg-local clock
+	stats   cpu.Stats      // the whole leg's stats, read as a pure delta
+	seconds float64        // leg wall-clock (restore + warmup + window)
 }
 
 // runSampledParallel is the checkpoint-parallel sampled producer
@@ -151,73 +144,29 @@ func runSampledParallel(ctx context.Context, w *Workload, rc RunConfig, consumer
 		workers = 1
 	}
 	sr := &SampledRunStats{WindowWorkers: workers}
-	var rec trace.Record
-	measured := uint64(0) // the emitted clock, contiguous from 0
-	vd := uint64(0)       // virtual detailed clock: window 0 plus every leg
-	lastCommitMeasured := uint64(0)
+	clock := measuredClock{consumer: consumer}
 	lastCommitDetailed := uint64(0)
-
-	// Commit-free suffix holdback, identical to the serial producer's: the
-	// measured stream must end at its last commit like a full run's does.
-	var held []trace.Record
-	emit := func(r *trace.Record) {
-		if r.CommitCount == 0 {
-			held = append(held, *r)
-			return
-		}
-		for i := range held {
-			consumer.OnCycle(&held[i])
-		}
-		held = held[:0]
-		consumer.OnCycle(r)
-	}
 
 	// --- Window 0: inline on a fresh core, byte-for-byte the serial
 	// producer's first window (same FIDs, same handler seed, same clock).
 	w0Start := time.Now()
 	w0core := newCore(rc.Core, w)
-	done := false
-	for n := uint64(0); n < rc.WindowCycles; n++ {
-		if rc.Core.MaxCycles > 0 && vd >= rc.Core.MaxCycles {
-			return w0core.Stats(), sr, fmt.Errorf("cpu: exceeded MaxCycles=%d (committed %d)",
-				rc.Core.MaxCycles, w0core.Stats().Committed)
-		}
-		if vd&sampledCancelMask == 0 {
-			if err := ctx.Err(); err != nil {
-				return w0core.Stats(), sr, fmt.Errorf("cpu: run aborted at cycle %d: %w", vd, err)
-			}
-		}
-		d := w0core.Step(vd, &rec)
-		rec.Cycle = measured
-		emit(&rec)
-		if rec.CommitCount > 0 {
-			lastCommitMeasured = measured
-			lastCommitDetailed = vd
-		}
-		measured++
-		vd++
-		if d {
-			done = true
-			break
-		}
+	var rec trace.Record
+	w0, err := runLeg(ctx, w0core, &rec, 0, 0, rc.WindowCycles, rc.Core.MaxCycles, clock.emit)
+	if err != nil {
+		return w0core.Stats(), sr, err
 	}
 	sr.Windows++
 	sr.MeasureSeconds += time.Since(w0Start).Seconds()
-	w0Cycles := vd
-	c0 := w0core.Stats().Committed
-	stats := w0core.Stats()
-
-	finalize := func() (CoreStats, *SampledRunStats, error) {
-		sr.MeasuredCycles = lastCommitMeasured + 1
-		sr.DetailedCycles = lastCommitDetailed + 1
-		sr.EstimatedCycles = sr.MeasuredCycles + sr.FFRepresentedCycles + sr.WarmupRepresentedCycles
-		stats.Cycles = sr.EstimatedCycles
-		stats.Committed += sr.FFInstructions
-		return stats, sr, nil
+	if w0.lastCommit >= 0 {
+		lastCommitDetailed = uint64(w0.lastCommit)
 	}
-	if done {
+	w0Cycles, c0 := w0.winSteps, w0.winCom
+	vd := w0Cycles // virtual detailed clock: window 0 plus every leg
+	stats := w0core.Stats()
+	if w0.done {
 		// The program fits inside one window: nothing to sweep.
-		return finalize()
+		return sr.finish(stats, clock.lastCommit, lastCommitDetailed), sr, nil
 	}
 
 	gap := rc.WindowInterval - rc.WindowCycles // > 0: the caller gates on it
@@ -379,11 +328,9 @@ func runSampledParallel(ctx context.Context, w *Workload, rc RunConfig, consumer
 		select {
 		case res = <-job.result:
 		case <-runCtx.Done():
-			failRun(fmt.Errorf("cpu: run aborted at cycle %d: %w", vd, ctx.Err()))
-			continue
 		}
-		if res.err != nil {
-			failRun(fmt.Errorf("cpu: run aborted at cycle %d: %w", vd, res.err))
+		if err := runCtx.Err(); err != nil {
+			failRun(fmt.Errorf("cpu: run aborted at cycle %d: %w", vd, err))
 			continue
 		}
 		// The sweep places checkpoints from lagged CPI feedback, so a
@@ -422,13 +369,7 @@ func runSampledParallel(ctx context.Context, w *Workload, rc RunConfig, consumer
 			lastCommitDetailed = legStart + uint64(res.lastCommit)
 		}
 		for i := range res.recs {
-			r := &res.recs[i]
-			r.Cycle = measured
-			emit(r)
-			if r.CommitCount > 0 {
-				lastCommitMeasured = measured
-			}
-			measured++
+			clock.emit(&res.recs[i])
 		}
 		addLegStats(&stats, &res.stats)
 		prevEnd = job.pos + res.warmCom + res.winCom
@@ -448,13 +389,13 @@ func runSampledParallel(ctx context.Context, w *Workload, rc RunConfig, consumer
 	st.pend(leftover, 0, st.prevCycles, st.prevCommits)
 	st.settle(0, 0, false)
 	sr.SweepSeconds = sweepSeconds
-	return finalize()
+	return sr.finish(stats, clock.lastCommit, lastCommitDetailed), sr, nil
 }
 
 // runWindowLeg restores job's checkpoint onto wcore and runs the detailed
-// warmup+window leg at leg-local cycle 0. Warmup steps are simulated but not
-// recorded; window steps append their records (on the local clock — the
-// sequencer renumbers) to a pooled buffer.
+// warmup+window leg at leg-local cycle 0. The window's records are appended
+// (on the local clock — the sequencer renumbers) to a pooled buffer. The
+// leg runs unbounded: the sequencer checks MaxCycles on the virtual clock.
 func runWindowLeg(ctx context.Context, wcore *cpu.Core, job *winJob, rc RunConfig, cpPool chan *cpu.Checkpoint, bufPool chan []trace.Record) winResult {
 	start := time.Now()
 	wcore.Restore(job.cp, job.interp, uint64(job.index))
@@ -471,41 +412,17 @@ func runWindowLeg(ctx context.Context, wcore *cpu.Core, job *winJob, rc RunConfi
 	default:
 		recs = make([]trace.Record, 0, rc.WindowCycles)
 	}
-	res := winResult{lastCommit: -1}
+	var res winResult
 	var rec trace.Record
-	local := uint64(0)
-	done := false
-	for n := uint64(0); n < rc.WarmupCycles && !done; n++ {
-		if local&sampledCancelMask == 0 {
-			if err := ctx.Err(); err != nil {
-				res.err = err
-				return res
-			}
-		}
-		done = wcore.Step(local, &rec)
-		if rec.CommitCount > 0 {
-			res.lastCommit = int64(local)
-		}
-		local++
-		res.warmSteps++
-	}
-	res.warmCom = wcore.Stats().Committed
-	for n := uint64(0); n < rc.WindowCycles && !done; n++ {
-		if local&sampledCancelMask == 0 {
-			if err := ctx.Err(); err != nil {
-				res.err = err
-				return res
-			}
-		}
-		done = wcore.Step(local, &rec)
-		recs = append(recs, rec)
-		if rec.CommitCount > 0 {
-			res.lastCommit = int64(local)
-		}
-		local++
-		res.winSteps++
-	}
-	res.winCom = wcore.Stats().Committed - res.warmCom
+	// With no MaxCycles bound, runLeg fails only when ctx is cancelled,
+	// and the sequencer reads that from ctx itself.
+	res.legResult, _ = runLeg(ctx, wcore, &rec, 0, rc.WarmupCycles, rc.WindowCycles, 0,
+		func(r *trace.Record) {
+			// Extend within capacity (at least WindowCycles) and copy
+			// once: append(recs, *r) copies the record twice.
+			recs = recs[:len(recs)+1]
+			recs[len(recs)-1] = *r
+		})
 	res.recs = recs
 	res.stats = wcore.Stats()
 	res.seconds = time.Since(start).Seconds()

@@ -3,11 +3,13 @@ package tip
 import (
 	"bytes"
 	"context"
+	"errors"
 	"fmt"
 	"reflect"
 	"strings"
 	"testing"
 
+	"github.com/tipprof/tip/internal/cpu"
 	"github.com/tipprof/tip/internal/trace"
 	"github.com/tipprof/tip/internal/workload"
 )
@@ -286,5 +288,171 @@ func TestRunDispatchesSampled(t *testing.T) {
 	}
 	if res.Sampling.FFInstructions == 0 {
 		t.Fatal("sampled run fast-forwarded nothing; window geometry too lax for this workload")
+	}
+}
+
+// TestRunSampledMaxCyclesNamesBenchmarkOnce runs both sampled producers into
+// Core.MaxCycles, in window 0 and past it, and checks the error names the
+// workload exactly once.
+func TestRunSampledMaxCyclesNamesBenchmarkOnce(t *testing.T) {
+	w, err := workload.LoadScaled("mcf", 1, 100_000)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, workers := range []int{0, 1} {
+		for _, maxCycles := range []uint64{100, 30_000} {
+			rc := DefaultRunConfig()
+			rc.Profilers = []Kind{KindTIP}
+			rc.SampleInterval = 1009
+			if err := ConfigureSampled(&rc, 1024, 8192, "1024"); err != nil {
+				t.Fatal(err)
+			}
+			rc.WindowWorkers = workers
+			rc.Core.MaxCycles = maxCycles
+			_, err := RunSampled(context.Background(), w, rc)
+			prefix := fmt.Sprintf("tip: mcf: cpu: exceeded MaxCycles=%d (committed ", maxCycles)
+			if err == nil || !strings.HasPrefix(err.Error(), prefix) || strings.Count(err.Error(), "mcf") != 1 {
+				t.Errorf("workers=%d MaxCycles=%d: error %v, want prefix %q naming mcf once",
+					workers, maxCycles, err, prefix)
+			}
+		}
+	}
+}
+
+// legRecords collects what runLeg hands to emit.
+type legRecords []trace.Record
+
+func (l *legRecords) emit(r *trace.Record) { *l = append(*l, *r) }
+
+// TestRunLeg drives the detailed-leg engine directly against a full run of
+// the same workload: records and commit counts must split exactly at the
+// warmup boundary, the program's end must stop the leg wherever it falls,
+// and the MaxCycles bound and cancellation poll must fire before the cycle
+// they guard is stepped.
+func TestRunLeg(t *testing.T) {
+	load := func() *cpu.Core {
+		w, err := workload.LoadScaled("mcf", 1, 3_000)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return newCore(DefaultCoreConfig(), w)
+	}
+	var full collectRecords
+	fullStats, err := load().RunContext(context.Background(), &full)
+	if err != nil {
+		t.Fatal(err)
+	}
+	total := uint64(len(full.recs)) // cycles the program takes, drain included
+	if total < 1000 {
+		t.Fatalf("full run took %d cycles; the cases need a longer program", total)
+	}
+	committedBy := func(cycles uint64) uint64 {
+		var n uint64
+		for _, r := range full.recs[:cycles] {
+			n += uint64(r.CommitCount)
+		}
+		return n
+	}
+	lastCommit := int64(fullStats.Cycles - 1)
+	ctx := context.Background()
+
+	type want struct {
+		warmSteps, winSteps uint64
+		done                bool
+		err                 string
+	}
+	cases := []struct {
+		name                  string
+		warmup, window, limit uint64
+		want                  want
+	}{
+		{"warmup 0", 0, 300, 0, want{0, 300, false, ""}},
+		{"warmup then window", 200, 300, 0, want{200, 300, false, ""}},
+		{"ends inside window", 200, total, 0, want{200, total - 200, true, ""}},
+		{"ends inside warmup", total + 50, 300, 0, want{total, 0, true, ""}},
+		{"ends on last warmup cycle", total, 300, 0, want{total, 0, true, ""}},
+		{"MaxCycles in warmup", 200, 300, 150, want{150, 0, false, "cpu: exceeded MaxCycles=150 (committed "}},
+		{"MaxCycles in window", 200, 300, 420, want{200, 220, false, "cpu: exceeded MaxCycles=420 (committed "}},
+	}
+	for _, tc := range cases {
+		var recs legRecords
+		var rec trace.Record
+		leg, err := runLeg(ctx, load(), &rec, 0, tc.warmup, tc.window, tc.limit, recs.emit)
+		got := want{leg.warmSteps, leg.winSteps, leg.done, ""}
+		if err != nil {
+			got.err = err.Error()
+			if tc.want.err != "" && strings.HasPrefix(got.err, tc.want.err) {
+				got.err = tc.want.err
+			}
+		}
+		if got != tc.want {
+			t.Errorf("%s: got %+v (err %v), want %+v", tc.name, got, err, tc.want)
+			continue
+		}
+		if uint64(len(recs)) != leg.winSteps {
+			t.Errorf("%s: emitted %d records for %d window cycles", tc.name, len(recs), leg.winSteps)
+		}
+		for i := range recs {
+			if recs[i] != full.recs[leg.warmSteps+uint64(i)] {
+				t.Errorf("%s: window record %d differs from the full run's cycle %d", tc.name, i, leg.warmSteps+uint64(i))
+				break
+			}
+		}
+		if err != nil {
+			continue
+		}
+		stepped := leg.warmSteps + leg.winSteps
+		if leg.warmCom != committedBy(leg.warmSteps) || leg.warmCom+leg.winCom != committedBy(stepped) {
+			t.Errorf("%s: committed %d+%d, want %d+%d", tc.name, leg.warmCom, leg.winCom,
+				committedBy(leg.warmSteps), committedBy(stepped)-committedBy(leg.warmSteps))
+		}
+		if leg.done && leg.lastCommit != lastCommit {
+			t.Errorf("%s: last commit at leg cycle %d, want %d", tc.name, leg.lastCommit, lastCommit)
+		}
+	}
+
+	// A continued core runs back-to-back legs as one: the second leg
+	// starts at the first's end, on the same record.
+	core := load()
+	var recs legRecords
+	var rec trace.Record
+	first, err := runLeg(ctx, core, &rec, 0, 0, 700, 0, recs.emit)
+	if err != nil {
+		t.Fatal(err)
+	}
+	second, err := runLeg(ctx, core, &rec, first.winSteps, 100, 200, 0, recs.emit)
+	if err != nil {
+		t.Fatal(err)
+	}
+	wantLast := int64(-1)
+	for c := uint64(700); c < 1000; c++ {
+		if full.recs[c].CommitCount > 0 {
+			wantLast = int64(c - 700)
+		}
+	}
+	if second.lastCommit != wantLast || uint64(len(recs)) != 900 {
+		t.Fatalf("back-to-back legs: %d records, second leg's last commit %d, want 900 and %d",
+			len(recs), second.lastCommit, wantLast)
+	}
+	for i := range recs {
+		src := uint64(i)
+		if src >= 700 {
+			src += 100 // the second leg's warmup is not emitted
+		}
+		if recs[i] != full.recs[src] {
+			t.Fatalf("back-to-back legs: record %d differs from the full run's cycle %d", i, src)
+		}
+	}
+
+	// A cancelled context stops the leg before its first cycle is stepped.
+	cctx, cancel := context.WithCancel(ctx)
+	cancel()
+	recs = recs[:0]
+	leg, err := runLeg(cctx, load(), &rec, 0, 10, 10, 0, recs.emit)
+	if !errors.Is(err, context.Canceled) || !strings.HasPrefix(err.Error(), "cpu: run aborted at cycle 0: ") {
+		t.Fatalf("cancelled leg: error %v, want an abort at cycle 0 wrapping context.Canceled", err)
+	}
+	if leg.warmSteps != 0 || leg.winSteps != 0 || len(recs) != 0 {
+		t.Fatalf("cancelled leg stepped %d+%d cycles, emitted %d records", leg.warmSteps, leg.winSteps, len(recs))
 	}
 }

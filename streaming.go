@@ -42,13 +42,23 @@ func PilotEstimateCycles(ps trace.PilotStats, targetDynInsts uint64) uint64 {
 
 // RunStreaming evaluates rc's profiler matrix in a single fused pass: the
 // cycle-level simulation streams trace chunks through a bounded ring
-// into the replay shards while it is still running, so peak memory is
-// independent of run length and wall-clock approaches max(simulate, replay).
+// into the replay shards while it is still running, instead of capturing the
+// whole trace first. Peak memory stays bounded by the pilot window plus the
+// ring regardless of run length, and wall-clock approaches
+// max(simulate, replay).
+//
 // With rc.SampleInterval zero the interval is calibrated from a pilot window
-// of DefaultPilotCycles; see RunConfig.Streaming for the parity contract with
-// the captured path. A caller that also needs the encoded trace passes a
-// trace.Capture in rc.ExtraConsumers and owns its Close and Err. A nil ctx
-// means context.Background().
+// of DefaultPilotCycles: the pilot prefix is captured, its
+// cycles-per-instruction extrapolated against the workload's TargetDynInsts
+// to estimate the total cycle count, and the captured prefix replayed first
+// so profilers observe every cycle. The chosen interval is therefore an
+// estimate — identical to the captured path's (Run with a zero interval)
+// only when the run ends inside the pilot window; profiler output is
+// byte-identical between the two paths whenever the interval matches.
+//
+// A caller that also needs the encoded trace passes a trace.Capture in
+// rc.ExtraConsumers and owns its Close and Err. A nil ctx means
+// context.Background().
 func RunStreaming(ctx context.Context, w *Workload, rc RunConfig) (*Result, error) {
 	return runFused(ctx, w, rc, false, func(ctx context.Context, s *trace.Stream) (CoreStats, *SampledRunStats, error) {
 		// RunContext delivers Finish itself on success.

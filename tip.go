@@ -142,25 +142,10 @@ type RunConfig struct {
 	// fans the profiler matrix out over (0 or 1 = one, on the calling
 	// goroutine). Each worker decodes the capture itself and owns a
 	// disjoint subset of the profilers behind its own dispatcher; results
-	// are byte-identical at any worker count. The fused routes (Streaming,
-	// Sampled, or an explicit SampleInterval) shard the matrix the same way
-	// over the stream's ring.
+	// are byte-identical at any worker count. The fused routes
+	// (RunStreaming, RunSampled) shard the matrix the same way over the
+	// stream's ring.
 	ReplayWorkers int
-	// Streaming fuses capture and replay: Run simulates the core once,
-	// streaming trace chunks through a bounded ring into the
-	// profiler matrix while the simulation is still running, instead of
-	// capturing the whole trace first. Peak memory stays bounded by the
-	// pilot window plus the ring regardless of run length, and wall-clock
-	// approaches max(simulate, replay). With SampleInterval zero the
-	// interval is calibrated from a pilot window of DefaultPilotCycles: the
-	// pilot prefix is captured, its cycles-per-instruction extrapolated
-	// against the workload's TargetDynInsts to estimate the total cycle
-	// count, and the captured prefix replayed first so profilers observe
-	// every cycle. The chosen interval is therefore an estimate — identical
-	// to the captured path's only when the run ends inside the pilot
-	// window; profiler output is byte-identical between the two paths
-	// whenever the interval matches.
-	Streaming bool
 	// Sampled selects SMARTS-style sampled simulation: detailed
 	// measurement windows of WindowCycles, one per WindowInterval of
 	// estimated execution, with the gap covered by functional
@@ -169,8 +154,8 @@ type RunConfig struct {
 	// observations are discarded. Profilers see only the measurement
 	// windows, renumbered onto a contiguous clock; Result.Stats.Cycles
 	// becomes an estimate built by weighting each fast-forward leg with
-	// its preceding window's CPI (see RunSampled). Composes with the
-	// streaming pipeline; implies Streaming-style fused execution.
+	// its preceding window's CPI (see RunSampled). Runs through the same
+	// fused pipeline as RunStreaming. Multicore runs reject it.
 	Sampled bool
 	// WindowCycles is the length of each detailed measurement window in
 	// cycles. Required (non-zero) when Sampled is set.
@@ -465,7 +450,7 @@ func Run(w *Workload, rc RunConfig) (*Result, error) {
 	switch {
 	case rc.Sampled:
 		return RunSampled(context.Background(), w, rc)
-	case rc.Streaming || rc.SampleInterval != 0:
+	case rc.SampleInterval != 0:
 		return RunStreaming(context.Background(), w, rc)
 	}
 	capt, stats, err := CaptureWorkload(w, rc.Core)
