@@ -97,7 +97,6 @@ func (c *Core) Restore(cp *Checkpoint, stream program.Stream, window uint64) {
 	c.waitBranchFID = invalidFID
 	c.lastFetchLine = ^uint64(0)
 	c.ffLastLine = ^uint64(0)
-	c.ffWarmTage = false
 	c.fbHead, c.fbCount = 0, 0
 	for i := range c.renameRob {
 		c.renameRob[i] = -1

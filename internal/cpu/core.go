@@ -156,9 +156,6 @@ type Core struct {
 	// ffLastLine is the fast-forward warming loop's fetch-line memo (the
 	// functional analogue of lastFetchLine); ^0 between fast-forwards.
 	ffLastLine uint64
-	// ffWarmTage gates direction-predictor training during fast-forward:
-	// on only within the bounded warm tail of each leg (ffTageWarmTail).
-	ffWarmTage bool
 	// fetchBuf is a fixed ring of FetchBufEntries slots; fbHead is the
 	// oldest element, fbCount the occupancy. A ring never memmoves, unlike
 	// the previous append-and-compact FIFO.

@@ -1,71 +1,57 @@
 package program
 
-// ffBatchCap is the fast-forward refill batch size. Large enough that the
-// per-batch overhead (bounds set-up, the interface call into the supply)
-// amortises away; small enough that a batch stays within the L1 data cache
-// of the simulating host.
-const ffBatchCap = 1024
-
-// FastForward is the batched functional fast-forward front end: it pulls
-// dynamic instructions from a Stream in batches (advancing architectural
-// state — branch outcomes, memory addresses, call depth — exactly as
-// detailed simulation would, since both consume the same deterministic
-// interpreter) and keeps a per-static-instruction execution count so
-// profilers and error harnesses can attribute the skipped work. It models
-// no time: the caller decides how many cycles the skipped instructions
-// represent.
+// FastForward steps an Interp one basic block at a time for functional
+// fast-forward. A step hands back the executed instructions as a view of
+// the block itself, with each memory instruction's effective address in a
+// parallel scratch slice, so no DynInst is built: the interpreter state
+// advances exactly as the same number of Next calls would advance it. It
+// models no time; the caller decides how many cycles the skipped
+// instructions represent.
 //
-// The batch buffer and count table are allocated once; steady-state Fill
-// calls allocate nothing (guarded by TestFastForwardZeroAllocs).
+// The scratch is sized to the program's longest block up front, so steps
+// allocate nothing (guarded by TestFastForwardZeroAllocs).
 type FastForward struct {
-	counts   []uint64
-	executed uint64
-	batch    []DynInst
+	addrs []uint64
 }
 
-// NewFastForward builds a fast-forward front end for p's instruction space.
+// NewFastForward builds a block stepper for interpreters of p.
 func NewFastForward(p *Program) *FastForward {
-	return &FastForward{
-		counts: make([]uint64, p.NumInsts()),
-		batch:  make([]DynInst, 0, ffBatchCap),
+	longest := 0
+	for _, b := range p.blocks {
+		longest = max(longest, len(b.Insts))
 	}
+	return &FastForward{addrs: make([]uint64, longest)}
 }
 
-// Fill pulls up to max instructions (capped at the batch capacity) from src
-// into the internal batch, counting executions per static instruction. The
-// returned slice is valid until the next Fill. A batch shorter than the
-// requested amount means src is exhausted.
-func (f *FastForward) Fill(src Stream, max uint64) []DynInst {
-	n := uint64(cap(f.batch))
-	if max < n {
-		n = max
+// Step executes up to max (at least 1) instructions of it, stopping after
+// the last instruction of the current basic block. It returns the executed
+// instructions in program order, and addrs, whose element i is insts[i]'s
+// effective address when insts[i] is a memory instruction. taken and next
+// describe the last instruction as DynInst.Taken and DynInst.NextPC would;
+// every earlier one falls through to its successor in the block. insts is
+// empty once the stream has ended. Both slices are valid until the next
+// Step; insts aliases the program and must not be modified.
+func (f *FastForward) Step(it *Interp, max uint64) (insts []*Inst, addrs []uint64, taken bool, next uint64) {
+	if it.done {
+		return nil, nil, false, 0
 	}
-	var batch []DynInst
-	if bs, ok := src.(BatchStream); ok {
-		batch = f.batch[:n]
-		batch = batch[:bs.NextBatch(batch)]
-		for i := range batch {
-			f.counts[batch[i].SI.Index]++
-		}
-	} else {
-		batch = f.batch[:0]
-		for uint64(len(batch)) < n {
-			d, ok := src.Next()
-			if !ok {
-				break
-			}
-			f.counts[d.SI.Index]++
-			batch = append(batch, d)
+	top := &it.stack[len(it.stack)-1]
+	blk := top.fn.Blocks[top.block]
+	insts = blk.Insts[top.inst:]
+	whole := uint64(len(insts)) <= max
+	if !whole {
+		insts = insts[:max]
+	}
+	for i, in := range insts {
+		if in.Mem != nil {
+			f.addrs[i] = it.memAddr(in)
 		}
 	}
-	f.executed += uint64(len(batch))
-	f.batch = batch
-	return batch
+	it.seq += uint64(len(insts))
+	if !whole {
+		top.inst += len(insts)
+		return insts, f.addrs, false, blk.Insts[top.inst].PC
+	}
+	taken, next = it.leave(top, blk)
+	return insts, f.addrs, taken, next
 }
-
-// Executed returns the total number of instructions fast-forwarded.
-func (f *FastForward) Executed() uint64 { return f.executed }
-
-// Counts returns the per-static-instruction execution counts, indexed by
-// Inst.Index. The slice is live: later Fills keep accumulating into it.
-func (f *FastForward) Counts() []uint64 { return f.counts }

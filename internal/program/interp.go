@@ -2,6 +2,7 @@ package program
 
 import (
 	"fmt"
+	"math/bits"
 
 	"github.com/tipprof/tip/internal/xrand"
 )
@@ -126,56 +127,53 @@ func (it *Interp) Next() (d DynInst, ok bool) {
 		d.MemAddr = it.memAddr(in)
 	}
 
-	isTerm := top.inst == len(blk.Insts)-1
-	if !isTerm || blk.Term == TermFall {
-		// Straight-line step (possibly crossing into the next block).
-		if top.inst++; top.inst == len(blk.Insts) {
-			top.inst = 0
-			top.block++
-			if top.block >= len(top.fn.Blocks) {
-				panic(fmt.Sprintf("program %s: fell off end of %s", it.prog.Name, top.fn.Name))
-			}
-		}
-		d.NextPC = it.currentPC()
+	if top.inst < len(blk.Insts)-1 {
+		top.inst++
+		d.NextPC = blk.Insts[top.inst].PC
 		return d, true
 	}
+	d.Taken, d.NextPC = it.leave(top, blk)
+	return d, true
+}
 
+// leave moves past blk, the block of frame top whose last instruction was
+// just delivered, resolving its terminator. It returns that instruction's
+// Taken and NextPC.
+func (it *Interp) leave(top *frame, blk *Block) (taken bool, next uint64) {
+	top.inst = 0
 	switch blk.Term {
+	case TermFall:
+		top.block++
+		if top.block >= len(top.fn.Blocks) {
+			panic(fmt.Sprintf("program %s: fell off end of %s", it.prog.Name, top.fn.Name))
+		}
 	case TermBranch:
-		d.Taken = it.branchTaken(in, top, blk)
-		if d.Taken {
+		taken = it.branchTaken(blk.Insts[len(blk.Insts)-1], top, blk)
+		if taken {
 			top.block = blk.Target
 		} else {
 			top.block++
 		}
-		top.inst = 0
-		d.NextPC = it.currentPC()
 	case TermJump:
 		top.block = blk.Target
-		top.inst = 0
-		d.Taken = true
-		d.NextPC = it.currentPC()
+		taken = true
 	case TermCall:
 		if len(it.stack) >= MaxCallDepth {
 			panic(fmt.Sprintf("program %s: call depth exceeds %d in %s", it.prog.Name, MaxCallDepth, top.fn.Name))
 		}
 		// Resume point: next block of the caller.
 		top.block++
-		top.inst = 0
 		it.push(blk.Callee)
-		d.Taken = true
-		d.NextPC = it.currentPC()
+		taken = true
 	case TermRet:
 		it.pop()
-		d.Taken = true
+		taken = true
 		if len(it.stack) == 0 {
 			it.done = true
-			d.NextPC = 0
-		} else {
-			d.NextPC = it.currentPC()
+			return taken, 0
 		}
 	}
-	return d, true
+	return taken, it.currentPC()
 }
 
 // CopyFrom overwrites it's position — call stack, RNG, sequence number, and
@@ -293,15 +291,12 @@ func (it *Interp) memAddr(in *Inst) uint64 {
 	return m.Base + off
 }
 
+// pow2Floor returns the largest power of two not above v, or 0 for v == 0.
 func pow2Floor(v uint64) uint64 {
 	if v == 0 {
 		return 0
 	}
-	p := uint64(1)
-	for p<<1 != 0 && p<<1 <= v {
-		p <<= 1
-	}
-	return p
+	return 1 << (bits.Len64(v) - 1)
 }
 
 // Stream is the interface the core pulls dynamic instructions from.
@@ -311,31 +306,6 @@ type Stream interface {
 }
 
 var _ Stream = (*Interp)(nil)
-
-// BatchStream is an optional Stream extension: NextBatch fills dst and
-// returns how many instructions were delivered (less than len(dst) only at
-// end of stream). The fast-forward loop uses it to replace a per-
-// instruction interface dispatch with one call per batch.
-type BatchStream interface {
-	Stream
-	NextBatch(dst []DynInst) int
-}
-
-// NextBatch implements BatchStream.
-func (it *Interp) NextBatch(dst []DynInst) int {
-	n := 0
-	for n < len(dst) {
-		d, ok := it.Next()
-		if !ok {
-			break
-		}
-		dst[n] = d
-		n++
-	}
-	return n
-}
-
-var _ BatchStream = (*Interp)(nil)
 
 // CappedStream wraps a Stream and ends it after max instructions; used to
 // bound simulation length.
@@ -359,26 +329,3 @@ func (c *CappedStream) Next() (DynInst, bool) {
 
 // Delivered returns how many instructions have been delivered.
 func (c *CappedStream) Delivered() uint64 { return c.n }
-
-// NextBatch implements BatchStream, honoring the cap and delegating to the
-// wrapped stream's batch path when it has one.
-func (c *CappedStream) NextBatch(dst []DynInst) int {
-	if remaining := c.Max - c.n; uint64(len(dst)) > remaining {
-		dst = dst[:remaining]
-	}
-	n := 0
-	if bs, ok := c.S.(BatchStream); ok {
-		n = bs.NextBatch(dst)
-	} else {
-		for n < len(dst) {
-			d, ok := c.S.Next()
-			if !ok {
-				break
-			}
-			dst[n] = d
-			n++
-		}
-	}
-	c.n += uint64(n)
-	return n
-}
