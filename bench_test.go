@@ -12,7 +12,6 @@
 package tip_test
 
 import (
-	"bytes"
 	"testing"
 
 	tip "github.com/tipprof/tip"
@@ -295,18 +294,25 @@ func BenchmarkAblationTraceEncode(b *testing.B) {
 	rec.Banks[0] = trace.BankEntry{Valid: true, Committing: true, PC: 0x10000, FID: 1, InstIndex: 0}
 	rec.Banks[1] = trace.BankEntry{Valid: true, PC: 0x10004, FID: 2, InstIndex: 1}
 	rec.CommitCount = 1
-	var buf bytes.Buffer
-	w := trace.NewWriter(&buf)
+	// A fresh capture every 1<<16 records keeps the benchmark in memory
+	// however large b.N grows.
+	capt := trace.NewCapture()
+	var encoded uint64
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
+		if i > 0 && i%(1<<16) == 0 {
+			encoded += capt.Bytes()
+			capt = trace.NewCapture()
+		}
 		rec.Cycle = uint64(i)
-		w.OnCycle(&rec)
+		capt.OnCycle(&rec)
 	}
-	w.Finish(uint64(b.N))
-	if w.Err() != nil {
-		b.Fatal(w.Err())
+	capt.Finish(uint64(b.N))
+	if err := capt.Err(); err != nil {
+		b.Fatal(err)
 	}
-	b.ReportMetric(float64(buf.Len())/float64(b.N), "B/record")
+	encoded += capt.Bytes()
+	b.ReportMetric(float64(encoded)/float64(b.N), "B/record")
 }
 
 // BenchmarkAblationTraceDecode replays real captures through a

@@ -32,8 +32,6 @@ import (
 	"github.com/tipprof/tip/internal/experiments"
 )
 
-func tipBenchmarks() []string { return tip.Benchmarks() }
-
 func main() {
 	var (
 		scale       = flag.Uint64("scale", 0, "dynamic-instruction budget per benchmark (0 = full scale)")
@@ -231,7 +229,7 @@ func suiteNames(opt experiments.Options) []string {
 	if opt.Benchmarks != nil {
 		return opt.Benchmarks
 	}
-	return allNames()
+	return tip.Benchmarks()
 }
 
 // benchJSONSchemaVersion versions the -benchjson report layout. Bump it when
@@ -398,8 +396,4 @@ func validateSampledFlags(sflags cli.SampledFlags, sampledSel bool, sampledjson 
 func fatal(err error) {
 	fmt.Fprintln(os.Stderr, "tipbench:", err)
 	os.Exit(1)
-}
-
-func allNames() []string {
-	return tipBenchmarks()
 }

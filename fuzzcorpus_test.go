@@ -56,20 +56,12 @@ func encodeMulticoreTrace(t *testing.T, benches []string, scale uint64, maxRecor
 		t.Fatal(err)
 	}
 	defer capture.Close()
-	var buf bytes.Buffer
-	enc := &prefixEncoder{w: trace.NewWriterV3(&buf), max: maxRecords}
-	if _, _, err := capture.Replay(enc); err != nil {
-		t.Fatal(err)
-	}
-	if enc.w.Err() != nil {
-		t.Fatal(enc.w.Err())
-	}
-	return buf.Bytes()
+	return prefix(t, capture, trace.NewCaptureV3(), maxRecords)
 }
 
 // encodeBenchTrace captures a scaled-down run of the benchmark and re-encodes
-// its first maxRecords cycles through a trace.Writer, yielding a small but
-// complete TIPTRC2 byte stream with real pipeline behaviour.
+// its first maxRecords cycles, yielding a small but complete TIPTRC2 byte
+// stream with real pipeline behaviour.
 func encodeBenchTrace(t *testing.T, bench string, scale uint64, maxRecords int) []byte {
 	t.Helper()
 	w, err := workload.LoadScaled(bench, 1, scale)
@@ -81,22 +73,33 @@ func encodeBenchTrace(t *testing.T, bench string, scale uint64, maxRecords int) 
 		t.Fatal(err)
 	}
 	defer capture.Close()
-	var buf bytes.Buffer
-	enc := &prefixEncoder{w: trace.NewWriter(&buf), max: maxRecords}
+	return prefix(t, capture, trace.NewCapture(), maxRecords)
+}
+
+// prefix replays capture into out, keeping only the first maxRecords
+// records, and returns out's bytes.
+func prefix(t *testing.T, capture, out *tip.TraceCapture, maxRecords int) []byte {
+	t.Helper()
+	defer out.Close()
+	enc := &prefixEncoder{w: out, max: maxRecords}
 	if _, _, err := capture.Replay(enc); err != nil {
 		t.Fatal(err)
 	}
-	if enc.w.Err() != nil {
-		t.Fatal(enc.w.Err())
+	if err := out.Err(); err != nil {
+		t.Fatal(err)
+	}
+	var buf bytes.Buffer
+	if _, err := out.WriteTo(&buf); err != nil {
+		t.Fatal(err)
 	}
 	return buf.Bytes()
 }
 
 // prefixEncoder re-encodes only the first max records of a replayed trace,
 // closing the stream at the prefix's own last cycle so the result is a valid
-// standalone trace.
+// standalone trace. It takes every record through OnCycle.
 type prefixEncoder struct {
-	w         *trace.Writer
+	w         *trace.Capture
 	n, max    int
 	lastCycle uint64
 }

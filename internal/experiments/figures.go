@@ -248,6 +248,7 @@ func Fig12(opt Options) (*Table, error) {
 	rc := tip.DefaultRunConfig()
 	rc.TargetSamples = opt.TargetSamples
 	rc.WithBreakdown = true
+	rc.Check = opt.Checked
 	res, err := tip.Run(w, rc)
 	if err != nil {
 		return nil, err
@@ -322,6 +323,7 @@ func Fig13(opt Options) (*Fig13Result, error) {
 		rc.TargetSamples = opt.TargetSamples
 		rc.WithBreakdown = true
 		rc.Profilers = []profiler.Kind{profiler.KindTIP}
+		rc.Check = opt.Checked
 		return tip.Run(w, rc)
 	}
 	orig, err := run("imagick")

@@ -254,7 +254,7 @@ func checkEvalMatrixRuns(t *testing.T, at string, route runRoute, refs *referenc
 // replay; the teed capture must hold the capture's bytes.
 func checkFleetMatrixRuns(t *testing.T, at string, route runRoute, refs *references, enc []byte, workers int, checked bool) {
 	t.Helper()
-	tee := trace.NewCapture(0)
+	tee := trace.NewCapture()
 	defer tee.Close()
 	rc := tip.DefaultRunConfig()
 	rc.Profilers = []profiler.Kind{profiler.KindTIP, profiler.KindNCI}

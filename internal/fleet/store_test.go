@@ -212,7 +212,7 @@ func TestStoreCorruptionIsAMiss(t *testing.T) {
 // returns the error and leaves no payload, sidecar or temp file behind, so
 // Get misses instead of serving a partial entry.
 func TestStoreFailedPutLeavesNothing(t *testing.T) {
-	unfinished := trace.NewCapture(0)
+	unfinished := trace.NewCapture()
 	defer unfinished.Close()
 	var rec trace.Record
 	unfinished.OnCycle(&rec)

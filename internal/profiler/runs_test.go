@@ -76,7 +76,7 @@ func newRunMatrix(p *program.Program, kinds []Kind, scheds []func() sampling.Sch
 		oracle: NewOracle(p, true),
 		alone:  NewOracle(p, true),
 		coll:   &recordCollector{},
-		capt:   trace.NewCapture(0),
+		capt:   trace.NewCapture(),
 	}
 	m.d.AddEveryCycle(m.oracle)
 	m.d.AddEveryCycle(m.coll)

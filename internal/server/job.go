@@ -323,7 +323,7 @@ func (s *Server) executeJob(ctx context.Context, jb *job) (*jobOutcome, error) {
 // On success the caller owns the capture and must Close it; on error no
 // capture is returned and any spill file is released.
 func runTee(ctx context.Context, w *tip.Workload, rc tip.RunConfig) (*tip.Result, *tip.TraceCapture, error) {
-	capt := trace.NewCapture(0)
+	capt := trace.NewCapture()
 	rc.ExtraConsumers = []trace.Consumer{capt}
 	res, err := tip.RunStreaming(ctx, w, rc)
 	if err == nil && capt.Err() != nil {

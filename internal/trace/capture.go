@@ -34,22 +34,24 @@ const maxRecordBytes = 512
 // records into the capture, and every profiler configuration afterwards is
 // fed by decoding the capture — far cheaper than re-simulating the core.
 //
-// Records are encoded (same byte format as Writer) into a list of fixed
-// blockBytes blocks: a record goes into the current block while at least
-// maxRecordBytes remain, otherwise the block is sealed and a fresh one
-// started, so no record straddles a block and no byte is ever copied to
-// grow the trace. Once the in-memory size crosses the spill threshold the
-// sealed blocks move to a temp file and the capture keeps one block, written
-// out and reused each time it fills. Close releases the file; a purely
-// in-memory capture needs no Close but tolerates one.
+// Records are encoded into a list of fixed blockBytes blocks: a record goes
+// into the current block while at least maxRecordBytes remain, otherwise the
+// block is sealed and a fresh one started, so no record straddles a block
+// and no byte is ever copied to grow the trace. Once the in-memory size
+// crosses the spill threshold the sealed blocks move to a temp file and the
+// capture keeps one block, written out and reused each time it fills; the
+// file is then the same sequence of whole blocks, and a Reader reads it back
+// one block at a time. Close releases the file; a purely in-memory capture
+// needs no Close but tolerates one.
 type Capture struct {
-	limit     int
-	blocks    [][]byte // sealed in-memory blocks, in stream order
-	cur       []byte   // block records are appended to (pending chunk when spilled)
-	memBytes  uint64   // encoded bytes in blocks
-	f         *os.File
-	fileBytes uint64 // bytes already flushed to f
-	st        codecState
+	limit      int
+	blocks     [][]byte // sealed in-memory blocks, in stream order
+	cur        []byte   // block records are appended to (pending chunk when spilled)
+	memBytes   uint64   // encoded bytes in blocks
+	f          *os.File
+	fileBlocks []int  // length of each block written to f, in stream order
+	fileBytes  uint64 // bytes already flushed to f
+	st         codecState
 	// rep is the last record's encoding in cur when OnRepeat may append it
 	// again: that record committed nothing, left the PC, FID, InstIndex and
 	// core bases as it found them and was one cycle after its predecessor,
@@ -63,23 +65,20 @@ type Capture struct {
 	err      error
 }
 
-// NewCapture returns an empty capture encoding the v2 (TIPTRC2) layout.
-// spillBytes bounds the in-memory encoded size before spilling to disk; 0
-// selects DefaultSpillBytes.
-func NewCapture(spillBytes int) *Capture {
-	if spillBytes <= 0 {
-		spillBytes = DefaultSpillBytes
-	}
-	return &Capture{limit: spillBytes}
-}
+// NewCapture returns an empty capture encoding the v2 (TIPTRC2) layout. It
+// holds up to DefaultSpillBytes of encoded trace in memory, then spills to a
+// temp file.
+func NewCapture() *Capture { return newCapture(DefaultSpillBytes, false) }
 
 // NewCaptureV3 returns an empty capture encoding the v3 (TIPTRC3) layout,
 // which records each cycle's producing core ID — the format multi-programmed
 // captures interleave several cores' records into.
-func NewCaptureV3(spillBytes int) *Capture {
-	c := NewCapture(spillBytes)
-	c.st.v3 = true
-	return c
+func NewCaptureV3() *Capture { return newCapture(DefaultSpillBytes, true) }
+
+// newCapture returns an empty capture that spills once its in-memory
+// encoded size exceeds limit bytes.
+func newCapture(limit int, v3 bool) *Capture {
+	return &Capture{limit: limit, st: codecState{v3: v3}}
 }
 
 // OnCycle implements Consumer. Records arriving after Finish or Close set a
@@ -177,10 +176,7 @@ func (c *Capture) spill() {
 	}
 	c.f = f
 	for _, b := range c.blocks {
-		n, err := f.Write(b)
-		c.fileBytes += uint64(n)
-		if err != nil {
-			c.err = err
+		if c.write(b); c.err != nil {
 			break
 		}
 	}
@@ -189,9 +185,15 @@ func (c *Capture) spill() {
 
 // flush writes the pending chunk to the spill file and empties it for reuse.
 func (c *Capture) flush() {
-	n, err := c.f.Write(c.cur)
-	c.fileBytes += uint64(n)
+	c.write(c.cur)
 	c.cur = c.cur[:0]
+}
+
+// write appends one whole block to the spill file and books its length.
+func (c *Capture) write(b []byte) {
+	n, err := c.f.Write(b)
+	c.fileBytes += uint64(n)
+	c.fileBlocks = append(c.fileBlocks, len(b))
 	if err != nil {
 		c.err = err
 	}
@@ -259,7 +261,7 @@ func (c *Capture) Replay(consumers ...Consumer) (cycles uint64, records uint64, 
 	if err := c.replayable(); err != nil {
 		return 0, 0, err
 	}
-	return Replay(c.reader(), consumers...)
+	return replay(c.reader(), consumers...)
 }
 
 // replayable rejects replay of an unfinished or failed capture.
@@ -273,14 +275,15 @@ func (c *Capture) replayable() error {
 	return nil
 }
 
-// reader returns a fresh Reader over the finished capture: a window walking
-// the in-memory blocks, or a refilling one over its own section of the spill
-// file, so any number of readers may decode the capture concurrently.
+// reader returns a fresh Reader over the finished capture: it walks the
+// in-memory blocks, or reads the spill file's blocks one at a time into a
+// buffer of its own, so any number of readers may decode the capture
+// concurrently.
 func (c *Capture) reader() *Reader {
-	if c.f == nil {
-		return newBlockReader(c.blocks)
+	if c.f != nil {
+		return &Reader{file: c.f, fileBlocks: c.fileBlocks}
 	}
-	return NewReader(io.NewSectionReader(c.f, 0, int64(c.fileBytes)))
+	return &Reader{blocks: c.blocks}
 }
 
 // WriteTo copies the full encoded stream (header included) to w, leaving the
@@ -318,7 +321,7 @@ func (c *Capture) Close() error {
 		return nil
 	}
 	f := c.f
-	c.f = nil
+	c.f, c.fileBlocks = nil, nil
 	name := f.Name()
 	if err := f.Close(); err != nil {
 		os.Remove(name)

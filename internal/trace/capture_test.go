@@ -3,7 +3,9 @@ package trace
 import (
 	"bytes"
 	"context"
+	"errors"
 	"fmt"
+	"io"
 	"os"
 	"runtime"
 	"testing"
@@ -32,7 +34,7 @@ func (c *collect) OnCycle(r *Record)    { c.recs = append(c.recs, *r) }
 func (c *collect) Finish(cycles uint64) { c.total = cycles }
 
 func TestCaptureInMemoryRoundTrip(t *testing.T) {
-	c := NewCapture(0)
+	c := NewCapture()
 	defer c.Close()
 	captureRecords(t, c, 100)
 	if c.Spilled() {
@@ -60,7 +62,7 @@ func TestCaptureInMemoryRoundTrip(t *testing.T) {
 
 func TestCaptureSpillRoundTrip(t *testing.T) {
 	// A tiny budget forces the spill path almost immediately.
-	c := NewCapture(64)
+	c := newCapture(64, false)
 	captureRecords(t, c, 500)
 	if !c.Spilled() {
 		t.Fatal("a 64-byte budget must spill")
@@ -92,7 +94,7 @@ func TestCaptureSpillRoundTrip(t *testing.T) {
 }
 
 func TestCaptureCloseRemovesSpillFile(t *testing.T) {
-	c := NewCapture(64)
+	c := newCapture(64, false)
 	captureRecords(t, c, 50)
 	if !c.Spilled() {
 		t.Fatal("expected a spilled capture")
@@ -107,7 +109,7 @@ func TestCaptureCloseRemovesSpillFile(t *testing.T) {
 }
 
 func TestCaptureReplayUnfinishedErrors(t *testing.T) {
-	c := NewCapture(0)
+	c := NewCapture()
 	defer c.Close()
 	r := sampleRecord(0)
 	c.OnCycle(&r)
@@ -148,28 +150,22 @@ func blockTraceRecord(i int) Record {
 // three capture blocks.
 const blockTraceRecords = 110_000
 
-// encodeBlockTrace is the Writer encoding of the first n blockTraceRecord
-// records.
-func encodeBlockTrace(t *testing.T, n int) []byte {
-	t.Helper()
-	var buf bytes.Buffer
-	w := NewWriter(&buf)
+// encodeBlockTrace is the reference encoding of the first n
+// blockTraceRecord records.
+func encodeBlockTrace(n int) []byte {
+	e := newEncoder(false)
 	for i := 0; i < n; i++ {
 		r := blockTraceRecord(i)
-		w.OnCycle(&r)
+		e.OnCycle(&r)
 	}
-	w.Finish(uint64(n))
-	if err := w.Err(); err != nil {
-		t.Fatal(err)
-	}
-	return buf.Bytes()
+	return e.buf
 }
 
-// captureBlockTrace captures the first n blockTraceRecord records under the
-// given spill budget.
-func captureBlockTrace(t *testing.T, spillBytes, n int) *Capture {
+// captureBlockTrace captures the first n blockTraceRecord records under a
+// spill budget of limit bytes.
+func captureBlockTrace(t *testing.T, limit, n int) *Capture {
 	t.Helper()
-	c := NewCapture(spillBytes)
+	c := newCapture(limit, false)
 	t.Cleanup(func() { c.Close() })
 	for i := 0; i < n; i++ {
 		r := blockTraceRecord(i)
@@ -212,12 +208,12 @@ func (s *seqCheck) verify(t *testing.T, what string, n int, cycles uint64) {
 	}
 }
 
-// TestCaptureMatchesDirectEncoding pins the capture's encoded bytes to a
-// plain Writer over the same records: the capture is the codec plus storage,
-// nothing more, however many blocks the trace spans.
+// TestCaptureMatchesDirectEncoding pins the capture's encoded bytes to the
+// reference encoding of the same records: the capture is the codec plus
+// storage, nothing more, however many blocks the trace spans.
 func TestCaptureMatchesDirectEncoding(t *testing.T) {
-	want := encodeBlockTrace(t, blockTraceRecords)
-	c := captureBlockTrace(t, 0, blockTraceRecords)
+	want := encodeBlockTrace(blockTraceRecords)
+	c := captureBlockTrace(t, DefaultSpillBytes, blockTraceRecords)
 	if len(c.blocks) < 3 {
 		t.Fatalf("trace spans %d blocks, want at least 3", len(c.blocks))
 	}
@@ -234,15 +230,16 @@ func TestCaptureMatchesDirectEncoding(t *testing.T) {
 // TestCaptureBlockBoundaries pins every replay route of a trace spanning
 // more than three blocks to the same record sequence and Finish total: the
 // capture in memory, and spilled mid-block, just before and exactly on a
-// block boundary, and after two whole blocks.
+// block boundary, and after two whole blocks. A spilled capture's file
+// holds its blocks whole, and its Reader reads them back one at a time.
 func TestCaptureBlockBoundaries(t *testing.T) {
 	const n = blockTraceRecords
-	enc := encodeBlockTrace(t, n)
-	ref := collectSeq(t, "Writer encoding", n, func(s *seqCheck) (uint64, uint64, error) {
-		return Replay(NewReader(bytes.NewReader(enc)), s)
+	enc := encodeBlockTrace(n)
+	ref := collectSeq(t, "reference encoding", n, func(s *seqCheck) (uint64, uint64, error) {
+		return ReplayBytes(enc, s)
 	})
 
-	inMemory := captureBlockTrace(t, 0, n)
+	inMemory := captureBlockTrace(t, DefaultSpillBytes, n)
 	if len(inMemory.blocks) < 3 {
 		t.Fatalf("trace spans %d blocks, want at least 3", len(inMemory.blocks))
 	}
@@ -273,6 +270,16 @@ func TestCaptureBlockBoundaries(t *testing.T) {
 				if !c.Spilled() {
 					t.Fatal("capture did not spill")
 				}
+				sum := 0
+				for i, l := range c.fileBlocks {
+					if l > blockBytes || (i < len(c.fileBlocks)-1 && blockBytes-l >= maxRecordBytes) {
+						t.Fatalf("file block %d holds %d bytes, want a whole block", i, l)
+					}
+					sum += l
+				}
+				if len(c.fileBlocks) < 3 || uint64(sum) != c.Bytes() {
+					t.Fatalf("%d file blocks of %d bytes in all, want at least 3 holding all %d", len(c.fileBlocks), sum, c.Bytes())
+				}
 			}
 			var out bytes.Buffer
 			written, err := c.WriteTo(&out)
@@ -283,7 +290,7 @@ func TestCaptureBlockBoundaries(t *testing.T) {
 				t.Fatalf("WriteTo wrote %d (reported %d), Bytes() = %d", out.Len(), written, c.Bytes())
 			}
 			if !bytes.Equal(out.Bytes(), enc) {
-				t.Fatalf("WriteTo bytes differ from the Writer encoding: %d vs %d bytes", out.Len(), len(enc))
+				t.Fatalf("WriteTo bytes differ from the reference encoding: %d vs %d bytes", out.Len(), len(enc))
 			}
 			routes := []struct {
 				name string
@@ -297,7 +304,7 @@ func TestCaptureBlockBoundaries(t *testing.T) {
 			}
 			for _, r := range routes {
 				if got := collectSeq(t, r.name, n, r.run); got != ref {
-					t.Fatalf("%s: Finish(%d), Writer encoding Finish(%d)", r.name, got, ref)
+					t.Fatalf("%s: Finish(%d), reference encoding Finish(%d)", r.name, got, ref)
 				}
 			}
 			a, b := &seqCheck{}, &seqCheck{}
@@ -327,12 +334,46 @@ func collectSeq(t *testing.T, what string, n int, run func(*seqCheck) (uint64, u
 	return cycles
 }
 
+// TestSpilledCaptureReadFailure closes the spill file under a finished
+// capture, and cuts another's file short in its second block: Replay and a
+// 2-shard ReplayShards must each end on the read error, without a panic and
+// without delivering Finish as if the trace had ended there.
+func TestSpilledCaptureReadFailure(t *testing.T) {
+	closed := captureBlockTrace(t, 64, blockTraceRecords)
+	if err := closed.f.Close(); err != nil {
+		t.Fatal(err)
+	}
+	cut := captureBlockTrace(t, 64, blockTraceRecords)
+	if err := cut.f.Truncate(int64(cut.fileBlocks[0] + cut.fileBlocks[1]/2)); err != nil {
+		t.Fatal(err)
+	}
+	for _, tc := range []struct {
+		name string
+		c    *Capture
+		want error
+	}{{"closed", closed, os.ErrClosed}, {"cut short", cut, io.ErrUnexpectedEOF}} {
+		var s seqCheck
+		if _, _, err := tc.c.Replay(&s); !errors.Is(err, tc.want) {
+			t.Fatalf("%s: Replay = %v, want %v", tc.name, err, tc.want)
+		}
+		a, b := &seqCheck{}, &seqCheck{}
+		if _, _, err := tc.c.ReplayShards(context.Background(), 0, a, b); !errors.Is(err, tc.want) {
+			t.Fatalf("%s: ReplayShards/2 = %v, want %v", tc.name, err, tc.want)
+		}
+		for i, sc := range []*seqCheck{&s, a, b} {
+			if sc.total != 0 || sc.bad != "" {
+				t.Fatalf("%s: consumer %d: Finish(%d) after a read error, %q", tc.name, i, sc.total, sc.bad)
+			}
+		}
+	}
+}
+
 // TestSpilledCaptureReleasesBlocks captures 10 MiB under a 3 MiB budget and
 // checks that the spill left no sealed block behind and at most one block
 // of capacity in memory — while capturing and once finished — rather than
 // the pre-spill trace.
 func TestSpilledCaptureReleasesBlocks(t *testing.T) {
-	c := NewCapture(3 << 20)
+	c := newCapture(3<<20, false)
 	defer c.Close()
 	for i := 0; c.Bytes() < 10<<20; i++ {
 		r := blockTraceRecord(i)
@@ -362,7 +403,7 @@ func TestSpilledCaptureReleasesBlocks(t *testing.T) {
 // trace, everything allocated must stay within the encoded size plus two
 // blocks — nothing is over-allocated or copied to grow.
 func TestCaptureAllocBound(t *testing.T) {
-	c := NewCapture(0)
+	c := NewCapture()
 	defer c.Close()
 	var before, after runtime.MemStats
 	runtime.ReadMemStats(&before)
@@ -389,7 +430,7 @@ func TestCaptureAllocBound(t *testing.T) {
 // reader's one-time setup, decoding must not allocate per record, so the
 // total for a whole stream stays a small constant.
 func TestReplayDecodeLoopAllocs(t *testing.T) {
-	c := NewCapture(0)
+	c := NewCapture()
 	defer c.Close()
 	captureRecords(t, c, 4096)
 

@@ -1,7 +1,6 @@
 package trace
 
 import (
-	"bufio"
 	"bytes"
 	"encoding/binary"
 	"fmt"
@@ -117,48 +116,16 @@ func (st *codecState) putInst(b []byte, n int, idx int32) int {
 	return n
 }
 
-// Writer streams records to an io.Writer.
-type Writer struct {
-	w        *bufio.Writer
-	st       codecState
-	wroteHdr bool
-	buf      []byte
-	err      error
-	count    uint64
-}
-
-// NewWriter returns a trace writer emitting the v2 (TIPTRC2) layout.
-func NewWriter(w io.Writer) *Writer {
-	return &Writer{w: bufio.NewWriterSize(w, 1<<16)}
-}
-
-// NewWriterV3 returns a trace writer emitting the v3 (TIPTRC3) layout,
-// which carries each record's producing core ID.
-func NewWriterV3(w io.Writer) *Writer {
-	tw := NewWriter(w)
-	tw.st.v3 = true
-	return tw
-}
-
 // appendRecord encodes r onto buf and returns the extended slice, advancing
-// the codec state. It is the single encoder shared by the streaming Writer
-// and the in-memory Capture, so both produce identical bytes.
+// the codec state. It is the one record encoder; Capture calls it.
 //
-// It reserves maxRecordBytes of spare capacity once, then encodes with
-// indexed writes into the slice. The previous append-per-field form paid a
-// capacity check (and the append call overhead) per byte; this is the
-// hottest trace-side frame of a capture, so those per-field checks showed up
-// directly in the profile.
+// The caller reserves maxRecordBytes of spare capacity in buf (Capture
+// starts a fresh block before a record could overrun its current one), and
+// the record is encoded with indexed writes into the slice. The previous
+// append-per-field form paid a capacity check (and the append call
+// overhead) per byte; this is the hottest trace-side frame of a capture, so
+// those per-field checks showed up directly in the profile.
 func appendRecord(buf []byte, r *Record, st *codecState) []byte {
-	if cap(buf)-len(buf) < maxRecordBytes {
-		// The Capture starts a fresh block before a record could overrun
-		// its current one, so only the Writer path (stable reused buffer)
-		// ever lands here, and only until its buffer reaches maxRecordBytes
-		// capacity.
-		grown := make([]byte, len(buf), 2*cap(buf)+maxRecordBytes)
-		copy(grown, buf)
-		buf = grown
-	}
 	b := buf[:cap(buf)]
 	n := len(buf)
 	n = putUvarint(b, n, r.Cycle-st.lastCycle)
@@ -297,68 +264,33 @@ func normalizeRecord(dst, src *Record) {
 	}
 }
 
-// OnCycle implements Consumer.
-func (w *Writer) OnCycle(r *Record) {
-	if w.err != nil {
-		return
-	}
-	if !w.wroteHdr {
-		magic := formatMagic
-		if w.st.v3 {
-			magic = formatMagicV3
-		}
-		if _, err := w.w.WriteString(magic); err != nil {
-			w.err = err
-			return
-		}
-		w.wroteHdr = true
-	}
-	w.buf = appendRecord(w.buf[:0], r, &w.st)
-	if _, err := w.w.Write(w.buf); err != nil {
-		w.err = err
-	}
-	w.count++
-}
-
-// Finish implements Consumer; it flushes buffered output.
-func (w *Writer) Finish(totalCycles uint64) {
-	if w.err == nil {
-		w.err = w.w.Flush()
-	}
-}
-
-// Err returns the first write error, if any.
-func (w *Writer) Err() error { return w.err }
-
-// Count returns the number of records written.
-func (w *Writer) Count() uint64 { return w.count }
-
-// readerWindow is the refill size of a Reader over an io.Reader: large
-// enough that the carried-over tail (under maxRecordBytes) and the refill
-// call amortize to nothing per record.
-const readerWindow = 1 << 16
-
-// Reader decodes a stored trace. It is a byte window over decodeRecord: over
-// an in-memory trace the window is one block (a whole slice, or one of a
-// Capture's blocks, none of which a record straddles) and never refills,
-// moving to the next block once used up; over an io.Reader the window is
-// refilled whenever fewer than maxRecordBytes undecoded bytes remain and the
-// source is not exhausted, so every record decodeRecord sees lies wholly
-// inside the window (or the stream really is truncated there).
+// Reader decodes a stored trace. It walks a sequence of blocks that each end
+// on a record boundary, decoding each with decodeRecord and moving to the
+// next once it is used up: a whole slice is one block, an in-memory
+// Capture's blocks are walked in place, and a spilled Capture's blocks are
+// read from its file one at a time into the Reader's own buffer. So every
+// record decodeRecord sees lies wholly inside the block (or the trace
+// really is truncated there).
 //
 // A stalled core emits the same commit-stage record cycle after cycle, and
 // across the benchmark suite about two records in three repeat the one
 // before them byte for byte. Next serves such a repeat without decoding it
 // (see rep), and run takes a whole stretch of them at once.
 type Reader struct {
-	src    io.Reader // nil for an in-memory trace
-	buf    []byte
+	buf    []byte   // block being decoded
 	blocks [][]byte // in-memory blocks after buf, in stream order
 	pos    int      // next undecoded byte in buf
-	eof    bool     // src exhausted: buf holds the whole remaining stream
 	hdr    bool     // magic validated
 	st     codecState
-	fail   error // sticky source read error
+
+	// A spilled capture's blocks are read from file: fileBlocks holds the
+	// lengths of those after buf and off the offset of the first, and each
+	// is read into spillBuf. fail is the sticky read error.
+	file       io.ReaderAt
+	fileBlocks []int
+	off        int64
+	spillBuf   []byte
+	fail       error
 
 	// rep is the span in buf of the last record decodeRecord filled into
 	// repRec, kept only when that record committed nothing and left the
@@ -368,53 +300,48 @@ type Reader struct {
 	// the cycle base and rec.Cycle and skips decodeRecord. A committing
 	// record is never kept: its FIDs advance, so it seldom repeats, and
 	// committing records are the ones internal/check's corruptor test
-	// rewrites. A refill or block switch drops rep. repeats counts the
-	// records served this way.
+	// rewrites. A block switch drops rep. repeats counts the records
+	// served this way.
 	rep      []byte
 	repDelta uint64
 	repRec   *Record
 	repeats  uint64
 }
 
-// NewReader returns a trace reader over a streamed encoded trace.
-func NewReader(r io.Reader) *Reader {
-	return &Reader{src: r, buf: make([]byte, 0, readerWindow)}
-}
-
 // newSliceReader returns a Reader over an in-memory encoded trace, magic
 // header included. The slice is read, never copied or modified.
 func newSliceReader(data []byte) *Reader {
-	return &Reader{buf: data, eof: true}
+	return &Reader{buf: data}
 }
 
-// newBlockReader returns a Reader over an in-memory encoded trace split into
-// blocks that each end on a record boundary, the first carrying the magic
-// header. The blocks are read, never copied or modified.
-func newBlockReader(blocks [][]byte) *Reader {
-	if len(blocks) == 0 {
-		return newSliceReader(nil)
-	}
-	return &Reader{buf: blocks[0], blocks: blocks[1:], eof: true}
-}
-
-// fill slides the undecoded tail to the front of the window and reads until
-// at least maxRecordBytes are buffered or the source is exhausted.
-func (r *Reader) fill() error {
-	if r.fail != nil {
+// nextBlock moves the Reader to the next block: the next in-memory one, or
+// the next block of the spill file, read into spillBuf. It returns io.EOF
+// after the last block. A read error sticks: every later call returns it.
+func (r *Reader) nextBlock() error {
+	r.rep = nil
+	switch {
+	case r.fail != nil:
 		return r.fail
-	}
-	n := copy(r.buf[:cap(r.buf)], r.buf[r.pos:])
-	r.buf, r.pos, r.rep = r.buf[:n], 0, nil
-	for len(r.buf) < maxRecordBytes && !r.eof {
-		m, err := r.src.Read(r.buf[len(r.buf):cap(r.buf)])
-		r.buf = r.buf[:len(r.buf)+m]
-		if err == io.EOF {
-			r.eof = true
-		} else if err != nil {
-			r.fail = err
-			return err
+	case len(r.blocks) > 0:
+		r.buf, r.blocks = r.blocks[0], r.blocks[1:]
+	case len(r.fileBlocks) > 0:
+		if r.spillBuf == nil {
+			r.spillBuf = make([]byte, blockBytes)
 		}
+		n := r.fileBlocks[0]
+		b := r.spillBuf[:n]
+		if got, err := r.file.ReadAt(b, r.off); got < n {
+			if err == nil || err == io.EOF {
+				err = io.ErrUnexpectedEOF
+			}
+			r.fail = fmt.Errorf("trace: read spilled capture: %w", err)
+			return r.fail
+		}
+		r.buf, r.fileBlocks, r.off = b, r.fileBlocks[1:], r.off+int64(n)
+	default:
+		return io.EOF
 	}
+	r.pos = 0
 	return nil
 }
 
@@ -430,16 +357,10 @@ func (r *Reader) fill() error {
 // Next serves one record per call; a replay shard whose consumer takes runs
 // first asks run for the stretch of repeats that follows.
 func (r *Reader) Next(rec *Record) error {
-	if !r.eof && len(r.buf)-r.pos < maxRecordBytes {
-		if err := r.fill(); err != nil {
+	for r.pos >= len(r.buf) {
+		if err := r.nextBlock(); err != nil {
 			return err
 		}
-	}
-	for r.pos >= len(r.buf) {
-		if len(r.blocks) == 0 {
-			return io.EOF
-		}
-		r.buf, r.blocks, r.pos, r.rep = r.blocks[0], r.blocks[1:], 0, nil
 	}
 	if rep := r.rep; rep != nil && rec == r.repRec && len(r.buf)-r.pos >= len(rep) &&
 		bytes.Equal(r.buf[r.pos:r.pos+len(rep)], rep) {
@@ -477,8 +398,9 @@ func (r *Reader) Next(rec *Record) error {
 // record it was decoded into. It advances the cycle base and rec.Cycle past
 // them and returns their count, so rec then stands for a run of that many
 // cycles ending at rec.Cycle (a Repeater's OnRepeat). It counts only spans
-// wholly inside the window and never refills or decodes; it returns 0,
-// consuming nothing, when no such span follows, and Next takes the record.
+// wholly inside the current block and never moves to the next or decodes;
+// it returns 0, consuming nothing, when no such span follows, and Next
+// takes the record.
 func (r *Reader) run(rec *Record, max int) int {
 	rep := r.rep
 	if rep == nil || r.repDelta != 1 || rec != r.repRec {

@@ -9,7 +9,6 @@ import (
 	"fmt"
 	"io"
 	"testing"
-	"testing/iotest"
 )
 
 // fuzzSeedTraces returns small encoded traces used to seed both fuzz
@@ -18,21 +17,8 @@ import (
 // inputs the decoder must reject (TestFuzzSeedsReplayCleanly pins the
 // split).
 func fuzzSeedTraces() (seeds [][]byte, numValid int) {
-	one := func(v3 bool, recs []Record, total uint64) []byte {
-		var buf bytes.Buffer
-		w := NewWriter(&buf)
-		if v3 {
-			w = NewWriterV3(&buf)
-		}
-		for i := range recs {
-			w.OnCycle(&recs[i])
-		}
-		w.Finish(total)
-		return buf.Bytes()
-	}
-
 	r0 := sampleRecord(0)
-	seeds = append(seeds, one(false, []Record{r0}, 1))
+	seeds = append(seeds, encodeRecords(false, []Record{r0}))
 
 	burst := make([]Record, 8)
 	for i := range burst {
@@ -52,7 +38,7 @@ func fuzzSeedTraces() (seeds [][]byte, numValid int) {
 	burst[5].DispatchPC = 0xbeef
 	burst[5].DispatchFID = 77
 	burst[5].DispatchInstIndex = 5
-	seeds = append(seeds, one(false, burst, 22))
+	seeds = append(seeds, encodeRecords(false, burst))
 
 	synth, _ := syntheticTrace(40, 9)
 	seeds = append(seeds, synth)
@@ -65,8 +51,8 @@ func fuzzSeedTraces() (seeds [][]byte, numValid int) {
 	for i := range multi {
 		multi[i].Core = uint32(i % 2)
 	}
-	seeds = append(seeds, one(true, multi, 22))
-	seeds = append(seeds, one(true, []Record{r0}, 1))
+	seeds = append(seeds, encodeRecords(true, multi))
+	seeds = append(seeds, encodeRecords(true, []Record{r0}))
 
 	// Stall runs, v2 and v3: runs a stalled core repeats byte for byte
 	// (the Reader's repeat shortcut), broken by a longer cycle gap, by a
@@ -138,7 +124,7 @@ func FuzzDecodeRecord(f *testing.F) {
 	})
 }
 
-// refReplay is Replay over the reference decoder.
+// refReplay is replay over the reference decoder.
 func refReplay(data []byte, consumers ...Consumer) (cycles uint64, records uint64, err error) {
 	r := newRefReader(bytes.NewReader(data))
 	var rec Record
@@ -177,9 +163,8 @@ type decodePath struct {
 }
 
 // FuzzReplayBytes is a differential fuzz of the decode paths over the same
-// input: the reference decoder, a slice Reader (ReplayBytes), a Reader over
-// a one-byte-per-Read source (so its window refills on every byte), and
-// both shards of a 2-shard Capture.ReplayShards. All must agree — same
+// input: the reference decoder, a slice Reader (ReplayBytes), and both
+// shards of a 2-shard Capture.ReplayShards. All must agree — same
 // accept/reject decision and, on success, the identical record sequence and
 // totals. None may panic. The stall-run seeds drive the slice and shard
 // Readers through their repeat shortcut; the reference has none.
@@ -189,22 +174,21 @@ func FuzzReplayBytes(f *testing.F) {
 		f.Add(s)
 	}
 	f.Fuzz(func(t *testing.T, data []byte) {
-		var ref, viaSlice, viaOneByte collect
+		var ref, viaSlice collect
 		var viaShards [2]collect
-		p := []decodePath{{name: "reference"}, {name: "slice"}, {name: "one-byte"}, {name: "shard 0"}, {name: "shard 1"}}
+		p := []decodePath{{name: "reference"}, {name: "slice"}, {name: "shard 0"}, {name: "shard 1"}}
 		p[0].cycles, p[0].count, p[0].err = refReplay(data, &ref)
 		p[1].cycles, p[1].count, p[1].err = ReplayBytes(data, &viaSlice)
-		p[2].cycles, p[2].count, p[2].err = Replay(NewReader(iotest.OneByteReader(bytes.NewReader(data))), &viaOneByte)
 		// NewCaptureFromEncoded sniffs the magic up front; its verdict
 		// stands for both shards'.
 		capt, err := NewCaptureFromEncoded(data, 0, 0)
 		if err == nil {
-			p[3].cycles, p[3].count, err = capt.ReplayShards(context.Background(), 7, &viaShards[0], &viaShards[1])
-			p[4].cycles, p[4].count = p[3].cycles, p[3].count
+			p[2].cycles, p[2].count, err = capt.ReplayShards(context.Background(), 7, &viaShards[0], &viaShards[1])
+			p[3].cycles, p[3].count = p[2].cycles, p[2].count
 		}
-		p[3].err, p[4].err = err, err
-		p[0].recs, p[1].recs, p[2].recs = ref.recs, viaSlice.recs, viaOneByte.recs
-		p[3].recs, p[4].recs = viaShards[0].recs, viaShards[1].recs
+		p[2].err, p[3].err = err, err
+		p[0].recs, p[1].recs = ref.recs, viaSlice.recs
+		p[2].recs, p[3].recs = viaShards[0].recs, viaShards[1].recs
 
 		for _, got := range p[1:] {
 			if (got.err == nil) != (p[0].err == nil) {
@@ -237,7 +221,7 @@ func TestFuzzSeedsReplayCleanly(t *testing.T) {
 	var repeats uint64
 	for i, s := range seeds[:numValid] {
 		r := newSliceReader(s)
-		if _, _, err := Replay(r, &nullConsumer{}); err != nil {
+		if _, _, err := replay(r, &nullConsumer{}); err != nil {
 			t.Fatalf("seed %d does not replay: %v", i, err)
 		}
 		repeats += r.repeats

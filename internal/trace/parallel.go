@@ -16,7 +16,7 @@ import (
 const DefaultChunkRecords = 1024
 
 // Faultable is a consumer that can fail mid-stream (a spilling capture, a
-// trace writer, a profiler sink with an I/O error). Sharded replay polls it
+// profiler sink with an I/O error). Sharded replay polls it
 // between chunks and aborts the whole replay on the first reported error,
 // instead of streaming millions of records into a consumer that already
 // failed.

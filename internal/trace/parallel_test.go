@@ -13,7 +13,7 @@ import (
 // newFinishedCapture builds a finished in-memory capture of n sample records.
 func newFinishedCapture(t *testing.T, n int) *Capture {
 	t.Helper()
-	c := NewCapture(0)
+	c := NewCapture()
 	t.Cleanup(func() { c.Close() })
 	captureRecords(t, c, n)
 	return c
@@ -21,12 +21,12 @@ func newFinishedCapture(t *testing.T, n int) *Capture {
 
 // syntheticCaptures returns the synthetic trace as an adopted in-memory
 // capture and as a spilled one (a 64-byte budget), the two sources a
-// shard's Reader decodes: the whole slice, or its own refilling window over
-// a SectionReader of the spill file.
+// shard's Reader decodes: the whole slice, or the spill file's block read
+// into a buffer of its own.
 func syntheticCaptures(t *testing.T, n int, seed uint64) (inMemory, spilled *Capture) {
 	t.Helper()
 	data, recs := syntheticTrace(n, seed)
-	spilled = NewCapture(64)
+	spilled = newCapture(64, false)
 	t.Cleanup(func() { spilled.Close() })
 	for i := range recs {
 		spilled.OnCycle(&recs[i])
@@ -102,49 +102,35 @@ func TestReplayShardsMatchesReplay(t *testing.T) {
 	}
 }
 
-// TestCaptureChunksMatchesReplay pins a capture's sharded replay, polled
-// every 33 records — from both the in-memory and the spilled source — to
-// Capture.Replay record for record.
+// TestCaptureChunksMatchesReplay pins a capture's 2-shard replay, polled
+// every 33 records, to Capture.Replay record for record, over a trace of
+// more than three blocks: in memory, and spilled, where each shard reads
+// the spill file's blocks itself.
 func TestCaptureChunksMatchesReplay(t *testing.T) {
+	const n = blockTraceRecords
 	for _, tc := range []struct {
-		name   string
-		budget int
+		name  string
+		limit int
 	}{
-		{"in-memory", 0},
+		{"in-memory", DefaultSpillBytes},
 		{"spilled", 64},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
-			c := NewCapture(tc.budget)
-			defer c.Close()
-			captureRecords(t, c, 300)
-			if (tc.budget != 0) != c.Spilled() {
-				t.Fatalf("Spilled() = %v with budget %d", c.Spilled(), tc.budget)
+			c := captureBlockTrace(t, tc.limit, n)
+			if blocks := len(c.blocks) + len(c.fileBlocks); blocks < 3 || (tc.limit == 64) != c.Spilled() {
+				t.Fatalf("%d blocks, Spilled() = %v with budget %d", blocks, c.Spilled(), tc.limit)
 			}
-			var ref collect
-			wantCycles, wantRecords, err := c.Replay(&ref)
-			if err != nil {
-				t.Fatal(err)
-			}
-			shards := []*collect{{}, {}}
+			want := collectSeq(t, "Replay", n, func(s *seqCheck) (uint64, uint64, error) { return c.Replay(s) })
+			shards := []*seqCheck{{}, {}}
 			cycles, records, err := c.ReplayShards(context.Background(), 33, shards[0], shards[1])
 			if err != nil {
 				t.Fatal(err)
 			}
-			if cycles != wantCycles || records != wantRecords {
-				t.Fatalf("totals %d/%d, want %d/%d", cycles, records, wantCycles, wantRecords)
+			if cycles != want || records != n {
+				t.Fatalf("totals %d/%d, want %d/%d", cycles, records, want, n)
 			}
 			for i, got := range shards {
-				if uint64(len(got.recs)) != wantRecords {
-					t.Fatalf("shard %d: %d records, want %d", i, len(got.recs), wantRecords)
-				}
-				for j := range got.recs {
-					if got.recs[j] != ref.recs[j] {
-						t.Fatalf("shard %d: record %d differs", i, j)
-					}
-				}
-				if got.total != wantCycles {
-					t.Fatalf("shard %d: Finish(%d), want %d", i, got.total, wantCycles)
-				}
+				got.verify(t, fmt.Sprintf("shard %d", i), n, want)
 			}
 		})
 	}
@@ -222,7 +208,7 @@ func TestReplayShardsContextCancel(t *testing.T) {
 }
 
 func TestReplayShardsEmptyCaptureErrors(t *testing.T) {
-	c := NewCapture(0)
+	c := NewCapture()
 	defer c.Close()
 	c.Finish(0)
 	if err := c.Err(); err != nil {
@@ -247,7 +233,7 @@ func TestReplayShardsNilContext(t *testing.T) {
 }
 
 func TestReplayShardsUnfinishedErrors(t *testing.T) {
-	c := NewCapture(0)
+	c := NewCapture()
 	defer c.Close()
 	r := sampleRecord(0)
 	c.OnCycle(&r)

@@ -6,7 +6,6 @@ import (
 	"errors"
 	"io"
 	"testing"
-	"testing/iotest"
 )
 
 // stallRecord is one cycle of a core stalled on the instruction at pc: two
@@ -91,17 +90,21 @@ func (s *stallTrace) skip(n uint64) *stallTrace {
 	return s
 }
 
-func (s *stallTrace) encode(v3 bool) []byte {
-	var buf bytes.Buffer
-	w := NewWriter(&buf)
-	if v3 {
-		w = NewWriterV3(&buf)
-	}
+func (s *stallTrace) encode(v3 bool) []byte { return encodeRecords(v3, s.recs) }
+
+// capture captures the trace under a spill budget of limit bytes.
+func (s *stallTrace) capture(t *testing.T, limit int) *Capture {
+	t.Helper()
+	c := newCapture(limit, false)
+	t.Cleanup(func() { c.Close() })
 	for i := range s.recs {
-		w.OnCycle(&s.recs[i])
+		c.OnCycle(&s.recs[i])
 	}
-	w.Finish(s.cycle)
-	return buf.Bytes()
+	c.Finish(s.cycle)
+	if err := c.Err(); err != nil {
+		t.Fatal(err)
+	}
+	return c
 }
 
 // stallCase is an encoded trace with stall runs and the fewest records its
@@ -169,7 +172,7 @@ func sameAsReference(t *testing.T, name string, ref, got replayed) {
 }
 
 func replayWith(r *Reader) (out replayed) {
-	out.cycles, out.records, out.err = Replay(r, &out.got)
+	out.cycles, out.records, out.err = replay(r, &out.got)
 	return out
 }
 
@@ -204,9 +207,10 @@ func alternatingReplay(r *Reader) (out replayed) {
 }
 
 // TestRepeatShortcutMatchesReference replays traces with stall runs through
-// every Reader route and requires the reference decoder's records, totals
-// and Finish from each. The slice Reader must take the shortcut at least
-// minRepeats times, so an edit that turns it off fails here.
+// every Reader route — the slice, blocks of three records in memory and in
+// a spill file, and sharded — and requires the reference decoder's records,
+// totals and Finish from each. The slice Reader must take the shortcut at
+// least minRepeats times, so an edit that turns it off fails here.
 func TestRepeatShortcutMatchesReference(t *testing.T) {
 	for _, tc := range stallCases() {
 		t.Run(tc.name, func(t *testing.T) {
@@ -219,8 +223,9 @@ func TestRepeatShortcutMatchesReference(t *testing.T) {
 			if slice.repeats < tc.minRepeats {
 				t.Fatalf("slice Reader served %d of %d records as repeats, want at least %d", slice.repeats, ref.records, tc.minRepeats)
 			}
-			sameAsReference(t, "streamed", ref, replayWith(NewReader(bytes.NewReader(tc.enc))))
-			sameAsReference(t, "one-byte", ref, replayWith(NewReader(iotest.OneByteReader(bytes.NewReader(tc.enc)))))
+			blocks := recordBlocks(t, tc.enc, 3)
+			sameAsReference(t, "blocks of 3", ref, replayWith(&Reader{blocks: blocks}))
+			sameAsReference(t, "spill file blocks of 3", ref, replayWith(fileReader(t, blocks)))
 			alt := newSliceReader(tc.enc)
 			sameAsReference(t, "two alternating Records", ref, alternatingReplay(alt))
 			if alt.repeats != 0 {
@@ -243,51 +248,47 @@ func TestRepeatShortcutMatchesReference(t *testing.T) {
 }
 
 // TestRepeatRunAcrossWindows replays one stall run long enough to straddle
-// a capture block seal and many readerWindow refills. Every route must match
-// the reference; the block Reader and the streamed Reader must keep taking
-// the shortcut after each block switch and refill drops it.
+// two capture block seals, in memory and spilled. Every route must match
+// the reference; both capture Readers must keep taking the shortcut after
+// each block switch drops it.
 func TestRepeatRunAcrossWindows(t *testing.T) {
 	const n = 150_000
 	tr := (&stallTrace{}).commit(0x52000).stall(0x40000, n).commit(0x40000)
-	c := NewCapture(0)
-	for i := range tr.recs {
-		c.OnCycle(&tr.recs[i])
+	enc := tr.encode(false)
+	ref := referenceReplay(enc)
+	for _, tc := range []struct {
+		name  string
+		limit int
+	}{{"capture blocks", DefaultSpillBytes}, {"spilled blocks", 64}} {
+		c := tr.capture(t, tc.limit)
+		blocks := len(c.blocks) + len(c.fileBlocks)
+		if blocks < 3 {
+			t.Fatalf("%s: the run spans %d capture blocks, want at least 3", tc.name, blocks)
+		}
+		var got bytes.Buffer
+		if _, err := c.WriteTo(&got); err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(got.Bytes(), enc) {
+			t.Fatalf("%s: capture bytes differ from the reference encoding", tc.name)
+		}
+		r := c.reader()
+		sameAsReference(t, tc.name, ref, replayWith(r))
+		// One full decode to reach the run, one to remember it, then one
+		// after each block switch.
+		if want := uint64(n - 1 - blocks); r.repeats < want {
+			t.Fatalf("%s: Reader served %d repeats, want at least %d", tc.name, r.repeats, want)
+		}
+		var shards [2]replayed
+		var err error
+		shards[0].cycles, shards[0].records, err = c.ReplayShards(context.Background(), 0, &shards[0].got, &shards[1].got)
+		if err != nil {
+			t.Fatal(err)
+		}
+		shards[1].cycles, shards[1].records = shards[0].cycles, shards[0].records
+		sameAsReference(t, tc.name+" shard 0", ref, shards[0])
+		sameAsReference(t, tc.name+" shard 1", ref, shards[1])
 	}
-	c.Finish(tr.cycle)
-	if len(c.blocks) < 2 {
-		t.Fatalf("the run spans %d capture blocks, want at least 2", len(c.blocks))
-	}
-	var enc bytes.Buffer
-	if _, err := c.WriteTo(&enc); err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(enc.Bytes(), tr.encode(false)) {
-		t.Fatal("capture bytes differ from the Writer encoding")
-	}
-	ref := referenceReplay(enc.Bytes())
-
-	blocks := c.reader()
-	sameAsReference(t, "capture blocks", ref, replayWith(blocks))
-	// One full decode to reach the run, one to remember it, then one
-	// after each block switch.
-	if want := uint64(n - 1 - len(c.blocks)); blocks.repeats < want {
-		t.Fatalf("block Reader served %d repeats, want at least %d", blocks.repeats, want)
-	}
-	streamed := NewReader(bytes.NewReader(enc.Bytes()))
-	sameAsReference(t, "streamed", ref, replayWith(streamed))
-	if refills := enc.Len()/(readerWindow-maxRecordBytes) + 1; streamed.repeats < uint64(n-2-refills) {
-		t.Fatalf("streamed Reader served %d repeats over about %d refills, want at least %d", streamed.repeats, refills, n-2-refills)
-	}
-	sameAsReference(t, "one-byte", ref, replayWith(NewReader(iotest.OneByteReader(bytes.NewReader(enc.Bytes())))))
-	var shards [2]replayed
-	var err error
-	shards[0].cycles, shards[0].records, err = c.ReplayShards(context.Background(), 0, &shards[0].got, &shards[1].got)
-	if err != nil {
-		t.Fatal(err)
-	}
-	shards[1].cycles, shards[1].records = shards[0].cycles, shards[0].records
-	sameAsReference(t, "shard 0", ref, shards[0])
-	sameAsReference(t, "shard 1", ref, shards[1])
 }
 
 // commitBumper rewrites every committing record it sees, the way

@@ -122,13 +122,14 @@ func randomSplit(seed uint64) func(uint64) uint64 {
 	}
 }
 
-// captureBytes delivers steps into a fresh capture and returns its WriteTo
-// bytes and record count.
+// captureBytes delivers steps into a fresh capture that spills past spill
+// bytes (0: the default budget) and returns its WriteTo bytes and record
+// count.
 func captureBytes(t *testing.T, steps []repStep, v3 bool, spill int, useRepeat bool, split func(uint64) uint64) ([]byte, uint64) {
-	c := NewCapture(spill)
-	if v3 {
-		c = NewCaptureV3(spill)
+	if spill == 0 {
+		spill = DefaultSpillBytes
 	}
+	c := newCapture(spill, v3)
 	defer c.Close()
 	deliver(c, steps, useRepeat, split)
 	var buf bytes.Buffer

@@ -21,7 +21,7 @@ func badMagic(prefix []byte) error {
 	return fmt.Errorf("trace: bad magic %q", prefix)
 }
 
-// Replay streams a stored trace through consumers, exactly as the live core
+// replay streams a stored trace through consumers, exactly as the live core
 // would have: one OnCycle per record (a consumer that takes runs may get a
 // stretch of repeats as one OnRepeat), then Finish with the cycle count of
 // the last committing record plus one. This is the workflow the paper uses
@@ -31,7 +31,7 @@ func badMagic(prefix []byte) error {
 // It is the replay shard's loop on one shard: a single consumer is the
 // shard's own, several share it through a Tee. Unlike ReplayShards it never
 // polls a consumer's Faultable; a consumer's failure is its own to report.
-func Replay(r *Reader, consumers ...Consumer) (cycles uint64, records uint64, err error) {
+func replay(r *Reader, consumers ...Consumer) (cycles uint64, records uint64, err error) {
 	var c Consumer = &Tee{Consumers: consumers}
 	if len(consumers) == 1 {
 		c = consumers[0]
@@ -42,8 +42,9 @@ func Replay(r *Reader, consumers ...Consumer) (cycles uint64, records uint64, er
 	return finishShards(shards, nil)
 }
 
-// ReplayBytes is Replay over an in-memory encoded trace: the Reader's
-// window is the slice itself, so records decode straight off it.
+// ReplayBytes replays an in-memory encoded trace, as Capture.Replay does a
+// capture: the Reader's one block is the slice itself, so records decode
+// straight off it.
 func ReplayBytes(data []byte, consumers ...Consumer) (cycles uint64, records uint64, err error) {
-	return Replay(newSliceReader(data), consumers...)
+	return replay(newSliceReader(data), consumers...)
 }

@@ -1,11 +1,11 @@
 package trace
 
 import (
-	"bytes"
 	"errors"
 	"io"
+	"os"
+	"path/filepath"
 	"testing"
-	"testing/iotest"
 
 	"github.com/tipprof/tip/internal/xrand"
 )
@@ -51,38 +51,26 @@ func syntheticTrace(n int, seed uint64) ([]byte, []Record) {
 		recs[i] = r
 		cycle += 1 + rng.Uint64n(3)
 	}
-	var buf bytes.Buffer
-	w := NewWriter(&buf)
-	for i := range recs {
-		w.OnCycle(&recs[i])
-	}
-	w.Finish(cycle)
-	return buf.Bytes(), recs
+	return encodeRecords(false, recs), recs
 }
 
 func TestReplayEmptyFileErrors(t *testing.T) {
-	var buf bytes.Buffer
-	w := NewWriter(&buf)
-	w.Finish(0)
-	if _, _, err := Replay(NewReader(&buf), &CountingConsumer{}); err == nil {
+	if _, _, err := ReplayBytes(encodeRecords(false, nil), &CountingConsumer{}); err == nil {
 		t.Fatal("empty trace replayed without error")
 	}
 }
 
 func TestReplayDeliversAllRecords(t *testing.T) {
-	var buf bytes.Buffer
-	w := NewWriter(&buf)
-	for i := uint64(0); i < 10; i++ {
-		r := sampleRecord(i)
+	recs := make([]Record, 10)
+	for i := range recs {
+		recs[i] = sampleRecord(uint64(i))
 		if i == 9 {
-			r.Banks[1].Committing = true
-			r.CommitCount = 1
+			recs[i].Banks[1].Committing = true
+			recs[i].CommitCount = 1
 		}
-		w.OnCycle(&r)
 	}
-	w.Finish(10)
 	cc := &CountingConsumer{}
-	cycles, records, err := Replay(NewReader(&buf), cc)
+	cycles, records, err := ReplayBytes(encodeRecords(false, recs), cc)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -98,35 +86,85 @@ func TestReplayDeliversAllRecords(t *testing.T) {
 }
 
 func TestReplayTruncatedTrace(t *testing.T) {
-	var buf bytes.Buffer
-	w := NewWriter(&buf)
-	for i := uint64(0); i < 5; i++ {
-		r := sampleRecord(i)
-		w.OnCycle(&r)
+	recs := make([]Record, 5)
+	for i := range recs {
+		recs[i] = sampleRecord(uint64(i))
 	}
-	w.Finish(5)
-	data := buf.Bytes()
+	data := encodeRecords(false, recs)
 	trunc := data[:len(data)-4]
-	_, records, err := Replay(NewReader(bytes.NewReader(trunc)), &CountingConsumer{})
+	_, records, err := ReplayBytes(trunc, &CountingConsumer{})
 	if err == nil || err == io.EOF {
 		t.Fatalf("truncated trace replayed cleanly after %d records", records)
 	}
 }
 
-// readerKinds opens a Reader over data each way one is built: a window over
-// the whole slice, a refilling window over a streamed source, and one over
-// a source that yields a byte per Read, so the window refills on every byte.
+// recordBlocks splits an encoded trace into blocks of n records each (n <= 0:
+// one block), the first also holding the magic header, the way a capture's
+// blocks each end on a record boundary.
+func recordBlocks(t *testing.T, data []byte, n int) [][]byte {
+	t.Helper()
+	v3, err := sniffMagic(data)
+	if err != nil {
+		t.Fatal(err)
+	}
+	st := codecState{v3: v3}
+	var rec Record
+	var blocks [][]byte
+	start, pos, k := 0, len(formatMagic), 0
+	for pos < len(data) {
+		if pos, err = decodeRecord(data, pos, &st, &rec); err != nil {
+			t.Fatal(err)
+		}
+		if k++; k == n {
+			blocks = append(blocks, data[start:pos])
+			start, k = pos, 0
+		}
+	}
+	if start < len(data) {
+		blocks = append(blocks, data[start:])
+	}
+	return blocks
+}
+
+// fileReader writes blocks one after another to a file, as a capture spills
+// them, and returns a Reader over that file that reads it back block by
+// block.
+func fileReader(t *testing.T, blocks [][]byte) *Reader {
+	t.Helper()
+	f, err := os.Create(filepath.Join(t.TempDir(), "blocks.trc"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { f.Close() })
+	r := &Reader{file: f}
+	for _, b := range blocks {
+		if _, err := f.Write(b); err != nil {
+			t.Fatal(err)
+		}
+		r.fileBlocks = append(r.fileBlocks, len(b))
+	}
+	return r
+}
+
+// readerKinds opens a Reader over data each way one is built: a slice, the
+// slice as a capture's one in-memory block, and the slice as one block of a
+// spill file.
 var readerKinds = []struct {
 	name string
-	open func(data []byte) *Reader
+	open func(t *testing.T, data []byte) *Reader
 }{
-	{"slice", newSliceReader},
-	{"streamed", func(data []byte) *Reader { return NewReader(bytes.NewReader(data)) }},
-	{"one-byte", func(data []byte) *Reader { return NewReader(iotest.OneByteReader(bytes.NewReader(data))) }},
+	{"slice", func(_ *testing.T, data []byte) *Reader { return newSliceReader(data) }},
+	{"block", func(_ *testing.T, data []byte) *Reader { return &Reader{blocks: [][]byte{data}} }},
+	{"spill file", func(t *testing.T, data []byte) *Reader {
+		if len(data) == 0 {
+			return fileReader(t, nil)
+		}
+		return fileReader(t, [][]byte{data})
+	}},
 }
 
 // TestReaderMalformedInput pins every Reader kind's verdict on degenerate
-// input: an empty stream is an immediate io.EOF (which Replay reports as
+// input: an empty stream is an immediate io.EOF (which replay reports as
 // io.ErrUnexpectedEOF), a bad magic is an error, and a truncated stream
 // errors before it can end cleanly.
 func TestReaderMalformedInput(t *testing.T) {
@@ -134,18 +172,18 @@ func TestReaderMalformedInput(t *testing.T) {
 	trunc := data[:len(data)-4]
 	for _, kind := range readerKinds {
 		var rec Record
-		if err := kind.open(nil).Next(&rec); err != io.EOF {
+		if err := kind.open(t, nil).Next(&rec); err != io.EOF {
 			t.Fatalf("%s: empty input Next = %v, want io.EOF", kind.name, err)
 		}
-		if _, _, err := Replay(kind.open(nil), &collect{}); !errors.Is(err, io.ErrUnexpectedEOF) {
-			t.Fatalf("%s: empty input Replay = %v, want io.ErrUnexpectedEOF", kind.name, err)
+		if _, _, err := replay(kind.open(t, nil), &collect{}); !errors.Is(err, io.ErrUnexpectedEOF) {
+			t.Fatalf("%s: empty input replay = %v, want io.ErrUnexpectedEOF", kind.name, err)
 		}
 		for _, bad := range []string{"NOTATRACE", "TIPTRC"} {
-			if err := kind.open([]byte(bad)).Next(&rec); err == nil || err == io.EOF {
+			if err := kind.open(t, []byte(bad)).Next(&rec); err == nil || err == io.EOF {
 				t.Fatalf("%s: bad magic %q accepted: %v", kind.name, bad, err)
 			}
 		}
-		r := kind.open(trunc)
+		r := kind.open(t, trunc)
 		var err error
 		for err == nil {
 			err = r.Next(&rec)
@@ -156,63 +194,47 @@ func TestReaderMalformedInput(t *testing.T) {
 	}
 }
 
-// errAfterReader yields its data, then fails with err.
-type errAfterReader struct {
-	data []byte
-	err  error
-}
-
-func (r *errAfterReader) Read(p []byte) (int, error) {
-	if len(r.data) == 0 {
-		return 0, r.err
-	}
-	n := copy(p, r.data)
-	r.data = r.data[n:]
-	return n, nil
-}
-
-// TestReaderSourceErrorSticks checks a source read error surfaces from Next
-// and keeps surfacing, instead of the window decoding past it.
+// TestReaderSourceErrorSticks closes a spilled capture's file under a
+// Reader that has decoded part of its first block: the Reader finishes that
+// block, then the read of the next one fails, and the error surfaces from
+// Next and keeps surfacing, instead of ending the trace early.
 func TestReaderSourceErrorSticks(t *testing.T) {
-	data, _ := syntheticTrace(64, 3)
-	injected := errors.New("injected read failure")
-	r := NewReader(&errAfterReader{data: data[:len(data)/2], err: injected})
+	c := captureBlockTrace(t, 64, blockTraceRecords)
+	if len(c.fileBlocks) < 3 {
+		t.Fatalf("spilled capture has %d file blocks, want at least 3", len(c.fileBlocks))
+	}
+	r := c.reader()
 	var rec Record
+	if err := r.Next(&rec); err != nil {
+		t.Fatal(err)
+	}
+	if err := c.f.Close(); err != nil {
+		t.Fatal(err)
+	}
+	n := 1
 	var err error
 	for err == nil {
-		err = r.Next(&rec)
+		if err = r.Next(&rec); err == nil {
+			n++
+		}
 	}
-	if !errors.Is(err, injected) {
-		t.Fatalf("Next = %v, want the injected read failure", err)
+	if !errors.Is(err, os.ErrClosed) {
+		t.Fatalf("Next = %v after %d records, want the closed file's read error", err, n)
 	}
-	if err := r.Next(&rec); !errors.Is(err, injected) {
+	if n >= blockTraceRecords {
+		t.Fatalf("decoded all %d records from a closed file", n)
+	}
+	if err := r.Next(&rec); !errors.Is(err, os.ErrClosed) {
 		t.Fatalf("Next after the failure = %v, want it again", err)
 	}
 }
 
-// pieceReader yields its data at most n bytes per Read (n <= 0: all of it).
-type pieceReader struct {
-	data []byte
-	n    int
-}
-
-func (r *pieceReader) Read(p []byte) (int, error) {
-	if len(r.data) == 0 {
-		return 0, io.EOF
-	}
-	if r.n > 0 && len(p) > r.n {
-		p = p[:r.n]
-	}
-	n := copy(p, r.data)
-	r.data = r.data[n:]
-	return n, nil
-}
-
-// TestChunkIterMatchesReplayBytes is the chunking property test for the
-// streamed Reader: whatever size the pieces its source delivers — 1-byte
-// pieces, sizes that split records and commit bursts mid-group, and sizes
-// near and past the window — Replay over the streamed trace delivers
-// exactly the record sequence and totals ReplayBytes does over the slice.
+// TestChunkIterMatchesReplayBytes is the block property test for the
+// Reader: however a trace is cut into blocks on record boundaries — a record
+// per block, sizes that split commit bursts, sizes near and past the trace —
+// walking the blocks in memory and reading them back from a spill file
+// delivers exactly the record sequence and totals ReplayBytes does over the
+// slice.
 func TestChunkIterMatchesReplayBytes(t *testing.T) {
 	data, _ := syntheticTrace(501, 11)
 
@@ -222,30 +244,36 @@ func TestChunkIterMatchesReplayBytes(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	sizes := []int{1, 2, 3, 5, 17, 100, 500, 501, 502, maxRecordBytes, readerWindow, len(data), 0}
+	sizes := []int{1, 2, 3, 5, 17, 100, 500, 501, 502, 0}
 	rng := xrand.New(23)
 	for i := 0; i < 8; i++ {
 		sizes = append(sizes, 1+int(rng.Uint64n(600)))
 	}
 	for _, size := range sizes {
-		var got collect
-		cycles, records, err := Replay(NewReader(&pieceReader{data: data, n: size}), &got)
-		if err != nil {
-			t.Fatalf("size %d: %v", size, err)
-		}
-		if len(got.recs) != len(ref.recs) {
-			t.Fatalf("size %d: %d records, want %d", size, len(got.recs), len(ref.recs))
-		}
-		for j := range got.recs {
-			if got.recs[j] != ref.recs[j] {
-				t.Fatalf("size %d: record %d differs:\n got %+v\nwant %+v", size, j, got.recs[j], ref.recs[j])
+		blocks := recordBlocks(t, data, size)
+		for _, route := range []struct {
+			name string
+			r    *Reader
+		}{{"blocks", &Reader{blocks: blocks}}, {"spill file", fileReader(t, blocks)}} {
+			var got collect
+			cycles, records, err := replay(route.r, &got)
+			if err != nil {
+				t.Fatalf("%s of %d records: %v", route.name, size, err)
 			}
-		}
-		if records != wantRecords || cycles != wantCycles {
-			t.Fatalf("size %d: totals %d/%d, want %d/%d", size, cycles, records, wantCycles, wantRecords)
-		}
-		if got.total != wantCycles {
-			t.Fatalf("size %d: Finish(%d), want %d", size, got.total, wantCycles)
+			if len(got.recs) != len(ref.recs) {
+				t.Fatalf("%s of %d records: %d records, want %d", route.name, size, len(got.recs), len(ref.recs))
+			}
+			for j := range got.recs {
+				if got.recs[j] != ref.recs[j] {
+					t.Fatalf("%s of %d records: record %d differs:\n got %+v\nwant %+v", route.name, size, j, got.recs[j], ref.recs[j])
+				}
+			}
+			if records != wantRecords || cycles != wantCycles {
+				t.Fatalf("%s of %d records: totals %d/%d, want %d/%d", route.name, size, cycles, records, wantCycles, wantRecords)
+			}
+			if got.total != wantCycles {
+				t.Fatalf("%s of %d records: Finish(%d), want %d", route.name, size, got.total, wantCycles)
+			}
 		}
 	}
 }

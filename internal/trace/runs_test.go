@@ -1,12 +1,10 @@
 package trace
 
 import (
-	"bytes"
 	"context"
 	"errors"
 	"fmt"
 	"testing"
-	"testing/iotest"
 )
 
 // runCollect is a collect that takes runs. It expands each OnRepeat into
@@ -53,7 +51,7 @@ func (r *runReplayed) replayed() replayed {
 }
 
 func runReplayWith(r *Reader) (out runReplayed) {
-	out.cycles, out.records, out.err = Replay(r, &out.got)
+	out.cycles, out.records, out.err = replay(r, &out.got)
 	return out
 }
 
@@ -77,10 +75,11 @@ func TestRunsMatchReference(t *testing.T) {
 			case tc.minRepeats == 0 && slice.got.runs != 0:
 				t.Fatalf("%d runs where no record repeats under a cycle delta of 1", slice.got.runs)
 			}
-			streamed := runReplayWith(NewReader(bytes.NewReader(tc.enc)))
-			sameAsReference(t, "streamed", ref, streamed.replayed())
-			oneByte := runReplayWith(NewReader(iotest.OneByteReader(bytes.NewReader(tc.enc))))
-			sameAsReference(t, "one-byte", ref, oneByte.replayed())
+			blocks := recordBlocks(t, tc.enc, 3)
+			inBlocks := runReplayWith(&Reader{blocks: blocks})
+			sameAsReference(t, "blocks of 3", ref, inBlocks.replayed())
+			inFile := runReplayWith(fileReader(t, blocks))
+			sameAsReference(t, "spill file blocks of 3", ref, inFile.replayed())
 			capt, err := NewCaptureFromEncoded(tc.enc, 0, 0)
 			if err != nil {
 				t.Fatal(err)
@@ -124,38 +123,38 @@ func TestDelta2RepeatsAreNotRuns(t *testing.T) {
 	}
 }
 
-// TestRunsAcrossBlocksAndRefills replays one stall long enough to straddle
-// a capture block seal and many readerWindow refills through a consumer
-// that takes runs: each route must match the reference, and the run is cut
-// only at a block seal, a refill or a poll.
-func TestRunsAcrossBlocksAndRefills(t *testing.T) {
+// TestRunsAcrossBlocks replays one stall long enough to straddle two
+// capture block seals through a consumer that takes runs, in memory and
+// spilled: each route must match the reference, and the run is cut only at
+// a block seal or a poll.
+func TestRunsAcrossBlocks(t *testing.T) {
 	const n = 150_000
 	tr := (&stallTrace{}).commit(0x52000).stall(0x40000, n).commit(0x40000)
-	c := NewCapture(0)
-	for i := range tr.recs {
-		c.OnCycle(&tr.recs[i])
-	}
-	c.Finish(tr.cycle)
-	if len(c.blocks) < 2 {
-		t.Fatalf("the run spans %d capture blocks, want at least 2", len(c.blocks))
-	}
-	var enc bytes.Buffer
-	if _, err := c.WriteTo(&enc); err != nil {
-		t.Fatal(err)
-	}
-	ref := referenceReplay(enc.Bytes())
-
-	blocks := runReplayWith(c.reader())
-	sameAsReference(t, "capture blocks", ref, blocks.replayed())
-	// Each poll cuts the run, and so does each block seal.
-	if polls := n/DefaultChunkRecords + len(c.blocks) + 2; blocks.got.runs > polls {
-		t.Fatalf("block Reader gave %d runs, want at most %d", blocks.got.runs, polls)
-	}
-	streamed := runReplayWith(NewReader(bytes.NewReader(enc.Bytes())))
-	sameAsReference(t, "streamed", ref, streamed.replayed())
-	refills := enc.Len()/(readerWindow-maxRecordBytes) + 1
-	if polls := n/DefaultChunkRecords + refills + 2; streamed.got.runs > polls {
-		t.Fatalf("streamed Reader gave %d runs over about %d refills, want at most %d", streamed.got.runs, refills, polls)
+	ref := referenceReplay(tr.encode(false))
+	for _, tc := range []struct {
+		name  string
+		limit int
+	}{{"capture blocks", DefaultSpillBytes}, {"spilled blocks", 64}} {
+		c := tr.capture(t, tc.limit)
+		blocks := len(c.blocks) + len(c.fileBlocks)
+		if blocks < 3 {
+			t.Fatalf("%s: the run spans %d capture blocks, want at least 3", tc.name, blocks)
+		}
+		got := runReplayWith(c.reader())
+		sameAsReference(t, tc.name, ref, got.replayed())
+		// Each poll cuts the run, and so does each block seal.
+		if polls := n/DefaultChunkRecords + blocks + 2; got.got.runs > polls {
+			t.Fatalf("%s: Reader gave %d runs, want at most %d", tc.name, got.got.runs, polls)
+		}
+		var shards [2]runReplayed
+		var err error
+		shards[0].cycles, shards[0].records, err = c.ReplayShards(context.Background(), 0, &shards[0].got, &shards[1].got)
+		if err != nil {
+			t.Fatal(err)
+		}
+		shards[1].cycles, shards[1].records = shards[0].cycles, shards[0].records
+		sameAsReference(t, tc.name+" shard 0", ref, shards[0].replayed())
+		sameAsReference(t, tc.name+" shard 1", ref, shards[1].replayed())
 	}
 }
 
@@ -209,8 +208,8 @@ func TestRunCutAtPoll(t *testing.T) {
 func TestFaultInsideLongStall(t *testing.T) {
 	const faultAt = 50_000
 	tr := (&stallTrace{}).commit(0x52000).stall(0x40000, 200_000).commit(0x40000)
-	for _, spill := range []int{0, 1 << 20} {
-		c := NewCapture(spill)
+	for _, spill := range []int{DefaultSpillBytes, 1 << 20} {
+		c := newCapture(spill, false)
 		for i := range tr.recs {
 			c.OnCycle(&tr.recs[i])
 		}

@@ -122,7 +122,7 @@ func NewStream(cfg StreamConfig) *Stream {
 	if cfg.PilotCycles == 0 {
 		close(s.pilotReady)
 	} else {
-		s.pilotCapt = NewCapture(0)
+		s.pilotCapt = NewCapture()
 	}
 	return s
 }

@@ -196,7 +196,7 @@ func TestStreamEmptyRunErrors(t *testing.T) {
 // capture bug: records arriving after Finish previously appended to the
 // encoded buffer, silently corrupting the trace.
 func TestCaptureOnCycleAfterFinishSticky(t *testing.T) {
-	c := NewCapture(0)
+	c := NewCapture()
 	defer c.Close()
 	captureRecords(t, c, 10)
 	wantBytes := c.Bytes()
@@ -217,7 +217,7 @@ func TestCaptureOnCycleAfterFinishSticky(t *testing.T) {
 // TestCaptureOnCycleAfterCloseSticky checks Close seals the capture the same
 // way Finish does.
 func TestCaptureOnCycleAfterCloseSticky(t *testing.T) {
-	c := NewCapture(0)
+	c := NewCapture()
 	captureRecords(t, c, 10)
 	if err := c.Close(); err != nil {
 		t.Fatal(err)
@@ -234,7 +234,7 @@ func TestCaptureOnCycleAfterCloseSticky(t *testing.T) {
 // caller's persisted bytes, so a stray OnCycle used to append garbage into
 // them.
 func TestAdoptedCaptureRejectsLateRecords(t *testing.T) {
-	src := NewCapture(0)
+	src := NewCapture()
 	defer src.Close()
 	captureRecords(t, src, 25)
 	var buf bytes.Buffer
@@ -303,7 +303,7 @@ func TestNormalizeRecordMatchesCodec(t *testing.T) {
 	var rt Record
 	for i := 0; i < 5000; i++ {
 		r := randRecord(uint64(i))
-		buf := appendRecord(nil, &r, &encSt)
+		buf := appendRecord(make([]byte, 0, maxRecordBytes), &r, &encSt)
 		if _, err := decodeRecord(buf, 0, &decSt, &rt); err != nil {
 			t.Fatalf("record %d: decode: %v", i, err)
 		}
@@ -321,7 +321,7 @@ func TestNormalizeRecordMatchesCodec(t *testing.T) {
 		dirty.Banks[i] = BankEntry{Valid: true, Committing: true, PC: ^uint64(0), FID: ^uint64(0), InstIndex: -1}
 	}
 	src := randRecord(10000)
-	buf := appendRecord(nil, &src, &encSt)
+	buf := appendRecord(make([]byte, 0, maxRecordBytes), &src, &encSt)
 	if _, err := decodeRecord(buf, 0, &decSt, &rt); err != nil {
 		t.Fatal(err)
 	}

@@ -1,13 +1,46 @@
 package trace
 
 import (
-	"bytes"
 	"io"
+	"slices"
 	"testing"
 	"testing/quick"
 
 	"github.com/tipprof/tip/internal/xrand"
 )
+
+// encoder is the per-cycle reference encoding: the magic header, then every
+// record through appendRecord onto one growing slice — the codec without a
+// Capture's blocks, spilling or repeat spans. It is a Consumer but not a
+// Repeater, so a producer hands it each cycle through OnCycle.
+type encoder struct {
+	buf []byte
+	st  codecState
+}
+
+func newEncoder(v3 bool) *encoder { return &encoder{st: codecState{v3: v3}} }
+
+func (e *encoder) OnCycle(r *Record) {
+	if e.buf == nil {
+		e.buf = []byte(formatMagic)
+		if e.st.v3 {
+			e.buf = []byte(formatMagicV3)
+		}
+	}
+	e.buf = appendRecord(slices.Grow(e.buf, maxRecordBytes), r, &e.st)
+}
+
+func (e *encoder) Finish(uint64) {}
+
+// encodeRecords is the reference encoding of recs; no records encode to no
+// bytes at all.
+func encodeRecords(v3 bool, recs []Record) []byte {
+	e := newEncoder(v3)
+	for i := range recs {
+		e.OnCycle(&recs[i])
+	}
+	return e.buf
+}
 
 func sampleRecord(cycle uint64) Record {
 	var r Record
@@ -102,8 +135,8 @@ func TestTeeFansOut(t *testing.T) {
 }
 
 func TestEncodeDecodeRoundTrip(t *testing.T) {
-	var buf bytes.Buffer
-	w := NewWriter(&buf)
+	c := NewCapture()
+	defer c.Close()
 	recs := []Record{sampleRecord(0), sampleRecord(1), sampleRecord(100)}
 	recs[1].ExceptionRaised = true
 	recs[1].ExceptionPC = 0x2000
@@ -115,17 +148,17 @@ func TestEncodeDecodeRoundTrip(t *testing.T) {
 	recs[2].DispatchInstIndex = 9
 	recs[2].ROBEmpty = true
 	for i := range recs {
-		w.OnCycle(&recs[i])
+		c.OnCycle(&recs[i])
 	}
-	w.Finish(101)
-	if w.Err() != nil {
-		t.Fatal(w.Err())
+	c.Finish(101)
+	if c.Err() != nil {
+		t.Fatal(c.Err())
 	}
-	if w.Count() != 3 {
-		t.Fatalf("wrote %d records", w.Count())
+	if c.Records() != 3 {
+		t.Fatalf("wrote %d records", c.Records())
 	}
 
-	r := NewReader(&buf)
+	r := c.reader()
 	for i := range recs {
 		var got Record
 		if err := r.Next(&got); err != nil {
@@ -142,7 +175,7 @@ func TestEncodeDecodeRoundTrip(t *testing.T) {
 }
 
 func TestDecodeBadMagic(t *testing.T) {
-	r := NewReader(bytes.NewBufferString("NOTATRACE"))
+	r := newSliceReader([]byte("NOTATRACE"))
 	var rec Record
 	if err := r.Next(&rec); err == nil {
 		t.Fatal("bad magic accepted")
@@ -150,13 +183,8 @@ func TestDecodeBadMagic(t *testing.T) {
 }
 
 func TestDecodeTruncated(t *testing.T) {
-	var buf bytes.Buffer
-	w := NewWriter(&buf)
-	rec := sampleRecord(0)
-	w.OnCycle(&rec)
-	w.Finish(1)
-	data := buf.Bytes()
-	r := NewReader(bytes.NewReader(data[:len(data)-3]))
+	data := encodeRecords(false, []Record{sampleRecord(0)})
+	r := newSliceReader(data[:len(data)-3])
 	var got Record
 	err := r.Next(&got)
 	if err == nil {
@@ -227,16 +255,7 @@ func TestQuickRoundTrip(t *testing.T) {
 			cycle += recs[i].Cycle % 1000
 			recs[i].Cycle = cycle
 		}
-		var buf bytes.Buffer
-		w := NewWriter(&buf)
-		for i := range recs {
-			w.OnCycle(&recs[i])
-		}
-		w.Finish(cycle)
-		if w.Err() != nil {
-			return false
-		}
-		r := NewReader(&buf)
+		r := newSliceReader(encodeRecords(false, recs))
 		for i := range recs {
 			var got Record
 			if err := r.Next(&got); err != nil {
@@ -254,21 +273,23 @@ func TestQuickRoundTrip(t *testing.T) {
 }
 
 func BenchmarkEncode(b *testing.B) {
-	w := NewWriter(io.Discard)
+	block := make([]byte, 0, blockBytes)
+	var st codecState
 	rec := sampleRecord(0)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
+		if cap(block)-len(block) < maxRecordBytes {
+			block = block[:0]
+		}
 		rec.Cycle = uint64(i)
-		w.OnCycle(&rec)
+		block = appendRecord(block, &rec, &st)
 	}
-	w.Finish(uint64(b.N))
 }
 
 func BenchmarkDecodeRecord(b *testing.B) {
 	// Replay-side decode throughput over a realistic mixed stream:
 	// mostly committing records with small deltas, occasional gaps.
-	var buf bytes.Buffer
-	w := NewWriter(&buf)
+	e := newEncoder(false)
 	const n = 4096
 	for i := 0; i < n; i++ {
 		rec := sampleRecord(uint64(i))
@@ -277,13 +298,9 @@ func BenchmarkDecodeRecord(b *testing.B) {
 		if i%17 == 0 { // idle cycle: no banks, nothing in flight
 			rec = Record{Cycle: uint64(i)}
 		}
-		w.OnCycle(&rec)
+		e.OnCycle(&rec)
 	}
-	w.Finish(n)
-	if w.Err() != nil {
-		b.Fatal(w.Err())
-	}
-	data := buf.Bytes()
+	data := e.buf
 	b.SetBytes(int64(len(data)))
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {

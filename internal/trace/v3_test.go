@@ -35,15 +35,7 @@ func interleavedTrace(cores int, cyclesPerCore []uint64) []Record {
 	return recs
 }
 
-func encodeV3(recs []Record) []byte {
-	var buf bytes.Buffer
-	w := NewWriterV3(&buf)
-	for i := range recs {
-		w.OnCycle(&recs[i])
-	}
-	w.Finish(0)
-	return buf.Bytes()
-}
+func encodeV3(recs []Record) []byte { return encodeRecords(true, recs) }
 
 // TestV3RoundTripCarriesCore checks every decode path reproduces an
 // interleaved two-core stream exactly, core IDs included.
@@ -58,8 +50,14 @@ func TestV3RoundTripCarriesCore(t *testing.T) {
 	if _, _, err := ReplayBytes(enc, &viaBytes); err != nil {
 		t.Fatal(err)
 	}
-	var viaReader collect
-	if _, _, err := Replay(NewReader(bytes.NewReader(enc)), &viaReader); err != nil {
+	capt := NewCaptureV3()
+	defer capt.Close()
+	for i := range recs {
+		capt.OnCycle(&recs[i])
+	}
+	capt.Finish(0)
+	var viaCapture collect
+	if _, _, err := capt.Replay(&viaCapture); err != nil {
 		t.Fatal(err)
 	}
 	adopted, err := NewCaptureFromEncoded(enc, uint64(len(recs)), 0)
@@ -72,7 +70,7 @@ func TestV3RoundTripCarriesCore(t *testing.T) {
 	}
 
 	for name, got := range map[string][]Record{
-		"bytes": viaBytes.recs, "reader": viaReader.recs,
+		"bytes": viaBytes.recs, "capture": viaCapture.recs,
 		"shard 0": viaShards[0].recs, "shard 1": viaShards[1].recs,
 	} {
 		if len(got) != len(recs) {
@@ -128,7 +126,7 @@ func TestV3SingleCoreSizeBound(t *testing.T) {
 // the tipd spill/restore path — checking core IDs survive both.
 func TestCaptureV3RoundTrip(t *testing.T) {
 	recs := interleavedTrace(3, []uint64{30, 45, 20})
-	c := NewCaptureV3(0)
+	c := NewCaptureV3()
 	defer c.Close()
 	for i := range recs {
 		c.OnCycle(&recs[i])

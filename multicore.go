@@ -14,6 +14,23 @@ import (
 // multicore schedule to run.
 var errMulticoreSampled = errors.New("tip: multicore runs do not support sampled simulation (RunConfig.Sampled)")
 
+// errMulticoreExtras rejects extra consumers on the multicore routes: each
+// core's matrix replays that core's filtered stream, so an extra consumer
+// would never see the single stream its caller wired it for.
+var errMulticoreExtras = errors.New("tip: multicore runs do not support extra consumers (RunConfig.ExtraConsumers, ExtraConsumersAt)")
+
+// checkMulticore rejects the RunConfig settings the multicore routes cannot
+// honour, before anything is simulated or replayed.
+func checkMulticore(rc *RunConfig) error {
+	if rc.Sampled {
+		return errMulticoreSampled
+	}
+	if len(rc.ExtraConsumers) > 0 || rc.ExtraConsumersAt != nil {
+		return errMulticoreExtras
+	}
+	return nil
+}
+
 // MulticoreResult is the outcome of one multi-programmed profiled run: one
 // Result per core, each validated against that core's own Oracle (§3.2 —
 // every physical core has its own TIP unit; a co-runner changes a
@@ -40,7 +57,7 @@ func CaptureMulticore(ctx context.Context, ws []*Workload, cfg CoreConfig) (*Tra
 		specs[i] = multicore.CoreSpec{Workload: w}
 	}
 	sys := multicore.New(multicore.Config{Core: cfg}, specs)
-	capt := trace.NewCaptureV3(0)
+	capt := trace.NewCaptureV3()
 	results, err := sys.CaptureRun(ctx, capt)
 	if err == nil {
 		if cerr := capt.Err(); cerr != nil {
@@ -73,16 +90,16 @@ func CaptureMulticore(ctx context.Context, ws []*Workload, cfg CoreConfig) (*Tra
 // core gets max(1, ReplayWorkers/len(ws)) shards, every shard is wrapped in
 // that core's filter and decodes the capture itself, so worker count never
 // changes profile output. An n-core replay therefore runs at least n shards.
-// rc.ExtraConsumers / rc.ExtraConsumersAt are not applied on this path —
-// they would observe one core's filtered stream per matrix they were added
-// to, which is never what a caller wiring a single-stream consumer expects.
-// rc.Sampled is rejected.
+// rc.Sampled, rc.ExtraConsumers and rc.ExtraConsumersAt are rejected: an
+// extra consumer would observe one core's filtered stream per matrix it
+// was added to, which is never what a caller wiring a single-stream
+// consumer expects.
 func RunMulticoreCaptured(ctx context.Context, ws []*Workload, capt *TraceCapture, stats []CoreStats, rc RunConfig) (*MulticoreResult, error) {
 	if ctx == nil {
 		ctx = context.Background()
 	}
-	if rc.Sampled {
-		return nil, errMulticoreSampled
+	if err := checkMulticore(&rc); err != nil {
+		return nil, err
 	}
 	if len(ws) == 0 || len(ws) != len(stats) {
 		return nil, fmt.Errorf("tip: multicore replay: %d workloads, %d stats", len(ws), len(stats))
@@ -90,11 +107,6 @@ func RunMulticoreCaptured(ctx context.Context, ws []*Workload, capt *TraceCaptur
 	if err := ctx.Err(); err != nil {
 		return nil, fmt.Errorf("tip: multicore replay: %w", err)
 	}
-	if rc.TargetSamples == 0 {
-		rc.TargetSamples = 4096
-	}
-	rc.ExtraConsumers = nil
-	rc.ExtraConsumersAt = nil
 
 	perCore := rc.ReplayWorkers / len(ws)
 	if perCore < 1 {
@@ -133,11 +145,11 @@ func RunMulticoreCaptured(ctx context.Context, ws []*Workload, capt *TraceCaptur
 // RunMulticore captures a lockstep multi-programmed run of ws and evaluates
 // the per-core profiler matrices from the capture — the whole-pipeline
 // multicore entry point behind tipsim -cores, tipbench -figures multicore,
-// and tipd "cores" jobs. rc.Sampled is rejected before anything is
-// simulated.
+// and tipd "cores" jobs. The settings RunMulticoreCaptured rejects are
+// rejected before anything is simulated.
 func RunMulticore(ctx context.Context, ws []*Workload, rc RunConfig) (*MulticoreResult, error) {
-	if rc.Sampled {
-		return nil, errMulticoreSampled
+	if err := checkMulticore(&rc); err != nil {
+		return nil, err
 	}
 	capt, stats, err := CaptureMulticore(ctx, ws, rc.Core)
 	if err != nil {

@@ -186,7 +186,7 @@ func TestMulticoreReplayWorkerInvariance(t *testing.T) {
 }
 
 // TestRunMulticoreCapturedAbortsOnConsumerFault is the multicore twin of
-// TestRunCapturedAbortsOnConsumerFault. ExtraConsumers do not apply on this
+// TestRunCapturedAbortsOnConsumerFault. ExtraConsumers are rejected on this
 // route, so the failing consumer is each core's invariant checker, fed a
 // capture whose core-0 commit counts are corrupted from a quarter of the
 // way in: the replay must stop within a poll interval of the first
@@ -202,7 +202,7 @@ func TestRunMulticoreCapturedAbortsOnConsumerFault(t *testing.T) {
 	if _, _, err := capt.Replay(&plain); err != nil {
 		t.Fatal(err)
 	}
-	bad := trace.NewCaptureV3(0)
+	bad := trace.NewCaptureV3()
 	defer bad.Close()
 	corrupted := 0
 	for i := range plain.recs {
@@ -259,6 +259,32 @@ func TestRunMulticoreRejectsSampled(t *testing.T) {
 	}
 }
 
+// TestRunMulticoreRejectsExtraConsumers pins that both multicore entry
+// points refuse extra consumers, which would each see one core's filtered
+// stream, instead of silently dropping them.
+func TestRunMulticoreRejectsExtraConsumers(t *testing.T) {
+	capt, stats, err := CaptureMulticore(nil, mcPair(t, 5_000), DefaultCoreConfig())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer capt.Close()
+	for name, set := range map[string]func(*RunConfig){
+		"ExtraConsumers": func(rc *RunConfig) { rc.ExtraConsumers = []trace.Consumer{&trace.CountingConsumer{}} },
+		"ExtraConsumersAt": func(rc *RunConfig) {
+			rc.ExtraConsumersAt = func(uint64, uint64) []trace.Consumer { return nil }
+		},
+	} {
+		rc := DefaultRunConfig()
+		set(&rc)
+		if res, err := RunMulticore(context.Background(), mcPair(t, 5_000), rc); !errors.Is(err, errMulticoreExtras) || res != nil {
+			t.Fatalf("%s: RunMulticore: result %v, err %v; want an extra-consumer rejection", name, res, err)
+		}
+		if res, err := RunMulticoreCaptured(context.Background(), mcPair(t, 5_000), capt, stats, rc); !errors.Is(err, errMulticoreExtras) || res != nil {
+			t.Fatalf("%s: RunMulticoreCaptured: result %v, err %v; want an extra-consumer rejection", name, res, err)
+		}
+	}
+}
+
 // collectRecords decodes a capture into plaintext record copies.
 type collectRecords struct {
 	recs []trace.Record
@@ -296,17 +322,14 @@ func TestMulticoreRelabelingSwapsProfiles(t *testing.T) {
 	if _, _, err := capt.Replay(&all); err != nil {
 		t.Fatal(err)
 	}
-	var buf bytes.Buffer
-	w := trace.NewWriterV3(&buf)
+	w := trace.NewCaptureV3()
+	defer w.Close()
 	for i := range all.recs {
 		all.recs[i].Core ^= 1
 		w.OnCycle(&all.recs[i])
 	}
 	w.Finish(capt.Cycles())
-	if err := w.Err(); err != nil {
-		t.Fatal(err)
-	}
-	relabeled, err := trace.NewCaptureFromEncoded(buf.Bytes(), capt.Records(), capt.Cycles())
+	relabeled, err := trace.NewCaptureFromEncoded(encoded(t, w), capt.Records(), capt.Cycles())
 	if err != nil {
 		t.Fatal(err)
 	}

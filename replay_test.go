@@ -12,6 +12,24 @@ import (
 	"github.com/tipprof/tip/internal/workload"
 )
 
+// perCycle hides a consumer's OnRepeat, so a producer hands it every cycle
+// through OnCycle: wrapped around a capture it is the per-cycle reference
+// encoding the repeat paths are checked against.
+type perCycle struct{ trace.Consumer }
+
+// encoded returns a finished capture's bytes.
+func encoded(t *testing.T, c *TraceCapture) []byte {
+	t.Helper()
+	if err := c.Err(); err != nil {
+		t.Fatal(err)
+	}
+	var buf bytes.Buffer
+	if _, err := c.WriteTo(&buf); err != nil {
+		t.Fatal(err)
+	}
+	return buf.Bytes()
+}
+
 // newChecker builds an invariant checker matching the default core.
 func newReplayChecker(name string) *check.Checker {
 	cfg := DefaultCoreConfig()
@@ -46,24 +64,21 @@ func TestTraceReplayEquivalence(t *testing.T) {
 		return or, byKind, consumers
 	}
 
-	// Live run: profilers plus a trace writer and an invariant checker on
-	// the same stream.
+	// Live run: profilers plus a per-cycle capture and an invariant
+	// checker on the same stream.
 	liveOracle, liveSampled, consumers := mkProfilers()
-	var buf bytes.Buffer
-	tw := trace.NewWriter(&buf)
+	tw := trace.NewCapture()
+	defer tw.Close()
 	liveCheck := newReplayChecker(w.Name)
-	consumers = append(consumers, tw, liveCheck)
+	consumers = append(consumers, perCycle{tw}, liveCheck)
 
 	core := newCore(DefaultCoreConfig(), w)
 	stats, err := core.Run(&trace.Tee{Consumers: consumers})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if tw.Err() != nil {
-		t.Fatal(tw.Err())
-	}
-	if tw.Count() < stats.Cycles {
-		t.Fatalf("trace has %d records for %d cycles", tw.Count(), stats.Cycles)
+	if tw.Records() < stats.Cycles {
+		t.Fatalf("trace has %d records for %d cycles", tw.Records(), stats.Cycles)
 	}
 
 	if err := liveCheck.Err(); err != nil {
@@ -72,11 +87,11 @@ func TestTraceReplayEquivalence(t *testing.T) {
 
 	// Replay the stored trace through fresh profiler instances and a fresh
 	// checker: the decoded golden trace must satisfy the same invariants.
-	data := append([]byte(nil), buf.Bytes()...)
+	data := encoded(t, tw)
 	repOracle, repSampled, repConsumers := mkProfilers()
 	repCheck := newReplayChecker(w.Name)
 	repConsumers = append(repConsumers, repCheck)
-	cycles, _, err := trace.Replay(trace.NewReader(bytes.NewReader(data)), repConsumers...)
+	cycles, _, err := trace.ReplayBytes(data, repConsumers...)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -107,7 +122,7 @@ func TestTraceReplayEquivalence(t *testing.T) {
 	// Replaying against a previously unmodelled configuration also works
 	// (the "evaluate a new profiler from an old trace" workflow).
 	newCfg := profiler.NewSampled(profiler.KindTIP, w.Prog, sampling.NewPeriodic(311))
-	if _, _, err := trace.Replay(trace.NewReader(bytes.NewReader(data)), newCfg); err != nil {
+	if _, _, err := trace.ReplayBytes(data, newCfg); err != nil {
 		t.Fatal(err)
 	}
 	if newCfg.Samples == 0 {
@@ -127,16 +142,15 @@ func TestCaptureReplayByteIdenticalStream(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	// Live encoding: run the core once with a plain trace writer.
-	var live bytes.Buffer
-	lw := trace.NewWriter(&live)
-	stats, err := newCore(DefaultCoreConfig(), w).Run(lw)
+	// Live encoding: run the core once into a capture that takes every
+	// cycle through OnCycle, never a repeat.
+	lw := trace.NewCapture()
+	defer lw.Close()
+	stats, err := newCore(DefaultCoreConfig(), w).Run(perCycle{lw})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if lw.Err() != nil {
-		t.Fatal(lw.Err())
-	}
+	live := encoded(t, lw)
 
 	// Capture pass (fresh stream, deterministic), then re-encode the
 	// replayed records.
@@ -148,24 +162,22 @@ func TestCaptureReplayByteIdenticalStream(t *testing.T) {
 	if capStats != stats {
 		t.Fatalf("capture run stats diverged from live run:\nlive %+v\ncap  %+v", stats, capStats)
 	}
-	var reencoded bytes.Buffer
-	rw := trace.NewWriter(&reencoded)
-	cycles, records, err := capture.Replay(rw)
+	rw := trace.NewCapture()
+	defer rw.Close()
+	cycles, records, err := capture.Replay(perCycle{rw})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if rw.Err() != nil {
-		t.Fatal(rw.Err())
-	}
+	reencoded := encoded(t, rw)
 	if cycles != stats.Cycles {
 		t.Fatalf("replay Finish cycles %d != live %d", cycles, stats.Cycles)
 	}
 	if records != capture.Records() {
 		t.Fatalf("replay delivered %d records, capture holds %d", records, capture.Records())
 	}
-	if !bytes.Equal(live.Bytes(), reencoded.Bytes()) {
+	if !bytes.Equal(live, reencoded) {
 		t.Fatalf("capture->replay->re-encode differs from the live encoding: %d vs %d bytes",
-			live.Len(), reencoded.Len())
+			len(live), len(reencoded))
 	}
 }
 
@@ -179,20 +191,17 @@ func TestSamplingPolicyDoesNotPerturbExecution(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		var buf bytes.Buffer
-		tw := trace.NewWriter(&buf)
+		tw := trace.NewCapture()
+		defer tw.Close()
 		rc := DefaultRunConfig()
 		rc.TargetSamples = 512
 		rc.RandomSampling = random
 		rc.Check = true
-		rc.ExtraConsumers = []trace.Consumer{tw}
+		rc.ExtraConsumers = []trace.Consumer{perCycle{tw}}
 		if _, err := Run(w, rc); err != nil {
 			t.Fatal(err)
 		}
-		if tw.Err() != nil {
-			t.Fatal(tw.Err())
-		}
-		return append([]byte(nil), buf.Bytes()...)
+		return encoded(t, tw)
 	}
 	periodic := capture(false)
 	random := capture(true)
@@ -210,15 +219,15 @@ func TestSameSeedByteIdenticalTraces(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		var buf bytes.Buffer
-		tw := trace.NewWriter(&buf)
+		tw := trace.NewCapture()
+		defer tw.Close()
 		rc := DefaultRunConfig()
 		rc.TargetSamples = 512
-		rc.ExtraConsumers = []trace.Consumer{tw}
+		rc.ExtraConsumers = []trace.Consumer{perCycle{tw}}
 		if _, err := Run(w, rc); err != nil {
 			t.Fatal(err)
 		}
-		return append([]byte(nil), buf.Bytes()...)
+		return encoded(t, tw)
 	}
 	a, b := capture(), capture()
 	if !bytes.Equal(a, b) {

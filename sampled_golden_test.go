@@ -88,7 +88,7 @@ func TestRunSampledGolden(t *testing.T) {
 			rc.Sampled = true
 			rc.WindowCycles, rc.WindowInterval, rc.WarmupCycles = g.window, g.interval, g.warm
 			rc.WindowWorkers = g.workers
-			capt := trace.NewCapture(0)
+			capt := trace.NewCapture()
 			defer capt.Close()
 			rc.ExtraConsumers = []trace.Consumer{capt}
 			res, err := RunSampled(context.Background(), w, rc)

@@ -42,7 +42,7 @@ func TestRunSampledWindowWorkersIdentity(t *testing.T) {
 		rc.WarmupCycles = 1 << 9
 		rc.Check = true
 		rc.WindowWorkers = workers
-		capt := trace.NewCapture(0)
+		capt := trace.NewCapture()
 		rc.ExtraConsumers = []trace.Consumer{capt}
 		res, err := RunSampled(context.Background(), w, rc)
 		if err != nil {

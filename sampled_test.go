@@ -85,7 +85,7 @@ func TestRunSampledFullFractionIdentity(t *testing.T) {
 	src.WindowCycles = 4096
 	src.WindowInterval = 4096
 	src.WarmupCycles = 2048 // must be ignored at full fraction
-	gotCapt := trace.NewCapture(0)
+	gotCapt := trace.NewCapture()
 	defer gotCapt.Close()
 	src.ExtraConsumers = []trace.Consumer{gotCapt}
 	got, err := RunSampled(context.Background(), w, src)

@@ -89,9 +89,6 @@ func runFused(ctx context.Context, w *Workload, rc RunConfig, sampled bool, prod
 	if err := ctx.Err(); err != nil {
 		return fail(err)
 	}
-	if rc.TargetSamples == 0 {
-		rc.TargetSamples = 4096
-	}
 
 	var pilotCycles uint64
 	if rc.SampleInterval == 0 {

@@ -117,7 +117,7 @@ func TestRunStreamingTeeMatchesCapture(t *testing.T) {
 	}
 	rc := DefaultRunConfig()
 	rc.TargetSamples = 512
-	capt := trace.NewCapture(0)
+	capt := trace.NewCapture()
 	defer capt.Close()
 	rc.ExtraConsumers = []trace.Consumer{capt}
 	res, err := RunStreaming(context.Background(), w, rc)

@@ -256,17 +256,8 @@ func CalibrateInterval(cycles, targetSamples uint64) uint64 {
 // capture feeds profilers the byte-identical record stream a live profiled
 // run would have seen.
 func CaptureWorkload(w *Workload, cfg CoreConfig) (*TraceCapture, CoreStats, error) {
-	return CaptureWorkloadContext(nil, w, cfg)
-}
-
-// CaptureWorkloadContext is CaptureWorkload with cooperative cancellation:
-// cancelling ctx aborts the cycle-level simulation within a few thousand
-// simulated cycles and returns ctx's error. It is the capture entry point
-// long-running services (tipd) use so an abandoned job never pins a worker
-// for the remainder of a simulation. A nil ctx disables cancellation.
-func CaptureWorkloadContext(ctx context.Context, w *Workload, cfg CoreConfig) (*TraceCapture, CoreStats, error) {
-	capt := trace.NewCapture(0)
-	stats, err := newCore(cfg, w).RunContext(ctx, capt)
+	capt := trace.NewCapture()
+	stats, err := newCore(cfg, w).Run(capt)
 	if err != nil {
 		err = fmt.Errorf("tip: %s: %w", w.Name, err)
 	} else if cerr := capt.Err(); cerr != nil {
@@ -417,9 +408,6 @@ func RunCaptured(ctx context.Context, w *Workload, capt *TraceCapture, stats Cor
 	}
 	if err := ctx.Err(); err != nil {
 		return nil, fmt.Errorf("tip: %s: %w", w.Name, err)
-	}
-	if rc.TargetSamples == 0 {
-		rc.TargetSamples = 4096
 	}
 	interval := rc.SampleInterval
 	estCycles := uint64(0)
