@@ -3,7 +3,9 @@ package tip
 import (
 	"context"
 	"crypto/sha256"
+	"encoding/binary"
 	"fmt"
+	"math"
 	"testing"
 
 	"github.com/tipprof/tip/internal/trace"
@@ -76,7 +78,7 @@ var sampledGolden = []struct {
 // and compares the measured trace, Stats and schedule against sampledGolden.
 func TestRunSampledGolden(t *testing.T) {
 	for _, g := range sampledGolden {
-		name := fmt.Sprintf("%s/w%d-i%d-warm%d/workers%d", g.bench, g.window, g.interval, g.warm, g.workers)
+		name := sampledGoldenName(g.bench, g.window, g.interval, g.warm, g.workers)
 		t.Run(name, func(t *testing.T) {
 			w, err := workload.LoadScaled(g.bench, 1, 50_000)
 			if err != nil {
@@ -105,6 +107,116 @@ func TestRunSampledGolden(t *testing.T) {
 			for i, field := range []string{"trace SHA-256", "stats", "schedule"} {
 				if got[i] != want[i] {
 					t.Errorf("%s:\n got  %s\n want %s", field, got[i], want[i])
+				}
+			}
+		})
+	}
+}
+
+// sampledProfileGolden pins the profiles of each sampledGolden
+// configuration, keyed by its subtest name: a SHA-256 over the sampling
+// interval, every default-matrix profiler's samples, weights, profile and
+// TIP categories, and the Oracle's profile, cycle stack and breakdown (see
+// profileDigest). A change to how the producers deliver the measured stream
+// that leaves these alone moved no profile byte.
+var sampledProfileGolden = map[string]string{
+	"mcf/w1024-i8192-warm1024/workers0":      "5454969aecd4fcb90de877b5cfe76b00ac6afaf3fe333f35d1705ff8f962bf91",
+	"mcf/w1024-i8192-warm1024/workers1":      "14fcce4192d5ae933f8682c66d2510fafbf462f5ee7884ad9c61af43fcf6bf43",
+	"mcf/w2048-i16384-warm4096/workers0":     "11477f8d22915e6e90d57db8a027dcbcb0f5df8adb2b8c6c54efa74337d20ee9",
+	"mcf/w2048-i16384-warm4096/workers1":     "74adfaabbfe3ac4c7cbc2bf2550efecba4ebba52e9d782244497b638c4ab09d9",
+	"x264/w1024-i8192-warm1024/workers0":     "fec39b9ab05c082726a999811f5881e6d583712cb508717d3c4c3380a4f0656b",
+	"x264/w1024-i8192-warm1024/workers1":     "b53aa0e19655654c682c7732f44d8d0aad28d65674f94e784b664fcdae2639f4",
+	"x264/w2048-i16384-warm4096/workers0":    "a9c69a963b0563c62d30ea18d547f79c2f9792e80767fca8452c805be3ddb39d",
+	"x264/w2048-i16384-warm4096/workers1":    "1a8be366dab01f04c5c96538083fc7bbe70bc41de2fb98334b833bd35ad55901",
+	"imagick/w1024-i8192-warm1024/workers0":  "a292290f75062cf77676a77b06bb8e4e1a36675b0430bde7e51fd90ce1c7ce00",
+	"imagick/w1024-i8192-warm1024/workers1":  "ab079fb1c69ce2ade1374723ecd8ccf4583b2acad51c7ebcfddef953c43f5d60",
+	"imagick/w2048-i16384-warm4096/workers0": "bfe08a160abb2c2b313854e5f96a7ad9a3d8dd5178119ff635ade0827f620b03",
+	"imagick/w2048-i16384-warm4096/workers1": "73ba163dc944431ac0404faccc1c9cbf82fe4d315cbc815ada5dd066a38470d5",
+}
+
+// sampledGoldenName names one sampledGolden configuration's subtest.
+func sampledGoldenName(bench string, window, interval, warm uint64, workers int) string {
+	return fmt.Sprintf("%s/w%d-i%d-warm%d/workers%d", bench, window, interval, warm, workers)
+}
+
+// profileDigest hashes res's profiles bit for bit, in AllKinds order.
+func profileDigest(res *Result) string {
+	h := sha256.New()
+	var b []byte
+	u := func(v uint64) { b = binary.LittleEndian.AppendUint64(b, v) }
+	f := func(v float64) { u(math.Float64bits(v)) }
+	fs := func(vs []float64) {
+		u(uint64(len(vs)))
+		for _, v := range vs {
+			f(v)
+		}
+	}
+	stack := func(s *CycleStack) {
+		fs(s.Cycles[:])
+		f(s.Total)
+	}
+	matrix := func(m [][]float64) {
+		u(uint64(len(m)))
+		for _, row := range m {
+			fs(row)
+		}
+	}
+	flush := func() {
+		h.Write(b)
+		b = b[:0]
+	}
+	u(res.SampleInterval)
+	for _, k := range AllKinds() {
+		s := res.Sampled[k]
+		u(uint64(k))
+		u(s.Samples)
+		f(s.SampledWeight)
+		f(s.LostWeight)
+		fs(s.Profile.InstCycles)
+		f(s.Profile.TotalCycles)
+		if c := s.Categories; c != nil {
+			stack(&c.Stack)
+			matrix(c.Breakdown)
+		}
+		flush()
+	}
+	or := res.Oracle
+	fs(or.Profile.InstCycles)
+	f(or.Profile.TotalCycles)
+	stack(&or.Stack)
+	matrix(or.Breakdown)
+	flush()
+	return fmt.Sprintf("%x", h.Sum(nil))
+}
+
+// TestRunSampledProfilesGolden runs each sampledGolden configuration with
+// the default profiler matrix, breakdowns and the invariant checker, and
+// compares the profiles against sampledProfileGolden. Each runs twice: with
+// a calibrated interval, where the whole measured stream fits the pilot
+// capture, and with the interval pinned to the same period, where it all
+// passes through the stream ring; both must give the pinned digest.
+func TestRunSampledProfilesGolden(t *testing.T) {
+	for _, g := range sampledGolden {
+		name := sampledGoldenName(g.bench, g.window, g.interval, g.warm, g.workers)
+		t.Run(name, func(t *testing.T) {
+			w, err := workload.LoadScaled(g.bench, 1, 50_000)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for _, interval := range []uint64{0, 17} {
+				rc := DefaultRunConfig()
+				rc.SampleInterval = interval
+				rc.Check = true
+				rc.WithBreakdown = true
+				rc.Sampled = true
+				rc.WindowCycles, rc.WindowInterval, rc.WarmupCycles = g.window, g.interval, g.warm
+				rc.WindowWorkers = g.workers
+				res, err := RunSampled(context.Background(), w, rc)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if got, want := profileDigest(res), sampledProfileGolden[name]; got != want {
+					t.Errorf("interval %d: profile digest:\n got  %s\n want %s", interval, got, want)
 				}
 			}
 		})
