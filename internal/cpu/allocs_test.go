@@ -24,7 +24,7 @@ func TestStepSteadyStateZeroAllocs(t *testing.T) {
 	// Warm up past cold-start growth: slice capacities, predictor tables,
 	// and the fetch buffer all reach steady state well within this.
 	for i := 0; i < 50_000; i++ {
-		if core.Step(cycle, &rec) {
+		if done, _ := core.Step(cycle, &rec); done {
 			t.Fatal("program finished during warmup; enlarge the loop")
 		}
 		cycle++
@@ -32,7 +32,7 @@ func TestStepSteadyStateZeroAllocs(t *testing.T) {
 
 	allocs := testing.AllocsPerRun(5, func() {
 		for i := 0; i < 1_000; i++ {
-			if core.Step(cycle, &rec) {
+			if done, _ := core.Step(cycle, &rec); done {
 				t.Fatal("program finished during measurement; enlarge the loop")
 			}
 			cycle++

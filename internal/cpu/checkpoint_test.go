@@ -160,7 +160,7 @@ func runWindow(t *testing.T, core *Core, n uint64, restored bool) ([]trace.Recor
 	var rec trace.Record
 	for cycle := uint64(0); cycle < n; cycle++ {
 		rec = trace.Record{}
-		if core.Step(cycle, &rec) {
+		if done, _ := core.Step(cycle, &rec); done {
 			t.Fatal("program finished inside the window; enlarge the workload")
 		}
 		if rec.CommitCount > 0 {

@@ -323,21 +323,6 @@ func (c *Core) Hierarchy() *cache.Hierarchy { return c.hier }
 // L1D exposes the core's private data cache.
 func (c *Core) L1D() *cache.Cache { return c.l1d }
 
-// Step advances the machine one cycle, filling rec with the commit-stage
-// observation; it reports whether the core has fully drained. Exported for
-// lockstep multi-core simulation — single-core users call Run.
-//
-// A caller that passes the same rec, unmodified but for Cycle, at one cycle
-// higher than the previous Step lets the core skip quiescent cycles: while
-// no stage can act, Step leaves rec as the last full step filled it and only
-// sets its Cycle. Any other call gets a full step. A full step's issue stage
-// scans only the queues holding a due entry; an entry waiting on a producer
-// is woken by that producer's issue, not re-checked.
-func (c *Core) Step(cycle uint64, rec *trace.Record) bool {
-	done, _ := c.step(cycle, rec)
-	return done
-}
-
 // FinalizeStats records the run length after external stepping (Run does
 // this automatically).
 func (c *Core) FinalizeStats(lastCommitCycle uint64) {
@@ -453,7 +438,7 @@ func (c *Core) RunContext(ctx context.Context, consumer trace.Consumer) (Stats, 
 				return c.stats, fmt.Errorf("cpu: run aborted at cycle %d: %w", cycle, err)
 			}
 		}
-		done, repeat := c.step(cycle, &rec)
+		done, repeat := c.Step(cycle, &rec)
 		if repeat && rep != nil {
 			rep.OnRepeat(&rec, 1)
 		} else if consumer != nil {
@@ -474,17 +459,26 @@ func (c *Core) RunContext(ctx context.Context, consumer trace.Consumer) (Stats, 
 	return c.stats, nil
 }
 
-// step advances one cycle: commit (and record), issue, dispatch, fetch. It
-// reports whether the machine is fully drained with no supply left, and
-// whether the cycle was quiescent and skipped: rec then repeats the previous
-// cycle's record one cycle later.
+// Step advances the machine one cycle: commit (filling rec with the
+// commit-stage observation), issue, dispatch, fetch. It reports whether the
+// machine is fully drained with no supply left, and whether the cycle was
+// quiescent and skipped: rec then repeats the previous cycle's record, one
+// cycle later. RunContext drives it for a whole single-core run; a caller
+// that steps the core itself (the lockstep multi-core system, a sampled
+// run's detailed legs) gets the same records.
 //
-// A full step in which nothing commits, issues, dispatches or is fetched,
-// no exception, interrupt or flush is raised and no branch-resolve entry
+// A caller that passes the same rec, unmodified but for Cycle, at one cycle
+// higher than the previous Step lets the core skip quiescent cycles. A full
+// step in which nothing commits, issues, dispatches or is fetched, no
+// exception, interrupt or flush is raised and no branch-resolve entry
 // expires leaves the pipeline as it found it, and so would every later step
 // up to the horizon, the first cycle at which a time comparison in some
-// stage can flip. Until then only rec.Cycle and the store-stall count move.
-func (c *Core) step(cycle uint64, rec *trace.Record) (done, repeat bool) {
+// stage can flip. Until then Step leaves rec as the last full step filled
+// it, sets only its Cycle and reports repeat; only the store-stall count
+// moves. Any other call gets a full step. A full step's issue stage scans
+// only the queues holding a due entry; an entry waiting on a producer is
+// woken by that producer's issue, not re-checked.
+func (c *Core) Step(cycle uint64, rec *trace.Record) (done, repeat bool) {
 	if cycle < c.quietUntil && cycle == c.quietCycle+1 && rec == c.quietRec {
 		c.quietCycle = cycle
 		rec.Cycle = cycle

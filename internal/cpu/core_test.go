@@ -520,7 +520,7 @@ func BenchmarkCoreALULoop(b *testing.B) {
 	var rec trace.Record
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		core.step(uint64(i), &rec)
+		core.Step(uint64(i), &rec)
 	}
 	b.ReportMetric(float64(core.Stats().Committed)/float64(b.N), "IPC")
 }
@@ -533,7 +533,7 @@ func BenchmarkCoreMemBound(b *testing.B) {
 	var rec trace.Record
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		core.step(uint64(i), &rec)
+		core.Step(uint64(i), &rec)
 	}
 }
 

@@ -29,7 +29,7 @@ func TestFastForwardConservesInstructions(t *testing.T) {
 	var rec trace.Record
 	cycle := uint64(0)
 	for ; cycle < 2000; cycle++ {
-		if core.Step(cycle, &rec) {
+		if done, _ := core.Step(cycle, &rec); done {
 			t.Fatal("program finished before the fast-forward point")
 		}
 	}
@@ -39,8 +39,8 @@ func TestFastForwardConservesInstructions(t *testing.T) {
 		t.Fatalf("FastForward executed %d (done=%v), want 5000", executed, done)
 	}
 	core.ResumeFrom(cycle)
-	for !core.Step(cycle, &rec) {
-		cycle++
+	for done := false; !done; cycle++ {
+		done, _ = core.Step(cycle, &rec)
 	}
 
 	total := core.Stats().Committed + executed
@@ -199,8 +199,9 @@ func (fp *ffPair) run(t *testing.T, label string, legs []ffLeg) bool {
 			fp.walk.ResumeFrom(fp.cycle)
 			fp.ref.ResumeFrom(fp.cycle)
 			for end := fp.cycle + leg.detailed; fp.cycle < end; fp.cycle++ {
-				dw, dr := fp.walk.Step(fp.cycle, &rw), fp.ref.Step(fp.cycle, &rr)
-				if dw != dr {
+				dw, qw := fp.walk.Step(fp.cycle, &rw)
+				dr, qr := fp.ref.Step(fp.cycle, &rr)
+				if dw != dr || qw != qr {
 					t.Fatalf("%s leg %d: detailed cores disagree on completion at cycle %d", label, i, fp.cycle)
 				}
 				if dw {

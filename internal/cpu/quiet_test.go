@@ -200,7 +200,7 @@ func firstRepeat(t *testing.T, build func() *Core) uint64 {
 	var rec trace.Record
 	run := 0
 	for cycle := uint64(0); ; cycle++ {
-		done, repeat := c.step(cycle, &rec)
+		done, repeat := c.Step(cycle, &rec)
 		if repeat {
 			if run++; run == 2 {
 				return cycle - 1
@@ -272,24 +272,24 @@ func TestQuietSkipNeedsSameRecordAndNextCycle(t *testing.T) {
 	b.perCycle = true
 	var ra, rb trace.Record
 	for cycle := uint64(0); cycle < stall; cycle++ {
-		a.step(cycle, &ra)
-		b.step(cycle, &rb)
+		a.Step(cycle, &ra)
+		b.Step(cycle, &rb)
 	}
 	// a would skip cycle stall with ra; it must not with another record.
 	var other trace.Record
-	if _, repeat := a.step(stall, &other); repeat {
+	if _, repeat := a.Step(stall, &other); repeat {
 		t.Fatal("a different record took the skip")
 	}
-	b.step(stall, &rb)
+	b.Step(stall, &rb)
 	if other != rb {
 		t.Fatalf("full step with another record:\n got %+v\nwant %+v", other, rb)
 	}
 	// Back on ra, two cycles on: the horizon set by the step above is
 	// only valid for other at stall+1.
-	if _, repeat := a.step(stall+2, &ra); repeat {
+	if _, repeat := a.Step(stall+2, &ra); repeat {
 		t.Fatal("a skipped cycle number took the skip")
 	}
-	b.step(stall+2, &rb)
+	b.Step(stall+2, &rb)
 	if ra != rb || a.Stats() != b.Stats() {
 		t.Fatalf("full step after a skipped cycle number:\n got %+v\nwant %+v", ra, rb)
 	}

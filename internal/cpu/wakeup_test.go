@@ -201,7 +201,7 @@ func stepChecked(t *testing.T, c *Core, from, to uint64, untilWaiting bool) uint
 	t.Helper()
 	var rec trace.Record
 	for cycle := from; cycle < to; cycle++ {
-		if c.Step(cycle, &rec) {
+		if done, _ := c.Step(cycle, &rec); done {
 			t.Fatalf("program finished at cycle %d", cycle)
 		}
 		checkIssueQueues(t, c)

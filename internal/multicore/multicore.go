@@ -140,7 +140,7 @@ func (s *System) run(ctx context.Context, shared trace.Consumer) ([]CoreResult, 
 			if done[i] {
 				continue
 			}
-			finished := core.Step(cycle, &recs[i])
+			finished, _ := core.Step(cycle, &recs[i])
 			for _, c := range s.specs[i].Consumers {
 				c.OnCycle(&recs[i])
 			}

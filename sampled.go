@@ -268,7 +268,12 @@ type legResult struct {
 // sampledCancelMask+1 cycles. rec must be the caller's record, reused from
 // one leg to the next on a continued core: Step skips quiescent cycles only
 // for the record it filled last.
-func runLeg(ctx context.Context, core *cpu.Core, rec *trace.Record, start, warmup, window, maxCycles uint64, emit func(*trace.Record)) (legResult, error) {
+//
+// emit's repeat flag says the core skipped the cycle, so rec is the record
+// emit got last, unchanged but for Cycle. It is set only when the previous
+// cycle was a window cycle of this leg: a run never extends a dropped
+// warmup record or an earlier leg's record.
+func runLeg(ctx context.Context, core *cpu.Core, rec *trace.Record, start, warmup, window, maxCycles uint64, emit func(r *trace.Record, repeat bool)) (legResult, error) {
 	leg := legResult{lastCommit: -1}
 	base := core.Stats().Committed
 	for n := uint64(0); n < warmup+window && !leg.done; n++ {
@@ -284,7 +289,8 @@ func runLeg(ctx context.Context, core *cpu.Core, rec *trace.Record, start, warmu
 				return leg, fmt.Errorf("cpu: run aborted at cycle %d: %w", cycle, err)
 			}
 		}
-		leg.done = core.Step(cycle, rec)
+		done, repeat := core.Step(cycle, rec)
+		leg.done = done
 		if rec.CommitCount > 0 {
 			leg.lastCommit = int64(n)
 		}
@@ -292,7 +298,7 @@ func runLeg(ctx context.Context, core *cpu.Core, rec *trace.Record, start, warmu
 			leg.warmSteps++
 		} else {
 			leg.winSteps++
-			emit(rec)
+			emit(rec, repeat && n > warmup)
 		}
 	}
 	if leg.winSteps == 0 {
@@ -303,35 +309,89 @@ func runLeg(ctx context.Context, core *cpu.Core, rec *trace.Record, start, warmu
 	return leg, nil
 }
 
+// recordRun is n consecutive cycles of rec, the first at rec.Cycle.
+type recordRun struct {
+	rec trace.Record
+	n   uint64
+}
+
+// recordRuns buffers records as runs, so a stalled stretch costs one copy.
+type recordRuns []recordRun
+
+// add appends r as one cycle. With repeat, r is the record added last,
+// unchanged but for Cycle, and only lengthens its run. A new run is copied
+// once, into spare capacity when there is some.
+func (b *recordRuns) add(r *trace.Record, repeat bool) {
+	runs := *b
+	if repeat && len(runs) > 0 {
+		runs[len(runs)-1].n++
+		return
+	}
+	if len(runs) < cap(runs) {
+		runs = runs[:len(runs)+1]
+	} else {
+		runs = append(runs, recordRun{})
+	}
+	last := &runs[len(runs)-1]
+	last.rec, last.n = *r, 1
+	*b = runs
+}
+
 // measuredClock renumbers window records onto the contiguous measured clock
 // the profilers observe. A full run never emits records past its last commit,
 // and two checker invariants rest on that: Finish equals last commit + 1, and
 // the Oracle attributes exactly one cycle per record. A window can end
 // mid-stall with instructions that only commit in the next hidden leg, so a
 // commit-free suffix is held until a later commit proves the stream
-// continues; one still held at end of run is dropped.
+// continues; one still held at end of run is dropped. The suffix is held as
+// runs, and each reaches the consumer as one OnCycle and one trace.Repeat
+// of the rest, which a Stream stores as one ring slot.
 type measuredClock struct {
 	consumer   trace.Consumer
-	held       []trace.Record
-	next       uint64 // measured cycle of the next record
-	lastCommit uint64 // measured cycle of the last committing record
+	held       recordRuns
+	scratch    trace.Record // trace.Repeat's copy for a consumer that is not a Repeater
+	next       uint64       // measured cycle of the next record
+	lastCommit uint64       // measured cycle of the last committing record
 }
 
 // emit stamps r with the next measured cycle and delivers it, or holds it
-// while it commits nothing.
-func (m *measuredClock) emit(r *trace.Record) {
+// while it commits nothing. With repeat, r is the record emitted last,
+// unchanged but for Cycle (runLeg's flag), and only lengthens the held run.
+func (m *measuredClock) emit(r *trace.Record, repeat bool) {
 	r.Cycle = m.next
 	if r.CommitCount == 0 {
-		m.held = append(m.held, *r)
+		m.held.add(r, repeat)
 	} else {
-		for i := range m.held {
-			m.consumer.OnCycle(&m.held[i])
-		}
-		m.held = m.held[:0]
+		m.flush()
 		m.consumer.OnCycle(r)
 		m.lastCommit = m.next
 	}
 	m.next++
+}
+
+// emitRun emits a leg buffer's run as emit(&run.rec, false) and then n-1
+// emit(&run.rec, true) would. Only a record that commits nothing repeats,
+// so a committing run has n = 1.
+func (m *measuredClock) emitRun(run *recordRun) {
+	m.emit(&run.rec, false)
+	if k := run.n - 1; k > 0 {
+		m.held[len(m.held)-1].n += k
+		m.next += k
+	}
+}
+
+// flush delivers the held runs, each as OnCycle at its first cycle and a
+// trace.Repeat of the rest ending at its last.
+func (m *measuredClock) flush() {
+	for i := range m.held {
+		h := &m.held[i]
+		m.consumer.OnCycle(&h.rec)
+		if h.n > 1 {
+			h.rec.Cycle += h.n - 1
+			trace.Repeat(m.consumer, &h.rec, h.n-1, &m.scratch)
+		}
+	}
+	m.held = m.held[:0]
 }
 
 // finish fills in sr's run totals from the last measured and detailed
