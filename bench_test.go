@@ -316,8 +316,8 @@ func BenchmarkAblationTraceEncode(b *testing.B) {
 }
 
 // BenchmarkAblationTraceDecode replays real captures through a
-// CountingConsumer, so the time is the Reader's decode alone. A stalled
-// core repeats its record byte for byte, and the Reader skips decoding the
+// CountingConsumer, so the time is the trace reader's decode alone. A stalled
+// core repeats its record byte for byte, and the reader skips decoding the
 // repeats: 70% of mcf's (Stall) records are such repeats, 47% of x264's
 // (Compute).
 func BenchmarkAblationTraceDecode(b *testing.B) {

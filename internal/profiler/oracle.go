@@ -113,7 +113,7 @@ func (or *Oracle) OnCycle(r *trace.Record) {
 // (Stalled, Flushed) or adds them to the drain, so the run is booked in one
 // step per accumulator; addOnes keeps every float bit of n unit adds. The
 // OIR already holds what the record latches. A committing repeat, which
-// neither a core nor a Reader produces, is taken cycle by cycle.
+// neither a core nor a trace reader produces, is taken cycle by cycle.
 func (or *Oracle) OnRepeat(r *trace.Record, n uint64) {
 	if r.CommitCount > 0 {
 		for ; n > 0; n-- {

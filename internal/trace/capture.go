@@ -40,7 +40,7 @@ const maxRecordBytes = 512
 // and no byte is ever copied to grow the trace. Once the in-memory size
 // crosses the spill threshold the sealed blocks move to a temp file and the
 // capture keeps one block, written out and reused each time it fills; the
-// file is then the same sequence of whole blocks, and a Reader reads it back
+// file is then the same sequence of whole blocks, and a reader reads it back
 // one block at a time. Close releases the file; a purely in-memory capture
 // needs no Close but tolerates one.
 type Capture struct {
@@ -256,7 +256,7 @@ func NewCaptureFromEncoded(data []byte, records, cycles uint64) (*Capture, error
 // Replay streams the captured trace through consumers exactly as the live
 // core did: one OnCycle per record, then Finish. It can be called any number
 // of times; concurrent replays of the same capture are safe because each
-// call reads through its own Reader.
+// call reads through its own reader.
 func (c *Capture) Replay(consumers ...Consumer) (cycles uint64, records uint64, err error) {
 	if err := c.replayable(); err != nil {
 		return 0, 0, err
@@ -275,15 +275,15 @@ func (c *Capture) replayable() error {
 	return nil
 }
 
-// reader returns a fresh Reader over the finished capture: it walks the
+// reader returns a fresh reader over the finished capture: it walks the
 // in-memory blocks, or reads the spill file's blocks one at a time into a
 // buffer of its own, so any number of readers may decode the capture
 // concurrently.
-func (c *Capture) reader() *Reader {
+func (c *Capture) reader() *reader {
 	if c.f != nil {
-		return &Reader{file: c.f, fileBlocks: c.fileBlocks}
+		return &reader{file: c.f, fileBlocks: c.fileBlocks}
 	}
-	return &Reader{blocks: c.blocks}
+	return &reader{blocks: c.blocks}
 }
 
 // WriteTo copies the full encoded stream (header included) to w, leaving the

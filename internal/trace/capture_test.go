@@ -231,7 +231,7 @@ func TestCaptureMatchesDirectEncoding(t *testing.T) {
 // more than three blocks to the same record sequence and Finish total: the
 // capture in memory, and spilled mid-block, just before and exactly on a
 // block boundary, and after two whole blocks. A spilled capture's file
-// holds its blocks whole, and its Reader reads them back one at a time.
+// holds its blocks whole, and its reader reads them back one at a time.
 func TestCaptureBlockBoundaries(t *testing.T) {
 	const n = blockTraceRecords
 	enc := encodeBlockTrace(n)
@@ -439,7 +439,7 @@ func TestReplayDecodeLoopAllocs(t *testing.T) {
 			t.Fatal(err)
 		}
 	})
-	// One Reader, its Record and a few interface boxes — but nothing
+	// One reader, its Record and a few interface boxes — but nothing
 	// proportional to the 4096 records.
 	if allocs > 16 {
 		t.Fatalf("replaying 4096 records allocated %.0f times; decode loop must not allocate per record", allocs)

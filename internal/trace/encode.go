@@ -67,7 +67,7 @@ func detectMagic(hdr []byte) (v3, ok bool) {
 }
 
 // sniffMagic validates an encoded trace's header and returns the codec
-// version; it is the front door of Reader.Next and NewCaptureFromEncoded.
+// version; it is the front door of reader.next and NewCaptureFromEncoded.
 func sniffMagic(data []byte) (v3 bool, err error) {
 	if len(data) >= len(formatMagic) {
 		if v3, ok := detectMagic(data[:len(formatMagic)]); ok {
@@ -264,19 +264,19 @@ func normalizeRecord(dst, src *Record) {
 	}
 }
 
-// Reader decodes a stored trace. It walks a sequence of blocks that each end
+// reader decodes a stored trace. It walks a sequence of blocks that each end
 // on a record boundary, decoding each with decodeRecord and moving to the
 // next once it is used up: a whole slice is one block, an in-memory
 // Capture's blocks are walked in place, and a spilled Capture's blocks are
-// read from its file one at a time into the Reader's own buffer. So every
+// read from its file one at a time into the reader's own buffer. So every
 // record decodeRecord sees lies wholly inside the block (or the trace
 // really is truncated there).
 //
 // A stalled core emits the same commit-stage record cycle after cycle, and
 // across the benchmark suite about two records in three repeat the one
-// before them byte for byte. Next serves such a repeat without decoding it
+// before them byte for byte. reader.next serves such a repeat without decoding it
 // (see rep), and run takes a whole stretch of them at once.
-type Reader struct {
+type reader struct {
 	buf    []byte   // block being decoded
 	blocks [][]byte // in-memory blocks after buf, in stream order
 	pos    int      // next undecoded byte in buf
@@ -296,7 +296,7 @@ type Reader struct {
 	// repRec, kept only when that record committed nothing and left the
 	// PC, FID, InstIndex and core bases as it found them; repDelta is its
 	// cycle delta. Identical bytes that follow it then decode, under the
-	// same bases, to the same record but for the cycle, so Next advances
+	// same bases, to the same record but for the cycle, so reader.next advances
 	// the cycle base and rec.Cycle and skips decodeRecord. A committing
 	// record is never kept: its FIDs advance, so it seldom repeats, and
 	// committing records are the ones internal/check's corruptor test
@@ -308,16 +308,16 @@ type Reader struct {
 	repeats  uint64
 }
 
-// newSliceReader returns a Reader over an in-memory encoded trace, magic
+// newSliceReader returns a reader over an in-memory encoded trace, magic
 // header included. The slice is read, never copied or modified.
-func newSliceReader(data []byte) *Reader {
-	return &Reader{buf: data}
+func newSliceReader(data []byte) *reader {
+	return &reader{buf: data}
 }
 
-// nextBlock moves the Reader to the next block: the next in-memory one, or
+// nextBlock moves the reader to the next block: the next in-memory one, or
 // the next block of the spill file, read into spillBuf. It returns io.EOF
 // after the last block. A read error sticks: every later call returns it.
-func (r *Reader) nextBlock() error {
+func (r *reader) nextBlock() error {
 	r.rep = nil
 	switch {
 	case r.fail != nil:
@@ -345,18 +345,18 @@ func (r *Reader) nextBlock() error {
 	return nil
 }
 
-// Next decodes the next record into rec, which must be zero or the record a
-// previous Next filled, unmodified since (records are read-only to
+// next decodes the next record into rec, which must be zero or the record a
+// previous call filled, unmodified since (records are read-only to
 // consumers; see Consumer). It returns io.EOF at the end of the trace. The
 // codec version is detected from the stream's magic: v3 records carry a
 // core ID, v2 records decode with Core = 0.
 //
 // When rec is the record the previous full decode filled, and the next
-// bytes repeat that record under unchanged delta bases, Next only sets
+// bytes repeat that record under unchanged delta bases, it only sets
 // rec.Cycle: every other field already holds what decoding would write.
-// Next serves one record per call; a replay shard whose consumer takes runs
+// It serves one record per call; a replay shard whose consumer takes runs
 // first asks run for the stretch of repeats that follows.
-func (r *Reader) Next(rec *Record) error {
+func (r *reader) next(rec *Record) error {
 	for r.pos >= len(r.buf) {
 		if err := r.nextBlock(); err != nil {
 			return err
@@ -377,7 +377,7 @@ func (r *Reader) Next(rec *Record) error {
 		}
 		r.st.v3, r.hdr = v3, true
 		r.pos += len(formatMagic)
-		return r.Next(rec)
+		return r.next(rec)
 	}
 	base := r.st
 	pos, err := decodeRecord(r.buf, r.pos, &r.st, rec)
@@ -399,9 +399,9 @@ func (r *Reader) Next(rec *Record) error {
 // them and returns their count, so rec then stands for a run of that many
 // cycles ending at rec.Cycle (a Repeater's OnRepeat). It counts only spans
 // wholly inside the current block and never moves to the next or decodes;
-// it returns 0, consuming nothing, when no such span follows, and Next
+// it returns 0, consuming nothing, when no such span follows, and r.next
 // takes the record.
-func (r *Reader) run(rec *Record, max int) int {
+func (r *reader) run(rec *Record, max int) int {
 	rep := r.rep
 	if rep == nil || r.repDelta != 1 || rec != r.repRec {
 		return 0
@@ -440,7 +440,7 @@ func sliceUvarintSlow(data []byte, pos int) (uint64, int, error) {
 }
 
 // decodeRecord decodes the record at data[pos:] into rec — the one record
-// decoder behind every Reader. It returns the position after the record;
+// decoder behind every reader. It returns the position after the record;
 // the codec state carries the delta bases between records.
 func decodeRecord(data []byte, pos int, st *codecState, rec *Record) (int, error) {
 	delta, pos, err := sliceUvarint(data, pos)

@@ -55,7 +55,7 @@ func fuzzSeedTraces() (seeds [][]byte, numValid int) {
 	seeds = append(seeds, encodeRecords(true, []Record{r0}))
 
 	// Stall runs, v2 and v3: runs a stalled core repeats byte for byte
-	// (the Reader's repeat shortcut), broken by a longer cycle gap, by a
+	// (the reader's repeat shortcut), broken by a longer cycle gap, by a
 	// move to another stalled instruction and by commits.
 	stalls := (&stallTrace{}).commit(0x52000).stall(0x40000, 6).skip(1).stall(0x40000, 3).
 		stall(0x52000, 4).commit(0x52000).empty(3).commit(0x40000)
@@ -77,7 +77,7 @@ func fuzzSeedTraces() (seeds [][]byte, numValid int) {
 }
 
 // FuzzDecodeRecord drives the record decoder over arbitrary bytes, directly
-// and through a slice Reader, whose repeat shortcut skips it. Neither may
+// and through a slice reader, whose repeat shortcut skips it. Neither may
 // panic, and both must always make progress (or error): a malformed trace
 // is an error to report, not a crash or an infinite loop. Decoded records
 // are run through the age-order accessors, which must tolerate any field
@@ -113,11 +113,11 @@ func FuzzDecodeRecord(f *testing.F) {
 		var next Record
 		for {
 			at := r.pos
-			if err := r.Next(&next); err != nil {
+			if err := r.next(&next); err != nil {
 				return
 			}
 			if r.pos <= at {
-				t.Fatalf("Reader made no progress at %d", at)
+				t.Fatalf("reader made no progress at %d", at)
 			}
 			access(&next)
 		}
@@ -130,7 +130,7 @@ func refReplay(data []byte, consumers ...Consumer) (cycles uint64, records uint6
 	var rec Record
 	lastCommit := uint64(0)
 	for {
-		if err := r.Next(&rec); err != nil {
+		if err := r.next(&rec); err != nil {
 			if errors.Is(err, io.EOF) {
 				break
 			}
@@ -163,7 +163,7 @@ type decodePath struct {
 }
 
 // FuzzReplayBytes is a differential fuzz of the decode paths over the same
-// input: the reference decoder, a slice Reader (ReplayBytes), and both
+// input: the reference decoder, a slice reader (ReplayBytes), and both
 // shards of a 2-shard Capture.ReplayShards. All must agree — same
 // accept/reject decision and, on success, the identical record sequence and
 // totals. None may panic. The stall-run seeds drive the slice and shard
@@ -215,7 +215,7 @@ func FuzzReplayBytes(f *testing.F) {
 // TestFuzzSeedsReplayCleanly sanity-checks that the valid seeds really are
 // valid (and the corrupted ones really are rejected) under the normal test
 // runner, so a codec change that invalidates the corpus fails fast here. The
-// valid seeds must also drive the Reader through its repeat shortcut.
+// valid seeds must also drive the reader through its repeat shortcut.
 func TestFuzzSeedsReplayCleanly(t *testing.T) {
 	seeds, numValid := fuzzSeedTraces()
 	var repeats uint64
@@ -227,7 +227,7 @@ func TestFuzzSeedsReplayCleanly(t *testing.T) {
 		repeats += r.repeats
 	}
 	if repeats == 0 {
-		t.Fatal("no valid seed takes the Reader's repeat shortcut")
+		t.Fatal("no valid seed takes the reader's repeat shortcut")
 	}
 	for i, s := range seeds[numValid:] {
 		if _, _, err := ReplayBytes(s, &nullConsumer{}); err == nil {
@@ -237,7 +237,7 @@ func TestFuzzSeedsReplayCleanly(t *testing.T) {
 }
 
 // refReader is the fuzz reference decoder: it reads byte at a time through
-// bufio, field by field, and shares no decode code with Reader's window
+// bufio, field by field, and shares no decode code with reader's window
 // over decodeRecord.
 type refReader struct {
 	r       *bufio.Reader
@@ -283,10 +283,10 @@ func (r *refReader) readInst() (int32, error) {
 	return int32(idx), nil
 }
 
-// Next decodes the next record into rec. It returns io.EOF at end of trace.
+// next decodes the next record into rec. It returns io.EOF at end of trace.
 // The codec version is detected from the stream's magic: v3 records carry a
 // core ID, v2 records decode with Core = 0.
-func (r *refReader) Next(rec *Record) error {
+func (r *refReader) next(rec *Record) error {
 	if !r.readHdr {
 		hdr := r.scratch[:len(formatMagic)]
 		if _, err := io.ReadFull(r.r, hdr); err != nil {

@@ -112,7 +112,7 @@ func (sh *replayShard) healthy(ctx context.Context, abort *atomic.Bool) bool {
 // gets each stretch of repeats in one call, cut at the next poll so a fault
 // still stops the replay within n records. A decode error raises abort. It
 // reports whether the shard reached the end of r healthy.
-func (sh *replayShard) decode(ctx context.Context, r *Reader, n int, abort *atomic.Bool) bool {
+func (sh *replayShard) decode(ctx context.Context, r *reader, n int, abort *atomic.Bool) bool {
 	var rec Record
 	for {
 		if !sh.healthy(ctx, abort) {
@@ -126,7 +126,7 @@ func (sh *replayShard) decode(ctx context.Context, r *Reader, n int, abort *atom
 					continue
 				}
 			}
-			if err := r.Next(&rec); err == io.EOF {
+			if err := r.next(&rec); err == io.EOF {
 				return sh.healthy(ctx, abort)
 			} else if err != nil {
 				sh.stop = err

@@ -21,7 +21,7 @@ func newFinishedCapture(t *testing.T, n int) *Capture {
 
 // syntheticCaptures returns the synthetic trace as an adopted in-memory
 // capture and as a spilled one (a 64-byte budget), the two sources a
-// shard's Reader decodes: the whole slice, or the spill file's block read
+// shard's reader decodes: the whole slice, or the spill file's block read
 // into a buffer of its own.
 func syntheticCaptures(t *testing.T, n int, seed uint64) (inMemory, spilled *Capture) {
 	t.Helper()

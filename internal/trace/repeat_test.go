@@ -108,7 +108,7 @@ func (s *stallTrace) capture(t *testing.T, limit int) *Capture {
 }
 
 // stallCase is an encoded trace with stall runs and the fewest records its
-// slice Reader must serve through the repeat shortcut.
+// slice reader must serve through the repeat shortcut.
 type stallCase struct {
 	name       string
 	enc        []byte
@@ -171,7 +171,7 @@ func sameAsReference(t *testing.T, name string, ref, got replayed) {
 	}
 }
 
-func replayWith(r *Reader) (out replayed) {
+func replayWith(r *reader) (out replayed) {
 	out.cycles, out.records, out.err = replay(r, &out.got)
 	return out
 }
@@ -183,12 +183,12 @@ func referenceReplay(data []byte) (out replayed) {
 
 // alternatingReplay is Replay by a caller that decodes into two Records in
 // turn, so no call passes the record the previous one filled.
-func alternatingReplay(r *Reader) (out replayed) {
+func alternatingReplay(r *reader) (out replayed) {
 	var recs [2]Record
 	lastCommit := uint64(0)
 	for i := 0; ; i++ {
 		rec := &recs[i%2]
-		if err := r.Next(rec); err != nil {
+		if err := r.next(rec); err != nil {
 			if !errors.Is(err, io.EOF) {
 				out.err = err
 				return out
@@ -207,9 +207,9 @@ func alternatingReplay(r *Reader) (out replayed) {
 }
 
 // TestRepeatShortcutMatchesReference replays traces with stall runs through
-// every Reader route — the slice, blocks of three records in memory and in
+// every reader route — the slice, blocks of three records in memory and in
 // a spill file, and sharded — and requires the reference decoder's records,
-// totals and Finish from each. The slice Reader must take the shortcut at
+// totals and Finish from each. The slice reader must take the shortcut at
 // least minRepeats times, so an edit that turns it off fails here.
 func TestRepeatShortcutMatchesReference(t *testing.T) {
 	for _, tc := range stallCases() {
@@ -221,10 +221,10 @@ func TestRepeatShortcutMatchesReference(t *testing.T) {
 			slice := newSliceReader(tc.enc)
 			sameAsReference(t, "slice", ref, replayWith(slice))
 			if slice.repeats < tc.minRepeats {
-				t.Fatalf("slice Reader served %d of %d records as repeats, want at least %d", slice.repeats, ref.records, tc.minRepeats)
+				t.Fatalf("slice reader served %d of %d records as repeats, want at least %d", slice.repeats, ref.records, tc.minRepeats)
 			}
 			blocks := recordBlocks(t, tc.enc, 3)
-			sameAsReference(t, "blocks of 3", ref, replayWith(&Reader{blocks: blocks}))
+			sameAsReference(t, "blocks of 3", ref, replayWith(&reader{blocks: blocks}))
 			sameAsReference(t, "spill file blocks of 3", ref, replayWith(fileReader(t, blocks)))
 			alt := newSliceReader(tc.enc)
 			sameAsReference(t, "two alternating Records", ref, alternatingReplay(alt))
@@ -277,7 +277,7 @@ func TestRepeatRunAcrossWindows(t *testing.T) {
 		// One full decode to reach the run, one to remember it, then one
 		// after each block switch.
 		if want := uint64(n - 1 - blocks); r.repeats < want {
-			t.Fatalf("%s: Reader served %d repeats, want at least %d", tc.name, r.repeats, want)
+			t.Fatalf("%s: reader served %d repeats, want at least %d", tc.name, r.repeats, want)
 		}
 		var shards [2]replayed
 		var err error

@@ -31,7 +31,7 @@ func badMagic(prefix []byte) error {
 // It is the replay shard's loop on one shard: a single consumer is the
 // shard's own, several share it through a Tee. Unlike ReplayShards it never
 // polls a consumer's Faultable; a consumer's failure is its own to report.
-func replay(r *Reader, consumers ...Consumer) (cycles uint64, records uint64, err error) {
+func replay(r *reader, consumers ...Consumer) (cycles uint64, records uint64, err error) {
 	var c Consumer = &Tee{Consumers: consumers}
 	if len(consumers) == 1 {
 		c = consumers[0]
@@ -43,7 +43,7 @@ func replay(r *Reader, consumers ...Consumer) (cycles uint64, records uint64, er
 }
 
 // ReplayBytes replays an in-memory encoded trace, as Capture.Replay does a
-// capture: the Reader's one block is the slice itself, so records decode
+// capture: the reader's one block is the slice itself, so records decode
 // straight off it.
 func ReplayBytes(data []byte, consumers ...Consumer) (cycles uint64, records uint64, err error) {
 	return replay(newSliceReader(data), consumers...)

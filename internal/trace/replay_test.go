@@ -127,16 +127,16 @@ func recordBlocks(t *testing.T, data []byte, n int) [][]byte {
 }
 
 // fileReader writes blocks one after another to a file, as a capture spills
-// them, and returns a Reader over that file that reads it back block by
+// them, and returns a reader over that file that reads it back block by
 // block.
-func fileReader(t *testing.T, blocks [][]byte) *Reader {
+func fileReader(t *testing.T, blocks [][]byte) *reader {
 	t.Helper()
 	f, err := os.Create(filepath.Join(t.TempDir(), "blocks.trc"))
 	if err != nil {
 		t.Fatal(err)
 	}
 	t.Cleanup(func() { f.Close() })
-	r := &Reader{file: f}
+	r := &reader{file: f}
 	for _, b := range blocks {
 		if _, err := f.Write(b); err != nil {
 			t.Fatal(err)
@@ -146,16 +146,16 @@ func fileReader(t *testing.T, blocks [][]byte) *Reader {
 	return r
 }
 
-// readerKinds opens a Reader over data each way one is built: a slice, the
+// readerKinds opens a reader over data each way one is built: a slice, the
 // slice as a capture's one in-memory block, and the slice as one block of a
 // spill file.
 var readerKinds = []struct {
 	name string
-	open func(t *testing.T, data []byte) *Reader
+	open func(t *testing.T, data []byte) *reader
 }{
-	{"slice", func(_ *testing.T, data []byte) *Reader { return newSliceReader(data) }},
-	{"block", func(_ *testing.T, data []byte) *Reader { return &Reader{blocks: [][]byte{data}} }},
-	{"spill file", func(t *testing.T, data []byte) *Reader {
+	{"slice", func(_ *testing.T, data []byte) *reader { return newSliceReader(data) }},
+	{"block", func(_ *testing.T, data []byte) *reader { return &reader{blocks: [][]byte{data}} }},
+	{"spill file", func(t *testing.T, data []byte) *reader {
 		if len(data) == 0 {
 			return fileReader(t, nil)
 		}
@@ -163,7 +163,7 @@ var readerKinds = []struct {
 	}},
 }
 
-// TestReaderMalformedInput pins every Reader kind's verdict on degenerate
+// TestReaderMalformedInput pins every reader kind's verdict on degenerate
 // input: an empty stream is an immediate io.EOF (which replay reports as
 // io.ErrUnexpectedEOF), a bad magic is an error, and a truncated stream
 // errors before it can end cleanly.
@@ -172,21 +172,21 @@ func TestReaderMalformedInput(t *testing.T) {
 	trunc := data[:len(data)-4]
 	for _, kind := range readerKinds {
 		var rec Record
-		if err := kind.open(t, nil).Next(&rec); err != io.EOF {
-			t.Fatalf("%s: empty input Next = %v, want io.EOF", kind.name, err)
+		if err := kind.open(t, nil).next(&rec); err != io.EOF {
+			t.Fatalf("%s: empty input next = %v, want io.EOF", kind.name, err)
 		}
 		if _, _, err := replay(kind.open(t, nil), &collect{}); !errors.Is(err, io.ErrUnexpectedEOF) {
 			t.Fatalf("%s: empty input replay = %v, want io.ErrUnexpectedEOF", kind.name, err)
 		}
 		for _, bad := range []string{"NOTATRACE", "TIPTRC"} {
-			if err := kind.open(t, []byte(bad)).Next(&rec); err == nil || err == io.EOF {
+			if err := kind.open(t, []byte(bad)).next(&rec); err == nil || err == io.EOF {
 				t.Fatalf("%s: bad magic %q accepted: %v", kind.name, bad, err)
 			}
 		}
 		r := kind.open(t, trunc)
 		var err error
 		for err == nil {
-			err = r.Next(&rec)
+			err = r.next(&rec)
 		}
 		if err == io.EOF {
 			t.Fatalf("%s: truncated trace decoded to a clean EOF", kind.name)
@@ -195,9 +195,9 @@ func TestReaderMalformedInput(t *testing.T) {
 }
 
 // TestReaderSourceErrorSticks closes a spilled capture's file under a
-// Reader that has decoded part of its first block: the Reader finishes that
+// reader that has decoded part of its first block: the reader finishes that
 // block, then the read of the next one fails, and the error surfaces from
-// Next and keeps surfacing, instead of ending the trace early.
+// reader.next and keeps surfacing, instead of ending the trace early.
 func TestReaderSourceErrorSticks(t *testing.T) {
 	c := captureBlockTrace(t, 64, blockTraceRecords)
 	if len(c.fileBlocks) < 3 {
@@ -205,7 +205,7 @@ func TestReaderSourceErrorSticks(t *testing.T) {
 	}
 	r := c.reader()
 	var rec Record
-	if err := r.Next(&rec); err != nil {
+	if err := r.next(&rec); err != nil {
 		t.Fatal(err)
 	}
 	if err := c.f.Close(); err != nil {
@@ -214,23 +214,23 @@ func TestReaderSourceErrorSticks(t *testing.T) {
 	n := 1
 	var err error
 	for err == nil {
-		if err = r.Next(&rec); err == nil {
+		if err = r.next(&rec); err == nil {
 			n++
 		}
 	}
 	if !errors.Is(err, os.ErrClosed) {
-		t.Fatalf("Next = %v after %d records, want the closed file's read error", err, n)
+		t.Fatalf("next = %v after %d records, want the closed file's read error", err, n)
 	}
 	if n >= blockTraceRecords {
 		t.Fatalf("decoded all %d records from a closed file", n)
 	}
-	if err := r.Next(&rec); !errors.Is(err, os.ErrClosed) {
-		t.Fatalf("Next after the failure = %v, want it again", err)
+	if err := r.next(&rec); !errors.Is(err, os.ErrClosed) {
+		t.Fatalf("next after the failure = %v, want it again", err)
 	}
 }
 
 // TestChunkIterMatchesReplayBytes is the block property test for the
-// Reader: however a trace is cut into blocks on record boundaries — a record
+// reader: however a trace is cut into blocks on record boundaries — a record
 // per block, sizes that split commit bursts, sizes near and past the trace —
 // walking the blocks in memory and reading them back from a spill file
 // delivers exactly the record sequence and totals ReplayBytes does over the
@@ -253,8 +253,8 @@ func TestChunkIterMatchesReplayBytes(t *testing.T) {
 		blocks := recordBlocks(t, data, size)
 		for _, route := range []struct {
 			name string
-			r    *Reader
-		}{{"blocks", &Reader{blocks: blocks}}, {"spill file", fileReader(t, blocks)}} {
+			r    *reader
+		}{{"blocks", &reader{blocks: blocks}}, {"spill file", fileReader(t, blocks)}} {
 			var got collect
 			cycles, records, err := replay(route.r, &got)
 			if err != nil {

@@ -50,14 +50,14 @@ func (r *runReplayed) replayed() replayed {
 	return replayed{got: r.got.collect, cycles: r.cycles, records: r.records, err: errors.Join(r.err, r.got.bad)}
 }
 
-func runReplayWith(r *Reader) (out runReplayed) {
+func runReplayWith(r *reader) (out runReplayed) {
 	out.cycles, out.records, out.err = replay(r, &out.got)
 	return out
 }
 
 // TestRunsMatchReference replays the stall cases through a consumer that
-// takes runs, over every Reader route and sharded: it must see the
-// reference decoder's records, and on a stall of 100 the slice Reader must
+// takes runs, over every reader route and sharded: it must see the
+// reference decoder's records, and on a stall of 100 the slice reader must
 // hand it runs. A cycle delta other than 1 (a skipped cycle, two
 // interleaved v3 cores) never forms a run.
 func TestRunsMatchReference(t *testing.T) {
@@ -76,7 +76,7 @@ func TestRunsMatchReference(t *testing.T) {
 				t.Fatalf("%d runs where no record repeats under a cycle delta of 1", slice.got.runs)
 			}
 			blocks := recordBlocks(t, tc.enc, 3)
-			inBlocks := runReplayWith(&Reader{blocks: blocks})
+			inBlocks := runReplayWith(&reader{blocks: blocks})
 			sameAsReference(t, "blocks of 3", ref, inBlocks.replayed())
 			inFile := runReplayWith(fileReader(t, blocks))
 			sameAsReference(t, "spill file blocks of 3", ref, inFile.replayed())
@@ -101,7 +101,7 @@ func TestRunsMatchReference(t *testing.T) {
 
 // TestDelta2RepeatsAreNotRuns replays a v3 core that reports every other
 // cycle: its records repeat byte for byte under a cycle delta of 2, which
-// Next serves from the repeat shortcut one record at a time, never as a
+// reader.next serves from the repeat shortcut one record at a time, never as a
 // run.
 func TestDelta2RepeatsAreNotRuns(t *testing.T) {
 	tr := &stallTrace{}
@@ -144,7 +144,7 @@ func TestRunsAcrossBlocks(t *testing.T) {
 		sameAsReference(t, tc.name, ref, got.replayed())
 		// Each poll cuts the run, and so does each block seal.
 		if polls := n/DefaultChunkRecords + blocks + 2; got.got.runs > polls {
-			t.Fatalf("%s: Reader gave %d runs, want at most %d", tc.name, got.got.runs, polls)
+			t.Fatalf("%s: reader gave %d runs, want at most %d", tc.name, got.got.runs, polls)
 		}
 		var shards [2]runReplayed
 		var err error

@@ -64,7 +64,7 @@ type StreamConfig struct {
 // the capture, which keeps the prefix to a few bytes per cycle. The producer
 // seals it with Finish at the boundary (or at Finish/Fail when the run ends
 // inside the window), and every replay shard decodes it through its own
-// Reader before draining the ring. Past the boundary the ring is
+// reader before draining the ring. Past the boundary the ring is
 // backpressured, so chunks carry decoded records directly — normalizeRecord
 // launders the producer's stale flag-guarded fields exactly as an
 // encode→decode round trip would, and the codec drops off the fused hot path.
@@ -361,7 +361,7 @@ func newChunkPool(chunkRecords int) *sync.Pool {
 //
 // It first waits for the pilot boundary (the caller typically already
 // consumed it via Pilot to calibrate the shards being passed in). Each shard
-// then replays the sealed pilot capture through its own Reader, the last one
+// then replays the sealed pilot capture through its own reader, the last one
 // to finish Closing it so its buffer is released while the run goes on, and
 // then observes the ring's chunks, which the calling goroutine fans out to
 // every shard over a channel of depth shardChanDepth. On any error it Aborts

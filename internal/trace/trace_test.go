@@ -161,7 +161,7 @@ func TestEncodeDecodeRoundTrip(t *testing.T) {
 	r := c.reader()
 	for i := range recs {
 		var got Record
-		if err := r.Next(&got); err != nil {
+		if err := r.next(&got); err != nil {
 			t.Fatalf("record %d: %v", i, err)
 		}
 		if got != recs[i] {
@@ -169,7 +169,7 @@ func TestEncodeDecodeRoundTrip(t *testing.T) {
 		}
 	}
 	var extra Record
-	if err := r.Next(&extra); err != io.EOF {
+	if err := r.next(&extra); err != io.EOF {
 		t.Fatalf("expected EOF, got %v", err)
 	}
 }
@@ -177,7 +177,7 @@ func TestEncodeDecodeRoundTrip(t *testing.T) {
 func TestDecodeBadMagic(t *testing.T) {
 	r := newSliceReader([]byte("NOTATRACE"))
 	var rec Record
-	if err := r.Next(&rec); err == nil {
+	if err := r.next(&rec); err == nil {
 		t.Fatal("bad magic accepted")
 	}
 }
@@ -186,7 +186,7 @@ func TestDecodeTruncated(t *testing.T) {
 	data := encodeRecords(false, []Record{sampleRecord(0)})
 	r := newSliceReader(data[:len(data)-3])
 	var got Record
-	err := r.Next(&got)
+	err := r.next(&got)
 	if err == nil {
 		// First record may decode if truncation hit trailing fields of
 		// a later record; here there is only one, so it must fail.
@@ -258,7 +258,7 @@ func TestQuickRoundTrip(t *testing.T) {
 		r := newSliceReader(encodeRecords(false, recs))
 		for i := range recs {
 			var got Record
-			if err := r.Next(&got); err != nil {
+			if err := r.next(&got); err != nil {
 				return false
 			}
 			if got != recs[i] {
