@@ -10,6 +10,7 @@ package cache
 
 import (
 	"fmt"
+	"math"
 	"math/bits"
 )
 
@@ -55,18 +56,22 @@ type Cache struct {
 	lineBits uint
 	setMask  uint64
 
-	// Flat arrays: index = set*ways + way. Empty slots hold invalidTag in
-	// tags so the hit-path scan compares tags alone; valid backs the
-	// replacement and eviction logic.
+	// Flat arrays: index = set*ways + way. A slot is empty exactly when
+	// its tag is invalidTag, so the hit-path scan, the victim choice and
+	// the eviction logic all read tags alone.
 	tags  []uint64
-	valid []bool
 	dirty []bool
 	// readyAt[i] is when the line's data arrives (hits on in-flight
-	// prefetched lines wait for it).
+	// prefetched lines wait for it). Only timed accesses write a nonzero
+	// value: while timed is false every entry is zero, which lets CopyFrom
+	// skip the array when copying from a cache that has only been warmed.
 	readyAt []uint64
-	// lru[i] is a per-set stamp; larger = more recently used.
-	lru   []uint64
-	stamp uint64
+	timed   bool
+	// lru[i] is a per-set stamp; larger = more recently used. Victim
+	// choice compares stamps only within a set, so when stamp would wrap,
+	// rerank renumbers each set's stamps by rank and counting restarts.
+	lru   []uint32
+	stamp uint32
 
 	mshrs []mshr
 
@@ -108,10 +113,9 @@ func New(cfg Config, next Level) *Cache {
 		lineBits: uint(bits.TrailingZeros(uint(cfg.LineBytes))),
 		setMask:  uint64(sets - 1),
 		tags:     make([]uint64, n),
-		valid:    make([]bool, n),
 		dirty:    make([]bool, n),
 		readyAt:  make([]uint64, n),
-		lru:      make([]uint64, n),
+		lru:      make([]uint32, n),
 		mshrs:    make([]mshr, 0, cfg.MSHRs),
 	}
 	for i := range c.tags {
@@ -122,8 +126,8 @@ func New(cfg Config, next Level) *Cache {
 
 // invalidTag marks an empty slot. Simulated addresses live far below the top
 // of the 64-bit space (synthetic code and data regions), so no real line
-// number can collide with ^0; seeding empty slots with it lets the hit path
-// skip the valid-bit load entirely.
+// number can collide with ^0, and the tag array alone records which slots
+// hold a line.
 const invalidTag = ^uint64(0)
 
 // Name returns the cache's label.
@@ -136,7 +140,7 @@ func (c *Cache) lineOf(addr uint64) uint64 { return addr >> c.lineBits }
 func (c *Cache) setOf(line uint64) int     { return int(line & c.setMask) }
 
 // lookup returns the way index of line in its set, or -1. Empty slots hold
-// invalidTag, so the scan needs no valid-bit check.
+// invalidTag, which no line number equals.
 func (c *Cache) lookup(line uint64) int {
 	base := c.setOf(line) * c.cfg.Ways
 	tags := c.tags[base : base+c.cfg.Ways]
@@ -150,17 +154,45 @@ func (c *Cache) lookup(line uint64) int {
 
 // touch refreshes LRU state for slot i.
 func (c *Cache) touch(i int) {
+	if c.stamp == math.MaxUint32 {
+		c.rerank()
+	}
 	c.stamp++
 	c.lru[i] = c.stamp
 }
 
-// victim picks the LRU slot in line's set, preferring invalid slots.
+// rerank renumbers each set's stamps 1..k by recency (k occupied ways; empty
+// slots get 0) and restarts stamp at the largest rank a set can hold. The
+// order of stamps within each set, which is all victim reads, is unchanged.
+func (c *Cache) rerank() {
+	ways := c.cfg.Ways
+	old := make([]uint32, ways)
+	for base := 0; base < len(c.lru); base += ways {
+		tags, lru := c.tags[base:base+ways], c.lru[base:base+ways]
+		copy(old, lru)
+		for w := range lru {
+			rank := uint32(0)
+			if tags[w] != invalidTag {
+				rank = 1
+				for v := range old {
+					if tags[v] != invalidTag && old[v] < old[w] {
+						rank++
+					}
+				}
+			}
+			lru[w] = rank
+		}
+	}
+	c.stamp = uint32(ways)
+}
+
+// victim picks the LRU slot in line's set, preferring empty slots.
 func (c *Cache) victim(line uint64) int {
 	base := c.setOf(line) * c.cfg.Ways
 	best := base
 	for w := 0; w < c.cfg.Ways; w++ {
 		i := base + w
-		if !c.valid[i] {
+		if c.tags[i] == invalidTag {
 			return i
 		}
 		if c.lru[i] < c.lru[best] {
@@ -174,7 +206,7 @@ func (c *Cache) victim(line uint64) int {
 // needed; readyAt is when the line's data arrives.
 func (c *Cache) install(line uint64, write bool, readyAt uint64) {
 	i := c.victim(line)
-	if c.valid[i] {
+	if c.tags[i] != invalidTag {
 		c.Evictions++
 		if c.dirty[i] {
 			c.Writebacks++
@@ -184,9 +216,9 @@ func (c *Cache) install(line uint64, write bool, readyAt uint64) {
 		}
 	}
 	c.tags[i] = line
-	c.valid[i] = true
 	c.dirty[i] = write
 	c.readyAt[i] = readyAt
+	c.timed = true
 	c.touch(i)
 }
 
@@ -316,25 +348,35 @@ func (c *Cache) warmInstall(line uint64, write bool) {
 	c.WarmFills++
 	i := c.victim(line)
 	c.tags[i] = line
-	c.valid[i] = true
 	c.dirty[i] = write
 	c.readyAt[i] = 0
 	c.touch(i)
 }
 
-// CopyFrom overwrites c's tag, LRU, MSHR and statistics state with src's.
-// The two caches must share a geometry (they keep their own next-level
-// wiring); slice capacities are reused, so steady-state copies do not
-// allocate.
+// CopyFrom overwrites c's tag, LRU, timing, MSHR and statistics state with
+// src's. The two caches must share a geometry (they keep their own
+// next-level wiring); slice capacities are reused, so steady-state copies do
+// not allocate.
+//
+// A line costs 13 bytes to copy (8 of tag, 4 of LRU stamp, 1 dirty flag),
+// plus its 8-byte readyAt only when src has run timed accesses. A cache that
+// has only been warmed — a functional sweep, and so every checkpoint taken
+// from one — holds readyAt all zero, so copying from it zeroes c's readyAt
+// if c has been timed and leaves it alone otherwise.
 func (c *Cache) CopyFrom(src *Cache) {
 	if c.sets != src.sets || c.cfg.Ways != src.cfg.Ways || c.lineBits != src.lineBits {
 		panic(fmt.Sprintf("cache %s: CopyFrom geometry mismatch with %s", c.cfg.Name, src.cfg.Name))
 	}
 	copy(c.tags, src.tags)
-	copy(c.valid, src.valid)
 	copy(c.dirty, src.dirty)
-	copy(c.readyAt, src.readyAt)
 	copy(c.lru, src.lru)
+	switch {
+	case src.timed:
+		copy(c.readyAt, src.readyAt)
+	case c.timed:
+		clear(c.readyAt)
+	}
+	c.timed = src.timed
 	c.stamp = src.stamp
 	c.mshrs = append(c.mshrs[:0], src.mshrs...)
 	c.Hits, c.Misses = src.Hits, src.Misses
@@ -355,14 +397,16 @@ func (c *Cache) Contains(addr uint64) bool {
 	return c.lookup(c.lineOf(addr)) >= 0
 }
 
-// Reset invalidates all lines and clears statistics.
+// Reset returns c to the state New built: every line invalid, timing state
+// and statistics cleared.
 func (c *Cache) Reset() {
-	for i := range c.valid {
-		c.valid[i] = false
-		c.dirty[i] = false
-		c.lru[i] = 0
+	for i := range c.tags {
 		c.tags[i] = invalidTag
 	}
+	clear(c.dirty)
+	clear(c.lru)
+	clear(c.readyAt)
+	c.timed = false
 	c.stamp = 0
 	c.mshrs = c.mshrs[:0]
 	c.Hits, c.Misses, c.Evictions, c.Writebacks, c.MSHRStalls, c.Prefetches = 0, 0, 0, 0, 0, 0
