@@ -15,6 +15,14 @@ import (
 // timing state (readyAt, bank busy times) is all zero, so a core restored
 // from one can start a detailed leg at local cycle 0.
 //
+// A snapshot moves only what it must. Each cache line costs 13 bytes (tag,
+// 32-bit LRU stamp, dirty flag): a cache that has only been warmed carries
+// no per-line timing, so Cache.CopyFrom skips readyAt on the way in and,
+// on restore into a worker whose previous leg was timed, only zeroes it.
+// The present-page set is not copied at all: the checkpoint holds a
+// reference to the sweep's append-only install log, and Restore replays
+// the delta since the worker's previous restore into its page bitmap.
+//
 // The instruction-supply position is not part of the checkpoint: the stream
 // is an interface the core cannot clone generically, so the scheduler that
 // owns the sweep snapshots its interpreter separately and hands both to

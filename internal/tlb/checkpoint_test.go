@@ -29,14 +29,14 @@ func mmuStateEqual(t *testing.T, a, b *MMU) {
 			t.Fatalf("l2 slot %d differs", i)
 		}
 	}
-	if len(a.present) != len(b.present) {
-		t.Fatalf("present sets differ in size: %d vs %d", len(a.present), len(b.present))
+	if a.PresentPages() != b.PresentPages() {
+		t.Fatalf("present sets differ in size: %d vs %d", a.PresentPages(), b.PresentPages())
 	}
-	for p := range a.present {
-		if !b.present[p] {
+	a.present.each(func(p uint64) {
+		if !b.present.has(p) {
 			t.Fatalf("page %d present in one MMU only", p)
 		}
-	}
+	})
 	if a.allPresent != b.allPresent {
 		t.Fatal("allPresent differs")
 	}
@@ -96,7 +96,7 @@ func TestCheckpointRestoreMatchesDeepCopy(t *testing.T) {
 	worker.RestoreFrom(cp2)
 	mmuStateEqual(t, deep2, worker)
 	for _, p := range []uint64{500, 503, 509} { // worker's own installs rolled back
-		if worker.present[p] && !deep2.present[p] {
+		if worker.present.has(p) && !deep2.present.has(p) {
 			t.Fatalf("worker install of page %d survived restore", p)
 		}
 	}

@@ -139,7 +139,7 @@ type MMU struct {
 	// (the L1D in the real BOOM; configurable for tests).
 	walkPath cache.Level
 
-	present    map[uint64]bool
+	present    pageSet
 	allPresent bool
 
 	// log records installed pages in install order; present is always
@@ -173,7 +173,6 @@ func New(cfg Config, walkPath cache.Level) *MMU {
 		dtlb:     newL1(cfg.L1Entries),
 		l2pages:  make([]uint64, cfg.L2Entries),
 		walkPath: walkPath,
-		present:  make(map[uint64]bool),
 	}
 	if n := uint64(cfg.L2Entries); n&(n-1) == 0 {
 		m.l2mask = n - 1
@@ -187,10 +186,9 @@ func New(cfg Config, walkPath cache.Level) *MMU {
 // InstallPage marks a page present (what the OS fault handler does) without
 // inserting a TLB entry; the retried access walks and fills the TLBs.
 func (m *MMU) InstallPage(page uint64) {
-	if m.allPresent || m.present[page] {
+	if m.allPresent || !m.present.add(page) {
 		return
 	}
-	m.present[page] = true
 	m.log = append(m.log, page)
 }
 
@@ -199,10 +197,10 @@ func (m *MMU) InstallPage(page uint64) {
 func (m *MMU) PrefaultAll() { m.allPresent = true }
 
 // PagePresent reports whether the page has been installed.
-func (m *MMU) PagePresent(page uint64) bool { return m.allPresent || m.present[page] }
+func (m *MMU) PagePresent(page uint64) bool { return m.allPresent || m.present.has(page) }
 
 // PresentPages returns the number of installed pages.
-func (m *MMU) PresentPages() int { return len(m.present) }
+func (m *MMU) PresentPages() int { return m.present.n }
 
 func (m *MMU) l2idx(page uint64) int {
 	if m.l2mask != 0 {
@@ -247,7 +245,7 @@ func (m *MMU) translate(t *l1tlb, isData bool, addr uint64, now uint64) Result {
 		pteAddr := m.cfg.PTBase + (page>>shift>>9)<<12 + idx*8
 		now = m.walkPath.Access(pteAddr, false, now)
 	}
-	if !m.allPresent && !m.present[page] {
+	if !m.allPresent && !m.present.has(page) {
 		m.Faults++
 		return Result{Done: now, Fault: true, Walked: true}
 	}
@@ -277,8 +275,7 @@ func (m *MMU) warm(t *l1tlb, addr uint64) {
 		return
 	}
 	if !m.l2lookup(page) {
-		if !m.allPresent && !m.present[page] {
-			m.present[page] = true
+		if !m.allPresent && m.present.add(page) {
 			m.log = append(m.log, page)
 			m.WarmInstalls++
 		}
@@ -329,17 +326,14 @@ func (t *l1tlb) copyFrom(src *l1tlb) {
 // CopyFrom overwrites m's TLB entries, present-page set and statistics with
 // src's. The walk path stays m's own — a checkpoint MMU can live with a nil
 // walk path as a pure state container, and restoring into a core keeps the
-// walker reading through that core's L1D. Map buckets are reused, so
-// steady-state copies allocate only when the present set grows.
+// walker reading through that core's L1D. The present set's leaves are
+// reused, so steady-state copies allocate only when the set grows a leaf.
 func (m *MMU) CopyFrom(src *MMU) {
 	if m.cfg.L1Entries != src.cfg.L1Entries || m.cfg.L2Entries != src.cfg.L2Entries {
 		panic("tlb: CopyFrom config mismatch")
 	}
 	m.copyShallow(src)
-	clear(m.present)
-	for p := range src.present {
-		m.present[p] = true
-	}
+	m.present.copyFrom(&src.present)
 	m.log = append(m.log[:0], src.log...)
 	m.applied = src.applied
 }
@@ -382,11 +376,11 @@ func (m *MMU) RestoreFrom(cp *MMU) {
 	}
 	m.copyShallow(cp)
 	for _, p := range m.log[m.applied:] {
-		delete(m.present, p)
+		m.present.remove(p)
 	}
 	m.log = m.log[:m.applied]
 	for _, p := range cp.log[m.applied:] {
-		m.present[p] = true
+		m.present.add(p)
 		m.log = append(m.log, p)
 	}
 	m.applied = len(cp.log)
@@ -399,7 +393,7 @@ func (m *MMU) Reset() {
 	for i := range m.l2pages {
 		m.l2pages[i] = invalidPage
 	}
-	m.present = make(map[uint64]bool)
+	m.present.reset()
 	m.log = m.log[:0]
 	m.applied = 0
 	m.allPresent = false
