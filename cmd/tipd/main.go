@@ -16,9 +16,9 @@
 // windows alternating with functional fast-forward) and bypass the capture
 // cache — there is no full trace to store. Jobs submitted with "cores":[...]
 // run a multi-programmed lockstep set on one shared-LLC system, profile each
-// core against its own Oracle from a single core-tagged capture (cached
-// keyed by the ordered core set), and export per-core pprof via ?core=N with
-// a "core" sample label.
+// core against its own Oracle from that core's own capture (the set's
+// captures are cached keyed by the ordered core set, and stored one per
+// core), and export per-core pprof via ?core=N with a "core" sample label.
 //
 // Example:
 //

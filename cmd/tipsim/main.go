@@ -30,7 +30,7 @@ import (
 func main() {
 	var (
 		bench     = flag.String("bench", "imagick", "benchmark name (see -list)")
-		cores     = flag.String("cores", "", "comma-separated benchmarks run lockstep on one shared-LLC system, workload i on core i, profiled per core through the core-tagged capture (incompatible with -record/-streaming/-sampled)")
+		cores     = flag.String("cores", "", "comma-separated benchmarks run lockstep on one shared-LLC system, workload i on core i, each core profiled from its own capture (incompatible with -record/-streaming/-sampled)")
 		list      = flag.Bool("list", false, "list benchmarks and exit")
 		profilers = flag.String("profilers", "", "comma-separated profiler subset (default: all)")
 		samples   = flag.Uint64("samples", 4096, "calibrated sample count (4 kHz-equivalent)")
@@ -116,9 +116,9 @@ func configure(rc *tip.RunConfig, sflags cli.SampledFlags, sampled, streaming bo
 	case record != "":
 		return fmt.Errorf("-record is incompatible with -cores (raw-sample recording is single-core)")
 	case streaming:
-		return fmt.Errorf("-streaming is incompatible with -cores (multicore profiling demultiplexes a finished capture)")
+		return fmt.Errorf("-streaming is incompatible with -cores (multicore runs replay each core's finished capture)")
 	case sampled:
-		return fmt.Errorf("-sampled is incompatible with -cores (fast-forward legs emit no core-tagged records)")
+		return fmt.Errorf("-sampled is incompatible with -cores (the lockstep system runs every core in full detail)")
 	}
 	return nil
 }
@@ -229,7 +229,7 @@ func runMulticore(spec string, seed, scale uint64, rc tip.RunConfig, top int, fn
 	if err != nil {
 		return err
 	}
-	fmt.Printf("%d cores, %d interleaved cycles\n", len(res.Cores), res.TotalCycles)
+	fmt.Printf("%d cores, %d lockstep cycles\n", len(res.Cores), res.TotalCycles)
 	for i, cr := range res.Cores {
 		fmt.Printf("\n--- core %d ---\n", i)
 		printResult(ws[i].Name, cr, top, fn)

@@ -7,6 +7,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 
@@ -28,7 +29,7 @@ func main() {
 	for _, n := range names {
 		w := mustLoad(n)
 		sys := multicore.New(cfg, []multicore.CoreSpec{{Workload: w}})
-		res, err := sys.Run()
+		res, err := sys.Run(context.Background())
 		if err != nil {
 			log.Fatal(err)
 		}
@@ -54,7 +55,7 @@ func main() {
 		states = append(states, coreState{name: n, oracle: or, tip: tp})
 	}
 	sys := multicore.New(cfg, specs)
-	results, err := sys.Run()
+	results, err := sys.Run(context.Background())
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -31,17 +31,20 @@ func TestGenerateFuzzCorpus(t *testing.T) {
 		trunc := data[:len(data)*3/4]
 		writeCorpus(t, "FuzzReplayBytes", bench+"-truncated", trunc)
 	}
-	// A core-tagged v3 stream from a real two-core capture seeds the
-	// decoder's core-delta path with genuine lockstep interleaving.
-	mc := encodeMulticoreTrace(t, []string{"mcf", "x264"}, 4000, 2048)
-	writeCorpus(t, "FuzzDecodeRecord", "multicore-v3", mc)
-	writeCorpus(t, "FuzzReplayBytes", "multicore-v3", mc)
-	writeCorpus(t, "FuzzReplayBytes", "multicore-v3-truncated", mc[:len(mc)*3/4])
+	// Each core's trace from a real two-core capture seeds the decoder with
+	// records timed by a contended shared LLC.
+	for core, data := range encodeMulticoreTraces(t, []string{"mcf", "x264"}, 4000, 2048) {
+		name := fmt.Sprintf("multicore-core%d", core)
+		writeCorpus(t, "FuzzDecodeRecord", name, data)
+		writeCorpus(t, "FuzzReplayBytes", name, data)
+		writeCorpus(t, "FuzzReplayBytes", name+"-truncated", data[:len(data)*3/4])
+	}
 }
 
-// encodeMulticoreTrace captures a scaled-down lockstep run of benches and
-// re-encodes its first maxRecords records as a standalone TIPTRC3 stream.
-func encodeMulticoreTrace(t *testing.T, benches []string, scale uint64, maxRecords int) []byte {
+// encodeMulticoreTraces captures a scaled-down lockstep run of benches and
+// re-encodes the first maxRecords records of each core's capture as a
+// standalone TIPTRC2 stream.
+func encodeMulticoreTraces(t *testing.T, benches []string, scale uint64, maxRecords int) [][]byte {
 	t.Helper()
 	ws := make([]*tip.Workload, len(benches))
 	for i, bench := range benches {
@@ -51,12 +54,16 @@ func encodeMulticoreTrace(t *testing.T, benches []string, scale uint64, maxRecor
 		}
 		ws[i] = w
 	}
-	capture, _, err := tip.CaptureMulticore(nil, ws, tip.DefaultRunConfig().Core)
+	capts, _, err := tip.CaptureMulticore(nil, ws, tip.DefaultRunConfig().Core)
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer capture.Close()
-	return prefix(t, capture, trace.NewCaptureV3(), maxRecords)
+	out := make([][]byte, len(capts))
+	for i, c := range capts {
+		out[i] = prefix(t, c, trace.NewCapture(), maxRecords)
+		c.Close()
+	}
+	return out
 }
 
 // encodeBenchTrace captures a scaled-down run of the benchmark and re-encodes

@@ -25,7 +25,7 @@ var DefaultMulticorePairs = [][]string{
 type MulticoreEval struct {
 	// Benches names the workloads, index = core.
 	Benches []string
-	// TotalCycles is the interleaved run's length.
+	// TotalCycles is the lockstep run's length.
 	TotalCycles uint64
 	// Cores holds each core's result, profiled against its own Oracle.
 	Cores []*tip.Result
@@ -67,7 +67,7 @@ func Multicore(opt Options) (*Table, error) {
 		Header: []string{"pair", "core", "bench", "cycles", "ipc", "interval", "TIP err", "NCI err"},
 		Notes: []string{
 			"errors are instruction-granularity, each core vs its own Oracle (§3.2: per-core TIP units)",
-			"profiles come from one core-tagged capture demultiplexed per core; byte-identical to the direct run",
+			"each core's profiles come from its own capture; byte-identical to the direct run",
 		},
 	}
 	for _, pair := range DefaultMulticorePairs {

@@ -38,8 +38,8 @@ type Store struct {
 	puts   atomic.Uint64
 }
 
-// storeMeta is the sidecar schema. Stats carries one entry per core (length
-// 1 for single-core captures).
+// storeMeta is the sidecar schema. Stats carries the statistics of the run
+// that produced the capture: tipd stores one capture per core, so one entry.
 type storeMeta struct {
 	ID      string      `json:"id"`
 	Records uint64      `json:"records"`

@@ -80,44 +80,22 @@ func New(cfg Config, specs []CoreSpec) *System {
 // LLC exposes the shared last-level cache for inspection.
 func (s *System) LLC() *cache.Cache { return s.llc }
 
-// Run steps every core each cycle until all workloads finish. Each core's
-// consumers see exactly the records that core produced, then Finish with
-// that core's cycle count.
-func (s *System) Run() ([]CoreResult, error) {
-	return s.run(nil, nil)
-}
-
-// CaptureRun is Run with a shared consumer observing the interleaved
-// stream: every live core's record each cycle, in core order, tagged with
-// the producing core's ID (Record.Core). Streaming the shared consumer into
-// a trace.NewCaptureV3 capture records the whole multi-programmed run in
-// one TIPTRC3 stream that a core-demuxing replay (trace.CoreFilter) can
-// later fan back out onto per-core profiler matrices — the capture-once,
-// evaluate-many workflow extended to §3.2's one-TIP-unit-per-core machine.
-//
-// The shared consumer's Finish receives the interleaved run's total under
-// the replay rule: the last committing cycle across all cores plus one
-// (each core's own consumers still Finish with that core's count).
-// Cancelling ctx aborts the lockstep loop within a few thousand cycles; a
-// nil ctx disables cancellation.
-func (s *System) CaptureRun(ctx context.Context, shared trace.Consumer) ([]CoreResult, error) {
-	return s.run(ctx, shared)
-}
-
 // cancelCheckMask matches cpu.Core.RunContext's polling cadence: ctx.Err is
 // checked every 8192 lockstep cycles.
 const cancelCheckMask = 8191
 
-func (s *System) run(ctx context.Context, shared trace.Consumer) ([]CoreResult, error) {
+// Run steps every core each cycle until all workloads finish. Each core's
+// consumers see exactly the records that core produced, as cpu.Core's
+// RunContext delivers them: a quiescent cycle goes to a trace.Repeater as
+// OnRepeat(r, 1). They then Finish with that core's cycle count. So a
+// trace.Capture on each core records what that core's own TIP unit would
+// (§3.2). Cancelling ctx aborts the lockstep loop within a few thousand
+// cycles; a nil ctx disables cancellation.
+func (s *System) Run(ctx context.Context) ([]CoreResult, error) {
 	n := len(s.cores)
 	done := make([]bool, n)
 	results := make([]CoreResult, n)
 	recs := make([]trace.Record, n)
-	for i := range recs {
-		// Tag each core's reused record once; Record.Reset leaves Core
-		// alone, so every record core i emits carries its ID.
-		recs[i].Core = uint32(i)
-	}
 	remaining := n
 	maxCycles := s.cfg.MaxCycles
 	if maxCycles == 0 {
@@ -140,12 +118,13 @@ func (s *System) run(ctx context.Context, shared trace.Consumer) ([]CoreResult, 
 			if done[i] {
 				continue
 			}
-			finished, _ := core.Step(cycle, &recs[i])
+			finished, repeat := core.Step(cycle, &recs[i])
 			for _, c := range s.specs[i].Consumers {
-				c.OnCycle(&recs[i])
-			}
-			if shared != nil {
-				shared.OnCycle(&recs[i])
+				if rc, ok := c.(trace.Repeater); ok && repeat {
+					rc.OnRepeat(&recs[i], 1)
+				} else {
+					c.OnCycle(&recs[i])
+				}
 			}
 			if recs[i].CommitCount > 0 {
 				results[i].DoneCycle = cycle
@@ -160,18 +139,6 @@ func (s *System) run(ctx context.Context, shared trace.Consumer) ([]CoreResult, 
 				}
 			}
 		}
-	}
-	if shared != nil {
-		// Same total a replay of the interleaved stream derives: the last
-		// committing cycle across all cores, plus one (trailing drain
-		// cycles carry no commits).
-		maxCommit := uint64(0)
-		for i := range results {
-			if results[i].DoneCycle > maxCommit {
-				maxCommit = results[i].DoneCycle
-			}
-		}
-		shared.Finish(maxCommit + 1)
 	}
 	return results, nil
 }

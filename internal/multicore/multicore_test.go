@@ -35,7 +35,7 @@ func TestTwoCoresFinishIndependently(t *testing.T) {
 		{Workload: short, Consumers: []trace.Consumer{a}},
 		{Workload: long, Consumers: []trace.Consumer{b}},
 	})
-	results, err := sys.Run()
+	results, err := sys.Run(nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -58,7 +58,7 @@ func TestSharedLLCContentionSlowsCoRunners(t *testing.T) {
 	solo := New(sysConfig(), []CoreSpec{
 		{Workload: load(t, "mcf", 60_000)},
 	})
-	soloRes, err := solo.Run()
+	soloRes, err := solo.Run(nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -66,7 +66,7 @@ func TestSharedLLCContentionSlowsCoRunners(t *testing.T) {
 		{Workload: load(t, "mcf", 60_000)},
 		{Workload: load(t, "omnetpp", 120_000)},
 	})
-	pairRes, err := pair.Run()
+	pairRes, err := pair.Run(nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -97,7 +97,7 @@ func TestPerCoreTIPStaysAccurateUnderContention(t *testing.T) {
 		{Workload: w0, Consumers: cons0},
 		{Workload: w1, Consumers: cons1},
 	})
-	if _, err := sys.Run(); err != nil {
+	if _, err := sys.Run(nil); err != nil {
 		t.Fatal(err)
 	}
 	e0 := tip0.Profile.Error(or0.Profile, profile.GranInstruction, true)
@@ -129,7 +129,7 @@ func TestDeterministicAcrossRuns(t *testing.T) {
 			{Workload: load(t, "x264", 80_000)},
 			{Workload: load(t, "deepsjeng", 80_000)},
 		})
-		res, err := sys.Run()
+		res, err := sys.Run(nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -148,7 +148,7 @@ func TestLLCSharedBetweenCores(t *testing.T) {
 		{Workload: load(t, "mcf", 40_000)},
 		{Workload: load(t, "canneal", 40_000)},
 	})
-	if _, err := sys.Run(); err != nil {
+	if _, err := sys.Run(nil); err != nil {
 		t.Fatal(err)
 	}
 	if total := sys.LLC().Hits + sys.LLC().Misses; sys.LLC().Misses == 0 || total < 1000 {
@@ -169,7 +169,7 @@ func TestMaxCyclesAborts(t *testing.T) {
 	cfg := sysConfig()
 	cfg.MaxCycles = 100
 	sys := New(cfg, []CoreSpec{{Workload: load(t, "x264", 500_000)}})
-	if _, err := sys.Run(); err == nil {
+	if _, err := sys.Run(nil); err == nil {
 		t.Fatal("expected MaxCycles error")
 	}
 }
@@ -189,7 +189,7 @@ func TestMaxCyclesBoundary(t *testing.T) {
 	unboundedSpecs := specs()
 	unboundedSpecs[0].Consumers = []trace.Consumer{a}
 	unboundedSpecs[1].Consumers = []trace.Consumer{b}
-	if _, err := New(cfg, unboundedSpecs).Run(); err != nil {
+	if _, err := New(cfg, unboundedSpecs).Run(nil); err != nil {
 		t.Fatal(err)
 	}
 	// Every lockstep cycle delivers a record to each live core's consumer,
@@ -200,11 +200,11 @@ func TestMaxCyclesBoundary(t *testing.T) {
 	}
 
 	cfg.MaxCycles = steps
-	if _, err := New(cfg, specs()).Run(); err != nil {
+	if _, err := New(cfg, specs()).Run(nil); err != nil {
 		t.Fatalf("MaxCycles=%d (exact) aborted: %v", steps, err)
 	}
 	cfg.MaxCycles = steps - 1
-	if _, err := New(cfg, specs()).Run(); err == nil {
+	if _, err := New(cfg, specs()).Run(nil); err == nil {
 		t.Fatalf("MaxCycles=%d (one short) did not abort", steps-1)
 	}
 }
@@ -218,49 +218,48 @@ type recordSink struct {
 func (s *recordSink) OnCycle(r *trace.Record)   { s.recs = append(s.recs, *r) }
 func (s *recordSink) Finish(totalCycles uint64) { s.total = totalCycles }
 
-// TestCaptureRunInterleavesTaggedRecords checks the shared-consumer stream:
-// records are tagged with the producing core, the per-core subsequences are
-// exactly what each core's own consumers observed, and the interleaving is
-// lockstep (cycle-major, core order within a cycle).
-func TestCaptureRunInterleavesTaggedRecords(t *testing.T) {
-	var per [2]recordSink
-	var shared recordSink
+// repeatSink is a recordSink that takes runs: it expands each OnRepeat back
+// into the records it stands for and counts the calls.
+type repeatSink struct {
+	recordSink
+	repeats int
+}
+
+func (s *repeatSink) OnRepeat(r *trace.Record, n uint64) {
+	s.repeats++
+	for c := r.Cycle - n + 1; c <= r.Cycle; c++ {
+		rec := *r
+		rec.Cycle = c
+		s.recs = append(s.recs, rec)
+	}
+}
+
+// TestRunPassesRepeatsToRepeaters checks that each core hands its quiescent
+// cycles to a consumer that takes runs as OnRepeat, as cpu.Core.RunContext
+// does, and that the expanded stream and Finish total are exactly what a
+// consumer taking every cycle through OnCycle sees on the same core.
+func TestRunPassesRepeatsToRepeaters(t *testing.T) {
+	var plain [2]recordSink
+	var runs [2]repeatSink
 	sys := New(sysConfig(), []CoreSpec{
-		{Workload: load(t, "exchange2", 40_000), Consumers: []trace.Consumer{&per[0]}},
-		{Workload: load(t, "exchange2", 80_000), Consumers: []trace.Consumer{&per[1]}},
+		{Workload: load(t, "mcf", 40_000), Consumers: []trace.Consumer{&plain[0], &runs[0]}},
+		{Workload: load(t, "exchange2", 40_000), Consumers: []trace.Consumer{&plain[1], &runs[1]}},
 	})
-	if _, err := sys.CaptureRun(nil, &shared); err != nil {
+	if _, err := sys.Run(nil); err != nil {
 		t.Fatal(err)
 	}
-	if len(shared.recs) != len(per[0].recs)+len(per[1].recs) {
-		t.Fatalf("shared stream has %d records, cores emitted %d+%d",
-			len(shared.recs), len(per[0].recs), len(per[1].recs))
+	for i := range plain {
+		if runs[i].total != plain[i].total || len(runs[i].recs) != len(plain[i].recs) {
+			t.Fatalf("core %d: repeater saw %d records, total %d; plain consumer %d, total %d",
+				i, len(runs[i].recs), runs[i].total, len(plain[i].recs), plain[i].total)
+		}
+		for j := range plain[i].recs {
+			if runs[i].recs[j] != plain[i].recs[j] {
+				t.Fatalf("core %d record %d differs between the repeater and the plain consumer", i, j)
+			}
+		}
 	}
-	var idx [2]int
-	lastCycle := uint64(0)
-	lastCore := -1
-	for i, r := range shared.recs {
-		if r.Core > 1 {
-			t.Fatalf("record %d tagged with core %d", i, r.Core)
-		}
-		c := int(r.Core)
-		if idx[c] >= len(per[c].recs) {
-			t.Fatalf("core %d emitted more shared records than its own consumer saw", c)
-		}
-		if r != per[c].recs[idx[c]] {
-			t.Fatalf("shared record %d differs from core %d record %d", i, c, idx[c])
-		}
-		idx[c]++
-		if r.Cycle < lastCycle {
-			t.Fatalf("record %d regressed to cycle %d after %d", i, r.Cycle, lastCycle)
-		}
-		if r.Cycle == lastCycle && c <= lastCore {
-			t.Fatalf("record %d breaks core order within cycle %d", i, r.Cycle)
-		}
-		lastCycle, lastCore = r.Cycle, c
-	}
-	if idx[0] != len(per[0].recs) || idx[1] != len(per[1].recs) {
-		t.Fatalf("shared stream missing records: %d/%d and %d/%d",
-			idx[0], len(per[0].recs), idx[1], len(per[1].recs))
+	if runs[0].repeats == 0 {
+		t.Fatal("mcf's core delivered no quiescent cycle as OnRepeat")
 	}
 }

@@ -22,15 +22,17 @@ func coreConfigHash(cfg cpu.Config) string {
 	return hex.EncodeToString(h[:8])
 }
 
-// captureKey names one cached capture: the full simulation input. Single-core
-// captures are keyed by (bench, seed, scale, core-config hash); multicore
-// captures leave those empty and carry a hash of the whole core set instead.
+// captureKey names one cache entry: the full simulation input. Single-core
+// entries are keyed by (bench, seed, scale, core-config hash); multicore
+// entries leave those empty and carry a hash of the whole core set and its
+// size instead.
 type captureKey struct {
-	Bench string
-	Seed  uint64
-	Scale uint64
-	Core  string
-	Cores string
+	Bench  string
+	Seed   uint64
+	Scale  uint64
+	Core   string
+	Cores  string
+	NCores int
 }
 
 // coreSetHash fingerprints a multicore job's ordered core set. Order matters:
@@ -45,9 +47,8 @@ func coreSetHash(cores []CoreJobSpec) string {
 	return hex.EncodeToString(h[:8])
 }
 
-// id is the map key and the capture store's content address, so its format
-// is fixed: entries already in a store are found by it. The hex hashes keep
-// it filesystem-safe; bench names are lowercase alphanumerics.
+// id is the cache's map key. The hex hashes keep it filesystem-safe; bench
+// names are lowercase alphanumerics.
 func (k captureKey) id() string {
 	if k.Cores != "" {
 		return fmt.Sprintf("cores-%s-%s", k.Cores, k.Core)
@@ -55,23 +56,47 @@ func (k captureKey) id() string {
 	return fmt.Sprintf("%s-%d-%d-%s", k.Bench, k.Seed, k.Scale, k.Core)
 }
 
-// cacheEntry is one cached capture plus the per-core stats of the run that
-// produced it (needed to calibrate replays; single-core captures hold one
-// element). Entries are refcounted: replays hold a ref while streaming, and
-// an entry evicted under load is only Closed once the last ref drops.
+// storeIDs are the capture store's content addresses of the entry's
+// captures, one per core, so their format is fixed: entries already in a
+// store are found by them. A single-core capture is stored under id, and
+// core i of a multicore set under id-i; a multicore set's bare id, the
+// address of the one interleaved capture earlier versions stored, is never
+// read.
+func (k captureKey) storeIDs() []string {
+	if k.Cores == "" {
+		return []string{k.id()}
+	}
+	ids := make([]string, k.NCores)
+	for i := range ids {
+		ids[i] = fmt.Sprintf("%s-%d", k.id(), i)
+	}
+	return ids
+}
+
+// cacheEntry is one cached simulation: a capture per core plus each core's
+// stats (needed to calibrate replays; single-core entries hold one of
+// each). Entries are refcounted: replays hold a ref while streaming, and an
+// entry evicted under load is only Closed once the last ref drops.
 type cacheEntry struct {
-	key     captureKey
-	capture *trace.Capture
-	stats   []cpu.Stats
-	bytes   uint64
-	refs    int
-	dead    bool
-	elem    *list.Element
+	key      captureKey
+	captures []*trace.Capture
+	stats    []cpu.Stats
+	bytes    uint64
+	refs     int
+	dead     bool
+	elem     *list.Element
+}
+
+// close releases every capture of the entry.
+func (e *cacheEntry) close() {
+	for _, c := range e.captures {
+		c.Close()
+	}
 }
 
 // captureFn performs the cycle-level simulation on a miss, returning one
-// Stats per core (length 1 for single-core captures).
-type captureFn func(ctx context.Context) (*trace.Capture, []cpu.Stats, error)
+// capture and one Stats per core.
+type captureFn func(ctx context.Context) ([]*trace.Capture, []cpu.Stats, error)
 
 // captureCache is the LRU capture cache with singleflight capture dedup, in
 // front of the optional capture store: repeated jobs for the same key skip
@@ -140,7 +165,7 @@ func (c *captureCache) getOrCapture(ctx context.Context, key captureKey, simulat
 		c.misses++
 		c.mu.Unlock()
 
-		capt, stats, source, err := c.fill(ctx, key, simulate)
+		capts, stats, source, err := c.fill(ctx, key, simulate)
 
 		c.mu.Lock()
 		delete(c.flights, id)
@@ -149,12 +174,9 @@ func (c *captureCache) getOrCapture(ctx context.Context, key captureKey, simulat
 			close(fl)
 			return nil, "", err
 		}
-		ent := &cacheEntry{
-			key:     key,
-			capture: capt,
-			stats:   stats,
-			bytes:   capt.Bytes(),
-			refs:    1,
+		ent := &cacheEntry{key: key, captures: capts, stats: stats, refs: 1}
+		for _, capt := range capts {
+			ent.bytes += capt.Bytes()
 		}
 		c.insertLocked(ent)
 		c.mu.Unlock()
@@ -164,25 +186,44 @@ func (c *captureCache) getOrCapture(ctx context.Context, key captureKey, simulat
 }
 
 // fill runs a capture leader's miss: the store first, since any capture of
-// key is byte-identical to what simulate would produce, then simulate. A
-// fresh capture is published best-effort: a failed publish costs a future
-// warm hit, not this job.
-func (c *captureCache) fill(ctx context.Context, key captureKey, simulate captureFn) (*trace.Capture, []cpu.Stats, string, error) {
+// key is byte-identical to what simulate would produce, then simulate. The
+// store serves a key only when it holds every core's capture; any miss
+// simulates the whole set. Fresh captures are published best-effort: a
+// failed publish costs a future warm hit, not this job.
+func (c *captureCache) fill(ctx context.Context, key captureKey, simulate captureFn) ([]*trace.Capture, []cpu.Stats, string, error) {
+	ids := key.storeIDs()
 	if c.store != nil {
-		if capt, stats, ok := c.store.Get(key.id()); ok {
-			return capt, stats, sourceStore, nil
+		if capts, stats, ok := c.getAll(ids); ok {
+			return capts, stats, sourceStore, nil
 		}
 	}
-	capt, stats, err := simulate(ctx)
+	capts, stats, err := simulate(ctx)
 	if err != nil {
 		return nil, nil, "", err
 	}
 	if c.store != nil {
-		if err := c.store.Put(key.id(), capt, stats); err != nil {
-			c.logf("tipd: publishing %s to store: %v", key.id(), err)
+		for i, id := range ids {
+			if err := c.store.Put(id, capts[i], stats[i:i+1]); err != nil {
+				c.logf("tipd: publishing %s to store: %v", id, err)
+			}
 		}
 	}
-	return capt, stats, sourceSimulated, nil
+	return capts, stats, sourceSimulated, nil
+}
+
+// getAll reads the captures stored under ids, or none of them.
+func (c *captureCache) getAll(ids []string) ([]*trace.Capture, []cpu.Stats, bool) {
+	var got cacheEntry
+	for _, id := range ids {
+		capt, stats, ok := c.store.Get(id)
+		if !ok {
+			got.close()
+			return nil, nil, false
+		}
+		got.captures = append(got.captures, capt)
+		got.stats = append(got.stats, stats[0])
+	}
+	return got.captures, got.stats, true
 }
 
 // insertLocked adds ent at the LRU front and evicts past capacity. Callers
@@ -207,7 +248,7 @@ func (c *captureCache) evictLocked(ent *cacheEntry) {
 	c.bytes -= ent.bytes
 	ent.dead = true
 	if ent.refs == 0 {
-		ent.capture.Close()
+		ent.close()
 	}
 }
 
@@ -216,7 +257,7 @@ func (c *captureCache) release(ent *cacheEntry) {
 	c.mu.Lock()
 	ent.refs--
 	if ent.dead && ent.refs == 0 {
-		ent.capture.Close()
+		ent.close()
 	}
 	c.mu.Unlock()
 }

@@ -2,7 +2,10 @@ package server
 
 import (
 	"bytes"
+	"compress/gzip"
 	"context"
+	"crypto/sha256"
+	"encoding/hex"
 	"encoding/json"
 	"errors"
 	"fmt"
@@ -207,8 +210,8 @@ func fetchCorePprof(t *testing.T, ts *httptest.Server, id string, core int) []by
 	return data
 }
 
-// TestMulticoreStoreRestartRoundTrip carries a multicore (TIPTRC3
-// core-tagged) capture across a crash through the store and checks (a) a
+// TestMulticoreStoreRestartRoundTrip carries a multicore job's per-core
+// captures across a crash through the store and checks (a) a
 // daemon started on the same store while the first was never shut down —
 // the stand-in for kill -9 — serves the core set from "store" with per-core
 // stats and pprof intact and no simulation, and (b) a corrupted sidecar
@@ -244,25 +247,27 @@ func TestMulticoreStoreRestartRoundTrip(t *testing.T) {
 		t.Fatalf("multicore job: state=%s source=%q (%s)", done1.State, done1.CaptureSource, done1.Error)
 	}
 
-	// The sidecar must carry the v3 multicore shape: a "cores" id and one
-	// stats entry per core.
+	// The store must hold one entry per core: a "cores" id ending in the
+	// core's index, and one stats entry each.
 	sidecars, err := filepath.Glob(filepath.Join(storeDir, "cores-*.json"))
-	if err != nil || len(sidecars) != 1 {
-		t.Fatalf("multicore sidecars = %v (%v), want exactly 1", sidecars, err)
+	if err != nil || len(sidecars) != 2 {
+		t.Fatalf("multicore sidecars = %v (%v), want one per core", sidecars, err)
 	}
-	raw, err := os.ReadFile(sidecars[0])
-	if err != nil {
-		t.Fatal(err)
-	}
-	var meta struct {
-		ID    string      `json:"id"`
-		Stats []cpu.Stats `json:"core_stats"`
-	}
-	if err := json.Unmarshal(raw, &meta); err != nil {
-		t.Fatal(err)
-	}
-	if !strings.HasPrefix(meta.ID, "cores-") || len(meta.Stats) != 2 {
-		t.Fatalf("sidecar id=%q core_stats=%d, want a 2-core entry", meta.ID, len(meta.Stats))
+	for i, sidecar := range sidecars {
+		raw, err := os.ReadFile(sidecar)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var meta struct {
+			ID    string      `json:"id"`
+			Stats []cpu.Stats `json:"core_stats"`
+		}
+		if err := json.Unmarshal(raw, &meta); err != nil {
+			t.Fatal(err)
+		}
+		if !strings.HasPrefix(meta.ID, "cores-") || !strings.HasSuffix(meta.ID, fmt.Sprintf("-%d", i)) || len(meta.Stats) != 1 {
+			t.Fatalf("sidecar id=%q core_stats=%d, want core %d's entry with one stats entry", meta.ID, len(meta.Stats), i)
+		}
 	}
 
 	// Restart beside the abandoned daemon: the same core set must come
@@ -296,9 +301,9 @@ func TestMulticoreStoreRestartRoundTrip(t *testing.T) {
 		}
 	}
 
-	// Corrupt the sidecar: the next daemon must start, warn, re-simulate,
-	// and repair the entry.
-	if err := os.WriteFile(sidecars[0], []byte(`{"id":`), 0o644); err != nil {
+	// Corrupt core 1's sidecar: the next daemon must start, warn,
+	// re-simulate the whole set, and repair the entry.
+	if err := os.WriteFile(sidecars[1], []byte(`{"id":`), 0o644); err != nil {
 		t.Fatal(err)
 	}
 	wc := &warnCollector{}
@@ -320,8 +325,60 @@ func TestMulticoreStoreRestartRoundTrip(t *testing.T) {
 	if !wc.contains("corrupted sidecar") {
 		t.Fatalf("no corruption warning logged: %v", wc.msgs)
 	}
-	if _, _, puts := st3.Counters(); puts != 1 {
-		t.Fatalf("re-simulated capture published %d times, want 1", puts)
+	if _, _, puts := st3.Counters(); puts != 2 {
+		t.Fatalf("re-simulated set published %d captures, want one per core", puts)
+	}
+}
+
+// TestMulticoreOldInterleavedStoreEntry puts an entry of the shape earlier
+// versions stored for a core set — one interleaved TIPTRC3 capture under
+// the set's bare id — into a store: a daemon on that store must never read
+// it, so the job simulates exactly once and completes.
+func TestMulticoreOldInterleavedStoreEntry(t *testing.T) {
+	storeDir := t.TempDir()
+	cores := []CoreJobSpec{{Bench: "mcf", Seed: 1, Scale: 8_000}, {Bench: "x264", Seed: 1, Scale: 8_000}}
+	oldID := captureKey{Cores: coreSetHash(cores), Core: coreConfigHash(cpu.DefaultConfig())}.id()
+	f, err := os.Open(filepath.Join("..", "..", "testdata", "golden_capture_multicore.trc.gz"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer f.Close()
+	zr, err := gzip.NewReader(f)
+	if err != nil {
+		t.Fatal(err)
+	}
+	payload, err := io.ReadAll(zr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sum := sha256.Sum256(payload)
+	meta := fmt.Sprintf(`{"id":%q,"records":1,"cycles":1,"sha256":%q,"core_stats":[{},{}]}`, oldID, hex.EncodeToString(sum[:]))
+	if err := os.WriteFile(filepath.Join(storeDir, oldID+".trc"), payload, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(filepath.Join(storeDir, oldID+".json"), []byte(meta), 0o644); err != nil {
+		t.Fatal(err)
+	}
+
+	st, err := fleet.OpenStore(storeDir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	s, ts := newTestServer(t, Config{Workers: 1, Store: st})
+	v, code := submit(t, ts, JobSpec{Cores: cores, Profilers: []string{"TIP"}})
+	if code != http.StatusAccepted {
+		t.Fatalf("submit: status %d", code)
+	}
+	done := waitTerminal(t, ts, v.ID)
+	if done.State != stateDone || done.CaptureSource != sourceSimulated {
+		t.Fatalf("job over an old store entry: state=%s source=%q (%s), want done/simulated",
+			done.State, done.CaptureSource, done.Error)
+	}
+	if got := s.Health().Simulations; got != 1 {
+		t.Fatalf("job simulated %d times, want 1", got)
+	}
+	if _, err := os.Stat(filepath.Join(storeDir, oldID+"-0.json")); err != nil {
+		t.Fatalf("core 0's capture was not stored beside the old entry: %v", err)
 	}
 }
 

@@ -76,10 +76,10 @@ type JobSpec struct {
 	// results are byte-identical at any count >= 1).
 	WindowWorkers int `json:"window_workers,omitempty"`
 	// Cores runs a multi-programmed lockstep job: workload i on core i of
-	// one shared-LLC system, profiled per core from a single core-tagged
-	// capture. Mutually exclusive with Bench/Seed/Scale and Sampled. The
-	// capture is cached keyed by the ordered core set — order matters,
-	// because physical placement changes shared-cache arbitration.
+	// one shared-LLC system, each core profiled from its own capture.
+	// Mutually exclusive with Bench/Seed/Scale and Sampled. The captures
+	// are cached keyed by the ordered core set — order matters, because
+	// physical placement changes shared-cache arbitration.
 	Cores []CoreJobSpec `json:"cores,omitempty"`
 }
 
@@ -283,14 +283,14 @@ func (s *Server) executeJob(ctx context.Context, jb *job) (*jobOutcome, error) {
 
 	var fusedRes *tip.Result
 	start := time.Now()
-	ent, source, err := s.cache.getOrCapture(ctx, key, func(ctx context.Context) (*tip.TraceCapture, []tip.CoreStats, error) {
+	ent, source, err := s.cache.getOrCapture(ctx, key, func(ctx context.Context) ([]*tip.TraceCapture, []tip.CoreStats, error) {
 		res, capt, err := runTee(ctx, w, rc)
 		if err != nil {
 			return nil, nil, err
 		}
 		s.met.simulationRan()
 		fusedRes = res
-		return capt, []tip.CoreStats{res.Stats}, nil
+		return []*tip.TraceCapture{capt}, []tip.CoreStats{res.Stats}, nil
 	})
 	if err != nil {
 		return nil, err
@@ -309,7 +309,7 @@ func (s *Server) executeJob(ctx context.Context, jb *job) (*jobOutcome, error) {
 	out.timing.Capture = time.Since(start)
 
 	repStart := time.Now()
-	res, err := tip.RunCaptured(ctx, w, ent.capture, ent.stats[0], rc)
+	res, err := tip.RunCaptured(ctx, w, ent.captures[0], ent.stats[0], rc)
 	out.timing.Replay = time.Since(repStart)
 	if err != nil {
 		return nil, err
@@ -336,9 +336,9 @@ func runTee(ctx context.Context, w *tip.Workload, rc tip.RunConfig) (*tip.Result
 }
 
 // executeMulticoreJob runs a "cores" job: on a capture-cache miss the whole
-// core set is simulated lockstep into one core-tagged v3 capture; hit or
-// miss, the capture is then demultiplexed through per-core profiler
-// matrices. Multicore jobs have no fused streaming path — capture and replay
+// core set is simulated lockstep into one capture per core; hit or miss,
+// each core's capture is then replayed through that core's profiler
+// matrix. Multicore jobs have no fused streaming path — capture and replay
 // are reported as separate phases.
 func (s *Server) executeMulticoreJob(ctx context.Context, spec JobSpec, rc tip.RunConfig, out *jobOutcome) (*jobOutcome, error) {
 	ws := make([]*tip.Workload, len(spec.Cores))
@@ -349,15 +349,15 @@ func (s *Server) executeMulticoreJob(ctx context.Context, spec JobSpec, rc tip.R
 		}
 		ws[i] = w
 	}
-	key := captureKey{Cores: coreSetHash(spec.Cores), Core: s.coreHash}
+	key := captureKey{Cores: coreSetHash(spec.Cores), Core: s.coreHash, NCores: len(ws)}
 	start := time.Now()
-	ent, source, err := s.cache.getOrCapture(ctx, key, func(ctx context.Context) (*tip.TraceCapture, []tip.CoreStats, error) {
-		capt, stats, err := tip.CaptureMulticore(ctx, ws, rc.Core)
+	ent, source, err := s.cache.getOrCapture(ctx, key, func(ctx context.Context) ([]*tip.TraceCapture, []tip.CoreStats, error) {
+		capts, stats, err := tip.CaptureMulticore(ctx, ws, rc.Core)
 		if err != nil {
 			return nil, nil, err
 		}
 		s.met.simulationRan()
-		return capt, stats, nil
+		return capts, stats, nil
 	})
 	if err != nil {
 		return nil, err
@@ -367,7 +367,7 @@ func (s *Server) executeMulticoreJob(ctx context.Context, spec JobSpec, rc tip.R
 	out.timing.Capture = time.Since(start)
 
 	repStart := time.Now()
-	multi, err := tip.RunMulticoreCaptured(ctx, ws, ent.capture, ent.stats, rc)
+	multi, err := tip.RunMulticoreCaptured(ctx, ws, ent.captures, ent.stats, rc)
 	out.timing.Replay = time.Since(repStart)
 	if err != nil {
 		return nil, err
@@ -413,8 +413,8 @@ type FuncShare struct {
 // Oracle cycle stack, per-profiler errors at the requested granularity, and
 // function-granularity profiles for Oracle and every modelled profiler.
 //
-// A multicore job's top-level view carries only Cycles (the interleaved
-// run's length) plus one full per-core view per entry of Cores, each tagged
+// A multicore job's top-level view carries only Cycles (the lockstep run's
+// length) plus one full per-core view per entry of Cores, each tagged
 // with its benchmark name.
 type ResultView struct {
 	Bench          string                 `json:"bench,omitempty"`

@@ -53,8 +53,8 @@ type Capture struct {
 	fileBytes  uint64 // bytes already flushed to f
 	st         codecState
 	// rep is the last record's encoding in cur when OnRepeat may append it
-	// again: that record committed nothing, left the PC, FID, InstIndex and
-	// core bases as it found them and was one cycle after its predecessor,
+	// again: that record committed nothing, left the PC, FID and InstIndex
+	// bases as it found them and was one cycle after its predecessor,
 	// so each repeat one cycle later encodes to the same bytes.
 	rep   []byte
 	count uint64
@@ -65,21 +65,13 @@ type Capture struct {
 	err      error
 }
 
-// NewCapture returns an empty capture encoding the v2 (TIPTRC2) layout. It
-// holds up to DefaultSpillBytes of encoded trace in memory, then spills to a
-// temp file.
-func NewCapture() *Capture { return newCapture(DefaultSpillBytes, false) }
-
-// NewCaptureV3 returns an empty capture encoding the v3 (TIPTRC3) layout,
-// which records each cycle's producing core ID — the format multi-programmed
-// captures interleave several cores' records into.
-func NewCaptureV3() *Capture { return newCapture(DefaultSpillBytes, true) }
+// NewCapture returns an empty capture. It holds up to DefaultSpillBytes of
+// encoded trace in memory, then spills to a temp file.
+func NewCapture() *Capture { return newCapture(DefaultSpillBytes) }
 
 // newCapture returns an empty capture that spills once its in-memory
 // encoded size exceeds limit bytes.
-func newCapture(limit int, v3 bool) *Capture {
-	return &Capture{limit: limit, st: codecState{v3: v3}}
-}
+func newCapture(limit int) *Capture { return &Capture{limit: limit} }
 
 // OnCycle implements Consumer. Records arriving after Finish or Close set a
 // sticky error rather than corrupting the sealed trace.
@@ -100,7 +92,7 @@ func (c *Capture) OnCycle(r *Record) {
 	base, start := c.st, len(c.cur)
 	c.cur = appendRecord(c.cur, r, &c.st)
 	if r.CommitCount == 0 && c.st.lastCycle == base.lastCycle+1 && c.st.lastPC == base.lastPC &&
-		c.st.lastFID == base.lastFID && c.st.lastInst == base.lastInst && c.st.lastCore == base.lastCore {
+		c.st.lastFID == base.lastFID && c.st.lastInst == base.lastInst {
 		c.rep = c.cur[start:]
 	}
 	c.added()
@@ -150,12 +142,7 @@ func (c *Capture) added() {
 func (c *Capture) nextBlock() {
 	switch {
 	case c.cur == nil:
-		c.cur = make([]byte, 0, blockBytes)
-		if c.st.v3 {
-			c.cur = append(c.cur, formatMagicV3...)
-		} else {
-			c.cur = append(c.cur, formatMagic...)
-		}
+		c.cur = append(make([]byte, 0, blockBytes), formatMagic...)
 	case c.f == nil:
 		c.blocks = append(c.blocks, c.cur)
 		c.memBytes += uint64(len(c.cur))
@@ -238,8 +225,7 @@ func (c *Capture) Spilled() bool { return c.f != nil }
 // capture store) store them alongside the stream.
 // The data slice is retained, not copied.
 func NewCaptureFromEncoded(data []byte, records, cycles uint64) (*Capture, error) {
-	v3, err := sniffMagic(data)
-	if err != nil {
+	if err := sniffMagic(data); err != nil {
 		return nil, err
 	}
 	return &Capture{
@@ -248,7 +234,6 @@ func NewCaptureFromEncoded(data []byte, records, cycles uint64) (*Capture, error
 		memBytes: uint64(len(data)),
 		count:    records,
 		cycles:   cycles,
-		st:       codecState{v3: v3},
 		finished: true,
 	}, nil
 }

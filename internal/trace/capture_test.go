@@ -62,7 +62,7 @@ func TestCaptureInMemoryRoundTrip(t *testing.T) {
 
 func TestCaptureSpillRoundTrip(t *testing.T) {
 	// A tiny budget forces the spill path almost immediately.
-	c := newCapture(64, false)
+	c := newCapture(64)
 	captureRecords(t, c, 500)
 	if !c.Spilled() {
 		t.Fatal("a 64-byte budget must spill")
@@ -94,7 +94,7 @@ func TestCaptureSpillRoundTrip(t *testing.T) {
 }
 
 func TestCaptureCloseRemovesSpillFile(t *testing.T) {
-	c := newCapture(64, false)
+	c := newCapture(64)
 	captureRecords(t, c, 50)
 	if !c.Spilled() {
 		t.Fatal("expected a spilled capture")
@@ -153,7 +153,7 @@ const blockTraceRecords = 110_000
 // encodeBlockTrace is the reference encoding of the first n
 // blockTraceRecord records.
 func encodeBlockTrace(n int) []byte {
-	e := newEncoder(false)
+	e := &encoder{}
 	for i := 0; i < n; i++ {
 		r := blockTraceRecord(i)
 		e.OnCycle(&r)
@@ -165,7 +165,7 @@ func encodeBlockTrace(n int) []byte {
 // spill budget of limit bytes.
 func captureBlockTrace(t *testing.T, limit, n int) *Capture {
 	t.Helper()
-	c := newCapture(limit, false)
+	c := newCapture(limit)
 	t.Cleanup(func() { c.Close() })
 	for i := 0; i < n; i++ {
 		r := blockTraceRecord(i)
@@ -373,7 +373,7 @@ func TestSpilledCaptureReadFailure(t *testing.T) {
 // of capacity in memory — while capturing and once finished — rather than
 // the pre-spill trace.
 func TestSpilledCaptureReleasesBlocks(t *testing.T) {
-	c := newCapture(3<<20, false)
+	c := newCapture(3 << 20)
 	defer c.Close()
 	for i := 0; c.Bytes() < 10<<20; i++ {
 		r := blockTraceRecord(i)

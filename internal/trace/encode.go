@@ -28,57 +28,31 @@ import (
 //
 // The format exists so traces can be captured once and replayed against new
 // profiler models (the paper ran up to 19 profiler configs per simulation).
-//
-// Version 3 (TIPTRC3) adds one field: a zigzag uvarint core-ID delta right
-// after the cycle delta, so a multi-programmed capture interleaves records
-// from several cores in one stream (§3.2: perf tags every sample with its
-// core). The delta is against the previous record's core, so a single-core
-// v3 stream pays exactly one extra zero byte per record. Decoders detect
-// the version from the magic; v2 streams keep decoding unchanged with
-// Record.Core = 0.
-const (
-	formatMagic   = "TIPTRC2\n"
-	formatMagicV3 = "TIPTRC3\n"
-)
+// A multi-programmed run writes one such trace per core, as each core's own
+// TIP unit would (§3.2); nothing in a record names its core.
+const formatMagic = "TIPTRC2\n"
 
 // codecState is the cross-record prediction context shared by the encoder
 // and decoder. Both sides start from the zero state and advance it field by
-// field in the same order, so the deltas are self-describing. v3 selects
-// the TIPTRC3 layout (per-record core-ID delta).
+// field in the same order, so the deltas are self-describing.
 type codecState struct {
 	lastCycle uint64
-	lastCore  uint64
 	lastPC    uint64
 	lastFID   uint64
 	lastInst  int64
-	v3        bool
 }
 
-// detectMagic classifies an encoded stream's 8-byte header: v3 reports the
-// TIPTRC3 layout, ok that the header matched a known version at all.
-func detectMagic(hdr []byte) (v3, ok bool) {
-	switch string(hdr) {
-	case formatMagic:
-		return false, true
-	case formatMagicV3:
-		return true, true
-	}
-	return false, false
-}
-
-// sniffMagic validates an encoded trace's header and returns the codec
-// version; it is the front door of reader.next and NewCaptureFromEncoded.
-func sniffMagic(data []byte) (v3 bool, err error) {
-	if len(data) >= len(formatMagic) {
-		if v3, ok := detectMagic(data[:len(formatMagic)]); ok {
-			return v3, nil
-		}
+// sniffMagic validates an encoded trace's header; it is the front door of
+// reader.next and NewCaptureFromEncoded.
+func sniffMagic(data []byte) error {
+	if len(data) >= len(formatMagic) && string(data[:len(formatMagic)]) == formatMagic {
+		return nil
 	}
 	n := len(data)
 	if n > len(formatMagic) {
 		n = len(formatMagic)
 	}
-	return false, badMagic(data[:n])
+	return badMagic(data[:n])
 }
 
 func zigzag(d int64) uint64   { return uint64(d<<1) ^ uint64(d>>63) }
@@ -130,10 +104,6 @@ func appendRecord(buf []byte, r *Record, st *codecState) []byte {
 	n := len(buf)
 	n = putUvarint(b, n, r.Cycle-st.lastCycle)
 	st.lastCycle = r.Cycle
-	if st.v3 {
-		n = putUvarint(b, n, zigzag(int64(r.Core)-int64(st.lastCore)))
-		st.lastCore = uint64(r.Core)
-	}
 	var flags byte
 	if r.ROBEmpty {
 		flags |= 1
@@ -203,11 +173,9 @@ func appendRecord(buf []byte, r *Record, st *codecState) []byte {
 // appendRecord/decodeRecord, and the streaming direct path must launder it
 // the same way so streamed and captured replays observe bit-identical
 // records. TestNormalizeRecordMatchesCodec pins the equivalence against
-// the real codec on fuzzed records. Core is copied unconditionally — the
-// v3 codec round-trips it and v2 streams never carry a nonzero Core.
+// the real codec on fuzzed records.
 func normalizeRecord(dst, src *Record) {
 	dst.Cycle = src.Cycle
-	dst.Core = src.Core
 	dst.ROBEmpty = src.ROBEmpty
 	dst.ExceptionRaised = src.ExceptionRaised
 	dst.DispatchValid = src.DispatchValid
@@ -294,7 +262,7 @@ type reader struct {
 
 	// rep is the span in buf of the last record decodeRecord filled into
 	// repRec, kept only when that record committed nothing and left the
-	// PC, FID, InstIndex and core bases as it found them; repDelta is its
+	// PC, FID and InstIndex bases as it found them; repDelta is its
 	// cycle delta. Identical bytes that follow it then decode, under the
 	// same bases, to the same record but for the cycle, so reader.next advances
 	// the cycle base and rec.Cycle and skips decodeRecord. A committing
@@ -347,9 +315,7 @@ func (r *reader) nextBlock() error {
 
 // next decodes the next record into rec, which must be zero or the record a
 // previous call filled, unmodified since (records are read-only to
-// consumers; see Consumer). It returns io.EOF at the end of the trace. The
-// codec version is detected from the stream's magic: v3 records carry a
-// core ID, v2 records decode with Core = 0.
+// consumers; see Consumer). It returns io.EOF at the end of the trace.
 //
 // When rec is the record the previous full decode filled, and the next
 // bytes repeat that record under unchanged delta bases, it only sets
@@ -371,11 +337,10 @@ func (r *reader) next(rec *Record) error {
 		return nil
 	}
 	if !r.hdr {
-		v3, err := sniffMagic(r.buf[r.pos:])
-		if err != nil {
+		if err := sniffMagic(r.buf[r.pos:]); err != nil {
 			return err
 		}
-		r.st.v3, r.hdr = v3, true
+		r.hdr = true
 		r.pos += len(formatMagic)
 		return r.next(rec)
 	}
@@ -386,7 +351,7 @@ func (r *reader) next(rec *Record) error {
 	}
 	r.rep = nil
 	if rec.CommitCount == 0 && r.st.lastPC == base.lastPC && r.st.lastFID == base.lastFID &&
-		r.st.lastInst == base.lastInst && r.st.lastCore == base.lastCore {
+		r.st.lastInst == base.lastInst {
 		r.rep, r.repDelta, r.repRec = r.buf[r.pos:pos], r.st.lastCycle-base.lastCycle, rec
 	}
 	r.pos = pos
@@ -458,19 +423,6 @@ func decodeRecord(data []byte, pos int, st *codecState, rec *Record) (int, error
 	}
 	st.lastCycle += delta
 	rec.Cycle = st.lastCycle
-	if st.v3 {
-		var u uint64
-		if pos < len(data) && data[pos] < 0x80 {
-			u = uint64(data[pos])
-			pos++
-		} else if u, pos, err = sliceUvarintSlow(data, pos); err != nil {
-			return pos, err
-		}
-		st.lastCore = uint64(int64(st.lastCore) + unzigzag(u))
-		rec.Core = uint32(st.lastCore)
-	} else {
-		rec.Core = 0
-	}
 	if pos+4 > len(data) {
 		return pos, io.ErrUnexpectedEOF
 	}

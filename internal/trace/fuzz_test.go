@@ -18,7 +18,7 @@ import (
 // split).
 func fuzzSeedTraces() (seeds [][]byte, numValid int) {
 	r0 := sampleRecord(0)
-	seeds = append(seeds, encodeRecords(false, []Record{r0}))
+	seeds = append(seeds, encodeRecords([]Record{r0}))
 
 	burst := make([]Record, 8)
 	for i := range burst {
@@ -38,39 +38,57 @@ func fuzzSeedTraces() (seeds [][]byte, numValid int) {
 	burst[5].DispatchPC = 0xbeef
 	burst[5].DispatchFID = 77
 	burst[5].DispatchInstIndex = 5
-	seeds = append(seeds, encodeRecords(false, burst))
+	seeds = append(seeds, encodeRecords(burst))
 
 	synth, _ := syntheticTrace(40, 9)
 	seeds = append(seeds, synth)
 
-	// v3 seeds: the same commit burst interleaved across two cores (core
-	// deltas alternate sign), and a single-core v3 stream whose core
-	// deltas are all zero.
-	multi := make([]Record, len(burst))
-	copy(multi, burst)
-	for i := range multi {
-		multi[i].Core = uint32(i % 2)
+	// Wide deltas: the burst spread over far-apart cycles, with PCs, FIDs
+	// and instruction indices jumping back and forth, so every varint runs
+	// several bytes and the signed deltas alternate sign.
+	wide := make([]Record, len(burst))
+	copy(wide, burst)
+	for i := range wide {
+		wide[i].Cycle = uint64(i) * 100_000
+		if i%2 == 1 {
+			wide[i].Banks[1].PC += 1 << 40
+			wide[i].Banks[2].FID += 1 << 30
+			wide[i].Banks[2].InstIndex -= 1 << 20
+		}
 	}
-	seeds = append(seeds, encodeRecords(true, multi))
-	seeds = append(seeds, encodeRecords(true, []Record{r0}))
+	seeds = append(seeds, encodeRecords(wide))
 
-	// Stall runs, v2 and v3: runs a stalled core repeats byte for byte
+	// A stall recorded every other cycle: its records repeat byte for byte
+	// under a cycle delta of 2, which the repeat shortcut serves but no run
+	// covers.
+	everyOther := (&stallTrace{}).commit(0x52000)
+	for i := 0; i < 6; i++ {
+		everyOther.skip(1).stall(0x40000, 1)
+	}
+	seeds = append(seeds, everyOther.commit(0x40000).encode())
+
+	// Stall runs: runs a stalled core repeats byte for byte
 	// (the reader's repeat shortcut), broken by a longer cycle gap, by a
 	// move to another stalled instruction and by commits.
 	stalls := (&stallTrace{}).commit(0x52000).stall(0x40000, 6).skip(1).stall(0x40000, 3).
 		stall(0x52000, 4).commit(0x52000).empty(3).commit(0x40000)
-	seeds = append(seeds, stalls.encode(false), stalls.encode(true))
+	seeds = append(seeds, stalls.encode())
+
+	// Identical record bytes under advancing bases, which must not be
+	// served as repeats.
+	seeds = append(seeds, (&stallTrace{}).slide(0x40000, 6).commit(0x40000).encode())
 
 	numValid = len(seeds)
 
-	// Degenerate inputs: empty, magic only (both versions), magic plus
-	// garbage, bad magic.
+	// Degenerate inputs: empty, magic only, the retired multicore header
+	// alone and before a well-formed body, magic plus garbage, bad magic.
+	v3Header := "TIPTRC3\n"
 	seeds = append(seeds,
 		nil,
 		[]byte(formatMagic),
-		[]byte(formatMagicV3),
+		[]byte(v3Header),
 		append([]byte(formatMagic), 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff),
-		append([]byte(formatMagicV3), 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff),
+		append([]byte(v3Header), seeds[1][len(formatMagic):]...),
 		[]byte("NOTATRACE"),
 	)
 	return seeds, numValid
@@ -284,19 +302,15 @@ func (r *refReader) readInst() (int32, error) {
 }
 
 // next decodes the next record into rec. It returns io.EOF at end of trace.
-// The codec version is detected from the stream's magic: v3 records carry a
-// core ID, v2 records decode with Core = 0.
 func (r *refReader) next(rec *Record) error {
 	if !r.readHdr {
 		hdr := r.scratch[:len(formatMagic)]
 		if _, err := io.ReadFull(r.r, hdr); err != nil {
 			return err
 		}
-		v3, ok := detectMagic(hdr)
-		if !ok {
+		if string(hdr) != formatMagic {
 			return badMagic(hdr)
 		}
-		r.st.v3 = v3
 		r.readHdr = true
 	}
 	delta, err := binary.ReadUvarint(r.r)
@@ -306,14 +320,6 @@ func (r *refReader) next(rec *Record) error {
 	*rec = Record{}
 	r.st.lastCycle += delta
 	rec.Cycle = r.st.lastCycle
-	if r.st.v3 {
-		u, err := binary.ReadUvarint(r.r)
-		if err != nil {
-			return unexpected(err)
-		}
-		r.st.lastCore = uint64(int64(r.st.lastCore) + unzigzag(u))
-		rec.Core = uint32(r.st.lastCore)
-	}
 	hdr := r.scratch[:4]
 	if _, err := io.ReadFull(r.r, hdr); err != nil {
 		return unexpected(err)

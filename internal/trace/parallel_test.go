@@ -26,7 +26,7 @@ func newFinishedCapture(t *testing.T, n int) *Capture {
 func syntheticCaptures(t *testing.T, n int, seed uint64) (inMemory, spilled *Capture) {
 	t.Helper()
 	data, recs := syntheticTrace(n, seed)
-	spilled = newCapture(64, false)
+	spilled = newCapture(64)
 	t.Cleanup(func() { spilled.Close() })
 	for i := range recs {
 		spilled.OnCycle(&recs[i])

@@ -29,15 +29,14 @@ func stallRecord(pc uint64) Record {
 	return r
 }
 
-// stallTrace appends records on consecutive cycles, one core at a time.
+// stallTrace appends records on consecutive cycles.
 type stallTrace struct {
 	recs  []Record
 	cycle uint64
-	core  uint32
 }
 
 func (s *stallTrace) add(r Record) {
-	r.Cycle, r.Core = s.cycle, s.core
+	r.Cycle = s.cycle
 	s.recs = append(s.recs, r)
 	s.cycle++
 }
@@ -90,12 +89,12 @@ func (s *stallTrace) skip(n uint64) *stallTrace {
 	return s
 }
 
-func (s *stallTrace) encode(v3 bool) []byte { return encodeRecords(v3, s.recs) }
+func (s *stallTrace) encode() []byte { return encodeRecords(s.recs) }
 
 // capture captures the trace under a spill budget of limit bytes.
 func (s *stallTrace) capture(t *testing.T, limit int) *Capture {
 	t.Helper()
-	c := newCapture(limit, false)
+	c := newCapture(limit)
 	t.Cleanup(func() { c.Close() })
 	for i := range s.recs {
 		c.OnCycle(&s.recs[i])
@@ -117,29 +116,15 @@ type stallCase struct {
 
 func stallCases() []stallCase {
 	const a, b = 0x40000, 0x52000
-	// Two lockstep cores stalled on different instructions: each cycle
-	// holds a record of core 0, then one of core 1 at the same cycle.
-	alternating := &stallTrace{}
-	for i := 0; i < 60; i++ {
-		alternating.core = 0
-		alternating.stall(a, 1)
-		alternating.cycle--
-		alternating.core = 1
-		alternating.stall(b, 1)
-	}
-	alternating.core = 0
-	alternating.commit(a)
 	return []stallCase{
-		{"run of 100", (&stallTrace{}).commit(b).stall(a, 100).commit(a).encode(false), 98},
+		{"run of 100", (&stallTrace{}).commit(b).stall(a, 100).commit(a).encode(), 98},
 		{"runs of 1, 2, 3 and 100", (&stallTrace{}).commit(b).stall(a, 1).commit(b).stall(a, 2).
-			commit(b).stall(a, 3).commit(b).stall(a, 100).commit(a).encode(false), 98 + 1},
-		{"run broken by a cycle delta of 2", (&stallTrace{}).stall(a, 10).skip(1).stall(a, 10).commit(a).encode(false), 16},
-		{"first repeat after the bases change", (&stallTrace{}).stall(a, 5).stall(b, 5).stall(a, 5).commit(a).encode(false), 9},
-		{"repeat after a committing record", (&stallTrace{}).commit(a).stall(a, 5).commit(a).stall(a, 5).encode(false), 8},
-		{"empty ROB", (&stallTrace{}).commit(a).empty(50).commit(a).encode(false), 49},
-		{"identical bytes under advancing bases", (&stallTrace{}).slide(a, 50).commit(a).encode(false), 0},
-		{"v3 one core", (&stallTrace{}).commit(b).stall(a, 100).commit(a).encode(true), 98},
-		{"v3 two cores alternate", alternating.encode(true), 0},
+			commit(b).stall(a, 3).commit(b).stall(a, 100).commit(a).encode(), 98 + 1},
+		{"run broken by a cycle delta of 2", (&stallTrace{}).stall(a, 10).skip(1).stall(a, 10).commit(a).encode(), 16},
+		{"first repeat after the bases change", (&stallTrace{}).stall(a, 5).stall(b, 5).stall(a, 5).commit(a).encode(), 9},
+		{"repeat after a committing record", (&stallTrace{}).commit(a).stall(a, 5).commit(a).stall(a, 5).encode(), 8},
+		{"empty ROB", (&stallTrace{}).commit(a).empty(50).commit(a).encode(), 49},
+		{"identical bytes under advancing bases", (&stallTrace{}).slide(a, 50).commit(a).encode(), 0},
 	}
 }
 
@@ -254,7 +239,7 @@ func TestRepeatShortcutMatchesReference(t *testing.T) {
 func TestRepeatRunAcrossWindows(t *testing.T) {
 	const n = 150_000
 	tr := (&stallTrace{}).commit(0x52000).stall(0x40000, n).commit(0x40000)
-	enc := tr.encode(false)
+	enc := tr.encode()
 	ref := referenceReplay(enc)
 	for _, tc := range []struct {
 		name  string
@@ -314,7 +299,7 @@ func TestCommittingRecordsDecodeAfresh(t *testing.T) {
 		tr.commit(0x40000)
 	}
 	var c commitBumper
-	if _, _, err := ReplayBytes(tr.encode(false), &c); err != nil {
+	if _, _, err := ReplayBytes(tr.encode(), &c); err != nil {
 		t.Fatal(err)
 	}
 	for i, n := range c.seen {

@@ -29,16 +29,13 @@ func (f *fuzzSource) next() byte {
 // Like the core, it reuses one record and rewrites only some fields for each
 // new cycle, so payloads behind cleared flags stay stale; every new record
 // is followed by a run of 0-255 repeats.
-func repeaterSteps(data []byte, v3 bool) []repStep {
+func repeaterSteps(data []byte) []repStep {
 	src := fuzzSource(data)
 	var w Record
 	var steps []repStep
 	for len(src) > 0 && len(steps) < 1<<14 {
 		flags := src.next()
 		w.Cycle += uint64(flags & 3)
-		if v3 {
-			w.Core = uint32(src.next() % 3)
-		}
 		w.NumBanks = int(src.next() % (MaxBanks + 1))
 		w.HeadBank = src.next() % MaxBanks
 		w.ROBEmpty = flags&4 != 0
@@ -125,11 +122,11 @@ func randomSplit(seed uint64) func(uint64) uint64 {
 // captureBytes delivers steps into a fresh capture that spills past spill
 // bytes (0: the default budget) and returns its WriteTo bytes and record
 // count.
-func captureBytes(t *testing.T, steps []repStep, v3 bool, spill int, useRepeat bool, split func(uint64) uint64) ([]byte, uint64) {
+func captureBytes(t *testing.T, steps []repStep, spill int, useRepeat bool, split func(uint64) uint64) ([]byte, uint64) {
 	if spill == 0 {
 		spill = DefaultSpillBytes
 	}
-	c := newCapture(spill, v3)
+	c := newCapture(spill)
 	defer c.Close()
 	deliver(c, steps, useRepeat, split)
 	var buf bytes.Buffer
@@ -163,8 +160,8 @@ func streamReplay(t *testing.T, steps []repStep, cfg StreamConfig, useRepeat boo
 	return got.collect, ps
 }
 
-// FuzzRepeater delivers random record sequences with repeat runs, v2 and v3,
-// through OnRepeat, one cycle at a time and in runs of random length, and
+// FuzzRepeater delivers random record sequences with repeat runs through
+// OnRepeat, one cycle at a time and in runs of random length, and
 // through OnCycle alone: a Capture must write the same bytes either way, in
 // memory and spilled, and a Stream must replay the same records and pilot
 // stats, across pilot windows and chunk sizes, to a consumer that takes
@@ -178,8 +175,7 @@ func FuzzRepeater(f *testing.F) {
 			return
 		}
 		mode := data[0]
-		v3 := mode&1 != 0
-		steps := repeaterSteps(data[1:], v3)
+		steps := repeaterSteps(data[1:])
 		if len(steps) == 0 {
 			return
 		}
@@ -188,9 +184,9 @@ func FuzzRepeater(f *testing.F) {
 			spill = 64
 		}
 		seed := uint64(len(data))<<8 | uint64(data[len(data)-1])
-		want, wantN := captureBytes(t, steps, v3, spill, false, nil)
+		want, wantN := captureBytes(t, steps, spill, false, nil)
 		for _, split := range []func(uint64) uint64{nil, randomSplit(seed)} {
-			got, gotN := captureBytes(t, steps, v3, spill, true, split)
+			got, gotN := captureBytes(t, steps, spill, true, split)
 			if !bytes.Equal(got, want) || gotN != wantN {
 				t.Fatalf("capture through OnRepeat (runs %v): %d records, %d bytes; through OnCycle: %d records, %d bytes",
 					split != nil, gotN, len(got), wantN, len(want))
@@ -232,12 +228,12 @@ func TestCaptureRepeatAcrossBlocks(t *testing.T) {
 			st.recs[i-1].CommitCount == 0 && r.Banks[1].PC == st.recs[i-1].Banks[1].PC}
 	}
 	for _, spill := range []int{0, 3 << 20} {
-		want, _ := captureBytes(t, steps, false, spill, false, nil)
+		want, _ := captureBytes(t, steps, spill, false, nil)
 		if len(want) < 3*blockBytes {
 			t.Fatalf("trace of %d bytes fills fewer than 3 blocks", len(want))
 		}
 		for _, split := range []func(uint64) uint64{nil, randomSplit(uint64(spill))} {
-			got, _ := captureBytes(t, steps, false, spill, true, split)
+			got, _ := captureBytes(t, steps, spill, true, split)
 			if !bytes.Equal(got, want) {
 				t.Fatalf("spill %d (runs %v): OnRepeat capture differs from OnCycle capture", spill, split != nil)
 			}

@@ -15,8 +15,7 @@ func errCaptureFailed(err error) error {
 	return fmt.Errorf("trace: capture failed: %w", err)
 }
 
-// badMagic reports a stream that starts with neither the TIPTRC2 nor the
-// TIPTRC3 header.
+// badMagic reports a stream that does not start with the TIPTRC2 header.
 func badMagic(prefix []byte) error {
 	return fmt.Errorf("trace: bad magic %q", prefix)
 }

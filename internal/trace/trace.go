@@ -46,13 +46,6 @@ type BankEntry struct {
 type Record struct {
 	// Cycle is the core cycle this record describes.
 	Cycle uint64
-	// Core identifies the physical core that produced the record in a
-	// multi-programmed capture (§3.2: each core has its own TIP unit and
-	// perf tags every sample with a core ID). Single-core streams and v2
-	// traces carry 0. The multicore driver sets it once per producing
-	// core; Reset deliberately leaves it alone so the per-cycle reset
-	// stays cheap.
-	Core uint32
 	// NumBanks is the commit width (live entries in Banks).
 	NumBanks int
 	// Banks holds the head entry per bank, indexed by bank ID.
@@ -228,8 +221,8 @@ type Consumer interface {
 // with the same contents). It must leave the consumer as n OnCycle calls at
 // those cycles would, and like OnCycle it must not write to r.
 //
-// A cpu.Core run delivers each quiescent cycle as OnRepeat(r, 1) to a
-// consumer that implements it. A sampled run delivers each stalled stretch
+// A cpu.Core run, and each core of a lockstep multicore run, delivers each
+// quiescent cycle as OnRepeat(r, 1) to a consumer that implements it. A sampled run delivers each stalled stretch
 // of a measurement window as one OnCycle and one OnRepeat of the rest, so
 // its Stream stores the stretch as one ring slot. A replay shard over a
 // reader or a Stream ring delivers a whole stalled stretch, up to its next

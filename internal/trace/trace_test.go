@@ -18,14 +18,9 @@ type encoder struct {
 	st  codecState
 }
 
-func newEncoder(v3 bool) *encoder { return &encoder{st: codecState{v3: v3}} }
-
 func (e *encoder) OnCycle(r *Record) {
 	if e.buf == nil {
 		e.buf = []byte(formatMagic)
-		if e.st.v3 {
-			e.buf = []byte(formatMagicV3)
-		}
 	}
 	e.buf = appendRecord(slices.Grow(e.buf, maxRecordBytes), r, &e.st)
 }
@@ -34,8 +29,8 @@ func (e *encoder) Finish(uint64) {}
 
 // encodeRecords is the reference encoding of recs; no records encode to no
 // bytes at all.
-func encodeRecords(v3 bool, recs []Record) []byte {
-	e := newEncoder(v3)
+func encodeRecords(recs []Record) []byte {
+	e := &encoder{}
 	for i := range recs {
 		e.OnCycle(&recs[i])
 	}
@@ -183,7 +178,7 @@ func TestDecodeBadMagic(t *testing.T) {
 }
 
 func TestDecodeTruncated(t *testing.T) {
-	data := encodeRecords(false, []Record{sampleRecord(0)})
+	data := encodeRecords([]Record{sampleRecord(0)})
 	r := newSliceReader(data[:len(data)-3])
 	var got Record
 	err := r.next(&got)
@@ -255,7 +250,7 @@ func TestQuickRoundTrip(t *testing.T) {
 			cycle += recs[i].Cycle % 1000
 			recs[i].Cycle = cycle
 		}
-		r := newSliceReader(encodeRecords(false, recs))
+		r := newSliceReader(encodeRecords(recs))
 		for i := range recs {
 			var got Record
 			if err := r.next(&got); err != nil {
@@ -289,7 +284,7 @@ func BenchmarkEncode(b *testing.B) {
 func BenchmarkDecodeRecord(b *testing.B) {
 	// Replay-side decode throughput over a realistic mixed stream:
 	// mostly committing records with small deltas, occasional gaps.
-	e := newEncoder(false)
+	e := &encoder{}
 	const n = 4096
 	for i := 0; i < n; i++ {
 		rec := sampleRecord(uint64(i))

@@ -4,19 +4,21 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"sync"
 
 	"github.com/tipprof/tip/internal/multicore"
 	"github.com/tipprof/tip/internal/trace"
 )
 
 // errMulticoreSampled rejects RunConfig.Sampled on the multicore routes:
-// fast-forward legs emit no core-tagged records, so there is no sampled
-// multicore schedule to run.
+// the lockstep system runs every core in full detail, and no sampled
+// schedule steps several cores' fast-forward and window legs together.
 var errMulticoreSampled = errors.New("tip: multicore runs do not support sampled simulation (RunConfig.Sampled)")
 
 // errMulticoreExtras rejects extra consumers on the multicore routes: each
-// core's matrix replays that core's filtered stream, so an extra consumer
-// would never see the single stream its caller wired it for.
+// core's matrix replays that core's own capture, so an extra consumer would
+// see one core's stream per matrix it joined, never the single stream its
+// caller wired it for.
 var errMulticoreExtras = errors.New("tip: multicore runs do not support extra consumers (RunConfig.ExtraConsumers, ExtraConsumersAt)")
 
 // checkMulticore rejects the RunConfig settings the multicore routes cannot
@@ -38,34 +40,36 @@ func checkMulticore(rc *RunConfig) error {
 type MulticoreResult struct {
 	// Cores holds one Result per core, in spec order.
 	Cores []*Result
-	// TotalCycles is the interleaved run's length: the last committing
-	// cycle across all cores, plus one.
+	// TotalCycles is the lockstep run's length: the last committing cycle
+	// across all cores, plus one.
 	TotalCycles uint64
 }
 
 // CaptureMulticore runs ws lockstep on one shared-LLC system — workload i
-// on core i — streaming the interleaved commit-stage records into one
-// core-tagged TIPTRC3 capture. It returns the capture (caller must Close
-// it) and each core's run statistics. Cancelling ctx aborts the simulation;
-// a nil ctx disables cancellation.
-func CaptureMulticore(ctx context.Context, ws []*Workload, cfg CoreConfig) (*TraceCapture, []CoreStats, error) {
+// on core i — and records each core's commit-stage records into a capture
+// of its own, as that core's TIP unit would (§3.2). Capture i is exactly
+// the trace CaptureWorkload would write for core i's record stream. It
+// returns the captures (the caller must Close each) and each core's run
+// statistics. Cancelling ctx aborts the simulation; a nil ctx disables
+// cancellation.
+func CaptureMulticore(ctx context.Context, ws []*Workload, cfg CoreConfig) ([]*TraceCapture, []CoreStats, error) {
 	if len(ws) == 0 {
 		return nil, nil, errors.New("tip: multicore capture needs at least one workload")
 	}
+	capts := make([]*TraceCapture, len(ws))
 	specs := make([]multicore.CoreSpec, len(ws))
 	for i, w := range ws {
-		specs[i] = multicore.CoreSpec{Workload: w}
+		capts[i] = trace.NewCapture()
+		specs[i] = multicore.CoreSpec{Workload: w, Consumers: []trace.Consumer{capts[i]}}
 	}
-	sys := multicore.New(multicore.Config{Core: cfg}, specs)
-	capt := trace.NewCaptureV3()
-	results, err := sys.CaptureRun(ctx, capt)
-	if err == nil {
-		if cerr := capt.Err(); cerr != nil {
-			err = fmt.Errorf("tip: multicore capture: %w", cerr)
+	results, err := multicore.New(multicore.Config{Core: cfg}, specs).Run(ctx)
+	for i := 0; err == nil && i < len(capts); i++ {
+		if cerr := capts[i].Err(); cerr != nil {
+			err = fmt.Errorf("tip: core %d (%s) capture: %w", i, ws[i].Name, cerr)
 		}
 	}
 	if err != nil {
-		if cerr := capt.Close(); cerr != nil {
+		if cerr := closeCaptures(capts); cerr != nil {
 			err = errors.Join(err, fmt.Errorf("tip: close multicore capture: %w", cerr))
 		}
 		return nil, nil, err
@@ -74,76 +78,82 @@ func CaptureMulticore(ctx context.Context, ws []*Workload, cfg CoreConfig) (*Tra
 	for i := range results {
 		stats[i] = results[i].Stats
 	}
-	return capt, stats, nil
+	return capts, stats, nil
+}
+
+// closeCaptures closes every capture of a multicore run.
+func closeCaptures(capts []*TraceCapture) error {
+	var errs []error
+	for _, c := range capts {
+		if err := c.Close(); err != nil {
+			errs = append(errs, err)
+		}
+	}
+	return errors.Join(errs...)
 }
 
 // RunMulticoreCaptured evaluates rc's profiler matrix per core by replaying
-// a core-tagged multicore capture — one decode pass feeds every core's
-// matrix through trace.CoreFilter demultiplexers. stats must be the capture
-// run's per-core statistics (from CaptureMulticore). With rc.SampleInterval
-// zero each core's interval is calibrated from that core's own cycle count,
-// exactly as a single-core run of the same length would be. With rc.Check a
-// separate invariant checker rides each core's filtered stream, so cycle
-// contiguity and the Oracle/Sampled conservation laws are audited per core.
+// capture i of a CaptureMulticore run through RunCaptured with workload i
+// and stats[i], the capture run's statistics for core i. Each core is thus
+// a single-core replay: with rc.SampleInterval zero its interval is
+// calibrated from its own cycle count, and with rc.Check its own invariant
+// checker audits its stream.
 //
-// rc.ReplayWorkers spreads the per-core matrices over replay shards: each
-// core gets max(1, ReplayWorkers/len(ws)) shards, every shard is wrapped in
-// that core's filter and decodes the capture itself, so worker count never
-// changes profile output. An n-core replay therefore runs at least n shards.
-// rc.Sampled, rc.ExtraConsumers and rc.ExtraConsumersAt are rejected: an
-// extra consumer would observe one core's filtered stream per matrix it
-// was added to, which is never what a caller wiring a single-stream
+// The cores replay concurrently, each over max(1, ReplayWorkers/len(ws))
+// shards, so worker count never changes profile output and an n-core
+// replay runs at least n shards. A failure on one core cancels the others;
+// the first error in core order that is not such a cancellation is
+// returned. rc.Sampled, rc.ExtraConsumers and rc.ExtraConsumersAt are
+// rejected: an extra consumer would observe one core's stream per matrix
+// it was added to, which is never what a caller wiring a single-stream
 // consumer expects.
-func RunMulticoreCaptured(ctx context.Context, ws []*Workload, capt *TraceCapture, stats []CoreStats, rc RunConfig) (*MulticoreResult, error) {
+func RunMulticoreCaptured(ctx context.Context, ws []*Workload, capts []*TraceCapture, stats []CoreStats, rc RunConfig) (*MulticoreResult, error) {
 	if ctx == nil {
 		ctx = context.Background()
 	}
 	if err := checkMulticore(&rc); err != nil {
 		return nil, err
 	}
-	if len(ws) == 0 || len(ws) != len(stats) {
-		return nil, fmt.Errorf("tip: multicore replay: %d workloads, %d stats", len(ws), len(stats))
+	if len(ws) == 0 || len(ws) != len(capts) || len(ws) != len(stats) {
+		return nil, fmt.Errorf("tip: multicore replay: %d workloads, %d captures, %d stats", len(ws), len(capts), len(stats))
 	}
 	if err := ctx.Err(); err != nil {
 		return nil, fmt.Errorf("tip: multicore replay: %w", err)
 	}
 
-	perCore := rc.ReplayWorkers / len(ws)
-	if perCore < 1 {
-		perCore = 1
+	rc.ReplayWorkers = max(1, rc.ReplayWorkers/len(ws))
+	ctx, cancel := context.WithCancel(ctx)
+	defer cancel()
+	res := &MulticoreResult{Cores: make([]*Result, len(ws))}
+	errs := make([]error, len(ws))
+	var wg sync.WaitGroup
+	for i := range ws {
+		wg.Add(1)
+		go func(i int) {
+			defer wg.Done()
+			if res.Cores[i], errs[i] = RunCaptured(ctx, ws[i], capts[i], stats[i], rc); errs[i] != nil {
+				cancel()
+			}
+		}(i)
 	}
-	matrices := make([]consumerMatrix, len(ws))
-	intervals := make([]uint64, len(ws))
-	var shards []trace.Consumer
-	for i, w := range ws {
-		interval := rc.SampleInterval
-		if interval == 0 {
-			interval = CalibrateInterval(stats[i].Cycles, rc.TargetSamples)
-		}
-		intervals[i] = interval
-		matrices[i] = buildMatrix(w, rc, interval, 0)
-		for _, shard := range matrices[i].shards(perCore) {
-			shards = append(shards, &trace.CoreFilter{Core: uint32(i), Inner: shard})
+	wg.Wait()
+	failed := -1
+	for i, err := range errs {
+		if err != nil && (failed < 0 || errors.Is(errs[failed], context.Canceled) && !errors.Is(err, context.Canceled)) {
+			failed = i
 		}
 	}
-
-	totalCycles, _, err := capt.ReplayShards(ctx, 0, shards...)
-	if err != nil {
-		return nil, fmt.Errorf("tip: multicore replay: %w", err)
+	if failed >= 0 {
+		return nil, fmt.Errorf("tip: core %d: %w", failed, errs[failed])
 	}
-	res := &MulticoreResult{TotalCycles: totalCycles}
-	for i, w := range ws {
-		cr, err := matrices[i].result(w, stats[i], intervals[i])
-		if err != nil {
-			return nil, fmt.Errorf("tip: core %d (%s): %w", i, w.Name, err)
-		}
-		res.Cores = append(res.Cores, cr)
+	for _, cr := range res.Cores {
+		res.TotalCycles = max(res.TotalCycles, cr.Stats.Cycles)
 	}
 	return res, nil
 }
 
 // RunMulticore captures a lockstep multi-programmed run of ws and evaluates
-// the per-core profiler matrices from the capture — the whole-pipeline
+// the per-core profiler matrices from the captures — the whole-pipeline
 // multicore entry point behind tipsim -cores, tipbench -figures multicore,
 // and tipd "cores" jobs. The settings RunMulticoreCaptured rejects are
 // rejected before anything is simulated.
@@ -151,10 +161,10 @@ func RunMulticore(ctx context.Context, ws []*Workload, rc RunConfig) (*Multicore
 	if err := checkMulticore(&rc); err != nil {
 		return nil, err
 	}
-	capt, stats, err := CaptureMulticore(ctx, ws, rc.Core)
+	capts, stats, err := CaptureMulticore(ctx, ws, rc.Core)
 	if err != nil {
 		return nil, err
 	}
-	defer capt.Close()
-	return RunMulticoreCaptured(ctx, ws, capt, stats, rc)
+	defer closeCaptures(capts)
+	return RunMulticoreCaptured(ctx, ws, capts, stats, rc)
 }

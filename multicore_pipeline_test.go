@@ -8,7 +8,6 @@ import (
 	"fmt"
 	"io"
 	"os"
-	"path/filepath"
 	"strings"
 	"testing"
 
@@ -18,9 +17,10 @@ import (
 )
 
 // goldenCaptureMulticorePath holds a gzipped TIPTRC3 stream captured from a
-// pinned two-core run (mcf co-running with x264 over the shared LLC). Like
-// the single-core golden it pins byte-exact determinism of the whole capture
-// path — here additionally the lockstep interleaving and the core-ID deltas.
+// pinned two-core run (mcf co-running with x264 over the shared LLC): every
+// core's records interleaved in lockstep, each tagged with its core. The
+// layout is retired and the file is never regenerated; it pins what each
+// per-core capture must hold.
 const goldenCaptureMulticorePath = "testdata/golden_capture_multicore.trc.gz"
 
 func loadScaled(t *testing.T, name string, scale uint64) *Workload {
@@ -39,64 +39,121 @@ func mcPair(t *testing.T, scale uint64) []*Workload {
 	return []*Workload{loadScaled(t, "mcf", scale), loadScaled(t, "x264", scale)}
 }
 
-// TestCaptureMulticoreMatchesGolden re-captures the pinned two-core run and
-// compares the encoded TIPTRC3 stream byte-for-byte against the committed
-// golden. Regenerate (only when the trace format or core model deliberately
-// changes) with:
-//
-//	TIP_GEN_GOLDEN_CAPTURE=1 go test -run TestCaptureMulticoreMatchesGolden .
-func TestCaptureMulticoreMatchesGolden(t *testing.T) {
-	capt, _, err := CaptureMulticore(nil, mcPair(t, 8_000), DefaultCoreConfig())
+// readGzip returns the decompressed contents of a gzipped file.
+func readGzip(t *testing.T, path string) []byte {
+	t.Helper()
+	f, err := os.Open(path)
 	if err != nil {
 		t.Fatal(err)
-	}
-	defer capt.Close()
-	var got bytes.Buffer
-	if _, err := capt.WriteTo(&got); err != nil {
-		t.Fatal(err)
-	}
-
-	if os.Getenv("TIP_GEN_GOLDEN_CAPTURE") != "" {
-		if err := os.MkdirAll(filepath.Dir(goldenCaptureMulticorePath), 0o755); err != nil {
-			t.Fatal(err)
-		}
-		var gz bytes.Buffer
-		zw := gzip.NewWriter(&gz)
-		if _, err := zw.Write(got.Bytes()); err != nil {
-			t.Fatal(err)
-		}
-		if err := zw.Close(); err != nil {
-			t.Fatal(err)
-		}
-		if err := os.WriteFile(goldenCaptureMulticorePath, gz.Bytes(), 0o644); err != nil {
-			t.Fatal(err)
-		}
-		t.Logf("wrote %s: %d raw bytes (%d gzipped), %d cycles, %d records",
-			goldenCaptureMulticorePath, got.Len(), gz.Len(), capt.Cycles(), capt.Records())
-		return
-	}
-
-	f, err := os.Open(goldenCaptureMulticorePath)
-	if err != nil {
-		t.Fatalf("missing golden multicore capture (regenerate with TIP_GEN_GOLDEN_CAPTURE=1): %v", err)
 	}
 	defer f.Close()
 	zr, err := gzip.NewReader(f)
 	if err != nil {
 		t.Fatal(err)
 	}
-	want, err := io.ReadAll(zr)
+	data, err := io.ReadAll(zr)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !bytes.Equal(got.Bytes(), want) {
-		i := 0
-		for i < len(want) && i < got.Len() && got.Bytes()[i] == want[i] {
-			i++
-		}
-		t.Fatalf("multicore capture diverged from golden: got %d bytes, want %d, first difference at offset %d",
-			got.Len(), len(want), i)
+	return data
+}
+
+// TestCaptureMulticoreMatchesGolden re-captures the pinned two-core run and
+// checks each core's capture against that core's records in the golden
+// interleaved stream: record for record, in Records(), and in the Finish
+// total, which is the core's last committing cycle plus one.
+func TestCaptureMulticoreMatchesGolden(t *testing.T) {
+	want, err := splitV3ByCore(readGzip(t, goldenCaptureMulticorePath))
+	if err != nil {
+		t.Fatal(err)
 	}
+	capts, stats, err := CaptureMulticore(nil, mcPair(t, 8_000), DefaultCoreConfig())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer closeCaptures(capts)
+	if len(capts) != len(want) {
+		t.Fatalf("%d captures, golden stream holds %d cores", len(capts), len(want))
+	}
+	for i, capt := range capts {
+		var got collectRecords
+		if _, _, err := capt.Replay(&got); err != nil {
+			t.Fatal(err)
+		}
+		if capt.Records() != uint64(len(want[i])) || len(got.recs) != len(want[i]) {
+			t.Fatalf("core %d: capture holds %d records (Records() %d), golden %d",
+				i, len(got.recs), capt.Records(), len(want[i]))
+		}
+		lastCommit := uint64(0)
+		for j := range want[i] {
+			if got.recs[j] != want[i][j] {
+				t.Fatalf("core %d record %d differs from golden:\n got %+v\nwant %+v", i, j, got.recs[j], want[i][j])
+			}
+			if want[i][j].CommitCount > 0 {
+				lastCommit = want[i][j].Cycle
+			}
+		}
+		if capt.Cycles() != lastCommit+1 || stats[i].Cycles != lastCommit+1 {
+			t.Fatalf("core %d: Finish total %d, stats %d; golden's last commit is at cycle %d",
+				i, capt.Cycles(), stats[i].Cycles, lastCommit)
+		}
+	}
+}
+
+// TestSingleCoreMulticoreCaptureMatchesCaptureWorkload pins the 1-core
+// identity at the trace: core 0 of the lockstep system builds the hierarchy
+// cpu.New builds and gets its quiescent cycles as repeats, so a one-core
+// multicore capture is byte for byte the single-core capture.
+func TestSingleCoreMulticoreCaptureMatchesCaptureWorkload(t *testing.T) {
+	single, stats, err := CaptureWorkload(loadScaled(t, "mcf", 8_000), DefaultCoreConfig())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer single.Close()
+	multi, mstats, err := CaptureMulticore(nil, []*Workload{loadScaled(t, "mcf", 8_000)}, DefaultCoreConfig())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer closeCaptures(multi)
+	if !bytes.Equal(encoded(t, multi[0]), encoded(t, single)) {
+		t.Fatal("1-core multicore capture differs from CaptureWorkload's")
+	}
+	if multi[0].Records() != single.Records() || multi[0].Cycles() != single.Cycles() || mstats[0] != stats {
+		t.Fatalf("1-core multicore: %d records, %d cycles, stats %+v; single-core: %d, %d, %+v",
+			multi[0].Records(), multi[0].Cycles(), mstats[0], single.Records(), single.Cycles(), stats)
+	}
+}
+
+// runCounter counts the runs and cycles a replay delivers through OnRepeat.
+type runCounter struct {
+	trace.CountingConsumer
+	runs, repeated uint64
+}
+
+func (c *runCounter) OnRepeat(r *trace.Record, n uint64) {
+	c.runs++
+	c.repeated += n
+	c.Cycles += n
+}
+
+// TestMulticoreReplayDeliversRuns replays mcf's capture from a lockstep
+// mcf+x264 run: its stalled stretches under shared-LLC contention must
+// reach a consumer that takes runs as OnRepeat runs, as on a single-core
+// replay, and the run cycles must add up to the capture's records.
+func TestMulticoreReplayDeliversRuns(t *testing.T) {
+	capts, _, err := CaptureMulticore(nil, mcPair(t, 30_000), DefaultCoreConfig())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer closeCaptures(capts)
+	var c runCounter
+	if _, records, err := capts[0].ReplayShards(context.Background(), 0, &c); err != nil || records != c.Cycles {
+		t.Fatalf("replay: %d records, consumer counted %d cycles (%v)", records, c.Cycles, err)
+	}
+	if c.runs == 0 || c.repeated < c.Cycles/10 {
+		t.Fatalf("mcf's replay delivered %d runs covering %d of %d cycles; want its stalls as runs", c.runs, c.repeated, c.Cycles)
+	}
+	t.Logf("mcf: %d runs cover %d of %d cycles", c.runs, c.repeated, c.Cycles)
 }
 
 // sameProfiles fails the test unless two results carry exactly equal Oracle
@@ -131,12 +188,11 @@ func sameProfiles(t *testing.T, label string, a, b *Result) {
 	}
 }
 
-// TestSingleCoreMulticoreMatchesPipeline is the v3 metamorphic anchor: a
-// one-core multicore run through the TIPTRC3 capture/demux path must
-// produce exactly the profiles the single-core TIPTRC2 pipeline produces
-// for the same workload — same core stepping, same cache topology (the
-// private stack at physical offset 0 over its own LLC), same calibrated
-// interval, so any divergence is a v3 codec or demux bug.
+// TestSingleCoreMulticoreMatchesPipeline is the 1-core anchor at the
+// profiles: a one-core multicore run must produce exactly the profiles the
+// single-core pipeline produces for the same workload — same core stepping,
+// same cache topology (the private stack at physical offset 0 over its own
+// LLC), same calibrated interval.
 func TestSingleCoreMulticoreMatchesPipeline(t *testing.T) {
 	rc := DefaultRunConfig()
 	rc.Check = true
@@ -163,18 +219,18 @@ func TestSingleCoreMulticoreMatchesPipeline(t *testing.T) {
 // matrices over more replay shards never changes any core's profiles: a
 // capture replayed with ReplayWorkers 1 and 4 must agree exactly per core.
 func TestMulticoreReplayWorkerInvariance(t *testing.T) {
-	capt, stats, err := CaptureMulticore(nil, mcPair(t, 30_000), DefaultCoreConfig())
+	capts, stats, err := CaptureMulticore(nil, mcPair(t, 30_000), DefaultCoreConfig())
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer capt.Close()
+	defer closeCaptures(capts)
 
 	rc := DefaultRunConfig()
 	rc.Check = true
 	results := make([]*MulticoreResult, 0, 2)
 	for _, workers := range []int{1, 4} {
 		rc.ReplayWorkers = workers
-		res, err := RunMulticoreCaptured(context.Background(), mcPair(t, 30_000), capt, stats, rc)
+		res, err := RunMulticoreCaptured(context.Background(), mcPair(t, 30_000), capts, stats, rc)
 		if err != nil {
 			t.Fatalf("workers=%d: %v", workers, err)
 		}
@@ -188,32 +244,32 @@ func TestMulticoreReplayWorkerInvariance(t *testing.T) {
 // TestRunMulticoreCapturedAbortsOnConsumerFault is the multicore twin of
 // TestRunCapturedAbortsOnConsumerFault. ExtraConsumers are rejected on this
 // route, so the failing consumer is each core's invariant checker, fed a
-// capture whose core-0 commit counts are corrupted from a quarter of the
+// core-0 capture whose commit counts are corrupted from a quarter of the
 // way in: the replay must stop within a poll interval of the first
 // violation, at one worker as at four, rather than stream on and collect
 // one violation per corrupted record.
 func TestRunMulticoreCapturedAbortsOnConsumerFault(t *testing.T) {
-	capt, stats, err := CaptureMulticore(nil, mcPair(t, 30_000), DefaultCoreConfig())
+	capts, stats, err := CaptureMulticore(nil, mcPair(t, 30_000), DefaultCoreConfig())
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer capt.Close()
+	defer closeCaptures(capts)
 	var plain collectRecords
-	if _, _, err := capt.Replay(&plain); err != nil {
+	if _, _, err := capts[0].Replay(&plain); err != nil {
 		t.Fatal(err)
 	}
-	bad := trace.NewCaptureV3()
+	bad := trace.NewCapture()
 	defer bad.Close()
 	corrupted := 0
 	for i := range plain.recs {
 		r := &plain.recs[i]
-		if i >= len(plain.recs)/4 && r.Core == 0 && r.CommitCount > 0 {
+		if i >= len(plain.recs)/4 && r.CommitCount > 0 {
 			r.CommitCount++
 			corrupted++
 		}
 		bad.OnCycle(r)
 	}
-	bad.Finish(capt.Cycles())
+	bad.Finish(capts[0].Cycles())
 	if corrupted < 4*trace.DefaultChunkRecords {
 		t.Fatalf("only %d corrupted records; the test needs a longer capture", corrupted)
 	}
@@ -222,7 +278,7 @@ func TestRunMulticoreCapturedAbortsOnConsumerFault(t *testing.T) {
 		rc := DefaultRunConfig()
 		rc.Check = true
 		rc.ReplayWorkers = workers
-		res, err := RunMulticoreCaptured(context.Background(), mcPair(t, 30_000), bad, stats, rc)
+		res, err := RunMulticoreCaptured(context.Background(), mcPair(t, 30_000), []*TraceCapture{bad, capts[1]}, stats, rc)
 		if err == nil || !strings.Contains(err.Error(), "commit-count") {
 			t.Fatalf("workers=%d: err = %v, want the checker's commit-count violation", workers, err)
 		}
@@ -249,25 +305,25 @@ func TestRunMulticoreRejectsSampled(t *testing.T) {
 	if res, err := RunMulticore(context.Background(), mcPair(t, 5_000), rc); !errors.Is(err, errMulticoreSampled) || res != nil {
 		t.Fatalf("RunMulticore: result %v, err %v; want a sampled rejection", res, err)
 	}
-	capt, stats, err := CaptureMulticore(nil, mcPair(t, 5_000), rc.Core)
+	capts, stats, err := CaptureMulticore(nil, mcPair(t, 5_000), rc.Core)
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer capt.Close()
-	if res, err := RunMulticoreCaptured(context.Background(), mcPair(t, 5_000), capt, stats, rc); !errors.Is(err, errMulticoreSampled) || res != nil {
+	defer closeCaptures(capts)
+	if res, err := RunMulticoreCaptured(context.Background(), mcPair(t, 5_000), capts, stats, rc); !errors.Is(err, errMulticoreSampled) || res != nil {
 		t.Fatalf("RunMulticoreCaptured: result %v, err %v; want a sampled rejection", res, err)
 	}
 }
 
 // TestRunMulticoreRejectsExtraConsumers pins that both multicore entry
-// points refuse extra consumers, which would each see one core's filtered
-// stream, instead of silently dropping them.
+// points refuse extra consumers, which would each see one core's stream,
+// instead of silently dropping them.
 func TestRunMulticoreRejectsExtraConsumers(t *testing.T) {
-	capt, stats, err := CaptureMulticore(nil, mcPair(t, 5_000), DefaultCoreConfig())
+	capts, stats, err := CaptureMulticore(nil, mcPair(t, 5_000), DefaultCoreConfig())
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer capt.Close()
+	defer closeCaptures(capts)
 	for name, set := range map[string]func(*RunConfig){
 		"ExtraConsumers": func(rc *RunConfig) { rc.ExtraConsumers = []trace.Consumer{&trace.CountingConsumer{}} },
 		"ExtraConsumersAt": func(rc *RunConfig) {
@@ -279,7 +335,7 @@ func TestRunMulticoreRejectsExtraConsumers(t *testing.T) {
 		if res, err := RunMulticore(context.Background(), mcPair(t, 5_000), rc); !errors.Is(err, errMulticoreExtras) || res != nil {
 			t.Fatalf("%s: RunMulticore: result %v, err %v; want an extra-consumer rejection", name, res, err)
 		}
-		if res, err := RunMulticoreCaptured(context.Background(), mcPair(t, 5_000), capt, stats, rc); !errors.Is(err, errMulticoreExtras) || res != nil {
+		if res, err := RunMulticoreCaptured(context.Background(), mcPair(t, 5_000), capts, stats, rc); !errors.Is(err, errMulticoreExtras) || res != nil {
 			t.Fatalf("%s: RunMulticoreCaptured: result %v, err %v; want an extra-consumer rejection", name, res, err)
 		}
 	}
@@ -293,54 +349,39 @@ type collectRecords struct {
 func (c *collectRecords) OnCycle(r *trace.Record) { c.recs = append(c.recs, *r) }
 func (c *collectRecords) Finish(uint64)           {}
 
-// TestMulticoreRelabelingSwapsProfiles pins the demux layer's symmetry
-// under core relabeling: re-encoding a two-core capture with the core IDs
-// swapped (0↔1) and replaying it with the workload/stats assignment swapped
-// must swap the per-core profiles exactly. (Swapping the *workload
-// placement* at capture time is deliberately not exact: the lockstep loop
-// arbitrates same-cycle shared-LLC accesses in core order, so physical
-// placement changes timing — the same reason placement matters on real
-// hardware; DESIGN.md §12 records this.)
+// TestMulticoreRelabelingSwapsProfiles pins the replay's symmetry under core
+// relabeling: replaying a two-core run's captures with the capture,
+// workload and stats assignment swapped must swap the per-core profiles
+// exactly. (Swapping the *workload placement* at capture time is
+// deliberately not exact: the lockstep loop arbitrates same-cycle
+// shared-LLC accesses in core order, so physical placement changes timing —
+// the same reason placement matters on real hardware; DESIGN.md §12 records
+// this.)
 func TestMulticoreRelabelingSwapsProfiles(t *testing.T) {
 	ws := mcPair(t, 30_000)
-	capt, stats, err := CaptureMulticore(nil, ws, DefaultCoreConfig())
+	capts, stats, err := CaptureMulticore(nil, ws, DefaultCoreConfig())
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer capt.Close()
+	defer closeCaptures(capts)
 
 	rc := DefaultRunConfig()
 	rc.SampleInterval = 53
 	rc.Check = true
-	orig, err := RunMulticoreCaptured(context.Background(), ws, capt, stats, rc)
+	orig, err := RunMulticoreCaptured(context.Background(), ws, capts, stats, rc)
 	if err != nil {
 		t.Fatal(err)
 	}
-
-	// Relabel: decode, flip the core tags, re-encode as v3.
-	var all collectRecords
-	if _, _, err := capt.Replay(&all); err != nil {
-		t.Fatal(err)
-	}
-	w := trace.NewCaptureV3()
-	defer w.Close()
-	for i := range all.recs {
-		all.recs[i].Core ^= 1
-		w.OnCycle(&all.recs[i])
-	}
-	w.Finish(capt.Cycles())
-	relabeled, err := trace.NewCaptureFromEncoded(encoded(t, w), capt.Records(), capt.Cycles())
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	swapped, err := RunMulticoreCaptured(context.Background(),
-		[]*Workload{ws[1], ws[0]}, relabeled, []CoreStats{stats[1], stats[0]}, rc)
+	swapped, err := RunMulticoreCaptured(context.Background(), []*Workload{ws[1], ws[0]},
+		[]*TraceCapture{capts[1], capts[0]}, []CoreStats{stats[1], stats[0]}, rc)
 	if err != nil {
 		t.Fatal(err)
 	}
 	sameProfiles(t, "core 0 vs relabeled core 1", orig.Cores[0], swapped.Cores[1])
 	sameProfiles(t, "core 1 vs relabeled core 0", orig.Cores[1], swapped.Cores[0])
+	if orig.TotalCycles != swapped.TotalCycles {
+		t.Fatalf("total cycles %d, relabeled %d", orig.TotalCycles, swapped.TotalCycles)
+	}
 }
 
 // TestPerCoreTIPAccurateThroughReplay is the acceptance-criterion test: the
@@ -361,17 +402,17 @@ func TestPerCoreTIPAccurateThroughReplay(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	capt, stats, err := CaptureMulticore(nil, mcPair(t, 50_000), DefaultCoreConfig())
+	capts, stats, err := CaptureMulticore(nil, mcPair(t, 50_000), DefaultCoreConfig())
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer capt.Close()
+	defer closeCaptures(capts)
 	for i := range stats {
 		if stats[i].Cycles != directStats[i].Cycles {
 			t.Fatalf("core %d: capture run cycles %d != direct run cycles %d", i, stats[i].Cycles, directStats[i].Cycles)
 		}
 	}
-	replayed, err := RunMulticoreCaptured(context.Background(), mcPair(t, 50_000), capt, stats, rc)
+	replayed, err := RunMulticoreCaptured(context.Background(), mcPair(t, 50_000), capts, stats, rc)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -403,7 +444,7 @@ func runMulticoreDirect(ws []*Workload, rc RunConfig) ([]*Result, []CoreStats, e
 			Consumers: matrices[i].shards(1),
 		}
 	}
-	results, err := multicore.New(multicore.Config{Core: rc.Core}, specs).Run()
+	results, err := multicore.New(multicore.Config{Core: rc.Core}, specs).Run(nil)
 	if err != nil {
 		return nil, nil, err
 	}
