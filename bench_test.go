@@ -12,6 +12,7 @@
 package tip_test
 
 import (
+	"context"
 	"testing"
 
 	tip "github.com/tipprof/tip"
@@ -254,7 +255,7 @@ func BenchmarkAblationCommitWidth(b *testing.B) {
 				rc.Core.DispatchWidth = cw
 				rc.Core.ROBEntries = 32 * cw
 				rc.Profilers = []tip.Kind{tip.KindNCI, tip.KindTIP}
-				res, err := tip.Run(w, rc)
+				res, err := tip.Run(context.Background(), w, rc)
 				if err != nil {
 					b.Fatal(err)
 				}
@@ -277,7 +278,7 @@ func BenchmarkAblationConsumerCost(b *testing.B) {
 			}
 			rc := tip.DefaultRunConfig()
 			rc.Profilers = kinds
-			if _, err := tip.Run(w, rc); err != nil {
+			if _, err := tip.Run(context.Background(), w, rc); err != nil {
 				b.Fatal(err)
 			}
 		}
@@ -353,7 +354,7 @@ func BenchmarkAblationErrorMetric(b *testing.B) {
 	}
 	rc := tip.DefaultRunConfig()
 	rc.Profilers = []tip.Kind{tip.KindTIP}
-	res, err := tip.Run(w, rc)
+	res, err := tip.Run(context.Background(), w, rc)
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -391,7 +392,7 @@ func BenchmarkAblationPrefetcher(b *testing.B) {
 			rc := tip.DefaultRunConfig()
 			rc.Core.Hierarchy.L1D.NextLinePrefetch = enabled
 			rc.Profilers = []tip.Kind{}
-			res, err := tip.Run(w, rc)
+			res, err := tip.Run(context.Background(), w, rc)
 			if err != nil {
 				b.Fatal(err)
 			}
@@ -416,7 +417,7 @@ func BenchmarkAblationSamplingInterval(b *testing.B) {
 				rc := tip.DefaultRunConfig()
 				rc.SampleInterval = interval
 				rc.Profilers = []tip.Kind{tip.KindTIP}
-				res, err := tip.Run(w, rc)
+				res, err := tip.Run(context.Background(), w, rc)
 				if err != nil {
 					b.Fatal(err)
 				}

@@ -85,7 +85,8 @@ func main() {
 	// The sampled comparison is opt-in (it reruns each benchmark in full as
 	// its own ground truth), so "everything" (no -figures) does not imply it.
 	sampledSel := want["sampled"]
-	if err := validateSampledFlags(sflags, sampledSel, *sampledjson); err != nil {
+	schedule, err := validateSampledFlags(sflags, sampledSel, *sampledjson)
+	if err != nil {
 		fatal(err)
 	}
 
@@ -168,23 +169,12 @@ func main() {
 	}
 
 	if sampledSel {
-		sopt := experiments.SampledOptions{
-			Seed:           *seed,
-			Scale:          *scale,
-			TargetSamples:  *samples,
-			WindowCycles:   sflags.Window,
-			WindowInterval: sflags.Interval,
-			Warmup:         sflags.Warmup,
-			WindowWorkers:  sflags.Workers,
-			Checked:        *checked,
-			ReplayWorkers:  *replayW,
-		}
 		// Sequential on purpose: each comparison times a full run against a
 		// sampled run of the same workload, and concurrent simulations would
 		// distort both wall-clocks (and so the reported speedup).
 		var comps []*experiments.SampledCompare
 		for _, name := range suiteNames(opt) {
-			c, err := experiments.CompareSampled(context.Background(), name, sopt)
+			c, err := experiments.CompareSampled(context.Background(), name, opt, schedule)
 			if err != nil {
 				fatal(err)
 			}
@@ -379,18 +369,17 @@ func (t *peakHeapTracker) Stop() uint64 {
 }
 
 // validateSampledFlags rejects the sampled-figure flags when the figure is
-// not selected and otherwise resolves the schedule, so a bad one fails
-// before any simulation; CompareSampled resolves the same flags again per
-// benchmark.
-func validateSampledFlags(sflags cli.SampledFlags, sampledSel bool, sampledjson string) error {
+// not selected and otherwise resolves the schedule once, before any
+// simulation, into the RunConfig every CompareSampled call takes.
+func validateSampledFlags(sflags cli.SampledFlags, sampledSel bool, sampledjson string) (tip.RunConfig, error) {
 	var rc tip.RunConfig
 	if err := sflags.Apply(&rc, sampledSel, "-figures sampled"); err != nil {
-		return err
+		return rc, err
 	}
 	if sampledjson != "" && !sampledSel {
-		return fmt.Errorf("-sampledjson requires -figures sampled")
+		return rc, fmt.Errorf("-sampledjson requires -figures sampled")
 	}
-	return nil
+	return rc, nil
 }
 
 func fatal(err error) {

@@ -8,7 +8,7 @@ import (
 )
 
 // TestValidateSampledFlags exercises every rejection of the sampled-figure
-// flags plus the accepted shapes.
+// flags plus the accepted shapes, which resolve to a sampled schedule.
 func TestValidateSampledFlags(t *testing.T) {
 	cases := []struct {
 		name             string
@@ -36,10 +36,13 @@ func TestValidateSampledFlags(t *testing.T) {
 	}
 	for _, tc := range cases {
 		f := cli.SampledFlags{Window: tc.window, Interval: tc.interval, Warmup: tc.warmup, Workers: tc.workers}
-		err := validateSampledFlags(f, tc.sampledSel, tc.sampledjson)
+		rc, err := validateSampledFlags(f, tc.sampledSel, tc.sampledjson)
 		if tc.wantErr == "" {
 			if err != nil {
 				t.Errorf("%s: unexpected error %v", tc.name, err)
+			}
+			if rc.Sampled != tc.sampledSel || tc.sampledSel && rc.WindowCycles == 0 {
+				t.Errorf("%s: resolved schedule %+v", tc.name, rc)
 			}
 			continue
 		}

@@ -131,12 +131,10 @@ func configure(rc *tip.RunConfig, sflags cli.SampledFlags, sampled, streaming bo
 func run(w *tip.Workload, rc tip.RunConfig, streaming bool, record string) (*tip.Result, error) {
 	route := tip.Run
 	if streaming && !rc.Sampled {
-		route = func(w *tip.Workload, rc tip.RunConfig) (*tip.Result, error) {
-			return tip.RunStreaming(context.Background(), w, rc)
-		}
+		route = tip.RunStreaming
 	}
 	if record == "" {
-		return route(w, rc)
+		return route(context.Background(), w, rc)
 	}
 	f, err := os.Create(record)
 	if err != nil {
@@ -146,7 +144,7 @@ func run(w *tip.Workload, rc tip.RunConfig, streaming bool, record string) (*tip
 	rc.ExtraConsumersAt = func(interval, _ uint64) []trace.Consumer {
 		return []trace.Consumer{perfdata.NewCollector(rw, sampling.NewPeriodic(interval), 0, 1, 1)}
 	}
-	res, err := route(w, rc)
+	res, err := route(context.Background(), w, rc)
 	if err == nil {
 		err = rw.Err()
 	}

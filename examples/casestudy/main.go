@@ -14,6 +14,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 
@@ -29,7 +30,7 @@ func main() {
 	rc := tip.DefaultRunConfig()
 	rc.Profilers = []tip.Kind{tip.KindNCI, tip.KindTIP}
 	rc.WithBreakdown = true
-	res, err := tip.Run(w, rc)
+	res, err := tip.Run(context.Background(), w, rc)
 	if err != nil {
 		log.Fatal(err)
 	}

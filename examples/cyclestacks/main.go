@@ -7,6 +7,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 	"os"
@@ -30,7 +31,7 @@ func main() {
 		}
 		rc := tip.DefaultRunConfig()
 		rc.Profilers = []tip.Kind{} // Oracle only: cycle stacks need no sampling
-		res, err := tip.Run(w, rc)
+		res, err := tip.Run(context.Background(), w, rc)
 		if err != nil {
 			log.Fatal(err)
 		}

@@ -6,6 +6,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 
@@ -23,7 +24,7 @@ func main() {
 	// Run it on the Table 1 core with every profiler attached. All
 	// profilers observe the same execution and sample the same cycles.
 	rc := tip.DefaultRunConfig()
-	res, err := tip.Run(w, rc)
+	res, err := tip.Run(context.Background(), w, rc)
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -1,6 +1,7 @@
 package check_test
 
 import (
+	"context"
 	"strings"
 	"testing"
 
@@ -28,7 +29,7 @@ func runChecked(t *testing.T, bench string, extra ...trace.Consumer) (*tip.Resul
 		FetchBufEntries: rc.Core.FetchBufEntries,
 	})
 	rc.ExtraConsumers = append(append([]trace.Consumer{}, extra...), ck)
-	res, err := tip.Run(w, rc)
+	res, err := tip.Run(context.Background(), w, rc)
 	return res, ck, err
 }
 
@@ -86,7 +87,7 @@ func TestRunCheckFlag(t *testing.T) {
 	rc := tip.DefaultRunConfig()
 	rc.TargetSamples = 512
 	rc.Check = true
-	if _, err := tip.Run(w, rc); err != nil {
+	if _, err := tip.Run(context.Background(), w, rc); err != nil {
 		t.Fatalf("checked run failed: %v", err)
 	}
 }

@@ -54,13 +54,13 @@ type Options struct {
 	// Checked attaches a cycle-level invariant checker (internal/check)
 	// to every profiled run and fails the evaluation on any violation.
 	Checked bool
-	// Streaming fuses each benchmark's capture and replay phases: the
-	// cycle-level simulation streams into the profiler matrix through a
-	// bounded ring (see tip.RunStreaming), so peak memory stays
+	// Streaming evaluates each benchmark with tip.RunStreaming instead of
+	// tip.Run: the interval is calibrated from a pilot window instead of
+	// the whole run, after which the cycle-level simulation streams into
+	// the profiler matrix through a bounded ring, so peak memory stays
 	// independent of trace length and per-benchmark wall-clock approaches
-	// max(capture, replay). Intervals are pilot-calibrated, so errors can
-	// differ marginally from a non-streaming evaluation of the same suite;
-	// the default (non-streaming) path is unchanged.
+	// max(simulate, replay). The pilot interval is an estimate, so errors
+	// can differ marginally from a two-pass evaluation of the same suite.
 	Streaming bool
 }
 
@@ -178,11 +178,14 @@ func (b *budget) release(n int) {
 	}
 }
 
-// Timing is one benchmark evaluation's phase split: the cycle-level capture
-// simulation vs the profiler-matrix replay of the capture.
+// Timing is one benchmark evaluation's phase split at calibration.
 type Timing struct {
+	// Capture is the time to calibration: the whole cycle-level
+	// simulation on the two-pass route, the pilot window when streaming.
 	Capture time.Duration
-	Replay  time.Duration
+	// Replay is the rest of the run: the profiler-matrix replay on the
+	// two-pass route, the fused simulation and replay when streaming.
+	Replay time.Duration
 	// ReplayWorkers is the worker count the replay actually ran with
 	// (≤ Options.ReplayWorkers, depending on idle budget slots).
 	ReplayWorkers int
@@ -290,82 +293,46 @@ func evalBenchmark(ctx context.Context, b *budget, name string, opt Options) (*B
 		return nil, tm, err
 	}
 
-	cfg := tip.DefaultRunConfig()
-	var res *tip.Result
+	// Extra replay workers borrow idle budget slots for the whole run; the
+	// worker count never changes the results, only the wall-clock.
+	workers := 1
+	if opt.ReplayWorkers > 1 {
+		extra := b.tryExtra(opt.ReplayWorkers - 1)
+		workers += extra
+		defer b.release(extra)
+	}
+	tm.ReplayWorkers = workers
+
 	var m *evalMatrix
 	var interval4k uint64
-	// Both routes calibrate inside tip — from the capture's exact cycle
-	// count or from the streaming pilot — and assemble the matrix in this
-	// post-calibration hook. The interval is primed to avoid aliasing with
-	// cycle-deterministic synthetic loops (see sampling.NextPrime).
+	core := tip.DefaultCoreConfig()
+	start := time.Now()
+	// One simulation on either route. tip calibrates — from the whole run's
+	// exact cycle count, or from the streaming pilot — and the matrix is
+	// assembled in this post-calibration hook, before any record reaches
+	// it. The interval is primed to avoid aliasing with cycle-deterministic
+	// synthetic loops (see sampling.NextPrime).
 	calibrated := func(interval, estCycles uint64) []trace.Consumer {
+		tm.Capture = time.Since(start)
 		interval4k = interval
-		m = buildEvalMatrix(name, w, cfg.Core, opt, interval,
+		m = buildEvalMatrix(name, w, core, opt, interval,
 			rawIntervalFor(estCycles, opt.TargetSamples))
 		return m.consumers
 	}
-
+	run := tip.Run
 	if opt.Streaming {
-		// Fused path: one simulation streams straight into the matrix;
-		// simulation and replay overlap, and the whole fused wall-clock is
-		// attributed to Replay (Capture stays 0 — there is no separate
-		// capture phase).
-		workers := 1
-		if opt.ReplayWorkers > 1 {
-			extra := b.tryExtra(opt.ReplayWorkers - 1)
-			workers += extra
-			defer b.release(extra)
-		}
-		tm.ReplayWorkers = workers
-		runStart := time.Now()
-		res, err = tip.RunStreaming(ctx, w, tip.RunConfig{
-			Core:             cfg.Core,
-			Profilers:        []profiler.Kind{}, // matrix supplied by the hook
-			TargetSamples:    opt.TargetSamples,
-			ReplayWorkers:    workers,
-			ExtraConsumersAt: calibrated,
-		})
-		tm.Replay = time.Since(runStart)
-		if err != nil {
-			return nil, tm, err
-		}
-	} else {
-		// The single cycle-level simulation: measure cycles for calibration
-		// while capturing the encoded trace the profiler matrix will replay.
-		capStart := time.Now()
-		capture, stats, err := tip.CaptureWorkload(w, cfg.Core)
-		if err != nil {
-			return nil, tm, fmt.Errorf("experiments: capture %s: %w", name, err)
-		}
-		defer capture.Close()
-		tm.Capture = time.Since(capStart)
-		if err := ctx.Err(); err != nil {
-			return nil, tm, err
-		}
-		// Replay the captured trace through the matrix — the deterministic
-		// codec hands every consumer the byte-identical record stream the
-		// live core produced, without a second simulation. Extra replay
-		// workers borrow idle budget slots for the duration of the replay;
-		// the worker count never changes the results, only the wall-clock.
-		workers := 1
-		if opt.ReplayWorkers > 1 {
-			extra := b.tryExtra(opt.ReplayWorkers - 1)
-			workers += extra
-			defer b.release(extra)
-		}
-		tm.ReplayWorkers = workers
-		repStart := time.Now()
-		res, err = tip.RunCaptured(ctx, w, capture, stats, tip.RunConfig{
-			Core:             cfg.Core,
-			Profilers:        []profiler.Kind{}, // matrix supplied by the hook
-			TargetSamples:    opt.TargetSamples,
-			ReplayWorkers:    workers,
-			ExtraConsumersAt: calibrated,
-		})
-		tm.Replay = time.Since(repStart)
-		if err != nil {
-			return nil, tm, err
-		}
+		run = tip.RunStreaming
+	}
+	res, err := run(ctx, w, tip.RunConfig{
+		Core:             core,
+		Profilers:        []profiler.Kind{}, // matrix supplied by the hook
+		TargetSamples:    opt.TargetSamples,
+		ReplayWorkers:    workers,
+		ExtraConsumersAt: calibrated,
+	})
+	tm.Replay = time.Since(start) - tm.Capture
+	if err != nil {
+		return nil, tm, err
 	}
 	if m.checker != nil {
 		// Audits are evaluated lazily by Err, so the Oracle built inside

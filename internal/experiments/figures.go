@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"context"
 	"fmt"
 	"sort"
 
@@ -249,7 +250,7 @@ func Fig12(opt Options) (*Table, error) {
 	rc.TargetSamples = opt.TargetSamples
 	rc.WithBreakdown = true
 	rc.Check = opt.Checked
-	res, err := tip.Run(w, rc)
+	res, err := tip.Run(context.Background(), w, rc)
 	if err != nil {
 		return nil, err
 	}
@@ -324,7 +325,7 @@ func Fig13(opt Options) (*Fig13Result, error) {
 		rc.WithBreakdown = true
 		rc.Profilers = []profiler.Kind{profiler.KindTIP}
 		rc.Check = opt.Checked
-		return tip.Run(w, rc)
+		return tip.Run(context.Background(), w, rc)
 	}
 	orig, err := run("imagick")
 	if err != nil {

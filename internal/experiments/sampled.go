@@ -11,48 +11,12 @@ import (
 	"github.com/tipprof/tip/internal/workload"
 )
 
-// SampledOptions parameterises one sampled-vs-full accuracy comparison.
-type SampledOptions struct {
-	// Seed seeds workload interpretation (0 = 1).
-	Seed uint64
-	// Scale overrides the benchmark's dynamic-instruction budget
-	// (0 = default full scale).
-	Scale uint64
-	// TargetSamples calibrates the sampling period (0 = 32768, matching
-	// the suite evaluation's 4 kHz-equivalent regime).
-	TargetSamples uint64
-	// WindowCycles, WindowInterval and Warmup define the sampled schedule,
-	// spelled as tip.ConfigureSampled takes it: zero geometry selects the
-	// defaults, and Warmup is "" (default), "auto" or a cycle count.
-	WindowCycles   uint64
-	WindowInterval uint64
-	Warmup         string
-	// WindowWorkers runs the sampled schedule's detailed windows on up to
-	// this many concurrent worker cores over a serial functional sweep
-	// (0 = serial schedule; output is byte-identical at any count >= 1).
-	WindowWorkers int
-	// Checked attaches the cycle-level invariant checker to both runs.
-	Checked bool
-	// ReplayWorkers fans each run's profiler matrix over up to this many
-	// goroutines (0 or 1 = sequential).
-	ReplayWorkers int
-}
-
 // Default sampled-schedule geometry; see tip.DefaultSampledWindow.
 const (
 	DefaultSampledWindow   = tip.DefaultSampledWindow
 	DefaultSampledInterval = tip.DefaultSampledInterval
 	DefaultSampledWarmup   = tip.DefaultSampledWarmup
 )
-
-func (o *SampledOptions) fill() {
-	if o.Seed == 0 {
-		o.Seed = 1
-	}
-	if o.TargetSamples == 0 {
-		o.TargetSamples = 32768
-	}
-}
 
 // SampledCompare is one benchmark's sampled-vs-full comparison: the same
 // workload simulated in full and under the sampled schedule, with the full
@@ -119,11 +83,14 @@ func (c *SampledCompare) FullRate() float64 {
 }
 
 // CompareSampled runs name twice on the same workload — once in full, once
-// under opt's sampled schedule — and reports the sampled run's speed and
-// accuracy against the full run's ground truth. Both runs use the streaming
-// pipeline and the same calibrated-interval regime, so the wall-clock ratio
-// isolates what sampling buys.
-func CompareSampled(ctx context.Context, name string, opt SampledOptions) (*SampledCompare, error) {
+// under the sampled schedule — and reports the sampled run's speed and
+// accuracy against the full run's ground truth. opt supplies the workload's
+// seed and scale and both runs' TargetSamples, Checked and ReplayWorkers;
+// sampled is the schedule as tip.ConfigureSampled (or cli.SampledFlags.Apply)
+// resolved it, of which only the window geometry and WindowWorkers are read.
+// Both runs use the streaming pipeline and the same calibrated-interval
+// regime, so the wall-clock ratio isolates what sampling buys.
+func CompareSampled(ctx context.Context, name string, opt Options, sampled tip.RunConfig) (*SampledCompare, error) {
 	opt.fill()
 	if ctx == nil {
 		ctx = context.Background()
@@ -138,10 +105,9 @@ func CompareSampled(ctx context.Context, name string, opt SampledOptions) (*Samp
 	rc.Check = opt.Checked
 	rc.ReplayWorkers = opt.ReplayWorkers
 	src := rc
-	src.WindowWorkers = opt.WindowWorkers
-	if err := tip.ConfigureSampled(&src, opt.WindowCycles, opt.WindowInterval, opt.Warmup); err != nil {
-		return nil, fmt.Errorf("experiments: %s: %w", name, err)
-	}
+	src.Sampled = true
+	src.WindowCycles, src.WindowInterval = sampled.WindowCycles, sampled.WindowInterval
+	src.WarmupCycles, src.WindowWorkers = sampled.WarmupCycles, sampled.WindowWorkers
 
 	fullStart := time.Now()
 	full, err := tip.RunStreaming(ctx, w, rc)
@@ -151,7 +117,7 @@ func CompareSampled(ctx context.Context, name string, opt SampledOptions) (*Samp
 	fullWall := time.Since(fullStart)
 
 	sampledStart := time.Now()
-	sampled, err := tip.RunSampled(ctx, w, src)
+	sres, err := tip.RunSampled(ctx, w, src)
 	if err != nil {
 		return nil, fmt.Errorf("experiments: sampled run %s: %w", name, err)
 	}
@@ -163,12 +129,12 @@ func CompareSampled(ctx context.Context, name string, opt SampledOptions) (*Samp
 		FullCycles:    full.Stats.Cycles,
 		FullCommitted: full.Stats.Committed,
 		FullWall:      fullWall,
-		EstCycles:     sampled.Stats.Cycles,
+		EstCycles:     sres.Stats.Cycles,
 		SampledWall:   sampledWall,
 		FullErr:       map[profiler.Kind]GranErrors{},
 		SampledErr:    map[profiler.Kind]GranErrors{},
 	}
-	if sr := sampled.Sampling; sr != nil {
+	if sr := sres.Sampling; sr != nil {
 		c.DetailedFraction = sr.DetailedFraction()
 		c.Windows = sr.Windows
 		c.FFInstructions = sr.FFInstructions
@@ -201,10 +167,10 @@ func CompareSampled(ctx context.Context, name string, opt SampledOptions) (*Samp
 	for k, sp := range full.Sampled {
 		c.FullErr[k] = errsAgainst(sp.Profile)
 	}
-	for k, sp := range sampled.Sampled {
+	for k, sp := range sres.Sampled {
 		c.SampledErr[k] = errsAgainst(sp.Profile)
 	}
-	c.OracleDrift = errsAgainst(sampled.Oracle.Profile)
+	c.OracleDrift = errsAgainst(sres.Oracle.Profile)
 	return c, nil
 }
 

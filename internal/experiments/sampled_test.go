@@ -3,7 +3,20 @@ package experiments
 import (
 	"context"
 	"testing"
+
+	tip "github.com/tipprof/tip"
 )
+
+// defaultSchedule is the default sampled schedule, resolved as tipbench
+// resolves its flags.
+func defaultSchedule(t *testing.T) tip.RunConfig {
+	t.Helper()
+	var rc tip.RunConfig
+	if err := tip.ConfigureSampled(&rc, 0, 0, ""); err != nil {
+		t.Fatal(err)
+	}
+	return rc
+}
 
 // TestCompareSampledAccuracy runs the sampled-vs-full harness on two
 // benchmarks at a reduced scale and checks the headline contract: the CPI
@@ -12,12 +25,12 @@ import (
 // the trace invariant checker holds inside the measurement windows.
 func TestCompareSampledAccuracy(t *testing.T) {
 	for _, name := range []string{"imagick", "mcf"} {
-		opt := SampledOptions{
+		opt := Options{
 			Scale:         1_200_000,
 			TargetSamples: 2048,
 			Checked:       true,
 		}
-		c, err := CompareSampled(context.Background(), name, opt)
+		c, err := CompareSampled(context.Background(), name, opt, defaultSchedule(t))
 		if err != nil {
 			t.Fatalf("%s: %v", name, err)
 		}
@@ -43,10 +56,10 @@ func TestCompareSampledAccuracy(t *testing.T) {
 
 // TestSampledTableRenders smoke-tests the report renderer.
 func TestSampledTableRenders(t *testing.T) {
-	c, err := CompareSampled(context.Background(), "mcf", SampledOptions{
+	c, err := CompareSampled(context.Background(), "mcf", Options{
 		Scale:         60_000,
 		TargetSamples: 512,
-	})
+	}, defaultSchedule(t))
 	if err != nil {
 		t.Fatal(err)
 	}

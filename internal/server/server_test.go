@@ -181,7 +181,7 @@ func TestJobLifecycle(t *testing.T) {
 	rc.Profilers = []profiler.Kind{kindByName(t, "TIP")}
 	rc.TargetSamples = spec.TargetSamples
 	rc.ReplayWorkers = 2
-	res, err := tip.Run(w, rc)
+	res, err := tip.Run(context.Background(), w, rc)
 	if err != nil {
 		t.Fatal(err)
 	}

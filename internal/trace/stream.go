@@ -47,7 +47,10 @@ type StreamConfig struct {
 	// can replay them once calibration has run, and PilotStats are
 	// published when the boundary is crossed. Zero disables the pilot
 	// stage entirely — every chunk flows through the bounded ring and the
-	// consumer may start immediately.
+	// consumer may start immediately. math.MaxUint64 makes the whole run
+	// the pilot: it is sealed at Finish with exact stats, the ring carries
+	// nothing, and like any Capture it spills past DefaultSpillBytes to a
+	// temp file, which the Stream releases on every path (see Abort).
 	PilotCycles uint64
 }
 
@@ -73,8 +76,10 @@ type StreamConfig struct {
 // then exactly one of Finish (successful run) or Fail (aborted run); one
 // consumer goroutine calls Pilot and then ReplayShards. The consumer may
 // stop the producer early via Abort (ReplayShards does this on any error).
-// The producer owns the pilot capture until the pilot boundary; the last
-// replay shard to finish it Closes it.
+// The producer owns the pilot capture until it seals it; ReplayShards then
+// claims it and the last replay shard to finish it Closes it. A pilot that
+// is never replayed (Abort came first) is Closed by Abort once sealed, or at
+// the seal itself once aborted, so a spilled pilot never outlives the run.
 type Stream struct {
 	chunkRecords int
 	pilotCycles  uint64
@@ -95,6 +100,13 @@ type Stream struct {
 	pilotCapt  *Capture
 	pilot      PilotStats
 	pilotReady chan struct{}
+
+	// pilotMu guards the pilot hand-off: the producer's seal sets
+	// pilotSealed, and whichever of ReplayShards and Abort comes first sets
+	// pilotClaimed (it replays and then Closes the pilot) or pilotDropped
+	// (nothing will replay it).
+	pilotMu                                 sync.Mutex
+	pilotSealed, pilotClaimed, pilotDropped bool
 
 	// failErr is written before ring closes and read after it drains.
 	failErr error
@@ -215,12 +227,28 @@ func (s *Stream) toRing(r *Record, n uint64, repeat bool) {
 }
 
 // sealPilot finishes the pilot capture, publishes ps and hands both to the
-// consumer.
+// consumer, or releases the capture when the consumer already dropped it.
 func (s *Stream) sealPilot(ps PilotStats) {
 	s.pilotCapt.Finish(ps.Cycles)
 	s.pilot = ps
 	s.pilotBuffering = false
+	s.pilotMu.Lock()
+	s.pilotSealed = true
+	dropped := s.pilotDropped
+	s.pilotMu.Unlock()
+	if dropped {
+		s.pilotCapt.Close()
+	}
 	close(s.pilotReady)
+}
+
+// claimPilot hands the pilot capture to ReplayShards, or reports that an
+// Abort already dropped it.
+func (s *Stream) claimPilot() bool {
+	s.pilotMu.Lock()
+	defer s.pilotMu.Unlock()
+	s.pilotClaimed = !s.pilotDropped
+	return s.pilotClaimed
 }
 
 // flushDirect hands the pending record chunk to the ring. The send blocks
@@ -269,9 +297,20 @@ func (s *Stream) closeProducer(err error, totalCycles uint64) {
 // Abort stops the producer from the consumer side: pending and future ring
 // sends return immediately and OnCycle becomes a no-op. The simulation
 // driving the producer should also be cancelled; Abort only guarantees the
-// producer can never block again.
+// producer can never block again. A pilot capture ReplayShards has not
+// claimed is released: now if it is sealed, else when the producer seals it.
 func (s *Stream) Abort() {
 	s.abortOnce.Do(func() { close(s.abortCh) })
+	if s.pilotCapt == nil {
+		return
+	}
+	s.pilotMu.Lock()
+	release := s.pilotSealed && !s.pilotClaimed && !s.pilotDropped
+	s.pilotDropped = !s.pilotClaimed
+	s.pilotMu.Unlock()
+	if release {
+		s.pilotCapt.Close()
+	}
 }
 
 // Pilot blocks until the pilot boundary (or the end of a run shorter than
@@ -380,6 +419,9 @@ func (s *Stream) ReplayShards(ctx context.Context, consumers ...Consumer) (cycle
 	}
 	pilot := s.pilotCapt
 	if pilot != nil {
+		if !s.claimPilot() {
+			return 0, 0, errStreamAborted
+		}
 		// Close is idempotent: this releases the pilot on an early stop,
 		// after the last shard already did on a clean one.
 		defer pilot.Close()

@@ -6,7 +6,9 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"math"
 	"math/rand"
+	"path/filepath"
 	"testing"
 	"time"
 )
@@ -132,6 +134,75 @@ func TestStreamPilotFailBeforeBoundary(t *testing.T) {
 	s.Fail(injected)
 	if _, err := s.Pilot(context.Background()); !errors.Is(err, injected) {
 		t.Fatalf("Pilot err = %v, want the injected failure", err)
+	}
+}
+
+// TestStreamReleasesUnreplayedPilot checks a spilled pilot capture leaves no
+// temp file behind when the consumer never replays it: Pilot reports a
+// producer failure, or the consumer's context is cancelled while it waits for
+// calibration and the producer then fails or still finishes. The consumer
+// side is runFused's (Pilot, ReplayShards, Abort on any error) and races the
+// producer's end on its own goroutine. Each case runs with a whole-run pilot
+// and a bounded window the run never reaches; a clean replay, which releases
+// the pilot itself, is the control.
+func TestStreamReleasesUnreplayedPilot(t *testing.T) {
+	injected := errors.New("injected core failure")
+	cancelled, cancel := context.WithCancel(context.Background())
+	cancel()
+	cases := []struct {
+		name    string
+		ctx     context.Context
+		end     func(s *Stream)
+		wantErr error
+	}{
+		{"producer-fails", context.Background(), func(s *Stream) { s.Fail(injected) }, injected},
+		{"cancelled-then-fails", cancelled, func(s *Stream) { s.Fail(cancelled.Err()) }, context.Canceled},
+		{"cancelled-then-finishes", cancelled, func(s *Stream) { s.Finish(100) }, context.Canceled},
+		{"clean-replay", context.Background(), func(s *Stream) { s.Finish(100) }, nil},
+	}
+	for _, pilot := range []uint64{math.MaxUint64, 1 << 20} {
+		for _, tc := range cases {
+			t.Run(fmt.Sprintf("%s/pilot=%d", tc.name, pilot), func(t *testing.T) {
+				dir := t.TempDir()
+				t.Setenv("TMPDIR", dir)
+				spillFiles := func() []string {
+					t.Helper()
+					names, err := filepath.Glob(filepath.Join(dir, "tip-capture-*"))
+					if err != nil {
+						t.Fatal(err)
+					}
+					return names
+				}
+				s := NewStream(StreamConfig{PilotCycles: pilot})
+				s.pilotCapt = newCapture(64)
+				for i := 0; i < 100; i++ {
+					r := sampleRecord(uint64(i))
+					s.OnCycle(&r)
+				}
+				if files := spillFiles(); !s.pilotCapt.Spilled() || len(files) != 1 {
+					t.Fatalf("pilot did not spill to one temp file: %v", files)
+				}
+				prodDone := make(chan struct{})
+				go func() {
+					defer close(prodDone)
+					tc.end(s)
+				}()
+				_, err := s.Pilot(tc.ctx)
+				if err == nil {
+					_, _, err = s.ReplayShards(tc.ctx, &collect{})
+				}
+				if err != nil {
+					s.Abort()
+				}
+				<-prodDone
+				if !errors.Is(err, tc.wantErr) {
+					t.Fatalf("consumer err = %v, want %v", err, tc.wantErr)
+				}
+				if left := spillFiles(); len(left) != 0 {
+					t.Fatalf("spilled pilot left behind: %v", left)
+				}
+			})
+		}
 	}
 }
 

@@ -197,7 +197,7 @@ func TestSingleCoreMulticoreMatchesPipeline(t *testing.T) {
 	rc := DefaultRunConfig()
 	rc.Check = true
 
-	single, err := Run(loadScaled(t, "imagick", 60_000), rc)
+	single, err := Run(context.Background(), loadScaled(t, "imagick", 60_000), rc)
 	if err != nil {
 		t.Fatal(err)
 	}

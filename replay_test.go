@@ -2,6 +2,7 @@ package tip
 
 import (
 	"bytes"
+	"context"
 	"testing"
 
 	"github.com/tipprof/tip/internal/check"
@@ -198,7 +199,7 @@ func TestSamplingPolicyDoesNotPerturbExecution(t *testing.T) {
 		rc.RandomSampling = random
 		rc.Check = true
 		rc.ExtraConsumers = []trace.Consumer{perCycle{tw}}
-		if _, err := Run(w, rc); err != nil {
+		if _, err := Run(context.Background(), w, rc); err != nil {
 			t.Fatal(err)
 		}
 		return encoded(t, tw)
@@ -224,7 +225,7 @@ func TestSameSeedByteIdenticalTraces(t *testing.T) {
 		rc := DefaultRunConfig()
 		rc.TargetSamples = 512
 		rc.ExtraConsumers = []trace.Consumer{perCycle{tw}}
-		if _, err := Run(w, rc); err != nil {
+		if _, err := Run(context.Background(), w, rc); err != nil {
 			t.Fatal(err)
 		}
 		return encoded(t, tw)

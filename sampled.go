@@ -529,7 +529,7 @@ func RunSampled(ctx context.Context, w *Workload, rc RunConfig) (*Result, error)
 	if rc.WindowWorkers >= 1 && rc.WindowCycles < rc.WindowInterval {
 		produce = runSampledParallel
 	}
-	return runFused(ctx, w, rc, true, func(ctx context.Context, s *trace.Stream) (CoreStats, *SampledRunStats, error) {
+	return runFused(ctx, w, rc, DefaultPilotCycles, func(ctx context.Context, s *trace.Stream) (CoreStats, *SampledRunStats, error) {
 		// runFused names the workload in any error.
 		st, sr, err := produce(ctx, w, rc, s)
 		if err == nil {

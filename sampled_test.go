@@ -280,7 +280,7 @@ func TestRunDispatchesSampled(t *testing.T) {
 	rc.Sampled = true
 	rc.WindowCycles = 1 << 11
 	rc.WindowInterval = 1 << 13
-	res, err := Run(w, rc)
+	res, err := Run(context.Background(), w, rc)
 	if err != nil {
 		t.Fatal(err)
 	}

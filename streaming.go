@@ -52,47 +52,53 @@ func PilotEstimateCycles(ps trace.PilotStats, targetDynInsts uint64) uint64 {
 // cycles-per-instruction extrapolated against the workload's TargetDynInsts
 // to estimate the total cycle count, and the captured prefix replayed first
 // so profilers observe every cycle. The chosen interval is therefore an
-// estimate — identical to the captured path's (Run with a zero interval)
-// only when the run ends inside the pilot window; profiler output is
-// byte-identical between the two paths whenever the interval matches.
+// estimate — identical to Run's exact calibration only when the run ends
+// inside the pilot window; profiler output is byte-identical between the two
+// whenever the interval matches.
 //
 // A caller that also needs the encoded trace passes a trace.Capture in
 // rc.ExtraConsumers and owns its Close and Err. A nil ctx means
 // context.Background().
 func RunStreaming(ctx context.Context, w *Workload, rc RunConfig) (*Result, error) {
-	return runFused(ctx, w, rc, false, func(ctx context.Context, s *trace.Stream) (CoreStats, *SampledRunStats, error) {
-		// RunContext delivers Finish itself on success.
-		st, err := newCore(rc.Core, w).RunContext(ctx, s)
-		return st, nil, err
-	})
+	return runFused(ctx, w, rc, DefaultPilotCycles, simulate(w, rc.Core))
 }
 
 // producer runs a simulation into s on its own goroutine. On success the
 // producer side must already be Finished; on error runFused Fails it.
 type producer func(ctx context.Context, s *trace.Stream) (CoreStats, *SampledRunStats, error)
 
-// runFused is the fused simulate→replay orchestrator behind RunStreaming and
-// RunSampled. The producer goroutine feeds the stream; the calling goroutine
-// calibrates from the pilot window, builds the profiler matrix, and replays
-// the stream through it. With sampled set the pilot's full-run estimate is
-// shrunk to the measured fraction the profilers actually observe. Error
-// precedence follows the captured path: a producer failure surfaces as the
-// run error, a shard consumer failure as the replay error, and any failure
-// cancels the other side before returning.
-func runFused(ctx context.Context, w *Workload, rc RunConfig, sampled bool, produce producer) (*Result, error) {
+// simulate is the full-detail producer: one cycle-level run of w, which
+// RunContext Finishes itself on success.
+func simulate(w *Workload, cfg CoreConfig) producer {
+	return func(ctx context.Context, s *trace.Stream) (CoreStats, *SampledRunStats, error) {
+		st, err := newCore(cfg, w).RunContext(ctx, s)
+		return st, nil, err
+	}
+}
+
+// runFused is the one orchestrator behind every single-core simulation (Run,
+// RunStreaming, RunSampled). The producer goroutine feeds a trace.Stream; the
+// calling goroutine calibrates from the stream's pilot window, builds the
+// profiler matrix, and replays the stream through it (see evaluate). The
+// calibration policy is nothing more than that window: pilotCycles is
+// wholeRunPilot for Exact (the whole run is captured and calibrated from its
+// exact cycle count), DefaultPilotCycles for Pilot (a prefix is extrapolated
+// to the whole run), and an explicit rc.SampleInterval makes it Fixed (no
+// window: records flow straight into the ring). For an rc.Sampled run the
+// pilot's full-run estimate is shrunk to the measured fraction the profilers
+// actually observe. Error precedence follows the captured path: a producer
+// failure surfaces as the run error, a shard consumer failure as the replay
+// error, and any failure stops the other side, releasing an unreplayed pilot,
+// before returning.
+func runFused(ctx context.Context, w *Workload, rc RunConfig, pilotCycles uint64, produce producer) (*Result, error) {
 	if ctx == nil {
 		ctx = context.Background()
 	}
-	fail := func(err error) (*Result, error) {
+	if err := ctx.Err(); err != nil {
 		return nil, fmt.Errorf("tip: %s: %w", w.Name, err)
 	}
-	if err := ctx.Err(); err != nil {
-		return fail(err)
-	}
-
-	var pilotCycles uint64
-	if rc.SampleInterval == 0 {
-		pilotCycles = DefaultPilotCycles
+	if rc.SampleInterval != 0 {
+		pilotCycles = 0
 	}
 	s := trace.NewStream(trace.StreamConfig{PilotCycles: pilotCycles})
 
@@ -112,50 +118,36 @@ func runFused(ctx context.Context, w *Workload, rc RunConfig, sampled bool, prod
 		}
 		stats, sampling = st, sr
 	}()
-	// stop tears down both sides on a consumer-side failure: the stream stops
-	// accepting records, the producer's context is cancelled, and the
-	// producer goroutine is awaited so nothing races the return.
-	stop := func() {
-		s.Abort()
-		cancelRun()
-		<-prodDone
-	}
 
-	interval := rc.SampleInterval
-	estCycles := uint64(0)
-	if interval == 0 {
+	res, err := evaluate(ctx, w, rc, func() (uint64, error) {
 		ps, err := s.Pilot(ctx)
 		if err != nil {
-			stop()
-			return fail(err)
+			return 0, err
 		}
-		estCycles = PilotEstimateCycles(ps, w.TargetDynInsts)
-		if sampled && !ps.Exact {
+		est := PilotEstimateCycles(ps, w.TargetDynInsts)
+		if rc.Sampled && !ps.Exact {
 			// The pilot extrapolates the full run, but the profilers only
 			// see the measured fraction of it — shrink the estimate so the
 			// interval still collects ~TargetSamples from the measured
 			// stream. (Exact pilot stats already are the measured total.)
-			estCycles = mulDiv(estCycles, rc.WindowCycles, rc.WindowInterval)
+			est = mulDiv(est, rc.WindowCycles, rc.WindowInterval)
 		}
-		interval = CalibrateInterval(estCycles, rc.TargetSamples)
-	}
-	m := buildMatrix(w, rc, interval, estCycles)
-
-	workers := rc.ReplayWorkers
-	if workers < 1 {
-		workers = 1
-	}
-	if _, _, err := s.ReplayShards(ctx, m.shards(workers)...); err != nil {
-		stop()
-		return fail(err)
-	}
-	// A clean replay means the producer already Finished; the wait is only
-	// for the stats publication.
-	<-prodDone
-	res, err := m.result(w, stats, interval)
+		return est, nil
+	}, s.ReplayShards)
 	if err != nil {
-		return fail(err)
+		// Stop both sides: the stream accepts no more records (and
+		// releases a pilot nothing replayed), and the producer's context
+		// is cancelled.
+		s.Abort()
+		cancelRun()
 	}
-	res.Sampling = sampling
+	// After a clean replay the producer already Finished; the wait is for
+	// its stats publication. After a failure it keeps anything from racing
+	// the return.
+	<-prodDone
+	if err != nil {
+		return nil, fmt.Errorf("tip: %s: %w", w.Name, err)
+	}
+	res.Stats, res.Sampling = stats, sampling
 	return res, nil
 }

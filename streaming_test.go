@@ -5,6 +5,7 @@ import (
 	"compress/gzip"
 	"context"
 	"errors"
+	"fmt"
 	"io"
 	"math"
 	"os"
@@ -12,6 +13,7 @@ import (
 	"strings"
 	"testing"
 
+	"github.com/tipprof/tip/internal/cpu"
 	"github.com/tipprof/tip/internal/trace"
 	"github.com/tipprof/tip/internal/workload"
 )
@@ -64,6 +66,93 @@ func TestRunStreamingMatchesCaptured(t *testing.T) {
 		if got.Stats != stats {
 			t.Fatalf("workers=%d: streaming stats %+v, want %+v", workers, got.Stats, stats)
 		}
+	}
+}
+
+// exactContractBenchmarks is the suite for TestRunMatchesCaptureThenReplay:
+// all 27 benchmarks, or under -short two of each paper class, of which
+// perlbench and xalancbmk run past DefaultPilotCycles at the test's scale.
+func exactContractBenchmarks() []string {
+	if testing.Short() {
+		return []string{"x264", "leela", "imagick", "perlbench", "mcf", "xalancbmk"}
+	}
+	return Benchmarks()
+}
+
+// TestRunMatchesCaptureThenReplay is the Exact calibration policy's contract:
+// with a zero SampleInterval, Run — the fused orchestrator with the whole run
+// as its pilot window — must equal CaptureWorkload followed by RunCaptured at
+// ReplayWorkers 1 and 4: every profile, the Oracle stack, Stats and
+// SampleInterval, the (interval, estCycles) ExtraConsumersAt is handed, and
+// one cycle-level simulation per run. TestRunStreamingMatchesCaptured covers
+// an explicit interval.
+func TestRunMatchesCaptureThenReplay(t *testing.T) {
+	type hookArgs struct{ interval, est uint64 }
+	pastPilot := false
+	for _, name := range exactContractBenchmarks() {
+		w, err := workload.LoadScaled(name, 1, 20_000)
+		if err != nil {
+			t.Fatal(err)
+		}
+		before := cpu.RunsStarted()
+		capt, stats, err := CaptureWorkload(w, DefaultCoreConfig())
+		if err != nil {
+			t.Fatal(err)
+		}
+		if n := cpu.RunsStarted() - before; n != 1 {
+			t.Fatalf("%s: CaptureWorkload started %d simulations, want 1", name, n)
+		}
+		pastPilot = pastPilot || stats.Cycles > DefaultPilotCycles
+		for _, workers := range []int{1, 4} {
+			label := fmt.Sprintf("%s/workers=%d", name, workers)
+			var refHook, gotHook []hookArgs
+			rc := DefaultRunConfig()
+			rc.TargetSamples = 512
+			rc.Check = true
+			rc.WithBreakdown = true
+			rc.ReplayWorkers = workers
+
+			rc.ExtraConsumersAt = func(interval, est uint64) []trace.Consumer {
+				refHook = append(refHook, hookArgs{interval, est})
+				return nil
+			}
+			before = cpu.RunsStarted()
+			ref, err := RunCaptured(context.Background(), w, capt, stats, rc)
+			if err != nil {
+				t.Fatalf("%s: RunCaptured: %v", label, err)
+			}
+			if n := cpu.RunsStarted() - before; n != 0 {
+				t.Fatalf("%s: RunCaptured started %d simulations", label, n)
+			}
+
+			rc.ExtraConsumersAt = func(interval, est uint64) []trace.Consumer {
+				gotHook = append(gotHook, hookArgs{interval, est})
+				return nil
+			}
+			before = cpu.RunsStarted()
+			got, err := Run(context.Background(), w, rc)
+			if err != nil {
+				t.Fatalf("%s: Run: %v", label, err)
+			}
+			if n := cpu.RunsStarted() - before; n != 1 {
+				t.Fatalf("%s: Run started %d simulations, want 1", label, n)
+			}
+
+			assertResultsIdentical(t, label, ref, got)
+			if got.Stats != stats || ref.Stats != stats {
+				t.Fatalf("%s: stats %+v (Run) and %+v (RunCaptured), want %+v", label, got.Stats, ref.Stats, stats)
+			}
+			want := []hookArgs{{CalibrateInterval(stats.Cycles, rc.TargetSamples), stats.Cycles}}
+			if !reflect.DeepEqual(refHook, want) || !reflect.DeepEqual(gotHook, want) {
+				t.Fatalf("%s: ExtraConsumersAt saw %v (Run) and %v (RunCaptured), want %v", label, gotHook, refHook, want)
+			}
+		}
+		if err := capt.Close(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if !pastPilot {
+		t.Fatalf("no run passed the %d-cycle pilot window, so no pilot-calibrated run could fail the contract", uint64(DefaultPilotCycles))
 	}
 }
 

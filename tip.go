@@ -20,6 +20,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"math"
 
 	"github.com/tipprof/tip/internal/check"
 	"github.com/tipprof/tip/internal/cpu"
@@ -108,11 +109,12 @@ type RunConfig struct {
 	// means all of them.
 	Profilers []Kind
 	// SampleInterval is the sampling period in cycles. Zero means
-	// calibrate: run the single cycle-level simulation while capturing
-	// its trace, set the interval so the run collects about
+	// calibrate: set the interval so the run collects about
 	// TargetSamples samples — the scaled equivalent of the paper's
-	// 4 kHz on multi-minute benchmarks (see DESIGN.md) — and feed the
-	// profilers by replaying the capture.
+	// 4 kHz on multi-minute benchmarks (see DESIGN.md) — from the cycle
+	// count of a pilot window of the single cycle-level simulation (the
+	// whole run under Run), and feed the profilers by replaying the
+	// window before the rest of the run.
 	SampleInterval uint64
 	// TargetSamples is the calibration target (default 4096).
 	TargetSamples uint64
@@ -127,24 +129,22 @@ type RunConfig struct {
 	// ExtraConsumers receive the trace alongside the profilers.
 	ExtraConsumers []trace.Consumer
 	// ExtraConsumersAt, when set, is invoked once the sampling interval is
-	// known — after calibration on the streaming path, where consumers must
-	// be built before the run's final cycle count exists — and its result
-	// is appended to ExtraConsumers. estCycles is the cycle-count estimate
-	// the interval was calibrated from (the exact total on the captured
-	// path, the pilot extrapolation on the streaming path, 0 when an
-	// explicit SampleInterval made no estimate necessary).
+	// known — after calibration, before any record reaches the profilers —
+	// and its result is appended to ExtraConsumers. estCycles is the
+	// cycle-count estimate the interval was calibrated from (the exact
+	// total under Run and RunCaptured, the pilot extrapolation under
+	// RunStreaming and RunSampled, 0 when an explicit SampleInterval made
+	// no estimate necessary).
 	ExtraConsumersAt func(interval, estCycles uint64) []trace.Consumer
 	// Check attaches a cycle-level invariant checker (internal/check) to
 	// the trace stream and fails the run on any violated trace invariant
 	// or profiler conservation law.
 	Check bool
-	// ReplayWorkers is the number of goroutines a captured-trace replay
-	// fans the profiler matrix out over (0 or 1 = one, on the calling
-	// goroutine). Each worker decodes the capture itself and owns a
+	// ReplayWorkers is the number of replay shards the profiler matrix is
+	// fanned out over (0 or 1 = one). Each shard decodes the captured
+	// trace or pilot itself, then takes the stream's ring, and owns a
 	// disjoint subset of the profilers behind its own dispatcher; results
-	// are byte-identical at any worker count. The fused routes
-	// (RunStreaming, RunSampled) shard the matrix the same way over the
-	// stream's ring.
+	// are byte-identical at any worker count.
 	ReplayWorkers int
 	// Sampled selects SMARTS-style sampled simulation: detailed
 	// measurement windows of WindowCycles, one per WindowInterval of
@@ -254,7 +254,8 @@ func CalibrateInterval(cycles, targetSamples uint64) uint64 {
 // encoded commit-stage trace into a replayable capture. The caller owns the
 // capture and must Close it. The simulator is deterministic, so replaying the
 // capture feeds profilers the byte-identical record stream a live profiled
-// run would have seen.
+// run would have seen. It is for callers that store captures (tipd's cache,
+// benchmarks replaying one capture many times); Run needs none.
 func CaptureWorkload(w *Workload, cfg CoreConfig) (*TraceCapture, CoreStats, error) {
 	capt := trace.NewCapture()
 	stats, err := newCore(cfg, w).Run(capt)
@@ -343,23 +344,6 @@ func buildMatrix(w *Workload, rc RunConfig, interval, estCycles uint64) consumer
 	return m
 }
 
-// result packages the evaluation once its stream has been replayed, failing
-// with the checker's verdict if one rode along.
-func (m *consumerMatrix) result(w *Workload, stats CoreStats, interval uint64) (*Result, error) {
-	if m.checker != nil {
-		if err := m.checker.Err(); err != nil {
-			return nil, err
-		}
-	}
-	return &Result{
-		Workload:       w,
-		Stats:          stats,
-		Oracle:         m.oracle,
-		Sampled:        m.byKind,
-		SampleInterval: interval,
-	}, nil
-}
-
 // shards assembles the matrix into at most workers dispatchers for a
 // sharded replay: shard 0 carries the whole every-cycle tier (Oracle and
 // checker stay pinned together so the checker's per-cycle invariants see
@@ -390,11 +374,40 @@ func (m *consumerMatrix) shards(workers int) []trace.Consumer {
 	return shards
 }
 
-// RunCaptured evaluates rc's profiler matrix by replaying a captured trace
+// evaluate is the tail every single-core route shares once its trace source
+// exists: with rc.SampleInterval zero it calibrates the interval from
+// estimate's cycle count, builds the matrix at that interval (handing both
+// to rc.ExtraConsumersAt), replays the source through max(1,
+// rc.ReplayWorkers) shards and packages the Result, failing with the
+// checker's verdict if one rode along. The caller fills in Result.Stats.
+func evaluate(ctx context.Context, w *Workload, rc RunConfig, estimate func() (uint64, error),
+	replay func(context.Context, ...trace.Consumer) (uint64, uint64, error)) (*Result, error) {
+	interval, estCycles := rc.SampleInterval, uint64(0)
+	if interval == 0 {
+		var err error
+		if estCycles, err = estimate(); err != nil {
+			return nil, err
+		}
+		interval = CalibrateInterval(estCycles, rc.TargetSamples)
+	}
+	m := buildMatrix(w, rc, interval, estCycles)
+	if _, _, err := replay(ctx, m.shards(max(1, rc.ReplayWorkers))...); err != nil {
+		return nil, err
+	}
+	if m.checker != nil {
+		if err := m.checker.Err(); err != nil {
+			return nil, err
+		}
+	}
+	return &Result{Workload: w, Oracle: m.oracle, Sampled: m.byKind, SampleInterval: interval}, nil
+}
+
+// RunCaptured evaluates rc's profiler matrix by replaying a stored capture
 // of w — no second simulation. stats must be the capture run's statistics.
-// With rc.SampleInterval zero the interval is calibrated from stats.Cycles.
-// The capture is left open; the caller may replay it again (e.g. for another
-// configuration) before Closing it.
+// With rc.SampleInterval zero the interval is calibrated from stats.Cycles,
+// exactly as Run's Exact policy calibrates, so RunCaptured after
+// CaptureWorkload equals Run. The capture is left open; the caller may
+// replay it again (e.g. for another configuration) before Closing it.
 //
 // The matrix is split over max(1, rc.ReplayWorkers) replay shards, each
 // decoding the capture itself and evaluating a disjoint subset of the matrix
@@ -409,44 +422,35 @@ func RunCaptured(ctx context.Context, w *Workload, capt *TraceCapture, stats Cor
 	if err := ctx.Err(); err != nil {
 		return nil, fmt.Errorf("tip: %s: %w", w.Name, err)
 	}
-	interval := rc.SampleInterval
-	estCycles := uint64(0)
-	if interval == 0 {
-		estCycles = stats.Cycles
-		interval = CalibrateInterval(stats.Cycles, rc.TargetSamples)
-	}
-	m := buildMatrix(w, rc, interval, estCycles)
-	_, _, err := capt.ReplayShards(ctx, 0, m.shards(max(1, rc.ReplayWorkers))...)
-	var res *Result
-	if err == nil {
-		res, err = m.result(w, stats, interval)
-	}
+	res, err := evaluate(ctx, w, rc, func() (uint64, error) { return stats.Cycles, nil },
+		func(ctx context.Context, shards ...trace.Consumer) (uint64, uint64, error) {
+			return capt.ReplayShards(ctx, 0, shards...)
+		})
 	if err != nil {
 		return nil, fmt.Errorf("tip: %s: %w", w.Name, err)
 	}
+	res.Stats = stats
 	return res, nil
 }
 
-// Run simulates w under rc. With rc.SampleInterval zero it runs the single
-// cycle-level simulation while capturing the encoded trace, calibrates the
-// sampling period from the measured cycle count, and feeds the profilers by
-// replaying the capture — one simulation where there used to be two. With an
-// explicit interval there is nothing to calibrate, so the profilers observe
-// the simulation through RunStreaming's fused pass. Either way the profilers
-// see the byte-identical record stream.
-func Run(w *Workload, rc RunConfig) (*Result, error) {
-	switch {
-	case rc.Sampled:
-		return RunSampled(context.Background(), w, rc)
-	case rc.SampleInterval != 0:
-		return RunStreaming(context.Background(), w, rc)
+// wholeRunPilot is the Exact calibration policy's pilot window: the whole
+// run, sealed at Finish with exact stats.
+const wholeRunPilot = math.MaxUint64
+
+// Run simulates w under rc and evaluates its profiler matrix, choosing the
+// fused orchestrator's calibration policy (see runFused). A Sampled rc goes
+// to RunSampled. Otherwise, with rc.SampleInterval zero the policy is Exact:
+// the whole run is the pilot window, captured as it is simulated and
+// calibrated from its exact cycle count before the profilers replay it, so
+// the result equals CaptureWorkload followed by RunCaptured. With an explicit
+// interval it is Fixed: there is nothing to calibrate, and the profilers
+// observe the simulation as it runs. Either way there is one cycle-level
+// simulation. A nil ctx means context.Background().
+func Run(ctx context.Context, w *Workload, rc RunConfig) (*Result, error) {
+	if rc.Sampled {
+		return RunSampled(ctx, w, rc)
 	}
-	capt, stats, err := CaptureWorkload(w, rc.Core)
-	if err != nil {
-		return nil, err
-	}
-	defer capt.Close()
-	return RunCaptured(context.Background(), w, capt, stats, rc)
+	return runFused(ctx, w, rc, wholeRunPilot, simulate(w, rc.Core))
 }
 
 // RunBenchmark loads and runs a named benchmark with seed 1.
@@ -455,7 +459,7 @@ func RunBenchmark(name string, rc RunConfig) (*Result, error) {
 	if err != nil {
 		return nil, err
 	}
-	return Run(w, rc)
+	return Run(context.Background(), w, rc)
 }
 
 // MeasureStats runs w unprofiled and returns the core statistics (used by

@@ -1,6 +1,7 @@
 package tip
 
 import (
+	"context"
 	"testing"
 
 	"github.com/tipprof/tip/internal/workload"
@@ -15,7 +16,7 @@ func smallRun(t *testing.T, name string, scale uint64) *Result {
 	}
 	rc := DefaultRunConfig()
 	rc.TargetSamples = 2048
-	res, err := Run(w, rc)
+	res, err := Run(context.Background(), w, rc)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -179,7 +180,7 @@ func TestRandomSamplingRuns(t *testing.T) {
 	rc.TargetSamples = 1024
 	rc.RandomSampling = true
 	rc.Profilers = []Kind{KindTIP}
-	res, err := Run(w, rc)
+	res, err := Run(context.Background(), w, rc)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -196,7 +197,7 @@ func TestFixedIntervalRespected(t *testing.T) {
 	rc := DefaultRunConfig()
 	rc.SampleInterval = 997
 	rc.Profilers = []Kind{KindTIP}
-	res, err := Run(w, rc)
+	res, err := Run(context.Background(), w, rc)
 	if err != nil {
 		t.Fatal(err)
 	}
