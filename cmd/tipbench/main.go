@@ -155,7 +155,7 @@ func main() {
 			fmt.Fprintln(w, experiments.Fig10(evals))
 		}
 		if sel("fig11a") {
-			fmt.Fprintln(w, experiments.Fig11a(evals, nil))
+			fmt.Fprintln(w, experiments.Fig11a(evals))
 		}
 		if sel("fig11b") {
 			fmt.Fprintln(w, experiments.Fig11b(evals))

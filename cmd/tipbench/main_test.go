@@ -4,6 +4,7 @@ import (
 	"strings"
 	"testing"
 
+	tip "github.com/tipprof/tip"
 	"github.com/tipprof/tip/internal/cli"
 )
 
@@ -28,6 +29,8 @@ func TestValidateSampledFlags(t *testing.T) {
 		{name: "warmup overflows gap", sampledSel: true, window: 4096, interval: 8192, warmup: "8192", wantErr: "exceed WindowInterval"},
 		{name: "warmup not a number", sampledSel: true, warmup: "lots", wantErr: "cycle count or \"auto\""},
 		{name: "negative workers", sampledSel: true, workers: -1, wantErr: "-windowworkers must be >= 0"},
+		{name: "workers over the bound", sampledSel: true, workers: tip.MaxWindowWorkers + 1, wantErr: "WindowWorkers must be <= 16"},
+		{name: "huge workers", sampledSel: true, workers: 1 << 30, wantErr: "WindowWorkers must be <= 16"},
 		{name: "no sampled flags", wantErr: ""},
 		{name: "figure with defaults", sampledSel: true, wantErr: ""},
 		{name: "figure auto warmup", sampledSel: true, warmup: "auto", wantErr: ""},

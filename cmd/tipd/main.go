@@ -161,7 +161,7 @@ func main() {
 			Name:        nodeName(o.name, o.listen),
 			URL:         advertiseURL(o.advertise, o.listen),
 			Interval:    o.heartbeat,
-			Snapshot:    func() fleet.NodeHealth { return nodeHealth(s) },
+			Snapshot:    s.NodeHealth,
 		}
 		go member.Run(beatCtx)
 		log.Printf("tipd: joined fleet at %s as %s (%s)", member.Coordinator, member.Name, member.URL)
@@ -229,21 +229,6 @@ func runCoordinator(listen string, drainTimeout time.Duration) {
 	defer cancel()
 	if err := hs.Shutdown(ctx); err != nil {
 		log.Printf("tipd: coordinator: http shutdown: %v", err)
-	}
-}
-
-// nodeHealth maps the server's health snapshot onto the fleet heartbeat.
-func nodeHealth(s *server.Server) fleet.NodeHealth {
-	h := s.Health()
-	return fleet.NodeHealth{
-		CoreHash:     h.CoreHash,
-		Draining:     h.Draining,
-		QueueDepth:   h.QueueDepth,
-		QueueCap:     h.QueueCap,
-		Running:      h.Running,
-		Workers:      h.Workers,
-		CacheEntries: h.CacheEntries,
-		CacheBytes:   h.CacheBytes,
 	}
 }
 

@@ -493,15 +493,7 @@ func spawnFleet(n int, storeDir string) (string, func(), error) {
 			Name:        fmt.Sprintf("w%d", i),
 			URL:         url,
 			Interval:    200 * time.Millisecond,
-			Snapshot: func() fleet.NodeHealth {
-				h := srv.Health()
-				return fleet.NodeHealth{
-					CoreHash: h.CoreHash, Draining: h.Draining,
-					QueueDepth: h.QueueDepth, QueueCap: h.QueueCap,
-					Running: h.Running, Workers: h.Workers,
-					CacheEntries: h.CacheEntries, CacheBytes: h.CacheBytes,
-				}
-			},
+			Snapshot:    s.NodeHealth,
 		}
 		go m.Run(beatCtx)
 	}

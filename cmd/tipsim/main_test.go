@@ -35,6 +35,8 @@ func TestConfigureSampledRejections(t *testing.T) {
 		{name: "warmup overflows gap", sampled: true, window: 4096, interval: 8192, warmup: "8192", wantErr: "exceed WindowInterval"},
 		{name: "warmup not a number", sampled: true, warmup: "lots", wantErr: "cycle count or \"auto\""},
 		{name: "negative workers", sampled: true, workers: -1, wantErr: "-windowworkers must be >= 0"},
+		{name: "workers over the bound", sampled: true, workers: tip.MaxWindowWorkers + 1, wantErr: "WindowWorkers must be <= 16"},
+		{name: "huge workers", sampled: true, workers: 1 << 30, wantErr: "WindowWorkers must be <= 16"},
 		{name: "plain run", wantErr: ""},
 		{name: "sampled defaults", sampled: true, wantErr: ""},
 		{name: "sampled auto warmup", sampled: true, warmup: "auto", wantErr: ""},

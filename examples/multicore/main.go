@@ -22,7 +22,8 @@ import (
 
 func main() {
 	names := []string{"mcf", "omnetpp"}
-	cfg := multicore.Config{Core: cpu.DefaultConfig(), MaxCycles: 500_000_000}
+	cfg := cpu.DefaultConfig()
+	cfg.MaxCycles = 500_000_000
 
 	// Solo baselines first.
 	solo := map[string]uint64{}

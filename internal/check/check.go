@@ -28,6 +28,7 @@ import (
 	"math"
 	"strings"
 
+	"github.com/tipprof/tip/internal/cpu"
 	"github.com/tipprof/tip/internal/profile"
 	"github.com/tipprof/tip/internal/profiler"
 	"github.com/tipprof/tip/internal/trace"
@@ -46,23 +47,9 @@ const (
 
 var stateNames = [numStates]string{"Computing", "Stalled", "Flushed", "Drained"}
 
-// Options configure a Checker. Zero values disable the corresponding
-// structural checks so the checker can run against traces from non-default
-// core configurations.
-type Options struct {
-	// Benchmark labels violations (the workload under test).
-	Benchmark string
-	// CommitWidth is the expected record bank count (0 = don't check).
-	CommitWidth int
-	// ROBEntries bounds the in-flight FID window together with
-	// FetchBufEntries (0 = don't check).
-	ROBEntries int
-	// FetchBufEntries is the fetch-buffer capacity for the window bound.
-	FetchBufEntries int
-	// MaxViolations caps stored per-cycle violations (default 16); the
-	// total count keeps incrementing past the cap.
-	MaxViolations int
-}
+// maxStoredViolations caps the stored per-cycle violations; Count keeps
+// incrementing past the cap.
+const maxStoredViolations = 16
 
 // Violation is one invariant failure.
 type Violation struct {
@@ -133,7 +120,11 @@ type auditedSampled struct {
 // registered before or after the run — they are evaluated lazily by Err,
 // Violations, and Report.
 type Checker struct {
-	opt Options
+	// benchmark labels violations (the workload under test).
+	benchmark string
+	// commitWidth is the expected record bank count; robEntries plus
+	// fetchBufEntries bound the in-flight FID window.
+	commitWidth, robEntries, fetchBufEntries int
 
 	stored []Violation
 	count  uint64
@@ -155,15 +146,19 @@ type Checker struct {
 	sampleds []auditedSampled
 }
 
-// New returns a checker with the given options.
-func New(opt Options) *Checker {
-	if opt.MaxViolations <= 0 {
-		opt.MaxViolations = 16
+// New returns a checker for benchmark's trace as produced by a core of
+// configuration core, whose commit width and ROB and fetch-buffer sizes
+// the structural checks take.
+func New(benchmark string, core cpu.Config) *Checker {
+	if benchmark == "" {
+		benchmark = "?"
 	}
-	if opt.Benchmark == "" {
-		opt.Benchmark = "?"
+	return &Checker{
+		benchmark:       benchmark,
+		commitWidth:     core.CommitWidth,
+		robEntries:      core.ROBEntries,
+		fetchBufEntries: core.FetchBufEntries,
 	}
-	return &Checker{opt: opt}
 }
 
 // AuditOracle registers an Oracle for the end-of-run conservation audit:
@@ -182,11 +177,11 @@ func (c *Checker) AuditSampled(name string, s *profiler.Sampled) {
 
 func (c *Checker) report(r *trace.Record, invariant, format string, args ...any) {
 	c.count++
-	if len(c.stored) >= c.opt.MaxViolations {
+	if len(c.stored) >= maxStoredViolations {
 		return
 	}
 	v := Violation{
-		Benchmark: c.opt.Benchmark,
+		Benchmark: c.benchmark,
 		Invariant: invariant,
 		Detail:    fmt.Sprintf(format, args...),
 	}
@@ -221,8 +216,8 @@ func (c *Checker) OnCycle(r *trace.Record) {
 		c.report(r, "bank-count", "NumBanks %d outside [1, %d]", r.NumBanks, trace.MaxBanks)
 		return // the bank scans below (and oir.observe) would index out of range
 	}
-	if c.opt.CommitWidth > 0 && r.NumBanks != c.opt.CommitWidth {
-		c.report(r, "bank-count", "NumBanks %d, core commit width %d", r.NumBanks, c.opt.CommitWidth)
+	if r.NumBanks != c.commitWidth {
+		c.report(r, "bank-count", "NumBanks %d, core commit width %d", r.NumBanks, c.commitWidth)
 	}
 	if int(r.HeadBank) >= r.NumBanks {
 		c.report(r, "head-bank", "HeadBank %d with %d banks", r.HeadBank, r.NumBanks)
@@ -339,12 +334,12 @@ func (c *Checker) OnCycle(r *trace.Record) {
 	// ROB head to the youngest in-flight instruction is bounded by the ROB
 	// plus fetch-buffer capacity — the 128-entry ROB bound, observed
 	// through the trace.
-	if c.opt.ROBEntries > 0 && r.AnyInFlight {
+	if r.AnyInFlight {
 		if old := r.Oldest(); old != nil {
-			bound := uint64(c.opt.ROBEntries + c.opt.FetchBufEntries)
+			bound := uint64(c.robEntries + c.fetchBufEntries)
 			if window := r.YoungestFID - old.FID + 1; window > bound {
 				c.report(r, "occupancy", "in-flight FID window %d exceeds %d (ROB %d + fetch buffer %d)",
-					window, bound, c.opt.ROBEntries, c.opt.FetchBufEntries)
+					window, bound, c.robEntries, c.fetchBufEntries)
 			}
 		}
 	}
@@ -398,7 +393,7 @@ func (c *Checker) auditViolations() []Violation {
 	var out []Violation
 	add := func(name, invariant, format string, args ...any) {
 		out = append(out, Violation{
-			Benchmark: c.opt.Benchmark,
+			Benchmark: c.benchmark,
 			Cycle:     c.totalCycles,
 			Invariant: invariant,
 			Detail:    name + ": " + fmt.Sprintf(format, args...),
@@ -451,7 +446,7 @@ func (c *Checker) auditViolations() []Violation {
 }
 
 // Violations returns every stored violation: per-cycle failures first (up
-// to MaxViolations), then end-of-run audit failures.
+// to maxStoredViolations), then end-of-run audit failures.
 func (c *Checker) Violations() []Violation {
 	out := append([]Violation(nil), c.stored...)
 	return append(out, c.auditViolations()...)
@@ -487,10 +482,10 @@ func (c *Checker) Report() string {
 	vs := c.Violations()
 	if len(vs) == 0 {
 		return fmt.Sprintf("check: %s: %d cycles, %d records, 0 violations",
-			c.opt.Benchmark, c.totalCycles, c.records)
+			c.benchmark, c.totalCycles, c.records)
 	}
 	var b strings.Builder
-	fmt.Fprintf(&b, "check: %s: %d violation(s) over %d records:\n", c.opt.Benchmark, c.Count(), c.records)
+	fmt.Fprintf(&b, "check: %s: %d violation(s) over %d records:\n", c.benchmark, c.Count(), c.records)
 	for _, v := range vs {
 		fmt.Fprintf(&b, "  %s\n", v.String())
 	}

@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"github.com/tipprof/tip/internal/check"
+	"github.com/tipprof/tip/internal/cpu"
 	"github.com/tipprof/tip/internal/trace"
 )
 
@@ -28,12 +29,7 @@ func commitRec(cycle uint64) trace.Record {
 }
 
 func newChecker() *check.Checker {
-	return check.New(check.Options{
-		Benchmark:       "synthetic",
-		CommitWidth:     4,
-		ROBEntries:      128,
-		FetchBufEntries: 32,
-	})
+	return check.New("synthetic", cpu.DefaultConfig())
 }
 
 // runStream feeds n well-formed cycles through the checker, applying mutate
@@ -163,15 +159,15 @@ func TestCheckerFinishInvariants(t *testing.T) {
 }
 
 func TestCheckerViolationCapKeepsCounting(t *testing.T) {
-	c := check.New(check.Options{Benchmark: "cap", CommitWidth: 4, MaxViolations: 4})
+	c := check.New("cap", cpu.DefaultConfig())
 	for i := uint64(0); i < 50; i++ {
 		r := commitRec(i)
 		r.CommitCount = 3 // every cycle violates commit-count
 		c.OnCycle(&r)
 	}
 	c.Finish(50)
-	if got := len(c.Violations()); got != 4 {
-		t.Fatalf("stored %d violations, want cap 4", got)
+	if got := len(c.Violations()); got != 16 {
+		t.Fatalf("stored %d violations, want cap 16", got)
 	}
 	if c.Count() != 50 {
 		t.Fatalf("counted %d violations, want 50", c.Count())

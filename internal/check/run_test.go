@@ -22,12 +22,7 @@ func runChecked(t *testing.T, bench string, extra ...trace.Consumer) (*tip.Resul
 	}
 	rc := tip.DefaultRunConfig()
 	rc.TargetSamples = 512
-	ck := check.New(check.Options{
-		Benchmark:       w.Name,
-		CommitWidth:     rc.Core.CommitWidth,
-		ROBEntries:      rc.Core.ROBEntries,
-		FetchBufEntries: rc.Core.FetchBufEntries,
-	})
+	ck := check.New(w.Name, rc.Core)
 	rc.ExtraConsumers = append(append([]trace.Consumer{}, extra...), ck)
 	res, err := tip.Run(context.Background(), w, rc)
 	return res, ck, err

@@ -14,7 +14,7 @@ func detOpts(benchmarks ...string) Options {
 	return Options{
 		Scale:         60_000,
 		TargetSamples: 512,
-		Frequencies:   []uint64{100, BaseFrequency},
+		frequencies:   []uint64{100, BaseFrequency},
 		Benchmarks:    benchmarks,
 	}
 }

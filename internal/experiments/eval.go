@@ -39,8 +39,6 @@ type Options struct {
 	Scale uint64
 	// Benchmarks restricts the suite (nil = all 27).
 	Benchmarks []string
-	// Frequencies are the sensitivity sweep points (nil = Default).
-	Frequencies []uint64
 	// Parallelism is the evaluation's total worker budget: it bounds the
 	// concurrent benchmark evaluations AND the extra replay workers they
 	// spawn, all drawing from one shared semaphore (0 = GOMAXPROCS).
@@ -62,6 +60,10 @@ type Options struct {
 	// max(simulate, replay). The pilot interval is an estimate, so errors
 	// can differ marginally from a two-pass evaluation of the same suite.
 	Streaming bool
+
+	// frequencies are the sensitivity sweep points (nil =
+	// DefaultFrequencies); tests shorten the sweep to keep runs small.
+	frequencies []uint64
 }
 
 func (o *Options) fill() {
@@ -74,8 +76,8 @@ func (o *Options) fill() {
 	if o.Benchmarks == nil {
 		o.Benchmarks = workload.Names()
 	}
-	if o.Frequencies == nil {
-		o.Frequencies = DefaultFrequencies
+	if o.frequencies == nil {
+		o.frequencies = DefaultFrequencies
 	}
 	if o.Parallelism <= 0 {
 		o.Parallelism = runtime.GOMAXPROCS(0)
@@ -223,14 +225,9 @@ func buildEvalMatrix(name string, w *workload.Workload, core tip.CoreConfig, opt
 		periodicRaw: map[profiler.Kind]*profiler.Sampled{},
 	}
 	if opt.Checked {
-		m.checker = check.New(check.Options{
-			Benchmark:       name,
-			CommitWidth:     core.CommitWidth,
-			ROBEntries:      core.ROBEntries,
-			FetchBufEntries: core.FetchBufEntries,
-		})
+		m.checker = check.New(name, core)
 	}
-	for _, freq := range opt.Frequencies {
+	for _, freq := range opt.frequencies {
 		interval := interval4k * BaseFrequency / freq
 		if interval < 4 {
 			interval = 4

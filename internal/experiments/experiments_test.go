@@ -85,7 +85,7 @@ func TestFigureTablesRender(t *testing.T) {
 	evals := evalQuick(t, "x264", "imagick")
 	for _, tb := range []*Table{
 		Fig01(evals), Fig07(evals), Fig08(evals), Fig09(evals),
-		Fig10(evals), Fig11a(evals, nil), Fig11b(evals), Fig11c(evals),
+		Fig10(evals), Fig11a(evals), Fig11b(evals), Fig11c(evals),
 		Validation(evals),
 	} {
 		s := tb.String()

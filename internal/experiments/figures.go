@@ -160,13 +160,11 @@ func Fig10(evals []*BenchmarkEval) *Table {
 		"paper averages: NCI 9.3% (imagick 21.0%), TIP-ILP 7.2%, TIP 1.6% (gcc 5.0%)")
 }
 
-// Fig11a builds the sampling-frequency sensitivity sweep.
-func Fig11a(evals []*BenchmarkEval, freqs []uint64) *Table {
-	if freqs == nil {
-		freqs = DefaultFrequencies
-	}
+// Fig11a builds the sampling-frequency sensitivity sweep over
+// DefaultFrequencies.
+func Fig11a(evals []*BenchmarkEval) *Table {
 	header := []string{"Profiler"}
-	for _, f := range freqs {
+	for _, f := range DefaultFrequencies {
 		header = append(header, fmt.Sprintf("%d Hz", f))
 	}
 	t := &Table{
@@ -178,7 +176,7 @@ func Fig11a(evals []*BenchmarkEval, freqs []uint64) *Table {
 	}
 	for _, k := range sweepKinds() {
 		row := []string{k.String()}
-		for _, f := range freqs {
+		for _, f := range DefaultFrequencies {
 			row = append(row, pct(suiteAverage(evals, func(ev *BenchmarkEval) float64 {
 				return ev.Periodic[f][k].Inst
 			})))

@@ -22,7 +22,7 @@ func goldenOpts(benchmarks ...string) Options {
 		Seed:          1,
 		Scale:         60_000,
 		TargetSamples: 512,
-		Frequencies:   []uint64{100, BaseFrequency},
+		frequencies:   []uint64{100, BaseFrequency},
 		Benchmarks:    benchmarks,
 		Parallelism:   1,
 	}

@@ -18,25 +18,16 @@ type CoordinatorConfig struct {
 	// HeartbeatTTL is how long a worker stays on the ring without a
 	// heartbeat (default 5s).
 	HeartbeatTTL time.Duration
-	// MaxRoutedJobs bounds the submit-routing table; the oldest routes are
-	// forgotten first (default 4096). A forgotten route returns 404 like a
-	// forgotten tipd job.
-	MaxRoutedJobs int
-	// ProxyTimeout bounds one proxied request to a worker (default 30s).
-	ProxyTimeout time.Duration
 }
 
-func (c *CoordinatorConfig) fill() {
-	if c.HeartbeatTTL <= 0 {
-		c.HeartbeatTTL = 5 * time.Second
-	}
-	if c.MaxRoutedJobs <= 0 {
-		c.MaxRoutedJobs = 4096
-	}
-	if c.ProxyTimeout <= 0 {
-		c.ProxyTimeout = 30 * time.Second
-	}
-}
+const (
+	// maxRoutedJobs bounds the submit-routing table; the oldest routes are
+	// forgotten first. A forgotten route returns 404 like a forgotten tipd
+	// job.
+	maxRoutedJobs = 4096
+	// proxyTimeout bounds one proxied request to a worker.
+	proxyTimeout = 30 * time.Second
+)
 
 // routedJob maps one coordinator job id to where it actually ran.
 type routedJob struct {
@@ -65,7 +56,6 @@ type routedJob struct {
 //	GET    /metrics                Prometheus text exposition
 //	GET    /healthz                liveness + ring size
 type Coordinator struct {
-	cfg    CoordinatorConfig
 	reg    *registry
 	client *http.Client
 	mux    *http.ServeMux
@@ -83,11 +73,12 @@ type Coordinator struct {
 // NewCoordinator builds a Coordinator with an empty fleet; workers appear as
 // their heartbeats arrive.
 func NewCoordinator(cfg CoordinatorConfig) *Coordinator {
-	cfg.fill()
+	if cfg.HeartbeatTTL <= 0 {
+		cfg.HeartbeatTTL = 5 * time.Second
+	}
 	c := &Coordinator{
-		cfg:    cfg,
 		reg:    newRegistry(cfg.HeartbeatTTL),
-		client: &http.Client{Timeout: cfg.ProxyTimeout},
+		client: &http.Client{Timeout: proxyTimeout},
 		mux:    http.NewServeMux(),
 		jobs:   map[string]*routedJob{},
 	}
@@ -253,7 +244,7 @@ func (c *Coordinator) acceptRouted(w http.ResponseWriter, key, node string, stol
 	id := fmt.Sprintf("f%08d", c.nextID)
 	c.jobs[id] = &routedJob{node: node, remoteID: remoteID, key: key, stolen: stolen}
 	c.order = append(c.order, id)
-	for len(c.order) > c.cfg.MaxRoutedJobs {
+	for len(c.order) > maxRoutedJobs {
 		delete(c.jobs, c.order[0])
 		c.order = c.order[1:]
 	}

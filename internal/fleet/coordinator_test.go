@@ -268,6 +268,40 @@ func TestCoordinatorBadSpecAndNoWorkers(t *testing.T) {
 	}
 }
 
+// TestCoordinatorForgetsOldestRoute routes one job more than the routing
+// table holds and checks the oldest id is forgotten (404) while the newest
+// still resolves. It calls acceptRouted directly, so no request leaves the
+// process.
+func TestCoordinatorForgetsOldestRoute(t *testing.T) {
+	c := NewCoordinator(CoordinatorConfig{HeartbeatTTL: time.Minute})
+	c.reg.heartbeat(NodeHealth{Name: "a", URL: "http://a.invalid"}, time.Now())
+	var last string
+	for i := 1; i <= maxRoutedJobs+1; i++ {
+		rec := httptest.NewRecorder()
+		c.acceptRouted(rec, "k", "a", false, []byte(fmt.Sprintf(`{"id":"r%d"}`, i)))
+		if rec.Code != http.StatusAccepted {
+			t.Fatalf("job %d: status %d, want 202", i, rec.Code)
+		}
+		var view map[string]any
+		if err := json.Unmarshal(rec.Body.Bytes(), &view); err != nil {
+			t.Fatal(err)
+		}
+		last, _ = view["id"].(string)
+	}
+	rec := httptest.NewRecorder()
+	c.Handler().ServeHTTP(rec, httptest.NewRequest(http.MethodGet, "/v1/jobs/f00000001", nil))
+	if rec.Code != http.StatusNotFound {
+		t.Fatalf("oldest route: status %d, want 404", rec.Code)
+	}
+	rj, url, ok := c.lookup(last)
+	if !ok || url != "http://a.invalid" || rj.remoteID != fmt.Sprintf("r%d", maxRoutedJobs+1) {
+		t.Fatalf("newest route %q: lookup = %+v, %q, %v", last, rj, url, ok)
+	}
+	if _, _, ok := c.lookup("f00000002"); !ok {
+		t.Fatal("second-oldest route forgotten too early")
+	}
+}
+
 func TestRouteKeyMatchesDefaults(t *testing.T) {
 	// Explicit and implicit seed defaults key identically (normalize sets
 	// seed 1), so they share a home node and a capture.

@@ -34,41 +34,33 @@ type CoreSpec struct {
 type CoreResult struct {
 	// Stats are the core's run statistics.
 	Stats cpu.Stats
-	// DoneCycle is the cycle of the core's last commit.
-	DoneCycle uint64
-}
-
-// Config parameterises the system.
-type Config struct {
-	// Core is the per-core configuration (Table 1); its Hierarchy block
-	// sizes the private L1/L2 stacks and the shared LLC/DRAM.
-	Core cpu.Config
-	// MaxCycles aborts runaway simulations (0 = the per-core value).
-	MaxCycles uint64
 }
 
 // System is a lockstep multi-core machine.
 type System struct {
-	cfg   Config
-	cores []*cpu.Core
-	specs []CoreSpec
-	llc   *cache.Cache
+	maxCycles uint64
+	cores     []*cpu.Core
+	specs     []CoreSpec
+	llc       *cache.Cache
 }
 
 // New builds a system with one core per spec, all sharing an LLC and DRAM.
-func New(cfg Config, specs []CoreSpec) *System {
+// cfg is the per-core configuration (Table 1); its Hierarchy block sizes the
+// private L1/L2 stacks and the shared LLC/DRAM, and its MaxCycles caps the
+// lockstep run.
+func New(cfg cpu.Config, specs []CoreSpec) *System {
 	if len(specs) == 0 {
 		panic("multicore: no cores")
 	}
-	hcfg := cfg.Core.Hierarchy
+	hcfg := cfg.Hierarchy
 	shared := cache.NewSharedLLC(hcfg)
-	sys := &System{cfg: cfg, specs: specs, llc: shared}
+	sys := &System{maxCycles: cfg.MaxCycles, specs: specs, llc: shared}
 	for i, spec := range specs {
 		// Each core gets a disjoint physical range (per-process address
 		// spaces) so co-runners contend for capacity without sharing
 		// data.
 		l1i, l1d := cache.NewPrivateStack(hcfg, shared, uint64(i)<<44)
-		core := cpu.NewWithCaches(cfg.Core, spec.Workload.Prog, spec.Workload.Stream(), l1i, l1d)
+		core := cpu.NewWithCaches(cfg, spec.Workload.Prog, spec.Workload.Stream(), l1i, l1d)
 		for _, reg := range spec.Workload.Prefault {
 			core.MMU().PrefaultRange(reg.Base, reg.Size)
 		}
@@ -96,18 +88,15 @@ func (s *System) Run(ctx context.Context) ([]CoreResult, error) {
 	done := make([]bool, n)
 	results := make([]CoreResult, n)
 	recs := make([]trace.Record, n)
+	doneCycles := make([]uint64, n) // each core's last commit cycle
 	remaining := n
-	maxCycles := s.cfg.MaxCycles
-	if maxCycles == 0 {
-		maxCycles = s.cfg.Core.MaxCycles
-	}
 
 	for cycle := uint64(0); remaining > 0; cycle++ {
-		// MaxCycles permits exactly maxCycles lockstep cycles (cycle
-		// values 0..maxCycles-1), the same boundary cpu.Core.RunContext
+		// MaxCycles permits exactly MaxCycles lockstep cycles (cycle
+		// values 0..MaxCycles-1), the same boundary cpu.Core.RunContext
 		// enforces.
-		if maxCycles > 0 && cycle >= maxCycles {
-			return nil, fmt.Errorf("multicore: exceeded %d cycles with %d cores unfinished", maxCycles, remaining)
+		if s.maxCycles > 0 && cycle >= s.maxCycles {
+			return nil, fmt.Errorf("multicore: exceeded %d cycles with %d cores unfinished", s.maxCycles, remaining)
 		}
 		if ctx != nil && cycle&cancelCheckMask == 0 {
 			if err := ctx.Err(); err != nil {
@@ -127,12 +116,12 @@ func (s *System) Run(ctx context.Context) ([]CoreResult, error) {
 				}
 			}
 			if recs[i].CommitCount > 0 {
-				results[i].DoneCycle = cycle
+				doneCycles[i] = cycle
 			}
 			if finished {
 				done[i] = true
 				remaining--
-				core.FinalizeStats(results[i].DoneCycle)
+				core.FinalizeStats(doneCycles[i])
 				results[i].Stats = core.Stats()
 				for _, c := range s.specs[i].Consumers {
 					c.Finish(results[i].Stats.Cycles)

@@ -20,9 +20,8 @@ func load(t *testing.T, name string, scale uint64) *workload.Workload {
 	return w
 }
 
-func sysConfig() Config {
-	cfg := Config{Core: cpu.DefaultConfig()}
-	cfg.Core.MaxCycles = 0
+func sysConfig() cpu.Config {
+	cfg := cpu.DefaultConfig()
 	cfg.MaxCycles = 100_000_000
 	return cfg
 }

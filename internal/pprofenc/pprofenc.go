@@ -35,10 +35,6 @@ import (
 
 // Options parameterize one encoding.
 type Options struct {
-	// SampleType names the value dimension (default "cycles").
-	SampleType string
-	// Unit is the value's unit (default "cycles").
-	Unit string
 	// Period is the sampling period in cycles (0 omits the period).
 	Period int64
 	// Mapping names the synthetic binary in the pprof mapping table
@@ -138,18 +134,12 @@ func (t *strTable) id(s string) int64 {
 }
 
 func encodeProto(p *profile.Profile, opt Options) []byte {
-	if opt.SampleType == "" {
-		opt.SampleType = "cycles"
-	}
-	if opt.Unit == "" {
-		opt.Unit = "cycles"
-	}
 	if opt.Mapping == "" {
 		opt.Mapping = p.Prog.Name
 	}
 	st := newStrTable()
-	sampleTypeID := st.id(opt.SampleType)
-	unitID := st.id(opt.Unit)
+	// The sample and period value type is cycles, in cycles.
+	cyclesID := st.id("cycles")
 	mappingFileID := st.id("tip://" + opt.Mapping)
 
 	// Sample labels are identical for every sample; encode once. Label
@@ -164,8 +154,8 @@ func encodeProto(p *profile.Profile, opt Options) []byte {
 	var out []byte
 
 	// sample_type: one ValueType {type, unit}.
-	vt := appendVarintField(nil, 1, uint64(sampleTypeID))
-	vt = appendVarintField(vt, 2, uint64(unitID))
+	vt := appendVarintField(nil, 1, uint64(cyclesID))
+	vt = appendVarintField(vt, 2, uint64(cyclesID))
 	out = appendBytesField(out, fProfileSampleType, vt)
 
 	// Samples: one per attributed instruction, single-frame stacks.
@@ -227,8 +217,8 @@ func encodeProto(p *profile.Profile, opt Options) []byte {
 
 	// period_type + period.
 	if opt.Period > 0 {
-		pt := appendVarintField(nil, 1, uint64(sampleTypeID))
-		pt = appendVarintField(pt, 2, uint64(unitID))
+		pt := appendVarintField(nil, 1, uint64(cyclesID))
+		pt = appendVarintField(pt, 2, uint64(cyclesID))
 		out = appendBytesField(out, fProfilePeriodType, pt)
 		out = appendVarintField(out, fProfilePeriod, uint64(opt.Period))
 	}

@@ -72,8 +72,8 @@ type JobSpec struct {
 	// it into warmup_cycles.
 	WarmupAuto bool `json:"warmup_auto,omitempty"`
 	// WindowWorkers runs the sampled windows checkpoint-parallel on up to
-	// this many worker cores (clamped to [0,16]; 0 = serial schedule;
-	// results are byte-identical at any count >= 1).
+	// this many worker cores (clamped to [0, tip.MaxWindowWorkers]; 0 =
+	// serial schedule; results are byte-identical at any count >= 1).
 	WindowWorkers int `json:"window_workers,omitempty"`
 	// Cores runs a multi-programmed lockstep job: workload i on core i of
 	// one shared-LLC system, each core profiled from its own capture.
@@ -138,7 +138,7 @@ func (sp *JobSpec) normalize() ([]profiler.Kind, profile.Granularity, error) {
 			return nil, 0, fmt.Errorf("window_workers requires sampled")
 		}
 	} else {
-		sp.WindowWorkers = min(max(sp.WindowWorkers, 0), 16)
+		sp.WindowWorkers = min(max(sp.WindowWorkers, 0), tip.MaxWindowWorkers)
 		warmup := ""
 		if sp.WarmupAuto {
 			warmup = "auto"

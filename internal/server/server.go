@@ -591,6 +591,22 @@ func (s *Server) Health() Health {
 	return h
 }
 
+// NodeHealth maps the Health snapshot onto the heartbeat a fleet member
+// pushes to its coordinator.
+func (s *Server) NodeHealth() fleet.NodeHealth {
+	h := s.Health()
+	return fleet.NodeHealth{
+		CoreHash:     h.CoreHash,
+		Draining:     h.Draining,
+		QueueDepth:   h.QueueDepth,
+		QueueCap:     h.QueueCap,
+		Running:      h.Running,
+		Workers:      h.Workers,
+		CacheEntries: h.CacheEntries,
+		CacheBytes:   h.CacheBytes,
+	}
+}
+
 func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, http.StatusOK, s.Health())
 }

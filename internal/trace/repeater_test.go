@@ -139,8 +139,8 @@ func captureBytes(t *testing.T, steps []repStep, spill int, useRepeat bool, spli
 // streamReplay delivers steps into a fresh stream and returns what one
 // replay shard observes; with takeRuns its consumer takes the ring's run
 // slots as OnRepeat calls, which it expands back into records.
-func streamReplay(t *testing.T, steps []repStep, cfg StreamConfig, useRepeat bool, split func(uint64) uint64, takeRuns bool) (collect, PilotStats) {
-	s := NewStream(cfg)
+func streamReplay(t *testing.T, steps []repStep, pilot uint64, chunk int, useRepeat bool, split func(uint64) uint64, takeRuns bool) (collect, PilotStats) {
+	s := newStream(pilot, chunk, streamRingDepth)
 	go deliver(s, steps, useRepeat, split)
 	var got runCollect
 	var c Consumer = &got.collect
@@ -192,16 +192,13 @@ func FuzzRepeater(f *testing.F) {
 					split != nil, gotN, len(got), wantN, len(want))
 			}
 		}
-		cfg := StreamConfig{
-			ChunkRecords: 1 + int(mode>>2&7),
-			PilotCycles:  uint64(mode>>5) * 16,
-		}
-		wantRecs, wantPilot := streamReplay(t, steps, cfg, false, nil, false)
+		chunk, pilot := 1+int(mode>>2&7), uint64(mode>>5)*16
+		wantRecs, wantPilot := streamReplay(t, steps, pilot, chunk, false, nil, false)
 		for _, tc := range []struct {
 			split    func(uint64) uint64
 			takeRuns bool
 		}{{nil, false}, {nil, true}, {randomSplit(seed), false}, {randomSplit(seed), true}} {
-			gotRecs, gotPilot := streamReplay(t, steps, cfg, true, tc.split, tc.takeRuns)
+			gotRecs, gotPilot := streamReplay(t, steps, pilot, chunk, true, tc.split, tc.takeRuns)
 			if gotPilot != wantPilot || gotRecs.total != wantRecs.total || len(gotRecs.recs) != len(wantRecs.recs) {
 				t.Fatalf("stream through OnRepeat (runs %v, consumer takes runs %v): pilot %+v, %d records, total %d; through OnCycle: pilot %+v, %d records, total %d",
 					tc.split != nil, tc.takeRuns, gotPilot, len(gotRecs.recs), gotRecs.total, wantPilot, len(wantRecs.recs), wantRecs.total)

@@ -36,12 +36,6 @@ type PilotStats struct {
 
 // StreamConfig parameterises a Stream.
 type StreamConfig struct {
-	// ChunkRecords bounds the records per chunk
-	// (0 = DefaultChunkRecords).
-	ChunkRecords int
-	// RingDepth bounds the chunks buffered between producer and consumer
-	// (0 = streamRingDepth).
-	RingDepth int
 	// PilotCycles is the pilot window length in cycles: records before the
 	// boundary go to the pilot capture (not ring-bounded) so the consumer
 	// can replay them once calibration has run, and PilotStats are
@@ -114,24 +108,25 @@ type Stream struct {
 	chunkPool *sync.Pool
 }
 
-// NewStream returns an empty stream pipe.
+// NewStream returns an empty stream pipe of DefaultChunkRecords-record
+// chunks, at most streamRingDepth of them in the ring.
 func NewStream(cfg StreamConfig) *Stream {
-	if cfg.ChunkRecords <= 0 {
-		cfg.ChunkRecords = DefaultChunkRecords
-	}
-	if cfg.RingDepth <= 0 {
-		cfg.RingDepth = streamRingDepth
-	}
+	return newStream(cfg.PilotCycles, DefaultChunkRecords, streamRingDepth)
+}
+
+// newStream is NewStream with the chunk size and ring depth given, so tests
+// can cross chunk and pilot boundaries with a few records.
+func newStream(pilotCycles uint64, chunkRecords, ringDepth int) *Stream {
 	s := &Stream{
-		chunkRecords:   cfg.ChunkRecords,
-		pilotCycles:    cfg.PilotCycles,
-		ring:           make(chan *chunk, cfg.RingDepth),
+		chunkRecords:   chunkRecords,
+		pilotCycles:    pilotCycles,
+		ring:           make(chan *chunk, ringDepth),
 		abortCh:        make(chan struct{}),
 		pilotReady:     make(chan struct{}),
-		pilotBuffering: cfg.PilotCycles > 0,
-		chunkPool:      newChunkPool(cfg.ChunkRecords),
+		pilotBuffering: pilotCycles > 0,
+		chunkPool:      newChunkPool(chunkRecords),
 	}
-	if cfg.PilotCycles == 0 {
+	if pilotCycles == 0 {
 		close(s.pilotReady)
 	} else {
 		s.pilotCapt = NewCapture()

@@ -2,6 +2,7 @@ package trace
 
 import (
 	"bytes"
+	"cmp"
 	"context"
 	"errors"
 	"fmt"
@@ -43,13 +44,14 @@ func TestStreamMatchesCaptureReplay(t *testing.T) {
 	}
 
 	for _, shards := range []int{1, 2, 3} {
+		// chunk 0 stands for DefaultChunkRecords, NewStream's size.
 		for _, chunk := range []int{1, 13, 256, 0} {
 			// Pilot 1 seals the pilot capture on the first record, n on
 			// the last one (Finish follows with nothing left to flush).
 			for _, pilot := range []uint64{0, 1, 100, n, 10_000} {
 				name := fmt.Sprintf("shards=%d/chunk=%d/pilot=%d", shards, chunk, pilot)
 				t.Run(name, func(t *testing.T) {
-					s := NewStream(StreamConfig{ChunkRecords: chunk, PilotCycles: pilot})
+					s := newStream(pilot, cmp.Or(chunk, DefaultChunkRecords), streamRingDepth)
 					prodDone := streamRecords(s, n)
 					ps, err := s.Pilot(context.Background())
 					if err != nil {
@@ -101,7 +103,7 @@ func TestStreamMatchesCaptureReplay(t *testing.T) {
 // TestStreamProducerFail checks a failed run surfaces the producer's error
 // from ReplayShards after the produced prefix drains, with no Finish.
 func TestStreamProducerFail(t *testing.T) {
-	s := NewStream(StreamConfig{ChunkRecords: 8})
+	s := newStream(0, 8, streamRingDepth)
 	injected := errors.New("injected core failure")
 	go func() {
 		for i := 0; i < 100; i++ {
@@ -209,7 +211,7 @@ func TestStreamReleasesUnreplayedPilot(t *testing.T) {
 // TestStreamConsumerFaultAborts checks a Faultable shard error aborts the
 // streamed replay and unblocks the producer mid-run.
 func TestStreamConsumerFaultAborts(t *testing.T) {
-	s := NewStream(StreamConfig{ChunkRecords: 16, RingDepth: 2})
+	s := newStream(0, 16, 2)
 	prodDone := streamRecords(s, 100_000)
 	bad := &faultingConsumer{failAt: 50}
 	good := &collect{}
@@ -233,7 +235,7 @@ func TestStreamConsumerFaultAborts(t *testing.T) {
 // TestStreamContextCancelUnblocksProducer checks cancelling the consumer
 // context aborts the stream so the producing goroutine can finish.
 func TestStreamContextCancelUnblocksProducer(t *testing.T) {
-	s := NewStream(StreamConfig{ChunkRecords: 16, RingDepth: 2})
+	s := newStream(0, 16, 2)
 	prodDone := streamRecords(s, 100_000)
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()

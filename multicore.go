@@ -62,7 +62,7 @@ func CaptureMulticore(ctx context.Context, ws []*Workload, cfg CoreConfig) ([]*T
 		capts[i] = trace.NewCapture()
 		specs[i] = multicore.CoreSpec{Workload: w, Consumers: []trace.Consumer{capts[i]}}
 	}
-	results, err := multicore.New(multicore.Config{Core: cfg}, specs).Run(ctx)
+	results, err := multicore.New(cfg, specs).Run(ctx)
 	for i := 0; err == nil && i < len(capts); i++ {
 		if cerr := capts[i].Err(); cerr != nil {
 			err = fmt.Errorf("tip: core %d (%s) capture: %w", i, ws[i].Name, cerr)

@@ -444,7 +444,7 @@ func runMulticoreDirect(ws []*Workload, rc RunConfig) ([]*Result, []CoreStats, e
 			Consumers: matrices[i].shards(1),
 		}
 	}
-	results, err := multicore.New(multicore.Config{Core: rc.Core}, specs).Run(nil)
+	results, err := multicore.New(rc.Core, specs).Run(nil)
 	if err != nil {
 		return nil, nil, err
 	}

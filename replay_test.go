@@ -33,13 +33,7 @@ func encoded(t *testing.T, c *TraceCapture) []byte {
 
 // newChecker builds an invariant checker matching the default core.
 func newReplayChecker(name string) *check.Checker {
-	cfg := DefaultCoreConfig()
-	return check.New(check.Options{
-		Benchmark:       name,
-		CommitWidth:     cfg.CommitWidth,
-		ROBEntries:      cfg.ROBEntries,
-		FetchBufEntries: cfg.FetchBufEntries,
-	})
+	return check.New(name, DefaultCoreConfig())
 }
 
 // TestTraceReplayEquivalence captures a run's commit-stage trace to the

@@ -120,16 +120,24 @@ func ConfigureSampled(rc *RunConfig, window, interval uint64, warmup string) err
 	}
 	rc.Sampled = true
 	rc.WindowCycles, rc.WindowInterval, rc.WarmupCycles = window, interval, warm
-	return ValidateSampled(*rc)
+	return validateSampled(*rc)
 }
 
-// ValidateSampled checks rc's sampled-simulation window geometry and worker
+// MaxWindowWorkers bounds RunConfig.WindowWorkers: the checkpoint-parallel
+// producer starts one goroutine with its own core per worker and sizes its
+// checkpoint pools at three slots per worker, so an unbounded count from a
+// flag or job spec could exhaust memory.
+const MaxWindowWorkers = 16
+
+// validateSampled checks rc's sampled-simulation window geometry and worker
 // count. It is the single validation authority: RunSampled applies it, and
 // ConfigureSampled runs it before any simulation time is spent.
-func ValidateSampled(rc RunConfig) error {
+func validateSampled(rc RunConfig) error {
 	switch {
 	case rc.WindowWorkers < 0:
 		return fmt.Errorf("sampled: WindowWorkers must be >= 0, got %d", rc.WindowWorkers)
+	case rc.WindowWorkers > MaxWindowWorkers:
+		return fmt.Errorf("sampled: WindowWorkers must be <= %d, got %d", MaxWindowWorkers, rc.WindowWorkers)
 	case rc.WindowCycles == 0:
 		return fmt.Errorf("sampled: WindowCycles must be positive")
 	case rc.WindowInterval == 0:
@@ -420,7 +428,7 @@ func runSampledCore(ctx context.Context, w *Workload, rc RunConfig, consumer tra
 	clock := measuredClock{consumer: consumer}
 	coreCycle := uint64(0) // the core's own clock, warmup included
 	lastCommitCore := uint64(0)
-	jitter := xrand.New(rc.SamplingSeed ^ 0x5a3c9d71)
+	jitter := xrand.New(samplingSeed ^ 0x5a3c9d71)
 	// Unmeasured spans are priced trapezoidally by the windows that bracket
 	// them; see stitcher.
 	st := stitcher{sr: sr}
@@ -522,7 +530,7 @@ func runSampledCore(ctx context.Context, w *Workload, rc RunConfig, consumer tra
 // producers step every detailed cycle through runLeg and emit through a
 // measuredClock.
 func RunSampled(ctx context.Context, w *Workload, rc RunConfig) (*Result, error) {
-	if err := ValidateSampled(rc); err != nil {
+	if err := validateSampled(rc); err != nil {
 		return nil, fmt.Errorf("tip: %s: %w", w.Name, err)
 	}
 	produce := runSampledCore

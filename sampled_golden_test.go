@@ -139,7 +139,8 @@ func sampledGoldenName(bench string, window, interval, warm uint64, workers int)
 	return fmt.Sprintf("%s/w%d-i%d-warm%d/workers%d", bench, window, interval, warm, workers)
 }
 
-// profileDigest hashes res's profiles bit for bit, in AllKinds order.
+// profileDigest hashes res's profiles bit for bit, in AllKinds order,
+// skipping kinds the run did not model.
 func profileDigest(res *Result) string {
 	h := sha256.New()
 	var b []byte
@@ -168,6 +169,9 @@ func profileDigest(res *Result) string {
 	u(res.SampleInterval)
 	for _, k := range AllKinds() {
 		s := res.Sampled[k]
+		if s == nil {
+			continue
+		}
 		u(uint64(k))
 		u(s.Samples)
 		f(s.SampledWeight)

@@ -208,7 +208,7 @@ func runSampledParallel(ctx context.Context, w *Workload, rc RunConfig, consumer
 		ff := program.NewFastForward(w.Prog)
 		// Same seed derivation as the serial schedule; draws happen in
 		// schedule order, so positions are independent of worker count.
-		jitter := xrand.New(rc.SamplingSeed ^ 0x5a3c9d71)
+		jitter := xrand.New(samplingSeed ^ 0x5a3c9d71)
 		pos := uint64(0)
 		for index := 1; ; index++ {
 			// Block until the lag-delayed feedback window has settled;

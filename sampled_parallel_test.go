@@ -224,7 +224,7 @@ func TestAutoWarmupCycles(t *testing.T) {
 		rc.WindowCycles = tc.window
 		rc.WindowInterval = tc.interval
 		rc.WarmupCycles = AutoWarmupCycles(tc.window, tc.interval)
-		if err := ValidateSampled(rc); err != nil {
+		if err := validateSampled(rc); err != nil {
 			t.Errorf("auto warmup for (%d, %d) fails validation: %v", tc.window, tc.interval, err)
 		}
 	}

@@ -15,9 +15,10 @@ import (
 	"github.com/tipprof/tip/internal/workload"
 )
 
-// TestValidateSampled exercises every window-geometry rejection and the two
-// legal shapes (proper sub-window, and window == interval where warmup is
-// ignored).
+// TestValidateSampled exercises every window-geometry and worker-count
+// rejection and the legal shapes (proper sub-window, window == interval
+// where warmup is ignored, and the largest worker count). It only
+// validates: no case starts a run.
 func TestValidateSampled(t *testing.T) {
 	mk := func(wc, wi, warm uint64) RunConfig {
 		rc := DefaultRunConfig()
@@ -25,6 +26,11 @@ func TestValidateSampled(t *testing.T) {
 		rc.WindowCycles = wc
 		rc.WindowInterval = wi
 		rc.WarmupCycles = warm
+		return rc
+	}
+	workers := func(n int) RunConfig {
+		rc := mk(1024, 4096, 512)
+		rc.WindowWorkers = n
 		return rc
 	}
 	cases := []struct {
@@ -38,9 +44,13 @@ func TestValidateSampled(t *testing.T) {
 		{"warmup overflows interval", mk(1024, 4096, 3073), "exceed WindowInterval"},
 		{"ok", mk(1024, 4096, 512), ""},
 		{"full fraction ignores warmup", mk(4096, 4096, 1<<40), ""},
+		{"negative workers", workers(-1), "WindowWorkers must be >= 0"},
+		{"workers over the bound", workers(MaxWindowWorkers + 1), "WindowWorkers must be <= 16"},
+		{"huge workers", workers(1 << 30), "WindowWorkers must be <= 16"},
+		{"workers at the bound", workers(MaxWindowWorkers), ""},
 	}
 	for _, tc := range cases {
-		err := ValidateSampled(tc.rc)
+		err := validateSampled(tc.rc)
 		if tc.wantErr == "" {
 			if err != nil {
 				t.Errorf("%s: unexpected error %v", tc.name, err)

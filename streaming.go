@@ -18,14 +18,14 @@ import (
 // trace.DefaultSpillBytes, so the pilot capture never spills to disk.
 const DefaultPilotCycles = 1 << 17
 
-// PilotEstimateCycles extrapolates a run's total cycle count from its pilot
+// pilotEstimateCycles extrapolates a run's total cycle count from its pilot
 // window: the pilot's cycles-per-instruction scaled to the workload's
 // dynamic-instruction budget (Workload.TargetDynInsts). Exact pilot stats —
 // the run ended inside the window — are returned as-is, making the estimate
 // (and therefore the calibrated interval) identical to the two-pass path.
 // The estimate saturates instead of overflowing and is never smaller than
 // the pilot itself.
-func PilotEstimateCycles(ps trace.PilotStats, targetDynInsts uint64) uint64 {
+func pilotEstimateCycles(ps trace.PilotStats, targetDynInsts uint64) uint64 {
 	if ps.Exact || ps.Committed == 0 || targetDynInsts == 0 {
 		return ps.Cycles
 	}
@@ -124,7 +124,7 @@ func runFused(ctx context.Context, w *Workload, rc RunConfig, pilotCycles uint64
 		if err != nil {
 			return 0, err
 		}
-		est := PilotEstimateCycles(ps, w.TargetDynInsts)
+		est := pilotEstimateCycles(ps, w.TargetDynInsts)
 		if rc.Sampled && !ps.Exact {
 			// The pilot extrapolates the full run, but the profilers only
 			// see the measured fraction of it — shrink the estimate so the

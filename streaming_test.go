@@ -332,8 +332,8 @@ func TestPilotEstimateCycles(t *testing.T) {
 		{"saturates", trace.PilotStats{Cycles: math.MaxUint64 / 2, Committed: 1}, math.MaxUint64 / 2, math.MaxUint64},
 	}
 	for _, tc := range cases {
-		if got := PilotEstimateCycles(tc.ps, tc.dyn); got != tc.want {
-			t.Errorf("%s: PilotEstimateCycles(%+v, %d) = %d, want %d", tc.name, tc.ps, tc.dyn, got, tc.want)
+		if got := pilotEstimateCycles(tc.ps, tc.dyn); got != tc.want {
+			t.Errorf("%s: pilotEstimateCycles(%+v, %d) = %d, want %d", tc.name, tc.ps, tc.dyn, got, tc.want)
 		}
 	}
 }

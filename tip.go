@@ -121,8 +121,6 @@ type RunConfig struct {
 	// RandomSampling picks a random cycle within each interval instead
 	// of the interval end (§5.2).
 	RandomSampling bool
-	// SamplingSeed seeds random sampling.
-	SamplingSeed uint64
 	// WithBreakdown records Oracle's per-instruction category matrix
 	// (needed for Fig. 12/13 reports).
 	WithBreakdown bool
@@ -192,9 +190,12 @@ func DefaultRunConfig() RunConfig {
 	return RunConfig{
 		Core:          cpu.DefaultConfig(),
 		TargetSamples: 4096,
-		SamplingSeed:  0x5eed,
 	}
 }
+
+// samplingSeed seeds random sampling and, XORed with a constant, the
+// sampled schedule's window-position jitter.
+const samplingSeed = 0x5eed
 
 // Result is the outcome of one profiled run.
 type Result struct {
@@ -303,7 +304,7 @@ func buildMatrix(w *Workload, rc RunConfig, interval, estCycles uint64) consumer
 	for _, k := range kinds {
 		var sched sampling.Schedule
 		if rc.RandomSampling {
-			sched = sampling.NewRandom(interval, rc.SamplingSeed)
+			sched = sampling.NewRandom(interval, samplingSeed)
 		} else {
 			sched = sampling.NewPeriodic(interval)
 		}
@@ -329,12 +330,7 @@ func buildMatrix(w *Workload, rc RunConfig, interval, estCycles uint64) consumer
 	}
 
 	if rc.Check {
-		m.checker = check.New(check.Options{
-			Benchmark:       w.Name,
-			CommitWidth:     rc.Core.CommitWidth,
-			ROBEntries:      rc.Core.ROBEntries,
-			FetchBufEntries: rc.Core.FetchBufEntries,
-		})
+		m.checker = check.New(w.Name, rc.Core)
 		m.checker.AuditOracle("Oracle", m.oracle)
 		for _, k := range kinds {
 			m.checker.AuditSampled(k.String(), m.byKind[k])

@@ -187,6 +187,11 @@ func TestRandomSamplingRuns(t *testing.T) {
 	if e := res.Err(KindTIP, GranInstruction); e > 0.3 {
 		t.Fatalf("random-sampling TIP error %.3f implausibly high", e)
 	}
+	// The digest pins the random-sampling seed's draws bit for bit.
+	const want = "b7b74de9e82b45cd9758e147432e3d82f3b673d3e835823c7bcd46fa15399f1b"
+	if got := profileDigest(res); got != want {
+		t.Fatalf("profile digest:\n got  %s\n want %s", got, want)
+	}
 }
 
 func TestFixedIntervalRespected(t *testing.T) {
