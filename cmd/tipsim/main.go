@@ -30,7 +30,7 @@ import (
 func main() {
 	var (
 		bench     = flag.String("bench", "imagick", "benchmark name (see -list)")
-		cores     = flag.String("cores", "", "comma-separated benchmarks run lockstep on one shared-LLC system, workload i on core i, each core profiled from its own capture (incompatible with -record/-streaming/-sampled)")
+		cores     = flag.String("cores", "", "comma-separated benchmarks run lockstep on one shared-LLC system, workload i on core i, each core profiled from its own stream (incompatible with -record/-sampled)")
 		list      = flag.Bool("list", false, "list benchmarks and exit")
 		profilers = flag.String("profilers", "", "comma-separated profiler subset (default: all)")
 		samples   = flag.Uint64("samples", 4096, "calibrated sample count (4 kHz-equivalent)")
@@ -80,12 +80,12 @@ func main() {
 	rc.WithBreakdown = true
 	rc.Check = *checkInv
 	rc.ReplayWorkers = *replayW
-	if err := configure(&rc, sflags, *sampled, *streaming, *cores, *record); err != nil {
+	if err := configure(&rc, sflags, *sampled, *cores, *record); err != nil {
 		fatal(err)
 	}
 
 	if *cores != "" {
-		if err := runMulticore(*cores, *seed, *scale, rc, *top, *fn); err != nil {
+		if err := runMulticore(*cores, *seed, *scale, rc, *streaming, *top, *fn); err != nil {
 			fatal(err)
 		}
 		return
@@ -102,23 +102,17 @@ func main() {
 	printResult(w.Name, res, *top, *fn)
 }
 
-// configure applies the sampled-schedule flags to rc and rejects the mode
+// configure applies the sampled-schedule flags to rc and rejects the -record
 // combinations no run route supports.
-func configure(rc *tip.RunConfig, sflags cli.SampledFlags, sampled, streaming bool, cores, record string) error {
+func configure(rc *tip.RunConfig, sflags cli.SampledFlags, sampled bool, cores, record string) error {
 	if err := sflags.Apply(rc, sampled, "-sampled"); err != nil {
 		return err
 	}
 	switch {
 	case record != "" && sampled:
 		return fmt.Errorf("-record is incompatible with -sampled (raw-sample recording needs the full trace)")
-	case cores == "":
-		return nil
-	case record != "":
+	case record != "" && cores != "":
 		return fmt.Errorf("-record is incompatible with -cores (raw-sample recording is single-core)")
-	case streaming:
-		return fmt.Errorf("-streaming is incompatible with -cores (multicore runs replay each core's finished capture)")
-	case sampled:
-		return fmt.Errorf("-sampled is incompatible with -cores (the lockstep system runs every core in full detail)")
 	}
 	return nil
 }
@@ -211,9 +205,9 @@ func printResult(name string, res *tip.Result, top int, fn string) {
 }
 
 // runMulticore runs the -cores benchmark set lockstep on one shared-LLC
-// system and prints each core's profile evaluation against that core's own
-// Oracle.
-func runMulticore(spec string, seed, scale uint64, rc tip.RunConfig, top int, fn string) error {
+// system, through tip.RunMulticoreStreaming when streaming is set, and
+// prints each core's profile evaluation against that core's own Oracle.
+func runMulticore(spec string, seed, scale uint64, rc tip.RunConfig, streaming bool, top int, fn string) error {
 	names := strings.Split(spec, ",")
 	ws := make([]*tip.Workload, 0, len(names))
 	for _, name := range names {
@@ -223,7 +217,11 @@ func runMulticore(spec string, seed, scale uint64, rc tip.RunConfig, top int, fn
 		}
 		ws = append(ws, w)
 	}
-	res, err := tip.RunMulticore(context.Background(), ws, rc)
+	run := tip.RunMulticore
+	if streaming {
+		run = tip.RunMulticoreStreaming
+	}
+	res, err := run(context.Background(), ws, rc)
 	if err != nil {
 		return err
 	}

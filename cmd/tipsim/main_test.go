@@ -46,7 +46,7 @@ func TestConfigureSampledRejections(t *testing.T) {
 	for _, tc := range cases {
 		rc := tip.DefaultRunConfig()
 		f := cli.SampledFlags{Window: tc.window, Interval: tc.interval, Warmup: tc.warmup, Workers: tc.workers}
-		err := configure(&rc, f, tc.sampled, false, "", tc.record)
+		err := configure(&rc, f, tc.sampled, "", tc.record)
 		if tc.wantErr == "" {
 			if err != nil {
 				t.Errorf("%s: unexpected error %v", tc.name, err)
@@ -63,7 +63,7 @@ func TestConfigureSampledRejections(t *testing.T) {
 // evaluation-harness defaults, and that explicit values pass through.
 func TestConfigureSampledDefaults(t *testing.T) {
 	rc := tip.DefaultRunConfig()
-	if err := configure(&rc, cli.SampledFlags{}, true, false, "", ""); err != nil {
+	if err := configure(&rc, cli.SampledFlags{}, true, "", ""); err != nil {
 		t.Fatal(err)
 	}
 	if !rc.Sampled {
@@ -76,7 +76,7 @@ func TestConfigureSampledDefaults(t *testing.T) {
 	}
 
 	rc = tip.DefaultRunConfig()
-	if err := configure(&rc, cli.SampledFlags{Window: 4096, Interval: 4096}, true, false, "", ""); err != nil {
+	if err := configure(&rc, cli.SampledFlags{Window: 4096, Interval: 4096}, true, "", ""); err != nil {
 		t.Fatal(err)
 	}
 	if rc.WarmupCycles != 0 {
@@ -84,7 +84,7 @@ func TestConfigureSampledDefaults(t *testing.T) {
 	}
 
 	rc = tip.DefaultRunConfig()
-	if err := configure(&rc, cli.SampledFlags{Warmup: "0", Workers: 3}, true, false, "", ""); err != nil {
+	if err := configure(&rc, cli.SampledFlags{Warmup: "0", Workers: 3}, true, "", ""); err != nil {
 		t.Fatal(err)
 	}
 	if rc.WarmupCycles != 0 || rc.WindowWorkers != 3 {
@@ -92,7 +92,7 @@ func TestConfigureSampledDefaults(t *testing.T) {
 	}
 
 	rc = tip.DefaultRunConfig()
-	if err := configure(&rc, cli.SampledFlags{Window: 2048, Interval: 16384, Warmup: "1024"}, true, false, "", ""); err != nil {
+	if err := configure(&rc, cli.SampledFlags{Window: 2048, Interval: 16384, Warmup: "1024"}, true, "", ""); err != nil {
 		t.Fatal(err)
 	}
 	if rc.WindowCycles != 2048 || rc.WindowInterval != 16384 || rc.WarmupCycles != 1024 {
@@ -104,7 +104,7 @@ func TestConfigureSampledDefaults(t *testing.T) {
 // heuristic's cycle count is filled in.
 func TestConfigureSampledAutoWarmup(t *testing.T) {
 	rc := tip.DefaultRunConfig()
-	if err := configure(&rc, cli.SampledFlags{Window: 8192, Interval: 1 << 20, Warmup: "auto"}, true, false, "", ""); err != nil {
+	if err := configure(&rc, cli.SampledFlags{Window: 8192, Interval: 1 << 20, Warmup: "auto"}, true, "", ""); err != nil {
 		t.Fatal(err)
 	}
 	if want := tip.AutoWarmupCycles(8192, 1<<20); rc.WarmupCycles != want {
@@ -139,28 +139,26 @@ func TestRecordMatchesCollectorOnEveryRoute(t *testing.T) {
 	}
 }
 
-// TestRunMulticoreRejections exercises the -cores mode rejections: raw-sample
-// recording, fused streaming, and sampled simulation are all single-core
-// paths.
+// TestRunMulticoreRejections exercises the -cores mode checks: tipsim
+// rejects raw-sample recording, a single-core path; -sampled passes
+// configure, and the library rejects it before anything runs, under either
+// calibration policy.
 func TestRunMulticoreRejections(t *testing.T) {
-	cases := []struct {
-		name               string
-		record             string
-		streaming, sampled bool
-		wantErr            string
-	}{
-		{name: "record", record: "out.tipperf", wantErr: "-record is incompatible with -cores"},
-		{name: "streaming", streaming: true, wantErr: "-streaming is incompatible with -cores"},
-		{name: "sampled", sampled: true, wantErr: "-sampled is incompatible with -cores"},
+	rc := tip.DefaultRunConfig()
+	err := configure(&rc, cli.SampledFlags{}, false, "mcf,x264", "out.tipperf")
+	if want := "-record is incompatible with -cores"; err == nil || !strings.Contains(err.Error(), want) {
+		t.Errorf("record: error %v, want substring %q", err, want)
 	}
-	for _, tc := range cases {
-		rc := tip.DefaultRunConfig()
-		err := configure(&rc, cli.SampledFlags{}, tc.sampled, tc.streaming, "mcf,x264", tc.record)
-		if err == nil || !strings.Contains(err.Error(), tc.wantErr) {
-			t.Errorf("%s: error %v, want substring %q", tc.name, err, tc.wantErr)
+	if err := configure(&rc, cli.SampledFlags{}, true, "mcf,x264", ""); err != nil {
+		t.Fatalf("sampled: configure: %v", err)
+	}
+	for _, streaming := range []bool{false, true} {
+		err := runMulticore("mcf,x264", 1, 10_000, rc, streaming, 5, "")
+		if want := "multicore runs do not support sampled simulation"; err == nil || !strings.Contains(err.Error(), want) {
+			t.Errorf("sampled, streaming=%v: error %v, want substring %q", streaming, err, want)
 		}
 	}
-	err := runMulticore("mcf,nosuchbench", 1, 10_000, tip.DefaultRunConfig(), 5, "")
+	err = runMulticore("mcf,nosuchbench", 1, 10_000, tip.DefaultRunConfig(), false, 5, "")
 	if err == nil || !strings.Contains(err.Error(), "unknown benchmark") {
 		t.Errorf("unknown bench: error %v, want substring %q", err, "unknown benchmark")
 	}

@@ -11,67 +11,41 @@ import (
 	"fmt"
 	"log"
 
-	"github.com/tipprof/tip/internal/cpu"
-	"github.com/tipprof/tip/internal/multicore"
-	"github.com/tipprof/tip/internal/profile"
-	"github.com/tipprof/tip/internal/profiler"
-	"github.com/tipprof/tip/internal/sampling"
-	"github.com/tipprof/tip/internal/trace"
+	tip "github.com/tipprof/tip"
 	"github.com/tipprof/tip/internal/workload"
 )
 
 func main() {
 	names := []string{"mcf", "omnetpp"}
-	cfg := cpu.DefaultConfig()
-	cfg.MaxCycles = 500_000_000
+	rc := tip.DefaultRunConfig()
+	rc.Core.MaxCycles = 500_000_000
+	rc.Profilers = []tip.Kind{tip.KindTIP}
+	rc.SampleInterval = 101
 
-	// Solo baselines first.
-	solo := map[string]uint64{}
-	for _, n := range names {
-		w := mustLoad(n)
-		sys := multicore.New(cfg, []multicore.CoreSpec{{Workload: w}})
-		res, err := sys.Run(context.Background())
+	// Solo baselines first, then the co-run: each core streams its records
+	// to its own Oracle and TIP profiler while the lockstep run goes on.
+	solo := make([]uint64, len(names))
+	ws := make([]*tip.Workload, len(names))
+	for i, n := range names {
+		st, err := tip.MeasureStats(mustLoad(n), rc.Core)
 		if err != nil {
 			log.Fatal(err)
 		}
-		solo[n] = res[0].Stats.Cycles
+		solo[i], ws[i] = st.Cycles, mustLoad(n)
 	}
-
-	// Co-run with per-core Oracle + TIP.
-	type coreState struct {
-		name   string
-		oracle *profiler.Oracle
-		tip    *profiler.Sampled
-	}
-	var specs []multicore.CoreSpec
-	var states []coreState
-	for _, n := range names {
-		w := mustLoad(n)
-		or := profiler.NewOracle(w.Prog, false)
-		tp := profiler.NewSampled(profiler.KindTIP, w.Prog, sampling.NewPeriodic(101))
-		specs = append(specs, multicore.CoreSpec{
-			Workload:  w,
-			Consumers: []trace.Consumer{or, tp},
-		})
-		states = append(states, coreState{name: n, oracle: or, tip: tp})
-	}
-	sys := multicore.New(cfg, specs)
-	results, err := sys.Run(context.Background())
+	res, err := tip.RunMulticoreStreaming(context.Background(), ws, rc)
 	if err != nil {
 		log.Fatal(err)
 	}
 
 	fmt.Println("core  benchmark  solo-cycles  co-run-cycles  slowdown  TIP-error")
-	for i, st := range states {
-		co := results[i].Stats.Cycles
-		e := st.tip.Profile.Error(st.oracle.Profile, profile.GranInstruction, true)
+	for i, cr := range res.Cores {
+		co := cr.Stats.Cycles
 		fmt.Printf("%4d  %-9s  %11d  %13d  %7.2fx  %8.2f%%\n",
-			i, st.name, solo[st.name], co,
-			float64(co)/float64(solo[st.name]), e*100)
+			i, names[i], solo[i], co, float64(co)/float64(solo[i]),
+			cr.Err(tip.KindTIP, tip.GranInstruction)*100)
 	}
-	fmt.Printf("\nshared LLC: %d hits, %d misses across both cores\n",
-		sys.LLC().Hits, sys.LLC().Misses)
-	fmt.Println("sharing the LLC and memory controller slows both DRAM-bound")
+	fmt.Println("\nsharing the LLC and memory controller slows both DRAM-bound")
 	fmt.Println("workloads, but each per-core TIP profile stays accurate against")
 	fmt.Println("its own Oracle — per-core TIP units suffice (paper §3.2).")
 }

@@ -2,6 +2,7 @@ package tip_test
 
 import (
 	"bytes"
+	"context"
 	"fmt"
 	"os"
 	"path/filepath"
@@ -41,9 +42,10 @@ func TestGenerateFuzzCorpus(t *testing.T) {
 	}
 }
 
-// encodeMulticoreTraces captures a scaled-down lockstep run of benches and
-// re-encodes the first maxRecords records of each core's capture as a
-// standalone TIPTRC2 stream.
+// encodeMulticoreTraces captures a scaled-down lockstep run of benches, one
+// capture per core teed from the fused multicore run, and re-encodes the
+// first maxRecords records of each core's capture as a standalone TIPTRC2
+// stream.
 func encodeMulticoreTraces(t *testing.T, benches []string, scale uint64, maxRecords int) [][]byte {
 	t.Helper()
 	ws := make([]*tip.Workload, len(benches))
@@ -54,14 +56,17 @@ func encodeMulticoreTraces(t *testing.T, benches []string, scale uint64, maxReco
 		}
 		ws[i] = w
 	}
-	capts, _, err := tip.CaptureMulticore(nil, ws, tip.DefaultRunConfig().Core)
-	if err != nil {
+	capts := make([]*tip.TraceCapture, len(ws))
+	for i := range capts {
+		capts[i] = trace.NewCapture()
+		defer capts[i].Close()
+	}
+	if _, err := tip.RunMulticoreStreaming(context.Background(), ws, tip.DefaultRunConfig(), capts...); err != nil {
 		t.Fatal(err)
 	}
 	out := make([][]byte, len(capts))
 	for i, c := range capts {
 		out[i] = prefix(t, c, trace.NewCapture(), maxRecords)
-		c.Close()
 	}
 	return out
 }

@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"context"
 	"reflect"
 	"runtime"
 	"testing"
@@ -164,4 +165,34 @@ func TestEvalBenchmarkStreamingParity(t *testing.T) {
 			t.Fatalf("streaming evaluation differs from captured at ReplayWorkers=%d", workers)
 		}
 	}
+}
+
+// TestEvalMulticoreFollowsStreaming pins that EvalMulticore takes the route
+// Options.Streaming names, as EvalBenchmark does. mcf runs well past the
+// pilot window here, so its pilot-calibrated interval differs from the
+// exact one: the streamed evaluation must report the pilot's interval, and
+// the default evaluation the exact one.
+func TestEvalMulticoreFollowsStreaming(t *testing.T) {
+	pair := []string{"mcf", "x264"}
+	exact, err := EvalMulticore(context.Background(), pair, detOpts())
+	if err != nil {
+		t.Fatal(err)
+	}
+	sOpt := detOpts()
+	sOpt.Streaming = true
+	streamed, err := EvalMulticore(context.Background(), pair, sOpt)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if c := exact.Cores[0].Stats.Cycles; c < 2*tip.DefaultPilotCycles {
+		t.Fatalf("mcf runs %d cycles; the test needs a run well past the pilot window", c)
+	}
+	e, s := exact.Cores[0].SampleInterval, streamed.Cores[0].SampleInterval
+	if e == s {
+		t.Fatalf("mcf's interval is %d under both routes; the streamed route did not calibrate from its pilot", e)
+	}
+	if exact.Cores[0].Stats != streamed.Cores[0].Stats {
+		t.Fatal("mcf's run statistics differ between the routes")
+	}
+	t.Logf("mcf interval: exact %d, pilot %d", e, s)
 }

@@ -21,19 +21,10 @@ var DefaultMulticorePairs = [][]string{
 	{"mcf", "omnetpp"},
 }
 
-// MulticoreEval is one co-runner set's per-core evaluation.
-type MulticoreEval struct {
-	// Benches names the workloads, index = core.
-	Benches []string
-	// TotalCycles is the lockstep run's length.
-	TotalCycles uint64
-	// Cores holds each core's result, profiled against its own Oracle.
-	Cores []*tip.Result
-}
-
-// EvalMulticore runs one co-runner set lockstep through the multicore
-// capture/replay pipeline and evaluates TIP and NCI per core.
-func EvalMulticore(ctx context.Context, benches []string, opt Options) (*MulticoreEval, error) {
+// EvalMulticore runs one co-runner set lockstep through the fused multicore
+// pipeline, under the Pilot policy when opt.Streaming is set, and evaluates
+// TIP and NCI per core, core i running benches[i].
+func EvalMulticore(ctx context.Context, benches []string, opt Options) (*tip.MulticoreResult, error) {
 	opt.fill()
 	ws := make([]*tip.Workload, len(benches))
 	for i, name := range benches {
@@ -48,11 +39,15 @@ func EvalMulticore(ctx context.Context, benches []string, opt Options) (*Multico
 	rc.TargetSamples = opt.TargetSamples
 	rc.Check = opt.Checked
 	rc.ReplayWorkers = opt.ReplayWorkers
-	res, err := tip.RunMulticore(ctx, ws, rc)
+	run := tip.RunMulticore
+	if opt.Streaming {
+		run = tip.RunMulticoreStreaming
+	}
+	res, err := run(ctx, ws, rc)
 	if err != nil {
 		return nil, fmt.Errorf("multicore %v: %w", benches, err)
 	}
-	return &MulticoreEval{Benches: benches, TotalCycles: res.TotalCycles, Cores: res.Cores}, nil
+	return res, nil
 }
 
 // Multicore runs the default co-runner pairs and renders the per-core
@@ -71,15 +66,15 @@ func Multicore(opt Options) (*Table, error) {
 		},
 	}
 	for _, pair := range DefaultMulticorePairs {
-		ev, err := EvalMulticore(context.Background(), pair, opt)
+		res, err := EvalMulticore(context.Background(), pair, opt)
 		if err != nil {
 			return nil, err
 		}
-		for i, cr := range ev.Cores {
+		for i, cr := range res.Cores {
 			t.AddRow(
 				fmt.Sprintf("%s+%s", pair[0], pair[1]),
 				fmt.Sprintf("%d", i),
-				ev.Benches[i],
+				pair[i],
 				fmt.Sprintf("%d", cr.Stats.Cycles),
 				fmt.Sprintf("%.2f", cr.Stats.IPC()),
 				fmt.Sprintf("%d", cr.SampleInterval),

@@ -4,8 +4,10 @@ import (
 	"crypto/sha256"
 	"encoding/hex"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"io"
+	"io/fs"
 	"log"
 	"os"
 	"path/filepath"
@@ -131,6 +133,17 @@ func (st *Store) Put(id string, capt *trace.Capture, stats []cpu.Stats) error {
 		return fmt.Errorf("fleet: store put %s: %w", id, err)
 	}
 	st.puts.Add(1)
+	return nil
+}
+
+// Remove deletes the entry stored under id, sidecar first so a concurrent
+// Get sees a miss. An absent entry is no error.
+func (st *Store) Remove(id string) error {
+	for _, ext := range []string{".json", ".trc"} {
+		if err := os.Remove(filepath.Join(st.dir, id+ext)); err != nil && !errors.Is(err, fs.ErrNotExist) {
+			return fmt.Errorf("fleet: store remove %s: %w", id, err)
+		}
+	}
 	return nil
 }
 

@@ -34,6 +34,9 @@ type CoreSpec struct {
 type CoreResult struct {
 	// Stats are the core's run statistics.
 	Stats cpu.Stats
+	// Finished reports that the core ran its workload to the end and its
+	// consumers were Finished. Only a failed Run leaves a core unfinished.
+	Finished bool
 }
 
 // System is a lockstep multi-core machine.
@@ -77,18 +80,30 @@ func (s *System) LLC() *cache.Cache { return s.llc }
 const cancelCheckMask = 8191
 
 // Run steps every core each cycle until all workloads finish. Each core's
-// consumers see exactly the records that core produced, as cpu.Core's
-// RunContext delivers them: a quiescent cycle goes to a trace.Repeater as
-// OnRepeat(r, 1). They then Finish with that core's cycle count. So a
-// trace.Capture on each core records what that core's own TIP unit would
-// (§3.2). Cancelling ctx aborts the lockstep loop within a few thousand
-// cycles; a nil ctx disables cancellation.
+// consumers see exactly the records that core produced, a run of quiescent
+// cycles held until it ends and then delivered through trace.Repeat, and
+// then Finish with that core's cycle count. So a trace.Capture on a core
+// records what its own TIP unit would (§3.2). Cancelling ctx aborts the
+// loop within a few thousand cycles; a nil ctx disables cancellation. A
+// failed Run still returns one result per core, so its caller can tell
+// which cores' consumers were Finished.
 func (s *System) Run(ctx context.Context) ([]CoreResult, error) {
 	n := len(s.cores)
-	done := make([]bool, n)
 	results := make([]CoreResult, n)
 	recs := make([]trace.Record, n)
 	doneCycles := make([]uint64, n) // each core's last commit cycle
+	held := make([]trace.Record, n) // the record each core's pending run repeats
+	runs := make([]uint64, n)       // each core's pending run length
+	var scratch trace.Record
+	flush := func(i int) {
+		if runs[i] == 0 {
+			return
+		}
+		for _, c := range s.specs[i].Consumers {
+			trace.Repeat(c, &held[i], runs[i], &scratch)
+		}
+		runs[i] = 0
+	}
 	remaining := n
 
 	for cycle := uint64(0); remaining > 0; cycle++ {
@@ -96,22 +111,27 @@ func (s *System) Run(ctx context.Context) ([]CoreResult, error) {
 		// values 0..MaxCycles-1), the same boundary cpu.Core.RunContext
 		// enforces.
 		if s.maxCycles > 0 && cycle >= s.maxCycles {
-			return nil, fmt.Errorf("multicore: exceeded %d cycles with %d cores unfinished", s.maxCycles, remaining)
+			return results, fmt.Errorf("multicore: exceeded %d cycles with %d cores unfinished", s.maxCycles, remaining)
 		}
 		if ctx != nil && cycle&cancelCheckMask == 0 {
 			if err := ctx.Err(); err != nil {
-				return nil, fmt.Errorf("multicore: aborted at cycle %d: %w", cycle, err)
+				return results, fmt.Errorf("multicore: aborted at cycle %d: %w", cycle, err)
 			}
 		}
 		for i, core := range s.cores {
-			if done[i] {
+			if results[i].Finished {
 				continue
 			}
 			finished, repeat := core.Step(cycle, &recs[i])
-			for _, c := range s.specs[i].Consumers {
-				if rc, ok := c.(trace.Repeater); ok && repeat {
-					rc.OnRepeat(&recs[i], 1)
-				} else {
+			if repeat {
+				if runs[i] == 0 {
+					held[i] = recs[i]
+				}
+				held[i].Cycle = cycle
+				runs[i]++
+			} else {
+				flush(i)
+				for _, c := range s.specs[i].Consumers {
 					c.OnCycle(&recs[i])
 				}
 			}
@@ -119,10 +139,10 @@ func (s *System) Run(ctx context.Context) ([]CoreResult, error) {
 				doneCycles[i] = cycle
 			}
 			if finished {
-				done[i] = true
+				flush(i)
 				remaining--
 				core.FinalizeStats(doneCycles[i])
-				results[i].Stats = core.Stats()
+				results[i] = CoreResult{Stats: core.Stats(), Finished: true}
 				for _, c := range s.specs[i].Consumers {
 					c.Finish(results[i].Stats.Cycles)
 				}

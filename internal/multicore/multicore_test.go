@@ -221,11 +221,12 @@ func (s *recordSink) Finish(totalCycles uint64) { s.total = totalCycles }
 // into the records it stands for and counts the calls.
 type repeatSink struct {
 	recordSink
-	repeats int
+	repeats, repeated int
 }
 
 func (s *repeatSink) OnRepeat(r *trace.Record, n uint64) {
 	s.repeats++
+	s.repeated += int(n)
 	for c := r.Cycle - n + 1; c <= r.Cycle; c++ {
 		rec := *r
 		rec.Cycle = c
@@ -234,9 +235,9 @@ func (s *repeatSink) OnRepeat(r *trace.Record, n uint64) {
 }
 
 // TestRunPassesRepeatsToRepeaters checks that each core hands its quiescent
-// cycles to a consumer that takes runs as OnRepeat, as cpu.Core.RunContext
-// does, and that the expanded stream and Finish total are exactly what a
-// consumer taking every cycle through OnCycle sees on the same core.
+// cycles to a consumer that takes runs as OnRepeat, a whole stall per call,
+// and that the expanded stream and Finish total are exactly what a consumer
+// taking every cycle through OnCycle sees on the same core.
 func TestRunPassesRepeatsToRepeaters(t *testing.T) {
 	var plain [2]recordSink
 	var runs [2]repeatSink
@@ -260,5 +261,8 @@ func TestRunPassesRepeatsToRepeaters(t *testing.T) {
 	}
 	if runs[0].repeats == 0 {
 		t.Fatal("mcf's core delivered no quiescent cycle as OnRepeat")
+	}
+	if runs[0].repeated <= runs[0].repeats {
+		t.Fatalf("mcf's core delivered %d quiescent cycles in %d OnRepeat calls; want its stalls as runs", runs[0].repeated, runs[0].repeats)
 	}
 }

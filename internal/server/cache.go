@@ -61,7 +61,7 @@ func (k captureKey) id() string {
 // store are found by them. A single-core capture is stored under id, and
 // core i of a multicore set under id-i; a multicore set's bare id, the
 // address of the one interleaved capture earlier versions stored, is never
-// read.
+// read, and fill removes it once every per-core entry is in.
 func (k captureKey) storeIDs() []string {
 	if k.Cores == "" {
 		return []string{k.id()}
@@ -202,9 +202,18 @@ func (c *captureCache) fill(ctx context.Context, key captureKey, simulate captur
 		return nil, nil, "", err
 	}
 	if c.store != nil {
+		allPut := true
 		for i, id := range ids {
 			if err := c.store.Put(id, capts[i], stats[i:i+1]); err != nil {
 				c.logf("tipd: publishing %s to store: %v", id, err)
+				allPut = false
+			}
+		}
+		// A core set's per-core entries supersede the interleaved entry
+		// earlier versions stored under its bare id, which nothing reads.
+		if key.Cores != "" && allPut {
+			if err := c.store.Remove(key.id()); err != nil {
+				c.logf("tipd: removing superseded %s from store: %v", key.id(), err)
 			}
 		}
 	}

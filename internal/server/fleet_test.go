@@ -10,6 +10,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"io/fs"
 	"net/http"
 	"net/http/httptest"
 	"os"
@@ -333,7 +334,8 @@ func TestMulticoreStoreRestartRoundTrip(t *testing.T) {
 // TestMulticoreOldInterleavedStoreEntry puts an entry of the shape earlier
 // versions stored for a core set — one interleaved TIPTRC3 capture under
 // the set's bare id — into a store: a daemon on that store must never read
-// it, so the job simulates exactly once and completes.
+// it, so the job simulates exactly once and completes, and once every
+// per-core entry is stored the superseded entry is removed.
 func TestMulticoreOldInterleavedStoreEntry(t *testing.T) {
 	storeDir := t.TempDir()
 	cores := []CoreJobSpec{{Bench: "mcf", Seed: 1, Scale: 8_000}, {Bench: "x264", Seed: 1, Scale: 8_000}}
@@ -379,6 +381,11 @@ func TestMulticoreOldInterleavedStoreEntry(t *testing.T) {
 	}
 	if _, err := os.Stat(filepath.Join(storeDir, oldID+"-0.json")); err != nil {
 		t.Fatalf("core 0's capture was not stored beside the old entry: %v", err)
+	}
+	for _, ext := range []string{".trc", ".json"} {
+		if _, err := os.Stat(filepath.Join(storeDir, oldID+ext)); !errors.Is(err, fs.ErrNotExist) {
+			t.Fatalf("superseded %s%s still in the store (stat: %v)", oldID, ext, err)
+		}
 	}
 }
 

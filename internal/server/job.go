@@ -228,16 +228,9 @@ type jobOutcome struct {
 	timing experiments.Timing
 }
 
-// executeJob is the real job runner. When the capture cache finds the trace
-// (in memory or in the store), it is replayed through the job's profiler
-// matrix; when the cache has to simulate, the whole job runs fused — the
-// cycle-level simulation streams straight into the replay shards while the
-// encoded trace is teed into the cache — so the miss costs
-// max(simulate, replay) instead of their sum. A fused miss calibrates its
-// sampling interval from the streaming pilot window, so its interval (and
-// result) can differ marginally from a later cache-hit rerun of the same
-// spec, which calibrates from the exact cycle count. Cancelling ctx aborts
-// either path.
+// executeJob is the real job runner. A sampled job always simulates its
+// windows; every other job goes through the capture cache (runCached),
+// single-core and multicore alike. Cancelling ctx aborts any path.
 func (s *Server) executeJob(ctx context.Context, jb *job) (*jobOutcome, error) {
 	spec := jb.spec
 	out := &jobOutcome{}
@@ -249,7 +242,24 @@ func (s *Server) executeJob(ctx context.Context, jb *job) (*jobOutcome, error) {
 	out.timing.ReplayWorkers = spec.ReplayWorkers
 
 	if len(spec.Cores) > 0 {
-		return s.executeMulticoreJob(ctx, spec, rc, out)
+		ws := make([]*tip.Workload, len(spec.Cores))
+		for i, c := range spec.Cores {
+			w, err := workload.LoadScaled(c.Bench, c.Seed, c.Scale)
+			if err != nil {
+				return nil, fmt.Errorf("cores[%d]: %w", i, err)
+			}
+			ws[i] = w
+		}
+		key := captureKey{Cores: coreSetHash(spec.Cores), Core: s.coreHash, NCores: len(ws)}
+		return s.runCached(ctx, key, len(ws), out, func(ctx context.Context, capts []*trace.Capture) (_ []*tip.Result, err error) {
+			if out.multi, err = tip.RunMulticoreStreaming(ctx, ws, rc, capts...); err != nil {
+				return nil, err
+			}
+			return out.multi.Cores, nil
+		}, func(ent *cacheEntry) (err error) {
+			out.multi, err = tip.RunMulticoreCaptured(ctx, ws, ent.captures, ent.stats, rc)
+			return err
+		})
 	}
 
 	w, err := workload.LoadScaled(spec.Bench, spec.Seed, spec.Scale)
@@ -281,82 +291,52 @@ func (s *Server) executeJob(ctx context.Context, jb *job) (*jobOutcome, error) {
 		return out, nil
 	}
 
-	var fusedRes *tip.Result
-	start := time.Now()
-	ent, source, err := s.cache.getOrCapture(ctx, key, func(ctx context.Context) ([]*tip.TraceCapture, []tip.CoreStats, error) {
-		res, capt, err := runTee(ctx, w, rc)
-		if err != nil {
-			return nil, nil, err
-		}
-		s.met.simulationRan()
-		fusedRes = res
-		return []*tip.TraceCapture{capt}, []tip.CoreStats{res.Stats}, nil
+	return s.runCached(ctx, key, 1, out, func(ctx context.Context, capts []*trace.Capture) (_ []*tip.Result, err error) {
+		rc := rc
+		rc.ExtraConsumers = []trace.Consumer{capts[0]}
+		out.res, err = tip.RunStreaming(ctx, w, rc)
+		return []*tip.Result{out.res}, err
+	}, func(ent *cacheEntry) (err error) {
+		out.res, err = tip.RunCaptured(ctx, w, ent.captures[0], ent.stats[0], rc)
+		return err
 	})
-	if err != nil {
-		return nil, err
-	}
-	defer s.cache.release(ent)
-	out.source = source
-
-	if fusedRes != nil {
-		// Fused miss: this worker was the capture leader and the streaming
-		// run already evaluated the job's matrix. Simulation and replay
-		// overlapped, so the whole wall-clock is reported as replay time.
-		out.timing.Replay = time.Since(start)
-		out.res = fusedRes
-		return out, nil
-	}
-	out.timing.Capture = time.Since(start)
-
-	repStart := time.Now()
-	res, err := tip.RunCaptured(ctx, w, ent.captures[0], ent.stats[0], rc)
-	out.timing.Replay = time.Since(repStart)
-	if err != nil {
-		return nil, err
-	}
-	out.res = res
-	return out, nil
 }
 
-// runTee is a fused streaming run whose encoded trace is also captured as it
-// streams past — the equivalent of CaptureWorkload followed by RunCaptured.
-// On success the caller owns the capture and must Close it; on error no
-// capture is returned and any spill file is released.
-func runTee(ctx context.Context, w *tip.Workload, rc tip.RunConfig) (*tip.Result, *tip.TraceCapture, error) {
-	capt := trace.NewCapture()
-	rc.ExtraConsumers = []trace.Consumer{capt}
-	res, err := tip.RunStreaming(ctx, w, rc)
-	if err == nil && capt.Err() != nil {
-		err = fmt.Errorf("tip: %s: capture: %w", w.Name, capt.Err())
-	}
-	if err != nil {
-		return nil, nil, errors.Join(err, capt.Close())
-	}
-	return res, capt, nil
-}
-
-// executeMulticoreJob runs a "cores" job: on a capture-cache miss the whole
-// core set is simulated lockstep into one capture per core; hit or miss,
-// each core's capture is then replayed through that core's profiler
-// matrix. Multicore jobs have no fused streaming path — capture and replay
-// are reported as separate phases.
-func (s *Server) executeMulticoreJob(ctx context.Context, spec JobSpec, rc tip.RunConfig, out *jobOutcome) (*jobOutcome, error) {
-	ws := make([]*tip.Workload, len(spec.Cores))
-	for i, c := range spec.Cores {
-		w, err := workload.LoadScaled(c.Bench, c.Seed, c.Scale)
-		if err != nil {
-			return nil, fmt.Errorf("cores[%d]: %w", i, err)
-		}
-		ws[i] = w
-	}
-	key := captureKey{Cores: coreSetHash(spec.Cores), Core: s.coreHash, NCores: len(ws)}
+// runCached evaluates a job whose simulation of n cores the capture cache
+// holds under key. On a hit, replay evaluates the cached entry into out,
+// and the lookup is reported as capture time. On a miss, fused runs the
+// whole job fused and pilot-calibrated into out, teeing each core's encoded
+// trace into a fresh capture that the cache keeps. The miss then costs
+// max(simulate, replay) instead of their sum, and its whole wall-clock is
+// reported as replay time. Its interval can differ marginally from a later
+// hit's, which calibrates from the exact cycle count.
+func (s *Server) runCached(ctx context.Context, key captureKey, n int, out *jobOutcome,
+	fused func(context.Context, []*trace.Capture) ([]*tip.Result, error), replay func(*cacheEntry) error) (*jobOutcome, error) {
+	ranFused := false
 	start := time.Now()
-	ent, source, err := s.cache.getOrCapture(ctx, key, func(ctx context.Context) ([]*tip.TraceCapture, []tip.CoreStats, error) {
-		capts, stats, err := tip.CaptureMulticore(ctx, ws, rc.Core)
+	ent, source, err := s.cache.getOrCapture(ctx, key, func(ctx context.Context) ([]*trace.Capture, []tip.CoreStats, error) {
+		capts := make([]*trace.Capture, n)
+		for i := range capts {
+			capts[i] = trace.NewCapture()
+		}
+		cores, err := fused(ctx, capts)
+		for i := 0; err == nil && i < n; i++ {
+			if cerr := capts[i].Err(); cerr != nil {
+				err = fmt.Errorf("capture %d: %w", i, cerr)
+			}
+		}
 		if err != nil {
+			for _, capt := range capts {
+				err = errors.Join(err, capt.Close())
+			}
 			return nil, nil, err
 		}
 		s.met.simulationRan()
+		ranFused = true
+		stats := make([]tip.CoreStats, n)
+		for i, cr := range cores {
+			stats[i] = cr.Stats
+		}
 		return capts, stats, nil
 	})
 	if err != nil {
@@ -364,15 +344,17 @@ func (s *Server) executeMulticoreJob(ctx context.Context, spec JobSpec, rc tip.R
 	}
 	defer s.cache.release(ent)
 	out.source = source
+	if ranFused {
+		out.timing.Replay = time.Since(start)
+		return out, nil
+	}
 	out.timing.Capture = time.Since(start)
-
 	repStart := time.Now()
-	multi, err := tip.RunMulticoreCaptured(ctx, ws, ent.captures, ent.stats, rc)
+	err = replay(ent)
 	out.timing.Replay = time.Since(repStart)
 	if err != nil {
 		return nil, err
 	}
-	out.multi = multi
 	return out, nil
 }
 

@@ -221,8 +221,9 @@ type Consumer interface {
 // with the same contents). It must leave the consumer as n OnCycle calls at
 // those cycles would, and like OnCycle it must not write to r.
 //
-// A cpu.Core run, and each core of a lockstep multicore run, delivers each
-// quiescent cycle as OnRepeat(r, 1) to a consumer that implements it. A sampled run delivers each stalled stretch
+// A cpu.Core run delivers each quiescent cycle as OnRepeat(r, 1) to a
+// consumer that implements it, and each core of a lockstep multicore run
+// each whole stretch of them as one call. A sampled run delivers each stalled stretch
 // of a measurement window as one OnCycle and one OnRepeat of the rest, so
 // its Stream stores the stretch as one ring slot. A replay shard over a
 // reader or a Stream ring delivers a whole stalled stretch, up to its next

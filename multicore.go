@@ -4,21 +4,17 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"sync"
 
 	"github.com/tipprof/tip/internal/multicore"
 	"github.com/tipprof/tip/internal/trace"
 )
 
-// errMulticoreSampled rejects RunConfig.Sampled on the multicore routes:
-// the lockstep system runs every core in full detail, and no sampled
-// schedule steps several cores' fast-forward and window legs together.
+// errMulticoreSampled rejects RunConfig.Sampled on the multicore routes: no
+// sampled schedule steps several lockstep cores' legs together.
 var errMulticoreSampled = errors.New("tip: multicore runs do not support sampled simulation (RunConfig.Sampled)")
 
-// errMulticoreExtras rejects extra consumers on the multicore routes: each
-// core's matrix replays that core's own capture, so an extra consumer would
-// see one core's stream per matrix it joined, never the single stream its
-// caller wired it for.
+// errMulticoreExtras rejects extra consumers on the multicore routes: an
+// extra consumer would see one core's stream per matrix it joined.
 var errMulticoreExtras = errors.New("tip: multicore runs do not support extra consumers (RunConfig.ExtraConsumers, ExtraConsumersAt)")
 
 // checkMulticore rejects the RunConfig settings the multicore routes cannot
@@ -34,9 +30,8 @@ func checkMulticore(rc *RunConfig) error {
 }
 
 // MulticoreResult is the outcome of one multi-programmed profiled run: one
-// Result per core, each validated against that core's own Oracle (§3.2 —
-// every physical core has its own TIP unit; a co-runner changes a
-// benchmark's timing but not its profile's accuracy).
+// Result per core, each validated against that core's own Oracle (§3.2:
+// every physical core has its own TIP unit).
 type MulticoreResult struct {
 	// Cores holds one Result per core, in spec order.
 	Cores []*Result
@@ -45,126 +40,91 @@ type MulticoreResult struct {
 	TotalCycles uint64
 }
 
-// CaptureMulticore runs ws lockstep on one shared-LLC system — workload i
-// on core i — and records each core's commit-stage records into a capture
-// of its own, as that core's TIP unit would (§3.2). Capture i is exactly
-// the trace CaptureWorkload would write for core i's record stream. It
-// returns the captures (the caller must Close each) and each core's run
-// statistics. Cancelling ctx aborts the simulation; a nil ctx disables
-// cancellation.
-func CaptureMulticore(ctx context.Context, ws []*Workload, cfg CoreConfig) ([]*TraceCapture, []CoreStats, error) {
-	if len(ws) == 0 {
-		return nil, nil, errors.New("tip: multicore capture needs at least one workload")
-	}
-	capts := make([]*TraceCapture, len(ws))
-	specs := make([]multicore.CoreSpec, len(ws))
-	for i, w := range ws {
-		capts[i] = trace.NewCapture()
-		specs[i] = multicore.CoreSpec{Workload: w, Consumers: []trace.Consumer{capts[i]}}
-	}
-	results, err := multicore.New(cfg, specs).Run(ctx)
-	for i := 0; err == nil && i < len(capts); i++ {
-		if cerr := capts[i].Err(); cerr != nil {
-			err = fmt.Errorf("tip: core %d (%s) capture: %w", i, ws[i].Name, cerr)
-		}
-	}
-	if err != nil {
-		if cerr := closeCaptures(capts); cerr != nil {
-			err = errors.Join(err, fmt.Errorf("tip: close multicore capture: %w", cerr))
-		}
-		return nil, nil, err
-	}
-	stats := make([]CoreStats, len(results))
-	for i := range results {
-		stats[i] = results[i].Stats
-	}
-	return capts, stats, nil
+// RunMulticore runs ws lockstep on one shared-LLC system, workload i on
+// core i, and evaluates each core's profiler matrix against that core's own
+// Oracle. It is runFused with one stream per core under the Exact policy:
+// each core's whole run is its pilot window, so its interval is calibrated
+// from its own cycle count, its replay starts as soon as it finishes, and
+// its Result equals a replay of its capture by RunMulticoreCaptured. A
+// caller that also needs each core's encoded trace passes one capture per
+// core in capts; capture i then records core i's stream as that core's TIP
+// unit would (§3.2), and the caller owns every capture's Close and Err. The
+// settings checkMulticore rejects are rejected before anything runs.
+func RunMulticore(ctx context.Context, ws []*Workload, rc RunConfig, capts ...*TraceCapture) (*MulticoreResult, error) {
+	return runMulticore(ctx, ws, rc, wholeRunPilot, capts)
 }
 
-// closeCaptures closes every capture of a multicore run.
-func closeCaptures(capts []*TraceCapture) error {
-	var errs []error
-	for _, c := range capts {
-		if err := c.Close(); err != nil {
-			errs = append(errs, err)
-		}
+// RunMulticoreStreaming is RunMulticore under the Pilot policy, as
+// RunStreaming is Run's: each core's interval is calibrated from its own
+// DefaultPilotCycles window, and its records stream into its replay shards
+// through a bounded ring while the lockstep run goes on, so peak memory does
+// not grow with run length.
+func RunMulticoreStreaming(ctx context.Context, ws []*Workload, rc RunConfig, capts ...*TraceCapture) (*MulticoreResult, error) {
+	return runMulticore(ctx, ws, rc, DefaultPilotCycles, capts)
+}
+
+// runMulticore runs the lockstep producer through runFused under pilotCycles.
+func runMulticore(ctx context.Context, ws []*Workload, rc RunConfig, pilotCycles uint64, capts []*TraceCapture) (*MulticoreResult, error) {
+	if err := checkMulticore(&rc); err != nil {
+		return nil, err
 	}
-	return errors.Join(errs...)
+	if len(ws) == 0 || len(capts) != 0 && len(capts) != len(ws) {
+		return nil, fmt.Errorf("tip: multicore run: %d workloads, %d captures", len(ws), len(capts))
+	}
+	return newMulticoreResult(runFused(ctx, ws, rc, pilotCycles, lockstep(ws, rc.Core, capts)))
+}
+
+// lockstep is the multicore producer: one multicore.System with core i
+// running ws[i] and feeding stream i, and capts[i] when captures are given.
+// The system Finishes each core's stream as that core finishes; if the run
+// fails, only the unfinished cores' streams are Failed.
+func lockstep(ws []*Workload, cfg CoreConfig, capts []*TraceCapture) producer {
+	return func(ctx context.Context, ss []*trace.Stream) ([]CoreStats, *SampledRunStats, error) {
+		specs := make([]multicore.CoreSpec, len(ws))
+		for i, w := range ws {
+			specs[i] = multicore.CoreSpec{Workload: w, Consumers: []trace.Consumer{ss[i]}}
+			if capts != nil {
+				specs[i].Consumers = append(specs[i].Consumers, capts[i])
+			}
+		}
+		results, err := multicore.New(cfg, specs).Run(ctx)
+		stats := make([]CoreStats, len(results))
+		for i, r := range results {
+			if err != nil && !r.Finished {
+				ss[i].Fail(err)
+			}
+			stats[i] = r.Stats
+		}
+		return stats, nil, err
+	}
 }
 
 // RunMulticoreCaptured evaluates rc's profiler matrix per core by replaying
-// capture i of a CaptureMulticore run through RunCaptured with workload i
-// and stats[i], the capture run's statistics for core i. Each core is thus
-// a single-core replay: with rc.SampleInterval zero its interval is
-// calibrated from its own cycle count, and with rc.Check its own invariant
-// checker audits its stream.
-//
-// The cores replay concurrently, each over max(1, ReplayWorkers/len(ws))
-// shards, so worker count never changes profile output and an n-core
-// replay runs at least n shards. A failure on one core cancels the others;
-// the first error in core order that is not such a cancellation is
-// returned. rc.Sampled, rc.ExtraConsumers and rc.ExtraConsumersAt are
-// rejected: an extra consumer would observe one core's stream per matrix
-// it was added to, which is never what a caller wiring a single-stream
-// consumer expects.
+// capture i, core i's trace of an earlier lockstep run (such as one
+// RunMulticoreStreaming teed), through RunCaptured with workload i and
+// stats[i], that run's statistics for core i. So with rc.SampleInterval
+// zero each core is calibrated from its own cycle count, as RunMulticore
+// calibrates it. The cores replay concurrently through eachCore, each over
+// max(1, ReplayWorkers/len(ws)) shards.
 func RunMulticoreCaptured(ctx context.Context, ws []*Workload, capts []*TraceCapture, stats []CoreStats, rc RunConfig) (*MulticoreResult, error) {
-	if ctx == nil {
-		ctx = context.Background()
-	}
 	if err := checkMulticore(&rc); err != nil {
 		return nil, err
 	}
 	if len(ws) == 0 || len(ws) != len(capts) || len(ws) != len(stats) {
 		return nil, fmt.Errorf("tip: multicore replay: %d workloads, %d captures, %d stats", len(ws), len(capts), len(stats))
 	}
-	if err := ctx.Err(); err != nil {
-		return nil, fmt.Errorf("tip: multicore replay: %w", err)
-	}
-
-	rc.ReplayWorkers = max(1, rc.ReplayWorkers/len(ws))
-	ctx, cancel := context.WithCancel(ctx)
-	defer cancel()
-	res := &MulticoreResult{Cores: make([]*Result, len(ws))}
-	errs := make([]error, len(ws))
-	var wg sync.WaitGroup
-	for i := range ws {
-		wg.Add(1)
-		go func(i int) {
-			defer wg.Done()
-			if res.Cores[i], errs[i] = RunCaptured(ctx, ws[i], capts[i], stats[i], rc); errs[i] != nil {
-				cancel()
-			}
-		}(i)
-	}
-	wg.Wait()
-	failed := -1
-	for i, err := range errs {
-		if err != nil && (failed < 0 || errors.Is(errs[failed], context.Canceled) && !errors.Is(err, context.Canceled)) {
-			failed = i
-		}
-	}
-	if failed >= 0 {
-		return nil, fmt.Errorf("tip: core %d: %w", failed, errs[failed])
-	}
-	for _, cr := range res.Cores {
-		res.TotalCycles = max(res.TotalCycles, cr.Stats.Cycles)
-	}
-	return res, nil
+	return newMulticoreResult(replayCaptured(ctx, ws, capts, stats, rc))
 }
 
-// RunMulticore captures a lockstep multi-programmed run of ws and evaluates
-// the per-core profiler matrices from the captures — the whole-pipeline
-// multicore entry point behind tipsim -cores, tipbench -figures multicore,
-// and tipd "cores" jobs. The settings RunMulticoreCaptured rejects are
-// rejected before anything is simulated.
-func RunMulticore(ctx context.Context, ws []*Workload, rc RunConfig) (*MulticoreResult, error) {
-	if err := checkMulticore(&rc); err != nil {
-		return nil, err
-	}
-	capts, stats, err := CaptureMulticore(ctx, ws, rc.Core)
+// newMulticoreResult packages per-core results; the lockstep run lasted as
+// long as its longest core.
+func newMulticoreResult(cores []*Result, err error) (*MulticoreResult, error) {
 	if err != nil {
 		return nil, err
 	}
-	defer closeCaptures(capts)
-	return RunMulticoreCaptured(ctx, ws, capts, stats, rc)
+	res := &MulticoreResult{Cores: cores}
+	for _, cr := range cores {
+		res.TotalCycles = max(res.TotalCycles, cr.Stats.Cycles)
+	}
+	return res, nil
 }

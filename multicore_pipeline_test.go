@@ -9,7 +9,9 @@ import (
 	"io"
 	"os"
 	"strings"
+	"sync"
 	"testing"
+	"time"
 
 	"github.com/tipprof/tip/internal/multicore"
 	"github.com/tipprof/tip/internal/trace"
@@ -39,6 +41,32 @@ func mcPair(t *testing.T, scale uint64) []*Workload {
 	return []*Workload{loadScaled(t, "mcf", scale), loadScaled(t, "x264", scale)}
 }
 
+// captureMulticore runs ws lockstep through RunMulticoreStreaming with one
+// capture per core, as tipd's cold path does, and returns each core's
+// capture and run statistics. The captures close when the test ends.
+func captureMulticore(t *testing.T, ws []*Workload) ([]*TraceCapture, []CoreStats) {
+	t.Helper()
+	capts := make([]*TraceCapture, len(ws))
+	for i := range capts {
+		capts[i] = trace.NewCapture()
+		t.Cleanup(func() { capts[i].Close() })
+	}
+	rc := DefaultRunConfig()
+	rc.Profilers = []Kind{}
+	res, err := RunMulticoreStreaming(context.Background(), ws, rc, capts...)
+	if err != nil {
+		t.Fatal(err)
+	}
+	stats := make([]CoreStats, len(ws))
+	for i, cr := range res.Cores {
+		if err := capts[i].Err(); err != nil {
+			t.Fatal(err)
+		}
+		stats[i] = cr.Stats
+	}
+	return capts, stats
+}
+
 // readGzip returns the decompressed contents of a gzipped file.
 func readGzip(t *testing.T, path string) []byte {
 	t.Helper()
@@ -58,8 +86,8 @@ func readGzip(t *testing.T, path string) []byte {
 	return data
 }
 
-// TestCaptureMulticoreMatchesGolden re-captures the pinned two-core run and
-// checks each core's capture against that core's records in the golden
+// TestCaptureMulticoreMatchesGolden re-captures the pinned two-core run, teed
+// from the fused multicore pipeline, and checks each core's capture against that core's records in the golden
 // interleaved stream: record for record, in Records(), and in the Finish
 // total, which is the core's last committing cycle plus one.
 func TestCaptureMulticoreMatchesGolden(t *testing.T) {
@@ -67,11 +95,7 @@ func TestCaptureMulticoreMatchesGolden(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	capts, stats, err := CaptureMulticore(nil, mcPair(t, 8_000), DefaultCoreConfig())
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer closeCaptures(capts)
+	capts, stats := captureMulticore(t, mcPair(t, 8_000))
 	if len(capts) != len(want) {
 		t.Fatalf("%d captures, golden stream holds %d cores", len(capts), len(want))
 	}
@@ -110,11 +134,7 @@ func TestSingleCoreMulticoreCaptureMatchesCaptureWorkload(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer single.Close()
-	multi, mstats, err := CaptureMulticore(nil, []*Workload{loadScaled(t, "mcf", 8_000)}, DefaultCoreConfig())
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer closeCaptures(multi)
+	multi, mstats := captureMulticore(t, []*Workload{loadScaled(t, "mcf", 8_000)})
 	if !bytes.Equal(encoded(t, multi[0]), encoded(t, single)) {
 		t.Fatal("1-core multicore capture differs from CaptureWorkload's")
 	}
@@ -141,11 +161,7 @@ func (c *runCounter) OnRepeat(r *trace.Record, n uint64) {
 // reach a consumer that takes runs as OnRepeat runs, as on a single-core
 // replay, and the run cycles must add up to the capture's records.
 func TestMulticoreReplayDeliversRuns(t *testing.T) {
-	capts, _, err := CaptureMulticore(nil, mcPair(t, 30_000), DefaultCoreConfig())
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer closeCaptures(capts)
+	capts, _ := captureMulticore(t, mcPair(t, 30_000))
 	var c runCounter
 	if _, records, err := capts[0].ReplayShards(context.Background(), 0, &c); err != nil || records != c.Cycles {
 		t.Fatalf("replay: %d records, consumer counted %d cycles (%v)", records, c.Cycles, err)
@@ -219,11 +235,7 @@ func TestSingleCoreMulticoreMatchesPipeline(t *testing.T) {
 // matrices over more replay shards never changes any core's profiles: a
 // capture replayed with ReplayWorkers 1 and 4 must agree exactly per core.
 func TestMulticoreReplayWorkerInvariance(t *testing.T) {
-	capts, stats, err := CaptureMulticore(nil, mcPair(t, 30_000), DefaultCoreConfig())
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer closeCaptures(capts)
+	capts, stats := captureMulticore(t, mcPair(t, 30_000))
 
 	rc := DefaultRunConfig()
 	rc.Check = true
@@ -249,11 +261,7 @@ func TestMulticoreReplayWorkerInvariance(t *testing.T) {
 // violation, at one worker as at four, rather than stream on and collect
 // one violation per corrupted record.
 func TestRunMulticoreCapturedAbortsOnConsumerFault(t *testing.T) {
-	capts, stats, err := CaptureMulticore(nil, mcPair(t, 30_000), DefaultCoreConfig())
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer closeCaptures(capts)
+	capts, stats := captureMulticore(t, mcPair(t, 30_000))
 	var plain collectRecords
 	if _, _, err := capts[0].Replay(&plain); err != nil {
 		t.Fatal(err)
@@ -305,11 +313,10 @@ func TestRunMulticoreRejectsSampled(t *testing.T) {
 	if res, err := RunMulticore(context.Background(), mcPair(t, 5_000), rc); !errors.Is(err, errMulticoreSampled) || res != nil {
 		t.Fatalf("RunMulticore: result %v, err %v; want a sampled rejection", res, err)
 	}
-	capts, stats, err := CaptureMulticore(nil, mcPair(t, 5_000), rc.Core)
-	if err != nil {
-		t.Fatal(err)
+	if res, err := RunMulticoreStreaming(context.Background(), mcPair(t, 5_000), rc); !errors.Is(err, errMulticoreSampled) || res != nil {
+		t.Fatalf("RunMulticoreStreaming: result %v, err %v; want a sampled rejection", res, err)
 	}
-	defer closeCaptures(capts)
+	capts, stats := captureMulticore(t, mcPair(t, 5_000))
 	if res, err := RunMulticoreCaptured(context.Background(), mcPair(t, 5_000), capts, stats, rc); !errors.Is(err, errMulticoreSampled) || res != nil {
 		t.Fatalf("RunMulticoreCaptured: result %v, err %v; want a sampled rejection", res, err)
 	}
@@ -319,11 +326,7 @@ func TestRunMulticoreRejectsSampled(t *testing.T) {
 // points refuse extra consumers, which would each see one core's stream,
 // instead of silently dropping them.
 func TestRunMulticoreRejectsExtraConsumers(t *testing.T) {
-	capts, stats, err := CaptureMulticore(nil, mcPair(t, 5_000), DefaultCoreConfig())
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer closeCaptures(capts)
+	capts, stats := captureMulticore(t, mcPair(t, 5_000))
 	for name, set := range map[string]func(*RunConfig){
 		"ExtraConsumers": func(rc *RunConfig) { rc.ExtraConsumers = []trace.Consumer{&trace.CountingConsumer{}} },
 		"ExtraConsumersAt": func(rc *RunConfig) {
@@ -334,6 +337,9 @@ func TestRunMulticoreRejectsExtraConsumers(t *testing.T) {
 		set(&rc)
 		if res, err := RunMulticore(context.Background(), mcPair(t, 5_000), rc); !errors.Is(err, errMulticoreExtras) || res != nil {
 			t.Fatalf("%s: RunMulticore: result %v, err %v; want an extra-consumer rejection", name, res, err)
+		}
+		if res, err := RunMulticoreStreaming(context.Background(), mcPair(t, 5_000), rc); !errors.Is(err, errMulticoreExtras) || res != nil {
+			t.Fatalf("%s: RunMulticoreStreaming: result %v, err %v; want an extra-consumer rejection", name, res, err)
 		}
 		if res, err := RunMulticoreCaptured(context.Background(), mcPair(t, 5_000), capts, stats, rc); !errors.Is(err, errMulticoreExtras) || res != nil {
 			t.Fatalf("%s: RunMulticoreCaptured: result %v, err %v; want an extra-consumer rejection", name, res, err)
@@ -359,11 +365,7 @@ func (c *collectRecords) Finish(uint64)           {}
 // this.)
 func TestMulticoreRelabelingSwapsProfiles(t *testing.T) {
 	ws := mcPair(t, 30_000)
-	capts, stats, err := CaptureMulticore(nil, ws, DefaultCoreConfig())
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer closeCaptures(capts)
+	capts, stats := captureMulticore(t, ws)
 
 	rc := DefaultRunConfig()
 	rc.SampleInterval = 53
@@ -402,11 +404,7 @@ func TestPerCoreTIPAccurateThroughReplay(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	capts, stats, err := CaptureMulticore(nil, mcPair(t, 50_000), DefaultCoreConfig())
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer closeCaptures(capts)
+	capts, stats := captureMulticore(t, mcPair(t, 50_000))
 	for i := range stats {
 		if stats[i].Cycles != directStats[i].Cycles {
 			t.Fatalf("core %d: capture run cycles %d != direct run cycles %d", i, stats[i].Cycles, directStats[i].Cycles)
@@ -467,4 +465,171 @@ func runMulticoreDirect(ws []*Workload, rc RunConfig) ([]*Result, []CoreStats, e
 		}
 	}
 	return out, stats, nil
+}
+
+// TestMulticoreStreamingMatchesRunMulticore pins the Pilot policy per core
+// against the Exact one. When every core ends inside DefaultPilotCycles,
+// each core's pilot is its whole run, so RunMulticoreStreaming's result is
+// RunMulticore's. With an explicit interval neither policy calibrates, and
+// the streamed cores stay equal past the pilot window.
+func TestMulticoreStreamingMatchesRunMulticore(t *testing.T) {
+	for _, tc := range []struct {
+		name     string
+		scale    uint64
+		interval uint64
+	}{
+		{"inside-pilot", 20_000, 0},
+		{"fixed-interval", 60_000, 53},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			rc := DefaultRunConfig()
+			rc.SampleInterval = tc.interval
+			rc.Check = true
+			exact, err := RunMulticore(context.Background(), mcPair(t, tc.scale), rc)
+			if err != nil {
+				t.Fatal(err)
+			}
+			pilot, err := RunMulticoreStreaming(context.Background(), mcPair(t, tc.scale), rc)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if tc.interval == 0 && exact.TotalCycles >= DefaultPilotCycles {
+				t.Fatalf("the run lasts %d cycles, past the %d-cycle pilot window", exact.TotalCycles, DefaultPilotCycles)
+			}
+			if tc.interval != 0 && exact.TotalCycles < 2*DefaultPilotCycles {
+				t.Fatalf("the run lasts %d cycles; the test needs one well past the pilot window", exact.TotalCycles)
+			}
+			if exact.TotalCycles != pilot.TotalCycles {
+				t.Fatalf("total cycles: exact %d, pilot %d", exact.TotalCycles, pilot.TotalCycles)
+			}
+			for i := range exact.Cores {
+				e, p := exact.Cores[i], pilot.Cores[i]
+				if e.Stats != p.Stats || e.SampleInterval != p.SampleInterval || *e.Stack() != *p.Stack() {
+					t.Fatalf("core %d: exact stats %+v interval %d, pilot stats %+v interval %d",
+						i, e.Stats, e.SampleInterval, p.Stats, p.SampleInterval)
+				}
+				sameProfiles(t, fmt.Sprintf("core %d exact vs pilot", i), e, p)
+			}
+		})
+	}
+}
+
+// TestMulticoreProducerFailure fails the lockstep run after core 0 finished:
+// core 1 exceeds MaxCycles. Under both policies the run must fail naming
+// core 1 and return no result, and the producer must Fail only core 1's
+// stream, since a second close of core 0's finished stream would panic.
+func TestMulticoreProducerFailure(t *testing.T) {
+	short := func() []*Workload { return []*Workload{loadScaled(t, "x264", 60_000), loadScaled(t, "mcf", 60_000)} }
+	rc := DefaultRunConfig()
+	rc.Profilers = []Kind{KindTIP}
+	base, err := RunMulticore(context.Background(), short(), rc)
+	if err != nil {
+		t.Fatal(err)
+	}
+	c0, c1 := base.Cores[0].Stats.Cycles, base.Cores[1].Stats.Cycles
+	if c0 >= DefaultPilotCycles || c1 < 2*DefaultPilotCycles {
+		t.Fatalf("core cycles %d and %d; the test needs core 0 inside the pilot window and core 1 well past it", c0, c1)
+	}
+	rc.Core.MaxCycles = (c0 + c1) / 2
+	for name, run := range map[string]func(context.Context, []*Workload, RunConfig, ...*TraceCapture) (*MulticoreResult, error){
+		"exact": RunMulticore,
+		"pilot": RunMulticoreStreaming,
+	} {
+		res, err := run(context.Background(), short(), rc)
+		if err == nil || !strings.Contains(err.Error(), "tip: core 1: ") || !strings.Contains(err.Error(), "exceeded") {
+			t.Fatalf("%s: err = %v, want core 1's MaxCycles failure", name, err)
+		}
+		if res != nil {
+			t.Fatalf("%s: got a result from a failed run", name)
+		}
+	}
+}
+
+// blockingConsumer stalls its replay shard at the first record past cycle
+// from until ctx is cancelled, signalling blocked once.
+type blockingConsumer struct {
+	from    uint64
+	ctx     context.Context
+	blocked chan struct{}
+	once    *sync.Once
+}
+
+func (b blockingConsumer) OnCycle(r *trace.Record) {
+	if r.Cycle >= b.from {
+		b.once.Do(func() { close(b.blocked) })
+		<-b.ctx.Done()
+	}
+}
+
+func (b blockingConsumer) Finish(uint64) {}
+
+// TestMulticorePilotCancelWhileRingFull cancels a Pilot-policy multicore run
+// while core 0's replay is stalled past its pilot window, so the lockstep
+// producer is blocked on core 0's full ring: the run must return the
+// cancellation promptly.
+func TestMulticorePilotCancelWhileRingFull(t *testing.T) {
+	ws := mcPair(t, 100_000)
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	blocked, once := make(chan struct{}), &sync.Once{}
+	rc := DefaultRunConfig()
+	rc.Profilers = []Kind{KindTIP}
+	rc.ExtraConsumersAt = func(uint64, uint64) []trace.Consumer {
+		return []trace.Consumer{blockingConsumer{from: DefaultPilotCycles + 8192, ctx: ctx, blocked: blocked, once: once}}
+	}
+	done := make(chan error, 1)
+	go func() {
+		_, err := runFused(ctx, ws, rc, DefaultPilotCycles, lockstep(ws, rc.Core, nil))
+		done <- err
+	}()
+	select {
+	case <-blocked:
+	case err := <-done:
+		t.Fatalf("the run ended before its replay stalled: %v", err)
+	}
+	// Give the producer time to fill the ring behind the stalled shard.
+	time.Sleep(100 * time.Millisecond)
+	cancel()
+	select {
+	case err := <-done:
+		if !errors.Is(err, context.Canceled) {
+			t.Fatalf("err = %v, want context.Canceled", err)
+		}
+	case <-time.After(10 * time.Second):
+		t.Fatal("the run did not return within 10s of its cancellation")
+	}
+}
+
+// faultingConsumer fails its replay shard at the first record it observes.
+type faultingConsumer struct{ err error }
+
+var errInjectedFault = errors.New("injected consumer fault")
+
+func (f *faultingConsumer) OnCycle(*trace.Record) { f.err = errInjectedFault }
+func (f *faultingConsumer) Finish(uint64)         {}
+func (f *faultingConsumer) Err() error            { return f.err }
+
+// TestMulticoreCoreFailureStopsProducer fails x264's replay as soon as its
+// core finishes, while mcf's consumer still waits for its pilot window and
+// so never reaches its own replay. The run must stop mcf's stream and the
+// producer, which would otherwise fill mcf's ring with nothing draining it
+// and block forever, and return the fault.
+func TestMulticoreCoreFailureStopsProducer(t *testing.T) {
+	ws := mcPair(t, 100_000)
+	rc := DefaultRunConfig()
+	rc.Profilers = []Kind{KindTIP}
+	rc.ExtraConsumersAt = func(uint64, uint64) []trace.Consumer { return []trace.Consumer{&faultingConsumer{}} }
+	done := make(chan error, 1)
+	go func() {
+		_, err := runFused(context.Background(), ws, rc, DefaultPilotCycles, lockstep(ws, rc.Core, nil))
+		done <- err
+	}()
+	select {
+	case err := <-done:
+		if !errors.Is(err, errInjectedFault) {
+			t.Fatalf("err = %v, want the injected fault", err)
+		}
+	case <-time.After(10 * time.Second):
+		t.Fatal("the run did not return within 10s of a core's failure")
+	}
 }

@@ -537,12 +537,13 @@ func RunSampled(ctx context.Context, w *Workload, rc RunConfig) (*Result, error)
 	if rc.WindowWorkers >= 1 && rc.WindowCycles < rc.WindowInterval {
 		produce = runSampledParallel
 	}
-	return runFused(ctx, w, rc, DefaultPilotCycles, func(ctx context.Context, s *trace.Stream) (CoreStats, *SampledRunStats, error) {
-		// runFused names the workload in any error.
-		st, sr, err := produce(ctx, w, rc, s)
-		if err == nil {
-			s.Finish(sr.MeasuredCycles)
+	return one(runFused(ctx, []*Workload{w}, rc, DefaultPilotCycles, func(ctx context.Context, ss []*trace.Stream) ([]CoreStats, *SampledRunStats, error) {
+		st, sr, err := produce(ctx, w, rc, ss[0])
+		if err != nil {
+			ss[0].Fail(err)
+		} else {
+			ss[0].Finish(sr.MeasuredCycles)
 		}
-		return st, sr, err
-	})
+		return []CoreStats{st}, sr, err
+	}))
 }

@@ -2,9 +2,11 @@ package tip
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"math"
 	"math/bits"
+	"sync"
 
 	"github.com/tipprof/tip/internal/trace"
 )
@@ -60,94 +62,141 @@ func pilotEstimateCycles(ps trace.PilotStats, targetDynInsts uint64) uint64 {
 // rc.ExtraConsumers and owns its Close and Err. A nil ctx means
 // context.Background().
 func RunStreaming(ctx context.Context, w *Workload, rc RunConfig) (*Result, error) {
-	return runFused(ctx, w, rc, DefaultPilotCycles, simulate(w, rc.Core))
+	return one(runFused(ctx, []*Workload{w}, rc, DefaultPilotCycles, simulate(w, rc.Core)))
 }
 
-// producer runs a simulation into s on its own goroutine. On success the
-// producer side must already be Finished; on error runFused Fails it.
-type producer func(ctx context.Context, s *trace.Stream) (CoreStats, *SampledRunStats, error)
+// producer runs a simulation into ss on its own goroutine, stream i carrying
+// workload i's records. It ends every stream: Finish as its run completes
+// and, if the run fails, Fail on each stream it did not Finish.
+type producer func(ctx context.Context, ss []*trace.Stream) ([]CoreStats, *SampledRunStats, error)
 
 // simulate is the full-detail producer: one cycle-level run of w, which
 // RunContext Finishes itself on success.
 func simulate(w *Workload, cfg CoreConfig) producer {
-	return func(ctx context.Context, s *trace.Stream) (CoreStats, *SampledRunStats, error) {
-		st, err := newCore(cfg, w).RunContext(ctx, s)
-		return st, nil, err
+	return func(ctx context.Context, ss []*trace.Stream) ([]CoreStats, *SampledRunStats, error) {
+		st, err := newCore(cfg, w).RunContext(ctx, ss[0])
+		if err != nil {
+			ss[0].Fail(err)
+		}
+		return []CoreStats{st}, nil, err
 	}
 }
 
-// runFused is the one orchestrator behind every single-core simulation (Run,
-// RunStreaming, RunSampled). The producer goroutine feeds a trace.Stream; the
-// calling goroutine calibrates from the stream's pilot window, builds the
-// profiler matrix, and replays the stream through it (see evaluate). The
-// calibration policy is nothing more than that window: pilotCycles is
-// wholeRunPilot for Exact (the whole run is captured and calibrated from its
-// exact cycle count), DefaultPilotCycles for Pilot (a prefix is extrapolated
-// to the whole run), and an explicit rc.SampleInterval makes it Fixed (no
-// window: records flow straight into the ring). For an rc.Sampled run the
-// pilot's full-run estimate is shrunk to the measured fraction the profilers
-// actually observe. Error precedence follows the captured path: a producer
-// failure surfaces as the run error, a shard consumer failure as the replay
-// error, and any failure stops the other side, releasing an unreplayed pilot,
-// before returning.
-func runFused(ctx context.Context, w *Workload, rc RunConfig, pilotCycles uint64, produce producer) (*Result, error) {
+// one unpacks the Result of a single-core run.
+func one(res []*Result, err error) (*Result, error) {
+	if err != nil {
+		return nil, err
+	}
+	return res[0], nil
+}
+
+// runFused is the one orchestrator behind every simulation: Run,
+// RunStreaming and RunSampled over one stream, the multicore runs over one
+// per core. The producer goroutine feeds the streams; each stream is
+// calibrated from its own pilot window, builds its own profiler matrix over
+// max(1, rc.ReplayWorkers/len(ws)) shards and replays through it on its own
+// goroutine (see eachCore and evaluate). The calibration policy is nothing
+// more than that window: pilotCycles is wholeRunPilot for Exact (the whole
+// run is captured and calibrated from its exact cycle count),
+// DefaultPilotCycles for Pilot (a prefix is extrapolated to the whole run),
+// and an explicit rc.SampleInterval makes it Fixed (no window: records flow
+// straight into the ring). A producer failure surfaces as its stream's run
+// error, a shard consumer failure as the replay error, and any failure stops
+// every stream and the producer, releasing unreplayed pilots.
+func runFused(ctx context.Context, ws []*Workload, rc RunConfig, pilotCycles uint64, produce producer) ([]*Result, error) {
 	if ctx == nil {
 		ctx = context.Background()
-	}
-	if err := ctx.Err(); err != nil {
-		return nil, fmt.Errorf("tip: %s: %w", w.Name, err)
 	}
 	if rc.SampleInterval != 0 {
 		pilotCycles = 0
 	}
-	s := trace.NewStream(trace.StreamConfig{PilotCycles: pilotCycles})
+	rc.ReplayWorkers = max(1, rc.ReplayWorkers/len(ws))
+	ss := make([]*trace.Stream, len(ws))
+	for i := range ss {
+		ss[i] = trace.NewStream(trace.StreamConfig{PilotCycles: pilotCycles})
+	}
 
 	runCtx, cancelRun := context.WithCancel(ctx)
 	defer cancelRun()
-	var stats CoreStats
+	var stats []CoreStats
 	var sampling *SampledRunStats
 	prodDone := make(chan struct{})
 	go func() {
 		defer close(prodDone)
-		st, sr, err := produce(runCtx, s)
-		if err != nil {
-			// The producer delivered no Finish; Fail closes the producer
-			// side so the replay drains and then observes this error.
-			s.Fail(err)
-			return
-		}
-		stats, sampling = st, sr
+		stats, sampling, _ = produce(runCtx, ss)
 	}()
 
-	res, err := evaluate(ctx, w, rc, func() (uint64, error) {
-		ps, err := s.Pilot(ctx)
-		if err != nil {
-			return 0, err
-		}
-		est := pilotEstimateCycles(ps, w.TargetDynInsts)
-		if rc.Sampled && !ps.Exact {
-			// The pilot extrapolates the full run, but the profilers only
-			// see the measured fraction of it — shrink the estimate so the
-			// interval still collects ~TargetSamples from the measured
-			// stream. (Exact pilot stats already are the measured total.)
-			est = mulDiv(est, rc.WindowCycles, rc.WindowInterval)
-		}
-		return est, nil
-	}, s.ReplayShards)
+	res, err := eachCore(ctx, ws, func(ctx context.Context, i int) (*Result, error) {
+		return evaluate(ctx, ws[i], rc, func() (uint64, error) {
+			ps, err := ss[i].Pilot(ctx)
+			if err != nil {
+				return 0, err
+			}
+			est := pilotEstimateCycles(ps, ws[i].TargetDynInsts)
+			if rc.Sampled && !ps.Exact {
+				// The pilot extrapolates the full run, but profilers see
+				// only its measured fraction (exact stats already are that).
+				est = mulDiv(est, rc.WindowCycles, rc.WindowInterval)
+			}
+			return est, nil
+		}, ss[i].ReplayShards)
+	})
 	if err != nil {
-		// Stop both sides: the stream accepts no more records (and
-		// releases a pilot nothing replayed), and the producer's context
-		// is cancelled.
-		s.Abort()
+		// Stop both sides: no stream accepts more records (each releases a
+		// pilot nothing replayed), and the producer's context is cancelled.
+		for _, s := range ss {
+			s.Abort()
+		}
 		cancelRun()
 	}
-	// After a clean replay the producer already Finished; the wait is for
-	// its stats publication. After a failure it keeps anything from racing
+	// After a clean replay the producer already Finished every stream; the
+	// wait is for its stats. After a failure it keeps anything from racing
 	// the return.
 	<-prodDone
 	if err != nil {
-		return nil, fmt.Errorf("tip: %s: %w", w.Name, err)
+		return nil, err
 	}
-	res.Stats, res.Sampling = stats, sampling
+	for i, r := range res {
+		r.Stats, r.Sampling = stats[i], sampling
+	}
 	return res, nil
+}
+
+// eachCore runs eval for every core i of ws on its own goroutine, under one
+// derived context that the first failure cancels. An error names its core's
+// workload; of several, the first in core order that is not such a
+// cancellation is returned, also naming its core when there are several.
+func eachCore(ctx context.Context, ws []*Workload, eval func(ctx context.Context, i int) (*Result, error)) ([]*Result, error) {
+	ctx, cancel := context.WithCancel(ctx)
+	defer cancel()
+	res := make([]*Result, len(ws))
+	errs := make([]error, len(ws))
+	var wg sync.WaitGroup
+	for i := range ws {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			if errs[i] = ctx.Err(); errs[i] == nil {
+				res[i], errs[i] = eval(ctx, i)
+			}
+			if errs[i] != nil {
+				errs[i] = fmt.Errorf("tip: %s: %w", ws[i].Name, errs[i])
+				cancel()
+			}
+		}()
+	}
+	wg.Wait()
+	failed := -1
+	for i, err := range errs {
+		if err != nil && (failed < 0 || errors.Is(errs[failed], context.Canceled) && !errors.Is(err, context.Canceled)) {
+			failed = i
+		}
+	}
+	switch {
+	case failed < 0:
+		return res, nil
+	case len(ws) == 1:
+		return nil, errs[0]
+	}
+	return nil, fmt.Errorf("tip: core %d: %w", failed, errs[failed])
 }

@@ -11,7 +11,8 @@
 //
 // Quick start:
 //
-//	res, err := tip.RunBenchmark("imagick", tip.DefaultRunConfig())
+//	w, err := tip.LoadWorkload("imagick", 1)
+//	res, err := tip.Run(context.Background(), w, tip.DefaultRunConfig())
 //	fmt.Println(res.Err(tip.KindNCI, tip.GranInstruction))  // NCI's error
 //	fmt.Println(res.Err(tip.KindTIP, tip.GranInstruction))  // TIP's error
 package tip
@@ -405,28 +406,32 @@ func evaluate(ctx context.Context, w *Workload, rc RunConfig, estimate func() (u
 // CaptureWorkload equals Run. The capture is left open; the caller may
 // replay it again (e.g. for another configuration) before Closing it.
 //
-// The matrix is split over max(1, rc.ReplayWorkers) replay shards, each
-// decoding the capture itself and evaluating a disjoint subset of the matrix
-// (see RunConfig.ReplayWorkers); the result is byte-identical at any worker
-// count. At every worker count, ctx cancellation or a failed consumer
-// (trace.Faultable) aborts the replay within trace.DefaultChunkRecords
-// records. A nil ctx means context.Background().
+// The matrix is split over max(1, rc.ReplayWorkers) replay shards (see
+// RunConfig.ReplayWorkers). At every worker count, ctx cancellation or a
+// failed consumer (trace.Faultable) aborts the replay within
+// trace.DefaultChunkRecords records. A nil ctx means context.Background().
 func RunCaptured(ctx context.Context, w *Workload, capt *TraceCapture, stats CoreStats, rc RunConfig) (*Result, error) {
+	return one(replayCaptured(ctx, []*Workload{w}, []*TraceCapture{capt}, []CoreStats{stats}, rc))
+}
+
+// replayCaptured evaluates core i's matrix by replaying capts[i], calibrated
+// from stats[i].Cycles, for every core of ws at once (see eachCore), each
+// over max(1, rc.ReplayWorkers/len(ws)) shards.
+func replayCaptured(ctx context.Context, ws []*Workload, capts []*TraceCapture, stats []CoreStats, rc RunConfig) ([]*Result, error) {
 	if ctx == nil {
 		ctx = context.Background()
 	}
-	if err := ctx.Err(); err != nil {
-		return nil, fmt.Errorf("tip: %s: %w", w.Name, err)
-	}
-	res, err := evaluate(ctx, w, rc, func() (uint64, error) { return stats.Cycles, nil },
-		func(ctx context.Context, shards ...trace.Consumer) (uint64, uint64, error) {
-			return capt.ReplayShards(ctx, 0, shards...)
-		})
-	if err != nil {
-		return nil, fmt.Errorf("tip: %s: %w", w.Name, err)
-	}
-	res.Stats = stats
-	return res, nil
+	rc.ReplayWorkers = max(1, rc.ReplayWorkers/len(ws))
+	return eachCore(ctx, ws, func(ctx context.Context, i int) (*Result, error) {
+		res, err := evaluate(ctx, ws[i], rc, func() (uint64, error) { return stats[i].Cycles, nil },
+			func(ctx context.Context, shards ...trace.Consumer) (uint64, uint64, error) {
+				return capts[i].ReplayShards(ctx, 0, shards...)
+			})
+		if err == nil {
+			res.Stats = stats[i]
+		}
+		return res, err
+	})
 }
 
 // wholeRunPilot is the Exact calibration policy's pilot window: the whole
@@ -446,16 +451,7 @@ func Run(ctx context.Context, w *Workload, rc RunConfig) (*Result, error) {
 	if rc.Sampled {
 		return RunSampled(ctx, w, rc)
 	}
-	return runFused(ctx, w, rc, wholeRunPilot, simulate(w, rc.Core))
-}
-
-// RunBenchmark loads and runs a named benchmark with seed 1.
-func RunBenchmark(name string, rc RunConfig) (*Result, error) {
-	w, err := workload.Load(name, 1)
-	if err != nil {
-		return nil, err
-	}
-	return Run(context.Background(), w, rc)
+	return one(runFused(ctx, []*Workload{w}, rc, wholeRunPilot, simulate(w, rc.Core)))
 }
 
 // MeasureStats runs w unprofiled and returns the core statistics (used by
