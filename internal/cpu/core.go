@@ -316,19 +316,6 @@ func NewWithCaches(cfg Config, prog *program.Program, stream program.Stream, l1i
 // MMU exposes the translation machinery (workloads prefault through it).
 func (c *Core) MMU() *tlb.MMU { return c.mmu }
 
-// Hierarchy exposes the cache hierarchy for inspection; nil when the core
-// was built with NewWithCaches (shared-memory configurations).
-func (c *Core) Hierarchy() *cache.Hierarchy { return c.hier }
-
-// L1D exposes the core's private data cache.
-func (c *Core) L1D() *cache.Cache { return c.l1d }
-
-// FinalizeStats records the run length after external stepping (Run does
-// this automatically).
-func (c *Core) FinalizeStats(lastCommitCycle uint64) {
-	c.stats.Cycles = lastCommitCycle + 1
-}
-
 // Stats returns the accumulated run statistics.
 func (c *Core) Stats() Stats { return c.stats }
 
@@ -392,18 +379,13 @@ func (c *Core) fbPopFront() {
 	c.fbCount--
 }
 
-// runsStarted counts Core.Run invocations process-wide. Tests use the delta
-// to assert how many cycle-level simulations an evaluation pipeline performs.
+// runsStarted counts whole runs (Lockstep calls, one per run of one core or
+// several) process-wide. Tests use the delta to assert how many cycle-level
+// simulations an evaluation pipeline performs.
 var runsStarted atomic.Uint64
 
-// RunsStarted returns the process-wide count of Core.Run invocations.
+// RunsStarted returns the process-wide count of whole runs.
 func RunsStarted() uint64 { return runsStarted.Load() }
-
-// cancelMask gates how often RunContext polls its context: every
-// cancelMask+1 cycles. Simulated cores retire millions of cycles per second,
-// so an 8K-cycle granularity cancels within microseconds of wall-clock while
-// keeping the poll invisible in the hot loop.
-const cancelMask = 8191
 
 // Run simulates until the program finishes (or MaxCycles), emitting one
 // trace record per cycle to consumer. It returns the final statistics.
@@ -411,61 +393,23 @@ func (c *Core) Run(consumer trace.Consumer) (Stats, error) {
 	return c.RunContext(nil, consumer)
 }
 
-// RunContext is Run with cooperative cancellation: every few thousand cycles
-// it polls ctx and, if cancelled, abandons the simulation and returns
-// ctx's error (wrapped). A nil ctx disables polling entirely — Run's hot
-// loop stays branch-predictable. The consumer's Finish is not delivered on
-// cancellation; a partially-fed capture must be Closed by the caller.
-//
-// A consumer that implements trace.Repeater gets each quiescent cycle's
-// record through OnRepeat(r, 1); every other consumer gets one OnCycle per
-// cycle.
+// RunContext is Run with cooperative cancellation: it is Lockstep's
+// one-core case, so ctx is polled every few thousand cycles (a nil ctx is
+// never polled), MaxCycles bounds the run as Check does, and the consumer
+// gets each stall as one trace.Repeat. The consumer's Finish is not
+// delivered on failure; a partially-fed capture must be Closed by the
+// caller.
 func (c *Core) RunContext(ctx context.Context, consumer trace.Consumer) (Stats, error) {
-	runsStarted.Add(1)
-	rep, _ := consumer.(trace.Repeater)
-	var rec trace.Record
-	cycle := uint64(0)
-	lastCommitCycle := uint64(0)
-	for {
-		// MaxCycles permits exactly that many cycles (values
-		// 0..MaxCycles-1); multicore.System.run enforces the identical
-		// boundary on its lockstep clock.
-		if c.cfg.MaxCycles > 0 && cycle >= c.cfg.MaxCycles {
-			return c.stats, fmt.Errorf("cpu: exceeded MaxCycles=%d (committed %d)", c.cfg.MaxCycles, c.stats.Committed)
-		}
-		if ctx != nil && cycle&cancelMask == 0 {
-			if err := ctx.Err(); err != nil {
-				return c.stats, fmt.Errorf("cpu: run aborted at cycle %d: %w", cycle, err)
-			}
-		}
-		done, repeat := c.Step(cycle, &rec)
-		if repeat && rep != nil {
-			rep.OnRepeat(&rec, 1)
-		} else if consumer != nil {
-			consumer.OnCycle(&rec)
-		}
-		if rec.CommitCount > 0 {
-			lastCommitCycle = cycle
-		}
-		if done {
-			break
-		}
-		cycle++
-	}
-	c.stats.Cycles = lastCommitCycle + 1
-	if consumer != nil {
-		consumer.Finish(c.stats.Cycles)
-	}
-	return c.stats, nil
+	_, err := Lockstep(ctx, []*Core{c}, []trace.Consumer{consumer})
+	return c.stats, err
 }
 
 // Step advances the machine one cycle: commit (filling rec with the
 // commit-stage observation), issue, dispatch, fetch. It reports whether the
 // machine is fully drained with no supply left, and whether the cycle was
 // quiescent and skipped: rec then repeats the previous cycle's record, one
-// cycle later. RunContext drives it for a whole single-core run; a caller
-// that steps the core itself (the lockstep multi-core system, a sampled
-// run's detailed legs) gets the same records.
+// cycle later. Two loops call it: Lockstep, for every whole run of one core
+// or several, and a sampled run's detailed legs; both get the same records.
 //
 // A caller that passes the same rec, unmodified but for Cycle, at one cycle
 // higher than the previous Step lets the core skip quiescent cycles. A full
@@ -475,24 +419,40 @@ func (c *Core) RunContext(ctx context.Context, consumer trace.Consumer) (Stats, 
 // up to the horizon, the first cycle at which a time comparison in some
 // stage can flip. Until then Step leaves rec as the last full step filled
 // it, sets only its Cycle and reports repeat; only the store-stall count
-// moves. Any other call gets a full step. A full step's issue stage scans
-// only the queues holding a due entry; an entry waiting on a producer is
-// woken by that producer's issue, not re-checked.
+// moves. Any other call gets a full step (skips says in advance which one
+// a call gets). A full step's issue stage scans only the queues holding a
+// due entry; an entry waiting on a producer is woken by that producer's
+// issue, not re-checked.
 func (c *Core) Step(cycle uint64, rec *trace.Record) (done, repeat bool) {
-	if cycle < c.quietUntil && cycle == c.quietCycle+1 && rec == c.quietRec {
-		c.quietCycle = cycle
-		rec.Cycle = cycle
-		c.stats.StoreStallCycles += c.quietStalls
+	if c.skips(cycle, rec) {
+		c.skip(cycle, rec)
 		return c.drained(), true
 	}
+	return c.step(cycle, rec), false
+}
+
+// skips reports whether Step(cycle, rec) would skip the cycle as quiescent,
+// and skip skips it.
+func (c *Core) skips(cycle uint64, rec *trace.Record) bool {
+	return cycle < c.quietUntil && cycle == c.quietCycle+1 && rec == c.quietRec
+}
+
+func (c *Core) skip(cycle uint64, rec *trace.Record) {
+	c.quietCycle = cycle
+	rec.Cycle = cycle
+	c.stats.StoreStallCycles += c.quietStalls
+}
+
+// step is Step's full step; it reports whether the machine drained.
+func (c *Core) step(cycle uint64, rec *trace.Record) bool {
 	c.quietUntil = 0
 	uop, fid := c.nextUop, c.nextFID
 	stalls, intr, branches := c.stats.StoreStallCycles, c.stats.PMUInterrupts, len(c.branchResolve)
 	c.drainBranchResolve(cycle)
 	if cycle >= c.nextSample {
 		// >= (not ==) keeps the countdown correct even if a caller steps
-		// past the boundary cycle; Run and the lockstep multi-core driver
-		// both advance one cycle at a time, so in practice it fires exactly
+		// past the boundary cycle; Lockstep and runLeg both advance one
+		// cycle at a time, so in practice it fires exactly
 		// on the old cycle%SampleInterruptEvery == 0 schedule.
 		c.pmuPending = true
 		c.nextSample += c.sampleEvery
@@ -507,7 +467,7 @@ func (c *Core) Step(cycle uint64, rec *trace.Record) (done, repeat bool) {
 		c.quietStalls = c.stats.StoreStallCycles - stalls
 		c.quietUntil = c.horizon(cycle)
 	}
-	return c.drained(), false
+	return c.drained()
 }
 
 // drained reports whether the machine is empty with no supply left.

@@ -222,7 +222,7 @@ func TestTLBStatsPopulated(t *testing.T) {
 		t.Fatalf("TLB never missed on a 32 MB random footprint: %+v misses, %d walks",
 			core.MMU().DTLBMisses, core.MMU().Walks)
 	}
-	if core.Hierarchy().DRAM.Accesses == 0 {
+	if core.hier.DRAM.Accesses == 0 {
 		t.Fatal("DRAM never accessed")
 	}
 }

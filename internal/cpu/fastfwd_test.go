@@ -65,12 +65,12 @@ func TestFastForwardWarmsCaches(t *testing.T) {
 	}
 	// The 8 KiB strided footprint cycles entirely through the L1D.
 	for off := uint64(0); off < 8<<10; off += 64 {
-		if !core.L1D().Contains((1 << 30) + off) {
+		if !core.l1d.Contains((1 << 30) + off) {
 			t.Fatalf("line at offset %#x not warmed into L1D", off)
 		}
 	}
-	if core.L1D().Hits+core.L1D().Misses != 0 {
-		t.Fatalf("fast-forward touched timed L1D stats: %d/%d", core.L1D().Hits, core.L1D().Misses)
+	if core.l1d.Hits+core.l1d.Misses != 0 {
+		t.Fatalf("fast-forward touched timed L1D stats: %d/%d", core.l1d.Hits, core.l1d.Misses)
 	}
 }
 

@@ -22,35 +22,68 @@ func (r *recorder) OnCycle(rec *trace.Record) { r.recs = append(r.recs, *rec) }
 func (r *recorder) Finish(total uint64)       { r.total = total }
 
 // repeatRecorder is a recorder that also takes repeats, checking the
-// trace.Repeater contract: the record is the one delivered last, one cycle
-// later and otherwise unchanged. With core set, it also checks core's issue
-// queues after every cycle.
+// trace.Repeater contract: the record is the one delivered last, n cycles
+// later and otherwise unchanged. It counts the repeated cycles and the
+// longest run delivered in one call.
 type repeatRecorder struct {
 	recorder
 	t       *testing.T
-	core    *Core
 	last    *trace.Record
 	repeats int
+	longest uint64
 }
 
 func (r *repeatRecorder) OnCycle(rec *trace.Record) {
 	r.last = rec
 	r.recorder.OnCycle(rec)
-	if r.core != nil {
-		checkIssueQueues(r.t, r.core)
-	}
 }
 
 func (r *repeatRecorder) OnRepeat(rec *trace.Record, n uint64) {
 	prev := r.recs[len(r.recs)-1]
-	prev.Cycle++
-	if n != 1 || rec != r.last || *rec != prev {
-		r.t.Fatalf("cycle %d: OnRepeat does not repeat the last record one cycle later", rec.Cycle)
+	prev.Cycle += n
+	if n == 0 || rec != r.last || *rec != prev {
+		r.t.Fatalf("cycle %d: OnRepeat does not repeat the last record %d cycles later", rec.Cycle, n)
 	}
-	r.repeats++
-	r.recorder.OnCycle(rec)
-	if r.core != nil {
-		checkIssueQueues(r.t, r.core)
+	r.repeats += int(n)
+	r.longest = max(r.longest, n)
+	for c := rec.Cycle - n + 1; c <= rec.Cycle; c++ {
+		at := *rec
+		at.Cycle = c
+		r.recorder.OnCycle(&at)
+	}
+}
+
+// stepRun runs c to the end in a test-local Step loop, bounded as Lockstep
+// bounds a run with no context, feeding consumer every cycle through
+// OnCycle or, for a skipped cycle, OnRepeat(rec, 1) when consumer takes
+// runs, and calling after once each cycle is stepped, so after sees the
+// core as it stands between two cycles.
+func stepRun(c *Core, consumer trace.Consumer, after func()) (Stats, error) {
+	rep, _ := consumer.(trace.Repeater)
+	committed := func() uint64 { return c.stats.Committed }
+	var rec trace.Record
+	last := uint64(0)
+	for cycle := uint64(0); ; cycle++ {
+		if err := Check(nil, cycle, c.cfg.MaxCycles, committed); err != nil {
+			return c.stats, err
+		}
+		done, repeat := c.Step(cycle, &rec)
+		if repeat && rep != nil {
+			rep.OnRepeat(&rec, 1)
+		} else if consumer != nil {
+			consumer.OnCycle(&rec)
+		}
+		if rec.CommitCount > 0 {
+			last = cycle
+		}
+		after()
+		if done {
+			c.stats.Cycles = last + 1
+			if consumer != nil {
+				consumer.Finish(c.stats.Cycles)
+			}
+			return c.stats, nil
+		}
 	}
 }
 
@@ -62,22 +95,26 @@ func quietPair(t *testing.T, name string, build func() *Core, ctx func() context
 	return checkedQuietPair(t, name, build, ctx, false)
 }
 
-// checkedQuietPair is quietPair that, when check is set, also runs
-// checkIssueQueues on the skipping core after every cycle.
+// checkedQuietPair is quietPair that, when check is set, runs the skipping
+// core in stepRun with checkIssueQueues after every cycle instead of through
+// RunContext.
 func checkedQuietPair(t *testing.T, name string, build func() *Core, ctx func() context.Context, check bool) int {
 	t.Helper()
 	skip := &repeatRecorder{t: t}
 	ref := &recorder{}
 	a, b := build(), build()
 	b.perCycle = true
-	if check {
-		skip.core = a
-	}
 	var ca, cb context.Context
 	if ctx != nil {
 		ca, cb = ctx(), ctx()
 	}
-	sa, ea := a.RunContext(ca, skip)
+	var sa Stats
+	var ea error
+	if check {
+		sa, ea = stepRun(a, skip, func() { checkIssueQueues(t, a) })
+	} else {
+		sa, ea = a.RunContext(ca, skip)
+	}
 	sb, eb := b.RunContext(cb, ref)
 	if fmt.Sprint(ea) != fmt.Sprint(eb) {
 		t.Fatalf("%s: error %v, per-cycle %v", name, ea, eb)

@@ -120,22 +120,6 @@ func waitsOn(c *Core, s, p int32) bool {
 	return false
 }
 
-// iqChecker is a consumer that checks core's issue queues after every cycle.
-type iqChecker struct {
-	t       testing.TB
-	core    *Core
-	waiting int // cycles that ended with some slot on a wakeup list
-}
-
-func (k *iqChecker) OnCycle(*trace.Record) {
-	checkIssueQueues(k.t, k.core)
-	if anyWaiting(k.core) {
-		k.waiting++
-	}
-}
-
-func (k *iqChecker) Finish(uint64) {}
-
 // anyWaiting reports whether some slot is on a wakeup list.
 func anyWaiting(c *Core) bool {
 	for _, h := range c.waitHead {
@@ -146,15 +130,21 @@ func anyWaiting(c *Core) bool {
 	return false
 }
 
-// runChecked runs c to the end with checkIssueQueues after every cycle and
-// returns the number of cycles that ended with a waiting slot.
+// runChecked runs c to the end in stepRun with checkIssueQueues after every
+// cycle and returns the number of cycles that ended with a waiting slot.
 func runChecked(t *testing.T, name string, c *Core) int {
 	t.Helper()
-	k := &iqChecker{t: t, core: c}
-	if _, err := c.Run(k); err != nil {
+	waiting := 0
+	_, err := stepRun(c, nil, func() {
+		checkIssueQueues(t, c)
+		if anyWaiting(c) {
+			waiting++
+		}
+	})
+	if err != nil {
 		t.Fatalf("%s: %v", name, err)
 	}
-	return k.waiting
+	return waiting
 }
 
 // TestIssueQueueInvariantsRandomPrograms checks the wakeup state after every

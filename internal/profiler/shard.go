@@ -18,10 +18,11 @@ import "sort"
 // tie-breaking (cost, then registration order), so a given matrix always
 // shards the same way. Groups may come back empty when there are fewer
 // profilers than workers; callers should skip spawning workers for them.
+// w is clamped to [1, len(sampled)+1]: past that, every further group
+// would stay empty, so the clamp leaves the assignment as it is and bounds
+// the allocation however large a worker count the caller passes.
 func ShardSampled(w int, sampled []*Sampled, everyCost float64) [][]*Sampled {
-	if w < 1 {
-		w = 1
-	}
+	w = min(max(w, 1), len(sampled)+1)
 	groups := make([][]*Sampled, w)
 	load := make([]float64, w)
 	load[0] = everyCost

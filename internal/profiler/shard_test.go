@@ -22,8 +22,8 @@ func TestShardSampledCoversEveryProfilerOnce(t *testing.T) {
 	sampled := shardFixture(t, []uint64{16, 32, 64, 128, 256, 512, 1024})
 	for _, w := range []int{1, 2, 3, 7, 12} {
 		groups := ShardSampled(w, sampled, 1)
-		if len(groups) != w {
-			t.Fatalf("w=%d: got %d groups", w, len(groups))
+		if want := min(w, len(sampled)+1); len(groups) != want {
+			t.Fatalf("w=%d: got %d groups, want %d", w, len(groups), want)
 		}
 		seen := map[*Sampled]int{}
 		for _, g := range groups {
@@ -104,5 +104,19 @@ func TestShardSampledDegenerateWorkerCounts(t *testing.T) {
 	}
 	if nonEmpty != 2 {
 		t.Fatalf("2 profilers across 6 shards occupy %d shards", nonEmpty)
+	}
+}
+
+// TestShardSampledCapsWorkerCount checks that a worker count past one more
+// than the profiler count makes no more groups than that and assigns the
+// profilers exactly as that count does.
+func TestShardSampledCapsWorkerCount(t *testing.T) {
+	sampled := shardFixture(t, []uint64{16, 16, 32, 64, 64, 128})
+	for _, everyCost := range []float64{0, 2} {
+		capped := ShardSampled(len(sampled)+1, sampled, everyCost)
+		huge := ShardSampled(1000, sampled, everyCost)
+		if len(huge) > len(sampled)+1 || !reflect.DeepEqual(huge, capped) {
+			t.Fatalf("everyCost %v: w=1000 gave %d groups %v; w=%d gave %v", everyCost, len(huge), huge, len(sampled)+1, capped)
+		}
 	}
 }

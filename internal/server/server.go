@@ -32,7 +32,6 @@ import (
 	"sync"
 	"time"
 
-	tip "github.com/tipprof/tip"
 	"github.com/tipprof/tip/internal/cpu"
 	"github.com/tipprof/tip/internal/fleet"
 	"github.com/tipprof/tip/internal/pprofenc"
@@ -622,7 +621,3 @@ func writeJSON(w http.ResponseWriter, status int, v any) {
 func httpError(w http.ResponseWriter, status int, msg string) {
 	writeJSON(w, status, map[string]any{"error": msg})
 }
-
-// Ensure the server package's public API stays anchored to the tip run
-// entry points it builds on (compile-time check, documents the coupling).
-var _ = tip.RunCaptured

@@ -5,7 +5,8 @@ import (
 	"errors"
 	"fmt"
 
-	"github.com/tipprof/tip/internal/multicore"
+	"github.com/tipprof/tip/internal/cache"
+	"github.com/tipprof/tip/internal/cpu"
 	"github.com/tipprof/tip/internal/trace"
 )
 
@@ -74,29 +75,48 @@ func runMulticore(ctx context.Context, ws []*Workload, rc RunConfig, pilotCycles
 	return newMulticoreResult(runFused(ctx, ws, rc, pilotCycles, lockstep(ws, rc.Core, capts)))
 }
 
-// lockstep is the multicore producer: one multicore.System with core i
-// running ws[i] and feeding stream i, and capts[i] when captures are given.
-// The system Finishes each core's stream as that core finishes; if the run
-// fails, only the unfinished cores' streams are Failed.
+// lockstep is the full-detail producer of every run, one core or several:
+// cpu.Lockstep over sharedCores(ws), core i feeding stream i, teed with
+// capts[i] when captures are given. Each core's stream is Finished as that
+// core finishes; if the run fails, only the unfinished cores' streams are
+// Failed. A lone core at physical offset 0 over its own LLC is the
+// hierarchy cpu.New builds, so a one-core run is the single-core run.
 func lockstep(ws []*Workload, cfg CoreConfig, capts []*TraceCapture) producer {
 	return func(ctx context.Context, ss []*trace.Stream) ([]CoreStats, *SampledRunStats, error) {
-		specs := make([]multicore.CoreSpec, len(ws))
-		for i, w := range ws {
-			specs[i] = multicore.CoreSpec{Workload: w, Consumers: []trace.Consumer{ss[i]}}
+		cores, _ := sharedCores(cfg, ws)
+		consumers := make([]trace.Consumer, len(ws))
+		for i, s := range ss {
+			consumers[i] = s
 			if capts != nil {
-				specs[i].Consumers = append(specs[i].Consumers, capts[i])
+				consumers[i] = &trace.Tee{Consumers: []trace.Consumer{s, capts[i]}}
 			}
 		}
-		results, err := multicore.New(cfg, specs).Run(ctx)
-		stats := make([]CoreStats, len(results))
-		for i, r := range results {
-			if err != nil && !r.Finished {
+		finished, err := cpu.Lockstep(ctx, cores, consumers)
+		stats := make([]CoreStats, len(cores))
+		for i, c := range cores {
+			if !finished[i] {
 				ss[i].Fail(err)
 			}
-			stats[i] = r.Stats
+			stats[i] = c.Stats()
 		}
 		return stats, nil, err
 	}
+}
+
+// sharedCores builds the multi-programmed machine §3.2 sketches: one
+// prefaulted core per workload, each with its own TIP unit and private L1/L2
+// stack over the returned shared LLC and DRAM. Each core gets a disjoint
+// physical range (per-process address spaces), so co-runners contend for
+// capacity and bandwidth without sharing data. SMT (two logical cores on one
+// pipeline) is out of scope; DESIGN.md records the substitution.
+func sharedCores(cfg CoreConfig, ws []*Workload) ([]*cpu.Core, *cache.Cache) {
+	llc := cache.NewSharedLLC(cfg.Hierarchy)
+	cores := make([]*cpu.Core, len(ws))
+	for i, w := range ws {
+		l1i, l1d := cache.NewPrivateStack(cfg.Hierarchy, llc, uint64(i)<<44)
+		cores[i] = prefaulted(cpu.NewWithCaches(cfg, w.Prog, w.Stream(), l1i, l1d), w)
+	}
+	return cores, llc
 }
 
 // RunMulticoreCaptured evaluates rc's profiler matrix per core by replaying

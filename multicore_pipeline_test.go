@@ -13,7 +13,7 @@ import (
 	"testing"
 	"time"
 
-	"github.com/tipprof/tip/internal/multicore"
+	"github.com/tipprof/tip/internal/cpu"
 	"github.com/tipprof/tip/internal/trace"
 	"github.com/tipprof/tip/internal/workload"
 )
@@ -390,7 +390,8 @@ func TestMulticoreRelabelingSwapsProfiles(t *testing.T) {
 // captured/replayed multicore path must (a) reproduce the direct lockstep
 // run's per-core profiles byte-identically and (b) keep each core's TIP
 // profile accurate against that core's own Oracle under shared-LLC
-// contention, mirroring internal/multicore's direct-path contention test.
+// contention, mirroring TestPerCoreTIPStaysAccurateUnderContention's
+// direct-path contention check.
 func TestPerCoreTIPAccurateThroughReplay(t *testing.T) {
 	ws := mcPair(t, 50_000)
 	rc := DefaultRunConfig()
@@ -434,16 +435,13 @@ func TestPerCoreTIPAccurateThroughReplay(t *testing.T) {
 // direct path, used as the byte-identity reference for replayed runs.
 func runMulticoreDirect(ws []*Workload, rc RunConfig) ([]*Result, []CoreStats, error) {
 	matrices := make([]consumerMatrix, len(ws))
-	specs := make([]multicore.CoreSpec, len(ws))
+	consumers := make([]trace.Consumer, len(ws))
 	for i, w := range ws {
 		matrices[i] = buildMatrix(w, rc, rc.SampleInterval, 0)
-		specs[i] = multicore.CoreSpec{
-			Workload:  w,
-			Consumers: matrices[i].shards(1),
-		}
+		consumers[i] = matrices[i].shards(1)[0]
 	}
-	results, err := multicore.New(rc.Core, specs).Run(nil)
-	if err != nil {
+	cores, _ := sharedCores(rc.Core, ws)
+	if _, err := cpu.Lockstep(nil, cores, consumers); err != nil {
 		return nil, nil, err
 	}
 	out := make([]*Result, len(ws))
@@ -455,10 +453,10 @@ func runMulticoreDirect(ws []*Workload, rc RunConfig) ([]*Result, []CoreStats, e
 				return nil, nil, cerr
 			}
 		}
-		stats[i] = results[i].Stats
+		stats[i] = cores[i].Stats()
 		out[i] = &Result{
 			Workload:       w,
-			Stats:          results[i].Stats,
+			Stats:          stats[i],
 			Oracle:         m.oracle,
 			Sampled:        m.byKind,
 			SampleInterval: rc.SampleInterval,

@@ -163,10 +163,6 @@ func mulDiv(a, b, d uint64) uint64 {
 	return q
 }
 
-// sampledCancelMask mirrors the core's RunContext poll granularity: runLeg
-// checks its context every sampledCancelMask+1 core cycles.
-const sampledCancelMask = 8191
-
 // AutoWarmupCycles is the `-warmup auto` heuristic (see ConfigureSampled):
 // pick a warmup prefix proportional to the gap the fast-forward legs span, so
 // long skips — which leave more stale μarch state per unit of warming — get
@@ -181,14 +177,7 @@ func AutoWarmupCycles(windowCycles, windowInterval uint64) uint64 {
 		return 0
 	}
 	gap := windowInterval - windowCycles
-	warm := gap / 16
-	if warm < 8192 {
-		warm = 8192
-	}
-	if warm > gap/2 {
-		warm = gap / 2
-	}
-	return warm
+	return min(max(gap/16, 8192), gap/2)
 }
 
 // stitcher prices unmeasured instruction spans — a fast-forward leg plus the
@@ -271,9 +260,10 @@ type legResult struct {
 // runLeg is the engine behind every detailed cycle of a sampled run. It
 // steps core from cycle start through warmup cycles whose records are
 // dropped, then through window cycles whose records go to emit, stopping
-// early when the program ends. A non-zero maxCycles bounds the core's clock
-// as RunConfig.Core.MaxCycles does, and ctx is polled every
-// sampledCancelMask+1 cycles. rec must be the caller's record, reused from
+// early when the program ends. It stops as cpu.Check says, with maxCycles
+// bounding the core's clock as RunConfig.Core.MaxCycles bounds a full run.
+// runLeg keeps its own loop around Step, not cpu.Lockstep's, for its
+// warmup and emit contract. rec must be the caller's record, reused from
 // one leg to the next on a continued core: Step skips quiescent cycles only
 // for the record it filled last.
 //
@@ -283,19 +273,15 @@ type legResult struct {
 // warmup record or an earlier leg's record.
 func runLeg(ctx context.Context, core *cpu.Core, rec *trace.Record, start, warmup, window, maxCycles uint64, emit func(r *trace.Record, repeat bool)) (legResult, error) {
 	leg := legResult{lastCommit: -1}
-	base := core.Stats().Committed
+	committed := func() uint64 { return core.Stats().Committed }
+	base := committed()
 	for n := uint64(0); n < warmup+window && !leg.done; n++ {
 		cycle := start + n
 		if n == warmup {
-			leg.warmCom = core.Stats().Committed - base
+			leg.warmCom = committed() - base
 		}
-		if maxCycles > 0 && cycle >= maxCycles {
-			return leg, fmt.Errorf("cpu: exceeded MaxCycles=%d (committed %d)", maxCycles, core.Stats().Committed)
-		}
-		if cycle&sampledCancelMask == 0 {
-			if err := ctx.Err(); err != nil {
-				return leg, fmt.Errorf("cpu: run aborted at cycle %d: %w", cycle, err)
-			}
+		if err := cpu.Check(ctx, cycle, maxCycles, committed); err != nil {
+			return leg, err
 		}
 		done, repeat := core.Step(cycle, rec)
 		leg.done = done

@@ -2,7 +2,6 @@ package tip
 
 import (
 	"context"
-	"fmt"
 	"sync"
 	"time"
 
@@ -330,7 +329,7 @@ func runSampledParallel(ctx context.Context, w *Workload, rc RunConfig, consumer
 		case <-runCtx.Done():
 		}
 		if err := runCtx.Err(); err != nil {
-			failRun(fmt.Errorf("cpu: run aborted at cycle %d: %w", vd, err))
+			failRun(cpu.AbortError(vd, err))
 			continue
 		}
 		// The sweep places checkpoints from lagged CPI feedback, so a
@@ -348,9 +347,10 @@ func runSampledParallel(ctx context.Context, w *Workload, rc RunConfig, consumer
 		}
 		legStart := vd
 		vd += res.warmSteps + res.winSteps
-		if rc.Core.MaxCycles > 0 && vd > rc.Core.MaxCycles {
-			failRun(fmt.Errorf("cpu: exceeded MaxCycles=%d (committed %d)",
-				rc.Core.MaxCycles, stats.Committed))
+		// A leg steps at least one cycle, so vd-1 is its last on the
+		// virtual clock.
+		if err := cpu.Check(nil, vd-1, rc.Core.MaxCycles, func() uint64 { return stats.Committed }); err != nil {
+			failRun(err)
 			continue
 		}
 		// The unmeasured span between the previous window's committed end

@@ -4,18 +4,19 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"math"
-	"math/bits"
 	"sync"
 
 	"github.com/tipprof/tip/internal/trace"
 )
 
 // DefaultPilotCycles is the streaming calibration window. At the suite's
-// simulated IPC it covers a few hundred thousand instructions — enough pilot
-// signal that the cycles-per-instruction extrapolation lands the sampling
-// interval within a few percent of the two-pass calibration, while bounding
-// the captured prefix to a few megabytes of encoded trace. Even at the
+// simulated IPC it covers a few hundred thousand instructions, while the
+// captured prefix stays a few megabytes of encoded trace. A run that ends
+// inside the window calibrates the interval Run's Exact policy does; a
+// longer run gets an extrapolation from the window's cycles per
+// instruction, which is only as good as the prefix is typical: mcf at scale
+// 2 000 000 starts slower than it runs on and calibrates 2617 cycles
+// against the two-pass 2011 (+30%). Even at the
 // worst-case encoded record size the window stays below
 // trace.DefaultSpillBytes, so the pilot capture never spills to disk.
 const DefaultPilotCycles = 1 << 17
@@ -31,15 +32,7 @@ func pilotEstimateCycles(ps trace.PilotStats, targetDynInsts uint64) uint64 {
 	if ps.Exact || ps.Committed == 0 || targetDynInsts == 0 {
 		return ps.Cycles
 	}
-	hi, lo := bits.Mul64(ps.Cycles, targetDynInsts)
-	if hi >= ps.Committed {
-		return math.MaxUint64
-	}
-	est, _ := bits.Div64(hi, lo, ps.Committed)
-	if est < ps.Cycles {
-		est = ps.Cycles
-	}
-	return est
+	return max(mulDiv(ps.Cycles, targetDynInsts, ps.Committed), ps.Cycles)
 }
 
 // RunStreaming evaluates rc's profiler matrix in a single fused pass: the
@@ -62,25 +55,14 @@ func pilotEstimateCycles(ps trace.PilotStats, targetDynInsts uint64) uint64 {
 // rc.ExtraConsumers and owns its Close and Err. A nil ctx means
 // context.Background().
 func RunStreaming(ctx context.Context, w *Workload, rc RunConfig) (*Result, error) {
-	return one(runFused(ctx, []*Workload{w}, rc, DefaultPilotCycles, simulate(w, rc.Core)))
+	ws := []*Workload{w}
+	return one(runFused(ctx, ws, rc, DefaultPilotCycles, lockstep(ws, rc.Core, nil)))
 }
 
 // producer runs a simulation into ss on its own goroutine, stream i carrying
 // workload i's records. It ends every stream: Finish as its run completes
 // and, if the run fails, Fail on each stream it did not Finish.
 type producer func(ctx context.Context, ss []*trace.Stream) ([]CoreStats, *SampledRunStats, error)
-
-// simulate is the full-detail producer: one cycle-level run of w, which
-// RunContext Finishes itself on success.
-func simulate(w *Workload, cfg CoreConfig) producer {
-	return func(ctx context.Context, ss []*trace.Stream) ([]CoreStats, *SampledRunStats, error) {
-		st, err := newCore(cfg, w).RunContext(ctx, ss[0])
-		if err != nil {
-			ss[0].Fail(err)
-		}
-		return []CoreStats{st}, nil, err
-	}
-}
 
 // one unpacks the Result of a single-core run.
 func one(res []*Result, err error) (*Result, error) {

@@ -143,7 +143,8 @@ type RunConfig struct {
 	// fanned out over (0 or 1 = one). Each shard decodes the captured
 	// trace or pilot itself, then takes the stream's ring, and owns a
 	// disjoint subset of the profilers behind its own dispatcher; results
-	// are byte-identical at any worker count.
+	// are byte-identical at any worker count. Shards past one more than the
+	// number of sampled profilers would own nothing and are never made.
 	ReplayWorkers int
 	// Sampled selects SMARTS-style sampled simulation: detailed
 	// measurement windows of WindowCycles, one per WindowInterval of
@@ -230,7 +231,11 @@ func (r *Result) Stack() *CycleStack { return &r.Oracle.Stack }
 
 // newCore builds a core for w with data regions prefaulted.
 func newCore(cfg CoreConfig, w *Workload) *cpu.Core {
-	core := cpu.New(cfg, w.Prog, w.Stream())
+	return prefaulted(cpu.New(cfg, w.Prog, w.Stream()), w)
+}
+
+// prefaulted prefaults w's data regions on core and returns it.
+func prefaulted(core *cpu.Core, w *Workload) *cpu.Core {
 	for _, reg := range w.Prefault {
 		core.MMU().PrefaultRange(reg.Base, reg.Size)
 	}
@@ -245,19 +250,15 @@ func CalibrateInterval(cycles, targetSamples uint64) uint64 {
 	if targetSamples == 0 {
 		targetSamples = 4096
 	}
-	interval := cycles / targetSamples
-	if interval < 16 {
-		interval = 16
-	}
-	return sampling.NextPrime(interval)
+	return sampling.NextPrime(max(cycles/targetSamples, 16))
 }
 
 // CaptureWorkload runs the single cycle-level simulation of w, streaming its
 // encoded commit-stage trace into a replayable capture. The caller owns the
 // capture and must Close it. The simulator is deterministic, so replaying the
 // capture feeds profilers the byte-identical record stream a live profiled
-// run would have seen. It is for callers that store captures (tipd's cache,
-// benchmarks replaying one capture many times); Run needs none.
+// run would have seen. It is for callers that replay one capture many times,
+// such as the ledger's suites under bench/; Run needs none.
 func CaptureWorkload(w *Workload, cfg CoreConfig) (*TraceCapture, CoreStats, error) {
 	capt := trace.NewCapture()
 	stats, err := newCore(cfg, w).Run(capt)
@@ -349,7 +350,7 @@ func buildMatrix(w *Workload, rc RunConfig, interval, estCycles uint64) consumer
 // expected wakeups. Workers that would own no consumers are elided.
 func (m *consumerMatrix) shards(workers int) []trace.Consumer {
 	groups := profiler.ShardSampled(workers, m.sampled, float64(len(m.every)))
-	shards := make([]trace.Consumer, 0, workers)
+	shards := make([]trace.Consumer, 0, len(groups))
 	d0 := profiler.NewDispatcher()
 	for _, c := range m.every {
 		d0.AddEveryCycle(c)
@@ -451,7 +452,8 @@ func Run(ctx context.Context, w *Workload, rc RunConfig) (*Result, error) {
 	if rc.Sampled {
 		return RunSampled(ctx, w, rc)
 	}
-	return one(runFused(ctx, []*Workload{w}, rc, wholeRunPilot, simulate(w, rc.Core)))
+	ws := []*Workload{w}
+	return one(runFused(ctx, ws, rc, wholeRunPilot, lockstep(ws, rc.Core, nil)))
 }
 
 // MeasureStats runs w unprofiled and returns the core statistics (used by
