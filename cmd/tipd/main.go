@@ -6,19 +6,22 @@
 // This is the paper's §3.1 deployment model as a service: the simulator
 // stands in for the TIP hardware, tipd plays the role of the perf server
 // that records samples online and rebuilds profiles offline on demand.
-// Repeated jobs for the same (bench, seed, scale, core) reuse the cached
-// capture and skip the cycle-level simulation entirely. With -store, every
-// capture is also written to a content-addressed store directory the moment
-// it is simulated, so a restarted daemon — even one that was killed rather
-// than drained — serves known keys from disk without simulating again. Jobs
-// submitted with
+// Every job simulates the Table 1 core. A job names one benchmark (bench,
+// seed, scale) or, with "cores":[...], a multi-programmed set run lockstep
+// on one shared-LLC system; either way it runs as a list of cores, each
+// profiled against its own Oracle, and on a cache miss each core's profiler
+// matrix records that core's capture as the run streams. Repeated jobs for
+// the same key reuse the cached captures and skip the cycle-level
+// simulation entirely (a core set is keyed by its order, and stored one
+// capture per core). With -store, every capture is also written to a
+// content-addressed store directory the moment it is simulated, so a
+// restarted daemon — even one that was killed rather than drained — serves
+// known keys from disk without simulating again. Jobs submitted with
 // "sampled":true instead run under sampled simulation (detailed measurement
 // windows alternating with functional fast-forward) and bypass the capture
-// cache — there is no full trace to store. Jobs submitted with "cores":[...]
-// run a multi-programmed lockstep set on one shared-LLC system, profile each
-// core against its own Oracle from that core's own capture (the set's
-// captures are cached keyed by the ordered core set, and stored one per
-// core), and export per-core pprof via ?core=N with a "core" sample label.
+// cache — there is no full trace to store. Multicore jobs export per-core
+// pprof via ?core=N with a "core" sample label. A job spec over 1 MiB is
+// refused with 413.
 //
 // Example:
 //

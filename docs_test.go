@@ -5,9 +5,11 @@ import (
 	"go/parser"
 	"go/token"
 	"io/fs"
+	"math"
 	"os"
 	"path/filepath"
 	"regexp"
+	"strconv"
 	"strings"
 	"testing"
 )
@@ -339,4 +341,146 @@ func TestDocIdentifiersResolve(t *testing.T) {
 		}
 		t.Logf("%s: %d of %d code spans name a test, Go identifier or path", doc, checked, len(spans))
 	}
+}
+
+// measuredSources maps each EXPERIMENTS.md section with measured table cells
+// (the text of its "## " heading before " — ") to the results_full.txt
+// section ("== " title before ":") that holds its numbers.
+var measuredSources = map[string]string{
+	"Figure 1":   "Figure 1",
+	"Figure 8":   "Figure 8",
+	"Figure 9":   "Figure 9",
+	"Figure 10":  "Figure 10",
+	"Figure 11a": "Figure 11a",
+	"Figure 11c": "Figure 11c",
+	"Figure 12":  "Figure 12",
+	"Figure 13":  "Figure 13",
+	"§3.2":       "Section 3.2: TIP overhead analysis",
+}
+
+// unsourcedSections are EXPERIMENTS.md sections whose tables come from runs
+// that results_full.txt does not hold, with the commands that produce them.
+var unsourcedSections = map[string]string{
+	"Sampled simulation": "go run ./cmd/tipbench -figures sampled -benchmarks mcf,x264 -scale 1200000 -samples 2048 (rows 1-2); " +
+		"go run ./cmd/tipbench -figures sampled -benchmarks mcf -scale 24000000 -samples 2048 -warmup 16384 -windowworkers 0 (row 3) and -windowworkers 4 (row 4)",
+}
+
+// derivedCells are measured cells whose numbers are computed from a
+// results_full.txt section rather than printed in it, with the command and
+// the arithmetic that produce them.
+var derivedCells = map[string]string{
+	"13-17% each":                    "go run ./cmd/tipbench -figures fig12: the range of Oracle's fcvt.l.d, fcvt.d.l, feq.d and fadd.d shares",
+	"~15x reduction":                 "go run ./cmd/tipbench -figures fig13: ceil's orig cycles over its opt cycles",
+	"−53% cycles, same instructions": "go run ./cmd/tipbench -figures fig13: 1 - MeanShiftImage's opt cycles over its orig cycles",
+}
+
+var docNumber = regexp.MustCompile(`\d[\d,]*(?:\.\d+)?k?`)
+
+// resultSections splits results_full.txt into its "== title ==" sections.
+func resultSections(text string) map[string]string {
+	secs := map[string]string{}
+	title := ""
+	for _, line := range strings.Split(text, "\n") {
+		if t, ok := strings.CutPrefix(line, "== "); ok {
+			title = strings.TrimSuffix(t, " ==")
+			continue
+		}
+		secs[title] += line + "\n"
+	}
+	return secs
+}
+
+// measuredCells returns, per EXPERIMENTS.md section, the cells of its tables'
+// measured columns: those headed "Measured…", or every column after the row
+// label in a table with no "Paper…" column.
+func measuredCells(text string) map[string][]string {
+	cells := map[string][]string{}
+	section := ""
+	var cols []bool
+	for _, line := range strings.Split(text, "\n") {
+		if h, ok := strings.CutPrefix(line, "## "); ok {
+			section, _, _ = strings.Cut(h, " — ")
+			continue
+		}
+		if !strings.HasPrefix(line, "|") {
+			cols = nil
+			continue
+		}
+		row := strings.Split(strings.Trim(line, "|"), "|")
+		switch {
+		case cols == nil:
+			paper := strings.Contains(line, "| Paper")
+			cols = make([]bool, len(row))
+			for i, h := range row {
+				cols[i] = strings.HasPrefix(strings.TrimSpace(h), "Measured") || !paper && i > 0
+			}
+		case strings.HasPrefix(line, "|---"):
+		default:
+			for i, c := range row {
+				if i < len(cols) && cols[i] && docNumber.MatchString(c) {
+					cells[section] = append(cells[section], strings.Trim(strings.TrimSpace(c), "*"))
+				}
+			}
+		}
+	}
+	return cells
+}
+
+// TestExperimentsMatchResults checks that every number in a measured column
+// of an EXPERIMENTS.md table appears in the matching section of
+// results_full.txt, so the summary cannot drift from the regenerated output.
+// A number with a k suffix matches a count that rounds to it in thousands;
+// derivedCells and unsourcedSections name what has no number of its own
+// there.
+func TestExperimentsMatchResults(t *testing.T) {
+	exp, err := os.ReadFile("EXPERIMENTS.md")
+	if err != nil {
+		t.Fatal(err)
+	}
+	res, err := os.ReadFile("results_full.txt")
+	if err != nil {
+		t.Fatal(err)
+	}
+	secs := resultSections(string(res))
+	checked := 0
+	for section, cells := range measuredCells(string(exp)) {
+		if _, ok := unsourcedSections[section]; ok {
+			continue
+		}
+		prefix, ok := measuredSources[section]
+		if !ok {
+			t.Errorf("EXPERIMENTS.md section %q has measured cells but no results_full.txt source", section)
+			continue
+		}
+		nums := map[string]bool{}
+		for title, body := range secs {
+			if strings.HasPrefix(title, prefix+":") || title == prefix {
+				for _, n := range docNumber.FindAllString(body, -1) {
+					nums[n] = true
+					if v, err := strconv.ParseFloat(n, 64); err == nil && v >= 1000 {
+						nums[strconv.Itoa(int(math.Round(v/1000)))+"k"] = true
+					}
+				}
+			}
+		}
+		if len(nums) == 0 {
+			t.Errorf("results_full.txt has no section %q", prefix)
+			continue
+		}
+		for _, c := range cells {
+			if _, ok := derivedCells[c]; ok {
+				continue
+			}
+			for _, n := range docNumber.FindAllString(c, -1) {
+				checked++
+				if !nums[strings.ReplaceAll(n, ",", "")] {
+					t.Errorf("EXPERIMENTS.md %s: %s in %q is not in results_full.txt's %q section", section, n, c, prefix)
+				}
+			}
+		}
+	}
+	if checked == 0 {
+		t.Fatal("no measured number checked")
+	}
+	t.Logf("%d measured numbers checked", checked)
 }

@@ -14,8 +14,6 @@
 package cpu
 
 import (
-	"errors"
-
 	"github.com/tipprof/tip/internal/branch"
 	"github.com/tipprof/tip/internal/cache"
 	"github.com/tipprof/tip/internal/tlb"
@@ -117,31 +115,21 @@ func DefaultConfig() Config {
 	}
 }
 
-// Validate reports why the configuration cannot drive a core, or nil when it
-// can. Services accepting configurations from the outside (tipd) call it to
-// reject partially-populated configs before they reach New, which panics.
-func (c *Config) Validate() error {
+// validate panics on nonsensical configurations.
+func (c *Config) validate() {
 	switch {
 	case c.FetchWidth <= 0, c.FetchBufEntries <= 0, c.DispatchWidth <= 0,
 		c.ROBEntries <= 0, c.CommitWidth <= 0, c.LSQEntries <= 0,
 		c.StoreBufEntries <= 0, c.MaxBranches <= 0:
-		return errors.New("cpu: non-positive structure size in config")
+		panic("cpu: non-positive structure size in config")
 	case c.CommitWidth > trace.MaxBanks:
-		return errors.New("cpu: commit width exceeds trace.MaxBanks")
+		panic("cpu: commit width exceeds trace.MaxBanks")
 	case c.ROBEntries%c.CommitWidth != 0:
-		return errors.New("cpu: ROB entries must be a multiple of the bank count")
+		panic("cpu: ROB entries must be a multiple of the bank count")
 	case c.IntIQ.Entries <= 0 || c.IntIQ.Width <= 0 ||
 		c.MemIQ.Entries <= 0 || c.MemIQ.Width <= 0 ||
 		c.FPIQ.Entries <= 0 || c.FPIQ.Width <= 0:
-		return errors.New("cpu: invalid issue queue config")
-	}
-	return nil
-}
-
-// validate panics on nonsensical configurations.
-func (c *Config) validate() {
-	if err := c.Validate(); err != nil {
-		panic(err.Error())
+		panic("cpu: invalid issue queue config")
 	}
 }
 

@@ -22,6 +22,10 @@ func coreConfigHash(cfg cpu.Config) string {
 	return hex.EncodeToString(h[:8])
 }
 
+// tableOneHash is every capture key's core configuration: tipd simulates
+// the Table 1 core.
+var tableOneHash = coreConfigHash(cpu.DefaultConfig())
+
 // captureKey names one cache entry: the full simulation input. Single-core
 // entries are keyed by (bench, seed, scale, core-config hash); multicore
 // entries leave those empty and carry a hash of the whole core set and its

@@ -95,28 +95,23 @@ func (sp *JobSpec) normalize() ([]profiler.Kind, profile.Granularity, error) {
 		case len(sp.Cores) > 4:
 			return nil, 0, fmt.Errorf("at most 4 cores (got %d)", len(sp.Cores))
 		}
-		for i := range sp.Cores {
-			c := &sp.Cores[i]
-			if c.Bench == "" {
-				return nil, 0, fmt.Errorf("cores[%d]: bench is required", i)
-			}
-			if !validBench(c.Bench) {
-				return nil, 0, fmt.Errorf("cores[%d]: unknown benchmark %q", i, c.Bench)
-			}
-			if c.Seed == 0 {
-				c.Seed = 1
-			}
+	}
+	cores := sp.coreList()
+	for i := range cores {
+		c, at := &cores[i], ""
+		if len(sp.Cores) > 0 {
+			at = fmt.Sprintf("cores[%d]: ", i)
 		}
-	} else {
-		if sp.Bench == "" {
-			return nil, 0, fmt.Errorf("bench is required")
+		if c.Bench == "" {
+			return nil, 0, fmt.Errorf("%sbench is required", at)
 		}
-		if !validBench(sp.Bench) {
-			return nil, 0, fmt.Errorf("unknown benchmark %q", sp.Bench)
+		if !validBench(c.Bench) {
+			return nil, 0, fmt.Errorf("%sunknown benchmark %q", at, c.Bench)
 		}
-		if sp.Seed == 0 {
-			sp.Seed = 1
-		}
+		c.Seed = max(c.Seed, 1)
+	}
+	if len(sp.Cores) == 0 {
+		sp.Seed = cores[0].Seed
 	}
 	if sp.ReplayWorkers == 0 {
 		sp.ReplayWorkers = 2
@@ -175,6 +170,15 @@ func (sp *JobSpec) normalize() ([]profiler.Kind, profile.Granularity, error) {
 	return kinds, gran, nil
 }
 
+// coreList is the job's cores: Cores, or the one core Bench, Seed and Scale
+// name, so past the wire a single-core job is a one-core job.
+func (sp *JobSpec) coreList() []CoreJobSpec {
+	if len(sp.Cores) > 0 {
+		return sp.Cores
+	}
+	return []CoreJobSpec{{Bench: sp.Bench, Seed: sp.Seed, Scale: sp.Scale}}
+}
+
 func validBench(name string) bool {
 	if name == "imagick-opt" {
 		return true
@@ -219,54 +223,41 @@ const (
 	sourceSampled   = "sampled"
 )
 
-// jobOutcome is what a successful execution hands back to the server.
-// Exactly one of res (single-core) and multi (multicore) is set.
+// jobOutcome is what a successful execution hands back to the server: one
+// Result per core, a single-core job's as a one-core result.
 type jobOutcome struct {
-	res    *tip.Result
-	multi  *tip.MulticoreResult
+	result *tip.MulticoreResult
 	source string
 	timing experiments.Timing
 }
 
 // executeJob is the real job runner. A sampled job always simulates its
-// windows; every other job goes through the capture cache (runCached),
-// single-core and multicore alike. Cancelling ctx aborts any path.
+// windows. Every other job, single-core or multicore, is a list of cores
+// evaluated through the capture cache: a hit replays the cached captures
+// and reports the lookup as capture time; a miss runs the whole job fused
+// and pilot-calibrated, recording each core's trace into a fresh capture
+// the cache keeps, so it costs max(simulate, replay) instead of their sum
+// and reports its whole wall-clock as replay time. A miss's interval can
+// differ marginally from a later hit's, which calibrates from the exact
+// cycle count. Cancelling ctx aborts any path.
 func (s *Server) executeJob(ctx context.Context, jb *job) (*jobOutcome, error) {
 	spec := jb.spec
 	out := &jobOutcome{}
 	rc := tip.DefaultRunConfig()
-	rc.Core = s.cfg.Core
 	rc.Profilers = jb.kinds
 	rc.TargetSamples = spec.TargetSamples
 	rc.ReplayWorkers = spec.ReplayWorkers
 	out.timing.ReplayWorkers = spec.ReplayWorkers
 
-	if len(spec.Cores) > 0 {
-		ws := make([]*tip.Workload, len(spec.Cores))
-		for i, c := range spec.Cores {
-			w, err := workload.LoadScaled(c.Bench, c.Seed, c.Scale)
-			if err != nil {
-				return nil, fmt.Errorf("cores[%d]: %w", i, err)
-			}
-			ws[i] = w
+	cores := spec.coreList()
+	ws := make([]*tip.Workload, len(cores))
+	for i, c := range cores {
+		var err error
+		if ws[i], err = workload.LoadScaled(c.Bench, c.Seed, c.Scale); err != nil {
+			return nil, err
 		}
-		key := captureKey{Cores: coreSetHash(spec.Cores), Core: s.coreHash, NCores: len(ws)}
-		return s.runCached(ctx, key, len(ws), out, func(ctx context.Context, capts []*trace.Capture) (_ []*tip.Result, err error) {
-			if out.multi, err = tip.RunMulticoreStreaming(ctx, ws, rc, capts...); err != nil {
-				return nil, err
-			}
-			return out.multi.Cores, nil
-		}, func(ent *cacheEntry) (err error) {
-			out.multi, err = tip.RunMulticoreCaptured(ctx, ws, ent.captures, ent.stats, rc)
-			return err
-		})
 	}
-
-	w, err := workload.LoadScaled(spec.Bench, spec.Seed, spec.Scale)
-	if err != nil {
-		return nil, err
-	}
-	key := captureKey{Bench: spec.Bench, Seed: spec.Seed, Scale: spec.Scale, Core: s.coreHash}
+	start := time.Now()
 
 	if spec.Sampled {
 		// Sampled jobs skip the capture cache: the fast-forward legs emit
@@ -280,47 +271,27 @@ func (s *Server) executeJob(ctx context.Context, jb *job) (*jobOutcome, error) {
 		rc.WindowInterval = spec.WindowInterval
 		rc.WarmupCycles = spec.WarmupCycles
 		rc.WindowWorkers = spec.WindowWorkers
-		start := time.Now()
-		res, err := tip.RunSampled(ctx, w, rc)
+		res, err := tip.RunSampled(ctx, ws[0], rc)
 		if err != nil {
 			return nil, err
 		}
 		out.timing.Replay = time.Since(start)
-		out.res = res
+		out.result = &tip.MulticoreResult{Cores: []*tip.Result{res}, TotalCycles: res.Stats.Cycles}
 		out.source = sourceSampled
 		return out, nil
 	}
 
-	return s.runCached(ctx, key, 1, out, func(ctx context.Context, capts []*trace.Capture) (_ []*tip.Result, err error) {
-		rc := rc
-		rc.ExtraConsumers = []trace.Consumer{capts[0]}
-		out.res, err = tip.RunStreaming(ctx, w, rc)
-		return []*tip.Result{out.res}, err
-	}, func(ent *cacheEntry) (err error) {
-		out.res, err = tip.RunCaptured(ctx, w, ent.captures[0], ent.stats[0], rc)
-		return err
-	})
-}
-
-// runCached evaluates a job whose simulation of n cores the capture cache
-// holds under key. On a hit, replay evaluates the cached entry into out,
-// and the lookup is reported as capture time. On a miss, fused runs the
-// whole job fused and pilot-calibrated into out, teeing each core's encoded
-// trace into a fresh capture that the cache keeps. The miss then costs
-// max(simulate, replay) instead of their sum, and its whole wall-clock is
-// reported as replay time. Its interval can differ marginally from a later
-// hit's, which calibrates from the exact cycle count.
-func (s *Server) runCached(ctx context.Context, key captureKey, n int, out *jobOutcome,
-	fused func(context.Context, []*trace.Capture) ([]*tip.Result, error), replay func(*cacheEntry) error) (*jobOutcome, error) {
-	ranFused := false
-	start := time.Now()
+	key := captureKey{Bench: spec.Bench, Seed: spec.Seed, Scale: spec.Scale, Core: tableOneHash}
+	if len(spec.Cores) > 0 {
+		key = captureKey{Cores: coreSetHash(spec.Cores), Core: tableOneHash, NCores: len(ws)}
+	}
 	ent, source, err := s.cache.getOrCapture(ctx, key, func(ctx context.Context) ([]*trace.Capture, []tip.CoreStats, error) {
-		capts := make([]*trace.Capture, n)
+		capts := make([]*trace.Capture, len(ws))
 		for i := range capts {
 			capts[i] = trace.NewCapture()
 		}
-		cores, err := fused(ctx, capts)
-		for i := 0; err == nil && i < n; i++ {
+		res, err := tip.RunMulticoreStreaming(ctx, ws, rc, capts...)
+		for i := 0; err == nil && i < len(capts); i++ {
 			if cerr := capts[i].Err(); cerr != nil {
 				err = fmt.Errorf("capture %d: %w", i, cerr)
 			}
@@ -332,9 +303,9 @@ func (s *Server) runCached(ctx context.Context, key captureKey, n int, out *jobO
 			return nil, nil, err
 		}
 		s.met.simulationRan()
-		ranFused = true
-		stats := make([]tip.CoreStats, n)
-		for i, cr := range cores {
+		out.result = res
+		stats := make([]tip.CoreStats, len(ws))
+		for i, cr := range res.Cores {
 			stats[i] = cr.Stats
 		}
 		return capts, stats, nil
@@ -344,13 +315,13 @@ func (s *Server) runCached(ctx context.Context, key captureKey, n int, out *jobO
 	}
 	defer s.cache.release(ent)
 	out.source = source
-	if ranFused {
+	if source == sourceSimulated {
 		out.timing.Replay = time.Since(start)
 		return out, nil
 	}
 	out.timing.Capture = time.Since(start)
 	repStart := time.Now()
-	err = replay(ent)
+	out.result, err = tip.RunMulticoreCaptured(ctx, ws, ent.captures, ent.stats, rc)
 	out.timing.Replay = time.Since(repStart)
 	if err != nil {
 		return nil, err
@@ -455,17 +426,19 @@ func (s *Server) view(jb *job) JobView {
 			ReplayWorkers:  jb.timing.ReplayWorkers,
 		}
 	}
-	if jb.outcome != nil && jb.outcome.res != nil {
-		v.Result = resultView(jb.outcome.res, jb.gran)
+	if jb.outcome == nil || jb.outcome.result == nil {
+		return v
 	}
-	if jb.outcome != nil && jb.outcome.multi != nil {
-		mv := &ResultView{Cycles: jb.outcome.multi.TotalCycles}
-		for i, res := range jb.outcome.multi.Cores {
-			cv := resultView(res, jb.gran)
-			cv.Bench = jb.spec.Cores[i].Bench
-			mv.Cores = append(mv.Cores, cv)
-		}
-		v.Result = mv
+	mr := jb.outcome.result
+	if len(jb.spec.Cores) == 0 {
+		v.Result = resultView(mr.Cores[0], jb.gran)
+		return v
+	}
+	v.Result = &ResultView{Cycles: mr.TotalCycles}
+	for i, res := range mr.Cores {
+		cv := resultView(res, jb.gran)
+		cv.Bench = jb.spec.Cores[i].Bench
+		v.Result.Cores = append(v.Result.Cores, cv)
 	}
 	return v
 }

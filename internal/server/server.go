@@ -10,7 +10,7 @@
 //
 // API:
 //
-//	POST   /v1/jobs             submit a job (JobSpec body) — 202, or 429 when saturated
+//	POST   /v1/jobs             submit a job (JobSpec body) — 202, 413 over 1 MiB, or 429 when saturated
 //	GET    /v1/jobs             list jobs
 //	GET    /v1/jobs/{id}        job state + JSON profile when done
 //	GET    /v1/jobs/{id}/pprof  gzipped pprof protobuf (?profiler=TIP|Oracle|...)
@@ -20,19 +20,19 @@
 package server
 
 import (
+	"bytes"
 	"context"
 	"encoding/json"
 	"errors"
 	"fmt"
+	"io"
 	"log"
 	"net/http"
-	"reflect"
 	"runtime"
 	"strconv"
 	"sync"
 	"time"
 
-	"github.com/tipprof/tip/internal/cpu"
 	"github.com/tipprof/tip/internal/fleet"
 	"github.com/tipprof/tip/internal/pprofenc"
 )
@@ -55,9 +55,6 @@ type Config struct {
 	// MaxRetainedJobs bounds finished jobs kept for retrieval; the oldest
 	// terminal jobs are forgotten first (default 256).
 	MaxRetainedJobs int
-	// Core is the simulated core configuration for every job (default
-	// Table 1). It is part of the capture-cache key.
-	Core cpu.Config
 	// Store, when set, is the capture store and the cache's only
 	// persistence tier: cache misses try the store before simulating, and
 	// freshly simulated captures are published to it as they finish. A
@@ -69,7 +66,7 @@ type Config struct {
 	Logf func(format string, args ...any)
 }
 
-func (c *Config) fill() error {
+func (c *Config) fill() {
 	if c.Workers <= 0 {
 		c.Workers = runtime.GOMAXPROCS(0)
 	}
@@ -91,22 +88,11 @@ func (c *Config) fill() error {
 	if c.Logf == nil {
 		c.Logf = log.Printf
 	}
-	// Only a fully zero core config selects the Table 1 default. Anything
-	// else must stand on its own: keying the decision on a single field
-	// (the old FetchWidth==0 check) silently accepted partially-populated
-	// configs that later panicked the first worker that built a core.
-	if reflect.DeepEqual(c.Core, cpu.Config{}) {
-		c.Core = cpu.DefaultConfig()
-	} else if err := c.Core.Validate(); err != nil {
-		return fmt.Errorf("core config: %w", err)
-	}
-	return nil
 }
 
-// Server is the tipd daemon.
+// Server is the tipd daemon. Every job simulates the Table 1 core.
 type Server struct {
-	cfg      Config
-	coreHash string
+	cfg Config
 
 	mu       sync.Mutex
 	jobs     map[string]*job
@@ -131,17 +117,14 @@ type Server struct {
 // New builds a Server and starts the worker pool. Captures in cfg.Store are
 // read lazily, on the first miss for their key.
 func New(cfg Config) (*Server, error) {
-	if err := cfg.fill(); err != nil {
-		return nil, fmt.Errorf("server: %w", err)
-	}
+	cfg.fill()
 	s := &Server{
-		cfg:      cfg,
-		coreHash: coreConfigHash(cfg.Core),
-		jobs:     map[string]*job{},
-		queue:    make(chan *job, cfg.QueueDepth),
-		cache:    newCaptureCache(cfg.CacheEntries, cfg.CacheBytes, cfg.Store, cfg.Logf),
-		met:      newMetrics(),
-		mux:      http.NewServeMux(),
+		cfg:   cfg,
+		jobs:  map[string]*job{},
+		queue: make(chan *job, cfg.QueueDepth),
+		cache: newCaptureCache(cfg.CacheEntries, cfg.CacheBytes, cfg.Store, cfg.Logf),
+		met:   newMetrics(),
+		mux:   http.NewServeMux(),
 	}
 	s.baseCtx, s.abort = context.WithCancel(context.Background())
 	s.execute = s.executeJob
@@ -216,12 +199,8 @@ func (s *Server) runJob(jb *job) {
 	jb.state = state
 	var cycles uint64
 	simulated := false
-	if state == stateDone && jb.outcome != nil {
-		if jb.outcome.res != nil {
-			cycles = jb.outcome.res.Stats.Cycles
-		} else if jb.outcome.multi != nil {
-			cycles = jb.outcome.multi.TotalCycles
-		}
+	if state == stateDone && jb.outcome != nil && jb.outcome.result != nil {
+		cycles = jb.outcome.result.TotalCycles
 		// A store pull is not a simulation: only fresh cycle-level runs
 		// (capture misses and sampled windows) count simulated cycles.
 		simulated = jb.outcome.source == sourceSimulated || jb.outcome.source == sourceSampled
@@ -283,10 +262,22 @@ func (s *Server) Shutdown(ctx context.Context) error {
 
 // --- HTTP handlers ---------------------------------------------------------
 
+// maxSpecBytes caps a POST /v1/jobs body, as the fleet coordinator caps the
+// bodies it reads.
+const maxSpecBytes = 1 << 20
+
 func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 	var spec JobSpec
-	dec := json.NewDecoder(r.Body)
-	if err := dec.Decode(&spec); err != nil {
+	body, err := io.ReadAll(http.MaxBytesReader(w, r.Body, maxSpecBytes))
+	if err == nil {
+		err = json.NewDecoder(bytes.NewReader(body)).Decode(&spec)
+	}
+	var tooBig *http.MaxBytesError
+	switch {
+	case errors.As(err, &tooBig):
+		httpError(w, http.StatusRequestEntityTooLarge, fmt.Sprintf("job spec over %d bytes", tooBig.Limit))
+		return
+	case err != nil:
 		httpError(w, http.StatusBadRequest, fmt.Sprintf("bad job spec: %v", err))
 		return
 	}
@@ -446,42 +437,34 @@ func (s *Server) handlePprof(w http.ResponseWriter, r *http.Request) {
 		httpError(w, http.StatusNotFound, "no such job")
 		return
 	}
-	if jb.state != stateDone || jb.outcome == nil ||
-		(jb.outcome.res == nil && jb.outcome.multi == nil) {
+	if jb.state != stateDone || jb.outcome == nil || jb.outcome.result == nil {
 		state := jb.state
 		s.mu.Unlock()
 		httpError(w, http.StatusConflict, fmt.Sprintf("job is %s, not done", state))
 		return
 	}
-	res := jb.outcome.res
-	multi := jb.outcome.multi
+	mr := jb.outcome.result
 	spec := jb.spec
 	s.mu.Unlock()
 
 	// Multicore jobs expose one pprof file per core (?core=N, default 0);
 	// the samples carry a "core" string label so merged or archived
 	// profiles stay distinguishable (`go tool pprof -tags`).
-	bench, seed, scale := spec.Bench, spec.Seed, spec.Scale
-	var labels []pprofenc.Label
-	if multi != nil {
-		core := 0
-		if cs := r.URL.Query().Get("core"); cs != "" {
-			n, err := strconv.Atoi(cs)
-			if err != nil || n < 0 || n >= len(multi.Cores) {
-				httpError(w, http.StatusBadRequest,
-					fmt.Sprintf("core %q out of range [0,%d)", cs, len(multi.Cores)))
-				return
-			}
-			core = n
+	core := 0
+	if cs := r.URL.Query().Get("core"); cs != "" {
+		n, err := strconv.Atoi(cs)
+		switch {
+		case len(spec.Cores) == 0:
+			httpError(w, http.StatusBadRequest, "core selects a core of a multicore job; this job is single-core")
+			return
+		case err != nil || n < 0 || n >= len(mr.Cores):
+			httpError(w, http.StatusBadRequest,
+				fmt.Sprintf("core %q out of range [0,%d)", cs, len(mr.Cores)))
+			return
 		}
-		res = multi.Cores[core]
-		cs := spec.Cores[core]
-		bench, seed, scale = cs.Bench, cs.Seed, cs.Scale
-		labels = []pprofenc.Label{{Key: "core", Value: strconv.Itoa(core)}}
-	} else if r.URL.Query().Get("core") != "" {
-		httpError(w, http.StatusBadRequest, "core selects a core of a multicore job; this job is single-core")
-		return
+		core = n
 	}
+	res, c := mr.Cores[core], spec.coreList()[core]
 
 	name := r.URL.Query().Get("profiler")
 	if name == "" {
@@ -502,8 +485,10 @@ func (s *Server) handlePprof(w http.ResponseWriter, r *http.Request) {
 			return
 		}
 	}
-	opt := pprofenc.JobOptions(bench, seed, scale, name, res.SampleInterval)
-	opt.Labels = labels
+	opt := pprofenc.JobOptions(c.Bench, c.Seed, c.Scale, name, res.SampleInterval)
+	if len(spec.Cores) > 0 {
+		opt.Labels = []pprofenc.Label{{Key: "core", Value: strconv.Itoa(core)}}
+	}
 	data, err := pprofenc.Encode(prof, opt)
 	if err != nil {
 		httpError(w, http.StatusInternalServerError, err.Error())
@@ -511,7 +496,7 @@ func (s *Server) handlePprof(w http.ResponseWriter, r *http.Request) {
 	}
 	w.Header().Set("Content-Type", "application/octet-stream")
 	w.Header().Set("Content-Disposition",
-		fmt.Sprintf("attachment; filename=%s-%s.pb.gz", bench, name))
+		fmt.Sprintf("attachment; filename=%s-%s.pb.gz", c.Bench, name))
 	w.WriteHeader(http.StatusOK)
 	w.Write(data)
 }
@@ -573,7 +558,7 @@ func (s *Server) Health() Health {
 		CacheHits:    hits,
 		CacheMisses:  misses,
 		Simulations:  s.met.simulationCount(),
-		CoreHash:     s.coreHash,
+		CoreHash:     tableOneHash,
 	}
 	if st := s.cfg.Store; st != nil {
 		h.StoreEnabled = true

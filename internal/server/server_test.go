@@ -229,6 +229,90 @@ func TestJobLifecycle(t *testing.T) {
 	}
 }
 
+// TestJobPastPilotWindow runs a single-core job whose run outlasts the
+// pilot window (mcf at scale 60 000, about 322K cycles against
+// tip.DefaultPilotCycles), so a cold job's pilot-extrapolated interval and a
+// hit's exact one differ. The cold job must equal tip.RunStreaming, the
+// capture it leaves in the cache must be tip.CaptureWorkload's byte for
+// byte, a later hit must equal tip.Run, and the two jobs must run one
+// simulation between them.
+func TestJobPastPilotWindow(t *testing.T) {
+	s, ts := newTestServer(t, Config{Workers: 1})
+	spec := JobSpec{Bench: "mcf", Seed: 1, Scale: 60_000, Profilers: []string{"TIP"}}
+	runs0 := cpu.RunsStarted()
+	var pprofs [2][]byte
+	for i := range pprofs {
+		v, code := submit(t, ts, spec)
+		if code != http.StatusAccepted {
+			t.Fatalf("submit %d: status %d", i, code)
+		}
+		if v = waitTerminal(t, ts, v.ID); v.State != stateDone || v.CacheHit != (i == 1) {
+			t.Fatalf("job %d: state %s, cache hit %v (%s)", i, v.State, v.CacheHit, v.Error)
+		}
+		pprofs[i] = fetchPprof(t, ts, v.ID)
+	}
+	if got := cpu.RunsStarted() - runs0; got != 1 {
+		t.Fatalf("a cold and a warm job started %d simulations, want 1", got)
+	}
+
+	w, err := workload.LoadScaled(spec.Bench, spec.Seed, spec.Scale)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rc := tip.DefaultRunConfig()
+	rc.Profilers = []profiler.Kind{kindByName(t, "TIP")}
+	rc.ReplayWorkers = 2
+	encode := func(res *tip.Result) []byte {
+		t.Helper()
+		data, err := pprofenc.Encode(res.Sampled[rc.Profilers[0]].Profile,
+			pprofenc.JobOptions(spec.Bench, spec.Seed, spec.Scale, "TIP", res.SampleInterval))
+		if err != nil {
+			t.Fatal(err)
+		}
+		return data
+	}
+	streamed, err := tip.RunStreaming(context.Background(), w, rc)
+	if err != nil {
+		t.Fatal(err)
+	}
+	exact, err := tip.Run(context.Background(), w, rc)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if streamed.SampleInterval == exact.SampleInterval {
+		t.Fatalf("both policies calibrate interval %d: the run does not outlast the pilot window", exact.SampleInterval)
+	}
+	if !bytes.Equal(pprofs[0], encode(streamed)) {
+		t.Error("cold job's TIP pprof differs from tip.RunStreaming's")
+	}
+	if !bytes.Equal(pprofs[1], encode(exact)) {
+		t.Error("warm job's TIP pprof differs from tip.Run's")
+	}
+
+	want, _, err := tip.CaptureWorkload(w, tip.DefaultCoreConfig())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer want.Close()
+	key := captureKey{Bench: spec.Bench, Seed: spec.Seed, Scale: spec.Scale, Core: tableOneHash}
+	s.cache.mu.Lock()
+	ent := s.cache.byKey[key.id()]
+	s.cache.mu.Unlock()
+	if ent == nil {
+		t.Fatalf("no cache entry %s", key.id())
+	}
+	var got, wantBytes bytes.Buffer
+	if _, err := ent.captures[0].WriteTo(&got); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := want.WriteTo(&wantBytes); err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(got.Bytes(), wantBytes.Bytes()) {
+		t.Errorf("cached capture (%d bytes) differs from tip.CaptureWorkload's (%d bytes)", got.Len(), wantBytes.Len())
+	}
+}
+
 // TestCacheSingleSimulation submits several identical jobs concurrently and
 // asserts exactly one cycle-level simulation ran between them — the rest hit
 // the capture cache (or joined the in-flight capture) and only replayed.
@@ -732,6 +816,43 @@ func TestBadRequests(t *testing.T) {
 	waitTerminal(t, ts, v.ID)
 }
 
+// TestSubmitBodyCapped sends a valid job spec padded with whitespace to one
+// byte over the 1 MiB body cap: it must get 413 and create no job, while the
+// same spec padded to exactly the cap is accepted and runs.
+func TestSubmitBodyCapped(t *testing.T) {
+	s, ts := newTestServer(t, Config{Workers: 1})
+	spec, err := json.Marshal(testSpec())
+	if err != nil {
+		t.Fatal(err)
+	}
+	post := func(size int) (JobView, int) {
+		t.Helper()
+		body := append(spec, bytes.Repeat([]byte(" "), size-len(spec))...)
+		resp, err := http.Post(ts.URL+"/v1/jobs", "application/json", bytes.NewReader(body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer resp.Body.Close()
+		var v JobView
+		json.NewDecoder(resp.Body).Decode(&v)
+		return v, resp.StatusCode
+	}
+
+	if _, code := post(maxSpecBytes + 1); code != http.StatusRequestEntityTooLarge {
+		t.Fatalf("body of %d bytes: status %d, want 413", maxSpecBytes+1, code)
+	}
+	if h := s.Health(); h.Jobs != 0 {
+		t.Fatalf("oversized body created %d jobs", h.Jobs)
+	}
+	v, code := post(maxSpecBytes)
+	if code != http.StatusAccepted {
+		t.Fatalf("valid spec of %d bytes: status %d", maxSpecBytes, code)
+	}
+	if v = waitTerminal(t, ts, v.ID); v.State != stateDone {
+		t.Fatalf("job finished %s (%s)", v.State, v.Error)
+	}
+}
+
 // TestHealthz sanity-checks the liveness endpoint.
 func TestHealthz(t *testing.T) {
 	_, ts := newTestServer(t, Config{Workers: 1})
@@ -752,34 +873,6 @@ func TestHealthz(t *testing.T) {
 	}
 	if !h.OK || h.Workers != 1 {
 		t.Fatalf("healthz = %+v", h)
-	}
-}
-
-// TestConfigRejectsPartialCore is the regression test for the fill bug that
-// keyed the "use the default core" decision on Core.FetchWidth alone: a
-// partially-populated config (FetchWidth set, everything else zero) was
-// accepted silently and panicked the first worker that built a core. New
-// must reject it up front.
-func TestConfigRejectsPartialCore(t *testing.T) {
-	cfg := Config{Workers: 1}
-	cfg.Core.FetchWidth = 8
-	if _, err := New(cfg); err == nil {
-		t.Fatal("New accepted a partially-populated core config")
-	} else if !strings.Contains(err.Error(), "core config") {
-		t.Fatalf("err = %v, want a core config rejection", err)
-	}
-
-	// A fully zero core config still selects the Table 1 default...
-	s, _ := newTestServer(t, Config{Workers: 1})
-	if s.cfg.Core.FetchWidth != cpu.DefaultConfig().FetchWidth {
-		t.Fatalf("zero core config not defaulted: %+v", s.cfg.Core)
-	}
-	// ...and an explicit complete config passes validation unchanged.
-	custom := cpu.DefaultConfig()
-	custom.ROBEntries = 64
-	s2, _ := newTestServer(t, Config{Workers: 1, Core: custom})
-	if s2.cfg.Core.ROBEntries != 64 {
-		t.Fatalf("valid custom core config was rewritten: %+v", s2.cfg.Core)
 	}
 }
 

@@ -48,9 +48,11 @@ type MulticoreResult struct {
 // from its own cycle count, its replay starts as soon as it finishes, and
 // its Result equals a replay of its capture by RunMulticoreCaptured. A
 // caller that also needs each core's encoded trace passes one capture per
-// core in capts; capture i then records core i's stream as that core's TIP
-// unit would (§3.2), and the caller owns every capture's Close and Err. The
-// settings checkMulticore rejects are rejected before anything runs.
+// core in capts; capture i joins core i's profiler matrix as an every-cycle
+// consumer, where RunConfig.ExtraConsumers puts a single-core run's capture,
+// so it records core i's stream as that core's TIP unit would (§3.2). The
+// caller owns every capture's Close and Err. The settings checkMulticore
+// rejects are rejected before anything runs.
 func RunMulticore(ctx context.Context, ws []*Workload, rc RunConfig, capts ...*TraceCapture) (*MulticoreResult, error) {
 	return runMulticore(ctx, ws, rc, wholeRunPilot, capts)
 }
@@ -59,7 +61,9 @@ func RunMulticore(ctx context.Context, ws []*Workload, rc RunConfig, capts ...*T
 // RunStreaming is Run's: each core's interval is calibrated from its own
 // DefaultPilotCycles window, and its records stream into its replay shards
 // through a bounded ring while the lockstep run goes on, so peak memory does
-// not grow with run length.
+// not grow with run length. Capture i, when given, is core i's every-cycle
+// consumer as under RunMulticore, so a one-core run with a capture is
+// RunStreaming with that capture in rc.ExtraConsumers.
 func RunMulticoreStreaming(ctx context.Context, ws []*Workload, rc RunConfig, capts ...*TraceCapture) (*MulticoreResult, error) {
 	return runMulticore(ctx, ws, rc, DefaultPilotCycles, capts)
 }
@@ -72,24 +76,22 @@ func runMulticore(ctx context.Context, ws []*Workload, rc RunConfig, pilotCycles
 	if len(ws) == 0 || len(capts) != 0 && len(capts) != len(ws) {
 		return nil, fmt.Errorf("tip: multicore run: %d workloads, %d captures", len(ws), len(capts))
 	}
-	return newMulticoreResult(runFused(ctx, ws, rc, pilotCycles, lockstep(ws, rc.Core, capts)))
+	return newMulticoreResult(runFused(ctx, ws, rc, pilotCycles, lockstep(ws, rc.Core), capts...))
 }
 
 // lockstep is the full-detail producer of every run, one core or several:
-// cpu.Lockstep over sharedCores(ws), core i feeding stream i, teed with
-// capts[i] when captures are given. Each core's stream is Finished as that
-// core finishes; if the run fails, only the unfinished cores' streams are
-// Failed. A lone core at physical offset 0 over its own LLC is the
+// cpu.Lockstep over sharedCores(ws), core i feeding stream i and nothing
+// else, so encoding a capture never rides the simulating goroutine (captures
+// are matrix consumers; see runFused). Each core's stream is Finished as
+// that core finishes; if the run fails, only the unfinished cores' streams
+// are Failed. A lone core at physical offset 0 over its own LLC is the
 // hierarchy cpu.New builds, so a one-core run is the single-core run.
-func lockstep(ws []*Workload, cfg CoreConfig, capts []*TraceCapture) producer {
+func lockstep(ws []*Workload, cfg CoreConfig) producer {
 	return func(ctx context.Context, ss []*trace.Stream) ([]CoreStats, *SampledRunStats, error) {
 		cores, _ := sharedCores(cfg, ws)
 		consumers := make([]trace.Consumer, len(ws))
 		for i, s := range ss {
 			consumers[i] = s
-			if capts != nil {
-				consumers[i] = &trace.Tee{Consumers: []trace.Consumer{s, capts[i]}}
-			}
 		}
 		finished, err := cpu.Lockstep(ctx, cores, consumers)
 		stats := make([]CoreStats, len(cores))
@@ -121,7 +123,7 @@ func sharedCores(cfg CoreConfig, ws []*Workload) ([]*cpu.Core, *cache.Cache) {
 
 // RunMulticoreCaptured evaluates rc's profiler matrix per core by replaying
 // capture i, core i's trace of an earlier lockstep run (such as one
-// RunMulticoreStreaming teed), through RunCaptured with workload i and
+// RunMulticoreStreaming recorded), through RunCaptured with workload i and
 // stats[i], that run's statistics for core i. So with rc.SampleInterval
 // zero each core is calibrated from its own cycle count, as RunMulticore
 // calibrates it. The cores replay concurrently through eachCore, each over

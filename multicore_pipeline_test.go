@@ -577,7 +577,7 @@ func TestMulticorePilotCancelWhileRingFull(t *testing.T) {
 	}
 	done := make(chan error, 1)
 	go func() {
-		_, err := runFused(ctx, ws, rc, DefaultPilotCycles, lockstep(ws, rc.Core, nil))
+		_, err := runFused(ctx, ws, rc, DefaultPilotCycles, lockstep(ws, rc.Core))
 		done <- err
 	}()
 	select {
@@ -619,7 +619,7 @@ func TestMulticoreCoreFailureStopsProducer(t *testing.T) {
 	rc.ExtraConsumersAt = func(uint64, uint64) []trace.Consumer { return []trace.Consumer{&faultingConsumer{}} }
 	done := make(chan error, 1)
 	go func() {
-		_, err := runFused(context.Background(), ws, rc, DefaultPilotCycles, lockstep(ws, rc.Core, nil))
+		_, err := runFused(context.Background(), ws, rc, DefaultPilotCycles, lockstep(ws, rc.Core))
 		done <- err
 	}()
 	select {

@@ -56,7 +56,7 @@ func pilotEstimateCycles(ps trace.PilotStats, targetDynInsts uint64) uint64 {
 // context.Background().
 func RunStreaming(ctx context.Context, w *Workload, rc RunConfig) (*Result, error) {
 	ws := []*Workload{w}
-	return one(runFused(ctx, ws, rc, DefaultPilotCycles, lockstep(ws, rc.Core, nil)))
+	return one(runFused(ctx, ws, rc, DefaultPilotCycles, lockstep(ws, rc.Core)))
 }
 
 // producer runs a simulation into ss on its own goroutine, stream i carrying
@@ -84,8 +84,9 @@ func one(res []*Result, err error) (*Result, error) {
 // and an explicit rc.SampleInterval makes it Fixed (no window: records flow
 // straight into the ring). A producer failure surfaces as its stream's run
 // error, a shard consumer failure as the replay error, and any failure stops
-// every stream and the producer, releasing unreplayed pilots.
-func runFused(ctx context.Context, ws []*Workload, rc RunConfig, pilotCycles uint64, produce producer) ([]*Result, error) {
+// every stream and the producer, releasing unreplayed pilots. Capture i,
+// when capts is given, replaces rc.ExtraConsumers in core i's matrix.
+func runFused(ctx context.Context, ws []*Workload, rc RunConfig, pilotCycles uint64, produce producer, capts ...*TraceCapture) ([]*Result, error) {
 	if ctx == nil {
 		ctx = context.Background()
 	}
@@ -109,6 +110,10 @@ func runFused(ctx context.Context, ws []*Workload, rc RunConfig, pilotCycles uin
 	}()
 
 	res, err := eachCore(ctx, ws, func(ctx context.Context, i int) (*Result, error) {
+		rc := rc
+		if capts != nil {
+			rc.ExtraConsumers = []trace.Consumer{capts[i]}
+		}
 		return evaluate(ctx, ws[i], rc, func() (uint64, error) {
 			ps, err := ss[i].Pilot(ctx)
 			if err != nil {

@@ -453,7 +453,7 @@ func Run(ctx context.Context, w *Workload, rc RunConfig) (*Result, error) {
 		return RunSampled(ctx, w, rc)
 	}
 	ws := []*Workload{w}
-	return one(runFused(ctx, ws, rc, wholeRunPilot, lockstep(ws, rc.Core, nil)))
+	return one(runFused(ctx, ws, rc, wholeRunPilot, lockstep(ws, rc.Core)))
 }
 
 // MeasureStats runs w unprofiled and returns the core statistics (used by
